@@ -1,10 +1,12 @@
 """Breadth-first, depth-bounded graph construction combining retrieval,
 gloss synthesis, triple extraction, and curation.
 
-Expansion is level-synchronous: the expensive per-node stage (retrieve,
-gloss, extract, dedup) is pure given the backends and may fan out across
-threads, while graph mutations are applied serially in queue order, so the
-result is identical to a sequential FIFO run.
+Expansion is level-synchronous and follows the package's one concurrency
+rule: pure per-item work fans out through ``ChatGateway.map``, and every
+mutation, counter and dedup is applied serially in input order. Here the
+per-node stage (retrieve, gloss, extract, dedup) is the pure part, and graph
+mutations are applied in queue order, so the result is identical to a
+sequential FIFO run.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import logging
 import time
 from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .adapters import AdapterSuite
@@ -219,7 +220,6 @@ def build_kg(
 
     queue: deque[tuple[str, int, str | None]] = deque([(graph.seed_id, 0, None)])
     visited: set[str] = set()
-    workers = max(1, config.max_inflight)
 
     try:
         while queue:
@@ -233,22 +233,12 @@ def build_kg(
             if not batch:
                 continue
 
-            if workers > 1 and len(batch) > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    stages = list(
-                        pool.map(
-                            lambda e: _node_stage(
-                                graph.nodes[e[0]].name, e[2], topic_hint, config, gateway, source
-                            ),
-                            batch,
-                        )
-                    )
-            else:
-                stages = [
-                    _node_stage(graph.nodes[e[0]].name, e[2], topic_hint, config, gateway, source)
-                    for e in batch
-                ]
-
+            stages = gateway.map(
+                lambda e: _node_stage(
+                    graph.nodes[e[0]].name, e[2], topic_hint, config, gateway, source
+                ),
+                batch,
+            )
             for (node_id, _depth, _parent), stage in zip(batch, stages):
                 queue.extend(_apply_stage(graph, node_id, stage, config, adapters, report, rejects))
     except GatewayError as exc:

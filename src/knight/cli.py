@@ -3,7 +3,9 @@
 Subcommands: ``build``, ``generate``, ``validate``, ``eval``, ``run``. The
 bare-flags form (``knight --topic "Biology" --depth 2 ...``) is accepted as
 an alias for ``run``. Exit codes: 0 success, 1 backend/config failure,
-2 usage error.
+2 usage error. A ``run`` or ``generate`` that a backend failure cuts short
+writes its partial outputs, with ``aborted_reason`` in ``metrics.json``, and
+exits 1.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .pipeline import (
     build_services,
     mode_uses_kg,
     run_pipeline,
+    validate_items,
 )
 from .storage import (
     canonical_json,
@@ -39,7 +42,6 @@ from .storage import (
     save_snapshot,
     write_jsonl,
 )
-from .validation import validate_item
 
 log = logging.getLogger(__name__)
 
@@ -178,6 +180,7 @@ def _write_run_outputs(
         "generation_rejected": result.generation_rejected,
         "duplicates_dropped": result.duplicates_dropped,
         "validation_dropped": result.validation_dropped,
+        "aborted_reason": result.aborted_reason,
         "stats": result.stats.to_dict() if result.stats else None,
         "rows": result.metric_rows,
         "tokens": {
@@ -226,17 +229,17 @@ def _cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
     output = Path(args.output)
     write_jsonl([item_to_record(i) for i in result.kept_items], output)
     print(f"generated {len(result.kept_items)} items -> {output}")
-    return 0
+    return _exit_code(result)
 
 
 def _cmd_validate(args: argparse.Namespace, config: PipelineConfig) -> int:
     services = build_services(config)
     records = read_jsonl(args.input)
     items = [record_to_item(r) for r in records]
-    kept = 0
-    for index, item in enumerate(items):
-        item.flags = validate_item(services.gateway, item, index, config)
-        kept += int(item.flags.kept)
+    validated, error = validate_items(services.gateway, items, config)
+    if error is not None:
+        raise error
+    kept = sum(int(item.flags.kept) for item in validated)
     write_jsonl([item_to_record(i) for i in items], args.output)
     print(f"validated {len(items)} items: {kept} kept, {len(items) - kept} rejected")
     return 0
@@ -288,7 +291,16 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
         f"mode={result.mode} kept={len(result.kept_items)}/{result.attempts} attempts; "
         + "; ".join(str(p) for p in written)
     )
-    return 0
+    return _exit_code(result)
+
+
+def _exit_code(result: PipelineResult) -> int:
+    """1 when a backend failure cut the run short; its partial outputs are
+    already written."""
+    if result.aborted_reason is None:
+        return 0
+    print(f"error: run aborted, outputs are partial: {result.aborted_reason}", file=sys.stderr)
+    return 1
 
 
 _DISPATCH = {

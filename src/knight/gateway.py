@@ -3,7 +3,8 @@
 Two backends ship: an OpenAI-compatible network client with retries, and a
 deterministic mock whose replies are a pure function of
 (task tag, prompt hash, rng seed) over the fixture tables. The gateway
-wrapper owns the token ledger and the in-flight bound.
+wrapper owns the token ledger, the in-flight bound, and the one ordered
+bounded map every fan-out in the package goes through.
 """
 
 from __future__ import annotations
@@ -15,14 +16,18 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Protocol
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from .errors import AuthError, EmptyResponseError, GatewayError, RetriesExhaustedError
 from .fixture_world import FixtureWorld
 from .graph import normalize_name
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 TASK_TAGS = ("gloss", "triples", "title_check", "mcq_forward", "mcq_reverse", "validate")
 
@@ -90,8 +95,20 @@ class ChatGateway:
 
     def __init__(self, backend: ChatBackend, max_inflight: int = 1):
         self.backend = backend
+        self.max_inflight = max_inflight
         self.ledger = TokenLedger()
         self._slots = threading.Semaphore(max_inflight)
+
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+        """``[fn(item) for item in items]`` on at most ``max_inflight``
+        threads, results in input order. Runs serially when the bound is 1
+        or there is one item. The first exception in input order propagates
+        and work not yet started is cancelled; every thread is joined before
+        this returns."""
+        if self.max_inflight == 1 or len(items) <= 1:
+            return [fn(item) for item in items]
+        with ThreadPoolExecutor(max_workers=min(self.max_inflight, len(items))) as pool:
+            return list(pool.map(fn, items))
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         with self._slots:
@@ -245,6 +262,8 @@ class MockChatBackend:
         self.world = world
         self.rng_seed = rng_seed
         self.overrides = list(overrides or [])
+        names = world.sorted_names()
+        self._names = list(zip(names, [name.lower() for name in names]))
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         combined = request.system_prompt + "\n" + request.user_prompt
@@ -348,8 +367,8 @@ class MockChatBackend:
         avoid_low = [a.lower() for a in avoid if a]
         pool = [
             name
-            for name in self.world.sorted_names()
-            if not any(a in name.lower() or name.lower() in a for a in avoid_low)
+            for name, low in self._names
+            if not any(a in low or low in a for a in avoid_low)
         ]
         rng = random.Random(salt)
         if len(pool) < 3:

@@ -21,15 +21,23 @@ _LEADING_ARTICLES = ("the", "a", "an")
 
 def normalize_name(raw: str) -> str:
     """Canonical key for a term: NFKC, lowercase, collapsed whitespace,
-    leading article stripped, terminal plural "s" dropped when the singular
-    form keeps at least 3 characters.
+    leading articles stripped, terminal plural "s" dropped when the singular
+    form keeps at least 3 characters and does not itself end in "s" or
+    whitespace ("cells" -> "cell", "class" stays).
+
+    Idempotent: a key normalizes to itself.
     """
-    text = unicodedata.normalize("NFKC", raw).lower()
+    text = raw
+    while True:
+        folded = unicodedata.normalize("NFKC", text).lower()
+        if folded == text:
+            break
+        text = folded
     words = text.split()
-    if len(words) > 1 and words[0] in _LEADING_ARTICLES:
+    while len(words) > 1 and words[0] in _LEADING_ARTICLES:
         words = words[1:]
     text = " ".join(words)
-    if text.endswith("s") and len(text) - 1 >= 3:
+    if len(text) - 1 >= 3 and text[-1] == "s" and text[-2] != "s" and not text[-2].isspace():
         text = text[:-1]
     return text
 

@@ -105,20 +105,30 @@ def probe_accuracy(
     excluded = 0
     scored = 0
     for item in items:
-        try:
-            raw = probe.logits(item.question, item.options, item.answer_key, item.level)
-            logits = ProbeLogits(*raw)
-        except (AdapterError, ValueError, TypeError) as exc:
+        logits = _probe_logits(probe, item)
+        if logits is None:
             excluded += 1
-            log.warning("probe failed on %s: %s", item.id, exc)
             continue
-        choice = _LETTERS[int(np.argmax(logits.as_array()))]
         scored += 1
-        if choice == item.answer_key:
+        if _probe_choice(logits) == item.answer_key:
             correct += 1
     if scored == 0:
         raise ValueError("probe failed on every item")
     return correct / scored, excluded
+
+
+def _probe_logits(probe, item: McqItem) -> ProbeLogits | None:
+    """The probe's logits for one item, or None when the probe fails on it."""
+    try:
+        return ProbeLogits(*probe.logits(item.question, item.options, item.answer_key, item.level))
+    except (AdapterError, ValueError, TypeError) as exc:
+        log.warning("probe failed on %s: %s", item.id, exc)
+        return None
+
+
+def _probe_choice(logits: ProbeLogits) -> str:
+    """Argmax letter; ties resolve to the first in A<B<C<D order."""
+    return _LETTERS[int(np.argmax(logits.as_array()))]
 
 
 def entailment_relevance(question: str, topic: str, nli) -> float:
@@ -195,24 +205,32 @@ def compute_dataset_stats(
     topic: str,
     off_topic_threshold: float = 0.5,
 ) -> tuple[DatasetStats, list[dict]]:
-    """Aggregate stats plus one metric row per item for the report."""
+    """Aggregate stats plus one metric row per item for the report.
+
+    The probe is called once per item. An item it fails on is counted in
+    ``probe_excluded``, left out of the entropy and accuracy means, and
+    gets None for its row's probe fields."""
     stats = DatasetStats()
     rows: list[dict] = []
     if not items:
         return stats, rows
 
     entropies: list[float] = []
+    probe_hits: list[bool] = []
     grammars: list[float] = []
     entailments: list[float] = []
     ent_flags: list[bool] = []
     llm_flags: list[bool] = []
 
     for item in items:
-        raw = adapters.probe.logits(item.question, item.options, item.answer_key, item.level)
-        logits = ProbeLogits(*raw)
-        probs, entropy = predictive_entropy(logits)
-        entropies.append(entropy)
-        choice = _LETTERS[int(np.argmax(logits.as_array()))]
+        logits = _probe_logits(adapters.probe, item)
+        entropy = choice = key_probability = None
+        if logits is not None:
+            probs, entropy = predictive_entropy(logits)
+            choice = _probe_choice(logits)
+            key_probability = float(probs[_LETTERS.index(item.answer_key)])
+            entropies.append(entropy)
+            probe_hits.append(choice == item.answer_key)
 
         words = len(item.question.split())
         errors = adapters.grammar.error_count(item.question)
@@ -231,21 +249,21 @@ def compute_dataset_stats(
                 "orientation": item.orientation,
                 "entropy": entropy,
                 "probe_choice": choice,
-                "probe_correct": choice == item.answer_key,
+                "probe_correct": None if choice is None else choice == item.answer_key,
                 "grammar": grammar,
                 "entailment": entailment,
                 "word_count": words,
-                "key_probability": float(probs[_LETTERS.index(item.answer_key)]),
+                "key_probability": key_probability,
             }
         )
 
-    accuracy, excluded = probe_accuracy(items, adapters.probe)
     histogram, mean_len, std_len = length_stats([i.question for i in items])
-    entropy_arr = np.asarray(entropies)
-    stats.mean_entropy = float(entropy_arr.mean())
-    stats.std_entropy = float(entropy_arr.std())
-    stats.probe_accuracy = accuracy
-    stats.probe_excluded = excluded
+    stats.probe_excluded = len(items) - len(entropies)
+    if entropies:
+        entropy_arr = np.asarray(entropies)
+        stats.mean_entropy = float(entropy_arr.mean())
+        stats.std_entropy = float(entropy_arr.std())
+        stats.probe_accuracy = sum(probe_hits) / len(probe_hits)
     stats.mean_grammar = float(np.mean(grammars))
     stats.mean_entailment = float(np.mean(entailments))
     stats.off_topic_rate = off_topic_rate(ent_flags, llm_flags)

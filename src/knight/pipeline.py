@@ -10,28 +10,45 @@ Stage sets per mode:
 
 The token ledger's task tags are the observable contract: a run logs exactly
 the tags of its mode's stage set (plus ``validate`` when forced).
+
+Concurrency follows one rule: pure per-item work fans out through
+``ChatGateway.map``, and every mutation, counter and dedup is applied
+serially in input order. Generation maps only the call and parse of each
+attempt; item ids and variants are fixed before the map, and dedup and the
+reject counters run after it. The critic maps ``validate_item``. Outputs are
+therefore byte-identical at any ``max_inflight``.
+
+A ``GatewayError`` ends the stage it happens in, not the run: the stage keeps
+everything before the failing item in input order, as a serial run would,
+the error goes to ``PipelineResult.aborted_reason``, and later stages go on
+with what was finished.
 """
 
 from __future__ import annotations
 
 import logging
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, Sequence, TypeVar
 
 from .adapters import AdapterSuite
 from .builder import BuildReport, RejectedCandidate, build_kg
 from .config import PipelineConfig
-from .errors import ConfigError, GenerationRejected
+from .errors import ConfigError, GatewayError, GenerationRejected
 from .fixture_world import FixtureWorld, load_world
 from .gateway import ChatGateway, ChatRequest, MockChatBackend, OpenAiCompatBackend
-from .graph import KnowledgeGraph, Topic, normalize_name
+from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
 from .prompts import MCQ_FORWARD_SYSTEM, direct_mcq_user
 from .qgen import McqItem, generate_mcq, parse_mcq_output, sample_paths
 from .retrieval import FixtureWikiSource, NetworkWikiSource, WikiSource, retrieve_evidence
-from .validation import validate_item
+from .validation import ValidationReport, validate_item
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 MODE_TASK_TAGS: dict[str, frozenset[str]] = {
     "plain": frozenset({"mcq_forward"}),
@@ -103,6 +120,7 @@ class PipelineResult:
     generation_rejected: int = 0
     duplicates_dropped: int = 0
     validation_dropped: int = 0
+    aborted_reason: str | None = None
 
     def tokens_per_kept_item(self, gateway: ChatGateway) -> float:
         prompt, completion = gateway.ledger.grand_total()
@@ -119,6 +137,66 @@ def _question_fingerprint(question: str) -> str:
     return " ".join(question.lower().split())
 
 
+def _abort(result: PipelineResult, exc: GatewayError) -> None:
+    if result.aborted_reason is None:
+        result.aborted_reason = f"{type(exc).__name__}: {exc}"
+        log.error("backend failure, stage cut short: %s", result.aborted_reason)
+
+
+def _map_calls(
+    gateway: ChatGateway, fn: Callable[[T], R], items: Sequence[T]
+) -> list[R | GatewayError | GenerationRejected | None]:
+    """``gateway.map`` for per-item work that calls the backend. A
+    ``GatewayError`` or ``GenerationRejected`` comes back as a value, so the
+    caller keeps every result before a failure. Items after a
+    ``GatewayError`` in input order are not started and come back as None;
+    the caller stops at the error before reaching them."""
+    lock = threading.Lock()
+    first_failure = [len(items)]
+
+    def call(indexed: tuple[int, T]) -> R | GatewayError | GenerationRejected | None:
+        index, item = indexed
+        if index > first_failure[0]:
+            return None
+        try:
+            return fn(item)
+        except GenerationRejected as exc:
+            return exc
+        except GatewayError as exc:
+            with lock:
+                first_failure[0] = min(first_failure[0], index)
+            return exc
+
+    return gateway.map(call, list(enumerate(items)))
+
+
+def _collect_items(
+    item_ids: list[str],
+    outcomes: list[McqItem | GatewayError | GenerationRejected | None],
+    result: PipelineResult,
+) -> list[McqItem]:
+    """Apply generation outcomes in input order: count attempts and rejects,
+    drop repeated questions, and stop at the first gateway failure."""
+    items: list[McqItem] = []
+    seen_questions: set[str] = set()
+    for item_id, outcome in zip(item_ids, outcomes):
+        result.attempts += 1
+        if isinstance(outcome, GatewayError):
+            _abort(result, outcome)
+            break
+        if isinstance(outcome, GenerationRejected):
+            result.generation_rejected += 1
+            log.warning("generation rejected (%s): %s", item_id, outcome)
+            continue
+        fingerprint = _question_fingerprint(outcome.question)
+        if fingerprint in seen_questions:
+            result.duplicates_dropped += 1
+            continue
+        seen_questions.add(fingerprint)
+        items.append(outcome)
+    return items
+
+
 def _generate_path_items(
     topic: Topic,
     graph: KnowledgeGraph,
@@ -133,38 +211,30 @@ def _generate_path_items(
             f"graph has no {config.d_max}-hop paths from the seed; "
             "increase --depth or loosen branching"
         )
-    items: list[McqItem] = []
-    seen_questions: set[str] = set()
     occurrences: Counter = Counter()
     slug = _slug(topic.name)
+    attempts: list[tuple[PathSample, str, str, int]] = []
     for attempt, (path, orientation) in enumerate(pairs):
         key = (tuple(path.node_ids), orientation)
-        variant = occurrences[key]
-        occurrences[key] += 1
-        result.attempts += 1
         item_id = f"{slug}-L{config.d_max}-{orientation[:3]}-{attempt:04d}"
-        try:
-            item = generate_mcq(
-                services.gateway,
-                path,
-                orientation,
-                topic.name,
-                graph,
-                config,
-                item_id=item_id,
-                variant=variant,
-            )
-        except GenerationRejected as exc:
-            result.generation_rejected += 1
-            log.warning("generation rejected (%s): %s", item_id, exc)
-            continue
-        fingerprint = _question_fingerprint(item.question)
-        if fingerprint in seen_questions:
-            result.duplicates_dropped += 1
-            continue
-        seen_questions.add(fingerprint)
-        items.append(item)
-    return items
+        attempts.append((path, orientation, item_id, occurrences[key]))
+        occurrences[key] += 1
+
+    def generate(attempt: tuple[PathSample, str, str, int]) -> McqItem:
+        path, orientation, item_id, variant = attempt
+        return generate_mcq(
+            services.gateway,
+            path,
+            orientation,
+            topic.name,
+            graph,
+            config,
+            item_id=item_id,
+            variant=variant,
+        )
+
+    outcomes = _map_calls(services.gateway, generate, attempts)
+    return _collect_items([a[2] for a in attempts], outcomes, result)
 
 
 def _generate_direct_items(
@@ -194,12 +264,10 @@ def _generate_direct_items(
         if passages
         else "No source information provided."
     )
-    items: list[McqItem] = []
-    seen_questions: set[str] = set()
     slug = _slug(topic.name)
-    for attempt in range(num_q):
-        result.attempts += 1
-        item_id = f"{slug}-L{config.d_max}-dir-{attempt:04d}"
+    item_ids = [f"{slug}-L{config.d_max}-dir-{attempt:04d}" for attempt in range(num_q)]
+
+    def generate(attempt: int) -> McqItem:
         response = services.gateway.complete(
             ChatRequest(
                 system_prompt=MCQ_FORWARD_SYSTEM,
@@ -208,37 +276,47 @@ def _generate_direct_items(
                 task_tag="mcq_forward",
             )
         )
-        try:
-            question, options, answer_key = parse_mcq_output(response.text)
-        except GenerationRejected as exc:
-            result.generation_rejected += 1
-            log.warning("generation rejected (%s): %s", item_id, exc)
-            continue
-        fingerprint = _question_fingerprint(question)
-        if fingerprint in seen_questions:
-            result.duplicates_dropped += 1
-            continue
-        seen_questions.add(fingerprint)
-        items.append(
-            McqItem(
-                id=item_id,
-                question=question,
-                options=options,
-                answer_key=answer_key,
-                topic=topic.name,
-                level=config.d_max,
-                orientation="forward",
-                path=None,
-                source_context=source_context,
-                provenance={
-                    "seed_node": _slug(topic.name),
-                    "passage_ids": passage_ids,
-                    "mixture_weights": [],
-                    "parametric_fallback": fallback,
-                },
-            )
+        question, options, answer_key = parse_mcq_output(response.text)
+        return McqItem(
+            id=item_ids[attempt],
+            question=question,
+            options=options,
+            answer_key=answer_key,
+            topic=topic.name,
+            level=config.d_max,
+            orientation="forward",
+            path=None,
+            source_context=source_context,
+            provenance={
+                "seed_node": slug,
+                "passage_ids": passage_ids,
+                "mixture_weights": [],
+                "parametric_fallback": fallback,
+            },
         )
-    return items
+
+    outcomes = _map_calls(services.gateway, generate, range(num_q))
+    return _collect_items(item_ids, outcomes, result)
+
+
+def validate_items(
+    gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
+) -> tuple[list[McqItem], GatewayError | None]:
+    """Run the critic over ``items`` through the gateway's map and set each
+    item's ``flags`` in input order. Returns the validated items and None,
+    or, when a call fails, the items before the failing one and its error;
+    the failing item and the rest keep the flags they had."""
+
+    def validate(index: int) -> ValidationReport:
+        return validate_item(gateway, items[index], index, config)
+
+    validated: list[McqItem] = []
+    for item, outcome in zip(items, _map_calls(gateway, validate, range(len(items)))):
+        if isinstance(outcome, GatewayError):
+            return validated, outcome
+        item.flags = outcome
+        validated.append(item)
+    return validated, None
 
 
 def run_pipeline(
@@ -266,6 +344,7 @@ def run_pipeline(
                 rejects=result.rejects,
             )
             result.build_report = report
+            result.aborted_reason = report.aborted_reason
         result.graph = graph
         result.items = _generate_path_items(topic, graph, config, services, num_q, result)
     else:
@@ -275,16 +354,24 @@ def run_pipeline(
 
     run_critic = mode_uses_validator(mode) if validate_flag is None else validate_flag
     if run_critic:
-        kept: list[McqItem] = []
-        for index, item in enumerate(result.items):
-            item.flags = validate_item(services.gateway, item, index, config)
-            if item.flags.kept:
-                kept.append(item)
-            else:
-                result.validation_dropped += 1
-        result.kept_items = kept
+        validated, error = validate_items(services.gateway, result.items, config)
+        result.kept_items = [item for item in validated if item.flags.kept]
+        result.validation_dropped = len(validated) - len(result.kept_items)
+        if error is not None:
+            _abort(result, error)
     else:
         result.kept_items = list(result.items)
+
+    if len(result.kept_items) < num_q:
+        log.warning(
+            "yield shortfall: %d of %d requested items delivered "
+            "(generation_rejected=%d, duplicates_dropped=%d, validation_dropped=%d)",
+            len(result.kept_items),
+            num_q,
+            result.generation_rejected,
+            result.duplicates_dropped,
+            result.validation_dropped,
+        )
 
     stats, rows = compute_dataset_stats(result.kept_items, services.adapters, topic.name)
     result.stats = stats

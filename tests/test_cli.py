@@ -228,3 +228,40 @@ def test_env_var_overrides_config_file(tmp_path, monkeypatch, capsys):
                "--config", str(conf), "--print-config"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["max_branches"] == 3
+
+
+def test_run_aborted_by_backend_writes_partial_outputs(tmp_path, capsys, monkeypatch):
+    import knight.cli as cli_mod
+    from knight.errors import AuthError
+
+    class ValidateFails:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, request):
+            if request.task_tag == "validate":
+                raise AuthError("key revoked")
+            return self.inner.complete(request)
+
+    build_services = cli_mod.build_services
+
+    def build_failing_services(config):
+        services = build_services(config)
+        services.gateway.backend = ValidateFails(services.gateway.backend)
+        return services
+
+    monkeypatch.setattr(cli_mod, "build_services", build_failing_services)
+    output = tmp_path / "partial.json"
+    rc = _run(
+        [
+            "run", "--topic", "Biology", "--depth", "2", "--num-q", "4",
+            "--seed", "7", "--mode", "knight", "--output", str(output),
+        ]
+    )
+    assert rc == 1
+    assert "AuthError: key revoked" in capsys.readouterr().err
+    assert read_jsonl(output) == []
+    assert (tmp_path / "partial.snapshot.json").exists()
+    doc = json.loads((tmp_path / "partial.metrics.json").read_text(encoding="utf-8"))
+    assert doc["aborted_reason"] == "AuthError: key revoked"
+    assert doc["items_generated"] == 4

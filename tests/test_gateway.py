@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
@@ -200,3 +202,35 @@ def test_network_empty_response(monkeypatch):
 def test_missing_key_rejected_up_front():
     with pytest.raises(AuthError):
         OpenAiCompatBackend("https://api.example/v1", "", "model-x")
+
+
+def test_map_keeps_input_order(world):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=4)
+
+    def slow_first(n):
+        time.sleep(0.002 * (8 - n))
+        return n * n
+
+    assert gw.map(slow_first, list(range(8))) == [n * n for n in range(8)]
+
+
+def test_map_raises_first_exception_in_input_order(world):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=4)
+
+    def fail(n):
+        if n == 1:
+            time.sleep(0.02)
+            raise ValueError("first in input order")
+        if n == 3:
+            raise KeyError("finishes first")
+        return n
+
+    with pytest.raises(ValueError, match="first in input order"):
+        gw.map(fail, [0, 1, 2, 3])
+
+
+def test_map_is_serial_under_bound_one(world):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=1)
+    main = threading.get_ident()
+    assert gw.map(lambda _: threading.get_ident(), [1, 2, 3]) == [main] * 3
+    assert gw.map(lambda n: n, []) == []

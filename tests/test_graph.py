@@ -51,6 +51,17 @@ def test_normalize_article_only_single_word_kept():
     assert normalize_name("The") == "the"
 
 
+def test_normalize_fixed_point_on_former_counterexamples():
+    # Each of these used to change again on a second pass.
+    assert normalize_name("000SS") == "000ss"  # "ss" ending is not a plural
+    assert normalize_name("class") == "class"
+    assert normalize_name("The the atoms") == "atom"  # every leading article goes
+    assert normalize_name("ab s") == "ab s"  # a lone "s" word is not a plural suffix
+    for raw in ("000SS", "The the atoms", "ab s"):
+        once = normalize_name(raw)
+        assert normalize_name(once) == once
+
+
 @given(st.text(max_size=60))
 def test_normalize_idempotent(raw):
     once = normalize_name(raw)

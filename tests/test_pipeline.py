@@ -1,0 +1,249 @@
+from __future__ import annotations
+
+import dataclasses
+import logging
+import sys
+import threading
+import time
+
+import pytest
+
+from knight.adapters import AdapterSuite
+from knight.config import PipelineConfig
+from knight.errors import AdapterError, AuthError
+from knight.gateway import ChatGateway, MockChatBackend
+from knight.graph import Topic
+from knight.pipeline import Services, run_pipeline
+from knight.retrieval import FixtureWikiSource
+from knight.storage import item_to_record, snapshot_document
+
+
+def _services(world, max_inflight, backend=None, probe=None, seed=7):
+    backend = backend or MockChatBackend(world, rng_seed=seed)
+    adapters = AdapterSuite.fixture_suite(world, rng_seed=seed)
+    if probe is not None:
+        adapters = dataclasses.replace(adapters, probe=probe)
+    return Services(
+        gateway=ChatGateway(backend, max_inflight=max_inflight),
+        source=FixtureWikiSource(world),
+        adapters=adapters,
+        world=world,
+    )
+
+
+def _run(world, mode, max_inflight=1, num_q=10, backend=None, probe=None, seed=7):
+    config = PipelineConfig(
+        rng_seed=seed, d_max=2, pipeline_mode=mode, max_inflight=max_inflight
+    ).validate()
+    services = _services(world, max_inflight, backend=backend, probe=probe, seed=seed)
+    result, services = run_pipeline(Topic("Biology"), config, num_q, services=services)
+    return result, services
+
+
+def _outputs(result, services):
+    """Everything a run writes or reports, apart from timing."""
+    return {
+        "dataset": [item_to_record(item) for item in result.kept_items],
+        "items": [item_to_record(item) for item in result.items],
+        "snapshot": (
+            snapshot_document(result.graph, result.topic, report=result.build_report)
+            if result.graph is not None
+            else None
+        ),
+        "rejects": [r.to_dict() for r in result.rejects],
+        "rows": result.metric_rows,
+        "stats": result.stats.to_dict(),
+        "counters": (
+            result.attempts,
+            result.generation_rejected,
+            result.duplicates_dropped,
+            result.validation_dropped,
+            result.aborted_reason,
+        ),
+        "ledger": services.gateway.ledger.totals(),
+    }
+
+
+@pytest.mark.parametrize("mode", ["knight", "rag_val"])
+def test_fan_out_matches_serial_run(world, mode):
+    serial = _outputs(*_run(world, mode, max_inflight=1))
+    # More workers than cores and frequent thread switches, so a lost
+    # ledger or counter update would show in the comparison.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        fanned = _outputs(*_run(world, mode, max_inflight=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert serial["dataset"]
+    assert fanned == serial
+
+
+class PeakBackend:
+    """Records the peak number of concurrent calls per task group. The short
+    sleep keeps a call in flight long enough for a second one to start."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.lock = threading.Lock()
+        self.inflight = {"mcq": 0, "validate": 0}
+        self.peak = {"mcq": 0, "validate": 0}
+
+    def complete(self, request):
+        group = "mcq" if request.task_tag.startswith("mcq_") else request.task_tag
+        if group not in self.inflight:
+            return self.inner.complete(request)
+        with self.lock:
+            self.inflight[group] += 1
+            self.peak[group] = max(self.peak[group], self.inflight[group])
+        try:
+            time.sleep(0.005)
+            return self.inner.complete(request)
+        finally:
+            with self.lock:
+                self.inflight[group] -= 1
+
+
+@pytest.mark.parametrize("max_inflight, overlaps", [(1, False), (2, True)])
+def test_generation_and_critic_calls_overlap(world, max_inflight, overlaps):
+    backend = PeakBackend(MockChatBackend(world, rng_seed=7))
+    _run(world, "knight", max_inflight=max_inflight, backend=backend)
+    if overlaps:
+        assert backend.peak["mcq"] > 1
+        assert backend.peak["validate"] > 1
+    else:
+        assert backend.peak == {"mcq": 1, "validate": 1}
+    assert max(backend.peak.values()) <= max_inflight
+
+
+class FailingBackend:
+    """Raises ``AuthError`` at once on every request of one tag whose prompt
+    contains ``marker``: a fixed item, whatever order the calls come in.
+    The other calls of that tag take 20 ms, so the failure is recorded
+    while its neighbours are still in flight."""
+
+    def __init__(self, inner, tag, marker):
+        self.inner = inner
+        self.tag = tag
+        self.marker = marker
+        self.lock = threading.Lock()
+        self.calls = 0
+
+    def complete(self, request):
+        if request.task_tag == self.tag:
+            with self.lock:
+                self.calls += 1
+            if self.marker in request.user_prompt:
+                raise AuthError("key revoked")
+            time.sleep(0.02)
+        return self.inner.complete(request)
+
+
+def test_validate_failure_keeps_items_before_it(world):
+    baseline, _ = _run(world, "knight")
+    k = 3
+    failing_question = baseline.items[k].question
+    runs = []
+    for max_inflight in (1, 4):
+        backend = FailingBackend(MockChatBackend(world, rng_seed=7), "validate", failing_question)
+        result, services = _run(world, "knight", max_inflight=max_inflight, backend=backend)
+        assert result.aborted_reason == "AuthError: key revoked"
+        assert [i.id for i in result.kept_items] == [i.id for i in baseline.kept_items[:k]]
+        assert result.graph is not None and result.graph.nodes
+        # Items after the failing one are not started once it has failed;
+        # only those already in flight beside it were sent.
+        assert len(baseline.items) > k + max_inflight
+        assert backend.calls <= k + max_inflight
+        outputs = _outputs(result, services)
+        del outputs["ledger"]  # calls after the failure may already be in flight
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+
+
+def test_generation_failure_keeps_items_before_it(world):
+    baseline, _ = _run(world, "rag_val")
+    k = 5
+    runs = []
+    for max_inflight in (1, 4):
+        backend = FailingBackend(
+            MockChatBackend(world, rng_seed=7), "mcq_forward", f"Variation tag: {k} "
+        )
+        result, services = _run(world, "rag_val", max_inflight=max_inflight, backend=backend)
+        assert result.aborted_reason == "AuthError: key revoked"
+        assert result.attempts == k + 1
+        assert [i.id for i in result.items] == [i.id for i in baseline.items[:k]]
+        assert all(item.flags is not None for item in result.kept_items)
+        outputs = _outputs(result, services)
+        del outputs["ledger"]
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+
+
+def test_build_failure_is_reported_and_run_goes_on(world):
+    baseline, _ = _run(world, "knight")
+    leaf = next(n for n in baseline.graph.nodes.values() if n.depth == 2)
+    backend = FailingBackend(
+        MockChatBackend(world, rng_seed=7), "gloss", f'Explain the term: "{leaf.name}"'
+    )
+    result, _ = _run(world, "knight", backend=backend)
+    assert result.build_report.aborted_reason == "AuthError: key revoked"
+    assert result.aborted_reason == result.build_report.aborted_reason
+    assert result.kept_items
+
+
+class CountingProbe:
+    def __init__(self, inner, fail_on=None):
+        self.inner = inner
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def logits(self, question, options, answer_key, level):
+        self.calls += 1
+        if question == self.fail_on:
+            raise AdapterError("probe unavailable")
+        return self.inner.logits(question, options, answer_key, level)
+
+
+def test_probe_called_once_per_kept_item(world):
+    probe = CountingProbe(AdapterSuite.fixture_suite(world, rng_seed=7).probe)
+    result, _ = _run(world, "knight", probe=probe)
+    assert result.kept_items
+    assert probe.calls == len(result.kept_items)
+    assert result.stats.probe_excluded == 0
+
+
+def test_probe_failure_costs_one_item(world):
+    baseline, _ = _run(world, "knight")
+    failing = baseline.kept_items[1]
+    probe = CountingProbe(AdapterSuite.fixture_suite(world, rng_seed=7).probe, failing.question)
+    result, _ = _run(world, "knight", probe=probe)
+    assert result.stats.probe_excluded == 1
+    assert len(result.metric_rows) == len(baseline.metric_rows)
+    row = next(r for r in result.metric_rows if r["id"] == failing.id)
+    assert row["entropy"] is None and row["probe_choice"] is None
+    assert row["probe_correct"] is None and row["key_probability"] is None
+    scored = [r for r in baseline.metric_rows if r["id"] != failing.id]
+    assert result.stats.mean_entropy == pytest.approx(
+        sum(r["entropy"] for r in scored) / len(scored)
+    )
+    assert result.stats.probe_accuracy == pytest.approx(
+        sum(r["probe_correct"] for r in scored) / len(scored)
+    )
+
+
+def test_yield_shortfall_warns(world, caplog):
+    with caplog.at_level(logging.WARNING, logger="knight.pipeline"):
+        result, _ = _run(world, "knight", num_q=100, seed=0)
+    assert len(result.kept_items) == 20
+    assert result.duplicates_dropped == 80
+    shortfall = [r.getMessage() for r in caplog.records if "yield shortfall" in r.getMessage()]
+    assert len(shortfall) == 1
+    assert "20 of 100" in shortfall[0]
+    assert "duplicates_dropped=80" in shortfall[0]
+
+
+def test_full_yield_does_not_warn(world, caplog):
+    with caplog.at_level(logging.WARNING, logger="knight.pipeline"):
+        result, _ = _run(world, "knight", num_q=4)
+    assert len(result.kept_items) == 4
+    assert not any("yield shortfall" in r.getMessage() for r in caplog.records)
