@@ -1,25 +1,19 @@
 """Auxiliary scoring adapters: embeddings, NLI, ontology typing, content
 policy, grammar checking, and the answer probe.
 
-Each has a deterministic fixture-backed mock and, where a conventional wire
-format exists, a thin network client. Pipelines depend only on the
-protocols.
+Each has a deterministic fixture-backed implementation. Pipelines depend
+only on the protocols.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
-import math
 import random
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
-from .errors import AdapterError
 from .fixture_world import FixtureWorld
 from .graph import normalize_name
-
-log = logging.getLogger(__name__)
 
 
 class EmbeddingAdapter(Protocol):
@@ -134,107 +128,6 @@ class LevelCalibratedProbe:
             else:
                 values.append(rng.uniform(0.0, 2.5))
         return tuple(values)  # type: ignore[return-value]
-
-
-# -- network clients ---------------------------------------------------------
-
-
-class OpenAiEmbedding:
-    """Embeddings endpoint client; cosine of the two returned vectors."""
-
-    def __init__(self, base_url: str, api_key: str, model: str = "text-embedding-3-small",
-                 timeout: float = 30.0):
-        self.base_url = base_url.rstrip("/")
-        self.api_key = api_key
-        self.model = model
-        self.timeout = timeout
-
-    def _embed(self, texts: Sequence[str]) -> list[list[float]]:
-        import requests
-
-        try:
-            resp = requests.post(
-                f"{self.base_url}/embeddings",
-                json={"model": self.model, "input": list(texts)},
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise AdapterError(f"embedding request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise AdapterError(f"embedding endpoint returned {resp.status_code}")
-        return [row["embedding"] for row in resp.json()["data"]]
-
-    def cosine(self, a: str, b: str) -> float:
-        va, vb = self._embed([a, b])
-        dot = sum(x * y for x, y in zip(va, vb))
-        na = math.sqrt(sum(x * x for x in va))
-        nb = math.sqrt(sum(x * x for x in vb))
-        if not na or not nb:
-            return 0.0
-        return dot / (na * nb)
-
-
-class HttpNli:
-    """POSTs {premise, hypothesis}; expects {"entailment": <prob>} back."""
-
-    def __init__(self, endpoint: str, timeout: float = 30.0):
-        self.endpoint = endpoint
-        self.timeout = timeout
-
-    def entailment(self, premise: str, hypothesis: str) -> float:
-        import requests
-
-        try:
-            resp = requests.post(
-                self.endpoint,
-                json={"premise": premise, "hypothesis": hypothesis},
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise AdapterError(f"NLI request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise AdapterError(f"NLI endpoint returned {resp.status_code}")
-        return float(resp.json()["entailment"])
-
-
-class WikidataOntology:
-    """Looks up the tail entity's instance-of labels and checks them against
-    a user-supplied relation -> admissible types mapping."""
-
-    def __init__(self, relation_types: dict[str, list[str]],
-                 base_url: str = "https://www.wikidata.org", timeout: float = 30.0):
-        self.relation_types = relation_types
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
-    def type_ok(self, relation: str, tail: str) -> bool | None:
-        allowed = self.relation_types.get(relation)
-        if allowed is None:
-            return None
-        import requests
-
-        try:
-            resp = requests.get(
-                f"{self.base_url}/w/api.php",
-                params={
-                    "action": "wbsearchentities",
-                    "search": tail,
-                    "language": "en",
-                    "format": "json",
-                    "limit": 1,
-                },
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise AdapterError(f"wikidata request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise AdapterError(f"wikidata returned {resp.status_code}")
-        hits = resp.json().get("search", [])
-        if not hits:
-            return None
-        description = (hits[0].get("description") or "").lower()
-        return any(t.lower() in description for t in allowed)
 
 
 @dataclass

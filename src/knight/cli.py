@@ -3,19 +3,22 @@
 Subcommands: ``build``, ``generate``, ``validate``, ``eval``, ``run``. The
 bare-flags form (``knight --topic "Biology" --depth 2 ...``) is accepted as
 an alias for ``run``. Exit codes: 0 success, 1 backend/config failure,
-2 usage error. A ``run`` or ``generate`` that a backend failure cuts short
-writes its partial outputs, with ``aborted_reason`` in ``metrics.json``, and
-exits 1.
+2 usage error. A ``run``, ``generate`` or ``validate`` that a backend failure
+cuts short writes its partial outputs (``run`` with ``aborted_reason`` in
+``metrics.json``) and exits 1. With ``--backend bolt`` the Neo4j store is
+opened before the first LLM call and the graph is mirrored to it only after
+the outputs are written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .builder import build_kg
 from .config import PIPELINE_MODES, PipelineConfig, build_config
@@ -27,23 +30,21 @@ from .pipeline import (
     PipelineResult,
     Services,
     build_services,
-    mode_uses_kg,
     run_pipeline,
     validate_items,
 )
 from .storage import (
+    BoltGraphStore,
     canonical_json,
-    graph_store,
     item_to_record,
     load_snapshot,
     mirror_graph,
+    open_graph_store,
     read_jsonl,
     record_to_item,
     save_snapshot,
     write_jsonl,
 )
-
-log = logging.getLogger(__name__)
 
 SUBCOMMANDS = ("build", "generate", "validate", "eval", "run")
 
@@ -73,7 +74,8 @@ def _add_common(parser: argparse.ArgumentParser, *, topic_required: bool = True)
     parser.add_argument("--llm-backend", choices=["mock", "openai"], default=None,
                         help="chat backend (default mock)")
     parser.add_argument("--backend", choices=["memory", "bolt"], default=None,
-                        help="graph store backend (default memory)")
+                        help="graph store: memory keeps the graph in process only, "
+                             "bolt also mirrors it to Neo4j (default memory)")
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument("--max-inflight", type=_positive_int, default=None,
                         help="bound on concurrent backend calls")
@@ -135,12 +137,16 @@ def print_config(config: PipelineConfig) -> None:
     print(json.dumps(config.to_dict(redact=True), indent=2, sort_keys=True, ensure_ascii=False))
 
 
-def _mirror_to_store(config: PipelineConfig, result_graph) -> None:
-    store = graph_store(config.graph_backend)
+@contextlib.contextmanager
+def _graph_store(config: PipelineConfig) -> Iterator[BoltGraphStore | None]:
+    """The configured store, opened before any LLM call so that a missing URI
+    or driver costs nothing, and closed on every path."""
+    store = open_graph_store(config)
     try:
-        mirror_graph(store, result_graph)
+        yield store
     finally:
-        store.close()
+        if store is not None:
+            store.close()
 
 
 def _write_run_outputs(
@@ -197,17 +203,20 @@ def _write_run_outputs(
 
 
 def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
-    services = build_services(config)
-    topic = Topic(args.topic, optional_prompt=args.topic_hint)
-    rejects: list = []
-    graph, report = build_kg(
-        topic, config, services.gateway, services.source, services.adapters, rejects=rejects
-    )
-    output = Path(args.output)
-    save_snapshot(graph, output, topic=topic.name,
-                  config_echo=config.to_dict(redact=True), report=report)
-    write_jsonl([r.to_dict() for r in rejects], Path(f"{output.with_suffix('')}.rejects.jsonl"))
-    _mirror_to_store(config, graph)
+    with _graph_store(config) as store:
+        services = build_services(config)
+        topic = Topic(args.topic, optional_prompt=args.topic_hint)
+        rejects: list = []
+        graph, report = build_kg(
+            topic, config, services.gateway, services.source, services.adapters, rejects=rejects
+        )
+        output = Path(args.output)
+        save_snapshot(graph, output, topic=topic.name,
+                      config_echo=config.to_dict(redact=True), report=report)
+        write_jsonl([r.to_dict() for r in rejects],
+                    Path(f"{output.with_suffix('')}.rejects.jsonl"))
+        if store is not None:
+            mirror_graph(store, graph)
     print(
         f"built graph for {topic.name!r}: {len(graph.nodes)} nodes, "
         f"{len(graph.edges)} edges, prune rate {report.curation_prune_rate:.3f} "
@@ -224,12 +233,12 @@ def _cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
     # unless explicitly requested here.
     result, services = run_pipeline(
         topic, config, args.num_q, services=services,
-        validate_flag=True if args.validate else False, graph=graph,
+        validate_flag=args.validate, graph=graph,
     )
     output = Path(args.output)
     write_jsonl([item_to_record(i) for i in result.kept_items], output)
     print(f"generated {len(result.kept_items)} items -> {output}")
-    return _exit_code(result)
+    return _exit_code(result.aborted_reason)
 
 
 def _cmd_validate(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -237,12 +246,10 @@ def _cmd_validate(args: argparse.Namespace, config: PipelineConfig) -> int:
     records = read_jsonl(args.input)
     items = [record_to_item(r) for r in records]
     validated, error = validate_items(services.gateway, items, config)
-    if error is not None:
-        raise error
     kept = sum(int(item.flags.kept) for item in validated)
-    write_jsonl([item_to_record(i) for i in items], args.output)
-    print(f"validated {len(items)} items: {kept} kept, {len(items) - kept} rejected")
-    return 0
+    write_jsonl([item_to_record(i) for i in validated], args.output)
+    print(f"validated {len(validated)} items: {kept} kept, {len(validated) - kept} rejected")
+    return _exit_code(None if error is None else f"{type(error).__name__}: {error}")
 
 
 def _cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -277,29 +284,30 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
 
 
 def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
-    services = build_services(config)
-    topic = Topic(args.topic, optional_prompt=args.topic_hint)
-    graph = load_snapshot(args.snapshot) if args.snapshot else None
-    result, services = run_pipeline(
-        topic, config, args.num_q, services=services,
-        validate_flag=True if args.validate else None, graph=graph,
-    )
-    if result.graph is not None:
-        _mirror_to_store(config, result.graph)
-    written = _write_run_outputs(result, services, config, Path(args.output))
+    with _graph_store(config) as store:
+        services = build_services(config)
+        topic = Topic(args.topic, optional_prompt=args.topic_hint)
+        graph = load_snapshot(args.snapshot) if args.snapshot else None
+        result, services = run_pipeline(
+            topic, config, args.num_q, services=services,
+            validate_flag=True if args.validate else None, graph=graph,
+        )
+        written = _write_run_outputs(result, services, config, Path(args.output))
+        if store is not None and result.graph is not None:
+            mirror_graph(store, result.graph)
     print(
         f"mode={result.mode} kept={len(result.kept_items)}/{result.attempts} attempts; "
         + "; ".join(str(p) for p in written)
     )
-    return _exit_code(result)
+    return _exit_code(result.aborted_reason)
 
 
-def _exit_code(result: PipelineResult) -> int:
+def _exit_code(aborted_reason: str | None) -> int:
     """1 when a backend failure cut the run short; its partial outputs are
     already written."""
-    if result.aborted_reason is None:
+    if aborted_reason is None:
         return 0
-    print(f"error: run aborted, outputs are partial: {result.aborted_reason}", file=sys.stderr)
+    print(f"error: run aborted, outputs are partial: {aborted_reason}", file=sys.stderr)
     return 1
 
 

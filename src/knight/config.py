@@ -9,9 +9,9 @@ built-in default. Environment keys use the ``KNIGHT_`` prefix (for example
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_type_hints
 
 from .errors import ConfigError
 
@@ -67,7 +67,6 @@ class PipelineConfig:
     neo4j_user: str = ""
     neo4j_pass: str = ""
     fixture_dir: str = ""  # empty -> packaged fixtures
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def validate(self) -> "PipelineConfig":
         if self.d_max < 1:
@@ -98,8 +97,6 @@ class PipelineConfig:
     def to_dict(self, redact: bool = False) -> dict[str, Any]:
         out: dict[str, Any] = {}
         for f in fields(self):
-            if f.name == "extra":
-                continue
             value = getattr(self, f.name)
             if redact and isinstance(value, str) and value and _is_secret(f.name):
                 value = "••••"
@@ -156,20 +153,8 @@ def build_config(
     merged: dict[str, Any] = {}
     file_values = parse_config_file(config_file) if config_file else {}
 
-    field_types = {f.name: f.type for f in fields(PipelineConfig) if f.name != "extra"}
-    concrete = {
-        "d_max": int, "max_branches": int, "max_tokens_triples": int,
-        "chunk_size": int, "chunk_overlap": int, "search_limit": int,
-        "summary_char_limit": int, "rng_seed": int, "first_stage_cut": int,
-        "max_inflight": int, "retry_attempts": int,
-        "eta_overlap": float, "lambda_max": float, "tau_alias": float,
-        "delta_option": float, "score_floor": float, "temp_desc": float,
-        "temp_triples": float, "validation_sample_rate": float, "nli_threshold": float,
-        "strict_adapters": bool, "literal_enqueue_gate": bool,
-    }
-
-    for name in field_types:
-        target = concrete.get(name, str)
+    field_types = get_type_hints(PipelineConfig)
+    for name, target in field_types.items():
         if name in file_values:
             merged[name] = _coerce(name, file_values[name], target)
         env_key = _CREDENTIAL_ENV.get(name, _ENV_PREFIX + name.upper())

@@ -146,9 +146,6 @@ class KnowledgeGraph:
     def node_by_name(self, name: str) -> Node | None:
         return self.nodes.get(normalize_name(name))
 
-    def has_name(self, name: str) -> bool:
-        return normalize_name(name) in self.nodes
-
     def add_node(self, name: str, depth: int) -> Node:
         """Insert a node; returns the existing one when the name is taken."""
         norm = normalize_name(name)

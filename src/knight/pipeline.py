@@ -85,10 +85,11 @@ class Services:
 
 def build_services(config: PipelineConfig) -> Services:
     world = load_world(config.fixture_dir or None)
+    # Only fixture-backed scoring adapters exist, whatever the chat backend.
+    adapters = AdapterSuite.fixture_suite(world, rng_seed=config.rng_seed)
     if config.backend == "mock":
         backend = MockChatBackend(world, rng_seed=config.rng_seed)
         source: WikiSource = FixtureWikiSource(world)
-        adapters = AdapterSuite.fixture_suite(world, rng_seed=config.rng_seed)
     else:
         backend = OpenAiCompatBackend(
             base_url=config.openai_base_url,
@@ -97,9 +98,6 @@ def build_services(config: PipelineConfig) -> Services:
             retry_attempts=config.retry_attempts,
         )
         source = NetworkWikiSource()
-        # The scoring adapters stay fixture-backed unless endpoints are wired
-        # in; swapping them is a constructor argument away.
-        adapters = AdapterSuite.fixture_suite(world, rng_seed=config.rng_seed)
         log.info("network chat backend active; auxiliary adapters remain fixture-backed")
     gateway = ChatGateway(backend, max_inflight=config.max_inflight)
     return Services(gateway=gateway, source=source, adapters=adapters, world=world)

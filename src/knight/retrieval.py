@@ -315,31 +315,6 @@ class LexicalCosineScorer:
         return out
 
 
-class EmbeddingScorer:
-    """Reranker backed by an embedding adapter; raw cosines are min-max
-    normalized per query since backend score ranges vary."""
-
-    def __init__(self, embedder):
-        self.embedder = embedder
-
-    def score(self, query: str, chunks: Sequence[str]) -> list[float]:
-        try:
-            raw = [self.embedder.cosine(query, chunk) for chunk in chunks]
-        except Exception as exc:
-            raise RetrievalError(f"dense scorer failed: {exc}") from exc
-        return minmax_normalize(raw)
-
-
-def minmax_normalize(scores: Sequence[float]) -> list[float]:
-    """Rescale to [0, 1]; a constant vector maps to 1.0 (or 0.0 if <= 0)."""
-    if not scores:
-        return []
-    lo, hi = min(scores), max(scores)
-    if hi == lo:
-        return [1.0 if hi > 0 else 0.0] * len(scores)
-    return [(s - lo) / (hi - lo) for s in scores]
-
-
 def score_and_rerank(
     query: str,
     chunks: Sequence[str],
@@ -389,7 +364,6 @@ def retrieve_evidence(
     gateway: ChatGateway,
     config: PipelineConfig,
     context_hint: str = "general knowledge",
-    scorer: DenseScorer | None = None,
 ) -> RetrievalResult:
     """Full evidence pass for one term: search, LLM title filter, summary and
     page fetch, chunking, and two-stage reranking. Empty results flag the
@@ -420,13 +394,11 @@ def retrieve_evidence(
     if not candidates:
         return RetrievalResult(passages=[], fallback=True)
 
-    if scorer is None:
-        scorer = LexicalCosineScorer()
     texts = [text for _, text in candidates]
     ranked = score_and_rerank(
         term,
         texts,
-        scorer,
+        LexicalCosineScorer(),
         k=config.search_limit,
         score_floor=config.score_floor,
         first_stage_cut=config.first_stage_cut,

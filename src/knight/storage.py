@@ -1,5 +1,5 @@
 """Persistence: canonical JSON graph snapshots, JSONL datasets, and the
-memory/Bolt graph stores.
+optional Neo4j (Bolt) mirror of the graph.
 
 All JSON is written with sorted keys and no insignificant whitespace so
 identical inputs produce identical bytes.
@@ -8,19 +8,15 @@ identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
-import logging
-import os
-from collections import deque
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Iterable, Mapping
 
 from .builder import BuildReport
+from .config import PipelineConfig
 from .errors import ConfigError, JsonlError, SnapshotFormatError, SnapshotVersionError, StoreError
 from .graph import Edge, KnowledgeGraph, Node, PathSample
 from .qgen import McqItem
 from .validation import ValidationReport
-
-log = logging.getLogger(__name__)
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -193,73 +189,6 @@ def record_to_item(record: Mapping[str, Any]) -> McqItem:
 # -- graph stores -------------------------------------------------------------
 
 
-class GraphStore(Protocol):
-    def open(self) -> None: ...
-
-    def close(self) -> None: ...
-
-    def create_node(self, node: Node) -> None: ...
-
-    def create_edge(self, edge: Edge) -> None: ...
-
-    def query_path(self, start_id: str, length: int) -> list[PathSample]: ...
-
-
-class MemoryGraphStore:
-    """Default in-process store; mirrors the graph it is fed."""
-
-    def __init__(self) -> None:
-        self.nodes: dict[str, dict] = {}
-        self.edges: set[tuple[str, str, str]] = set()
-
-    def open(self) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
-
-    def create_node(self, node: Node) -> None:
-        self.nodes[node.id] = {
-            "id": node.id,
-            "name": node.name,
-            "depth": node.depth,
-            "gloss": node.gloss,
-        }
-
-    def create_edge(self, edge: Edge) -> None:
-        if edge.head not in self.nodes or edge.tail not in self.nodes:
-            raise StoreError(f"edge endpoints missing for {edge}")
-        self.edges.add((edge.head, edge.relation, edge.tail))
-
-    def all_nodes(self) -> list[dict]:
-        return [self.nodes[k] for k in sorted(self.nodes)]
-
-    def all_edges(self) -> list[tuple[str, str, str]]:
-        return sorted(self.edges)
-
-    def query_path(self, start_id: str, length: int) -> list[PathSample]:
-        adj: dict[str, list[tuple[str, str]]] = {nid: [] for nid in self.nodes}
-        for head, relation, tail in self.edges:
-            adj[head].append((tail, relation))
-        for nid in adj:
-            adj[nid].sort()
-        out: list[PathSample] = []
-
-        def walk(nodes: list[str], relations: list[str]) -> None:
-            if len(relations) == length:
-                out.append(PathSample(list(nodes), list(relations)))
-                return
-            for tail, relation in adj.get(nodes[-1], []):
-                if tail in nodes:
-                    continue
-                walk(nodes + [tail], relations + [relation])
-
-        if start_id in self.nodes and length >= 1:
-            walk([start_id], [])
-        out.sort(key=lambda p: (p.node_ids, p.relations))
-        return out
-
-
 class BoltGraphStore:
     """Neo4j-backed store speaking parameterized Cypher over Bolt.
 
@@ -284,7 +213,7 @@ class BoltGraphStore:
 
     def __init__(self, uri: str, user: str, password: str):
         if not uri:
-            raise ConfigError("bolt backend requires NEO4J_URI")
+            raise ConfigError("bolt backend requires NEO4J_URI (or neo4j_uri in the config file)")
         self.uri = uri
         self.user = user
         self.password = password
@@ -349,49 +278,19 @@ class BoltGraphStore:
         return paths
 
 
-def graph_store(backend: str = "memory", env: Mapping[str, str] | None = None) -> GraphStore:
-    """Open a store handle; bolt reads NEO4J_URI/NEO4J_USER/NEO4J_PASS."""
-    env = os.environ if env is None else env
-    if backend == "memory":
-        store = MemoryGraphStore()
-        store.open()
-        return store
-    if backend == "bolt":
-        uri = env.get("NEO4J_URI", "")
-        if not uri:
-            raise ConfigError("bolt backend requires NEO4J_URI to be set")
-        store = BoltGraphStore(uri, env.get("NEO4J_USER", ""), env.get("NEO4J_PASS", ""))
-        store.open()
-        return store
-    raise ConfigError(f"unknown graph backend {backend!r}")
+def open_graph_store(config: PipelineConfig) -> BoltGraphStore | None:
+    """The opened Neo4j mirror for the ``bolt`` backend; None for ``memory``,
+    which keeps the graph in process only."""
+    if config.graph_backend != "bolt":
+        return None
+    store = BoltGraphStore(config.neo4j_uri, config.neo4j_user, config.neo4j_pass)
+    store.open()
+    return store
 
 
-def mirror_graph(store: GraphStore, graph: KnowledgeGraph) -> None:
+def mirror_graph(store: BoltGraphStore, graph: KnowledgeGraph) -> None:
     """Write every node then every edge of ``graph`` into ``store``."""
     for node in graph.sorted_nodes():
         store.create_node(node)
     for edge in graph.sorted_edges():
         store.create_edge(edge)
-
-
-def export_graph(store: "MemoryGraphStore", seed_id: str | None = None) -> KnowledgeGraph:
-    """Rebuild a KnowledgeGraph from a memory store's contents."""
-    nodes = store.all_nodes()
-    if not nodes:
-        raise StoreError("store holds no nodes")
-    if seed_id is None:
-        zero_depth = [n for n in nodes if n["depth"] == 0]
-        if not zero_depth:
-            raise StoreError("no depth-0 node to use as seed")
-        seed_id = zero_depth[0]["id"]
-    seed = next(n for n in nodes if n["id"] == seed_id)
-    graph = KnowledgeGraph(seed["name"])
-    for raw in nodes:
-        if raw["id"] == seed_id:
-            graph.nodes[graph.seed_id].gloss = raw.get("gloss")
-            continue
-        node = graph.add_node(raw["name"], depth=raw["depth"])
-        node.gloss = raw.get("gloss")
-    for head, relation, tail in store.all_edges():
-        graph.add_edge(head, relation, tail)
-    return graph

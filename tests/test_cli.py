@@ -265,3 +265,135 @@ def test_run_aborted_by_backend_writes_partial_outputs(tmp_path, capsys, monkeyp
     doc = json.loads((tmp_path / "partial.metrics.json").read_text(encoding="utf-8"))
     assert doc["aborted_reason"] == "AuthError: key revoked"
     assert doc["items_generated"] == 4
+
+
+def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, monkeypatch):
+    import knight.cli as cli_mod
+    from knight.errors import GatewayError
+
+    dataset = tmp_path / "bio.jsonl"
+    rc = _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "8",
+               "--seed", "7", "--output", str(dataset)])
+    assert rc == 0 and len(read_jsonl(dataset)) == 8
+
+    class FifthValidateFails:
+        def __init__(self, inner):
+            self.inner = inner
+            self.calls = 0
+
+        def complete(self, request):
+            if request.task_tag == "validate":
+                self.calls += 1
+                if self.calls == 5:
+                    raise GatewayError("backend down")
+            return self.inner.complete(request)
+
+    build_services = cli_mod.build_services
+
+    def build_failing_services(config):
+        services = build_services(config)
+        services.gateway.backend = FifthValidateFails(services.gateway.backend)
+        return services
+
+    monkeypatch.setattr(cli_mod, "build_services", build_failing_services)
+    capsys.readouterr()
+    flagged = tmp_path / "bio.validated.jsonl"
+    rc = _run(["validate", "--input", str(dataset), "--output", str(flagged)])
+    assert rc == 1
+    assert "outputs are partial: GatewayError: backend down" in capsys.readouterr().err
+    records = read_jsonl(flagged)
+    assert [r["id"] for r in records] == [r["id"] for r in read_jsonl(dataset)][:4]
+    assert all(r["validation"] is not None for r in records)
+
+
+# -- graph store ----------------------------------------------------------------
+
+
+def _fake_neo4j(monkeypatch, fail_nodes=False) -> list:
+    """Stands in for a Neo4j server: returns the list of what reaches
+    ``BoltGraphStore``, in order."""
+    from knight.errors import StoreError
+    from knight.storage import BoltGraphStore
+
+    events: list = []
+
+    def create_node(store, node):
+        if fail_nodes:
+            raise StoreError("write refused")
+        events.append(("node", node.id))
+
+    monkeypatch.setattr(BoltGraphStore, "open", lambda store: events.append(("open", store.uri)))
+    monkeypatch.setattr(BoltGraphStore, "close", lambda store: events.append(("close",)))
+    monkeypatch.setattr(BoltGraphStore, "create_node", create_node)
+    monkeypatch.setattr(BoltGraphStore, "create_edge",
+                        lambda store, edge: events.append(("edge", edge.head)))
+    return events
+
+
+def _count_backend_calls(monkeypatch) -> list:
+    from knight.gateway import MockChatBackend
+
+    calls: list = []
+    complete = MockChatBackend.complete
+
+    def counting(backend, request):
+        calls.append(request.task_tag)
+        return complete(backend, request)
+
+    monkeypatch.setattr(MockChatBackend, "complete", counting)
+    return calls
+
+
+def test_config_file_neo4j_uri_reaches_store(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("NEO4J_URI", raising=False)
+    conf = tmp_path / "k.conf"
+    conf.write_text("neo4j_uri = bolt://graph.example:7687\n", encoding="utf-8")
+    events = _fake_neo4j(monkeypatch)
+    snapshot = tmp_path / "bio.snapshot.json"
+    rc = _run(["build", "--topic", "Biology", "--depth", "2", "--backend", "bolt",
+               "--config", str(conf), "--output", str(snapshot)])
+    assert rc == 0
+    assert events[0] == ("open", "bolt://graph.example:7687")
+    assert events[-1] == ("close",)
+    graph_ids = [n["id"] for n in json.loads(snapshot.read_text(encoding="utf-8"))["nodes"]]
+    assert [e[1] for e in events if e[0] == "node"] == graph_ids
+    assert any(e[0] == "edge" for e in events)
+
+
+def test_run_memory_backend_opens_no_store(tmp_path, monkeypatch):
+    from knight.storage import BoltGraphStore
+
+    def refuse(store):
+        raise AssertionError("memory backend opened a store")
+
+    monkeypatch.setattr(BoltGraphStore, "open", refuse)
+    rc = _run(["run", "--topic", "Biology", "--depth", "2", "--num-q", "2",
+               "--output", str(tmp_path / "bio.json")])
+    assert rc == 0
+
+
+@pytest.mark.parametrize("subcommand", ["run", "build"])
+def test_bolt_without_uri_fails_before_any_llm_call(tmp_path, capsys, monkeypatch, subcommand):
+    monkeypatch.delenv("NEO4J_URI", raising=False)
+    calls = _count_backend_calls(monkeypatch)
+    output = tmp_path / "bio.json"
+    rc = _run([subcommand, "--topic", "Biology", "--depth", "2", "--backend", "bolt",
+               "--output", str(output)])
+    assert rc == 1
+    assert "NEO4J_URI" in capsys.readouterr().err
+    assert calls == []
+    assert not output.exists()
+
+
+def test_run_mirrors_only_after_outputs_are_written(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NEO4J_URI", "bolt://graph.example:7687")
+    events = _fake_neo4j(monkeypatch, fail_nodes=True)
+    output = tmp_path / "bio.json"
+    rc = _run(["run", "--topic", "Biology", "--depth", "2", "--num-q", "4",
+               "--backend", "bolt", "--output", str(output)])
+    assert rc == 1
+    assert "write refused" in capsys.readouterr().err
+    assert len(read_jsonl(output)) == 4
+    assert (tmp_path / "bio.snapshot.json").exists()
+    assert (tmp_path / "bio.metrics.json").exists()
+    assert events == [("open", "bolt://graph.example:7687"), ("close",)]

@@ -17,7 +17,6 @@ from knight.retrieval import (
     check_title_relevance,
     chunk_text,
     fetch_summary,
-    minmax_normalize,
     mixture_weights,
     retrieve_evidence,
     score_and_rerank,
@@ -201,16 +200,6 @@ def test_passage_validation():
         Passage(id="x", source_title="t", text="ok", score=1.5)
     with pytest.raises(ValueError):
         RetrievalResult(passages=[], fallback=False)
-
-
-def test_minmax_normalize():
-    assert minmax_normalize([]) == []
-    assert minmax_normalize([2.0, 2.0]) == [1.0, 1.0]
-    assert minmax_normalize([0.0, 0.0]) == [0.0, 0.0]
-    assert minmax_normalize([1.0, 3.0, 2.0]) == [0.0, 1.0, 0.5]
-
-
-# -- mixture weights ----------------------------------------------------------
 
 
 def test_mixture_symmetry():

@@ -6,18 +6,17 @@ import random
 import pytest
 
 from knight.builder import BuildReport
+from knight.config import PipelineConfig, build_config
 from knight.errors import ConfigError, JsonlError, SnapshotFormatError, SnapshotVersionError
 from knight.graph import Edge, KnowledgeGraph, Node, PathSample, enumerate_paths
 from knight.qgen import McqItem
 from knight.storage import (
     BoltGraphStore,
-    MemoryGraphStore,
     canonical_json,
-    export_graph,
-    graph_store,
     item_to_record,
     load_snapshot,
     mirror_graph,
+    open_graph_store,
     read_jsonl,
     record_to_item,
     save_snapshot,
@@ -190,43 +189,9 @@ def test_jsonl_non_object_line(tmp_path):
 # -- graph stores ---------------------------------------------------------------
 
 
-def test_memory_store_mirrors_graph():
-    graph = _fixture_graph()
-    store = graph_store("memory")
-    mirror_graph(store, graph)
-    assert len(store.all_nodes()) == len(graph.nodes)
-    assert len(store.all_edges()) == len(graph.edges)
-    rebuilt = export_graph(store, seed_id=graph.seed_id)
-    assert {n.id for n in rebuilt.nodes.values()} == set(graph.nodes)
-    assert rebuilt.sorted_edges() == graph.sorted_edges()
-
-
-def test_memory_store_query_path_matches_enumeration():
-    graph = _fixture_graph()
-    store = MemoryGraphStore()
-    mirror_graph(store, graph)
-    for length in (1, 2, 3):
-        expected = [
-            (p.node_ids, p.relations) for p in enumerate_paths(graph, graph.seed_id, length)
-        ]
-        got = [(p.node_ids, p.relations) for p in store.query_path(graph.seed_id, length)]
-        assert got == expected
-
-
-def test_memory_store_edge_requires_endpoints():
-    store = MemoryGraphStore()
-    with pytest.raises(Exception):
-        store.create_edge(Edge(head="x", relation="r", tail="y"))
-
-
 def test_bolt_requires_uri():
     with pytest.raises(ConfigError):
-        graph_store("bolt", env={})
-
-
-def test_unknown_backend():
-    with pytest.raises(ConfigError):
-        graph_store("sqlite")
+        open_graph_store(PipelineConfig(graph_backend="bolt"))
 
 
 def test_bolt_statements_are_parameterized():
@@ -256,7 +221,7 @@ def test_bolt_roundtrip_against_live_server():
     if not uri:
         pytest.skip("no NEO4J_URI configured")
     graph = _fixture_graph(3)
-    store = graph_store("bolt")
+    store = open_graph_store(build_config({"graph_backend": "bolt"}))
     try:
         mirror_graph(store, graph)
         paths = store.query_path(graph.seed_id, 1)
