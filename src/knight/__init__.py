@@ -1,7 +1,7 @@
 """Topic-scoped knowledge-graph construction and difficulty-calibrated MCQ
 dataset generation."""
 
-from .builder import BuildReport, build_kg, expand_node
+from .builder import BuildReport, build_kg
 from .config import PIPELINE_MODES, PipelineConfig, build_config
 from .curation import CurationOutcome, content_filter, curate, is_alias
 from .graph import (
@@ -26,7 +26,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BuildReport",
     "build_kg",
-    "expand_node",
     "PIPELINE_MODES",
     "PipelineConfig",
     "build_config",

@@ -1,12 +1,13 @@
 """Breadth-first, depth-bounded graph construction combining retrieval,
 gloss synthesis, triple extraction, and curation.
 
-Expansion is level-synchronous and follows the package's one concurrency
-rule: pure per-item work fans out through ``ChatGateway.map``, and every
-mutation, counter and dedup is applied serially in input order. Here the
-per-node stage (retrieve, gloss, extract, dedup) is the pure part, and graph
-mutations are applied in queue order, so the result is identical to a
-sequential FIFO run.
+Expansion is level-synchronous. The per-node stage (retrieve, gloss,
+extract, dedup) is pure and fans out through ``ChatGateway.map``; graph
+mutations are applied serially in queue order, so the result is identical to
+a sequential FIFO run. When the map returns a ``GatewayError``, the finished
+prefix of that level is applied as usual, the error goes to
+``BuildReport.aborted_reason``, and expansion stops: a failed call costs the
+unfinished part of its level, the same at any ``max_inflight``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from dataclasses import dataclass, field
 from .adapters import AdapterSuite
 from .config import PipelineConfig
 from .curation import curate
-from .errors import (
-    AmbiguousTitleError,
-    ExtractionError,
-    GatewayError,
-    PageNotFoundError,
-    RetrievalError,
-)
+from .errors import AmbiguousTitleError, ExtractionError, PageNotFoundError, RetrievalError
 from .gateway import ChatGateway
 from .graph import KnowledgeGraph, Topic, Triple, add_curated, normalize_name
 from .retrieval import RetrievalResult, WikiSource, retrieve_evidence
@@ -158,8 +153,7 @@ def _apply_stage(
 
     selected = outcome.accepted[: config.max_branches]
     child_depth = node.depth + 1
-    may_add = config.literal_enqueue_gate or child_depth <= config.d_max
-    if not selected or not may_add:
+    if not selected or child_depth > config.d_max:
         return []
 
     known_before = set(graph.nodes)
@@ -167,37 +161,10 @@ def _apply_stage(
     children: list[tuple[str, int, str]] = []
     for triple in selected:
         child_id = normalize_name(triple.tail)
-        if child_id in known_before:
-            continue
-        if child_depth <= config.d_max:
+        if child_id not in known_before:
             children.append((child_id, child_depth, node.name))
-        known_before.add(child_id)
+            known_before.add(child_id)
     return children
-
-
-def expand_node(
-    graph: KnowledgeGraph,
-    node_id: str,
-    depth: int,
-    config: PipelineConfig,
-    gateway: ChatGateway,
-    source: WikiSource,
-    adapters: AdapterSuite,
-    report: BuildReport | None = None,
-    rejects: list[RejectedCandidate] | None = None,
-    parent_term: str | None = None,
-    topic_hint: str = "general knowledge",
-) -> list[tuple[str, int]]:
-    """One full pass of the expansion loop body for a single node."""
-    node = graph.nodes.get(node_id)
-    if node is None:
-        raise ValueError(f"unknown node {node_id!r}")
-    if node.depth != depth:
-        raise ValueError(f"node {node_id!r} has depth {node.depth}, caller said {depth}")
-    report = report if report is not None else BuildReport()
-    stage = _node_stage(node.name, parent_term, topic_hint, config, gateway, source)
-    enqueued = _apply_stage(graph, node_id, stage, config, adapters, report, rejects)
-    return [(child_id, child_depth) for child_id, child_depth, _parent in enqueued]
 
 
 def build_kg(
@@ -210,8 +177,9 @@ def build_kg(
 ) -> tuple[KnowledgeGraph, BuildReport]:
     """Construct the depth-bounded graph for ``topic``.
 
-    An unrecoverable backend failure stops expansion and is recorded on the
-    report; the partial graph is still returned.
+    A backend failure stops expansion after the finished prefix of its level
+    is applied and is recorded on the report; the partial graph is still
+    returned.
     """
     started = time.perf_counter()
     graph = KnowledgeGraph(topic.name)
@@ -221,29 +189,29 @@ def build_kg(
     queue: deque[tuple[str, int, str | None]] = deque([(graph.seed_id, 0, None)])
     visited: set[str] = set()
 
-    try:
-        while queue:
-            level_depth = queue[0][1]
-            batch: list[tuple[str, int, str | None]] = []
-            while queue and queue[0][1] == level_depth:
-                entry = queue.popleft()
-                if entry[0] not in visited:
-                    visited.add(entry[0])
-                    batch.append(entry)
-            if not batch:
-                continue
+    while queue:
+        level_depth = queue[0][1]
+        batch: list[tuple[str, int, str | None]] = []
+        while queue and queue[0][1] == level_depth:
+            entry = queue.popleft()
+            if entry[0] not in visited:
+                visited.add(entry[0])
+                batch.append(entry)
+        if not batch:
+            continue
 
-            stages = gateway.map(
-                lambda e: _node_stage(
-                    graph.nodes[e[0]].name, e[2], topic_hint, config, gateway, source
-                ),
-                batch,
-            )
-            for (node_id, _depth, _parent), stage in zip(batch, stages):
-                queue.extend(_apply_stage(graph, node_id, stage, config, adapters, report, rejects))
-    except GatewayError as exc:
-        report.aborted_reason = f"{type(exc).__name__}: {exc}"
-        log.error("build aborted: %s", report.aborted_reason)
+        stages, error = gateway.map(
+            lambda e: _node_stage(
+                graph.nodes[e[0]].name, e[2], topic_hint, config, gateway, source
+            ),
+            batch,
+        )
+        for (node_id, _depth, _parent), stage in zip(batch, stages):
+            queue.extend(_apply_stage(graph, node_id, stage, config, adapters, report, rejects))
+        if error is not None:
+            report.aborted_reason = f"{type(error).__name__}: {error}"
+            log.error("build aborted: %s", report.aborted_reason)
+            break
 
     report.nodes_added = len(graph.nodes) - 1
     report.edges_added = len(graph.edges)

@@ -5,9 +5,9 @@ bare-flags form (``knight --topic "Biology" --depth 2 ...``) is accepted as
 an alias for ``run``. Exit codes: 0 success, 1 backend/config failure,
 2 usage error. A ``run``, ``generate`` or ``validate`` that a backend failure
 cuts short writes its partial outputs (``run`` with ``aborted_reason`` in
-``metrics.json``) and exits 1. With ``--backend bolt`` the Neo4j store is
-opened before the first LLM call and the graph is mirrored to it only after
-the outputs are written.
+``metrics.json``) and exits 1. ``build``, ``generate`` and ``run`` take
+``--backend``; with ``bolt`` the Neo4j store is opened before the first LLM
+call and the graph is mirrored to it only after the outputs are written.
 """
 
 from __future__ import annotations
@@ -59,8 +59,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, *, topic_required: bool = True) -> None:
-    parser.add_argument("--topic", required=topic_required, help="subject to build/generate for")
+def _add_common(parser: argparse.ArgumentParser, *, reads_dataset: bool = False) -> None:
+    """Flags every subcommand takes. A subcommand that reads an existing
+    dataset (``validate``, ``eval``) needs no topic and no graph store."""
+    parser.add_argument("--topic", required=not reads_dataset, help="subject to build/generate for")
     parser.add_argument(
         "--prompt",
         default="multiple-choice",
@@ -73,9 +75,10 @@ def _add_common(parser: argparse.ArgumentParser, *, topic_required: bool = True)
     parser.add_argument("--mode", choices=PIPELINE_MODES, default=None, help="pipeline mode")
     parser.add_argument("--llm-backend", choices=["mock", "openai"], default=None,
                         help="chat backend (default mock)")
-    parser.add_argument("--backend", choices=["memory", "bolt"], default=None,
-                        help="graph store: memory keeps the graph in process only, "
-                             "bolt also mirrors it to Neo4j (default memory)")
+    if not reads_dataset:
+        parser.add_argument("--backend", choices=["memory", "bolt"], default=None,
+                            help="graph store: memory keeps the graph in process only, "
+                                 "bolt also mirrors it to Neo4j (default memory)")
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument("--max-inflight", type=_positive_int, default=None,
                         help="bound on concurrent backend calls")
@@ -102,12 +105,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_generate.add_argument("--validate", action="store_true", help="run the critic as well")
 
     p_validate = sub.add_parser("validate", help="validate an existing dataset file")
-    _add_common(p_validate, topic_required=False)
+    _add_common(p_validate, reads_dataset=True)
     p_validate.add_argument("--input", required=True, help="dataset JSONL to validate")
     p_validate.add_argument("--output", required=True, help="where to write flagged records")
 
     p_eval = sub.add_parser("eval", help="compute the metrics report for a dataset file")
-    _add_common(p_eval, topic_required=False)
+    _add_common(p_eval, reads_dataset=True)
     p_eval.add_argument("--input", required=True, help="dataset JSONL to score")
     p_eval.add_argument("--report", required=True, help="metrics JSON output path")
     p_eval.add_argument("--csv", default=None, help="optional per-item CSV path")
@@ -226,17 +229,20 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
-    services = build_services(config)
-    topic = Topic(args.topic, optional_prompt=args.topic_hint)
-    graph = load_snapshot(args.snapshot) if args.snapshot else None
-    # Generation stage only: the critic runs in the separate validate step
-    # unless explicitly requested here.
-    result, services = run_pipeline(
-        topic, config, args.num_q, services=services,
-        validate_flag=args.validate, graph=graph,
-    )
-    output = Path(args.output)
-    write_jsonl([item_to_record(i) for i in result.kept_items], output)
+    with _graph_store(config) as store:
+        services = build_services(config)
+        topic = Topic(args.topic, optional_prompt=args.topic_hint)
+        graph = load_snapshot(args.snapshot) if args.snapshot else None
+        # Generation stage only: the critic runs in the separate validate step
+        # unless explicitly requested here.
+        result, services = run_pipeline(
+            topic, config, args.num_q, services=services,
+            validate_flag=args.validate, graph=graph,
+        )
+        output = Path(args.output)
+        write_jsonl([item_to_record(i) for i in result.kept_items], output)
+        if store is not None and result.graph is not None:
+            mirror_graph(store, result.graph)
     print(f"generated {len(result.kept_items)} items -> {output}")
     return _exit_code(result.aborted_reason)
 

@@ -55,9 +55,6 @@ class PipelineConfig:
     max_inflight: int = 1
     retry_attempts: int = 3
     strict_adapters: bool = False
-    # Literal queue-only depth gate: children are added unconditionally and
-    # only the enqueue is depth-checked, so leaves may exceed d_max.
-    literal_enqueue_gate: bool = False
     backend: str = "mock"  # mock | openai
     graph_backend: str = "memory"  # memory | bolt
     openai_base_url: str = "https://api.openai.com/v1"

@@ -13,8 +13,6 @@ from .graph import KnowledgeGraph, Triple, normalize_name
 
 log = logging.getLogger(__name__)
 
-REJECT_REASONS = ("duplicate", "alias", "type_fail", "nli_fail", "policy_fail")
-
 
 @dataclass
 class CurationOutcome:
@@ -88,13 +86,6 @@ def content_filter(
     return True, None
 
 
-def _resolve_head(graph: KnowledgeGraph, parent_id: str, triple: Triple) -> str:
-    head_norm = normalize_name(triple.head)
-    if head_norm in graph.nodes:
-        return head_norm
-    return parent_id
-
-
 def curate(
     graph: KnowledgeGraph,
     parent_id: str,
@@ -102,10 +93,14 @@ def curate(
     adapters: AdapterSuite,
     config: PipelineConfig,
 ) -> CurationOutcome:
-    """Filter candidates in order: duplicate name, semantic alias, content
-    checks. Duplicates and aliases re-attribute their relation to the
-    existing node (no new node, so no relation is lost); survivors are
-    returned for the caller to attach via add_curated."""
+    """Filter candidates in order: known head, duplicate name, semantic
+    alias, content checks. A head is known when it names an existing node
+    (the parent among them) or a tail accepted earlier in this call; any
+    other head is rejected as ``unknown_head``. Duplicates and aliases
+    re-attribute their relation to the existing node (no new node, so no
+    relation is lost), unless their head is such a pending tail, which has
+    no node yet. Survivors are returned for the caller to attach via
+    add_curated."""
     if parent_id not in graph.nodes:
         raise GraphError(f"unknown parent {parent_id!r}")
     outcome = CurationOutcome()
@@ -115,12 +110,17 @@ def curate(
     pending_names: set[str] = set()
     for triple in raw:
         tail_norm = normalize_name(triple.tail)
-        head_id = _resolve_head(graph, parent_id, triple)
+        head_id = normalize_name(triple.head)
+        head = graph.nodes.get(head_id)
+        if head is None and head_id not in pending_names:
+            outcome.rejected.append((triple, "unknown_head"))
+            continue
 
         existing = graph.nodes.get(tail_norm)
         if existing is not None:
             outcome.rejected.append((triple, "duplicate"))
-            graph.add_edge(head_id, triple.relation, existing.id)
+            if head is not None:
+                graph.add_edge(head_id, triple.relation, existing.id)
             continue
         if tail_norm in pending_names:
             outcome.rejected.append((triple, "duplicate"))
@@ -133,13 +133,13 @@ def curate(
                 break
         if alias_target is not None:
             outcome.merged.append((triple, alias_target.id))
-            graph.add_edge(head_id, triple.relation, alias_target.id)
+            if head is not None:
+                graph.add_edge(head_id, triple.relation, alias_target.id)
             continue
 
-        head_gloss = graph.nodes[head_id].gloss or ""
         ok, reason = content_filter(
             triple,
-            head_gloss,
+            (head.gloss or "") if head is not None else "",
             adapters,
             nli_threshold=config.nli_threshold,
             strict=config.strict_adapters,

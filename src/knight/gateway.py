@@ -3,8 +3,14 @@
 Two backends ship: an OpenAI-compatible network client with retries, and a
 deterministic mock whose replies are a pure function of
 (task tag, prompt hash, rng seed) over the fixture tables. The gateway
-wrapper owns the token ledger, the in-flight bound, and the one ordered
-bounded map every fan-out in the package goes through.
+wrapper owns the token ledger and the in-flight bound.
+
+``ChatGateway.map`` is the one place in the package that starts threads and
+the one rule for what a failed call costs: every fan-out goes through it, it
+returns the results of the longest prefix of its items that finished
+without a ``GatewayError`` together with that error, and it starts no item
+after the first failure in input order. Callers apply the prefix serially,
+so a run's outputs are the same at any ``max_inflight``.
 """
 
 from __future__ import annotations
@@ -99,16 +105,48 @@ class ChatGateway:
         self.ledger = TokenLedger()
         self._slots = threading.Semaphore(max_inflight)
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    def map(
+        self, fn: Callable[[T], R], items: Sequence[T]
+    ) -> tuple[list[R], GatewayError | None]:
         """``[fn(item) for item in items]`` on at most ``max_inflight``
-        threads, results in input order. Runs serially when the bound is 1
-        or there is one item. The first exception in input order propagates
-        and work not yet started is cancelled; every thread is joined before
-        this returns."""
+        threads, serially when the bound is 1 or there is one item.
+
+        Returns the results of the longest prefix of ``items`` that finished
+        without raising, in input order, and None; or, when the first
+        exception in input order is a ``GatewayError``, that prefix and the
+        error. Any other first exception propagates unchanged. No item after
+        a failure is started, apart from those already in flight, and every
+        thread is joined before this returns."""
+        lock = threading.Lock()
+        stop = len(items)
+
+        def call(index: int) -> tuple[R | None, Exception | None] | None:
+            nonlocal stop
+            if index > stop:
+                return None
+            try:
+                return fn(items[index]), None
+            except Exception as exc:
+                with lock:
+                    stop = min(stop, index)
+                return None, exc
+
         if self.max_inflight == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.max_inflight, len(items))) as pool:
-            return list(pool.map(fn, items))
+            outcomes = [call(index) for index in range(len(items))]
+        else:
+            with ThreadPoolExecutor(max_workers=min(self.max_inflight, len(items))) as pool:
+                outcomes = list(pool.map(call, range(len(items))))
+
+        results: list[R] = []
+        # Skipped items (None) all lie after the first failure.
+        for outcome in outcomes:
+            value, exc = outcome
+            if isinstance(exc, GatewayError):
+                return results, exc
+            if exc is not None:
+                raise exc
+            results.append(value)
+        return results, None
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         with self._slots:

@@ -8,29 +8,25 @@ Stage sets per mode:
 * ``rag_val`` - retrieval-grounded generation + critic, no graph.
 * ``knight``  - the full pipeline: graph, paths, critic.
 
-The token ledger's task tags are the observable contract: a run logs exactly
-the tags of its mode's stage set (plus ``validate`` when forced).
+``MODE_TASK_TAGS`` is the one table of these sets: the token ledger's task
+tags are the observable contract, so a run logs exactly the tags of its
+mode's stage set (plus ``validate`` when forced), and ``run_pipeline`` picks
+its stages by reading the same table.
 
-Concurrency follows one rule: pure per-item work fans out through
-``ChatGateway.map``, and every mutation, counter and dedup is applied
-serially in input order. Generation maps only the call and parse of each
-attempt; item ids and variants are fixed before the map, and dedup and the
-reject counters run after it. The critic maps ``validate_item``. Outputs are
-therefore byte-identical at any ``max_inflight``.
-
-A ``GatewayError`` ends the stage it happens in, not the run: the stage keeps
-everything before the failing item in input order, as a serial run would,
-the error goes to ``PipelineResult.aborted_reason``, and later stages go on
-with what was finished.
+Per-item work fans out through ``ChatGateway.map``, which also decides what a
+failed call costs (see ``gateway``). Generation maps only the call and parse
+of each attempt: item ids and variants are fixed before the map, and dedup
+and the reject counters are applied to the returned prefix after it. The
+critic maps ``validate_item``. A ``GatewayError`` the map returns ends its
+stage with that prefix kept, goes to ``PipelineResult.aborted_reason``, and
+later stages go on with what was finished.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
 
 from .adapters import AdapterSuite
 from .builder import BuildReport, RejectedCandidate, build_kg
@@ -47,9 +43,6 @@ from .validation import ValidationReport, validate_item
 
 log = logging.getLogger(__name__)
 
-T = TypeVar("T")
-R = TypeVar("R")
-
 MODE_TASK_TAGS: dict[str, frozenset[str]] = {
     "plain": frozenset({"mcq_forward"}),
     "rag": frozenset({"title_check", "mcq_forward"}),
@@ -59,18 +52,6 @@ MODE_TASK_TAGS: dict[str, frozenset[str]] = {
         {"title_check", "gloss", "triples", "mcq_forward", "mcq_reverse", "validate"}
     ),
 }
-
-
-def mode_uses_kg(mode: str) -> bool:
-    return mode in ("rag_kg", "knight")
-
-
-def mode_uses_retrieval(mode: str) -> bool:
-    return mode != "plain"
-
-
-def mode_uses_validator(mode: str) -> bool:
-    return mode in ("rag_val", "knight")
 
 
 @dataclass
@@ -141,47 +122,19 @@ def _abort(result: PipelineResult, exc: GatewayError) -> None:
         log.error("backend failure, stage cut short: %s", result.aborted_reason)
 
 
-def _map_calls(
-    gateway: ChatGateway, fn: Callable[[T], R], items: Sequence[T]
-) -> list[R | GatewayError | GenerationRejected | None]:
-    """``gateway.map`` for per-item work that calls the backend. A
-    ``GatewayError`` or ``GenerationRejected`` comes back as a value, so the
-    caller keeps every result before a failure. Items after a
-    ``GatewayError`` in input order are not started and come back as None;
-    the caller stops at the error before reaching them."""
-    lock = threading.Lock()
-    first_failure = [len(items)]
-
-    def call(indexed: tuple[int, T]) -> R | GatewayError | GenerationRejected | None:
-        index, item = indexed
-        if index > first_failure[0]:
-            return None
-        try:
-            return fn(item)
-        except GenerationRejected as exc:
-            return exc
-        except GatewayError as exc:
-            with lock:
-                first_failure[0] = min(first_failure[0], index)
-            return exc
-
-    return gateway.map(call, list(enumerate(items)))
-
-
 def _collect_items(
     item_ids: list[str],
-    outcomes: list[McqItem | GatewayError | GenerationRejected | None],
+    outcomes: list[McqItem | GenerationRejected],
+    error: GatewayError | None,
     result: PipelineResult,
 ) -> list[McqItem]:
-    """Apply generation outcomes in input order: count attempts and rejects,
-    drop repeated questions, and stop at the first gateway failure."""
+    """Apply the finished prefix of generation outcomes in input order: count
+    attempts and rejects and drop repeated questions. The failed attempt, if
+    any, counts as an attempt and ends the stage."""
     items: list[McqItem] = []
     seen_questions: set[str] = set()
     for item_id, outcome in zip(item_ids, outcomes):
         result.attempts += 1
-        if isinstance(outcome, GatewayError):
-            _abort(result, outcome)
-            break
         if isinstance(outcome, GenerationRejected):
             result.generation_rejected += 1
             log.warning("generation rejected (%s): %s", item_id, outcome)
@@ -192,6 +145,9 @@ def _collect_items(
             continue
         seen_questions.add(fingerprint)
         items.append(outcome)
+    if error is not None:
+        result.attempts += 1
+        _abort(result, error)
     return items
 
 
@@ -218,21 +174,24 @@ def _generate_path_items(
         attempts.append((path, orientation, item_id, occurrences[key]))
         occurrences[key] += 1
 
-    def generate(attempt: tuple[PathSample, str, str, int]) -> McqItem:
+    def generate(attempt: tuple[PathSample, str, str, int]) -> McqItem | GenerationRejected:
         path, orientation, item_id, variant = attempt
-        return generate_mcq(
-            services.gateway,
-            path,
-            orientation,
-            topic.name,
-            graph,
-            config,
-            item_id=item_id,
-            variant=variant,
-        )
+        try:
+            return generate_mcq(
+                services.gateway,
+                path,
+                orientation,
+                topic.name,
+                graph,
+                config,
+                item_id=item_id,
+                variant=variant,
+            )
+        except GenerationRejected as exc:
+            return exc
 
-    outcomes = _map_calls(services.gateway, generate, attempts)
-    return _collect_items([a[2] for a in attempts], outcomes, result)
+    outcomes, error = services.gateway.map(generate, attempts)
+    return _collect_items([a[2] for a in attempts], outcomes, error, result)
 
 
 def _generate_direct_items(
@@ -265,7 +224,7 @@ def _generate_direct_items(
     slug = _slug(topic.name)
     item_ids = [f"{slug}-L{config.d_max}-dir-{attempt:04d}" for attempt in range(num_q)]
 
-    def generate(attempt: int) -> McqItem:
+    def generate(attempt: int) -> McqItem | GenerationRejected:
         response = services.gateway.complete(
             ChatRequest(
                 system_prompt=MCQ_FORWARD_SYSTEM,
@@ -274,7 +233,10 @@ def _generate_direct_items(
                 task_tag="mcq_forward",
             )
         )
-        question, options, answer_key = parse_mcq_output(response.text)
+        try:
+            question, options, answer_key = parse_mcq_output(response.text)
+        except GenerationRejected as exc:
+            return exc
         return McqItem(
             id=item_ids[attempt],
             question=question,
@@ -293,28 +255,24 @@ def _generate_direct_items(
             },
         )
 
-    outcomes = _map_calls(services.gateway, generate, range(num_q))
-    return _collect_items(item_ids, outcomes, result)
+    outcomes, error = services.gateway.map(generate, range(num_q))
+    return _collect_items(item_ids, outcomes, error, result)
 
 
 def validate_items(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> tuple[list[McqItem], GatewayError | None]:
-    """Run the critic over ``items`` through the gateway's map and set each
-    item's ``flags`` in input order. Returns the validated items and None,
-    or, when a call fails, the items before the failing one and its error;
-    the failing item and the rest keep the flags they had."""
+    """Run the critic over ``items`` through the gateway's map and set the
+    ``flags`` of the finished prefix. Returns that prefix and the map's
+    error; items after it keep the flags they had."""
 
     def validate(index: int) -> ValidationReport:
         return validate_item(gateway, items[index], index, config)
 
-    validated: list[McqItem] = []
-    for item, outcome in zip(items, _map_calls(gateway, validate, range(len(items)))):
-        if isinstance(outcome, GatewayError):
-            return validated, outcome
-        item.flags = outcome
-        validated.append(item)
-    return validated, None
+    reports, error = gateway.map(validate, range(len(items)))
+    for item, report in zip(items, reports):
+        item.flags = report
+    return items[: len(reports)], error
 
 
 def run_pipeline(
@@ -333,9 +291,10 @@ def run_pipeline(
         raise ConfigError("num_q must be >= 1")
     services = services or build_services(config)
     mode = config.pipeline_mode
+    stage_tags = MODE_TASK_TAGS[mode]
     result = PipelineResult(topic=topic.name, mode=mode)
 
-    if mode_uses_kg(mode):
+    if "triples" in stage_tags:
         if graph is None:
             graph, report = build_kg(
                 topic, config, services.gateway, services.source, services.adapters,
@@ -347,10 +306,10 @@ def run_pipeline(
         result.items = _generate_path_items(topic, graph, config, services, num_q, result)
     else:
         result.items = _generate_direct_items(
-            topic, config, services, num_q, result, with_evidence=mode_uses_retrieval(mode)
+            topic, config, services, num_q, result, with_evidence="title_check" in stage_tags
         )
 
-    run_critic = mode_uses_validator(mode) if validate_flag is None else validate_flag
+    run_critic = "validate" in stage_tags if validate_flag is None else validate_flag
     if run_critic:
         validated, error = validate_items(services.gateway, result.items, config)
         result.kept_items = [item for item in validated if item.flags.kept]

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import json
 from collections import deque
 
 import pytest
 
 from knight.adapters import AdapterSuite
-from knight.builder import build_kg, expand_node
+from knight.builder import build_kg
 from knight.config import PipelineConfig
 from knight.errors import AuthError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
@@ -13,9 +14,9 @@ from knight.graph import Topic
 from knight.storage import snapshot_document
 
 
-def _services(world, seed=7, overrides=None, **config_overrides):
+def _services(world, seed=7, overrides=None, backend=None, **config_overrides):
     config = PipelineConfig(rng_seed=seed, **config_overrides).validate()
-    backend = MockChatBackend(world, rng_seed=seed, overrides=overrides or [])
+    backend = backend or MockChatBackend(world, rng_seed=seed, overrides=overrides or [])
     gateway = ChatGateway(backend, max_inflight=config.max_inflight)
     adapters = AdapterSuite.fixture_suite(world, rng_seed=seed)
     from knight.retrieval import FixtureWikiSource
@@ -24,8 +25,12 @@ def _services(world, seed=7, overrides=None, **config_overrides):
     return config, gateway, source, adapters
 
 
-def _build(world, topic="Biology", seed=7, rejects=None, overrides=None, **config_overrides):
-    config, gateway, source, adapters = _services(world, seed, overrides, **config_overrides)
+def _build(
+    world, topic="Biology", seed=7, rejects=None, overrides=None, backend=None, **config_overrides
+):
+    config, gateway, source, adapters = _services(
+        world, seed, overrides, backend, **config_overrides
+    )
     graph, report = build_kg(Topic(topic), config, gateway, source, adapters, rejects=rejects)
     return graph, report, config, gateway
 
@@ -83,24 +88,6 @@ def test_branch_limit_two_children(world):
     assert len(depth_one) == 2
 
 
-def test_expand_node_at_dmax_returns_nothing(world):
-    config, gateway, source, adapters = _services(world, d_max=1)
-    graph, _, _, _ = _build(world, d_max=1)
-    leaves = [n for n in graph.nodes.values() if n.depth == 1]
-    assert leaves
-    children = expand_node(
-        graph, leaves[0].id, 1, config, gateway, source, adapters, topic_hint="Biology"
-    )
-    assert children == []
-    assert all(n.depth <= 1 for n in graph.nodes.values())
-
-
-def test_literal_enqueue_gate_allows_leaf_overflow(world):
-    graph, _, _, _ = _build(world, d_max=1, literal_enqueue_gate=True)
-    max_depth = max(n.depth for n in graph.nodes.values())
-    assert max_depth == 2  # leaves added one past the budget, never expanded
-
-
 def test_gamma_rejection_counts_and_stops_children(world):
     # Planted gloss that shares no vocabulary with the retrieved passages.
     override = MockOverride(
@@ -139,6 +126,65 @@ def test_build_aborts_on_auth_error(world):
     assert report.aborted_reason is not None
     assert "AuthError" in report.aborted_reason
     assert graph.nodes  # partial graph survives
+
+
+class _GlossFailsFor:
+    """Raises ``AuthError`` on the gloss call for ``term``."""
+
+    def __init__(self, inner, term):
+        self.inner = inner
+        self.marker = f'Explain the term: "{term}"'
+
+    def complete(self, request):
+        if request.task_tag == "gloss" and self.marker in request.user_prompt:
+            raise AuthError("key revoked")
+        return self.inner.complete(request)
+
+
+def _gloss_fields(node):
+    return node.gloss, node.provenance, node.parametric_fallback, node.retrieval_weights
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_build_abort_keeps_finished_prefix_of_level(world, k):
+    baseline, _, _, _ = _build(world, d_max=2)
+    # Nodes are stored in the order they are enqueued, so this is queue order.
+    level = [n for n in baseline.nodes.values() if n.depth == 2]
+    assert len(level) == 4
+    snapshots = []
+    for max_inflight in (1, 4):
+        backend = _GlossFailsFor(MockChatBackend(world, rng_seed=7), level[k].name)
+        graph, report, _, _ = _build(world, d_max=2, backend=backend, max_inflight=max_inflight)
+        assert report.aborted_reason == "AuthError: key revoked"
+        for node in level[:k]:
+            assert node.gloss
+            assert _gloss_fields(graph.nodes[node.id]) == _gloss_fields(node)
+        for node in level[k:]:
+            assert graph.nodes[node.id].gloss is None
+        snapshots.append(snapshot_document(graph, "Biology", report=report))
+    assert snapshots[0] == snapshots[1]
+
+
+def test_unknown_head_is_rejected_and_build_completes(world):
+    triples = [
+        {"head": "Biology", "relation": "includes", "tail": "Genetics"},
+        {"head": "Cell Theory", "relation": "explains", "tail": "Mitosis"},
+        {"head": "Biology", "relation": "studies", "tail": "Life"},
+    ]
+    override = MockOverride(
+        task_tag="triples",
+        substring="Definition and Scope - Biology:",
+        response=json.dumps({"triplets": triples}),
+    )
+    rejects: list = []
+    graph, report, _, _ = _build(world, d_max=1, rejects=rejects, overrides=[override])
+    assert report.aborted_reason is None
+    assert {n.name for n in graph.nodes.values() if n.depth == 1} == {"Genetics", "Life"}
+    assert "mitosis" not in graph.nodes
+    unknown = [r for r in rejects if r.reason == "unknown_head"]
+    assert [(r.head, r.tail) for r in unknown] == [("Cell Theory", "Mitosis")]
+    assert report.candidates_rejected == len(rejects)
+    assert report.curation_prune_rate == pytest.approx(len(rejects) / report.candidates_seen)
 
 
 def test_rejects_collected(world):

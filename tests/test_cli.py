@@ -372,7 +372,7 @@ def test_run_memory_backend_opens_no_store(tmp_path, monkeypatch):
     assert rc == 0
 
 
-@pytest.mark.parametrize("subcommand", ["run", "build"])
+@pytest.mark.parametrize("subcommand", ["run", "build", "generate"])
 def test_bolt_without_uri_fails_before_any_llm_call(tmp_path, capsys, monkeypatch, subcommand):
     monkeypatch.delenv("NEO4J_URI", raising=False)
     calls = _count_backend_calls(monkeypatch)
@@ -397,3 +397,26 @@ def test_run_mirrors_only_after_outputs_are_written(tmp_path, capsys, monkeypatc
     assert (tmp_path / "bio.snapshot.json").exists()
     assert (tmp_path / "bio.metrics.json").exists()
     assert events == [("open", "bolt://graph.example:7687"), ("close",)]
+
+
+def test_generate_mirrors_graph_after_dataset(tmp_path, monkeypatch):
+    monkeypatch.setenv("NEO4J_URI", "bolt://graph.example:7687")
+    events = _fake_neo4j(monkeypatch)
+    output = tmp_path / "bio.json"
+    rc = _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "2",
+               "--backend", "bolt", "--output", str(output)])
+    assert rc == 0
+    assert len(read_jsonl(output)) == 2
+    assert events[0] == ("open", "bolt://graph.example:7687")
+    assert any(e[0] == "node" for e in events) and any(e[0] == "edge" for e in events)
+    assert events[-1] == ("close",)
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "eval"])
+def test_dataset_subcommands_take_no_graph_backend(tmp_path, subcommand):
+    dataset = tmp_path / "in.jsonl"
+    dataset.write_text("", encoding="utf-8")
+    out_flag = "--output" if subcommand == "validate" else "--report"
+    rc = _run([subcommand, "--input", str(dataset), out_flag, str(tmp_path / "out"),
+               "--backend", "memory"])
+    assert rc == 2

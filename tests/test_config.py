@@ -99,8 +99,7 @@ def test_secret_redaction():
 
 
 def test_bool_coercion():
-    cfg = build_config(env={"KNIGHT_STRICT_ADAPTERS": "true", "KNIGHT_LITERAL_ENQUEUE_GATE": "0"})
-    assert cfg.strict_adapters is True
-    assert cfg.literal_enqueue_gate is False
+    assert build_config(env={"KNIGHT_STRICT_ADAPTERS": "true"}).strict_adapters is True
+    assert build_config(env={"KNIGHT_STRICT_ADAPTERS": "0"}).strict_adapters is False
     with pytest.raises(ConfigError):
         build_config(env={"KNIGHT_STRICT_ADAPTERS": "maybe"})

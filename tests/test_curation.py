@@ -7,7 +7,7 @@ import pytest
 from knight.adapters import AdapterSuite
 from knight.curation import content_filter, curate, is_alias
 from knight.errors import AdapterError, GraphError
-from knight.graph import KnowledgeGraph, Triple
+from knight.graph import Edge, KnowledgeGraph, Triple, add_curated
 
 
 class _FailingEmbedding:
@@ -132,6 +132,24 @@ def test_curate_duplicate_readds_edge(adapters, config):
     # relation re-attributed to the existing node, no new node
     assert len(graph.nodes) == 2
     assert len(graph.edges) == edges_before + 1
+
+
+def test_curate_head_rule(adapters, config):
+    graph = _history_graph()
+    candidates = [
+        Triple("World History", "includes", "Cold War"),
+        Triple("Cold War", "includes", "Berlin Blockade"),  # head accepted just above
+        Triple("Atlantis", "includes", "Lost Fleet"),  # head names nothing known
+        Triple("Cold War", "follows", "World War II"),  # pending head: no node for the edge yet
+    ]
+    edges_before = set(graph.edges)
+    outcome = curate(graph, graph.seed_id, candidates, adapters, config)
+    assert outcome.accepted == candidates[:2]
+    assert outcome.rejected == [(candidates[2], "unknown_head"), (candidates[3], "duplicate")]
+    assert graph.edges == edges_before
+    add_curated(graph, graph.seed_id, outcome.accepted)
+    assert Edge("cold war", "includes", "berlin blockade") in graph.edges
+    assert "lost fleet" not in graph.nodes
 
 
 def test_curate_alias_merges_without_relation_loss(adapters, config):

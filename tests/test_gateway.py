@@ -211,7 +211,7 @@ def test_map_keeps_input_order(world):
         time.sleep(0.002 * (8 - n))
         return n * n
 
-    assert gw.map(slow_first, list(range(8))) == [n * n for n in range(8)]
+    assert gw.map(slow_first, list(range(8))) == ([n * n for n in range(8)], None)
 
 
 def test_map_raises_first_exception_in_input_order(world):
@@ -229,8 +229,51 @@ def test_map_raises_first_exception_in_input_order(world):
         gw.map(fail, [0, 1, 2, 3])
 
 
+class _StartRecorder:
+    """``fn`` for ``ChatGateway.map``: records which items start, raises
+    ``error`` at once on item ``k`` and lets every other item take 20 ms, so
+    the failure is recorded while its neighbours are still in flight."""
+
+    def __init__(self, k, error):
+        self.k = k
+        self.error = error
+        self.lock = threading.Lock()
+        self.started = []
+
+    def __call__(self, n):
+        with self.lock:
+            self.started.append(n)
+        if n == self.k:
+            raise self.error
+        time.sleep(0.02)
+        return n * n
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_map_gateway_error_returns_finished_prefix(world, max_inflight):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=max_inflight)
+    k = 3
+    fn = _StartRecorder(k, AuthError("key revoked"))
+    results, error = gw.map(fn, list(range(20)))
+    assert results == [n * n for n in range(k)]
+    assert isinstance(error, AuthError) and str(error) == "key revoked"
+    # Items after k are not started once its failure is recorded; only
+    # those already in flight beside it ran.
+    assert set(range(k + 1)) <= set(fn.started)
+    assert max(fn.started) < k + max_inflight
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_map_non_gateway_error_propagates(world, max_inflight):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=max_inflight)
+    fn = _StartRecorder(2, KeyError("not a backend failure"))
+    with pytest.raises(KeyError, match="not a backend failure"):
+        gw.map(fn, list(range(20)))
+    assert max(fn.started) < 2 + max_inflight
+
+
 def test_map_is_serial_under_bound_one(world):
     gw = ChatGateway(MockChatBackend(world), max_inflight=1)
     main = threading.get_ident()
-    assert gw.map(lambda _: threading.get_ident(), [1, 2, 3]) == [main] * 3
-    assert gw.map(lambda n: n, []) == []
+    assert gw.map(lambda _: threading.get_ident(), [1, 2, 3]) == ([main] * 3, None)
+    assert gw.map(lambda n: n, []) == ([], None)
