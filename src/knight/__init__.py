@@ -12,7 +12,6 @@ from .graph import (
     Topic,
     Triple,
     add_curated,
-    depth_ball,
     enumerate_paths,
     normalize_name,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "Topic",
     "Triple",
     "add_curated",
-    "depth_ball",
     "enumerate_paths",
     "normalize_name",
     "MODE_TASK_TAGS",

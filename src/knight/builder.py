@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .adapters import AdapterSuite
 from .config import PipelineConfig
 from .curation import curate
-from .errors import AmbiguousTitleError, ExtractionError, PageNotFoundError, RetrievalError
+from .errors import ExtractionError
 from .gateway import ChatGateway
 from .graph import KnowledgeGraph, Topic, Triple, add_curated, normalize_name
 from .retrieval import RetrievalResult, WikiSource, retrieve_evidence
@@ -103,7 +103,7 @@ def _node_stage(
         deduped = dedup_triples(raw, config.lambda_max)
         stage.triples = deduped
         stage.dedup_dropped = len(raw) - len(deduped)
-    except (RetrievalError, PageNotFoundError, AmbiguousTitleError, ExtractionError) as exc:
+    except ExtractionError as exc:
         stage.error = f"{type(exc).__name__}: {exc}"
         log.warning("stage for %r degraded to zero children: %s", term, stage.error)
     return stage

@@ -19,14 +19,6 @@ class CurationOutcome:
     accepted: list[Triple] = field(default_factory=list)
     merged: list[tuple[Triple, str]] = field(default_factory=list)
     rejected: list[tuple[Triple, str]] = field(default_factory=list)
-    prune_rate: float = 0.0
-
-    def counts(self) -> dict[str, int]:
-        return {
-            "accepted": len(self.accepted),
-            "merged": len(self.merged),
-            "rejected": len(self.rejected),
-        }
 
 
 def is_alias(embedding: EmbeddingAdapter, a: str, b: str, tau_alias: float) -> bool:
@@ -104,9 +96,6 @@ def curate(
     if parent_id not in graph.nodes:
         raise GraphError(f"unknown parent {parent_id!r}")
     outcome = CurationOutcome()
-    if not raw:
-        return outcome
-
     pending_names: set[str] = set()
     for triple in raw:
         tail_norm = normalize_name(triple.tail)
@@ -151,5 +140,4 @@ def curate(
         outcome.accepted.append(triple)
         pending_names.add(tail_norm)
 
-    outcome.prune_rate = len(outcome.rejected) / len(raw)
     return outcome

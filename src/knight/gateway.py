@@ -91,10 +91,6 @@ class TokenLedger:
         with self._lock:
             return set(self._counts)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
-
 
 class ChatGateway:
     """Shareable front door to a chat backend: ledger + bounded fan-out."""
@@ -159,7 +155,8 @@ class OpenAiCompatBackend:
     """Chat-completions client for any OpenAI-compatible endpoint.
 
     Transient failures (timeouts, 429, 5xx) are retried with jittered
-    exponential backoff; auth failures are raised immediately.
+    exponential backoff; auth failures and a 200 reply that is not JSON or
+    has no text are raised immediately.
     """
 
     def __init__(
@@ -207,7 +204,11 @@ class OpenAiCompatBackend:
                 if resp.status_code in (401, 403):
                     raise AuthError(f"backend rejected credentials ({resp.status_code})")
                 if resp.status_code == 200:
-                    return self._parse(resp.json())
+                    try:
+                        doc = resp.json()
+                    except ValueError as exc:
+                        raise EmptyResponseError(f"backend sent a non-JSON body: {exc}") from exc
+                    return self._parse(doc)
                 last_error = GatewayError(f"backend returned {resp.status_code}")
             if attempt + 1 < self.retry_attempts:
                 delay = (2**attempt) * 0.5 * (1.0 + random.random())

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import GraphError
@@ -83,9 +82,8 @@ class Edge:
 class PathSample:
     """A directed path; ``node_ids`` always follow edge direction.
 
-    ``orientation`` only selects the question framing (answer at the end
-    node for forward, at the start node for reverse); flipping it is how a
-    forward sample is turned into its reverse twin.
+    ``orientation`` only selects the question framing: the answer is the end
+    node for forward and the start node for reverse.
     """
 
     node_ids: list[str]
@@ -101,10 +99,6 @@ class PathSample:
     @property
     def hops(self) -> int:
         return len(self.relations)
-
-    def flipped(self) -> "PathSample":
-        other = "reverse" if self.orientation == "forward" else "forward"
-        return PathSample(list(self.node_ids), list(self.relations), other)
 
 
 @dataclass(frozen=True)
@@ -142,9 +136,6 @@ class KnowledgeGraph:
 
     def _put(self, node: Node) -> None:
         self.nodes[node.id] = node
-
-    def node_by_name(self, name: str) -> Node | None:
-        return self.nodes.get(normalize_name(name))
 
     def add_node(self, name: str, depth: int) -> Node:
         """Insert a node; returns the existing one when the name is taken."""
@@ -223,26 +214,6 @@ def add_curated(graph: KnowledgeGraph, parent_id: str, curated: list[Triple]) ->
     return graph
 
 
-def depth_ball(graph: KnowledgeGraph, v0: str, d: int) -> set[str]:
-    """Node ids within directed BFS distance ``d`` of ``v0``."""
-    if v0 not in graph.nodes:
-        raise GraphError(f"unknown node {v0!r}")
-    if d < 0:
-        raise GraphError("radius must be non-negative")
-    adj = graph.adjacency()
-    dist = {v0: 0}
-    queue: deque[str] = deque([v0])
-    while queue:
-        current = queue.popleft()
-        if dist[current] == d:
-            continue
-        for tail, _relation in adj[current]:
-            if tail not in dist:
-                dist[tail] = dist[current] + 1
-                queue.append(tail)
-    return set(dist)
-
-
 def enumerate_paths(graph: KnowledgeGraph, v0: str, d: int) -> list[PathSample]:
     """All simple directed paths of exactly ``d`` edges starting at ``v0``,
     ordered lexicographically by (node id sequence, relation sequence).
@@ -271,12 +242,3 @@ def enumerate_paths(graph: KnowledgeGraph, v0: str, d: int) -> list[PathSample]:
     out.sort(key=lambda p: (p.node_ids, p.relations))
     return out
 
-
-def validate_path(graph: KnowledgeGraph, path: PathSample) -> bool:
-    """True iff every consecutive pair is connected by the listed relation."""
-    if len(set(path.node_ids)) != len(path.node_ids):
-        return False
-    for head, relation, tail in zip(path.node_ids, path.relations, path.node_ids[1:]):
-        if Edge(head=head, relation=relation, tail=tail) not in graph.edges:
-            return False
-    return True

@@ -89,34 +89,6 @@ def predictive_entropy(logits: ProbeLogits) -> tuple[np.ndarray, float]:
     return p, entropy
 
 
-def probe_accuracy(
-    items: Sequence[McqItem],
-    probe,
-) -> tuple[float, int]:
-    """Fraction of items whose probe argmax letter equals the answer key.
-
-    Ties resolve to the first letter in A<B<C<D order. Items the probe fails
-    on are excluded and counted; an empty or fully-excluded dataset is a
-    domain error.
-    """
-    if not items:
-        raise ValueError("probe_accuracy needs at least one item")
-    correct = 0
-    excluded = 0
-    scored = 0
-    for item in items:
-        logits = _probe_logits(probe, item)
-        if logits is None:
-            excluded += 1
-            continue
-        scored += 1
-        if _probe_choice(logits) == item.answer_key:
-            correct += 1
-    if scored == 0:
-        raise ValueError("probe failed on every item")
-    return correct / scored, excluded
-
-
 def _probe_logits(probe, item: McqItem) -> ProbeLogits | None:
     """The probe's logits for one item, or None when the probe fails on it."""
     try:
@@ -207,7 +179,9 @@ def compute_dataset_stats(
 ) -> tuple[DatasetStats, list[dict]]:
     """Aggregate stats plus one metric row per item for the report.
 
-    The probe is called once per item. An item it fails on is counted in
+    The probe is called once per item. Probe accuracy is the share of the
+    scored items whose argmax letter (ties to the first in A<B<C<D order)
+    equals the answer key. An item the probe fails on is counted in
     ``probe_excluded``, left out of the entropy and accuracy means, and
     gets None for its row's probe fields."""
     stats = DatasetStats()

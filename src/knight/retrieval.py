@@ -3,6 +3,15 @@ page fetch, chunking, two-stage scoring, and mixture weights.
 
 Sources sit behind the ``WikiSource`` protocol; the fixture source reads a
 directory of title -> text files so tests never touch the network.
+
+``retrieve_evidence`` names every candidate passage ``<title>#summary`` or
+``<title>#chunk<i>`` and ``score_and_rerank`` ranks those ``(id, text)``
+pairs under the ids it is given. A chunk whose text equals an earlier
+candidate's is dropped, so the same passage is never sent twice.
+``retrieve_evidence`` is also the one place that decides what a failed
+lookup costs: a search or fetch error logs a warning and yields the
+parametric fallback, as a term with no relevant title does; a
+``GatewayError`` from the title check propagates.
 """
 
 from __future__ import annotations
@@ -25,12 +34,12 @@ log = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"\S+")
 _SENTENCE_END = re.compile(r"[.!?][\"')\]]*$")
+_LOOKUP_ERRORS = (RetrievalError, PageNotFoundError, AmbiguousTitleError)
 
 
 @dataclass(frozen=True)
 class Passage:
     id: str
-    source_title: str
     text: str
     score: float
 
@@ -119,7 +128,10 @@ class NetworkWikiSource:
             raise PageNotFoundError(url)
         if resp.status_code != 200:
             raise RetrievalError(f"wiki returned {resp.status_code} for {url}")
-        return resp.json()
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise RetrievalError(f"wiki returned a non-JSON body for {url}: {exc}") from exc
 
     def search(self, term: str, limit: int) -> list[str]:
         if limit <= 0:
@@ -188,10 +200,6 @@ def check_title_relevance(
     if answer != "no":
         log.warning("title check returned %r for %r; treating as no", response.text, candidate_title)
     return False
-
-
-def fetch_summary(source: WikiSource, title: str, max_chars: int = 1000) -> str:
-    return source.summary(title, max_chars)
 
 
 def chunk_text(text: str, size: int = 1000, overlap: int = 100) -> list[str]:
@@ -317,34 +325,32 @@ class LexicalCosineScorer:
 
 def score_and_rerank(
     query: str,
-    chunks: Sequence[str],
+    candidates: Sequence[tuple[str, str]],
     scorer: DenseScorer,
     k: int = 5,
     score_floor: float = 0.15,
     first_stage_cut: int = 50,
-    id_prefix: str = "chunk",
-    source_title: str = "",
 ) -> RetrievalResult:
-    """Two-stage ranking: BM25 keeps the lexical top candidates, the dense
-    scorer re-scores them, and only passages above the floor survive."""
-    indexed = list(enumerate(chunks))
+    """Two-stage ranking of ``(id, text)`` candidates: BM25 keeps the lexical
+    top candidates, the dense scorer re-scores them, and only passages above
+    the floor survive, under their given ids. Ties keep input order."""
+    indexed = list(enumerate(candidates))
     if not indexed:
         return RetrievalResult(passages=[], fallback=True)
 
     if len(indexed) > first_stage_cut:
-        bm25 = Bm25([c for _, c in indexed])
-        lexical = bm25.scores(query)
+        lexical = Bm25([text for _, (_, text) in indexed]).scores(query)
         order = sorted(range(len(indexed)), key=lambda i: (-lexical[i], i))
         indexed = [indexed[i] for i in order[:first_stage_cut]]
 
-    dense = scorer.score(query, [c for _, c in indexed])
+    dense = scorer.score(query, [text for _, (_, text) in indexed])
     scored = [
-        Passage(id=f"{id_prefix}{idx:03d}", source_title=source_title, text=chunk, score=score)
-        for (idx, chunk), score in zip(indexed, dense)
+        (score, position, pid, text)
+        for (position, (pid, text)), score in zip(indexed, dense)
         if score > score_floor
     ]
-    scored.sort(key=lambda p: (-p.score, p.id))
-    passages = scored[:k]
+    scored.sort(key=lambda row: (-row[0], row[1]))
+    passages = [Passage(id=pid, text=text, score=score) for score, _, pid, text in scored[:k]]
     return RetrievalResult(passages=passages, fallback=not passages)
 
 
@@ -366,13 +372,15 @@ def retrieve_evidence(
     context_hint: str = "general knowledge",
 ) -> RetrievalResult:
     """Full evidence pass for one term: search, LLM title filter, summary and
-    page fetch, chunking, and two-stage reranking. Empty results flag the
-    parametric fallback instead of raising.
+    page fetch, chunking, and two-stage reranking. No relevant title, a
+    failed lookup and an empty ranking all flag the parametric fallback
+    instead of raising.
     """
     try:
         titles = search_titles(source, term, config.search_limit)
-    except RetrievalError:
-        raise
+    except _LOOKUP_ERRORS as exc:
+        log.warning("search failed for %r: %s", term, exc)
+        return RetrievalResult(passages=[], fallback=True)
     chosen: str | None = None
     for title in titles:
         if check_title_relevance(gateway, term, title, context_hint):
@@ -381,35 +389,23 @@ def retrieve_evidence(
     if chosen is None:
         return RetrievalResult(passages=[], fallback=True)
 
-    candidates: list[tuple[str, str]] = []
+    # Text -> id; the first candidate with a given text keeps it.
+    ids_by_text: dict[str, str] = {}
     try:
-        summary = fetch_summary(source, chosen, config.summary_char_limit)
+        summary = source.summary(chosen, config.summary_char_limit)
         if summary:
-            candidates.append((f"{chosen}#summary", summary))
+            ids_by_text[summary] = f"{chosen}#summary"
         page = source.page_text(chosen)
         for i, chunk in enumerate(chunk_text(page, config.chunk_size, config.chunk_overlap)):
-            candidates.append((f"{chosen}#chunk{i}", chunk))
-    except (PageNotFoundError, AmbiguousTitleError) as exc:
+            ids_by_text.setdefault(chunk, f"{chosen}#chunk{i}")
+    except _LOOKUP_ERRORS as exc:
         log.warning("fetch failed for %r: %s", chosen, exc)
-    if not candidates:
-        return RetrievalResult(passages=[], fallback=True)
 
-    texts = [text for _, text in candidates]
-    ranked = score_and_rerank(
+    return score_and_rerank(
         term,
-        texts,
+        [(pid, text) for text, pid in ids_by_text.items()],
         LexicalCosineScorer(),
         k=config.search_limit,
         score_floor=config.score_floor,
         first_stage_cut=config.first_stage_cut,
-        source_title=chosen,
     )
-    if ranked.fallback:
-        return ranked
-    # Re-key passages with their source-derived ids for provenance.
-    by_text = {text: pid for pid, text in candidates}
-    passages = [
-        Passage(id=by_text[p.text], source_title=chosen, text=p.text, score=p.score)
-        for p in ranked.passages
-    ]
-    return RetrievalResult(passages=passages, fallback=False)

@@ -1,5 +1,7 @@
 """Persistence: canonical JSON graph snapshots, JSONL datasets, and the
-optional Neo4j (Bolt) mirror of the graph.
+optional Neo4j (Bolt) mirror of the graph. The mirror is write-only: the
+program never reads a graph back from it, and path enumeration stays in
+``graph.enumerate_paths``.
 
 All JSON is written with sorted keys and no insignificant whitespace so
 identical inputs produce identical bytes.
@@ -190,7 +192,7 @@ def record_to_item(record: Mapping[str, Any]) -> McqItem:
 
 
 class BoltGraphStore:
-    """Neo4j-backed store speaking parameterized Cypher over Bolt.
+    """Write-only Neo4j mirror speaking parameterized Cypher over Bolt.
 
     Statement construction is separated from execution so the Cypher surface
     is testable without a server; a live run needs the optional ``neo4j``
@@ -204,11 +206,6 @@ class BoltGraphStore:
     EDGE_STATEMENT = (
         "MATCH (h:Topic {id: $head}), (t:Topic {id: $tail}) "
         "MERGE (h)-[r:RELATES {label: $label}]->(t)"
-    )
-    PATH_STATEMENT = (
-        "MATCH p = (s:Topic {id: $start})-[r:RELATES*{length}]->(t:Topic) "
-        "RETURN [n IN nodes(p) | n.id] AS node_ids, "
-        "[rel IN relationships(p) | rel.label] AS relations"
     )
 
     def __init__(self, uri: str, user: str, password: str):
@@ -235,10 +232,6 @@ class BoltGraphStore:
             "tail": edge.tail,
             "label": edge.relation,
         }
-
-    @classmethod
-    def path_statement(cls, start_id: str, length: int) -> tuple[str, dict]:
-        return cls.PATH_STATEMENT.replace("{length}", str(int(length))), {"start": start_id}
 
     def open(self) -> None:
         try:
@@ -270,12 +263,6 @@ class BoltGraphStore:
 
     def create_edge(self, edge: Edge) -> None:
         self._run(*self.edge_statement(edge))
-
-    def query_path(self, start_id: str, length: int) -> list[PathSample]:
-        rows = self._run(*self.path_statement(start_id, length))
-        paths = [PathSample(list(r["node_ids"]), list(r["relations"])) for r in rows]
-        paths.sort(key=lambda p: (p.node_ids, p.relations))
-        return paths
 
 
 def open_graph_store(config: PipelineConfig) -> BoltGraphStore | None:

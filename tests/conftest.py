@@ -4,6 +4,7 @@ import pytest
 
 from knight.adapters import AdapterSuite
 from knight.config import PipelineConfig
+from knight.errors import RetrievalError
 from knight.fixture_world import load_world
 from knight.gateway import ChatGateway, ChatRequest, ChatResponse, MockChatBackend
 from knight.graph import KnowledgeGraph, Triple
@@ -29,6 +30,39 @@ class RecordingBackend:
     def complete(self, request: ChatRequest) -> ChatResponse:
         self.requests.append(request)
         return self.inner.complete(request)
+
+
+def http_response(status_code, body):
+    """A real ``requests`` response with the given status and raw body."""
+    import requests
+
+    resp = requests.models.Response()
+    resp.status_code = status_code
+    resp._content = body
+    return resp
+
+
+class FailingSource:
+    """Wraps a wiki source; calls to the ``failing`` method raise
+    ``RetrievalError``, as a network source does when the wiki is down."""
+
+    def __init__(self, inner, failing="search"):
+        self.inner = inner
+        self.failing = failing
+
+    def _call(self, method, *args):
+        if method == self.failing:
+            raise RetrievalError(f"{method} unavailable")
+        return getattr(self.inner, method)(*args)
+
+    def search(self, term, limit):
+        return self._call("search", term, limit)
+
+    def summary(self, title, max_chars):
+        return self._call("summary", title, max_chars)
+
+    def page_text(self, title):
+        return self._call("page_text", title)
 
 
 @pytest.fixture()

@@ -13,6 +13,8 @@ from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import Topic
 from knight.storage import snapshot_document
 
+from conftest import FailingSource
+
 
 def _services(world, seed=7, overrides=None, backend=None, **config_overrides):
     config = PipelineConfig(rng_seed=seed, **config_overrides).validate()
@@ -202,6 +204,18 @@ def test_seed_gloss_attached_with_provenance(world):
     assert seed.provenance, "evidence-backed seed must carry passage ids"
     assert seed.parametric_fallback is False
     assert len(seed.retrieval_weights) == len(seed.provenance)
+
+
+def test_lookup_failure_gives_parametric_gloss(world):
+    config, gateway, source, adapters = _services(world, d_max=1)
+    graph, report = build_kg(
+        Topic("Biology"), config, gateway, FailingSource(source, "search"), adapters
+    )
+    seed = graph.nodes[graph.seed_id]
+    assert seed.gloss and "Definition and Scope" in seed.gloss
+    assert seed.parametric_fallback is True
+    assert seed.provenance == []
+    assert report.aborted_reason is None
 
 
 def test_unknown_children_get_parametric_gloss(world):

@@ -112,8 +112,7 @@ def _history_graph() -> KnowledgeGraph:
 def test_curate_empty(adapters, config):
     graph = _history_graph()
     outcome = curate(graph, graph.seed_id, [], adapters, config)
-    assert outcome.counts() == {"accepted": 0, "merged": 0, "rejected": 0}
-    assert outcome.prune_rate == 0.0
+    assert (outcome.accepted, outcome.merged, outcome.rejected) == ([], [], [])
 
 
 def test_curate_unknown_parent(adapters, config):
@@ -128,7 +127,6 @@ def test_curate_duplicate_readds_edge(adapters, config):
     triple = Triple("World History", "remembers", "World War II")
     outcome = curate(graph, graph.seed_id, [triple], adapters, config)
     assert outcome.rejected == [(triple, "duplicate")]
-    assert outcome.prune_rate == 1.0
     # relation re-attributed to the existing node, no new node
     assert len(graph.nodes) == 2
     assert len(graph.edges) == edges_before + 1
@@ -177,7 +175,6 @@ def test_curate_thirteen_candidate_fixture(adapters, config):
     assert len(outcome.merged) == 1
     assert len(outcome.accepted) == 12
     assert outcome.rejected == []
-    assert outcome.prune_rate == 0.0
 
 
 def test_curate_partition_and_batch_duplicates(adapters, config):
@@ -192,7 +189,6 @@ def test_curate_partition_and_batch_duplicates(adapters, config):
     assert len(outcome.accepted) + len(outcome.merged) + len(outcome.rejected) == len(candidates)
     reasons = sorted(reason for _, reason in outcome.rejected)
     assert reasons == ["duplicate", "nli_fail", "policy_fail"]
-    assert outcome.prune_rate == pytest.approx(3 / 4)
 
 
 def test_curate_permutation_invariant_surviving_names(adapters, config):

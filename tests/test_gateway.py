@@ -19,6 +19,8 @@ from knight.gateway import (
 )
 from knight.prompts import GLOSS_SYSTEM, TRIPLES_SYSTEM, gloss_user, triples_user
 
+from conftest import http_response
+
 
 def _request(tag="gloss", user="hello", temperature=0.4):
     return ChatRequest(system_prompt="sys", user_prompt=user, temperature=temperature, task_tag=tag)
@@ -109,8 +111,6 @@ def test_ledger_starts_empty_and_adds():
     assert ledger.totals() == {"gloss": (20, 10)}
     ledger.record("triples", 1, 2)
     assert ledger.grand_total() == (21, 12)
-    ledger.reset()
-    assert ledger.totals() == {}
 
 
 def test_gateway_records_ledger(world):
@@ -197,6 +197,36 @@ def test_network_empty_response(monkeypatch):
     backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x")
     with pytest.raises(EmptyResponseError):
         backend.complete(_request())
+
+
+def _html_response():
+    return http_response(200, b"<html><body>502 Bad Gateway</body></html>")
+
+
+def test_network_non_json_reply_is_not_retried(monkeypatch):
+    import requests
+
+    calls = []
+
+    def fake_post(url, **kwargs):
+        calls.append(url)
+        return _html_response()
+
+    monkeypatch.setattr(requests, "post", fake_post)
+    backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x", retry_attempts=3)
+    with pytest.raises(EmptyResponseError):
+        backend.complete(_request())
+    assert len(calls) == 1
+
+
+def test_map_returns_non_json_reply_as_gateway_error(monkeypatch):
+    import requests
+
+    monkeypatch.setattr(requests, "post", lambda url, **kw: _html_response())
+    gw = ChatGateway(OpenAiCompatBackend("https://api.example/v1", "key", "model-x"))
+    results, error = gw.map(gw.complete, [_request()])
+    assert results == []
+    assert isinstance(error, EmptyResponseError)
 
 
 def test_missing_key_rejected_up_front():

@@ -1,23 +1,21 @@
 from __future__ import annotations
 
 import random
-from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from knight.errors import GraphError
 from knight.graph import (
+    Edge,
     KnowledgeGraph,
     PathSample,
     Topic,
     Triple,
     add_curated,
-    depth_ball,
     enumerate_paths,
     normalize_name,
-    validate_path,
 )
 
 from conftest import make_chain
@@ -100,7 +98,7 @@ def test_add_curated_seed_child(hafez_triple):
     add_curated(graph, graph.seed_id, [hafez_triple])
     assert len(graph.nodes) == 2
     assert len(graph.edges) == 1
-    child = graph.node_by_name("Shiraz")
+    child = graph.nodes.get(normalize_name("Shiraz"))
     assert child is not None and child.depth == 1
 
 
@@ -114,7 +112,7 @@ def test_add_curated_same_child_two_parents():
     assert len(graph.nodes) == 4
     gammas = [e for e in graph.edges if e.tail == "gamma"]
     assert len(gammas) == 2
-    assert graph.node_by_name("Gamma").depth == 2  # first-add depth retained
+    assert graph.nodes[normalize_name("Gamma")].depth == 2  # first-add depth retained
 
 
 def test_add_curated_duplicate_names_idempotent():
@@ -149,21 +147,7 @@ def test_uniqueness_invariant_after_adds():
     graph.check_invariants()
 
 
-# -- depth_ball ---------------------------------------------------------------
-
-
-def _bfs_oracle(adjacency: dict[str, list[str]], start: str, d: int) -> set[str]:
-    seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        node, dist = frontier.popleft()
-        if dist == d:
-            continue
-        for nxt in adjacency.get(node, []):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, dist + 1))
-    return seen
+# -- enumerate_paths ----------------------------------------------------------
 
 
 def _random_graph(rng: random.Random, n_nodes: int, n_edges: int) -> KnowledgeGraph:
@@ -176,42 +160,6 @@ def _random_graph(rng: random.Random, n_nodes: int, n_edges: int) -> KnowledgeGr
         if head != tail:
             graph.add_edge(head, rng.choice(["r1", "r2"]), tail)
     return graph
-
-
-def test_depth_ball_single_node():
-    graph = KnowledgeGraph("only")
-    assert depth_ball(graph, graph.seed_id, 0) == {graph.seed_id}
-
-
-def test_depth_ball_chain():
-    graph = make_chain("a", "b", "c")
-    assert depth_ball(graph, "a", 1) == {"a", "b"}
-
-
-def test_depth_ball_missing_node():
-    graph = KnowledgeGraph("a")
-    with pytest.raises(GraphError):
-        depth_ball(graph, "zz", 1)
-
-
-def test_depth_ball_matches_bfs_oracle():
-    rng = random.Random(11)
-    for _ in range(30):
-        graph = _random_graph(rng, 10, rng.randint(5, 25))
-        adjacency = {nid: [t for t, _ in pairs] for nid, pairs in graph.adjacency().items()}
-        for d in range(4):
-            assert depth_ball(graph, "n0", d) == _bfs_oracle(adjacency, "n0", d)
-
-
-def test_depth_ball_monotone():
-    rng = random.Random(5)
-    graph = _random_graph(rng, 12, 25)
-    balls = [depth_ball(graph, "n0", d) for d in range(5)]
-    for smaller, larger in zip(balls, balls[1:]):
-        assert smaller <= larger
-
-
-# -- enumerate_paths ----------------------------------------------------------
 
 
 def _dfs_oracle(graph: KnowledgeGraph, start: str, d: int) -> list[tuple[tuple, tuple]]:
@@ -260,10 +208,10 @@ def test_enumerate_paths_simple_and_flippable():
     graph = _random_graph(rng, 8, 20)
     for path in enumerate_paths(graph, "n0", 3):
         assert len(set(path.node_ids)) == len(path.node_ids)
-        assert validate_path(graph, path)
-        flipped = path.flipped()
-        assert flipped.orientation == "reverse"
-        assert validate_path(graph, flipped)
+        hops = zip(path.node_ids, path.relations, path.node_ids[1:])
+        assert all(Edge(head, relation, tail) in graph.edges for head, relation, tail in hops)
+        reverse = PathSample(path.node_ids, path.relations, "reverse")
+        assert (reverse.node_ids, reverse.relations) == (path.node_ids, path.relations)
 
 
 def test_path_sample_shape_checks():
@@ -272,11 +220,3 @@ def test_path_sample_shape_checks():
     with pytest.raises(GraphError):
         PathSample(["a", "b"], ["rel"], orientation="sideways")
 
-
-@settings(max_examples=30)
-@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
-def test_depth_ball_monotone_property(d1, d2):
-    rng = random.Random(97)
-    graph = _random_graph(rng, 9, 18)
-    lo, hi = sorted((d1, d2))
-    assert depth_ball(graph, "n0", lo) <= depth_ball(graph, "n0", hi)

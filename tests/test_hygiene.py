@@ -1,11 +1,12 @@
-"""Source hygiene: every top-level import in the package is used, and no
+"""Source hygiene: every top-level import in the package is used; no
 module but ``gateway.py`` imports a threading module, so ``ChatGateway.map``
 stays the one place that starts threads and decides what a failed call
-costs."""
+costs; and nothing in the package is reached only by tests."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,3 +74,82 @@ def test_checker_flags_a_thread_import():
         "from . import threading\n"
     )
     assert _thread_imports(source) == ["threading", "concurrent.futures"]
+
+
+# Definitions the package never calls, each kept for a test that checks a
+# contract of the paper.
+TEST_ONLY = {
+    "pearson": "acceptance criterion 8 checks it against golden values",
+    "fleiss_kappa": "acceptance criterion 8 checks it against golden values",
+    "TokenLedger.tags_seen": "acceptance criterion 11 compares a run's tags with its mode's",
+}
+
+
+def _mentions(node: ast.AST) -> Counter:
+    """How often each identifier is read as a name or an attribute under ``node``."""
+    found: Counter = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            found[child.attr] += 1
+    return found
+
+
+def _unreached(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes, and non-dunder methods, that no
+    module of ``sources`` but ``__init__.py`` mentions outside their own
+    definition, by qualified name.
+
+    Matching is by bare name, so a dead method that shares its name with a
+    live attribute, variable or function elsewhere goes unflagged. A
+    mention from another dead definition counts too, so of a dead chain
+    only its head is flagged until that head is deleted."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    mentioned: Counter = Counter()
+    definitions: list[tuple[str, ast.AST]] = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        mentioned += _mentions(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    (f"{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+    return sorted(
+        qualified
+        for qualified, node in definitions
+        if mentioned[node.name] - _mentions(node)[node.name] <= 0
+    )
+
+
+def test_nothing_is_reached_only_by_tests():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _unreached(sources) == sorted(TEST_ONLY)
+
+
+def test_checker_flags_a_definition_reached_only_by_itself_or_init():
+    sources = {
+        "__init__.py": "from .a import Thing, helper\nhelper()\n",
+        "a.py": (
+            "def helper():\n"
+            "    return helper()\n"
+            "class Thing:\n"
+            "    def used(self):\n"
+            "        return 1\n"
+            "    def spare(self):\n"
+            "        return self.used()\n"
+            "    def lonely(self):\n"
+            "        return self.lonely()\n"
+            "    def __repr__(self):\n"
+            "        return ''\n"
+        ),
+        "b.py": "from .a import Thing\nThing().spare()\n",
+    }
+    assert _unreached(sources) == ["Thing.lonely", "helper"]

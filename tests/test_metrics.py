@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import statistics
@@ -17,8 +18,8 @@ from knight.metrics import (
     length_stats,
     off_topic_rate,
     pearson,
+    compute_dataset_stats,
     predictive_entropy,
-    probe_accuracy,
 )
 from knight.qgen import McqItem
 
@@ -102,7 +103,7 @@ def test_entropy_rejects_non_finite():
         ProbeLogits(float("inf"), 0.0, 0.0, 0.0)
 
 
-# -- probe_accuracy -------------------------------------------------------------
+# -- probe accuracy, through compute_dataset_stats ------------------------------
 
 
 class _KeyedProbe:
@@ -127,31 +128,38 @@ class _FlakyProbe:
         return (9.0 if answer_key == "A" else 0.0, 1.0, 0.0, 0.0)
 
 
-def test_probe_accuracy_perfect():
+def _probe_stats(items, probe, adapters):
+    return compute_dataset_stats(items, dataclasses.replace(adapters, probe=probe), "Biology")
+
+
+def test_probe_accuracy_perfect(adapters):
     items = [_item(i, answer_key="ABCD"[i % 4]) for i in range(8)]
-    accuracy, excluded = probe_accuracy(items, _KeyedProbe())
-    assert accuracy == 1.0 and excluded == 0
+    stats, _rows = _probe_stats(items, _KeyedProbe(), adapters)
+    assert stats.probe_accuracy == 1.0 and stats.probe_excluded == 0
 
 
-def test_probe_accuracy_uniform_tie_breaks_to_a():
+def test_probe_accuracy_uniform_tie_breaks_to_a(adapters):
     # Keys spread uniformly over A-D; ties resolve to A, so exactly 1/4 hit.
     items = [_item(i, answer_key="ABCD"[i % 4]) for i in range(8)]
-    accuracy, excluded = probe_accuracy(items, _UniformProbe())
-    assert accuracy == pytest.approx(0.25)
-    assert excluded == 0
+    stats, rows = _probe_stats(items, _UniformProbe(), adapters)
+    assert stats.probe_accuracy == pytest.approx(0.25)
+    assert stats.probe_excluded == 0
+    assert [row["probe_choice"] for row in rows] == ["A"] * 8
 
 
-def test_probe_accuracy_empty_dataset():
-    with pytest.raises(ValueError):
-        probe_accuracy([], _KeyedProbe())
+def test_probe_accuracy_empty_dataset(adapters):
+    stats, rows = _probe_stats([], _KeyedProbe(), adapters)
+    assert stats.probe_accuracy == 0.0 and stats.probe_excluded == 0
+    assert rows == []
 
 
-def test_probe_accuracy_exclusions_counted():
+def test_probe_accuracy_exclusions_counted(adapters):
     items = [_item(i, answer_key="A") for i in range(4)]
     items[2] = _item(99, answer_key="A")
-    accuracy, excluded = probe_accuracy(items, _FlakyProbe("99"))
-    assert excluded == 1
-    assert accuracy == 1.0
+    stats, rows = _probe_stats(items, _FlakyProbe("99"), adapters)
+    assert stats.probe_excluded == 1
+    assert stats.probe_accuracy == 1.0
+    assert rows[2]["probe_choice"] is None and rows[2]["entropy"] is None
 
 
 # -- entailment & off-topic ------------------------------------------------------

@@ -17,6 +17,8 @@ from knight.pipeline import Services, run_pipeline
 from knight.retrieval import FixtureWikiSource
 from knight.storage import item_to_record, snapshot_document
 
+from conftest import FailingSource
+
 
 def _services(world, max_inflight, backend=None, probe=None, seed=7):
     backend = backend or MockChatBackend(world, rng_seed=seed)
@@ -189,6 +191,18 @@ def test_build_failure_is_reported_and_run_goes_on(world):
     assert result.build_report.aborted_reason == "AuthError: key revoked"
     assert result.aborted_reason == result.build_report.aborted_reason
     assert result.kept_items
+
+
+def test_lookup_failure_falls_back_in_a_direct_mode(world):
+    config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode="rag_val").validate()
+    services = dataclasses.replace(
+        _services(world, 1), source=FailingSource(FixtureWikiSource(world), "search")
+    )
+    result, _ = run_pipeline(Topic("Biology"), config, 10, services=services)
+    assert result.aborted_reason is None
+    assert result.kept_items
+    assert all(item.provenance["parametric_fallback"] for item in result.items)
+    assert all(item.provenance["passage_ids"] == [] for item in result.items)
 
 
 class CountingProbe:

@@ -1,28 +1,31 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knight.errors import AmbiguousTitleError, PageNotFoundError, RetrievalError
+from knight.errors import AmbiguousTitleError, AuthError, PageNotFoundError, RetrievalError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.retrieval import (
     Bm25,
     FixtureWikiSource,
     LexicalCosineScorer,
+    NetworkWikiSource,
     Passage,
     RetrievalResult,
     check_title_relevance,
     chunk_text,
-    fetch_summary,
     mixture_weights,
     retrieve_evidence,
     score_and_rerank,
     search_titles,
     truncate_at_word,
 )
+
+from conftest import FailingSource, http_response
 
 
 @pytest.fixture()
@@ -52,6 +55,45 @@ def test_search_empty_term(source):
         search_titles(source, "   ", 5)
 
 
+# -- network source -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (http_response(404, b"{}"), PageNotFoundError),
+        (http_response(503, b"{}"), RetrievalError),
+        (http_response(200, b"<html><body>Bad Gateway</body></html>"), RetrievalError),
+    ],
+    ids=["404", "503", "non-json"],
+)
+def test_network_source_maps_replies_to_errors(monkeypatch, reply, error):
+    import requests
+
+    monkeypatch.setattr(requests, "get", lambda url, **kw: reply)
+    with pytest.raises(error):
+        NetworkWikiSource().search("Biology", 5)
+
+
+def test_network_source_request_failure(monkeypatch):
+    import requests
+
+    def fail(url, **kwargs):
+        raise requests.ConnectionError("connection refused")
+
+    monkeypatch.setattr(requests, "get", fail)
+    with pytest.raises(RetrievalError):
+        NetworkWikiSource().page_text("Biology")
+
+
+def test_network_source_search_parses_titles(monkeypatch):
+    import requests
+
+    body = json.dumps({"pages": [{"title": "Biology"}, {"title": "Cell"}]}).encode()
+    monkeypatch.setattr(requests, "get", lambda url, **kw: http_response(200, body))
+    assert NetworkWikiSource().search("Biology", 5) == ["Biology", "Cell"]
+
+
 # -- title relevance ----------------------------------------------------------
 
 
@@ -74,7 +116,7 @@ def test_title_relevance_garbage_is_no(world, caplog):
 
 
 def test_fetch_summary_short_unchanged(source):
-    text = fetch_summary(source, "Pharmacology", 1000)
+    text = source.summary("Pharmacology", 1000)
     assert text.startswith("Pharmacology is the study of drugs")
     assert len(text) <= 1000
 
@@ -89,12 +131,12 @@ def test_truncate_at_word_boundary():
 
 def test_fetch_summary_missing_title(source):
     with pytest.raises(PageNotFoundError):
-        fetch_summary(source, "Atlantology", 1000)
+        source.summary("Atlantology", 1000)
 
 
 def test_fetch_summary_disambiguation(source):
     with pytest.raises(AmbiguousTitleError):
-        fetch_summary(source, "Mercury", 1000)
+        source.summary("Mercury", 1000)
 
 
 # -- chunking -----------------------------------------------------------------
@@ -162,42 +204,47 @@ class _StubScorer:
 
 
 def test_rerank_all_below_floor():
-    result = score_and_rerank("q", ["a", "b"], _StubScorer([0.1, 0.15]), score_floor=0.15)
+    result = score_and_rerank(
+        "q", [("a", "a"), ("b", "b")], _StubScorer([0.1, 0.15]), score_floor=0.15
+    )
     assert result.fallback is True
     assert result.passages == []
 
 
 def test_rerank_threshold_and_sort():
-    result = score_and_rerank(
-        "q", ["first", "second", "third"], _StubScorer([0.9, 0.5, 0.1]), k=5
-    )
+    candidates = [("id1", "first"), ("id2", "second"), ("id3", "third")]
+    result = score_and_rerank("q", candidates, _StubScorer([0.9, 0.5, 0.1]), k=5)
     assert [p.score for p in result.passages] == [0.9, 0.5]
     assert [p.text for p in result.passages] == ["first", "second"]
+    assert result.ids() == ["id1", "id2"]
     assert result.fallback is False
 
 
+def test_rerank_ties_keep_input_order():
+    candidates = [("z", "one"), ("a", "two"), ("m", "three")]
+    result = score_and_rerank("q", candidates, _StubScorer([0.5, 0.9, 0.5]))
+    assert result.ids() == ["a", "z", "m"]
+
+
 def test_rerank_first_stage_cut():
-    chunks = [f"doc {i} filler" for i in range(60)] + ["the exact query words here"]
+    texts = [f"doc {i} filler" for i in range(60)] + ["the exact query words here"]
+    chunks = [(f"c{i}", text) for i, text in enumerate(texts)]
     scorer = LexicalCosineScorer()
     result = score_and_rerank("exact query words", chunks, scorer, k=3, first_stage_cut=50)
     assert result.passages[0].text == "the exact query words here"
 
 
 def test_rerank_fixture_corpus_photosynthesis(world, source):
-    texts, titles = [], []
-    for title in sorted(world.title_files):
-        texts.append(source.page_text(title))
-        titles.append(title)
-    result = score_and_rerank("photosynthesis", texts, LexicalCosineScorer(), k=3)
-    top_index = int(result.passages[0].id.removeprefix("chunk"))
-    assert titles[top_index] == "Photosynthesis"
+    pages = [(title, source.page_text(title)) for title in sorted(world.title_files)]
+    result = score_and_rerank("photosynthesis", pages, LexicalCosineScorer(), k=3)
+    assert result.passages[0].id == "Photosynthesis"
 
 
 def test_passage_validation():
     with pytest.raises(ValueError):
-        Passage(id="x", source_title="t", text="  ", score=0.5)
+        Passage(id="x", text="  ", score=0.5)
     with pytest.raises(ValueError):
-        Passage(id="x", source_title="t", text="ok", score=1.5)
+        Passage(id="x", text="ok", score=1.5)
     with pytest.raises(ValueError):
         RetrievalResult(passages=[], fallback=False)
 
@@ -253,6 +300,38 @@ def test_retrieve_evidence_unknown_term_falls_back(world, gateway, config, sourc
     result = retrieve_evidence("Gleeb Zorp", source, gateway, config)
     assert result.fallback is True
     assert result.passages == []
+
+
+def test_retrieve_evidence_sends_a_passage_once(world, gateway, config, source):
+    # History's summary is its whole one-paragraph page, so chunk 0 repeats it.
+    assert source.summary("History", config.summary_char_limit) == source.page_text("History")
+    result = retrieve_evidence("History", source, gateway, config)
+    assert result.ids() == ["History#summary"]
+
+
+@pytest.mark.parametrize("failing", ["search", "summary"])
+def test_retrieve_evidence_lookup_error_falls_back(
+    world, gateway, config, source, caplog, failing
+):
+    with caplog.at_level("WARNING", logger="knight.retrieval"):
+        result = retrieve_evidence("Biology", FailingSource(source, failing), gateway, config)
+    assert result.fallback is True
+    assert any(f"{failing} unavailable" in r.getMessage() for r in caplog.records)
+
+
+def test_retrieve_evidence_page_error_keeps_summary(world, gateway, config, source):
+    result = retrieve_evidence("Biology", FailingSource(source, "page_text"), gateway, config)
+    assert result.ids() == ["Biology#summary"]
+
+
+class _RevokedBackend:
+    def complete(self, request):
+        raise AuthError("key revoked")
+
+
+def test_retrieve_evidence_gateway_error_propagates(config, source):
+    with pytest.raises(AuthError):
+        retrieve_evidence("Biology", source, ChatGateway(_RevokedBackend()), config)
 
 
 def test_bm25_ranks_matching_doc_first():

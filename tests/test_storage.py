@@ -8,7 +8,7 @@ import pytest
 from knight.builder import BuildReport
 from knight.config import PipelineConfig, build_config
 from knight.errors import ConfigError, JsonlError, SnapshotFormatError, SnapshotVersionError
-from knight.graph import Edge, KnowledgeGraph, Node, PathSample, enumerate_paths
+from knight.graph import Edge, KnowledgeGraph, Node, PathSample
 from knight.qgen import McqItem
 from knight.storage import (
     BoltGraphStore,
@@ -206,9 +206,6 @@ def test_bolt_statements_are_parameterized():
     assert "$head" in statement and "$tail" in statement and "$label" in statement
     assert params == {"head": "hafez", "tail": "shiraz", "label": "born_in"}
 
-    statement, params = BoltGraphStore.path_statement("hafez", 2)
-    assert "*2" in statement and params == {"start": "hafez"}
-
 
 def test_bolt_roundtrip_against_live_server():
     import os
@@ -224,10 +221,12 @@ def test_bolt_roundtrip_against_live_server():
     store = open_graph_store(build_config({"graph_backend": "bolt"}))
     try:
         mirror_graph(store, graph)
-        paths = store.query_path(graph.seed_id, 1)
-        expected = enumerate_paths(graph, graph.seed_id, 1)
-        assert [(p.node_ids, p.relations) for p in paths] == [
-            (p.node_ids, p.relations) for p in expected
-        ]
+        rows = store._run(
+            "MATCH (h:Topic)-[r:RELATES]->(t:Topic) WHERE h.id IN $ids "
+            "RETURN h.id AS head, r.label AS label, t.id AS tail",
+            {"ids": sorted(graph.nodes)},
+        )
+        mirrored = sorted((r["head"], r["label"], r["tail"]) for r in rows)
+        assert mirrored == [(e.head, e.relation, e.tail) for e in graph.sorted_edges()]
     finally:
         store.close()

@@ -26,7 +26,7 @@ from knight.synthesis import (
 
 def _retrieval(texts, title="Biology"):
     passages = [
-        Passage(id=f"{title}#p{i}", source_title=title, text=t, score=0.9 - 0.1 * i)
+        Passage(id=f"{title}#p{i}", text=t, score=0.9 - 0.1 * i)
         for i, t in enumerate(texts)
     ]
     return RetrievalResult(passages=passages, fallback=not passages)
