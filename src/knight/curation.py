@@ -92,10 +92,14 @@ def curate(
     re-attribute their relation to the existing node (no new node, so no
     relation is lost), unless their head is such a pending tail, which has
     no node yet. Survivors are returned for the caller to attach via
-    add_curated."""
+    add_curated.
+
+    The alias scan visits the nodes in id order, sorted once per call: this
+    call adds edges only, never nodes."""
     if parent_id not in graph.nodes:
         raise GraphError(f"unknown parent {parent_id!r}")
     outcome = CurationOutcome()
+    nodes = graph.sorted_nodes()
     pending_names: set[str] = set()
     for triple in raw:
         tail_norm = normalize_name(triple.tail)
@@ -116,7 +120,7 @@ def curate(
             continue
 
         alias_target = None
-        for node in graph.sorted_nodes():
+        for node in nodes:
             if is_alias(adapters.embedding, triple.tail, node.name, config.tau_alias):
                 alias_target = node
                 break

@@ -7,6 +7,7 @@ backend reproduce byte-for-byte.
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from dataclasses import dataclass, field
@@ -18,13 +19,15 @@ RELATION_RE = re.compile(r"^[a-z0-9_]+$")
 _LEADING_ARTICLES = ("the", "a", "an")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def normalize_name(raw: str) -> str:
     """Canonical key for a term: NFKC, lowercase, collapsed whitespace,
     leading articles stripped, terminal plural "s" dropped when the singular
     form keeps at least 3 characters and does not itself end in "s" or
     whitespace ("cells" -> "cell", "class" stays).
 
-    Idempotent: a key normalizes to itself.
+    Idempotent: a key normalizes to itself. Memoized, since ``curate`` and
+    the embedding adapter key every (candidate, node) pair on it.
     """
     text = raw
     while True:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +34,9 @@ from .prompts import TITLE_CHECK_SYSTEM, title_check_user
 log = logging.getLogger(__name__)
 
 _WORD_RE = re.compile(r"\S+")
-_SENTENCE_END = re.compile(r"[.!?][\"')\]]*$")
+# The end of a token that closes a sentence: ".", "!" or "?", then closing
+# quotes or brackets.
+_SENTENCE_END = re.compile(r"[.!?][\"')\]]*(?!\S)")
 _LOOKUP_ERRORS = (RetrievalError, PageNotFoundError, AmbiguousTitleError)
 
 
@@ -206,6 +209,10 @@ def chunk_text(text: str, size: int = 1000, overlap: int = 100) -> list[str]:
     """Split into chunks of at most ``size`` whitespace tokens, preferring
     paragraph then sentence boundaries, with consecutive chunks sharing at
     most ``overlap`` tokens.
+
+    Linear in the text apart from one ``bisect`` per paragraph break, per
+    sentence end and per chunk, so O(n + (p + s + c) log n) for n tokens,
+    p paragraph breaks, s sentence ends and c chunks.
     """
     if overlap >= size:
         raise ValueError("overlap must be smaller than size")
@@ -216,12 +223,9 @@ def chunk_text(text: str, size: int = 1000, overlap: int = 100) -> list[str]:
     if n <= size:
         return [text[spans[0][0]:spans[-1][1]]]
 
-    paragraph_cuts = _boundary_token_indexes(text, spans, "\n\n")
-    sentence_cuts = {
-        i + 1
-        for i, (start, end) in enumerate(spans)
-        if _SENTENCE_END.search(text[start:end])
-    }
+    paragraph_cuts = _boundary_token_indexes(text, [start for start, _ in spans], "\n\n")
+    ends = [end for _, end in spans]
+    sentence_cuts = [bisect_left(ends, m.end()) + 1 for m in _SENTENCE_END.finditer(text)]
 
     chunks: list[str] = []
     start = 0
@@ -238,28 +242,28 @@ def chunk_text(text: str, size: int = 1000, overlap: int = 100) -> list[str]:
     return chunks
 
 
-def _boundary_token_indexes(text: str, spans: list[tuple[int, int]], sep: str) -> set[int]:
-    """Token indexes that begin right after ``sep`` in the original text."""
-    cuts: set[int] = set()
-    offset = 0
-    while True:
-        pos = text.find(sep, offset)
-        if pos == -1:
-            return cuts
-        for i, (start, _end) in enumerate(spans):
-            if start >= pos + len(sep):
-                cuts.add(i)
-                break
-        offset = pos + len(sep)
+def _boundary_token_indexes(text: str, starts: list[int], sep: str) -> list[int]:
+    """Index of the first token after each ``sep`` in the text, in order,
+    given the tokens' sorted start offsets."""
+    cuts: list[int] = []
+    pos = text.find(sep)
+    while pos != -1:
+        i = bisect_left(starts, pos + len(sep))
+        if i < len(starts):
+            cuts.append(i)
+        pos = text.find(sep, pos + len(sep))
+    return cuts
 
 
-def _best_cut(start: int, hard_end: int, paragraphs: set[int], sentences: set[int]) -> int:
+def _best_cut(start: int, hard_end: int, paragraphs: list[int], sentences: list[int]) -> int:
+    """The last paragraph cut, else the last sentence cut, in
+    [floor, hard_end]; ``hard_end`` when there is neither. Cuts are sorted."""
     # Require a reasonable fill so boundary-seeking never degenerates.
     floor = start + max(1, (hard_end - start) // 2)
-    for candidates in (paragraphs, sentences):
-        eligible = [c for c in candidates if floor <= c <= hard_end]
-        if eligible:
-            return max(eligible)
+    for cuts in (paragraphs, sentences):
+        i = bisect_right(cuts, hard_end) - 1
+        if i >= 0 and cuts[i] >= floor:
+            return cuts[i]
     return hard_end
 
 

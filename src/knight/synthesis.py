@@ -1,5 +1,13 @@
 """Gloss generation from evidence, the traceability gate, and triple
-extraction with near-duplicate removal."""
+extraction with near-duplicate removal.
+
+Near-duplicate removal compares each candidate with the triples kept so far,
+by normalized edit distance capped at ``lambda_max``: ``levenshtein`` fills
+only the diagonal band of width 2k + 1 for the cap k and stops once a row
+exceeds k, so a pair costs O(k * L) for keys of length L, and nothing when
+the lengths differ by more than k. The cap k is the largest integer d with
+d / L <= lambda_max, so the keep decision is the uncapped one.
+"""
 
 from __future__ import annotations
 
@@ -62,16 +70,11 @@ def generate_gloss(
     parent_term: str | None = None,
 ) -> Gloss:
     """Produce the structured description for ``term``. Evidence passages are
-    injected in mixture-weight order; an empty retrieval falls back to the
+    injected in retrieval order, the order of ``supported_by`` (best score
+    first, ties in input order); an empty retrieval falls back to the
     model's parametric knowledge and is flagged as such."""
-    if retrieval.fallback:
-        passages: list[str] = []
-        weights: list[float] = []
-    else:
-        weights = mixture_weights(retrieval.scores())
-        order = sorted(range(len(weights)), key=lambda i: (-weights[i], retrieval.ids()[i]))
-        passages = [retrieval.texts()[i] for i in order]
-        weights = [weights[i] for i in order]
+    passages = retrieval.texts()
+    weights = [] if retrieval.fallback else mixture_weights(retrieval.scores())
 
     response = gateway.complete(
         ChatRequest(
@@ -88,7 +91,7 @@ def generate_gloss(
         term=term,
         text=response.text,
         sections_present=sections,
-        supported_by=[] if retrieval.fallback else retrieval.ids(),
+        supported_by=retrieval.ids(),
         parametric_fallback=retrieval.fallback,
         mixture=weights,
     )
@@ -189,38 +192,84 @@ def extract_triples(gateway: ChatGateway, gloss: Gloss, config: PipelineConfig) 
     return parse_triples_json(response.text)
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance via the two-row dynamic program."""
+def levenshtein(a: str, b: str, k: int | None = None) -> int:
+    """Edit distance via the two-row dynamic program.
+
+    With a cap ``k`` the result is exact when it is at most ``k`` and
+    ``k + 1`` otherwise. Only the diagonal band |i - j| <= k is filled, and
+    the scan stops once a whole row exceeds ``k`` (Ukkonen 1985), so the cost
+    is O(k * max(len(a), len(b))); a length difference above ``k`` costs
+    nothing. Without a cap the band is the whole table.
+    """
     if len(a) < len(b):
         a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
+    if k is None:
+        k = len(a)
+    over = k + 1
+    if len(a) - len(b) > k:
+        return over
+    # A shared prefix or suffix leaves the distance as it is.
+    shared = 0
+    while shared < len(b) and a[shared] == b[shared]:
+        shared += 1
+    a, b = a[shared:], b[shared:]
+    shared = 0
+    while shared < len(b) and a[-1 - shared] == b[-1 - shared]:
+        shared += 1
+    a, b = a[: len(a) - shared], b[: len(b) - shared]
+    # Cells outside the band hold ``over``: their true values exceed k, and
+    # min(value, over) is all the answer needs.
+    previous = [j if j <= k else over for j in range(len(b) + 1)]
+    current = [over] * (len(b) + 1)
     for i, ch_a in enumerate(a, start=1):
-        current = [i]
-        for j, ch_b in enumerate(b, start=1):
-            cost = 0 if ch_a == ch_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
+        lo, hi = max(1, i - k), min(len(b), i + k)
+        # The two rows swap buffers: reset the cell left of the band. The
+        # cell right of the previous row's band was never written: ``over``.
+        current[lo - 1] = i if i <= k else over
+        left, diag = current[lo - 1], previous[lo - 1]
+        for j, (up, ch_b) in enumerate(zip(previous[lo : hi + 1], b[lo - 1 : hi]), start=lo):
+            value = diag if ch_a == ch_b else diag + 1
+            if up < value:
+                value = up + 1
+            if left < value:
+                value = left + 1
+            current[j] = left = value
+            diag = up
+        if min(current[lo - 1 : hi + 1]) > k:
+            return over
+        previous, current = current, previous
+    return min(previous[-1], over)
 
 
-def normalized_edit_distance(a: str, b: str) -> float:
+def normalized_edit_distance(a: str, b: str, at_most: float = 1.0) -> float:
+    """Edit distance over the longer length. Exact when it is at most
+    ``at_most``; some value above ``at_most`` otherwise.
+
+    The cap passed to ``levenshtein`` is the largest integer d with
+    d / longest <= at_most, tested with the same float division this
+    returns: ``int(0.29 * 100)`` is 28, yet 29 / 100 <= 0.29 holds.
+    """
     longest = max(len(a), len(b))
     if longest == 0:
         return 0.0
-    return levenshtein(a, b) / longest
+    cap = int(at_most * longest)
+    while (cap + 1) / longest <= at_most:
+        cap += 1
+    return levenshtein(a, b, cap) / longest
 
 
 def dedup_triples(triples: list[Triple], lambda_max: float) -> list[Triple]:
     """Drop each triple whose serialized form sits within ``lambda_max``
-    normalized edit distance of an earlier kept one (input order wins)."""
+    normalized edit distance of an earlier kept one (input order wins).
+    Each comparison is capped at ``lambda_max``."""
     if not 0.0 <= lambda_max <= 1.0:
         raise ValueError(f"lambda_max {lambda_max} outside [0, 1]")
     kept: list[Triple] = []
+    kept_keys: list[str] = []
     for candidate in triples:
         ck = candidate.key()
-        if any(normalized_edit_distance(ck, existing.key()) <= lambda_max for existing in kept):
+        if any(normalized_edit_distance(ck, ek, lambda_max) <= lambda_max for ek in kept_keys):
             continue
         kept.append(candidate)
+        kept_keys.append(ck)
     return kept

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +192,60 @@ def test_chunk_properties(n_tokens, size, overlap):
         assert len(parts) <= size
         seen.update(parts)
     assert seen == set(tokens)
+
+
+def _reference_chunk_text(text, size, overlap):
+    """The earlier quadratic chunker: every paragraph break scans all tokens,
+    and every chunk filters the whole cut sets."""
+    spans = [m.span() for m in re.finditer(r"\S+", text)]
+    n = len(spans)
+    if n == 0:
+        return []
+    if n <= size:
+        return [text[spans[0][0]:spans[-1][1]]]
+    paragraphs = set()
+    offset = 0
+    while (pos := text.find("\n\n", offset)) != -1:
+        for i, (start, _end) in enumerate(spans):
+            if start >= pos + 2:
+                paragraphs.add(i)
+                break
+        offset = pos + 2
+    sentence_end = re.compile(r"[.!?][\"')\]]*$")
+    sentences = {i + 1 for i, (s, e) in enumerate(spans) if sentence_end.search(text[s:e])}
+    chunks = []
+    start = 0
+    while start < n:
+        hard_end = min(start + size, n)
+        end = n
+        if hard_end < n:
+            floor = start + max(1, (hard_end - start) // 2)
+            end = hard_end
+            for cuts in (paragraphs, sentences):
+                eligible = [c for c in cuts if floor <= c <= hard_end]
+                if eligible:
+                    end = max(eligible)
+                    break
+        chunks.append(text[spans[start][0]:spans[end - 1][1]])
+        if end == n:
+            break
+        start = max(end - overlap, start + 1)
+    return chunks
+
+
+def test_chunk_matches_quadratic_reference():
+    rng = random.Random(29)
+    words = ["w", "end.", 'quote."', "ask?", "yes!)", "a.b", "...", "(x)", ".]", "no"]
+    separators = [" ", " ", " ", "\n", "\t", "\n\n", "\n\n\n", "\n\n\n\n", " \n\n "]
+    for _ in range(300):
+        n_tokens = rng.randint(0, 120)
+        text = rng.choice(["", "\n\n", " "])
+        for _ in range(n_tokens):
+            text += rng.choice(words) + rng.choice(separators)
+        text += rng.choice(["", "\n\n", "\n\n\n", " "])
+        size = rng.randint(1, 40)
+        for overlap in {0, size // 2, size - 1}:
+            assert chunk_text(text, size, overlap) == _reference_chunk_text(text, size, overlap)
 
 
 # -- scoring ------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knight import synthesis
 from knight.errors import ExtractionError
 from knight.prompts import GLOSS_HEADINGS
 from knight.retrieval import Passage, RetrievalResult
@@ -68,6 +69,18 @@ def test_gloss_uses_desc_temperature(recording_gateway, config):
     request = recording_gateway.requests[-1]
     assert request.temperature == config.temp_desc == 0.4
     assert request.task_tag == "gloss"
+
+
+def test_gloss_prompt_keeps_retrieval_order_on_tied_scores(recording_gateway, config):
+    # Sorting by id would put "#chunk10" before "#chunk2".
+    passages = [
+        Passage(id="Biology#chunk2", text="Second chunk text.", score=0.5),
+        Passage(id="Biology#chunk10", text="Tenth chunk text.", score=0.5),
+    ]
+    gloss = generate_gloss(recording_gateway, "Biology", RetrievalResult(passages), config)
+    prompt = recording_gateway.requests[-1].user_prompt
+    assert gloss.supported_by == ["Biology#chunk2", "Biology#chunk10"]
+    assert prompt.index("Second chunk text.") < prompt.index("Tenth chunk text.")
 
 
 def test_gloss_invariant():
@@ -213,6 +226,23 @@ def test_dedup_near_duplicate_dropped():
     assert dedup_triples([b, a], 0.1) == [b]  # input order wins
 
 
+def test_dedup_cap_at_float_boundary(monkeypatch):
+    # 29 / 100 <= 0.29 holds, though int(0.29 * 100) is 28.
+    a = Triple("h", "r", "x" * 96)
+    b = Triple("h", "r", "y" * 29 + "x" * 67)
+    c = Triple("h", "r", "y" * 30 + "x" * 66)
+    assert len(a.key()) == len(b.key()) == len(c.key()) == 100
+    caps = []
+    monkeypatch.setattr(
+        synthesis, "levenshtein", lambda x, y, k=None: caps.append(k) or levenshtein(x, y, k)
+    )
+    assert normalized_edit_distance(a.key(), b.key(), 0.29) == 0.29
+    assert caps == [29]
+    assert normalized_edit_distance(a.key(), c.key(), 0.29) > 0.29
+    assert dedup_triples([a, b], 0.29) == [a]
+    assert dedup_triples([a, c], 0.29) == [a, c]
+
+
 def test_dedup_rejects_bad_lambda():
     with pytest.raises(ValueError):
         dedup_triples([], 1.5)
@@ -236,10 +266,19 @@ def _naive_distance(a: str, b: str) -> int:
 def test_levenshtein_matches_naive_oracle():
     rng = random.Random(13)
     alphabet = "abcdef|_"
+
+    def word(longest):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, longest)))
+
     for _ in range(300):
-        a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-        b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-        assert levenshtein(a, b) == _naive_distance(a, b)
+        prefix, suffix = word(3), word(3)
+        a = prefix + word(12) + suffix
+        b = prefix + word(12) + suffix
+        distance = _naive_distance(a, b)
+        assert levenshtein(a, b) == distance
+        # With a cap k the result is exact up to k, and k + 1 above it.
+        for cap in range(20):
+            assert levenshtein(a, b, cap) == min(distance, cap + 1)
 
 
 def test_dedup_idempotent_and_order_stable():
