@@ -1,28 +1,31 @@
 """Breadth-first, depth-bounded graph construction combining retrieval,
 gloss synthesis, triple extraction, and curation.
 
-Expansion is level-synchronous. The per-node stage (retrieve, gloss,
-extract, dedup) is pure and fans out through ``ChatGateway.map``; graph
-mutations are applied serially in queue order, so the result is identical to
-a sequential FIFO run. When the map returns a ``GatewayError``, the finished
-prefix of that level is applied as usual, the error goes to
-``BuildReport.aborted_reason``, and expansion stops: a failed call costs the
-unfinished part of its level, the same at any ``max_inflight``.
+The build maps one FIFO queue of (node id, name, parent name) entries
+through ``ChatGateway.map`` from the seed. The per-node stage (retrieve,
+gloss, extract, dedup) reads only its entry, never the graph, so stages run
+concurrently. Each finished stage is applied on the caller's thread in
+queue order (gloss gate, curate, attach), and the children it adds join
+the queue at once, while the rest of their parent's level is in flight.
+The queue is breadth-first, so the graph equals a sequential FIFO run's at
+any ``max_inflight``. On a ``GatewayError`` every stage before the failed
+one is applied, the error goes to ``BuildReport.aborted_reason``, and
+nothing after it is: a failed call costs the rest of the queue.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from collections import Counter, deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 from .adapters import AdapterSuite
 from .config import PipelineConfig
 from .curation import curate
 from .errors import ExtractionError
 from .gateway import ChatGateway
-from .graph import KnowledgeGraph, Topic, Triple, add_curated, normalize_name
+from .graph import KnowledgeGraph, Topic, Triple, add_curated
 from .retrieval import RetrievalResult, WikiSource, retrieve_evidence
 from .synthesis import Gloss, dedup_triples, extract_triples, gate_gloss, generate_gloss
 
@@ -66,13 +69,7 @@ class RejectedCandidate:
     reason: str
 
     def to_dict(self) -> dict:
-        return {
-            "parent": self.parent,
-            "head": self.head,
-            "relation": self.relation,
-            "tail": self.tail,
-            "reason": self.reason,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -117,9 +114,10 @@ def _apply_stage(
     adapters: AdapterSuite,
     report: BuildReport,
     rejects: list[RejectedCandidate] | None,
-) -> list[tuple[str, int, str]]:
+) -> list[tuple[str, str, str]]:
     """Serial part of one expansion: attach the gloss, curate, mutate the
-    graph, and return (child id, depth, parent name) entries to enqueue."""
+    graph, and return the (child id, name, parent name) entries of the
+    nodes it added."""
     node = graph.nodes[node_id]
     if stage.gloss is not None:
         node.gloss = stage.gloss.text
@@ -140,31 +138,20 @@ def _apply_stage(
     report.candidates_seen += len(stage.triples)
     report.candidates_rejected += len(outcome.rejected)
     if rejects is not None:
-        for triple, reason in outcome.rejected:
-            rejects.append(
-                RejectedCandidate(
-                    parent=node.name,
-                    head=triple.head,
-                    relation=triple.relation,
-                    tail=triple.tail,
-                    reason=reason,
-                )
-            )
+        rejects.extend(
+            RejectedCandidate(node.name, triple.head, triple.relation, triple.tail, reason)
+            for triple, reason in outcome.rejected
+        )
 
     selected = outcome.accepted[: config.max_branches]
     child_depth = node.depth + 1
     if not selected or child_depth > config.d_max:
         return []
 
-    known_before = set(graph.nodes)
+    known = len(graph.nodes)
     add_curated(graph, node_id, selected)
-    children: list[tuple[str, int, str]] = []
-    for triple in selected:
-        child_id = normalize_name(triple.tail)
-        if child_id not in known_before:
-            children.append((child_id, child_depth, node.name))
-            known_before.add(child_id)
-    return children
+    # Nodes are stored in insertion order, so the new children come last.
+    return [(child.id, child.name, node.name) for child in list(graph.nodes.values())[known:]]
 
 
 def build_kg(
@@ -177,41 +164,25 @@ def build_kg(
 ) -> tuple[KnowledgeGraph, BuildReport]:
     """Construct the depth-bounded graph for ``topic``.
 
-    A backend failure stops expansion after the finished prefix of its level
-    is applied and is recorded on the report; the partial graph is still
-    returned.
+    A backend failure stops expansion after every stage before it in queue
+    order is applied and is recorded on the report; the partial graph is
+    still returned.
     """
     started = time.perf_counter()
     graph = KnowledgeGraph(topic.name)
     report = BuildReport()
     topic_hint = topic.optional_prompt or "general knowledge"
 
-    queue: deque[tuple[str, int, str | None]] = deque([(graph.seed_id, 0, None)])
-    visited: set[str] = set()
-
-    while queue:
-        level_depth = queue[0][1]
-        batch: list[tuple[str, int, str | None]] = []
-        while queue and queue[0][1] == level_depth:
-            entry = queue.popleft()
-            if entry[0] not in visited:
-                visited.add(entry[0])
-                batch.append(entry)
-        if not batch:
-            continue
-
-        stages, error = gateway.map(
-            lambda e: _node_stage(
-                graph.nodes[e[0]].name, e[2], topic_hint, config, gateway, source
-            ),
-            batch,
-        )
-        for (node_id, _depth, _parent), stage in zip(batch, stages):
-            queue.extend(_apply_stage(graph, node_id, stage, config, adapters, report, rejects))
-        if error is not None:
-            report.aborted_reason = f"{type(error).__name__}: {error}"
-            log.error("build aborted: %s", report.aborted_reason)
-            break
+    _, error = gateway.map(
+        lambda entry: _node_stage(entry[1], entry[2], topic_hint, config, gateway, source),
+        [(graph.seed_id, graph.nodes[graph.seed_id].name, None)],
+        then=lambda entry, stage: _apply_stage(
+            graph, entry[0], stage, config, adapters, report, rejects
+        ),
+    )
+    if error is not None:
+        report.aborted_reason = f"{type(error).__name__}: {error}"
+        log.error("build aborted: %s", report.aborted_reason)
 
     report.nodes_added = len(graph.nodes) - 1
     report.edges_added = len(graph.edges)

@@ -34,6 +34,21 @@ def is_alias(embedding: EmbeddingAdapter, a: str, b: str, tau_alias: float) -> b
         return False
 
 
+class _UntilOutage:
+    """One ``curate`` call's embedding: after the first ``AdapterError``
+    (``is_alias`` logs it) it scores -inf, so only the string check counts."""
+
+    def __init__(self, adapter: EmbeddingAdapter):
+        self.adapter: EmbeddingAdapter | None = adapter
+
+    def cosine(self, a: str, b: str) -> float:
+        try:
+            return self.adapter.cosine(a, b) if self.adapter else float("-inf")
+        except AdapterError:
+            self.adapter = None
+            raise
+
+
 def content_filter(
     triple: Triple,
     head_gloss: str,
@@ -95,11 +110,13 @@ def curate(
     add_curated.
 
     The alias scan visits the nodes in id order, sorted once per call: this
-    call adds edges only, never nodes."""
+    call adds edges only, never nodes. After the embedding's first
+    ``AdapterError`` the scan makes no more embedding calls in this call."""
     if parent_id not in graph.nodes:
         raise GraphError(f"unknown parent {parent_id!r}")
     outcome = CurationOutcome()
     nodes = graph.sorted_nodes()
+    embedding = _UntilOutage(adapters.embedding)
     pending_names: set[str] = set()
     for triple in raw:
         tail_norm = normalize_name(triple.tail)
@@ -119,11 +136,9 @@ def curate(
             outcome.rejected.append((triple, "duplicate"))
             continue
 
-        alias_target = None
-        for node in nodes:
-            if is_alias(adapters.embedding, triple.tail, node.name, config.tau_alias):
-                alias_target = node
-                break
+        alias_target = next(
+            (n for n in nodes if is_alias(embedding, triple.tail, n.name, config.tau_alias)), None
+        )
         if alias_target is not None:
             outcome.merged.append((triple, alias_target.id))
             if head is not None:

@@ -6,11 +6,13 @@ deterministic mock whose replies are a pure function of
 wrapper owns the token ledger and the in-flight bound.
 
 ``ChatGateway.map`` is the one place in the package that starts threads and
-the one rule for what a failed call costs: every fan-out goes through it, it
-returns the results of the longest prefix of its items that finished
-without a ``GatewayError`` together with that error, and it starts no item
-after the first failure in input order. Callers apply the prefix serially,
-so a run's outputs are the same at any ``max_inflight``.
+the one rule for what a failed call costs: every fan-out goes through it.
+It maps a FIFO queue that an ordered consumer may extend, returns the
+results of the longest prefix that finished without a ``GatewayError``
+with that error, and starts nothing after the first failure in queue
+order. Results are applied in queue order, so a run's outputs are the same
+at any ``max_inflight``. That bound counts backend calls, not threads: one
+spare thread keeps the CPU work between calls off the call slots.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import json
 import logging
 import random
 import re
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Protocol, TypeVar
 
 from .errors import AuthError, EmptyResponseError, GatewayError, RetriesExhaustedError
 from .fixture_world import FixtureWorld
@@ -102,47 +105,68 @@ class ChatGateway:
         self._slots = threading.Semaphore(max_inflight)
 
     def map(
-        self, fn: Callable[[T], R], items: Sequence[T]
+        self,
+        fn: Callable[[T], R],
+        items: Iterable[T],
+        then: Callable[[T, R], Iterable[T]] | None = None,
     ) -> tuple[list[R], GatewayError | None]:
-        """``[fn(item) for item in items]`` on at most ``max_inflight``
-        threads, serially when the bound is 1 or there is one item.
+        """``[fn(item) for item in queue]``, the FIFO queue starting as
+        ``items``. ``then(item, result)``, if given, runs on the caller's
+        thread for each result in queue order once every earlier item has
+        finished; the items it returns join the queue. Serial at bound 1, else
+        on ``max_inflight + 1`` threads: ``complete`` still holds calls to the
+        bound, and the spare thread does its CPU work between calls while a
+        full bound of calls waits.
 
-        Returns the results of the longest prefix of ``items`` that finished
-        without raising, in input order, and None; or, when the first
-        exception in input order is a ``GatewayError``, that prefix and the
-        error. Any other first exception propagates unchanged. No item after
-        a failure is started, apart from those already in flight, and every
-        thread is joined before this returns."""
+        Returns the results of the longest prefix of the queue that finished
+        without raising and None, or, when the first exception in queue order
+        is a ``GatewayError``, that prefix and the error; ``then`` is not
+        called past it. Any other first exception, from ``fn`` or ``then``,
+        propagates. Nothing after a failure starts, apart from items already
+        in flight, and every thread is joined before this returns."""
+        queue: list[T] = []
+        futures: list[Future] = []
         lock = threading.Lock()
-        stop = len(items)
+        stop = sys.maxsize
 
         def call(index: int) -> tuple[R | None, Exception | None] | None:
             nonlocal stop
             if index > stop:
                 return None
             try:
-                return fn(items[index]), None
+                return fn(queue[index]), None
             except Exception as exc:
                 with lock:
                     stop = min(stop, index)
                 return None, exc
 
-        if self.max_inflight == 1 or len(items) <= 1:
-            outcomes = [call(index) for index in range(len(items))]
-        else:
-            with ThreadPoolExecutor(max_workers=min(self.max_inflight, len(items))) as pool:
-                outcomes = list(pool.map(call, range(len(items))))
+        pool = ThreadPoolExecutor(self.max_inflight + 1) if self.max_inflight > 1 else None
+
+        def push(new: Iterable[T]) -> None:
+            for item in new:
+                queue.append(item)
+                if pool is not None:
+                    futures.append(pool.submit(call, len(queue) - 1))
 
         results: list[R] = []
-        # Skipped items (None) all lie after the first failure.
-        for outcome in outcomes:
-            value, exc = outcome
-            if isinstance(exc, GatewayError):
-                return results, exc
-            if exc is not None:
-                raise exc
-            results.append(value)
-        return results, None
+        try:
+            push(items)
+            while len(results) < len(queue):
+                index = len(results)
+                # A skipped item (None) lies past a failure this loop stops at.
+                value, exc = call(index) if pool is None else futures[index].result()
+                if isinstance(exc, GatewayError):
+                    return results, exc
+                if exc is not None:
+                    raise exc
+                results.append(value)
+                if then is not None:
+                    push(then(queue[index], value))
+            return results, None
+        finally:
+            stop = -1  # start nothing more
+            if pool is not None:
+                pool.shutdown()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         with self._slots:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 from collections import deque
 
 import pytest
@@ -131,14 +133,17 @@ def test_build_aborts_on_auth_error(world):
 
 
 class _GlossFailsFor:
-    """Raises ``AuthError`` on the gloss call for ``term``."""
+    """Raises ``AuthError`` on the gloss call for ``term``, after ``delay``
+    seconds."""
 
-    def __init__(self, inner, term):
+    def __init__(self, inner, term, delay=0.0):
         self.inner = inner
         self.marker = f'Explain the term: "{term}"'
+        self.delay = delay
 
     def complete(self, request):
         if request.task_tag == "gloss" and self.marker in request.user_prompt:
+            time.sleep(self.delay)
             raise AuthError("key revoked")
         return self.inner.complete(request)
 
@@ -147,24 +152,71 @@ def _gloss_fields(node):
     return node.gloss, node.provenance, node.parametric_fallback, node.retrieval_weights
 
 
-@pytest.mark.parametrize("k", range(4))
-def test_build_abort_keeps_finished_prefix_of_level(world, k):
-    baseline, _, _, _ = _build(world, d_max=2)
+# At d_max 2, each node of the last level fails in turn. At d_max 3, a
+# depth-1 node fails 50 ms late, so at max_inflight 4 the depth-2 children of
+# the depth-1 nodes before it have started by then.
+@pytest.mark.parametrize(
+    "d_max, depth, k, delay",
+    [pytest.param(2, 2, k, 0.0, id=str(k)) for k in range(4)]
+    + [pytest.param(3, 1, k, 0.05, id=f"d3-depth1-{k}") for k in range(2)],
+)
+def test_build_abort_keeps_finished_prefix_of_level(world, d_max, depth, k, delay):
+    baseline, _, _, _ = _build(world, d_max=d_max)
     # Nodes are stored in the order they are enqueued, so this is queue order.
-    level = [n for n in baseline.nodes.values() if n.depth == 2]
-    assert len(level) == 4
+    queue = list(baseline.nodes.values())
+    level = [n for n in queue if n.depth == depth]
+    failed = queue.index(level[k])
     snapshots = []
     for max_inflight in (1, 4):
-        backend = _GlossFailsFor(MockChatBackend(world, rng_seed=7), level[k].name)
-        graph, report, _, _ = _build(world, d_max=2, backend=backend, max_inflight=max_inflight)
+        backend = _GlossFailsFor(MockChatBackend(world, rng_seed=7), level[k].name, delay)
+        graph, report, _, _ = _build(
+            world, d_max=d_max, backend=backend, max_inflight=max_inflight
+        )
         assert report.aborted_reason == "AuthError: key revoked"
-        for node in level[:k]:
+        assert list(graph.nodes) == [n.id for n in queue[: len(graph.nodes)]]
+        for node in queue[:failed]:
             assert node.gloss
             assert _gloss_fields(graph.nodes[node.id]) == _gloss_fields(node)
-        for node in level[k:]:
-            assert graph.nodes[node.id].gloss is None
+        for node in list(graph.nodes.values())[failed:]:
+            assert node.gloss is None
         snapshots.append(snapshot_document(graph, "Biology", report=report))
     assert snapshots[0] == snapshots[1]
+
+
+class _HoldTriplesUntilTitleCheck:
+    """Holds the triples call for ``held`` until a title check for one of
+    ``awaited`` arrives, or ``timeout`` seconds pass."""
+
+    def __init__(self, inner, held, awaited, timeout=2.0):
+        self.inner = inner
+        self.held = f"Definition and Scope - {held}:"
+        self.awaited = [f'Term to define: "{term}"' for term in awaited]
+        self.timeout = timeout
+        self.arrived = threading.Event()
+        self.timed_out = False
+
+    def complete(self, request):
+        if request.task_tag == "title_check" and any(
+            marker in request.user_prompt for marker in self.awaited
+        ):
+            self.arrived.set()
+        if request.task_tag == "triples" and self.held in request.user_prompt:
+            self.timed_out = not self.arrived.wait(self.timeout)
+        return self.inner.complete(request)
+
+
+def test_children_start_before_their_parents_level_finishes(world):
+    baseline, report, _, _ = _build(world, d_max=2)
+    level_one = [n for n in baseline.nodes.values() if n.depth == 1]
+    level_two = [n.name for n in baseline.nodes.values() if n.depth == 2]
+    backend = _HoldTriplesUntilTitleCheck(
+        MockChatBackend(world, rng_seed=7), level_one[-1].name, level_two
+    )
+    graph, held_report, _, _ = _build(world, d_max=2, backend=backend, max_inflight=2)
+    assert not backend.timed_out, "a depth-2 stage waited for the whole of depth 1"
+    assert snapshot_document(graph, report=held_report) == snapshot_document(
+        baseline, report=report
+    )
 
 
 def test_unknown_head_is_rejected_and_build_completes(world):

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+import knight.builder as builder_mod
 from knight.adapters import AdapterSuite
+from knight.config import PipelineConfig
 from knight.curation import content_filter, curate, is_alias
 from knight.errors import AdapterError, GraphError
-from knight.graph import Edge, KnowledgeGraph, Triple, add_curated
+from knight.gateway import ChatGateway, MockChatBackend
+from knight.graph import Edge, KnowledgeGraph, Topic, Triple, add_curated
+from knight.retrieval import FixtureWikiSource
+from knight.storage import snapshot_document
 
 
 class _FailingEmbedding:
@@ -227,3 +233,69 @@ def test_curate_deterministic(adapters, config):
     assert first.accepted == second.accepted
     assert first.merged == second.merged
     assert first.rejected == second.rejected
+
+
+class _CountingFailingEmbedding:
+    def __init__(self):
+        self.calls = 0
+
+    def cosine(self, a, b):
+        self.calls += 1
+        raise AdapterError("endpoint down")
+
+
+class _NeverAlias:
+    def cosine(self, a, b):
+        return 0.0
+
+
+def _build_with_embedding(world, embedding, monkeypatch):
+    """Biology at ``d_max`` 2 with ``embedding``; returns the snapshot, the
+    rejects and how many ``curate`` calls the build made."""
+    curate_calls = []
+
+    def counting_curate(*args, **kwargs):
+        curate_calls.append(args[1])
+        return curate(*args, **kwargs)
+
+    monkeypatch.setattr(builder_mod, "curate", counting_curate)
+    config = PipelineConfig(rng_seed=7, d_max=2).validate()
+    suite = dataclasses.replace(AdapterSuite.fixture_suite(world, rng_seed=7), embedding=embedding)
+    rejects: list = []
+    graph, report = builder_mod.build_kg(
+        Topic("Biology"), config, ChatGateway(MockChatBackend(world, rng_seed=7)),
+        FixtureWikiSource(world), suite, rejects=rejects,
+    )
+    return snapshot_document(graph, "Biology", report=report), rejects, len(curate_calls)
+
+
+def test_embedding_outage_costs_one_call_and_warning_per_curate(world, caplog, monkeypatch):
+    expected, expected_rejects, _ = _build_with_embedding(world, _NeverAlias(), monkeypatch)
+    failing = _CountingFailingEmbedding()
+    with caplog.at_level("WARNING"):
+        doc, rejects, curate_calls = _build_with_embedding(world, failing, monkeypatch)
+    warnings = [r for r in caplog.records if "embedding adapter failed" in r.message]
+    # The outage changes no outcome: nothing merges, as with an embedding
+    # that never clears the threshold.
+    assert doc == expected
+    assert [r.to_dict() for r in rejects] == [r.to_dict() for r in expected_rejects]
+    # One failed call and one warning per curate call that scanned for an
+    # alias (5 here); without the per-call memory this build made 63 of each.
+    assert 1 <= failing.calls <= curate_calls
+    assert len(warnings) == failing.calls
+
+
+def test_curate_stops_calling_a_failed_embedding(adapters, config, caplog):
+    graph = KnowledgeGraph("Biology")
+    add_curated(graph, graph.seed_id, [Triple("Biology", "includes", n) for n in ("Genetics", "Ecology")])
+    failing = _CountingFailingEmbedding()
+    suite = dataclasses.replace(adapters, embedding=failing)
+    candidates = [Triple("Biology", "studies", name) for name in ("Cells", "Ecosystems", "Life")]
+    with caplog.at_level("WARNING"):
+        outcome = curate(graph, graph.seed_id, candidates, suite, config)
+    assert failing.calls == 1
+    assert sum("embedding adapter failed" in r.message for r in caplog.records) == 1
+    assert outcome.merged == []
+    # The next call tries the embedding again.
+    curate(graph, graph.seed_id, candidates[:1], suite, config)
+    assert failing.calls == 2

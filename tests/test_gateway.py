@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -307,3 +308,135 @@ def test_map_is_serial_under_bound_one(world):
     main = threading.get_ident()
     assert gw.map(lambda _: threading.get_ident(), [1, 2, 3]) == ([main] * 3, None)
     assert gw.map(lambda n: n, []) == ([], None)
+
+
+def _tree_then(calls, size):
+    """``then`` for ``ChatGateway.map``: records (thread, item) and appends
+    item n's children 2n + 1 and 2n + 2 while they are below ``size``."""
+
+    def then(item, result):
+        assert result == item * item
+        calls.append((threading.get_ident(), item))
+        return [child for child in (2 * item + 1, 2 * item + 2) if child < size]
+
+    return then
+
+
+def _square_after(n):
+    time.sleep(0.001 * (n % 3))
+    return n * n
+
+
+@pytest.mark.parametrize("max_inflight", [1, 2, 4])
+def test_map_then_runs_in_queue_order_on_caller_and_maps_appended(world, max_inflight):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=max_inflight)
+    calls = []
+    results, error = gw.map(_square_after, [0], then=_tree_then(calls, 15))
+    assert (results, error) == ([n * n for n in range(15)], None)
+    assert calls == [(threading.get_ident(), n) for n in range(15)]
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+def test_map_then_gateway_error_in_appended_item_returns_prefix(world, max_inflight):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=max_inflight)
+    fn = _StartRecorder(9, AuthError("key revoked"))
+    calls = []
+    results, error = gw.map(fn, [0], then=_tree_then(calls, 31))
+    assert results == [n * n for n in range(9)]
+    assert isinstance(error, AuthError)
+    assert [item for _, item in calls] == list(range(9))
+
+
+class _ActiveCounter:
+    """Wraps ``fn`` and counts the calls running at once."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.lock = threading.Lock()
+        self.active = 0
+        self.peak = 0
+
+    def __call__(self, item):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            return self.fn(item)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+@pytest.mark.parametrize("where", ["fn", "then"])
+def test_map_then_non_gateway_error_propagates_after_join(world, max_inflight, where):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=max_inflight)
+    threads_before = threading.active_count()
+    fn = _ActiveCounter(_StartRecorder(9 if where == "fn" else -1, KeyError("fn broke")))
+    tree = _tree_then([], 63)
+
+    def then(item, result):
+        if where == "then" and item == 5:
+            raise ValueError("then broke")
+        return tree(item, result)
+
+    with pytest.raises(KeyError if where == "fn" else ValueError):
+        gw.map(fn, [0], then=then)
+    assert fn.active == 0
+    assert threading.active_count() == threads_before
+
+
+def test_map_then_is_serial_under_bound_one(world):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=1)
+    threads_before = threading.active_count()
+    seen = []
+
+    def fn(n):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return n * n
+
+    results, _ = gw.map(fn, [0], then=_tree_then([], 7))
+    assert len(results) == 7
+    assert seen == [(threading.get_ident(), threads_before)] * 7
+
+
+class _ConcurrencyBackend:
+    """Counts the calls in flight at once; each takes ``delay`` seconds."""
+
+    def __init__(self, delay):
+        self.counter = _ActiveCounter(lambda request: time.sleep(delay))
+
+    def complete(self, request):
+        self.counter(request)
+        return ChatResponse(text="ok", prompt_tokens=1, completion_tokens=1)
+
+
+@pytest.mark.parametrize("max_inflight", [2, 3])
+def test_map_spare_worker_keeps_calls_within_bound(max_inflight):
+    backend = _ConcurrencyBackend(0.01)
+    gw = ChatGateway(backend, max_inflight=max_inflight)
+    request = ChatRequest("s", "u", 0.0, "gloss")
+    fn = _ActiveCounter(lambda n: gw.complete(request).text)
+    assert gw.map(fn, range(8 * max_inflight)) == (["ok"] * 8 * max_inflight, None)
+    assert fn.peak == max_inflight + 1
+    assert backend.counter.peak == max_inflight
+
+
+def test_map_then_under_frequent_thread_switches(world):
+    gw = ChatGateway(MockChatBackend(world), max_inflight=8)
+
+    def fn(n):
+        if n == 150:
+            raise AuthError("key revoked")
+        return n * n
+
+    calls = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results, error = gw.map(fn, [0], then=_tree_then(calls, 400))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [n * n for n in range(150)]
+    assert isinstance(error, AuthError)
+    assert [item for _, item in calls] == list(range(150))
