@@ -3,7 +3,7 @@ dataset generation."""
 
 from .builder import BuildReport, build_kg
 from .config import PIPELINE_MODES, PipelineConfig, build_config
-from .curation import CurationOutcome, content_filter, curate, is_alias
+from .curation import CurationOutcome, content_filter, curate
 from .graph import (
     Edge,
     KnowledgeGraph,
@@ -31,7 +31,6 @@ __all__ = [
     "CurationOutcome",
     "content_filter",
     "curate",
-    "is_alias",
     "Edge",
     "KnowledgeGraph",
     "Node",

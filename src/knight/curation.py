@@ -21,34 +21,6 @@ class CurationOutcome:
     rejected: list[tuple[Triple, str]] = field(default_factory=list)
 
 
-def is_alias(embedding: EmbeddingAdapter, a: str, b: str, tau_alias: float) -> bool:
-    """Two names denote the same entity: equal after normalization, or the
-    embedding cosine clears the alias threshold. An embedding outage degrades
-    to the string check with a warning."""
-    if normalize_name(a) == normalize_name(b):
-        return True
-    try:
-        return embedding.cosine(a, b) >= tau_alias
-    except AdapterError as exc:
-        log.warning("embedding adapter failed (%s); falling back to string equality", exc)
-        return False
-
-
-class _UntilOutage:
-    """One ``curate`` call's embedding: after the first ``AdapterError``
-    (``is_alias`` logs it) it scores -inf, so only the string check counts."""
-
-    def __init__(self, adapter: EmbeddingAdapter):
-        self.adapter: EmbeddingAdapter | None = adapter
-
-    def cosine(self, a: str, b: str) -> float:
-        try:
-            return self.adapter.cosine(a, b) if self.adapter else float("-inf")
-        except AdapterError:
-            self.adapter = None
-            raise
-
-
 def content_filter(
     triple: Triple,
     head_gloss: str,
@@ -101,22 +73,25 @@ def curate(
     config: PipelineConfig,
 ) -> CurationOutcome:
     """Filter candidates in order: known head, duplicate name, semantic
-    alias, content checks. A head is known when it names an existing node
-    (the parent among them) or a tail accepted earlier in this call; any
-    other head is rejected as ``unknown_head``. Duplicates and aliases
+    alias (embedding cosine at least ``tau_alias``), content checks. A head
+    is known when it names an existing node (the parent among them) or a
+    tail accepted earlier in this call; any other head is rejected as
+    ``unknown_head``. Duplicates and aliases
     re-attribute their relation to the existing node (no new node, so no
     relation is lost), unless their head is such a pending tail, which has
     no node yet. Survivors are returned for the caller to attach via
     add_curated.
 
     The alias scan visits the nodes in id order, sorted once per call: this
-    call adds edges only, never nodes. After the embedding's first
-    ``AdapterError`` the scan makes no more embedding calls in this call."""
+    call adds edges only, never nodes. It compares by embedding only: a tail
+    whose normalized name is a node id is already a duplicate. After the
+    embedding's first ``AdapterError``, logged once, no candidate of this
+    call is an alias and the embedding is not called again in this call."""
     if parent_id not in graph.nodes:
         raise GraphError(f"unknown parent {parent_id!r}")
     outcome = CurationOutcome()
     nodes = graph.sorted_nodes()
-    embedding = _UntilOutage(adapters.embedding)
+    embedding: EmbeddingAdapter | None = adapters.embedding
     pending_names: set[str] = set()
     for triple in raw:
         tail_norm = normalize_name(triple.tail)
@@ -136,9 +111,16 @@ def curate(
             outcome.rejected.append((triple, "duplicate"))
             continue
 
-        alias_target = next(
-            (n for n in nodes if is_alias(embedding, triple.tail, n.name, config.tau_alias)), None
-        )
+        alias_target = None
+        if embedding is not None:
+            try:
+                alias_target = next(
+                    (n for n in nodes if embedding.cosine(triple.tail, n.name) >= config.tau_alias),
+                    None,
+                )
+            except AdapterError as exc:
+                log.warning("embedding adapter failed (%s); no alias merges in this call", exc)
+                embedding = None
         if alias_target is not None:
             outcome.merged.append((triple, alias_target.id))
             if head is not None:

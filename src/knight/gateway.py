@@ -176,7 +176,8 @@ class ChatGateway:
 
 
 class OpenAiCompatBackend:
-    """Chat-completions client for any OpenAI-compatible endpoint.
+    """Chat-completions client for any OpenAI-compatible endpoint. Calls go
+    through one ``requests.Session``, so they reuse its pooled connections.
 
     Transient failures (timeouts, 429, 5xx) are retried with jittered
     exponential backoff; auth failures and a 200 reply that is not JSON or
@@ -193,6 +194,9 @@ class OpenAiCompatBackend:
     ):
         if not api_key:
             raise AuthError("no API key configured (set OPENAI_API_KEY)")
+        import requests
+
+        self.session = requests.Session()
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key
         self.model = model
@@ -216,7 +220,7 @@ class OpenAiCompatBackend:
         last_error: Exception | None = None
         for attempt in range(self.retry_attempts):
             try:
-                resp = requests.post(
+                resp = self.session.post(
                     f"{self.base_url}/chat/completions",
                     json=payload,
                     headers={"Authorization": f"Bearer {self.api_key}"},

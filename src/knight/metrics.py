@@ -1,6 +1,12 @@
 """Dataset-quality statistics: grammar score, predictive entropy and probe
 accuracy, entailment topicality, off-topic rate, length stats, Pearson r,
-and Fleiss kappa."""
+and Fleiss kappa.
+
+Plain floats and the standard library, no numpy: the inputs are 4-logit
+vectors and lists of at most ``num_q`` values. Every float sum is
+``math.fsum``, which is correctly rounded (Shewchuk 1997), so a statistic
+does not depend on summation order or on the Python version (the built-in
+``sum`` of floats became compensated in 3.12)."""
 
 from __future__ import annotations
 
@@ -8,8 +14,6 @@ import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from .adapters import AdapterSuite
 from .errors import AdapterError
@@ -34,8 +38,8 @@ class ProbeLogits:
             if not math.isfinite(value):
                 raise ValueError(f"logit {value} is not finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.z_a, self.z_b, self.z_c, self.z_d], dtype=float)
+    def values(self) -> tuple[float, float, float, float]:
+        return (self.z_a, self.z_b, self.z_c, self.z_d)
 
 
 @dataclass
@@ -76,15 +80,26 @@ def grammar_quality(word_count: int, error_count: int) -> float:
     return 1.0 - error_count / word_count
 
 
-def predictive_entropy(logits: ProbeLogits) -> tuple[np.ndarray, float]:
-    """Softmax (max-subtracted for stability) and Shannon entropy in nats.
-    Zero probabilities contribute zero; H always lands in [0, ln 4]."""
-    z = logits.as_array()
-    z = z - z.max()
-    p = np.exp(z)
-    p = p / p.sum()
-    nonzero = p > 0.0
-    entropy = float(-(p[nonzero] * np.log(p[nonzero])).sum())
+def _mean(values: Sequence[float]) -> float:
+    return math.fsum(values) / len(values)
+
+
+def _pstd(values: Sequence[float]) -> float:
+    """Population standard deviation."""
+    mean = _mean(values)
+    return math.sqrt(math.fsum((v - mean) * (v - mean) for v in values) / len(values))
+
+
+def predictive_entropy(logits: ProbeLogits) -> tuple[tuple[float, ...], float]:
+    """Softmax (max-subtracted for stability), as the four probabilities in
+    A-D order, and Shannon entropy in nats. Zero probabilities contribute
+    zero; H always lands in [0, ln 4]."""
+    z = logits.values()
+    peak = max(z)
+    exps = [math.exp(v - peak) for v in z]
+    total = math.fsum(exps)
+    p = tuple(e / total for e in exps)
+    entropy = -math.fsum(q * math.log(q) for q in p if q > 0.0)
     entropy = min(max(entropy, 0.0), MAX_ENTROPY)
     return p, entropy
 
@@ -100,7 +115,8 @@ def _probe_logits(probe, item: McqItem) -> ProbeLogits | None:
 
 def _probe_choice(logits: ProbeLogits) -> str:
     """Argmax letter; ties resolve to the first in A<B<C<D order."""
-    return _LETTERS[int(np.argmax(logits.as_array()))]
+    z = logits.values()
+    return _LETTERS[z.index(max(z))]
 
 
 def entailment_relevance(question: str, topic: str, nli) -> float:
@@ -124,34 +140,36 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("vectors must have equal length")
     if len(x) < 2:
         raise ValueError("pearson needs at least two points")
-    ax = np.asarray(x, dtype=float)
-    ay = np.asarray(y, dtype=float)
-    dx = ax - ax.mean()
-    dy = ay - ay.mean()
-    sx = math.sqrt(float((dx * dx).sum()))
-    sy = math.sqrt(float((dy * dy).sum()))
+    mx, my = _mean(x), _mean(y)
+    dx = [v - mx for v in x]
+    dy = [v - my for v in y]
+    sx = math.sqrt(math.fsum(d * d for d in dx))
+    sy = math.sqrt(math.fsum(d * d for d in dy))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("pearson is undefined under zero variance")
-    return float((dx * dy).sum()) / (sx * sy)
+    return math.fsum(a * b for a, b in zip(dx, dy)) / (sx * sy)
 
 
 def fleiss_kappa(ratings: Sequence[Sequence[int]]) -> float:
     """Fleiss' kappa over an items x categories count matrix; every row must
     sum to the same rater count n >= 2."""
-    matrix = np.asarray(ratings, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 1 or matrix.shape[1] < 2:
+    try:
+        matrix = [[float(count) for count in row] for row in ratings]
+    except TypeError as exc:
+        raise ValueError("ratings must be a 2-D items x categories matrix") from exc
+    if not matrix or len(matrix[0]) < 2 or any(len(row) != len(matrix[0]) for row in matrix):
         raise ValueError("ratings must be a 2-D items x categories matrix")
-    row_sums = matrix.sum(axis=1)
+    row_sums = [math.fsum(row) for row in matrix]
     n = row_sums[0]
     if n < 2:
         raise ValueError("fleiss_kappa needs at least two raters")
-    if not np.all(row_sums == n):
+    if any(s != n for s in row_sums):
         raise ValueError("every item must have the same number of ratings")
-    total = matrix.sum()
-    p_j = matrix.sum(axis=0) / total
-    p_i = ((matrix * matrix).sum(axis=1) - n) / (n * (n - 1))
-    p_bar = float(p_i.mean())
-    p_e = float((p_j * p_j).sum())
+    total = math.fsum(row_sums)
+    p_j = [math.fsum(column) / total for column in zip(*matrix)]
+    p_i = [(math.fsum(c * c for c in row) - n) / (n * (n - 1)) for row in matrix]
+    p_bar = _mean(p_i)
+    p_e = math.fsum(p * p for p in p_j)
     if p_e == 1.0:
         return 1.0
     return (p_bar - p_e) / (1.0 - p_e)
@@ -167,8 +185,7 @@ def length_stats(questions: Sequence[str], bin_width: int = 2) -> tuple[dict[int
         histogram[lower] = histogram.get(lower, 0) + 1
     if not counts:
         return {}, 0.0, 0.0
-    arr = np.asarray(counts, dtype=float)
-    return histogram, float(arr.mean()), float(arr.std())
+    return histogram, _mean(counts), _pstd(counts)
 
 
 def compute_dataset_stats(
@@ -202,7 +219,7 @@ def compute_dataset_stats(
         if logits is not None:
             probs, entropy = predictive_entropy(logits)
             choice = _probe_choice(logits)
-            key_probability = float(probs[_LETTERS.index(item.answer_key)])
+            key_probability = probs[_LETTERS.index(item.answer_key)]
             entropies.append(entropy)
             probe_hits.append(choice == item.answer_key)
 
@@ -234,12 +251,11 @@ def compute_dataset_stats(
     histogram, mean_len, std_len = length_stats([i.question for i in items])
     stats.probe_excluded = len(items) - len(entropies)
     if entropies:
-        entropy_arr = np.asarray(entropies)
-        stats.mean_entropy = float(entropy_arr.mean())
-        stats.std_entropy = float(entropy_arr.std())
+        stats.mean_entropy = _mean(entropies)
+        stats.std_entropy = _pstd(entropies)
         stats.probe_accuracy = sum(probe_hits) / len(probe_hits)
-    stats.mean_grammar = float(np.mean(grammars))
-    stats.mean_entailment = float(np.mean(entailments))
+    stats.mean_grammar = _mean(grammars)
+    stats.mean_entailment = _mean(entailments)
     stats.off_topic_rate = off_topic_rate(ent_flags, llm_flags)
     stats.length_mean = mean_len
     stats.length_std = std_len

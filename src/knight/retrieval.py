@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -114,9 +115,13 @@ class FixtureWikiSource:
 
 
 class NetworkWikiSource:
-    """Thin client for the Wikipedia REST endpoints."""
+    """Thin client for the Wikipedia REST endpoints; one ``requests.Session``
+    keeps its connections open across calls."""
 
     def __init__(self, base_url: str = "https://en.wikipedia.org", timeout: float = 30.0):
+        import requests
+
+        self.session = requests.Session()
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
@@ -124,7 +129,7 @@ class NetworkWikiSource:
         import requests
 
         try:
-            resp = requests.get(url, params=params, timeout=self.timeout)
+            resp = self.session.get(url, params=params, timeout=self.timeout)
         except requests.RequestException as exc:
             raise RetrievalError(f"wiki request failed: {exc}") from exc
         if resp.status_code == 404:
@@ -210,22 +215,26 @@ def chunk_text(text: str, size: int = 1000, overlap: int = 100) -> list[str]:
     paragraph then sentence boundaries, with consecutive chunks sharing at
     most ``overlap`` tokens.
 
-    Linear in the text apart from one ``bisect`` per paragraph break, per
-    sentence end and per chunk, so O(n + (p + s + c) log n) for n tokens,
-    p paragraph breaks, s sentence ends and c chunks.
+    The only per-token state is one ``array("q")`` of token start offsets,
+    8 bytes a token; a chunk's end is found by matching the token at its
+    last start offset. Linear in the text apart from one ``bisect`` per
+    paragraph break, per sentence end and per chunk, so
+    O(n + (p + s + c) log n) for n tokens, p paragraph breaks, s sentence
+    ends and c chunks.
     """
     if overlap >= size:
         raise ValueError("overlap must be smaller than size")
-    spans = [m.span() for m in _WORD_RE.finditer(text)]
-    n = len(spans)
+    starts = array("q", map(re.Match.start, _WORD_RE.finditer(text)))
+    n = len(starts)
     if n == 0:
         return []
     if n <= size:
-        return [text[spans[0][0]:spans[-1][1]]]
+        return [text[starts[0]:_token_end(text, starts[-1])]]
 
-    paragraph_cuts = _boundary_token_indexes(text, [start for start, _ in spans], "\n\n")
-    ends = [end for _, end in spans]
-    sentence_cuts = [bisect_left(ends, m.end()) + 1 for m in _SENTENCE_END.finditer(text)]
+    paragraph_cuts = _boundary_token_indexes(text, starts, "\n\n")
+    # A sentence end's last character lies inside the token it closes, so
+    # the cut falls after that token.
+    sentence_cuts = [bisect_right(starts, m.end() - 1) for m in _SENTENCE_END.finditer(text)]
 
     chunks: list[str] = []
     start = 0
@@ -235,14 +244,19 @@ def chunk_text(text: str, size: int = 1000, overlap: int = 100) -> list[str]:
             end = n
         else:
             end = _best_cut(start, hard_end, paragraph_cuts, sentence_cuts)
-        chunks.append(text[spans[start][0]:spans[end - 1][1]])
+        chunks.append(text[starts[start]:_token_end(text, starts[end - 1])])
         if end == n:
             break
         start = max(end - overlap, start + 1)
     return chunks
 
 
-def _boundary_token_indexes(text: str, starts: list[int], sep: str) -> list[int]:
+def _token_end(text: str, start: int) -> int:
+    """End offset of the token that starts at ``start``."""
+    return _WORD_RE.match(text, start).end()
+
+
+def _boundary_token_indexes(text: str, starts: Sequence[int], sep: str) -> list[int]:
     """Index of the first token after each ``sep`` in the text, in order,
     given the tokens' sorted start offsets."""
     cuts: list[int] = []
@@ -273,11 +287,11 @@ class Bm25:
     def __init__(self, documents: Sequence[str], k1: float = 1.2, b: float = 0.75):
         self.k1 = k1
         self.b = b
-        self.docs = [self._tokens(d) for d in documents]
-        self.doc_lens = [len(d) for d in self.docs]
-        self.n = len(self.docs)
+        # Only the per-document term counts are kept, never the token lists.
+        self.term_freqs = [Counter(self._tokens(d)) for d in documents]
+        self.doc_lens = [sum(tf.values()) for tf in self.term_freqs]
+        self.n = len(self.term_freqs)
         self.avgdl = (sum(self.doc_lens) / self.n) if self.n else 0.0
-        self.term_freqs = [Counter(d) for d in self.docs]
         doc_freq: Counter[str] = Counter()
         for tf in self.term_freqs:
             doc_freq.update(tf.keys())

@@ -8,7 +8,7 @@ import pytest
 import knight.builder as builder_mod
 from knight.adapters import AdapterSuite
 from knight.config import PipelineConfig
-from knight.curation import content_filter, curate, is_alias
+from knight.curation import content_filter, curate
 from knight.errors import AdapterError, GraphError
 from knight.gateway import ChatGateway, MockChatBackend
 from knight.graph import Edge, KnowledgeGraph, Topic, Triple, add_curated
@@ -24,28 +24,6 @@ class _FailingEmbedding:
 class _FailingNli:
     def entailment(self, premise, hypothesis):
         raise AdapterError("endpoint down")
-
-
-# -- is_alias -----------------------------------------------------------------
-
-
-def test_alias_by_normalization(adapters):
-    assert is_alias(adapters.embedding, "World War II", "world war ii", 0.9) is True
-
-
-def test_alias_by_embedding_fixture(adapters):
-    assert is_alias(adapters.embedding, "Second World War", "World War II", 0.90) is True
-
-
-def test_not_alias_low_cosine(adapters):
-    assert is_alias(adapters.embedding, "Biology", "Calculus", 0.9) is False
-
-
-def test_alias_adapter_failure_degrades(adapters, caplog):
-    with caplog.at_level("WARNING"):
-        assert is_alias(_FailingEmbedding(), "Second World War", "World War II", 0.9) is False
-        assert is_alias(_FailingEmbedding(), "cells", "Cell", 0.9) is True
-    assert any("falling back" in r.message for r in caplog.records)
 
 
 # -- content_filter -----------------------------------------------------------
@@ -113,6 +91,62 @@ def _history_graph() -> KnowledgeGraph:
     node = graph.add_node("World War II", depth=1)
     graph.add_edge(graph.seed_id, "includes", node.id)
     return graph
+
+
+# -- the alias scan -----------------------------------------------------------
+
+
+class _RecordingEmbedding:
+    def __init__(self, inner):
+        self.inner = inner
+        self.pairs: list[tuple[str, str]] = []
+
+    def cosine(self, a, b):
+        self.pairs.append((a, b))
+        return self.inner.cosine(a, b)
+
+
+def _scan(adapters, config, tail, embedding=None):
+    """Curate one candidate tail under World History's seed; returns the
+    outcome and the pairs the embedding scored."""
+    graph = _history_graph()
+    recording = _RecordingEmbedding(embedding or adapters.embedding)
+    suite = dataclasses.replace(adapters, embedding=recording)
+    triple = Triple("World History", "includes", tail)
+    outcome = curate(graph, graph.seed_id, [triple], suite, config)
+    return outcome, recording.pairs
+
+
+def test_alias_by_normalization(adapters, config):
+    # A tail equal to a node's name after normalization is a duplicate
+    # before the alias scan starts; the embedding is never asked.
+    outcome, pairs = _scan(adapters, config, "world war ii")
+    assert [reason for _, reason in outcome.rejected] == ["duplicate"]
+    assert outcome.merged == [] and pairs == []
+
+
+def test_alias_by_embedding_fixture(adapters, config):
+    outcome, pairs = _scan(adapters, config, "Second World War")
+    assert [target for _, target in outcome.merged] == ["world war ii"]
+    assert ("Second World War", "World War II") in pairs
+
+
+def test_not_alias_low_cosine(adapters, config):
+    assert adapters.embedding.cosine("Cold War", "World War II") < config.tau_alias
+    outcome, pairs = _scan(adapters, config, "Cold War")
+    assert outcome.merged == []
+    assert [t.tail for t in outcome.accepted] == ["Cold War"]
+    assert sorted(pairs) == [("Cold War", "World History"), ("Cold War", "World War II")]
+
+
+def test_alias_adapter_failure_degrades(adapters, config, caplog):
+    with caplog.at_level("WARNING"):
+        outcome, _ = _scan(adapters, config, "Second World War", _FailingEmbedding())
+        duplicate, _ = _scan(adapters, config, "world war ii", _FailingEmbedding())
+    # No merge under an outage; the candidate goes on to the content checks.
+    assert outcome.merged == [] and [t.tail for t in outcome.accepted] == ["Second World War"]
+    assert [reason for _, reason in duplicate.rejected] == ["duplicate"]
+    assert sum("embedding adapter failed" in r.message for r in caplog.records) == 1
 
 
 def test_curate_empty(adapters, config):

@@ -148,10 +148,8 @@ def test_network_auth_error_no_retry(monkeypatch):
         calls.append(url)
         return _FakeResponse(401)
 
-    import requests
-
-    monkeypatch.setattr(requests, "post", fake_post)
     backend = OpenAiCompatBackend("https://api.example/v1", "bad-key", "model-x")
+    monkeypatch.setattr(backend.session, "post", fake_post)
     with pytest.raises(AuthError):
         backend.complete(_request())
     assert len(calls) == 1
@@ -170,32 +168,26 @@ def test_network_retries_then_succeeds(monkeypatch):
             return _FakeResponse(500)
         return _FakeResponse(200, payload)
 
-    import requests
-
-    monkeypatch.setattr(requests, "post", fake_post)
-    monkeypatch.setattr(gateway_mod.time, "sleep", lambda _s: None)
     backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x", retry_attempts=3)
+    monkeypatch.setattr(backend.session, "post", fake_post)
+    monkeypatch.setattr(gateway_mod.time, "sleep", lambda _s: None)
     resp = backend.complete(_request())
     assert resp == ChatResponse(text="ok", prompt_tokens=3, completion_tokens=1)
     assert len(calls) == 3
 
 
 def test_network_retries_exhausted(monkeypatch):
-    import requests
-
-    monkeypatch.setattr(requests, "post", lambda url, **kw: _FakeResponse(503))
-    monkeypatch.setattr(gateway_mod.time, "sleep", lambda _s: None)
     backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x", retry_attempts=2)
+    monkeypatch.setattr(backend.session, "post", lambda url, **kw: _FakeResponse(503))
+    monkeypatch.setattr(gateway_mod.time, "sleep", lambda _s: None)
     with pytest.raises(RetriesExhaustedError):
         backend.complete(_request())
 
 
 def test_network_empty_response(monkeypatch):
-    import requests
-
     payload = {"choices": [{"message": {"content": "   "}}]}
-    monkeypatch.setattr(requests, "post", lambda url, **kw: _FakeResponse(200, payload))
     backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x")
+    monkeypatch.setattr(backend.session, "post", lambda url, **kw: _FakeResponse(200, payload))
     with pytest.raises(EmptyResponseError):
         backend.complete(_request())
 
@@ -205,26 +197,23 @@ def _html_response():
 
 
 def test_network_non_json_reply_is_not_retried(monkeypatch):
-    import requests
-
     calls = []
 
     def fake_post(url, **kwargs):
         calls.append(url)
         return _html_response()
 
-    monkeypatch.setattr(requests, "post", fake_post)
     backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x", retry_attempts=3)
+    monkeypatch.setattr(backend.session, "post", fake_post)
     with pytest.raises(EmptyResponseError):
         backend.complete(_request())
     assert len(calls) == 1
 
 
 def test_map_returns_non_json_reply_as_gateway_error(monkeypatch):
-    import requests
-
-    monkeypatch.setattr(requests, "post", lambda url, **kw: _html_response())
-    gw = ChatGateway(OpenAiCompatBackend("https://api.example/v1", "key", "model-x"))
+    backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x")
+    monkeypatch.setattr(backend.session, "post", lambda url, **kw: _html_response())
+    gw = ChatGateway(backend)
     results, error = gw.map(gw.complete, [_request()])
     assert results == []
     assert isinstance(error, EmptyResponseError)

@@ -1,11 +1,15 @@
 """Source hygiene: every top-level import in the package is used; no
 module but ``gateway.py`` imports a threading module, so ``ChatGateway.map``
 stays the one place that starts threads and decides what a failed call
-costs; and nothing in the package is reached only by tests."""
+costs; nothing in the package is reached only by tests; and the mock path
+loads neither numpy nor requests."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -153,3 +157,20 @@ def test_checker_flags_a_definition_reached_only_by_itself_or_init():
         "b.py": "from .a import Thing\nThing().spare()\n",
     }
     assert _unreached(sources) == ["Thing.lonely", "helper"]
+
+
+def test_mock_path_imports_neither_numpy_nor_requests():
+    # A fresh interpreter: this test process has imported both already.
+    code = (
+        "import sys\n"
+        "from knight import build_config, build_services\n"
+        "build_services(build_config(env={}))\n"
+        "print(sorted({'numpy', 'requests'} & set(sys.modules)))\n"
+    )
+    pythonpath = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import statistics
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from knight.errors import AdapterError
 from knight.metrics import (
     MAX_ENTROPY,
     ProbeLogits,
+    _mean,
+    _pstd,
     entailment_relevance,
     fleiss_kappa,
     grammar_quality,
@@ -324,3 +327,137 @@ def test_length_stats_against_independent_recomputation():
     for count in counts:
         bin_lower = (count // 2) * 2
         assert bin_lower in histogram
+
+
+# -- against the numpy implementations the package used before ---------------------
+#
+# The oracle below is the earlier numpy code, verbatim apart from names. The
+# package now sums with math.fsum (correctly rounded) and uses libm's exp and
+# log, so results may differ from it in the last bits, never by more than a
+# relative 1e-15.
+
+
+def _np_predictive_entropy(z):
+    z = np.array(z, dtype=float)
+    z = z - z.max()
+    p = np.exp(z)
+    p = p / p.sum()
+    nonzero = p > 0.0
+    entropy = float(-(p[nonzero] * np.log(p[nonzero])).sum())
+    return p, min(max(entropy, 0.0), MAX_ENTROPY)
+
+
+def _np_mean_std(values):
+    arr = np.asarray(values, dtype=float)
+    return float(arr.mean()), float(arr.std())
+
+
+def _np_pearson(x, y):
+    ax = np.asarray(x, dtype=float)
+    ay = np.asarray(y, dtype=float)
+    dx = ax - ax.mean()
+    dy = ay - ay.mean()
+    sx = math.sqrt(float((dx * dx).sum()))
+    sy = math.sqrt(float((dy * dy).sum()))
+    return float((dx * dy).sum()) / (sx * sy)
+
+
+def _np_fleiss_kappa(ratings):
+    matrix = np.asarray(ratings, dtype=float)
+    n = matrix.sum(axis=1)[0]
+    p_j = matrix.sum(axis=0) / matrix.sum()
+    p_i = ((matrix * matrix).sum(axis=1) - n) / (n * (n - 1))
+    p_bar = float(p_i.mean())
+    p_e = float((p_j * p_j).sum())
+    if p_e == 1.0:
+        return 1.0
+    return (p_bar - p_e) / (1.0 - p_e)
+
+
+def _close(a, b, floor=0.0):
+    """Relative difference at most 1e-15, measured against at least ``floor``."""
+    return abs(a - b) <= 1e-15 * max(abs(a), abs(b), floor)
+
+
+def test_entropy_matches_numpy_oracle():
+    rng = random.Random(41)
+    for spread in (1.0, 30.0):
+        for _ in range(2000):
+            z = [rng.uniform(-spread, spread) for _ in range(4)]
+            probs, entropy = predictive_entropy(ProbeLogits(*z))
+            expected_probs, expected_entropy = _np_predictive_entropy(z)
+            assert all(_close(p, float(q)) for p, q in zip(probs, expected_probs))
+            # Entropy is checked on the narrow logits only: near one-hot,
+            # a last-bit difference in p is amplified by about 1 / H (see
+            # the exact-reference test below).
+            if spread == 1.0:
+                assert _close(entropy, expected_entropy)
+
+
+def test_entropy_of_wide_logits_is_no_less_accurate_than_numpy():
+    # Against a 50-digit decimal evaluation, fsum and libm are closer than
+    # the numpy oracle more often than they are farther.
+    def exact(z):
+        exps = [(Decimal(v) - Decimal(max(z))).exp() for v in z]
+        total = sum(exps)
+        return -sum(p * p.ln() for p in (e / total for e in exps))
+
+    rng = random.Random(43)
+    closer = farther = 0
+    with localcontext() as context:
+        context.prec = 50
+        for _ in range(300):
+            z = [rng.uniform(-6.0, 6.0) for _ in range(4)]
+            truth = exact(z)
+            ours = abs(Decimal(predictive_entropy(ProbeLogits(*z))[1]) - truth)
+            theirs = abs(Decimal(_np_predictive_entropy(z)[1]) - truth)
+            closer += ours < theirs
+            farther += ours > theirs
+    assert closer > farther
+
+
+def test_mean_std_match_numpy_oracle():
+    rng = random.Random(42)
+    for _ in range(500):
+        entropies = [rng.uniform(0.0, MAX_ENTROPY) for _ in range(rng.randint(1, 200))]
+        mean, std = _np_mean_std(entropies)
+        assert _close(_mean(entropies), mean) and _close(_pstd(entropies), std)
+        questions = ["w " * rng.randint(1, 40) for _ in range(rng.randint(1, 30))]
+        _histogram, length_mean, length_std = length_stats(questions)
+        mean, std = _np_mean_std([len(q.split()) for q in questions])
+        assert length_mean == mean and _close(length_std, std)
+
+
+def test_pearson_and_fleiss_match_numpy_oracle():
+    # Both lie in [-1, 1] and can be 0 by cancellation, so their difference
+    # is measured against at least 1.
+    rng = random.Random(44)
+    for _ in range(1000):
+        k = rng.randint(2, 200)
+        x = [rng.uniform(0.0, MAX_ENTROPY) for _ in range(k)]
+        y = [rng.uniform(-5.0, 5.0) for _ in range(k)]
+        assert _close(pearson(x, y), _np_pearson(x, y), floor=1.0)
+        categories, raters = rng.randint(2, 5), rng.randint(2, 9)
+        rows = []
+        for _ in range(rng.randint(1, 30)):
+            row = [0] * categories
+            for _ in range(raters):
+                row[rng.randrange(categories)] += 1
+            rows.append(row)
+        assert _close(fleiss_kappa(rows), _np_fleiss_kappa(rows), floor=1.0)
+
+
+def test_statistics_do_not_depend_on_input_order():
+    # Correctly rounded sums make each result a function of the multiset of
+    # inputs, bit for bit: option order cannot move an item's entropy.
+    rng = random.Random(45)
+    for _ in range(500):
+        z = [rng.uniform(-8.0, 8.0) for _ in range(4)]
+        shuffled = rng.sample(z, 4)
+        probs, entropy = predictive_entropy(ProbeLogits(*z))
+        shuffled_probs, shuffled_entropy = predictive_entropy(ProbeLogits(*shuffled))
+        assert shuffled_entropy == entropy
+        assert sorted(shuffled_probs) == sorted(probs)
+        values = [rng.uniform(0.0, MAX_ENTROPY) for _ in range(rng.randint(1, 50))]
+        reordered = rng.sample(values, len(values))
+        assert (_mean(reordered), _pstd(reordered)) == (_mean(values), _pstd(values))

@@ -70,11 +70,10 @@ def test_search_empty_term(source):
     ids=["404", "503", "non-json"],
 )
 def test_network_source_maps_replies_to_errors(monkeypatch, reply, error):
-    import requests
-
-    monkeypatch.setattr(requests, "get", lambda url, **kw: reply)
+    source = NetworkWikiSource()
+    monkeypatch.setattr(source.session, "get", lambda url, **kw: reply)
     with pytest.raises(error):
-        NetworkWikiSource().search("Biology", 5)
+        source.search("Biology", 5)
 
 
 def test_network_source_request_failure(monkeypatch):
@@ -83,17 +82,17 @@ def test_network_source_request_failure(monkeypatch):
     def fail(url, **kwargs):
         raise requests.ConnectionError("connection refused")
 
-    monkeypatch.setattr(requests, "get", fail)
+    source = NetworkWikiSource()
+    monkeypatch.setattr(source.session, "get", fail)
     with pytest.raises(RetrievalError):
-        NetworkWikiSource().page_text("Biology")
+        source.page_text("Biology")
 
 
 def test_network_source_search_parses_titles(monkeypatch):
-    import requests
-
     body = json.dumps({"pages": [{"title": "Biology"}, {"title": "Cell"}]}).encode()
-    monkeypatch.setattr(requests, "get", lambda url, **kw: http_response(200, body))
-    assert NetworkWikiSource().search("Biology", 5) == ["Biology", "Cell"]
+    source = NetworkWikiSource()
+    monkeypatch.setattr(source.session, "get", lambda url, **kw: http_response(200, body))
+    assert source.search("Biology", 5) == ["Biology", "Cell"]
 
 
 # -- title relevance ----------------------------------------------------------
@@ -235,8 +234,14 @@ def _reference_chunk_text(text, size, overlap):
 
 def test_chunk_matches_quadratic_reference():
     rng = random.Random(29)
-    words = ["w", "end.", 'quote."', "ask?", "yes!)", "a.b", "...", "(x)", ".]", "no"]
-    separators = [" ", " ", " ", "\n", "\t", "\n\n", "\n\n\n", "\n\n\n\n", " \n\n "]
+    # One-character sentence ends, non-ASCII tokens (one that lower()
+    # lengthens, a ligature) and Unicode whitespace separators (no-break, em
+    # and ideographic space, and \x1c, which str.split() and the \S+
+    # tokenizer both treat as whitespace).
+    words = ["w", "end.", 'quote."', "ask?", "yes!)", "a.b", "...", "(x)", ".]", "no",
+             ".", "?", "\u0130", "\ufb01."]
+    separators = [" ", " ", " ", "\n", "\t", "\n\n", "\n\n\n", "\n\n\n\n", " \n\n ",
+                  "\u00a0", "\u2003", "\u3000", "\x1c"]
     for _ in range(300):
         n_tokens = rng.randint(0, 120)
         text = rng.choice(["", "\n\n", " "])
