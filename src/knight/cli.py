@@ -47,6 +47,7 @@ from .storage import (
 )
 
 SUBCOMMANDS = ("build", "generate", "validate", "eval", "run")
+_SNAPSHOT_HELP = "reuse a saved graph snapshot (its last level, at d_max, was not expanded)"
 
 
 def _positive_int(text: str) -> int:
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_generate)
     p_generate.add_argument("--num-q", type=_positive_int, default=10)
     p_generate.add_argument("--output", required=True, help="dataset path (JSONL records)")
-    p_generate.add_argument("--snapshot", default=None, help="reuse a saved graph snapshot")
+    p_generate.add_argument("--snapshot", default=None, help=_SNAPSHOT_HELP)
     p_generate.add_argument("--validate", action="store_true", help="run the critic as well")
 
     p_validate = sub.add_parser("validate", help="validate an existing dataset file")
@@ -119,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
     p_run.add_argument("--num-q", type=_positive_int, default=10)
     p_run.add_argument("--output", required=True, help="dataset path (JSONL records)")
-    p_run.add_argument("--snapshot", default=None, help="reuse a saved graph snapshot")
+    p_run.add_argument("--snapshot", default=None, help=_SNAPSHOT_HELP)
     p_run.add_argument("--validate", action="store_true", help="force the critic in any mode")
 
     return parser

@@ -11,7 +11,9 @@ Stage sets per mode:
 ``MODE_TASK_TAGS`` is the one table of these sets: the token ledger's task
 tags are the observable contract, so a run logs exactly the tags of its
 mode's stage set (plus ``validate`` when forced), and ``run_pipeline`` picks
-its stages by reading the same table.
+its stages by reading the same table. ``triples`` is logged once for each
+node above ``d_max`` whose gloss passes the gamma gate (see ``builder``),
+so always for a seed that passes it.
 
 Per-item work fans out through ``ChatGateway.map``, which also decides what a
 failed call costs (see ``gateway``). Generation maps only the call and parse

@@ -281,30 +281,34 @@ def _best_cut(start: int, hard_end: int, paragraphs: list[int], sentences: list[
     return hard_end
 
 
-class Bm25:
-    """Okapi BM25 over whitespace-tokenized documents (k1=1.2, b=0.75)."""
+def term_counts(text: str) -> Counter[str]:
+    """Lower-cased ``\\w+`` token counts; both ranking stages read these."""
+    return Counter(_tokens(text))
 
-    def __init__(self, documents: Sequence[str], k1: float = 1.2, b: float = 0.75):
+
+def _tokens(text: str) -> list[str]:
+    return re.findall(r"\w+", text.lower())
+
+
+class Bm25:
+    """Okapi BM25 over per-document term counts (k1=1.2, b=0.75). Document
+    frequencies are counted for the query's terms only."""
+
+    def __init__(self, term_freqs: Sequence[Counter[str]], k1: float = 1.2, b: float = 0.75):
         self.k1 = k1
         self.b = b
-        # Only the per-document term counts are kept, never the token lists.
-        self.term_freqs = [Counter(self._tokens(d)) for d in documents]
-        self.doc_lens = [sum(tf.values()) for tf in self.term_freqs]
-        self.n = len(self.term_freqs)
+        self.term_freqs = term_freqs
+        self.doc_lens = [sum(tf.values()) for tf in term_freqs]
+        self.n = len(term_freqs)
         self.avgdl = (sum(self.doc_lens) / self.n) if self.n else 0.0
-        doc_freq: Counter[str] = Counter()
-        for tf in self.term_freqs:
-            doc_freq.update(tf.keys())
-        self.idf = {
-            t: math.log(1.0 + (self.n - df + 0.5) / (df + 0.5)) for t, df in doc_freq.items()
-        }
 
-    @staticmethod
-    def _tokens(text: str) -> list[str]:
-        return re.findall(r"\w+", text.lower())
+    def _idf(self, term: str) -> float:
+        df = sum(term in tf for tf in self.term_freqs)
+        return math.log(1.0 + (self.n - df + 0.5) / (df + 0.5))
 
     def scores(self, query: str) -> list[float]:
-        q_tokens = self._tokens(query)
+        q_tokens = _tokens(query)
+        idf = {t: self._idf(t) for t in q_tokens}
         out = []
         for tf, dl in zip(self.term_freqs, self.doc_lens):
             norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl) if self.avgdl else 0.0
@@ -312,26 +316,26 @@ class Bm25:
             for token in q_tokens:
                 f = tf.get(token, 0)
                 if f:
-                    s += self.idf[token] * f * (self.k1 + 1.0) / (f + norm)
+                    s += idf[token] * f * (self.k1 + 1.0) / (f + norm)
             out.append(s)
         return out
 
 
 class DenseScorer(Protocol):
-    """Second-stage scorer; returns per-chunk scores already in [0, 1]."""
+    """Second-stage scorer over each chunk's ``term_counts``; returns
+    per-chunk scores already in [0, 1]."""
 
-    def score(self, query: str, chunks: Sequence[str]) -> list[float]: ...
+    def score(self, query: str, chunk_terms: Sequence[Counter[str]]) -> list[float]: ...
 
 
 class LexicalCosineScorer:
     """Deterministic mock reranker: cosine between term-frequency vectors."""
 
-    def score(self, query: str, chunks: Sequence[str]) -> list[float]:
-        q = Counter(Bm25._tokens(query))
+    def score(self, query: str, chunk_terms: Sequence[Counter[str]]) -> list[float]:
+        q = term_counts(query)
         q_norm = math.sqrt(sum(v * v for v in q.values()))
         out = []
-        for chunk in chunks:
-            c = Counter(Bm25._tokens(chunk))
+        for c in chunk_terms:
             c_norm = math.sqrt(sum(v * v for v in c.values()))
             if not q_norm or not c_norm:
                 out.append(0.0)
@@ -351,24 +355,23 @@ def score_and_rerank(
 ) -> RetrievalResult:
     """Two-stage ranking of ``(id, text)`` candidates: BM25 keeps the lexical
     top candidates, the dense scorer re-scores them, and only passages above
-    the floor survive, under their given ids. Ties keep input order."""
-    indexed = list(enumerate(candidates))
-    if not indexed:
+    the floor survive, under their given ids. Each text is tokenized once;
+    both stages read the same term counts. Ties keep input order."""
+    if not candidates:
         return RetrievalResult(passages=[], fallback=True)
 
-    if len(indexed) > first_stage_cut:
-        lexical = Bm25([text for _, (_, text) in indexed]).scores(query)
-        order = sorted(range(len(indexed)), key=lambda i: (-lexical[i], i))
-        indexed = [indexed[i] for i in order[:first_stage_cut]]
+    terms = [term_counts(text) for _, text in candidates]
+    kept = range(len(candidates))
+    if len(candidates) > first_stage_cut:
+        lexical = Bm25(terms).scores(query)
+        kept = sorted(kept, key=lambda i: (-lexical[i], i))[:first_stage_cut]
 
-    dense = scorer.score(query, [text for _, (_, text) in indexed])
-    scored = [
-        (score, position, pid, text)
-        for (position, (pid, text)), score in zip(indexed, dense)
-        if score > score_floor
-    ]
+    dense = scorer.score(query, [terms[i] for i in kept])
+    scored = [(score, i) for i, score in zip(kept, dense) if score > score_floor]
     scored.sort(key=lambda row: (-row[0], row[1]))
-    passages = [Passage(id=pid, text=text, score=score) for score, _, pid, text in scored[:k]]
+    passages = [
+        Passage(id=candidates[i][0], text=candidates[i][1], score=score) for score, i in scored[:k]
+    ]
     return RetrievalResult(passages=passages, fallback=not passages)
 
 

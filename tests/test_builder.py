@@ -15,7 +15,7 @@ from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import Topic
 from knight.storage import snapshot_document
 
-from conftest import FailingSource
+from conftest import FailingSource, RecordingBackend
 
 
 def _services(world, seed=7, overrides=None, backend=None, **config_overrides):
@@ -99,10 +99,56 @@ def test_gamma_rejection_counts_and_stops_children(world):
         substring='Explain the term: "Biology"',
         response="zq wv xk yj unrelated blather entirely",
     )
-    graph, report, _, _ = _build(world, overrides=[override])
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7, overrides=[override]))
+    graph, report, _, _ = _build(world, backend=backend)
     assert report.glosses_rejected_by_gamma == 1
     assert len(graph.nodes) == 1  # seed contributed no children
     assert graph.nodes[graph.seed_id].gamma_failed is True
+    # The gate runs before extraction, so a rejected gloss costs no triples call.
+    assert [r.task_tag for r in backend.requests if r.task_tag == "triples"] == []
+
+
+def _node_fields(node):
+    return (*_gloss_fields(node), node.gamma_failed)
+
+
+@pytest.mark.parametrize("d_max", [1, 2, 3])
+def test_nodes_at_d_max_are_glossed_but_not_expanded(world, d_max):
+    # The deepest evidence-backed node within d_max gets a gloss that fails
+    # the gamma gate (Biology has one at depths 1 and 2, none at 3).
+    plain, _, _, _ = _build(world, d_max=d_max)
+    failing = [n for n in plain.nodes.values() if not n.parametric_fallback][-1]
+    assert failing.depth == min(d_max, 2)
+    override = MockOverride(
+        task_tag="gloss",
+        substring=f'Explain the term: "{failing.name}"',
+        response="zq wv xk yj unrelated blather entirely",
+    )
+    # The same build one level deeper glosses the d_max nodes as inner nodes.
+    deeper, _, _, _ = _build(world, d_max=d_max + 1, overrides=[override])
+    snapshots = []
+    for max_inflight in (1, 4):
+        backend = RecordingBackend(MockChatBackend(world, rng_seed=7, overrides=[override]))
+        graph, report, _, _ = _build(
+            world, d_max=d_max, backend=backend, max_inflight=max_inflight
+        )
+        nodes = list(graph.nodes.values())
+        expanded = [n for n in nodes if n.depth < d_max and not n.gamma_failed]
+        leaves = [n for n in nodes if n.depth == d_max]
+        triples = [r.user_prompt for r in backend.requests if r.task_tag == "triples"]
+        assert len(triples) == len(expanded)
+        assert [n.id for n in nodes if any(n.gloss in prompt for prompt in triples)] == [
+            n.id for n in expanded
+        ]
+        assert sum(r.task_tag == "gloss" for r in backend.requests) == len(nodes)
+        assert graph.nodes[failing.id].gamma_failed
+        assert report.glosses_rejected_by_gamma == 1
+        assert list(graph.nodes) == [n.id for n in deeper.nodes.values() if n.depth <= d_max]
+        for node in leaves:
+            assert node.gloss
+            assert _node_fields(node) == _node_fields(deeper.nodes[node.id])
+        snapshots.append(snapshot_document(graph, "Biology", report=report))
+    assert snapshots[0] == snapshots[1]
 
 
 def test_build_aborts_on_auth_error(world):

@@ -5,6 +5,7 @@ import logging
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -17,7 +18,7 @@ from knight.pipeline import Services, run_pipeline
 from knight.retrieval import FixtureWikiSource
 from knight.storage import item_to_record, snapshot_document
 
-from conftest import FailingSource
+from conftest import FailingSource, RecordingBackend
 
 
 def _services(world, max_inflight, backend=None, probe=None, seed=7):
@@ -64,6 +65,30 @@ def _outputs(result, services):
         ),
         "ledger": services.gateway.ledger.totals(),
     }
+
+
+# The LLM calls per task tag on Biology, d_max 2, num_q 12, seed 0. A change
+# that adds or removes a call must update these numbers on purpose.
+CALL_BUDGET = {
+    "knight": {
+        "title_check": 2,
+        "gloss": 5,
+        "triples": 3,
+        "mcq_forward": 6,
+        "mcq_reverse": 6,
+        "validate": 12,
+    },
+    "rag_val": {"title_check": 1, "mcq_forward": 12, "validate": 12},
+}
+
+
+@pytest.mark.parametrize("max_inflight", [1, 4])
+@pytest.mark.parametrize("mode", sorted(CALL_BUDGET))
+def test_call_budget_per_tag(world, mode, max_inflight):
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=0))
+    result, _ = _run(world, mode, max_inflight, num_q=12, backend=backend, seed=0)
+    assert len(result.kept_items) == 12
+    assert Counter(r.task_tag for r in backend.requests) == CALL_BUDGET[mode]
 
 
 @pytest.mark.parametrize("mode", ["knight", "rag_val"])

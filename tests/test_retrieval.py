@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from knight.retrieval import (
     retrieve_evidence,
     score_and_rerank,
     search_titles,
+    term_counts,
     truncate_at_word,
 )
 
@@ -295,6 +297,70 @@ def test_rerank_first_stage_cut():
     assert result.passages[0].text == "the exact query words here"
 
 
+def _counts(text):
+    return Counter(re.findall(r"\w+", text.lower()))
+
+
+def _bm25_reference(query, texts):
+    """BM25 (k1 1.2, b 0.75) with document frequencies over every term."""
+    tfs = [_counts(t) for t in texts]
+    lens = [sum(tf.values()) for tf in tfs]
+    avgdl = sum(lens) / len(tfs)
+    df = Counter(t for tf in tfs for t in tf)
+    idf = {t: math.log(1.0 + (len(tfs) - n + 0.5) / (n + 0.5)) for t, n in df.items()}
+    out = []
+    for tf, dl in zip(tfs, lens):
+        norm = 1.2 * (1.0 - 0.75 + 0.75 * dl / avgdl) if avgdl else 0.0
+        s = 0.0
+        for token in re.findall(r"\w+", query.lower()):
+            if tf.get(token, 0):
+                s += idf[token] * tf[token] * 2.2 / (tf[token] + norm)
+        out.append(s)
+    return out
+
+
+def _rerank_reference(query, candidates, k, score_floor, first_stage_cut):
+    """Two-stage ranking that tokenizes each text once per stage."""
+    order = list(range(len(candidates)))
+    if len(order) > first_stage_cut:
+        lexical = _bm25_reference(query, [text for _, text in candidates])
+        order = sorted(order, key=lambda i: (-lexical[i], i))[:first_stage_cut]
+    q = _counts(query)
+    q_norm = math.sqrt(sum(v * v for v in q.values()))
+    rows = []
+    for i in order:
+        c = _counts(candidates[i][1])
+        c_norm = math.sqrt(sum(v * v for v in c.values()))
+        score = sum(q[t] * c[t] for t in q) / (q_norm * c_norm) if q_norm and c_norm else 0.0
+        if score > score_floor:
+            rows.append((-score, i))
+    return [(candidates[i][0], -neg) for neg, i in sorted(rows)[:k]]
+
+
+@pytest.mark.parametrize("count", [0, 1, 20, 50, 51, 90])
+def test_rerank_matches_reference_bit_for_bit(count):
+    rng = random.Random(f"rerank:{count}")
+    # Zipf-like word frequencies, so document frequencies vary widely.
+    vocab = [f"w{i}" for i in range(200)] + ["Cell", "cell", "gene_x"]
+    weights = [1 / (i + 1) for i in range(len(vocab))]
+    candidates = [
+        (f"c{i}", " ".join(rng.choices(vocab, weights, k=rng.randint(1, 60))))
+        for i in range(count)
+    ]
+    query = " ".join(rng.sample(vocab[:60], 3)) + " cell w1"
+    if candidates:
+        texts = [text for _, text in candidates]
+        assert Bm25([term_counts(t) for t in texts]).scores(query) == _bm25_reference(query, texts)
+    # With a cut of 5 every BM25 survivor above the floor is returned.
+    for floor, cut in ((0.0, 5), (0.0, 50), (0.15, 50)):
+        got = score_and_rerank(
+            query, candidates, LexicalCosineScorer(), k=7, score_floor=floor, first_stage_cut=cut
+        )
+        assert [(p.id, p.score) for p in got.passages] == _rerank_reference(
+            query, candidates, 7, floor, cut
+        )
+
+
 def test_rerank_fixture_corpus_photosynthesis(world, source):
     pages = [(title, source.page_text(title)) for title in sorted(world.title_files)]
     result = score_and_rerank("photosynthesis", pages, LexicalCosineScorer(), k=3)
@@ -397,5 +463,5 @@ def test_retrieve_evidence_gateway_error_propagates(config, source):
 
 def test_bm25_ranks_matching_doc_first():
     docs = ["apples and pears", "bm25 ranking function for search", "dense embeddings"]
-    scores = Bm25(docs).scores("bm25 search ranking")
+    scores = Bm25([term_counts(d) for d in docs]).scores("bm25 search ranking")
     assert scores.index(max(scores)) == 1

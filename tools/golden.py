@@ -1,6 +1,6 @@
 """Write the golden artifact set and print one sha256 per file, standard library only.
 
-    python3 tools/golden.py --out DIR
+    python3 tools/golden.py --out DIR [--against LISTING]
 
 Runs ``knight run`` on the mock backend in all five modes, for Biology and
 History, at ``max_inflight`` 1 and 4 (``--depth 2 --num-q 12 --seed 0``),
@@ -10,6 +10,12 @@ one); the listing on standard output has one ``<sha256>  <file>`` line per
 file in ``DIR``, sorted by name, so two checkouts produce byte-identical
 artifacts exactly when their listings are equal (``diff`` them). Exits 1
 if any command fails.
+
+With ``--against LISTING`` (the saved standard output of an earlier run),
+it prints instead one ``changed``, ``missing`` or ``new`` line for every
+file whose sha256 differs from the listing's, that the listing names but
+this run did not write, or that this run wrote but the listing lacks, and
+exits 1 if there is any.
 
 The program is imported from ``src/`` of the checkout this file sits in.
 """
@@ -49,6 +55,7 @@ def commands(out: Path) -> list[list[str]]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, type=Path, help="directory for the artifacts")
+    parser.add_argument("--against", type=Path, help="earlier listing to compare with")
     args = parser.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
 
@@ -60,9 +67,27 @@ def main(argv: list[str] | None = None) -> int:
             print(f"exit {code}: knight {' '.join(command)}", file=sys.stderr)
             failed += 1
 
-    for path in sorted(p for p in args.out.iterdir() if p.is_file()):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
-    return 1 if failed else 0
+    listing = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(p for p in args.out.iterdir() if p.is_file())
+    }
+    if args.against is None:
+        for name, digest in listing.items():
+            print(f"{digest}  {name}")
+        return 1 if failed else 0
+
+    rows = (line.split(maxsplit=1) for line in args.against.read_text().splitlines())
+    earlier = {name: digest for digest, name in rows}
+    differences = []
+    for name in sorted(listing.keys() | earlier.keys()):
+        if name not in listing:
+            differences.append(f"missing  {name}")
+        elif name not in earlier:
+            differences.append(f"new  {name}")
+        elif listing[name] != earlier[name]:
+            differences.append(f"changed  {name}")
+    print("\n".join(differences) if differences else f"all {len(listing)} files match")
+    return 1 if failed or differences else 0
 
 
 if __name__ == "__main__":
