@@ -27,7 +27,6 @@ no path of at most ``d_max`` hops from the seed could use them.
 from __future__ import annotations
 
 import logging
-import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -50,14 +49,13 @@ class BuildReport:
     glosses_rejected_by_gamma: int = 0
     triples_deduped: int = 0
     curation_prune_rate: float = 0.0
-    wall_time_seconds: float = 0.0
     per_depth_counts: dict[int, int] = field(default_factory=dict)
     aborted_reason: str | None = None
     candidates_seen: int = 0
     candidates_rejected: int = 0
 
-    def to_dict(self, include_wall_time: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "nodes_added": self.nodes_added,
             "edges_added": self.edges_added,
             "glosses_rejected_by_gamma": self.glosses_rejected_by_gamma,
@@ -66,9 +64,6 @@ class BuildReport:
             "per_depth_counts": {str(k): v for k, v in sorted(self.per_depth_counts.items())},
             "aborted_reason": self.aborted_reason,
         }
-        if include_wall_time:
-            out["wall_time_seconds"] = self.wall_time_seconds
-        return out
 
 
 @dataclass
@@ -182,7 +177,6 @@ def build_kg(
     order is applied and is recorded on the report; the partial graph is
     still returned.
     """
-    started = time.perf_counter()
     graph = KnowledgeGraph(topic.name)
     report = BuildReport()
     topic_hint = topic.optional_prompt or "general knowledge"
@@ -203,6 +197,5 @@ def build_kg(
     report.per_depth_counts = dict(Counter(n.depth for n in graph.nodes.values()))
     if report.candidates_seen:
         report.curation_prune_rate = report.candidates_rejected / report.candidates_seen
-    report.wall_time_seconds = time.perf_counter() - started
     graph.check_invariants()
     return graph, report

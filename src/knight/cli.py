@@ -3,9 +3,10 @@
 Subcommands: ``build``, ``generate``, ``validate``, ``eval``, ``run``. The
 bare-flags form (``knight --topic "Biology" --depth 2 ...``) is accepted as
 an alias for ``run``. Exit codes: 0 success, 1 backend/config failure,
-2 usage error. A ``run``, ``generate`` or ``validate`` that a backend failure
-cuts short writes its partial outputs (``run`` with ``aborted_reason`` in
-``metrics.json``) and exits 1. ``build``, ``generate`` and ``run`` take
+2 usage error. A ``build``, ``run``, ``generate`` or ``validate`` that a
+backend failure cuts short writes its partial outputs (``build`` with
+``aborted_reason`` in the snapshot's report, ``run`` in ``metrics.json``)
+and exits 1. ``build``, ``generate`` and ``run`` take
 ``--backend``; with ``bolt`` the Neo4j store is opened before the first LLM
 call and the graph is mirrored to it only after the outputs are written.
 """
@@ -226,7 +227,7 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
         f"{len(graph.edges)} edges, prune rate {report.curation_prune_rate:.3f} "
         f"-> {output}"
     )
-    return 0
+    return _exit_code(report.aborted_reason)
 
 
 def _cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -310,11 +311,11 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _exit_code(aborted_reason: str | None) -> int:
-    """1 when a backend failure cut the run short; its partial outputs are
-    already written."""
+    """1 when a backend failure cut the command short; its partial outputs
+    are already written."""
     if aborted_reason is None:
         return 0
-    print(f"error: run aborted, outputs are partial: {aborted_reason}", file=sys.stderr)
+    print(f"error: aborted, outputs are partial: {aborted_reason}", file=sys.stderr)
     return 1
 
 

@@ -25,7 +25,6 @@ def content_filter(
     triple: Triple,
     head_gloss: str,
     adapters: AdapterSuite,
-    tail_gloss: str | None = None,
     nli_threshold: float = 0.5,
     strict: bool = False,
 ) -> tuple[bool, str | None]:
@@ -54,7 +53,7 @@ def content_filter(
         log.warning("NLI adapter outage for %s: %s (check skipped)", triple, exc)
 
     try:
-        screened = " ".join(filter(None, (triple.head, triple.relation, triple.tail, tail_gloss)))
+        screened = " ".join((triple.head, triple.relation, triple.tail))
         if not adapters.policy.allowed(screened):
             return False, "policy_fail"
     except AdapterError as exc:

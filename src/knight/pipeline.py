@@ -16,12 +16,17 @@ node above ``d_max`` whose gloss passes the gamma gate (see ``builder``),
 so always for a seed that passes it.
 
 Per-item work fans out through ``ChatGateway.map``, which also decides what a
-failed call costs (see ``gateway``). Generation maps only the call and parse
-of each attempt: item ids and variants are fixed before the map, and dedup
-and the reject counters are applied to the returned prefix after it. The
-critic maps ``validate_item``. A ``GatewayError`` the map returns ends its
-stage with that prefix kept, goes to ``PipelineResult.aborted_reason``, and
-later stages go on with what was finished.
+failed call costs (see ``gateway``). Every mode generates the same way: it
+fixes a list of ``(item id, attempt)`` pairs before the map, and
+``_generate_items`` maps the attempts, then counts attempts and rejects and
+drops repeated questions over the returned prefix. Only the attempts differ:
+path modes call ``generate_mcq`` on sampled paths, direct modes prompt from
+the topic and any retrieved evidence; each attempt builds its prompt when it
+runs. The critic maps ``validate_item``. A ``GatewayError`` the map returns
+ends its stage with that prefix kept, goes to
+``PipelineResult.aborted_reason``, and later stages go on with what was
+finished; a build cut short before any ``d_max``-hop path exists leaves no
+attempts at all.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .adapters import AdapterSuite
 from .builder import BuildReport, RejectedCandidate, build_kg
@@ -39,7 +46,7 @@ from .gateway import ChatGateway, ChatRequest, MockChatBackend, OpenAiCompatBack
 from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
 from .prompts import MCQ_FORWARD_SYSTEM, direct_mcq_user
-from .qgen import McqItem, generate_mcq, parse_mcq_output, sample_paths
+from .qgen import McqItem, generate_mcq, request_mcq, sample_paths
 from .retrieval import FixtureWikiSource, NetworkWikiSource, WikiSource, retrieve_evidence
 from .validation import ValidationReport, validate_item
 
@@ -124,18 +131,26 @@ def _abort(result: PipelineResult, exc: GatewayError) -> None:
         log.error("backend failure, stage cut short: %s", result.aborted_reason)
 
 
-def _collect_items(
-    item_ids: list[str],
-    outcomes: list[McqItem | GenerationRejected],
-    error: GatewayError | None,
-    result: PipelineResult,
+Attempt = tuple[str, Callable[[], McqItem]]
+
+
+def _generate_items(
+    gateway: ChatGateway, attempts: list[Attempt], result: PipelineResult
 ) -> list[McqItem]:
-    """Apply the finished prefix of generation outcomes in input order: count
-    attempts and rejects and drop repeated questions. The failed attempt, if
-    any, counts as an attempt and ends the stage."""
+    """Map the attempts and apply the finished prefix of outcomes in input
+    order: count attempts and rejects and drop repeated questions. The failed
+    attempt, if any, counts as an attempt and ends the stage."""
+
+    def generate(attempt: Attempt) -> McqItem | GenerationRejected:
+        try:
+            return attempt[1]()
+        except GenerationRejected as exc:
+            return exc
+
+    outcomes, error = gateway.map(generate, attempts)
     items: list[McqItem] = []
     seen_questions: set[str] = set()
-    for item_id, outcome in zip(item_ids, outcomes):
+    for (item_id, _), outcome in zip(attempts, outcomes):
         result.attempts += 1
         if isinstance(outcome, GenerationRejected):
             result.generation_rejected += 1
@@ -153,57 +168,35 @@ def _collect_items(
     return items
 
 
-def _generate_path_items(
-    topic: Topic,
-    graph: KnowledgeGraph,
-    config: PipelineConfig,
-    services: Services,
-    num_q: int,
-    result: PipelineResult,
-) -> list[McqItem]:
-    pairs = sample_paths(graph, graph.seed_id, config.d_max, num_q, config.rng_seed)
-    if not pairs:
-        raise ConfigError(
-            f"graph has no {config.d_max}-hop paths from the seed; "
-            "increase --depth or loosen branching"
+def _path_attempts(
+    topic: Topic, graph: KnowledgeGraph, config: PipelineConfig, services: Services, num_q: int
+) -> list[Attempt]:
+    """One attempt per sampled (path, orientation) pair; a pair that recurs
+    is salted by how often it came before."""
+
+    def attempt(path: PathSample, orientation: str, item_id: str, variant: int) -> McqItem:
+        return generate_mcq(
+            services.gateway, path, orientation, topic.name, graph, config,
+            item_id=item_id, variant=variant,
         )
+
     occurrences: Counter = Counter()
     slug = _slug(topic.name)
-    attempts: list[tuple[PathSample, str, str, int]] = []
-    for attempt, (path, orientation) in enumerate(pairs):
+    attempts: list[Attempt] = []
+    pairs = sample_paths(graph, graph.seed_id, config.d_max, num_q, config.rng_seed)
+    for index, (path, orientation) in enumerate(pairs):
         key = (tuple(path.node_ids), orientation)
-        item_id = f"{slug}-L{config.d_max}-{orientation[:3]}-{attempt:04d}"
-        attempts.append((path, orientation, item_id, occurrences[key]))
+        item_id = f"{slug}-L{config.d_max}-{orientation[:3]}-{index:04d}"
+        attempts.append((item_id, partial(attempt, path, orientation, item_id, occurrences[key])))
         occurrences[key] += 1
-
-    def generate(attempt: tuple[PathSample, str, str, int]) -> McqItem | GenerationRejected:
-        path, orientation, item_id, variant = attempt
-        try:
-            return generate_mcq(
-                services.gateway,
-                path,
-                orientation,
-                topic.name,
-                graph,
-                config,
-                item_id=item_id,
-                variant=variant,
-            )
-        except GenerationRejected as exc:
-            return exc
-
-    outcomes, error = services.gateway.map(generate, attempts)
-    return _collect_items([a[2] for a in attempts], outcomes, error, result)
+    return attempts
 
 
-def _generate_direct_items(
-    topic: Topic,
-    config: PipelineConfig,
-    services: Services,
-    num_q: int,
-    result: PipelineResult,
-    with_evidence: bool,
-) -> list[McqItem]:
+def _direct_attempts(
+    topic: Topic, config: PipelineConfig, services: Services, num_q: int, with_evidence: bool
+) -> list[Attempt]:
+    """``num_q`` forward attempts on the topic, grounded in retrieved
+    evidence when ``with_evidence``, each salted by its index."""
     passages: list[str] = []
     passage_ids: list[str] = []
     fallback = True
@@ -224,26 +217,18 @@ def _generate_direct_items(
         else "No source information provided."
     )
     slug = _slug(topic.name)
-    item_ids = [f"{slug}-L{config.d_max}-dir-{attempt:04d}" for attempt in range(num_q)]
 
-    def generate(attempt: int) -> McqItem | GenerationRejected:
-        response = services.gateway.complete(
-            ChatRequest(
-                system_prompt=MCQ_FORWARD_SYSTEM,
-                user_prompt=direct_mcq_user(topic.name, config.d_max, passages, variant=attempt),
-                temperature=config.temp_desc,
-                task_tag="mcq_forward",
-            )
+    def attempt(item_id: str, variant: int) -> McqItem:
+        request = ChatRequest(
+            system_prompt=MCQ_FORWARD_SYSTEM,
+            user_prompt=direct_mcq_user(topic.name, config.d_max, passages, variant=variant),
+            temperature=config.temp_desc,
+            task_tag="mcq_forward",
         )
-        try:
-            question, options, answer_key = parse_mcq_output(response.text)
-        except GenerationRejected as exc:
-            return exc
-        return McqItem(
-            id=item_ids[attempt],
-            question=question,
-            options=options,
-            answer_key=answer_key,
+        return request_mcq(
+            services.gateway,
+            request,
+            id=item_id,
             topic=topic.name,
             level=config.d_max,
             orientation="forward",
@@ -257,8 +242,8 @@ def _generate_direct_items(
             },
         )
 
-    outcomes, error = services.gateway.map(generate, range(num_q))
-    return _collect_items(item_ids, outcomes, error, result)
+    ids = [f"{slug}-L{config.d_max}-dir-{index:04d}" for index in range(num_q)]
+    return [(item_id, partial(attempt, item_id, index)) for index, item_id in enumerate(ids)]
 
 
 def validate_items(
@@ -305,11 +290,17 @@ def run_pipeline(
             result.build_report = report
             result.aborted_reason = report.aborted_reason
         result.graph = graph
-        result.items = _generate_path_items(topic, graph, config, services, num_q, result)
+        attempts = _path_attempts(topic, graph, config, services, num_q)
+        if not attempts and result.aborted_reason is None:
+            raise ConfigError(
+                f"graph has no {config.d_max}-hop paths from the seed; "
+                "increase --depth or loosen branching"
+            )
     else:
-        result.items = _generate_direct_items(
-            topic, config, services, num_q, result, with_evidence="title_check" in stage_tags
+        attempts = _direct_attempts(
+            topic, config, services, num_q, with_evidence="title_check" in stage_tags
         )
+    result.items = _generate_items(services.gateway, attempts, result)
 
     run_critic = "validate" in stage_tags if validate_flag is None else validate_flag
     if run_critic:

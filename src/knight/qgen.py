@@ -1,5 +1,9 @@
-"""Path sampling, context verbalization, MCQ prompting, and strict parsing
-of the generated six-line item format."""
+"""The MCQ item: path sampling, context verbalization, path prompts, and
+strict parsing of the generated six-line item format.
+
+``request_mcq`` is the one place an item is made from a reply: it completes
+a request, parses the reply and builds the ``McqItem``. Every mode's
+attempts go through it, path modes by way of ``generate_mcq``."""
 
 from __future__ import annotations
 
@@ -126,6 +130,14 @@ def parse_mcq_output(text: str) -> tuple[str, dict[str, str], str]:
     return question, options, answer_key
 
 
+def request_mcq(gateway: ChatGateway, request: ChatRequest, **fields) -> McqItem:
+    """Complete ``request`` and build an item from the parsed reply; ``fields``
+    are the item's fields other than the question, options and key. A reply
+    that does not parse raises ``GenerationRejected``."""
+    question, options, answer_key = parse_mcq_output(gateway.complete(request).text)
+    return McqItem(question=question, options=options, answer_key=answer_key, **fields)
+
+
 def generate_mcq(
     gateway: ChatGateway,
     path: PathSample,
@@ -163,21 +175,10 @@ def generate_mcq(
         temperature=config.temp_desc,
         task_tag="mcq_forward" if orientation == "forward" else "mcq_reverse",
     )
-    response = gateway.complete(request)
-    question, options, answer_key = parse_mcq_output(response.text)
-
-    answer_node = end if orientation == "forward" else start
-    if answer_node.name.lower() not in options[answer_key].lower():
-        raise GenerationRejected(
-            f"{orientation} item key option {options[answer_key]!r} does not "
-            f"contain the answer node name {answer_node.name!r}"
-        )
-
-    return McqItem(
+    item = request_mcq(
+        gateway,
+        request,
         id=item_id,
-        question=question,
-        options=options,
-        answer_key=answer_key,
         topic=topic or "",
         level=path.hops,
         orientation=orientation,
@@ -190,6 +191,15 @@ def generate_mcq(
             "parametric_fallback": start.parametric_fallback,
         },
     )
+
+    answer_node = end if orientation == "forward" else start
+    keyed = item.options[item.answer_key]
+    if answer_node.name.lower() not in keyed.lower():
+        raise GenerationRejected(
+            f"{orientation} item key option {keyed!r} does not "
+            f"contain the answer node name {answer_node.name!r}"
+        )
+    return item
 
 
 def sample_paths(

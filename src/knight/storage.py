@@ -36,8 +36,8 @@ def snapshot_document(
     config_echo: Mapping[str, Any] | None = None,
     report: BuildReport | None = None,
 ) -> dict:
-    """Build the snapshot payload. The build report's wall time is excluded
-    so repeated runs of a deterministic pipeline stay byte-identical."""
+    """Build the snapshot payload. It holds no timing, so repeated runs of a
+    deterministic pipeline stay byte-identical."""
     return {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "topic": topic,
@@ -60,7 +60,7 @@ def snapshot_document(
             {"head": e.head, "relation": e.relation, "tail": e.tail}
             for e in graph.sorted_edges()
         ],
-        "report": report.to_dict(include_wall_time=False) if report else None,
+        "report": report.to_dict() if report else None,
     }
 
 

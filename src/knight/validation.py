@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import random
 import re
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .config import PipelineConfig
 from .errors import ValidationParseError
@@ -50,10 +50,7 @@ class ValidationReport:
         return flags
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ValidationReport":
@@ -154,39 +151,30 @@ def validate_item(
     item_index: int,
     config: PipelineConfig,
 ) -> ValidationReport:
-    """Full validation pass for one item: rules first, then the critic when
-    the sample gate selects the item. Items failing the rules skip the
-    critic call; the conjunction is false either way. Sampled-out items get
-    true-by-default critic flags with the unvalidated marker set."""
+    """Full validation pass for one item. An item failing the rules returns
+    at once, with no critic call, as does one whose critic reply does not
+    parse (``parse_failed``); neither is kept. Otherwise the critic flags
+    come from a label-to-verdict table: the critic's reply when the sample
+    gate selects the item, else true by default (the topic flag not
+    applicable without a topic) with ``llm_skipped`` set. ``kept`` is the
+    gate over the rule and critic flags."""
     report = rule_checks(item, config.delta_option)
-    rules_ok = report.rule_four_options and report.rule_one_key and report.rule_options_distinct
-
-    if not rules_ok:
-        report.kept = False
+    if not (report.rule_four_options and report.rule_one_key and report.rule_options_distinct):
         return report
 
-    if not sample_gate(config.validation_sample_rate, item_index, config.rng_seed):
-        report.grammar_fluency = True
-        report.single_correct_key = True
-        report.option_uniqueness = True
-        report.answerable_from_source = True
-        report.topic_relevant = True if item.topic else None
+    if sample_gate(config.validation_sample_rate, item_index, config.rng_seed):
+        try:
+            verdicts = llm_validate(gateway, item, item.source_context, config)
+        except ValidationParseError as exc:
+            log.warning("critic response unparseable for %s: %s", item.id, exc)
+            report.parse_failed = True
+            return report
+    else:
+        verdicts = dict.fromkeys(VALIDATE_LABELS, True)
+        verdicts["Topic_Relevant"] = True if item.topic else None
         report.llm_skipped = True
-        report.kept = keep(report)
-        return report
 
-    try:
-        flags = llm_validate(gateway, item, item.source_context, config)
-    except ValidationParseError as exc:
-        log.warning("critic response unparseable for %s: %s", item.id, exc)
-        report.parse_failed = True
-        report.kept = False
-        return report
-
-    report.grammar_fluency = bool(flags["Grammar_Fluency"])
-    report.single_correct_key = bool(flags["Single_Correct_Key"])
-    report.option_uniqueness = bool(flags["Option_Uniqueness"])
-    report.answerable_from_source = bool(flags["Answerable_From_Source"])
-    report.topic_relevant = flags["Topic_Relevant"]
+    for name, label in zip(ValidationReport._CRITERIA, VALIDATE_LABELS):
+        setattr(report, name, verdicts[label])
     report.kept = keep(report)
     return report

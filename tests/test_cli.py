@@ -230,16 +230,18 @@ def test_env_var_overrides_config_file(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["max_branches"] == 3
 
 
-def test_run_aborted_by_backend_writes_partial_outputs(tmp_path, capsys, monkeypatch):
+def _fail_tag(monkeypatch, tag):
+    """Make every call of task tag ``tag`` raise ``AuthError`` in the
+    services the CLI builds."""
     import knight.cli as cli_mod
     from knight.errors import AuthError
 
-    class ValidateFails:
+    class TagFails:
         def __init__(self, inner):
             self.inner = inner
 
         def complete(self, request):
-            if request.task_tag == "validate":
+            if request.task_tag == tag:
                 raise AuthError("key revoked")
             return self.inner.complete(request)
 
@@ -247,10 +249,14 @@ def test_run_aborted_by_backend_writes_partial_outputs(tmp_path, capsys, monkeyp
 
     def build_failing_services(config):
         services = build_services(config)
-        services.gateway.backend = ValidateFails(services.gateway.backend)
+        services.gateway.backend = TagFails(services.gateway.backend)
         return services
 
     monkeypatch.setattr(cli_mod, "build_services", build_failing_services)
+
+
+def test_run_aborted_by_backend_writes_partial_outputs(tmp_path, capsys, monkeypatch):
+    _fail_tag(monkeypatch, "validate")
     output = tmp_path / "partial.json"
     rc = _run(
         [
@@ -265,6 +271,39 @@ def test_run_aborted_by_backend_writes_partial_outputs(tmp_path, capsys, monkeyp
     doc = json.loads((tmp_path / "partial.metrics.json").read_text(encoding="utf-8"))
     assert doc["aborted_reason"] == "AuthError: key revoked"
     assert doc["items_generated"] == 4
+
+
+def test_run_whose_build_leaves_no_path_writes_partial_outputs(tmp_path, capsys, monkeypatch):
+    _fail_tag(monkeypatch, "triples")
+    output = tmp_path / "partial.json"
+    rc = _run(
+        [
+            "run", "--topic", "Biology", "--depth", "2", "--num-q", "4",
+            "--seed", "7", "--mode", "knight", "--output", str(output),
+        ]
+    )
+    assert rc == 1
+    assert "outputs are partial: AuthError: key revoked" in capsys.readouterr().err
+    assert read_jsonl(output) == []
+    snapshot = json.loads((tmp_path / "partial.snapshot.json").read_text(encoding="utf-8"))
+    assert [node["depth"] for node in snapshot["nodes"]] == [0]
+    assert snapshot["report"]["aborted_reason"] == "AuthError: key revoked"
+    assert (tmp_path / "partial.rejects.jsonl").exists()
+    doc = json.loads((tmp_path / "partial.metrics.json").read_text(encoding="utf-8"))
+    assert doc["aborted_reason"] == "AuthError: key revoked"
+    assert (doc["attempts"], doc["items_generated"], doc["items_kept"]) == (0, 0, 0)
+
+
+def test_build_aborted_by_backend_exits_1(tmp_path, capsys, monkeypatch):
+    _fail_tag(monkeypatch, "triples")
+    output = tmp_path / "graph.json"
+    rc = _run(["build", "--topic", "Biology", "--depth", "2", "--seed", "7",
+               "--output", str(output)])
+    assert rc == 1
+    assert "outputs are partial: AuthError: key revoked" in capsys.readouterr().err
+    snapshot = json.loads(output.read_text(encoding="utf-8"))
+    assert snapshot["report"]["aborted_reason"] == "AuthError: key revoked"
+    assert (tmp_path / "graph.rejects.jsonl").exists()
 
 
 def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, monkeypatch):

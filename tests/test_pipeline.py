@@ -12,9 +12,10 @@ import pytest
 from knight.adapters import AdapterSuite
 from knight.config import PipelineConfig
 from knight.errors import AdapterError, AuthError
-from knight.gateway import ChatGateway, MockChatBackend
+from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import Topic
 from knight.pipeline import Services, run_pipeline
+from knight.qgen import path_repr
 from knight.retrieval import FixtureWikiSource
 from knight.storage import item_to_record, snapshot_document
 
@@ -216,6 +217,58 @@ def test_build_failure_is_reported_and_run_goes_on(world):
     assert result.build_report.aborted_reason == "AuthError: key revoked"
     assert result.aborted_reason == result.build_report.aborted_reason
     assert result.kept_items
+
+
+def test_build_abort_with_no_path_leaves_no_attempts(world):
+    backend = FailingBackend(MockChatBackend(world, rng_seed=7), "triples", "")
+    result, _ = _run(world, "knight", backend=backend)
+    assert result.aborted_reason == "AuthError: key revoked"
+    assert list(result.graph.nodes) == [result.graph.seed_id]
+    assert (result.attempts, result.items, result.kept_items) == (0, [], [])
+    assert result.stats is not None and result.metric_rows == []
+
+
+# A reply that lacks options B-D and the key line, so it does not parse.
+MALFORMED_MCQ = "Question: Which one?\nA) only option"
+
+
+def _planted_reject(world, mode):
+    """The first item of a baseline run, and an override that makes the
+    same attempt's reply malformed: its path text in a path mode, its
+    variation tag in a direct mode."""
+    baseline, _ = _run(world, mode)
+    item = baseline.items[3] if mode == "rag_val" else baseline.items[0]
+    if item.path is None:
+        assert item.id.endswith("-dir-0003")
+        marker = "Variation tag: 3 "
+    else:
+        marker = f'Path: "{path_repr(item.path, baseline.graph)}"'
+    tag = "mcq_forward" if item.orientation == "forward" else "mcq_reverse"
+    return baseline, item, MockOverride(tag, marker, MALFORMED_MCQ)
+
+
+@pytest.mark.parametrize("mode", ["knight", "rag_val"])
+def test_rejected_generation_costs_its_item_alone(world, mode, caplog):
+    baseline, planted, override = _planted_reject(world, mode)
+    assert baseline.generation_rejected == 0
+    runs = []
+    for max_inflight in (1, 4):
+        backend = MockChatBackend(world, rng_seed=7, overrides=[override])
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="knight.pipeline"):
+            result, services = _run(world, mode, max_inflight=max_inflight, backend=backend)
+        assert result.generation_rejected == 1
+        assert result.attempts == baseline.attempts
+        assert [item_to_record(i) for i in result.items] == [
+            item_to_record(i) for i in baseline.items if i.id != planted.id
+        ]
+        assert [i.id for i in result.kept_items] == [
+            i.id for i in baseline.kept_items if i.id != planted.id
+        ]
+        rejected = [r.getMessage() for r in caplog.records if "generation rejected" in r.getMessage()]
+        assert len(rejected) == 1 and planted.id in rejected[0]
+        runs.append(_outputs(result, services))
+    assert runs[0] == runs[1]
 
 
 def test_lookup_failure_falls_back_in_a_direct_mode(world):

@@ -61,7 +61,7 @@ def test_snapshot_roundtrip_seed_only(tmp_path):
 
 def test_snapshot_roundtrip_and_byte_stability(tmp_path):
     graph = _fixture_graph()
-    report = BuildReport(nodes_added=6, edges_added=6, wall_time_seconds=1.23)
+    report = BuildReport(nodes_added=6, edges_added=6)
     path_a = tmp_path / "a.json"
     path_b = tmp_path / "b.json"
     save_snapshot(graph, path_a, topic="Seed Topic", report=report)

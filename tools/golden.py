@@ -4,9 +4,12 @@
 
 Runs ``knight run`` on the mock backend in all five modes, for Biology and
 History, at ``max_inflight`` 1 and 4 (``--depth 2 --num-q 12 --seed 0``),
-and ``knight build --topic Biology --depth 3``. Every dataset, snapshot,
-rejects and metrics file they write goes under ``DIR`` (give an empty
-one); the listing on standard output has one ``<sha256>  <file>`` line per
+and ``knight build --topic Biology --depth 3``. On the Biology ``knight``
+run at bound 1 it then runs ``knight generate`` (plain, with
+``--validate``, and with ``--snapshot`` on that run's snapshot), and
+``knight validate`` and ``knight eval`` on that run's dataset. Every
+dataset, snapshot, rejects, metrics and report file they write goes under
+``DIR`` (give an empty one); the listing on standard output has one ``<sha256>  <file>`` line per
 file in ``DIR``, sorted by name, so two checkouts produce byte-identical
 artifacts exactly when their listings are equal (``diff`` them). Exits 1
 if any command fails.
@@ -49,7 +52,21 @@ def commands(out: Path) -> list[list[str]]:
     ]
     build = ["build", "--topic", "Biology", "--depth", "3",
              "--output", str(out / "build-biology-depth3.json")]
-    return runs + [build]
+    # Later commands read the outputs of this earlier run, so order matters.
+    dataset = str(out / "knight-biology-inflight1.jsonl")
+    snapshot = str(out / "knight-biology-inflight1.snapshot.json")
+    generate = ["generate", "--topic", "Biology", "--mode", "knight", "--depth", "2",
+                "--num-q", "12", "--seed", "0"]
+    reads = ["--depth", "2", "--seed", "0", "--input", dataset]
+    return runs + [
+        build,
+        generate + ["--output", str(out / "generate-biology.jsonl")],
+        generate + ["--validate", "--output", str(out / "generate-validate-biology.jsonl")],
+        generate + ["--snapshot", snapshot, "--output", str(out / "generate-snapshot-biology.jsonl")],
+        ["validate", *reads, "--output", str(out / "validate-knight-biology.jsonl")],
+        ["eval", *reads, "--report", str(out / "eval-knight-biology.json"),
+         "--csv", str(out / "eval-knight-biology.csv")],
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
