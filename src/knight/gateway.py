@@ -285,6 +285,7 @@ _QUOTED = {
     "val_topic": re.compile(r'Topic \(optional\): "([^"]*)"'),
 }
 
+_CRITIC_SLOT = re.compile(r"^Item (\d+)$", re.MULTILINE)
 _CONTEXT_BLOCK = re.compile(r"--- (?:Context|Evidence) ---\n(.*?)\n--- End", re.DOTALL)
 _PATH_RELS = re.compile(r"--\[([a-z0-9_]+)\]-->")
 
@@ -481,7 +482,16 @@ class MockChatBackend:
         return self._format_mcq(stem, aspect, self._distractors([aspect, topic], salt), salt % 4)
 
     def _validate(self, combined: str) -> str:
-        topic = self._slot("val_topic", combined) or ""
+        """One block per "Item N" slot of the prompt; each reads only its
+        slot's topic."""
+        parts = _CRITIC_SLOT.split(combined)
+        return "\n\n".join(
+            f"Item {number}\n{self._verdicts(slot)}"
+            for number, slot in zip(parts[1::2], parts[2::2])
+        )
+
+    def _verdicts(self, slot: str) -> str:
+        topic = self._slot("val_topic", slot) or ""
         topic_line = "YES" if topic.strip() else "N/A"
         return (
             "Grammar_Fluency: YES\n"

@@ -22,11 +22,14 @@ fixes a list of ``(item id, attempt)`` pairs before the map, and
 drops repeated questions over the returned prefix. Only the attempts differ:
 path modes call ``generate_mcq`` on sampled paths, direct modes prompt from
 the topic and any retrieved evidence; each attempt builds its prompt when it
-runs. The critic maps ``validate_item``. A ``GatewayError`` the map returns
-ends its stage with that prefix kept, goes to
-``PipelineResult.aborted_reason``, and later stages go on with what was
-finished; a build cut short before any ``d_max``-hop path exists leaves no
-attempts at all.
+runs. The critic fixes groups of up to ``CRITIC_BATCH`` consecutive items
+that share a ``source_context`` before the map, and maps ``validate_item``
+over them: one critic call per group, where a reply block that does not
+parse costs only its own item. A ``GatewayError`` the map returns ends its
+stage with that prefix kept (for the critic, the groups before the failing
+one), goes to ``PipelineResult.aborted_reason``, and later stages go on with
+what was finished; a build cut short before any ``d_max``-hop path exists
+leaves no attempts at all.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .metrics import DatasetStats, compute_dataset_stats
 from .prompts import MCQ_FORWARD_SYSTEM, direct_mcq_user
 from .qgen import McqItem, generate_mcq, request_mcq, sample_paths
 from .retrieval import FixtureWikiSource, NetworkWikiSource, WikiSource, retrieve_evidence
-from .validation import ValidationReport, validate_item
+from .validation import validate_item
 
 log = logging.getLogger(__name__)
 
@@ -246,20 +249,34 @@ def _direct_attempts(
     return [(item_id, partial(attempt, item_id, index)) for index, item_id in enumerate(ids)]
 
 
+# Items per critic call. Batch prompting (Cheng, Kasai and Yu, EMNLP 2023,
+# arXiv 2301.08721) cuts calls and tokens near-linearly in the batch size,
+# but a real model's verdicts lose some accuracy as the batch grows.
+CRITIC_BATCH = 10
+
+
 def validate_items(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> tuple[list[McqItem], GatewayError | None]:
-    """Run the critic over ``items`` through the gateway's map and set the
-    ``flags`` of the finished prefix. Returns that prefix and the map's
-    error; items after it keep the flags they had."""
+    """Run the critic over ``items`` and set the ``flags`` of the finished
+    prefix. The items are split, in order, into groups of up to
+    ``CRITIC_BATCH`` consecutive items with the same ``source_context``, and
+    the gateway maps ``validate_item`` over the groups. Returns the items of
+    the finished groups and the map's error; items after them keep the
+    flags they had."""
+    groups: list[list[McqItem]] = []
+    for item in items:
+        group = groups[-1] if groups else None
+        if group and len(group) < CRITIC_BATCH and group[0].source_context == item.source_context:
+            group.append(item)
+        else:
+            groups.append([item])
 
-    def validate(index: int) -> ValidationReport:
-        return validate_item(gateway, items[index], index, config)
-
-    reports, error = gateway.map(validate, range(len(items)))
-    for item, report in zip(items, reports):
+    reports, error = gateway.map(lambda group: validate_item(gateway, group, config), groups)
+    flags = [report for group in reports for report in group]
+    for item, report in zip(items, flags):
         item.flags = report
-    return items[: len(reports)], error
+    return items[: len(flags)], error
 
 
 def run_pipeline(

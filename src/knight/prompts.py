@@ -6,6 +6,11 @@ The output-format blocks here are load-bearing: the parsers in
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .qgen import McqItem
+
 GLOSS_HEADINGS = (
     "Definition and Scope",
     "Domains of Use",
@@ -162,7 +167,8 @@ VALIDATE_LABELS = (
 
 VALIDATE_SYSTEM = (
     "You audit four-option multiple-choice questions using only the supplied "
-    "Source Information block. Evaluate five checks:\n"
+    "Source Information block. The user numbers the items; evaluate five checks "
+    "for each:\n"
     "1. Grammar_Fluency - is the question spelled and phrased correctly and clearly?\n"
     "2. Single_Correct_Key - is exactly one option marked correct?\n"
     "3. Option_Uniqueness - are all four options distinct, with no near-duplicates?\n"
@@ -170,7 +176,8 @@ VALIDATE_SYSTEM = (
     "source block, without outside knowledge?\n"
     "5. Topic_Relevant - if a topic is given, is the question clearly about it? "
     "Use N/A when no topic is given.\n"
-    "Answer with five lines, in exactly this order and casing:\n"
+    "Answer with one numbered block per item, in item order: a line \"Item N\" "
+    "with the item's number, then five lines, in exactly this order and casing:\n"
     "Grammar_Fluency: YES|NO\n"
     "Single_Correct_Key: YES|NO\n"
     "Option_Uniqueness: YES|NO\n"
@@ -179,21 +186,23 @@ VALIDATE_SYSTEM = (
 )
 
 
-def validate_user(
-    question: str,
-    options: dict[str, str],
-    answer_key: str,
-    topic: str | None,
-    source_context: str,
-) -> str:
-    option_lines = "\n".join(f"{k}) {options[k]}" for k in sorted(options))
+def validate_user(items: list[McqItem], source_context: str) -> str:
+    """The source block first, so calls on the same source share a prompt
+    prefix, then one block per item headed "Item N", numbered from 1."""
+    blocks = []
+    for number, item in enumerate(items, start=1):
+        option_lines = "\n".join(f"{k}) {item.options[k]}" for k in sorted(item.options))
+        blocks.append(
+            f"Item {number}\n"
+            f'Question: "{item.question}"\n'
+            f"{option_lines}\n"
+            f'Correct Answer: "{item.answer_key}"\n'
+            f'Topic (optional): "{item.topic or ""}"'
+        )
     return (
-        "Evaluate the following question based only on the Source Information.\n\n"
-        f'Question: "{question}"\n'
-        f"{option_lines}\n"
-        f'Correct Answer: "{answer_key}"\n'
-        f'Topic (optional): "{topic or ""}"\n\n'
         "Source Information\n"
         f"{source_context}\n\n"
-        "Respond with exactly the five check lines."
+        "Evaluate each item below based only on the Source Information.\n\n"
+        + "\n\n".join(blocks)
+        + "\n\nRespond with one numbered block of the five check lines per item."
     )

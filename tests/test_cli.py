@@ -7,6 +7,8 @@ import pytest
 from knight.cli import main
 from knight.storage import read_jsonl
 
+from conftest import RecordingBackend
+
 
 def _run(argv):
     return main(argv)
@@ -314,24 +316,27 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
     rc = _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "8",
                "--seed", "7", "--output", str(dataset)])
     assert rc == 0 and len(read_jsonl(dataset)) == 8
+    # Items 3 and 4 are the two orientations of one path, so they share a
+    # source block and one critic call; items 0-2 form the groups before it.
+    generated = read_jsonl(dataset)
+    contexts = [r["source_context"] for r in generated]
+    assert contexts[3] == contexts[4] and len({contexts[1], contexts[2], contexts[3]}) == 3
+    failing_question = generated[4]["question"]
 
-    class FifthValidateFails:
+    class ValidateFailsOnQuestion:
         def __init__(self, inner):
             self.inner = inner
-            self.calls = 0
 
         def complete(self, request):
-            if request.task_tag == "validate":
-                self.calls += 1
-                if self.calls == 5:
-                    raise GatewayError("backend down")
+            if request.task_tag == "validate" and failing_question in request.user_prompt:
+                raise GatewayError("backend down")
             return self.inner.complete(request)
 
     build_services = cli_mod.build_services
 
     def build_failing_services(config):
         services = build_services(config)
-        services.gateway.backend = FifthValidateFails(services.gateway.backend)
+        services.gateway.backend = ValidateFailsOnQuestion(services.gateway.backend)
         return services
 
     monkeypatch.setattr(cli_mod, "build_services", build_failing_services)
@@ -341,8 +346,62 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
     assert rc == 1
     assert "outputs are partial: GatewayError: backend down" in capsys.readouterr().err
     records = read_jsonl(flagged)
-    assert [r["id"] for r in records] == [r["id"] for r in read_jsonl(dataset)][:4]
+    assert [r["id"] for r in records] == [r["id"] for r in generated][:3]
     assert all(r["validation"] is not None for r in records)
+
+
+def test_validate_groups_break_where_the_source_changes(tmp_path, monkeypatch):
+    import knight.cli as cli_mod
+    import knight.pipeline as pipeline_mod
+
+    paths, direct = tmp_path / "paths.jsonl", tmp_path / "direct.jsonl"
+    for mode, output in (("knight", paths), ("rag_val", direct)):
+        rc = _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "12",
+                   "--seed", "7", "--mode", mode, "--output", str(output)])
+        assert rc == 0
+    knight_records, rag_records = read_jsonl(paths)[:8], read_jsonl(direct)
+    assert len(rag_records) == 12
+    records = rag_records[:1] + knight_records[:3] + rag_records[1:] + knight_records[3:]
+    records[6]["topic"] = ""  # a rag_val item with no topic
+    records[16]["topic"] = "History"  # a knight item on another topic
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    row = {r["question"]: index for index, r in enumerate(records)}
+    assert len(row) == len(records)
+
+    build_services = cli_mod.build_services
+    backends = []
+
+    def build_recording_services(config):
+        services = build_services(config)
+        services.gateway.backend = RecordingBackend(services.gateway.backend)
+        backends.append(services.gateway.backend)
+        return services
+
+    monkeypatch.setattr(cli_mod, "build_services", build_recording_services)
+    batched = tmp_path / "batched.jsonl"
+    assert _run(["validate", "--input", str(mixed), "--output", str(batched)]) == 0
+    groups = [
+        [row[question] for question in row if f'Question: "{question}"' in request.user_prompt]
+        for request in backends[0].requests
+    ]
+    # One direct item; knight's first path pair and one item of its second
+    # path; ten, then one, of the eleven direct items; the other item of
+    # that second path alone, since the direct items lie between the two;
+    # then two path pairs.
+    assert [len(group) for group in groups] == [1, 2, 1, 10, 1, 1, 2, 2]
+    assert [index for group in groups for index in group] == list(range(len(records)))
+    for group in groups:
+        assert len({records[index]["source_context"] for index in group}) == 1
+
+    monkeypatch.setattr(pipeline_mod, "CRITIC_BATCH", 1)
+    single = tmp_path / "single.jsonl"
+    assert _run(["validate", "--input", str(mixed), "--output", str(single)]) == 0
+    assert len(backends[1].requests) == len(records)
+    assert read_jsonl(single) == read_jsonl(batched)
+    flags = [r["validation"] for r in read_jsonl(batched)]
+    assert [f["topic_relevant"] for f in flags].count(None) == 1
+    assert all(f["kept"] and not f["llm_skipped"] for f in flags)
 
 
 # -- graph store ----------------------------------------------------------------

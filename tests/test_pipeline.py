@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import re
 import sys
 import threading
 import time
@@ -35,9 +36,9 @@ def _services(world, max_inflight, backend=None, probe=None, seed=7):
     )
 
 
-def _run(world, mode, max_inflight=1, num_q=10, backend=None, probe=None, seed=7):
+def _run(world, mode, max_inflight=1, num_q=10, backend=None, probe=None, seed=7, **fields):
     config = PipelineConfig(
-        rng_seed=seed, d_max=2, pipeline_mode=mode, max_inflight=max_inflight
+        rng_seed=seed, d_max=2, pipeline_mode=mode, max_inflight=max_inflight, **fields
     ).validate()
     services = _services(world, max_inflight, backend=backend, probe=probe, seed=seed)
     result, services = run_pipeline(Topic("Biology"), config, num_q, services=services)
@@ -69,7 +70,10 @@ def _outputs(result, services):
 
 
 # The LLM calls per task tag on Biology, d_max 2, num_q 12, seed 0. A change
-# that adds or removes a call must update these numbers on purpose.
+# that adds or removes a call must update these numbers on purpose. The
+# critic makes one call per group of items that share a source block: the
+# forward and reverse items of one path in knight, and up to ten items of
+# the one evidence block in rag_val.
 CALL_BUDGET = {
     "knight": {
         "title_check": 2,
@@ -77,9 +81,9 @@ CALL_BUDGET = {
         "triples": 3,
         "mcq_forward": 6,
         "mcq_reverse": 6,
-        "validate": 12,
+        "validate": 6,
     },
-    "rag_val": {"title_check": 1, "mcq_forward": 12, "validate": 12},
+    "rag_val": {"title_check": 1, "mcq_forward": 12, "validate": 2},
 }
 
 
@@ -168,20 +172,28 @@ class FailingBackend:
 
 
 def test_validate_failure_keeps_items_before_it(world):
-    baseline, _ = _run(world, "knight")
-    k = 3
+    baseline, _ = _run(world, "knight", num_q=16)
+    # Items 4 and 5 are the two orientations of one path, so they share a
+    # source block and one critic group; the groups before it hold items 0-3
+    # in pairs.
+    k, first = 5, 4
+    contexts = [item.source_context for item in baseline.items]
+    assert contexts[first] == contexts[k] != contexts[first - 1]
+    groups_before = first // 2
     failing_question = baseline.items[k].question
     runs = []
     for max_inflight in (1, 4):
         backend = FailingBackend(MockChatBackend(world, rng_seed=7), "validate", failing_question)
-        result, services = _run(world, "knight", max_inflight=max_inflight, backend=backend)
+        result, services = _run(
+            world, "knight", max_inflight=max_inflight, num_q=16, backend=backend
+        )
         assert result.aborted_reason == "AuthError: key revoked"
-        assert [i.id for i in result.kept_items] == [i.id for i in baseline.kept_items[:k]]
+        assert [i.id for i in result.kept_items] == [i.id for i in baseline.kept_items[:first]]
         assert result.graph is not None and result.graph.nodes
-        # Items after the failing one are not started once it has failed;
+        # Groups after the failing one are not started once it has failed;
         # only those already in flight beside it were sent.
-        assert len(baseline.items) > k + max_inflight
-        assert backend.calls <= k + max_inflight
+        assert len(baseline.items) // 2 > groups_before + max_inflight
+        assert backend.calls <= groups_before + max_inflight
         outputs = _outputs(result, services)
         del outputs["ledger"]  # calls after the failure may already be in flight
         runs.append(outputs)
@@ -269,6 +281,104 @@ def test_rejected_generation_costs_its_item_alone(world, mode, caplog):
         assert len(rejected) == 1 and planted.id in rejected[0]
         runs.append(_outputs(result, services))
     assert runs[0] == runs[1]
+
+
+def test_sample_gate_draws_on_the_item_not_its_position(world):
+    """A rejected generation moves every later item up one place in the
+    list; each item's critic draw must not move with it."""
+    baseline, _ = _run(world, "rag_val", validation_sample_rate=0.5)
+    skipped = {item.id: item.flags.llm_skipped for item in baseline.items}
+    assert set(skipped.values()) == {True, False}
+    override = MockOverride("mcq_forward", "Variation tag: 3 ", MALFORMED_MCQ)
+    backend = MockChatBackend(world, rng_seed=7, overrides=[override])
+    result, _ = _run(world, "rag_val", backend=backend, validation_sample_rate=0.5)
+    assert result.generation_rejected == 1
+    assert len(result.items) == len(baseline.items) - 1
+    assert {item.id: item.flags.llm_skipped for item in result.items} == {
+        item.id: skipped[item.id] for item in result.items
+    }
+
+
+class CriticBlockFaults:
+    """Edits the critic's reply per item: the block of the item that asks
+    ``no_question`` answers NO on Answerable_From_Source, and the block of
+    the one that asks ``bad_question`` is dropped or garbled."""
+
+    def __init__(self, inner, no_question, bad_question, fault):
+        self.inner = inner
+        self.questions = {"no": no_question, "bad": bad_question}
+        self.fault = fault
+        self.lock = threading.Lock()
+        self.calls = 0
+
+    def complete(self, request):
+        response = self.inner.complete(request)
+        if request.task_tag != "validate":
+            return response
+        with self.lock:
+            self.calls += 1
+        slots = re.split(r"^Item (\d+)$", request.user_prompt, flags=re.MULTILINE)
+        numbers = {
+            role: number
+            for number, slot in zip(slots[1::2], slots[2::2])
+            for role, question in self.questions.items()
+            if f'Question: "{question}"' in slot
+        }
+        blocks = []
+        for block in response.text.split("\n\n"):
+            number = block.splitlines()[0].removeprefix("Item ")
+            if number == numbers.get("no"):
+                block = block.replace("Answerable_From_Source: YES", "Answerable_From_Source: NO")
+            if number == numbers.get("bad"):
+                if self.fault == "drop":
+                    continue
+                block = f"Item {number}\nGrammar_Fluency: perhaps"
+            blocks.append(block)
+        return dataclasses.replace(response, text="\n\n".join(blocks))
+
+
+@pytest.mark.parametrize("fault", ["drop", "garble"])
+def test_each_critic_block_goes_to_its_own_item(world, fault):
+    baseline, _ = _run(world, "rag_val", num_q=12)
+    assert len(baseline.items) == 12 and baseline.validation_dropped == 0
+    no_item, bad_item = baseline.items[1], baseline.items[6]
+    runs = []
+    for max_inflight in (1, 4):
+        backend = CriticBlockFaults(
+            MockChatBackend(world, rng_seed=7), no_item.question, bad_item.question, fault
+        )
+        result, services = _run(
+            world, "rag_val", max_inflight=max_inflight, num_q=12, backend=backend
+        )
+        assert backend.calls == 2  # items 0-9, then items 10 and 11
+        assert result.validation_dropped == 2
+        flags = {item.id: item.flags for item in result.items}
+        assert flags[no_item.id].answerable_from_source is False
+        assert not flags[no_item.id].parse_failed
+        assert flags[bad_item.id].parse_failed and not flags[bad_item.id].kept
+        assert [item.id for item in result.kept_items] == [
+            item.id for item in baseline.items if item not in (no_item, bad_item)
+        ]
+        assert all(
+            flags[item.id] == item.flags
+            for item in baseline.items
+            if item not in (no_item, bad_item)
+        )
+        runs.append(_outputs(result, services))
+    assert runs[0] == runs[1]
+
+
+def test_critic_prompts_start_with_the_shared_source_block(world):
+    """The evidence block all rag_val items share opens every critic prompt,
+    so a provider's prefix cache can reuse it across calls."""
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    result, _ = _run(world, "rag_val", num_q=12, backend=backend)
+    source = result.items[0].source_context
+    assert source.startswith("Evidence passages:\n")
+    assert all(item.source_context == source for item in result.items)
+    prompts = [r.user_prompt for r in backend.requests if r.task_tag == "validate"]
+    assert len(prompts) == 2
+    assert all(prompt.startswith(f"Source Information\n{source}\n\n") for prompt in prompts)
 
 
 def test_lookup_failure_falls_back_in_a_direct_mode(world):

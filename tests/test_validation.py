@@ -20,6 +20,8 @@ from knight.validation import (
     validate_item,
 )
 
+from conftest import RecordingBackend
+
 
 def _item(options=None, answer_key="A", topic="Biology", question="Which one?"):
     return McqItem(
@@ -123,9 +125,44 @@ def test_parse_wrong_label_order():
 
 def test_llm_validate_topic_na_when_absent(world, config):
     gateway = ChatGateway(MockChatBackend(world, rng_seed=1))
-    flags = llm_validate(gateway, _item(topic=""), "Path: a --[rel]--> b", config)
+    (flags,) = llm_validate(gateway, [_item(topic="")], config)
     assert flags["Topic_Relevant"] is None
     assert flags["Answerable_From_Source"] is True
+
+
+def test_llm_validate_block_faults_cost_their_item_alone(world, config):
+    no = ALL_YES.replace("Answerable_From_Source: YES", "Answerable_From_Source: NO")
+    reply = "\n".join(
+        [
+            "Here are the verdicts.",
+            "Item 1", ALL_YES,
+            "Item 2", ALL_YES,
+            "Item 2", ALL_YES,  # item 2 twice
+            "Item 3", "Grammar_Fluency: YES",  # item 3 does not parse
+            # no block for item 4
+            "**Item 5:**", no,
+            "Item 9", ALL_YES,  # no such item
+        ]
+    )
+    backend = MockChatBackend(world, rng_seed=1, overrides=[MockOverride("validate", "", reply)])
+    items = [_item(question=f"Which one, {n}?") for n in range(1, 6)]
+    outcomes = llm_validate(ChatGateway(backend), items, config)
+    assert outcomes[0] == parse_critic_response(ALL_YES)
+    assert all(isinstance(outcomes[i], ValidationParseError) for i in (1, 2, 3))
+    assert "2 blocks" in str(outcomes[1]) and "0 blocks" in str(outcomes[3])
+    assert outcomes[4]["Answerable_From_Source"] is False
+
+
+def test_llm_validate_numbers_items_after_the_source_block(world, config):
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=1))
+    items = [_item(question="First?"), _item(question="Second?", topic="")]
+    outcomes = llm_validate(ChatGateway(backend), items, config)
+    assert [flags["Topic_Relevant"] for flags in outcomes] == [True, None]
+    (request,) = backend.requests
+    prompt = request.user_prompt
+    assert prompt.startswith("Source Information\nPath: a --[rel]--> b\n\n")
+    assert prompt.index("Item 1\nQuestion: \"First?\"") < prompt.index("Item 2\nQuestion: \"Second?\"")
+    assert "Item 3" not in prompt
 
 
 # -- keep ---------------------------------------------------------------------
@@ -208,7 +245,7 @@ def test_sample_gate_bad_rate():
 
 def test_validate_item_full_pass(world, config):
     gateway = ChatGateway(MockChatBackend(world, rng_seed=1))
-    report = validate_item(gateway, _item(), 0, config)
+    (report,) = validate_item(gateway, [_item()], config)
     assert report.kept is True
     assert report.llm_skipped is False
 
@@ -216,7 +253,7 @@ def test_validate_item_full_pass(world, config):
 def test_validate_item_rule_failure_skips_critic(world, config):
     gateway = ChatGateway(MockChatBackend(world, rng_seed=1))
     item = _item(options={"A": "same", "B": "same", "C": "x", "D": "y"})
-    report = validate_item(gateway, item, 0, config)
+    (report,) = validate_item(gateway, [item], config)
     assert report.kept is False
     assert "validate" not in gateway.ledger.tags_seen()
 
@@ -224,7 +261,7 @@ def test_validate_item_rule_failure_skips_critic(world, config):
 def test_validate_item_sampled_out_marked(world):
     config = PipelineConfig(validation_sample_rate=0.0).validate()
     gateway = ChatGateway(MockChatBackend(world, rng_seed=1))
-    report = validate_item(gateway, _item(), 0, config)
+    (report,) = validate_item(gateway, [_item()], config)
     assert report.llm_skipped is True
     assert report.kept is True
     assert "validate" not in gateway.ledger.tags_seen()
@@ -235,7 +272,7 @@ def test_validate_item_critic_parse_failure_rejects(world, config):
         world, rng_seed=1, overrides=[MockOverride("validate", "Which one?", "YES YES YES")]
     )
     gateway = ChatGateway(backend)
-    report = validate_item(gateway, _item(), 0, config)
+    (report,) = validate_item(gateway, [_item()], config)
     assert report.parse_failed is True
     assert report.kept is False
 
@@ -243,9 +280,35 @@ def test_validate_item_critic_parse_failure_rejects(world, config):
 def test_validate_item_critic_no_rejects(world, config):
     bad = ALL_YES.replace("Answerable_From_Source: YES", "Answerable_From_Source: NO")
     backend = MockChatBackend(
-        world, rng_seed=1, overrides=[MockOverride("validate", "Which one?", bad)]
+        world, rng_seed=1, overrides=[MockOverride("validate", "Which one?", f"Item 1\n{bad}")]
     )
     gateway = ChatGateway(backend)
-    report = validate_item(gateway, _item(), 0, config)
+    (report,) = validate_item(gateway, [_item()], config)
     assert report.answerable_from_source is False
     assert report.kept is False
+
+
+def test_validate_item_sends_the_group_in_one_call(world, config):
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=1))
+    broken = _item(question="Broken?", options={"A": "same", "B": "same", "C": "x", "D": "y"})
+    items = [_item(question="First?"), broken, _item(question="Third?", topic="")]
+    reports = validate_item(ChatGateway(backend), items, config)
+    assert [r.kept for r in reports] == [True, False, True]
+    assert reports[1].rule_options_distinct is False and reports[1].grammar_fluency is False
+    assert reports[2].topic_relevant is None
+    (request,) = backend.requests
+    assert "Broken?" not in request.user_prompt
+    assert '"Third?"' in request.user_prompt.split("Item 2\n")[1]
+
+
+def test_validate_item_gate_draws_on_the_item_id(world):
+    config = PipelineConfig(rng_seed=7, validation_sample_rate=0.5).validate()
+    items = [_item(question=f"Which one, {n}?") for n in range(8)]
+    for n, item in enumerate(items):
+        item.id = f"item-{n}"
+    gateway = ChatGateway(MockChatBackend(world, rng_seed=1))
+    skipped = [r.llm_skipped for r in validate_item(gateway, items, config)]
+    assert skipped == [not sample_gate(0.5, item.id, 7) for item in items]
+    assert set(skipped) == {True, False}
+    tail = [r.llm_skipped for r in validate_item(gateway, items[3:], config)]
+    assert tail == skipped[3:]
