@@ -27,11 +27,13 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Protocol, TypeVar
 
 from .errors import AuthError, EmptyResponseError, GatewayError, RetriesExhaustedError
 from .fixture_world import FixtureWorld
 from .graph import normalize_name
+from .prompts import split_items
 
 log = logging.getLogger(__name__)
 
@@ -263,7 +265,11 @@ class OpenAiCompatBackend:
 @dataclass
 class MockOverride:
     """Exact-response override: fires when the tag matches and the substring
-    occurs in either prompt. Used by tests to plant adversarial replies."""
+    occurs in either prompt. Used by tests to plant adversarial replies. In
+    a prompt with "Item N" slots, a substring that occurs inside one slot
+    only replaces that slot's reply block under the mock's own header; one
+    in the shared head, in several slots or in a prompt without slots
+    replaces the whole reply."""
 
     task_tag: str
     substring: str
@@ -280,12 +286,10 @@ _QUOTED = {
     "end": re.compile(r'End Node: "([^"]+)"'),
     "topic": re.compile(r'overall topic: "([^"]+)"'),
     "direct_topic": re.compile(r'about the topic "([^"]+)"'),
-    "level": re.compile(r"at difficulty level (\d+)"),
     "variant": re.compile(r"Variation tag: (\d+)"),
     "val_topic": re.compile(r'Topic \(optional\): "([^"]*)"'),
 }
 
-_CRITIC_SLOT = re.compile(r"^Item (\d+)$", re.MULTILINE)
 _CONTEXT_BLOCK = re.compile(r"--- (?:Context|Evidence) ---\n(.*?)\n--- End", re.DOTALL)
 _PATH_RELS = re.compile(r"--\[([a-z0-9_]+)\]-->")
 
@@ -345,19 +349,33 @@ class MockChatBackend:
     # -- dispatch ---------------------------------------------------------
 
     def _dispatch(self, request: ChatRequest, combined: str) -> str:
+        numbered = request.task_tag in ("mcq_forward", "validate")
+        head, slots = split_items(combined) if numbered else (combined, [])
+        planted: dict[int, str] = {}
         for override in self.overrides:
             if override.task_tag == request.task_tag and override.substring in combined:
-                return override.response
+                hits = [number for number, slot in slots if override.substring in slot]
+                if override.substring in head or len(hits) != 1:
+                    return override.response
+                planted.setdefault(hits[0], override.response)
         if request.task_tag == "title_check":
             return self._title_check(combined)
         if request.task_tag == "gloss":
             return self._gloss(combined)
         if request.task_tag == "triples":
             return self._triples(combined)
-        if request.task_tag in ("mcq_forward", "mcq_reverse"):
+        if request.task_tag in ("mcq_forward", "mcq_reverse") and not slots:
             return self._mcq(request.task_tag, combined)
-        if request.task_tag == "validate":
-            return self._validate(combined)
+        if numbered:
+            # One block per slot, each read from the head and its own slot.
+            if request.task_tag == "validate":
+                reply = self._verdicts
+            else:
+                reply = partial(self._direct_mcq, head)
+            return "\n\n".join(
+                f"Item {number}\n{planted[number] if number in planted else reply(slot)}"
+                for number, slot in slots
+            )
         raise GatewayError(f"mock cannot serve tag {request.task_tag!r}")
 
     def _salt(self, *parts: str) -> int:
@@ -456,39 +474,31 @@ class MockChatBackend:
     def _mcq(self, tag: str, combined: str) -> str:
         start = self._slot("start", combined)
         end = self._slot("end", combined)
-        if start and end:
-            rels = _PATH_RELS.findall(self._slot("path", combined) or "")
-            rels_text = " and then ".join(r.replace("_", " ") for r in rels) or "the linking relation"
-            variant = int(self._slot("variant", combined) or 0)
-            if tag == "mcq_forward":
-                stem = _FORWARD_STEMS[variant % len(_FORWARD_STEMS)].format(start=start, rels=rels_text)
-                answer = end
-            else:
-                stem = _REVERSE_STEMS[variant % len(_REVERSE_STEMS)].format(end=end, rels=rels_text)
-                answer = start
-            salt = self._salt(tag, combined)
-            return self._format_mcq(stem, answer, self._distractors([start, end], salt), salt % 4)
-        return self._direct_mcq(combined)
-
-    def _direct_mcq(self, combined: str) -> str:
-        topic = self._slot("direct_topic", combined) or "the subject"
+        rels = _PATH_RELS.findall(self._slot("path", combined) or "")
+        rels_text = " and then ".join(r.replace("_", " ") for r in rels) or "the linking relation"
         variant = int(self._slot("variant", combined) or 0)
+        if tag == "mcq_forward":
+            stem = _FORWARD_STEMS[variant % len(_FORWARD_STEMS)].format(start=start, rels=rels_text)
+            answer = end
+        else:
+            stem = _REVERSE_STEMS[variant % len(_REVERSE_STEMS)].format(end=end, rels=rels_text)
+            answer = start
+        salt = self._salt(tag, combined)
+        return self._format_mcq(stem, answer, self._distractors([start, end], salt), salt % 4)
+
+    def _direct_mcq(self, head: str, slot: str) -> str:
+        """One direct item's reply. It reads the shared head (system prompt,
+        topic, level and evidence) and the slot's variation tag, never the
+        slot's number or the group's size."""
+        topic = self._slot("direct_topic", head) or "the subject"
+        variant = int(self._slot("variant", slot) or 0)
         entry = self.world.lookup_term(topic)
         aspects = [t[2] for t in entry.triples] if entry and entry.triples else [f"{topic} fundamentals"]
         aspect = aspects[variant % len(aspects)]
         template = _DIRECT_STEMS[(variant // len(aspects)) % len(_DIRECT_STEMS)]
         stem = template.format(topic=topic, aspect=aspect.lower())
-        salt = self._salt("direct", combined)
+        salt = self._salt("direct", head, str(variant))
         return self._format_mcq(stem, aspect, self._distractors([aspect, topic], salt), salt % 4)
-
-    def _validate(self, combined: str) -> str:
-        """One block per "Item N" slot of the prompt; each reads only its
-        slot's topic."""
-        parts = _CRITIC_SLOT.split(combined)
-        return "\n\n".join(
-            f"Item {number}\n{self._verdicts(slot)}"
-            for number, slot in zip(parts[1::2], parts[2::2])
-        )
 
     def _verdicts(self, slot: str) -> str:
         topic = self._slot("val_topic", slot) or ""

@@ -17,19 +17,20 @@ so always for a seed that passes it.
 
 Per-item work fans out through ``ChatGateway.map``, which also decides what a
 failed call costs (see ``gateway``). Every mode generates the same way: it
-fixes a list of ``(item id, attempt)`` pairs before the map, and
-``_generate_items`` maps the attempts, then counts attempts and rejects and
-drops repeated questions over the returned prefix. Only the attempts differ:
-path modes call ``generate_mcq`` on sampled paths, direct modes prompt from
-the topic and any retrieved evidence; each attempt builds its prompt when it
-runs. The critic fixes groups of up to ``CRITIC_BATCH`` consecutive items
-that share a ``source_context`` before the map, and maps ``validate_item``
-over them: one critic call per group, where a reply block that does not
-parse costs only its own item. A ``GatewayError`` the map returns ends its
-stage with that prefix kept (for the critic, the groups before the failing
-one), goes to ``PipelineResult.aborted_reason``, and later stages go on with
-what was finished; a build cut short before any ``d_max``-hop path exists
-leaves no attempts at all.
+fixes a list of attempts before the map, each carrying the ids of the items
+it makes, and ``_generate_items`` maps the attempts, then counts attempts and
+rejects per item and drops repeated questions over the returned prefix. Only
+the attempts differ: a path mode's attempt calls ``generate_mcq`` for one
+sampled path, and a direct mode's attempt asks one call for a group of up to
+``BATCH`` consecutive items over the topic and any retrieved evidence, which
+every group's prompt shares. The critic likewise fixes groups of up to
+``BATCH`` consecutive items that share a ``source_context`` before the map,
+and maps ``validate_item`` over them. In both grouped calls a reply block that
+is missing, repeated or unparseable costs only its own item. A
+``GatewayError`` the map returns costs the whole group in flight and ends its
+stage with the prefix before it kept, goes to ``PipelineResult.aborted_reason``,
+and later stages go on with what was finished; a build cut short before any
+``d_max``-hop path exists leaves no attempts at all.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .fixture_world import FixtureWorld, load_world
 from .gateway import ChatGateway, ChatRequest, MockChatBackend, OpenAiCompatBackend
 from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
-from .prompts import MCQ_FORWARD_SYSTEM, direct_mcq_user
-from .qgen import McqItem, generate_mcq, request_mcq, sample_paths
+from .prompts import DIRECT_MCQ_SYSTEM, direct_mcq_user, parse_item_blocks
+from .qgen import McqItem, generate_mcq, mcq_item, sample_paths
 from .retrieval import FixtureWikiSource, NetworkWikiSource, WikiSource, retrieve_evidence
 from .validation import validate_item
 
@@ -134,39 +135,47 @@ def _abort(result: PipelineResult, exc: GatewayError) -> None:
         log.error("backend failure, stage cut short: %s", result.aborted_reason)
 
 
-Attempt = tuple[str, Callable[[], McqItem]]
+Outcome = McqItem | GenerationRejected
+Attempt = tuple[list[str], Callable[[], list[Outcome]]]
+
+# Items per generation or critic call. Batch prompting (Cheng, Kasai and Yu,
+# EMNLP 2023, arXiv 2301.08721) cuts calls and tokens near-linearly in the
+# batch size, but a real model's answers lose some accuracy as it grows.
+BATCH = 10
 
 
 def _generate_items(
     gateway: ChatGateway, attempts: list[Attempt], result: PipelineResult
 ) -> list[McqItem]:
     """Map the attempts and apply the finished prefix of outcomes in input
-    order: count attempts and rejects and drop repeated questions. The failed
-    attempt, if any, counts as an attempt and ends the stage."""
+    order, one per item id: count attempts and rejects and drop repeated
+    questions. Each item of the failed attempt, if any, counts as an attempt,
+    and the failure ends the stage."""
 
-    def generate(attempt: Attempt) -> McqItem | GenerationRejected:
+    def generate(attempt: Attempt) -> list[Outcome]:
         try:
             return attempt[1]()
-        except GenerationRejected as exc:
-            return exc
+        except GenerationRejected as exc:  # a path attempt's one item
+            return [exc]
 
     outcomes, error = gateway.map(generate, attempts)
     items: list[McqItem] = []
     seen_questions: set[str] = set()
-    for (item_id, _), outcome in zip(attempts, outcomes):
-        result.attempts += 1
-        if isinstance(outcome, GenerationRejected):
-            result.generation_rejected += 1
-            log.warning("generation rejected (%s): %s", item_id, outcome)
-            continue
-        fingerprint = _question_fingerprint(outcome.question)
-        if fingerprint in seen_questions:
-            result.duplicates_dropped += 1
-            continue
-        seen_questions.add(fingerprint)
-        items.append(outcome)
+    for (item_ids, _), group in zip(attempts, outcomes):
+        for item_id, outcome in zip(item_ids, group):
+            result.attempts += 1
+            if isinstance(outcome, GenerationRejected):
+                result.generation_rejected += 1
+                log.warning("generation rejected (%s): %s", item_id, outcome)
+                continue
+            fingerprint = _question_fingerprint(outcome.question)
+            if fingerprint in seen_questions:
+                result.duplicates_dropped += 1
+                continue
+            seen_questions.add(fingerprint)
+            items.append(outcome)
     if error is not None:
-        result.attempts += 1
+        result.attempts += len(attempts[len(outcomes)][0])
         _abort(result, error)
     return items
 
@@ -177,11 +186,13 @@ def _path_attempts(
     """One attempt per sampled (path, orientation) pair; a pair that recurs
     is salted by how often it came before."""
 
-    def attempt(path: PathSample, orientation: str, item_id: str, variant: int) -> McqItem:
-        return generate_mcq(
-            services.gateway, path, orientation, topic.name, graph, config,
-            item_id=item_id, variant=variant,
-        )
+    def attempt(path: PathSample, orientation: str, item_id: str, variant: int) -> list[Outcome]:
+        return [
+            generate_mcq(
+                services.gateway, path, orientation, topic.name, graph, config,
+                item_id=item_id, variant=variant,
+            )
+        ]
 
     occurrences: Counter = Counter()
     slug = _slug(topic.name)
@@ -190,7 +201,9 @@ def _path_attempts(
     for index, (path, orientation) in enumerate(pairs):
         key = (tuple(path.node_ids), orientation)
         item_id = f"{slug}-L{config.d_max}-{orientation[:3]}-{index:04d}"
-        attempts.append((item_id, partial(attempt, path, orientation, item_id, occurrences[key])))
+        attempts.append(
+            ([item_id], partial(attempt, path, orientation, item_id, occurrences[key]))
+        )
         occurrences[key] += 1
     return attempts
 
@@ -198,8 +211,9 @@ def _path_attempts(
 def _direct_attempts(
     topic: Topic, config: PipelineConfig, services: Services, num_q: int, with_evidence: bool
 ) -> list[Attempt]:
-    """``num_q`` forward attempts on the topic, grounded in retrieved
-    evidence when ``with_evidence``, each salted by its index."""
+    """``num_q`` forward items on the topic, grounded in retrieved evidence
+    when ``with_evidence``, each salted by its index: one attempt, and one
+    call, per group of up to ``BATCH`` consecutive items."""
     passages: list[str] = []
     passage_ids: list[str] = []
     fallback = True
@@ -220,39 +234,39 @@ def _direct_attempts(
         else "No source information provided."
     )
     slug = _slug(topic.name)
+    fields = dict(
+        topic=topic.name,
+        level=config.d_max,
+        orientation="forward",
+        path=None,
+        source_context=source_context,
+        provenance={
+            "seed_node": slug,
+            "passage_ids": passage_ids,
+            "mixture_weights": [],
+            "parametric_fallback": fallback,
+        },
+    )
 
-    def attempt(item_id: str, variant: int) -> McqItem:
+    def attempt(item_ids: list[str], variants: range) -> list[Outcome]:
         request = ChatRequest(
-            system_prompt=MCQ_FORWARD_SYSTEM,
-            user_prompt=direct_mcq_user(topic.name, config.d_max, passages, variant=variant),
+            system_prompt=DIRECT_MCQ_SYSTEM,
+            user_prompt=direct_mcq_user(topic.name, config.d_max, passages, variants),
             temperature=config.temp_desc,
             task_tag="mcq_forward",
         )
-        return request_mcq(
-            services.gateway,
-            request,
-            id=item_id,
-            topic=topic.name,
-            level=config.d_max,
-            orientation="forward",
-            path=None,
-            source_context=source_context,
-            provenance={
-                "seed_node": slug,
-                "passage_ids": passage_ids,
-                "mixture_weights": [],
-                "parametric_fallback": fallback,
-            },
+        return parse_item_blocks(
+            services.gateway.complete(request).text,
+            [partial(mcq_item, id=item_id, **fields) for item_id in item_ids],
+            GenerationRejected,
         )
 
-    ids = [f"{slug}-L{config.d_max}-dir-{index:04d}" for index in range(num_q)]
-    return [(item_id, partial(attempt, item_id, index)) for index, item_id in enumerate(ids)]
-
-
-# Items per critic call. Batch prompting (Cheng, Kasai and Yu, EMNLP 2023,
-# arXiv 2301.08721) cuts calls and tokens near-linearly in the batch size,
-# but a real model's verdicts lose some accuracy as the batch grows.
-CRITIC_BATCH = 10
+    attempts: list[Attempt] = []
+    for start in range(0, num_q, BATCH):
+        variants = range(start, min(start + BATCH, num_q))
+        ids = [f"{slug}-L{config.d_max}-dir-{index:04d}" for index in variants]
+        attempts.append((ids, partial(attempt, ids, variants)))
+    return attempts
 
 
 def validate_items(
@@ -260,14 +274,14 @@ def validate_items(
 ) -> tuple[list[McqItem], GatewayError | None]:
     """Run the critic over ``items`` and set the ``flags`` of the finished
     prefix. The items are split, in order, into groups of up to
-    ``CRITIC_BATCH`` consecutive items with the same ``source_context``, and
+    ``BATCH`` consecutive items with the same ``source_context``, and
     the gateway maps ``validate_item`` over the groups. Returns the items of
     the finished groups and the map's error; items after them keep the
     flags they had."""
     groups: list[list[McqItem]] = []
     for item in items:
         group = groups[-1] if groups else None
-        if group and len(group) < CRITIC_BATCH and group[0].source_context == item.source_context:
+        if group and len(group) < BATCH and group[0].source_context == item.source_context:
             group.append(item)
         else:
             groups.append([item])

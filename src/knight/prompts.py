@@ -2,14 +2,55 @@
 
 The output-format blocks here are load-bearing: the parsers in
 ``synthesis``, ``qgen``, and ``validation`` expect exactly these shapes.
+The critic and direct generation share one numbered-block format: the
+prompt holds one slot per item headed by an "Item N" line, and the reply
+one block per item under the same header. ``split_items`` and
+``parse_item_blocks`` are the one place that format is read, by those
+parsers and by the mock backend alike.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import re
+from collections import Counter
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 if TYPE_CHECKING:
     from .qgen import McqItem
+
+T = TypeVar("T")
+E = TypeVar("E", bound=Exception)
+
+_ITEM_HEADER = re.compile(r"^[^\w\n]*Item\s+(\d+)[^\w\n]*$", re.IGNORECASE | re.MULTILINE)
+
+
+def split_items(text: str) -> tuple[str, list[tuple[int, str]]]:
+    """The text before the first "Item N" header line, then each header's
+    number and the block under it, in order."""
+    parts = _ITEM_HEADER.split(text)
+    return parts[0], [(int(number), block) for number, block in zip(parts[1::2], parts[2::2])]
+
+
+def parse_item_blocks(
+    text: str, parsers: list[Callable[[str], T]], error: type[E]
+) -> list[T | E]:
+    """Parse block N of a numbered reply with ``parsers[N - 1]``. A slot
+    whose block is missing, appears twice or raises ``error`` gets that
+    error in its place."""
+    blocks = split_items(text)[1]
+    found = Counter(number for number, _ in blocks)
+    bodies = dict(blocks)
+    out: list[T | E] = []
+    for number, parse in enumerate(parsers, start=1):
+        if found[number] != 1:
+            out.append(error(f"reply has {found[number]} blocks for item {number}"))
+            continue
+        try:
+            out.append(parse(bodies[number]))
+        except error as exc:
+            out.append(exc)
+    return out
+
 
 GLOSS_HEADINGS = (
     "Definition and Scope",
@@ -80,8 +121,7 @@ def triples_user(gloss_text: str) -> str:
     )
 
 
-MCQ_FORMAT_BLOCK = (
-    "Output exactly:\n"
+MCQ_LINES = (
     "Question: [single-sentence question]\n"
     "A) [option]\n"
     "B) [option]\n"
@@ -89,6 +129,8 @@ MCQ_FORMAT_BLOCK = (
     "D) [option]\n"
     "Correct Answer: [A, B, C, or D]"
 )
+
+MCQ_FORMAT_BLOCK = "Output exactly:\n" + MCQ_LINES
 
 MCQ_FORWARD_SYSTEM = (
     "You are a structured question generation system. Given a multi-hop path "
@@ -140,20 +182,37 @@ def mcq_user(
     return "\n\n".join(parts)
 
 
-def direct_mcq_user(topic: str, level: int, passages: list[str], variant: int = 0) -> str:
-    """Prompt for the KG-free modes: question from topic (and optional evidence)."""
+DIRECT_MCQ_SYSTEM = (
+    "You are a structured question generation system. The user gives a topic, "
+    "a difficulty level, optionally an evidence block, and numbered item slots. "
+    "Write one four-option multiple-choice question about the topic for each "
+    "slot, each with a single correct option; when evidence is given, every "
+    "question and key must follow from it alone. Each slot's variation tag asks "
+    "for an aspect the other items do not cover.\n"
+    "Answer with one numbered block per item, in item order: a line \"Item N\" "
+    "with the slot's number, then exactly these six lines:\n" + MCQ_LINES
+)
+
+
+def direct_mcq_user(topic: str, level: int, passages: list[str], variants: range) -> str:
+    """Prompt for the KG-free modes: one slot per variant, numbered from 1,
+    after the topic line and any evidence, so every group of a run shares
+    its prompt up to the first slot."""
     parts = [
         f'Write one four-option multiple-choice question about the topic "{topic}" '
-        f"at difficulty level {level}."
+        f"at difficulty level {level} for each numbered item below."
     ]
     if passages:
         parts.append(
-            "Base the question solely on this evidence:\n"
+            "Base the questions solely on this evidence:\n"
             "--- Evidence ---\n" + "\n\n".join(passages) + "\n--- End Evidence ---"
         )
-    if variant:
-        parts.append(f"Variation tag: {variant} (cover a different aspect than earlier items).")
-    parts.append(MCQ_FORMAT_BLOCK)
+    parts += [
+        f"Item {number}\n"
+        f"Variation tag: {variant} (cover a different aspect than earlier items)."
+        for number, variant in enumerate(variants, start=1)
+    ]
+    parts.append("Respond with one numbered block of the six item lines per item.")
     return "\n\n".join(parts)
 
 

@@ -1,9 +1,11 @@
 """The MCQ item: path sampling, context verbalization, path prompts, and
 strict parsing of the generated six-line item format.
 
-``request_mcq`` is the one place an item is made from a reply: it completes
-a request, parses the reply and builds the ``McqItem``. Every mode's
-attempts go through it, path modes by way of ``generate_mcq``."""
+``mcq_item`` is the one place an item is made from a reply block: it parses
+the block's six lines and builds the ``McqItem``. A path mode's reply is one
+block (``generate_mcq``); a direct mode's group reply is split on its
+"Item N" headers and each block goes through ``mcq_item`` on its own (see
+``prompts.parse_item_blocks``)."""
 
 from __future__ import annotations
 
@@ -130,11 +132,11 @@ def parse_mcq_output(text: str) -> tuple[str, dict[str, str], str]:
     return question, options, answer_key
 
 
-def request_mcq(gateway: ChatGateway, request: ChatRequest, **fields) -> McqItem:
-    """Complete ``request`` and build an item from the parsed reply; ``fields``
-    are the item's fields other than the question, options and key. A reply
-    that does not parse raises ``GenerationRejected``."""
-    question, options, answer_key = parse_mcq_output(gateway.complete(request).text)
+def mcq_item(block: str, **fields) -> McqItem:
+    """Build an item from one reply block; ``fields`` are the item's fields
+    other than the question, options and key. A block that does not parse
+    raises ``GenerationRejected``."""
+    question, options, answer_key = parse_mcq_output(block)
     return McqItem(question=question, options=options, answer_key=answer_key, **fields)
 
 
@@ -175,9 +177,8 @@ def generate_mcq(
         temperature=config.temp_desc,
         task_tag="mcq_forward" if orientation == "forward" else "mcq_reverse",
     )
-    item = request_mcq(
-        gateway,
-        request,
+    item = mcq_item(
+        gateway.complete(request).text,
         id=item_id,
         topic=topic or "",
         level=path.hops,

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from .config import PipelineConfig
 from .errors import ValidationParseError
 from .gateway import ChatGateway, ChatRequest
-from .prompts import VALIDATE_LABELS, VALIDATE_SYSTEM, validate_user
+from .prompts import VALIDATE_LABELS, VALIDATE_SYSTEM, parse_item_blocks, validate_user
 from .qgen import McqItem
 
 log = logging.getLogger(__name__)
@@ -119,34 +119,13 @@ def parse_critic_response(text: str) -> Verdicts:
     return out
 
 
-_ITEM_RE = re.compile(r"^[^\w\n]*Item\s+(\d+)[^\w\n]*$", re.IGNORECASE | re.MULTILINE)
-
-
-def parse_critic_blocks(text: str, count: int) -> list[Verdicts | ValidationParseError]:
-    """Split a reply into its "Item N" blocks and parse blocks 1 to ``count``
-    with ``parse_critic_response``. An item whose block is missing, appears
-    twice or does not parse gets the ``ValidationParseError`` in its place."""
-    parts = _ITEM_RE.split(text)  # text before the first header, then (N, block) pairs
-    numbers = [int(number) for number in parts[1::2]]
-    blocks = dict(zip(numbers, parts[2::2]))
-    out: list[Verdicts | ValidationParseError] = []
-    for number in range(1, count + 1):
-        found = numbers.count(number)
-        if found != 1:
-            out.append(ValidationParseError(f"reply has {found} blocks for item {number}"))
-            continue
-        try:
-            out.append(parse_critic_response(blocks[number]))
-        except ValidationParseError as exc:
-            out.append(exc)
-    return out
-
-
 def llm_validate(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> list[Verdicts | ValidationParseError]:
-    """One critic call for ``items``, which share their source block; see
-    ``parse_critic_blocks`` for what it returns."""
+    """One critic call for ``items``, which share their source block. Each
+    item's "Item N" reply block is parsed with ``parse_critic_response``; an
+    item whose block is missing, appears twice or does not parse gets the
+    ``ValidationParseError`` in its place."""
     response = gateway.complete(
         ChatRequest(
             system_prompt=VALIDATE_SYSTEM,
@@ -155,7 +134,9 @@ def llm_validate(
             task_tag="validate",
         )
     )
-    return parse_critic_blocks(response.text, len(items))
+    return parse_item_blocks(
+        response.text, [parse_critic_response] * len(items), ValidationParseError
+    )
 
 
 def keep(report: ValidationReport) -> bool:

@@ -394,7 +394,7 @@ def test_validate_groups_break_where_the_source_changes(tmp_path, monkeypatch):
     for group in groups:
         assert len({records[index]["source_context"] for index in group}) == 1
 
-    monkeypatch.setattr(pipeline_mod, "CRITIC_BATCH", 1)
+    monkeypatch.setattr(pipeline_mod, "BATCH", 1)
     single = tmp_path / "single.jsonl"
     assert _run(["validate", "--input", str(mixed), "--output", str(single)]) == 0
     assert len(backends[1].requests) == len(records)

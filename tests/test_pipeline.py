@@ -13,9 +13,11 @@ import pytest
 from knight.adapters import AdapterSuite
 from knight.config import PipelineConfig
 from knight.errors import AdapterError, AuthError
+from knight import pipeline as pipeline_mod
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import Topic
 from knight.pipeline import Services, run_pipeline
+from knight.prompts import split_items
 from knight.qgen import path_repr
 from knight.retrieval import FixtureWikiSource
 from knight.storage import item_to_record, snapshot_document
@@ -73,7 +75,8 @@ def _outputs(result, services):
 # that adds or removes a call must update these numbers on purpose. The
 # critic makes one call per group of items that share a source block: the
 # forward and reverse items of one path in knight, and up to ten items of
-# the one evidence block in rag_val.
+# the one evidence block in rag_val. Direct generation makes one call per
+# group of up to ten items, so rag_val drafts 10, then 2.
 CALL_BUDGET = {
     "knight": {
         "title_check": 2,
@@ -83,7 +86,7 @@ CALL_BUDGET = {
         "mcq_reverse": 6,
         "validate": 6,
     },
-    "rag_val": {"title_check": 1, "mcq_forward": 12, "validate": 2},
+    "rag_val": {"title_check": 1, "mcq_forward": 2, "validate": 2},
 }
 
 
@@ -201,22 +204,116 @@ def test_validate_failure_keeps_items_before_it(world):
 
 
 def test_generation_failure_keeps_items_before_it(world):
-    baseline, _ = _run(world, "rag_val")
-    k = 5
+    """Items 10-19 share one generation call; its failure costs the whole
+    group and the group after it, and the first group's ten are kept."""
+    baseline, _ = _run(world, "rag_val", num_q=25)
+    first_group = [f"biology-L2-dir-{index:04d}" for index in range(10)]
     runs = []
     for max_inflight in (1, 4):
         backend = FailingBackend(
-            MockChatBackend(world, rng_seed=7), "mcq_forward", f"Variation tag: {k} "
+            MockChatBackend(world, rng_seed=7), "mcq_forward", "Variation tag: 15 "
         )
-        result, services = _run(world, "rag_val", max_inflight=max_inflight, backend=backend)
+        result, services = _run(
+            world, "rag_val", max_inflight=max_inflight, num_q=25, backend=backend
+        )
         assert result.aborted_reason == "AuthError: key revoked"
-        assert result.attempts == k + 1
-        assert [i.id for i in result.items] == [i.id for i in baseline.items[:k]]
+        assert result.attempts == 20
+        assert [i.id for i in result.items] == [
+            i.id for i in baseline.items if i.id in first_group
+        ]
+        assert [i.id for i in result.kept_items] == first_group
         assert all(item.flags is not None for item in result.kept_items)
         outputs = _outputs(result, services)
         del outputs["ledger"]
         runs.append(outputs)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("mode", ["plain", "rag", "rag_val"])
+def test_direct_outputs_do_not_depend_on_the_group_size(world, mode, monkeypatch):
+    """Each item's reply reads only what every group shares and its own
+    variation tag, so one item per call gives the same dataset as ten."""
+    runs = []
+    for batch in (1, 10):
+        monkeypatch.setattr(pipeline_mod, "BATCH", batch)
+        for max_inflight in (1, 4):
+            backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+            result, services = _run(
+                world, mode, max_inflight=max_inflight, num_q=12, backend=backend
+            )
+            calls = sum(r.task_tag == "mcq_forward" for r in backend.requests)
+            assert calls == (12 if batch == 1 else 2)
+            outputs = _outputs(result, services)
+            del outputs["ledger"]  # prompts, and so token counts, differ
+            runs.append(outputs)
+    assert runs[0]["dataset"]
+    assert all(run == runs[0] for run in runs)
+
+
+class GenerationBlockFaults:
+    """Edits the direct generation reply per item, found by the variation
+    tag of its slot: the item's block is dropped, garbled or repeated."""
+
+    def __init__(self, inner, faults):
+        self.inner = inner
+        self.faults = faults
+
+    def complete(self, request):
+        response = self.inner.complete(request)
+        if request.task_tag != "mcq_forward":
+            return response
+        slots = split_items(request.user_prompt)[1]
+        variants = {
+            number: int(re.search(r"Variation tag: (\d+) ", slot).group(1))
+            for number, slot in slots
+        }
+        blocks = []
+        for number, block in split_items(response.text)[1]:
+            text = f"Item {number}{block}"
+            fault = self.faults.get(variants[number])
+            if fault == "drop":
+                continue
+            if fault == "garble":
+                text = f"Item {number}\nQuestion: Which one?\nA) only option"
+            blocks.append(text)
+            if fault == "repeat":
+                blocks.append(text)
+        return dataclasses.replace(response, text="\n\n".join(blocks))
+
+
+def test_each_generation_block_goes_to_its_own_item(world):
+    baseline, _ = _run(world, "rag_val", num_q=12)
+    assert baseline.duplicates_dropped == 0 and baseline.generation_rejected == 0
+    faults = {2: "drop", 5: "garble", 11: "repeat"}
+    faulted = {f"biology-L2-dir-{index:04d}" for index in faults}
+    runs = []
+    for max_inflight in (1, 4):
+        backend = GenerationBlockFaults(MockChatBackend(world, rng_seed=7), faults)
+        result, services = _run(
+            world, "rag_val", max_inflight=max_inflight, num_q=12, backend=backend
+        )
+        assert (result.attempts, result.generation_rejected) == (12, 3)
+        assert [item_to_record(i) for i in result.items] == [
+            item_to_record(i) for i in baseline.items if i.id not in faulted
+        ]
+        assert [i.id for i in result.kept_items] == [
+            i.id for i in baseline.kept_items if i.id not in faulted
+        ]
+        runs.append(_outputs(result, services))
+    assert runs[0] == runs[1]
+
+
+def test_direct_prompts_share_the_evidence_prefix(world):
+    """Every generation group of a run opens with the same instruction line
+    and evidence block, so a provider's prefix cache can reuse it."""
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    _run(world, "rag_val", num_q=25, backend=backend)
+    prompts = [r.user_prompt for r in backend.requests if r.task_tag == "mcq_forward"]
+    assert len(prompts) == 3
+    end = "\n--- End Evidence ---"
+    prefix = prompts[0][: prompts[0].index(end) + len(end)]
+    assert "--- Evidence ---\n" in prefix
+    assert all(prompt.startswith(prefix) for prompt in prompts)
 
 
 def test_build_failure_is_reported_and_run_goes_on(world):

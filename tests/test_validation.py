@@ -280,12 +280,25 @@ def test_validate_item_critic_parse_failure_rejects(world, config):
 def test_validate_item_critic_no_rejects(world, config):
     bad = ALL_YES.replace("Answerable_From_Source: YES", "Answerable_From_Source: NO")
     backend = MockChatBackend(
-        world, rng_seed=1, overrides=[MockOverride("validate", "Which one?", f"Item 1\n{bad}")]
+        world, rng_seed=1, overrides=[MockOverride("validate", "Which one?", bad)]
     )
     gateway = ChatGateway(backend)
     (report,) = validate_item(gateway, [_item()], config)
     assert report.answerable_from_source is False
     assert report.kept is False
+
+
+def test_override_inside_one_slot_answers_for_that_item_alone(world, config):
+    """An override whose substring occurs in one item's slot only replaces
+    that item's reply block; the mock still answers the others."""
+    bad = ALL_YES.replace("Answerable_From_Source: YES", "Answerable_From_Source: NO")
+    backend = MockChatBackend(
+        world, rng_seed=1, overrides=[MockOverride("validate", "Which one, 3?", bad)]
+    )
+    items = [_item(question=f"Which one, {n}?") for n in range(1, 6)]
+    reports = validate_item(ChatGateway(backend), items, config)
+    assert [r.kept for r in reports] == [True, True, False, True, True]
+    assert reports[2].answerable_from_source is False and not reports[2].parse_failed
 
 
 def test_validate_item_sends_the_group_in_one_call(world, config):
