@@ -349,7 +349,7 @@ class MockChatBackend:
     # -- dispatch ---------------------------------------------------------
 
     def _dispatch(self, request: ChatRequest, combined: str) -> str:
-        numbered = request.task_tag in ("mcq_forward", "validate")
+        numbered = request.task_tag in ("mcq_forward", "mcq_reverse", "validate")
         head, slots = split_items(combined) if numbered else (combined, [])
         planted: dict[int, str] = {}
         for override in self.overrides:
@@ -364,14 +364,14 @@ class MockChatBackend:
             return self._gloss(combined)
         if request.task_tag == "triples":
             return self._triples(combined)
-        if request.task_tag in ("mcq_forward", "mcq_reverse") and not slots:
-            return self._mcq(request.task_tag, combined)
         if numbered:
             # One block per slot, each read from the head and its own slot.
             if request.task_tag == "validate":
                 reply = self._verdicts
-            else:
+            elif self._slot("direct_topic", head):
                 reply = partial(self._direct_mcq, head)
+            else:
+                reply = partial(self._path_mcq, request.task_tag, head)
             return "\n\n".join(
                 f"Item {number}\n{planted[number] if number in planted else reply(slot)}"
                 for number, slot in slots
@@ -471,19 +471,22 @@ class MockChatBackend:
         lines.append(f"Correct Answer: {letters[key_index]}")
         return "\n".join(lines)
 
-    def _mcq(self, tag: str, combined: str) -> str:
-        start = self._slot("start", combined)
-        end = self._slot("end", combined)
-        rels = _PATH_RELS.findall(self._slot("path", combined) or "")
+    def _path_mcq(self, tag: str, head: str, slot: str) -> str:
+        """One path item's reply. It reads the shared head (system prompt and
+        topic) and the slot's own text, never the slot's number or the
+        group's size."""
+        start = self._slot("start", slot)
+        end = self._slot("end", slot)
+        rels = _PATH_RELS.findall(self._slot("path", slot) or "")
         rels_text = " and then ".join(r.replace("_", " ") for r in rels) or "the linking relation"
-        variant = int(self._slot("variant", combined) or 0)
+        variant = int(self._slot("variant", slot) or 0)
         if tag == "mcq_forward":
             stem = _FORWARD_STEMS[variant % len(_FORWARD_STEMS)].format(start=start, rels=rels_text)
             answer = end
         else:
             stem = _REVERSE_STEMS[variant % len(_REVERSE_STEMS)].format(end=end, rels=rels_text)
             answer = start
-        salt = self._salt(tag, combined)
+        salt = self._salt(tag, head, slot.strip())
         return self._format_mcq(stem, answer, self._distractors([start, end], salt), salt % 4)
 
     def _direct_mcq(self, head: str, slot: str) -> str:

@@ -20,17 +20,21 @@ failed call costs (see ``gateway``). Every mode generates the same way: it
 fixes a list of attempts before the map, each carrying the ids of the items
 it makes, and ``_generate_items`` maps the attempts, then counts attempts and
 rejects per item and drops repeated questions over the returned prefix. Only
-the attempts differ: a path mode's attempt calls ``generate_mcq`` for one
-sampled path, and a direct mode's attempt asks one call for a group of up to
-``BATCH`` consecutive items over the topic and any retrieved evidence, which
-every group's prompt shares. The critic likewise fixes groups of up to
-``BATCH`` consecutive items that share a ``source_context`` before the map,
-and maps ``validate_item`` over them. In both grouped calls a reply block that
-is missing, repeated or unparseable costs only its own item. A
-``GatewayError`` the map returns costs the whole group in flight and ends its
-stage with the prefix before it kept, goes to ``PipelineResult.aborted_reason``,
-and later stages go on with what was finished; a build cut short before any
-``d_max``-hop path exists leaves no attempts at all.
+the attempts differ. A path mode's attempt takes a window of up to ``BATCH``
+consecutive sampled (path, orientation) pairs and calls ``generate_mcq`` once
+for its forward pairs and once for its reverse pairs; a direct mode's attempt
+asks one call for a group of up to ``BATCH`` consecutive items over the topic
+and any retrieved evidence, which every group's prompt shares. Each returns
+its outcomes in its items' input order, so the two orientations of one path
+stay next to each other. The critic likewise fixes groups of up to ``BATCH``
+consecutive items that share a ``source_context`` before the map, and maps
+``validate_item`` over them. In every grouped call a reply block that is
+missing, repeated or unparseable, or in a path mode breaks the orientation
+rule, costs only its own item. A ``GatewayError`` the map returns costs the
+whole group in flight and ends its stage with the prefix before it kept,
+goes to ``PipelineResult.aborted_reason``, and later stages go on with what
+was finished; a build cut short before any ``d_max``-hop path exists leaves
+no attempts at all.
 """
 
 from __future__ import annotations
@@ -152,13 +156,7 @@ def _generate_items(
     questions. Each item of the failed attempt, if any, counts as an attempt,
     and the failure ends the stage."""
 
-    def generate(attempt: Attempt) -> list[Outcome]:
-        try:
-            return attempt[1]()
-        except GenerationRejected as exc:  # a path attempt's one item
-            return [exc]
-
-    outcomes, error = gateway.map(generate, attempts)
+    outcomes, error = gateway.map(lambda attempt: attempt[1](), attempts)
     items: list[McqItem] = []
     seen_questions: set[str] = set()
     for (item_ids, _), group in zip(attempts, outcomes):
@@ -183,29 +181,34 @@ def _generate_items(
 def _path_attempts(
     topic: Topic, graph: KnowledgeGraph, config: PipelineConfig, services: Services, num_q: int
 ) -> list[Attempt]:
-    """One attempt per sampled (path, orientation) pair; a pair that recurs
-    is salted by how often it came before."""
+    """The sampled (path, orientation) pairs, in order, in windows of up to
+    ``BATCH``: one attempt per window, which makes one call for its forward
+    slots and one for its reverse slots and returns the outcomes in the
+    window's order. A pair that recurs is salted by how often it came before."""
 
-    def attempt(path: PathSample, orientation: str, item_id: str, variant: int) -> list[Outcome]:
-        return [
-            generate_mcq(
-                services.gateway, path, orientation, topic.name, graph, config,
-                item_id=item_id, variant=variant,
-            )
-        ]
+    def attempt(window: list[tuple[str, tuple[PathSample, str, int]]]) -> list[Outcome]:
+        outcomes: dict[str, Outcome] = {}
+        for orientation in ("forward", "reverse"):
+            slots = [slot for o, slot in window if o == orientation]
+            if slots:
+                made = generate_mcq(services.gateway, slots, orientation, topic.name, graph, config)
+                outcomes.update(zip([item_id for _, item_id, _ in slots], made))
+        return [outcomes[item_id] for _, (_, item_id, _) in window]
 
     occurrences: Counter = Counter()
     slug = _slug(topic.name)
-    attempts: list[Attempt] = []
-    pairs = sample_paths(graph, graph.seed_id, config.d_max, num_q, config.rng_seed)
-    for index, (path, orientation) in enumerate(pairs):
+    pairs = []
+    for index, (path, orientation) in enumerate(
+        sample_paths(graph, graph.seed_id, config.d_max, num_q, config.rng_seed)
+    ):
         key = (tuple(path.node_ids), orientation)
         item_id = f"{slug}-L{config.d_max}-{orientation[:3]}-{index:04d}"
-        attempts.append(
-            ([item_id], partial(attempt, path, orientation, item_id, occurrences[key]))
-        )
+        pairs.append((orientation, (path, item_id, occurrences[key])))
         occurrences[key] += 1
-    return attempts
+    windows = [pairs[start : start + BATCH] for start in range(0, len(pairs), BATCH)]
+    return [
+        ([item_id for _, (_, item_id, _) in window], partial(attempt, window)) for window in windows
+    ]
 
 
 def _direct_attempts(

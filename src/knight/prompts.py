@@ -2,11 +2,11 @@
 
 The output-format blocks here are load-bearing: the parsers in
 ``synthesis``, ``qgen``, and ``validation`` expect exactly these shapes.
-The critic and direct generation share one numbered-block format: the
+The critic and every generation call share one numbered-block format: the
 prompt holds one slot per item headed by an "Item N" line, and the reply
-one block per item under the same header. ``split_items`` and
-``parse_item_blocks`` are the one place that format is read, by those
-parsers and by the mock backend alike.
+one block per item under the same header, as ``numbered_reply`` asks.
+``split_items`` and ``parse_item_blocks`` are the one place that format is
+read, by those parsers and by the mock backend alike.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 if TYPE_CHECKING:
+    from .graph import Node
     from .qgen import McqItem
 
 T = TypeVar("T")
@@ -50,6 +51,15 @@ def parse_item_blocks(
         except error as exc:
             out.append(exc)
     return out
+
+
+def numbered_reply(slot: str, lines: str) -> str:
+    """The one instruction for a numbered reply: a block per item, each
+    under an "Item N" line with its ``slot``'s number, then ``lines``."""
+    return (
+        'Answer with one numbered block per item, in item order: a line "Item N" '
+        f"with the {slot}'s number, then {lines}:\n"
+    )
 
 
 GLOSS_HEADINGS = (
@@ -130,55 +140,48 @@ MCQ_LINES = (
     "Correct Answer: [A, B, C, or D]"
 )
 
-MCQ_FORMAT_BLOCK = "Output exactly:\n" + MCQ_LINES
+MCQ_REPLY = numbered_reply("slot", "exactly these six lines") + MCQ_LINES
 
 MCQ_FORWARD_SYSTEM = (
-    "You are a structured question generation system. Given a multi-hop path "
-    "from a knowledge graph plus node descriptions, write one multiple-choice "
-    "question whose answer is the path's end node. The question must require "
-    "reasoning across the hops, and the answer must be implied by the path "
-    "and descriptions."
+    "You are a structured question generation system. Each numbered item slot "
+    "gives a multi-hop path from a knowledge graph plus node descriptions; for "
+    "each slot, write one four-option (A-D) multiple-choice question whose single "
+    "correct option is the path's end node. The question must require reasoning "
+    "across the hops, and the answer must be implied by the path and "
+    "descriptions.\n" + MCQ_REPLY
 )
 
 MCQ_REVERSE_SYSTEM = (
     "You are a reasoning assistant that writes reverse questions from "
-    "knowledge graph paths: the correct answer is the path's start node. "
-    "Frame the question from the end node's perspective, reasoning backward "
-    "along the hops."
+    "knowledge graph paths, one per numbered item slot: a four-option (A-D) "
+    "multiple-choice question whose single correct option is the path's start "
+    "node. Frame each question from the end node's perspective, reasoning "
+    "backward along the hops.\n" + MCQ_REPLY
 )
 
 
-def mcq_user(
-    orientation: str,
-    path_repr: str,
-    start_node: str,
-    start_desc: str,
-    end_node: str,
-    end_desc: str,
-    topic: str | None,
-    variant: int = 0,
+def path_mcq_user(
+    orientation: str, topic: str | None, slots: list[tuple[str, Node, Node, int]]
 ) -> str:
-    answer_node = end_node if orientation == "forward" else start_node
+    """Prompt for the path modes: the topic line, then one slot per (path,
+    start node, end node, variant), numbered from 1, so every call of one
+    orientation shares its prompt up to the first slot."""
     parts = []
     if topic:
         parts.append(
-            f'IMPORTANT: the question and options must stay on the overall topic: "{topic}".'
+            f'IMPORTANT: the questions and options must stay on the overall topic: "{topic}".'
         )
-    parts.append(
-        "Generate for the following:\n"
-        f'Path: "{path_repr}"\n'
-        f'Start Node: "{start_node}"\n'
-        f'Description: "{start_desc}"\n'
-        f'End Node: "{end_node}"\n'
-        f'Description: "{end_desc}"'
-    )
-    parts.append(
-        "You MUST produce exactly four options (A, B, C, D) with a single "
-        f'correct answer key, and the correct option must contain the text "{answer_node}".'
-    )
-    if variant:
-        parts.append(f"Variation tag: {variant} (phrase this item differently from earlier ones).")
-    parts.append(MCQ_FORMAT_BLOCK)
+    for number, (path, start, end, variant) in enumerate(slots, start=1):
+        answer = end if orientation == "forward" else start
+        slot = (
+            f'Item {number}\nPath: "{path}"\n'
+            f'Start Node: "{start.name}"\nDescription: "{start.gloss or start.name}"\n'
+            f'End Node: "{end.name}"\nDescription: "{end.gloss or end.name}"\n'
+            f'The correct option must contain the text "{answer.name}".'
+        )
+        if variant:
+            slot += f"\nVariation tag: {variant} (phrase this item differently from earlier ones)."
+        parts.append(slot)
     return "\n\n".join(parts)
 
 
@@ -188,9 +191,7 @@ DIRECT_MCQ_SYSTEM = (
     "Write one four-option multiple-choice question about the topic for each "
     "slot, each with a single correct option; when evidence is given, every "
     "question and key must follow from it alone. Each slot's variation tag asks "
-    "for an aspect the other items do not cover.\n"
-    "Answer with one numbered block per item, in item order: a line \"Item N\" "
-    "with the slot's number, then exactly these six lines:\n" + MCQ_LINES
+    "for an aspect the other items do not cover.\n" + MCQ_REPLY
 )
 
 
@@ -235,9 +236,8 @@ VALIDATE_SYSTEM = (
     "source block, without outside knowledge?\n"
     "5. Topic_Relevant - if a topic is given, is the question clearly about it? "
     "Use N/A when no topic is given.\n"
-    "Answer with one numbered block per item, in item order: a line \"Item N\" "
-    "with the item's number, then five lines, in exactly this order and casing:\n"
-    "Grammar_Fluency: YES|NO\n"
+    + numbered_reply("item", "five lines, in exactly this order and casing")
+    + "Grammar_Fluency: YES|NO\n"
     "Single_Correct_Key: YES|NO\n"
     "Option_Uniqueness: YES|NO\n"
     "Answerable_From_Source: YES|NO\n"

@@ -2,10 +2,10 @@
 strict parsing of the generated six-line item format.
 
 ``mcq_item`` is the one place an item is made from a reply block: it parses
-the block's six lines and builds the ``McqItem``. A path mode's reply is one
-block (``generate_mcq``); a direct mode's group reply is split on its
-"Item N" headers and each block goes through ``mcq_item`` on its own (see
-``prompts.parse_item_blocks``)."""
+the block's six lines and builds the ``McqItem``. Every generation reply is a
+group: a path mode's (``generate_mcq``, one orientation per call) and a
+direct mode's alike are split on their "Item N" headers, and each block goes
+through ``mcq_item`` on its own (see ``prompts.parse_item_blocks``)."""
 
 from __future__ import annotations
 
@@ -13,13 +13,13 @@ import logging
 import random
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .config import PipelineConfig
 from .errors import GenerationRejected
 from .gateway import ChatGateway, ChatRequest
 from .graph import KnowledgeGraph, PathSample, enumerate_paths
-from .prompts import MCQ_FORWARD_SYSTEM, MCQ_REVERSE_SYSTEM, mcq_user
+from .prompts import MCQ_FORWARD_SYSTEM, MCQ_REVERSE_SYSTEM, parse_item_blocks, path_mcq_user
 
 if TYPE_CHECKING:
     from .validation import ValidationReport
@@ -142,65 +142,72 @@ def mcq_item(block: str, **fields) -> McqItem:
 
 def generate_mcq(
     gateway: ChatGateway,
-    path: PathSample,
+    slots: list[tuple[PathSample, str, int]],
     orientation: str,
     topic: str | None,
     graph: KnowledgeGraph,
     config: PipelineConfig,
-    item_id: str,
-    variant: int = 0,
-) -> McqItem:
-    """Prompt for one item over ``path`` and enforce the orientation rule:
-    the keyed option must contain the answer node's name (end node when
-    forward, start node when reverse); violations are rejected, not
-    repaired."""
-    if path.hops < 1:
-        raise GenerationRejected("paths must have at least one hop")
+) -> list[McqItem | GenerationRejected]:
+    """Prompt in one call for one item per (path, item id, variant) slot, all
+    of one orientation, and return one outcome per slot. Each item must keep
+    the orientation rule: the keyed option must contain the answer node's
+    name (end node when forward, start node when reverse). A block that is
+    missing, repeated, unparseable or breaks the rule is rejected, not
+    repaired, and costs only its own item."""
     if orientation not in ("forward", "reverse"):
-        raise GenerationRejected(f"unknown orientation {orientation!r}")
+        raise ValueError(f"unknown orientation {orientation!r}")
+    if any(path.hops < 1 for path, _, _ in slots):
+        raise ValueError("paths must have at least one hop")
 
-    start = graph.nodes[path.node_ids[0]]
-    end = graph.nodes[path.node_ids[-1]]
-    context = verbalize(path, graph)
+    def parser(path: PathSample, item_id: str) -> Callable[[str], McqItem]:
+        start = graph.nodes[path.node_ids[0]]
+        answer = graph.nodes[path.node_ids[-1]] if orientation == "forward" else start
+        fields = dict(
+            id=item_id,
+            topic=topic or "",
+            level=path.hops,
+            orientation=orientation,
+            path=PathSample(list(path.node_ids), list(path.relations), orientation),
+            source_context=verbalize(path, graph),
+            provenance={
+                "seed_node": path.node_ids[0],
+                "passage_ids": list(start.provenance),
+                "mixture_weights": list(start.retrieval_weights),
+                "parametric_fallback": start.parametric_fallback,
+            },
+        )
+
+        def parse(block: str) -> McqItem:
+            item = mcq_item(block, **fields)
+            keyed = item.options[item.answer_key]
+            if answer.name.lower() not in keyed.lower():
+                raise GenerationRejected(
+                    f"{orientation} item key option {keyed!r} does not "
+                    f"contain the answer node name {answer.name!r}"
+                )
+            return item
+
+        return parse
+
     request = ChatRequest(
         system_prompt=MCQ_FORWARD_SYSTEM if orientation == "forward" else MCQ_REVERSE_SYSTEM,
-        user_prompt=mcq_user(
+        user_prompt=path_mcq_user(
             orientation,
-            path_repr(path, graph),
-            start.name,
-            start.gloss or start.name,
-            end.name,
-            end.gloss or end.name,
             topic,
-            variant,
+            [
+                (path_repr(path, graph), graph.nodes[path.node_ids[0]],
+                 graph.nodes[path.node_ids[-1]], variant)
+                for path, _, variant in slots
+            ],
         ),
         temperature=config.temp_desc,
         task_tag="mcq_forward" if orientation == "forward" else "mcq_reverse",
     )
-    item = mcq_item(
+    return parse_item_blocks(
         gateway.complete(request).text,
-        id=item_id,
-        topic=topic or "",
-        level=path.hops,
-        orientation=orientation,
-        path=PathSample(list(path.node_ids), list(path.relations), orientation),
-        source_context=context,
-        provenance={
-            "seed_node": path.node_ids[0],
-            "passage_ids": list(start.provenance),
-            "mixture_weights": list(start.retrieval_weights),
-            "parametric_fallback": start.parametric_fallback,
-        },
+        [parser(path, item_id) for path, item_id, _ in slots],
+        GenerationRejected,
     )
-
-    answer_node = end if orientation == "forward" else start
-    keyed = item.options[item.answer_key]
-    if answer_node.name.lower() not in keyed.lower():
-        raise GenerationRejected(
-            f"{orientation} item key option {keyed!r} does not "
-            f"contain the answer node name {answer_node.name!r}"
-        )
-    return item
 
 
 def sample_paths(

@@ -308,9 +308,8 @@ def test_criterion_07_orientation_invariant(world):
         key = (tuple(path.node_ids), orientation)
         variant = occurrences.get(key, 0)
         occurrences[key] = variant + 1
-        item = generate_mcq(
-            gateway, path, orientation, "Biology", graph, config,
-            item_id=f"x{index}", variant=variant,
+        [item] = generate_mcq(
+            gateway, [(path, f"x{index}", variant)], orientation, "Biology", graph, config
         )
         answer_id = path.node_ids[-1] if orientation == "forward" else path.node_ids[0]
         answer_name = graph.nodes[answer_id].name.lower()
@@ -326,8 +325,9 @@ def test_criterion_07_orientation_invariant(world):
         MockChatBackend(world, rng_seed=3, overrides=[MockOverride("mcq_forward", "Path:", bad)])
     )
     path, orientation = pairs[0]
-    with pytest.raises(GenerationRejected):
-        generate_mcq(bad_gateway, path, "forward", "Biology", graph, config, item_id="bad")
+    [outcome] = generate_mcq(bad_gateway, [(path, "bad", 0)], "forward", "Biology", graph, config)
+    assert isinstance(outcome, GenerationRejected)
+    assert "does not contain the answer node name" in str(outcome)
     _report(7, "500/500 items satisfy the key-placement rule; violations rejected")
 
 

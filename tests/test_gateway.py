@@ -50,7 +50,7 @@ def test_mock_determinism(world):
 
 def test_mock_seed_changes_mcq_shape(world):
     user = (
-        'Path: "A --[links_to]--> B"\nStart Node: "Genetics"\nDescription: "d"\n'
+        'Item 1\nPath: "A --[links_to]--> B"\nStart Node: "Genetics"\nDescription: "d"\n'
         'End Node: "Heredity"\nDescription: "d"'
     )
     req = ChatRequest(system_prompt="s", user_prompt=user, temperature=0.4, task_tag="mcq_forward")

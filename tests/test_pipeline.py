@@ -76,14 +76,16 @@ def _outputs(result, services):
 # critic makes one call per group of items that share a source block: the
 # forward and reverse items of one path in knight, and up to ten items of
 # the one evidence block in rag_val. Direct generation makes one call per
-# group of up to ten items, so rag_val drafts 10, then 2.
+# group of up to ten items, so rag_val drafts 10, then 2. Path generation
+# makes one call per orientation per window of up to ten sampled pairs, so
+# knight's 12 pairs take two windows and four calls.
 CALL_BUDGET = {
     "knight": {
         "title_check": 2,
         "gloss": 5,
         "triples": 3,
-        "mcq_forward": 6,
-        "mcq_reverse": 6,
+        "mcq_forward": 2,
+        "mcq_reverse": 2,
         "validate": 6,
     },
     "rag_val": {"title_check": 1, "mcq_forward": 2, "validate": 2},
@@ -141,8 +143,10 @@ class PeakBackend:
 
 @pytest.mark.parametrize("max_inflight, overlaps", [(1, False), (2, True)])
 def test_generation_and_critic_calls_overlap(world, max_inflight, overlaps):
+    """At num_q 20 the sampled pairs fill two generation windows, whose calls
+    may run side by side; one window's two calls run in series."""
     backend = PeakBackend(MockChatBackend(world, rng_seed=7))
-    _run(world, "knight", max_inflight=max_inflight, backend=backend)
+    _run(world, "knight", max_inflight=max_inflight, num_q=20, backend=backend)
     if overlaps:
         assert backend.peak["mcq"] > 1
         assert backend.peak["validate"] > 1
@@ -251,8 +255,9 @@ def test_direct_outputs_do_not_depend_on_the_group_size(world, mode, monkeypatch
 
 
 class GenerationBlockFaults:
-    """Edits the direct generation reply per item, found by the variation
-    tag of its slot: the item's block is dropped, garbled or repeated."""
+    """Edits a generation reply per item, found by its task tag and a marker
+    text in its slot: the item's block is dropped, garbled, repeated, or
+    keyed on another option."""
 
     def __init__(self, inner, faults):
         self.inner = inner
@@ -260,21 +265,26 @@ class GenerationBlockFaults:
 
     def complete(self, request):
         response = self.inner.complete(request)
-        if request.task_tag != "mcq_forward":
+        if not request.task_tag.startswith("mcq_"):
             return response
-        slots = split_items(request.user_prompt)[1]
-        variants = {
-            number: int(re.search(r"Variation tag: (\d+) ", slot).group(1))
-            for number, slot in slots
+        faults = {
+            number: fault
+            for number, slot in split_items(request.user_prompt)[1]
+            for (tag, marker), fault in self.faults.items()
+            if tag == request.task_tag and marker in slot
         }
         blocks = []
         for number, block in split_items(response.text)[1]:
             text = f"Item {number}{block}"
-            fault = self.faults.get(variants[number])
+            fault = faults.get(number)
             if fault == "drop":
                 continue
             if fault == "garble":
                 text = f"Item {number}\nQuestion: Which one?\nA) only option"
+            if fault == "rekey":
+                key = re.search(r"Correct Answer: ([A-D])", text).group(1)
+                other = "B" if key == "A" else "A"
+                text = text.replace(f"Correct Answer: {key}", f"Correct Answer: {other}")
             blocks.append(text)
             if fault == "repeat":
                 blocks.append(text)
@@ -286,9 +296,12 @@ def test_each_generation_block_goes_to_its_own_item(world):
     assert baseline.duplicates_dropped == 0 and baseline.generation_rejected == 0
     faults = {2: "drop", 5: "garble", 11: "repeat"}
     faulted = {f"biology-L2-dir-{index:04d}" for index in faults}
+    markers = {
+        ("mcq_forward", f"Variation tag: {index} "): fault for index, fault in faults.items()
+    }
     runs = []
     for max_inflight in (1, 4):
-        backend = GenerationBlockFaults(MockChatBackend(world, rng_seed=7), faults)
+        backend = GenerationBlockFaults(MockChatBackend(world, rng_seed=7), markers)
         result, services = _run(
             world, "rag_val", max_inflight=max_inflight, num_q=12, backend=backend
         )
@@ -314,6 +327,106 @@ def test_direct_prompts_share_the_evidence_prefix(world):
     prefix = prompts[0][: prompts[0].index(end) + len(end)]
     assert "--- Evidence ---\n" in prefix
     assert all(prompt.startswith(prefix) for prompt in prompts)
+
+
+@pytest.mark.parametrize("mode", ["knight", "rag_kg"])
+def test_path_outputs_do_not_depend_on_the_group_size(world, mode, monkeypatch):
+    """Each path item's reply reads only its orientation's shared head and
+    its own slot, so one pair per window gives the same dataset as ten."""
+    runs = []
+    for batch in (1, 10):
+        monkeypatch.setattr(pipeline_mod, "BATCH", batch)
+        for max_inflight in (1, 4):
+            backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+            result, services = _run(
+                world, mode, max_inflight=max_inflight, num_q=12, backend=backend
+            )
+            calls = sum(r.task_tag.startswith("mcq_") for r in backend.requests)
+            assert calls == (12 if batch == 1 else 4)
+            outputs = _outputs(result, services)
+            del outputs["ledger"]  # prompts, and so token counts, differ
+            runs.append(outputs)
+    assert runs[0]["dataset"]
+    assert all(run == runs[0] for run in runs)
+
+
+def test_each_path_block_goes_to_its_own_item(world):
+    """In knight's first window, one reverse block is dropped, one forward
+    block garbled, and one reverse block keyed on an option that is not the
+    start node; each costs only its own item."""
+    baseline, _ = _run(world, "knight", num_q=12)
+    assert baseline.duplicates_dropped == 0 and baseline.generation_rejected == 0
+    pairs = Counter((i.orientation, tuple(i.path.node_ids)) for i in baseline.items)
+    planted = {3: "drop", 4: "garble", 7: "rekey"}
+    markers = {}
+    for index, fault in planted.items():
+        item = baseline.items[index]
+        assert pairs[item.orientation, tuple(item.path.node_ids)] == 1
+        tag = "mcq_forward" if item.orientation == "forward" else "mcq_reverse"
+        markers[tag, f'Path: "{path_repr(item.path, baseline.graph)}"'] = fault
+    faulted = {baseline.items[index].id for index in planted}
+    runs = []
+    for max_inflight in (1, 4):
+        backend = GenerationBlockFaults(MockChatBackend(world, rng_seed=7), markers)
+        result, services = _run(
+            world, "knight", max_inflight=max_inflight, num_q=12, backend=backend
+        )
+        assert (result.attempts, result.generation_rejected) == (12, 3)
+        assert [item_to_record(i) for i in result.items] == [
+            item_to_record(i) for i in baseline.items if i.id not in faulted
+        ]
+        assert [i.id for i in result.kept_items] == [
+            i.id for i in baseline.kept_items if i.id not in faulted
+        ]
+        runs.append(_outputs(result, services))
+    assert runs[0] == runs[1]
+
+
+def test_path_generation_failure_costs_its_window(world):
+    """At num_q 25 the ten distinct pairs recur: only the second window
+    (items 10-19) carries variation tag 1. Its reverse call fails, which
+    costs the whole window, its forward items included, and the stage; the
+    first window's ten are kept."""
+    baseline, _ = _run(world, "knight", num_q=25)
+    first_window = [item.id for item in baseline.items[:10]]
+    assert first_window == [
+        f"biology-L2-{'for' if index % 2 == 0 else 'rev'}-{index:04d}" for index in range(10)
+    ]
+    runs = []
+    for max_inflight in (1, 4):
+        backend = FailingBackend(
+            MockChatBackend(world, rng_seed=7), "mcq_reverse", "Variation tag: 1 "
+        )
+        result, services = _run(
+            world, "knight", max_inflight=max_inflight, num_q=25, backend=backend
+        )
+        assert result.aborted_reason == "AuthError: key revoked"
+        assert result.attempts == 20
+        assert [item_to_record(i) for i in result.items] == [
+            item_to_record(i) for i in baseline.items[:10]
+        ]
+        assert [i.id for i in result.kept_items] == first_window
+        outputs = _outputs(result, services)
+        del outputs["ledger"]
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+
+
+def test_path_prompts_share_their_head_up_to_the_first_item(world):
+    """Every path-generation call of one orientation opens with the same
+    system prompt and topic line, so a provider's prefix cache can reuse it."""
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    _run(world, "knight", num_q=25, backend=backend)
+    for tag in ("mcq_forward", "mcq_reverse"):
+        requests = [r for r in backend.requests if r.task_tag == tag]
+        assert len(requests) == 3
+        heads = {
+            (r.system_prompt, r.user_prompt[: r.user_prompt.index("Item 1\n")])
+            for r in requests
+        }
+        assert len(heads) == 1
+        [(_, head)] = heads
+        assert head.startswith("IMPORTANT: ") and '"Biology"' in head
 
 
 def test_build_failure_is_reported_and_run_goes_on(world):

@@ -161,7 +161,7 @@ def test_parse_format_roundtrip():
 def test_forward_item_key_is_pharmacology(world, gateway, config):
     graph = _bio_l1_graph(world)
     path = PathSample([graph.seed_id, "pharmacology"], ["includes"])
-    item = generate_mcq(gateway, path, "forward", "Biology", graph, config, item_id="t1")
+    [item] = generate_mcq(gateway, [(path, "t1", 0)], "forward", "Biology", graph, config)
     assert item.options[item.answer_key] == "Pharmacology"
     assert item.level == 1
     assert item.orientation == "forward"
@@ -170,7 +170,7 @@ def test_forward_item_key_is_pharmacology(world, gateway, config):
 def test_reverse_item_key_contains_start(world, gateway, config):
     graph = _bio_l1_graph(world)
     path = PathSample([graph.seed_id, "pharmacology"], ["includes"])
-    item = generate_mcq(gateway, path, "reverse", "Biology", graph, config, item_id="t2")
+    [item] = generate_mcq(gateway, [(path, "t2", 0)], "reverse", "Biology", graph, config)
     assert "medicine & biology" in item.options[item.answer_key].lower()
     assert item.orientation == "reverse"
 
@@ -178,8 +178,8 @@ def test_reverse_item_key_contains_start(world, gateway, config):
 def test_both_orientations_share_path(world, gateway, config):
     graph = _bio_l1_graph(world)
     path = PathSample([graph.seed_id, "pharmacology"], ["includes"])
-    fwd = generate_mcq(gateway, path, "forward", "Biology", graph, config, item_id="f")
-    rev = generate_mcq(gateway, path, "reverse", "Biology", graph, config, item_id="r")
+    [fwd] = generate_mcq(gateway, [(path, "f", 0)], "forward", "Biology", graph, config)
+    [rev] = generate_mcq(gateway, [(path, "r", 0)], "reverse", "Biology", graph, config)
     assert fwd.path.node_ids == rev.path.node_ids
     assert fwd.question != rev.question
 
@@ -195,8 +195,9 @@ def test_orientation_violation_rejected(world, config):
     gateway = ChatGateway(backend)
     graph = _bio_l1_graph(world)
     path = PathSample([graph.seed_id, "pharmacology"], ["includes"])
-    with pytest.raises(GenerationRejected):
-        generate_mcq(gateway, path, "forward", "Biology", graph, config, item_id="bad")
+    [outcome] = generate_mcq(gateway, [(path, "bad", 0)], "forward", "Biology", graph, config)
+    assert isinstance(outcome, GenerationRejected)
+    assert "does not contain the answer node name" in str(outcome)
 
 
 def test_item_invariants():
