@@ -1,8 +1,9 @@
 """Auxiliary scoring adapters: embeddings, NLI, ontology typing, content
 policy, grammar checking, and the answer probe.
 
-Each has a deterministic fixture-backed implementation. Pipelines depend
-only on the protocols.
+Pipelines depend only on the protocols. ``FixtureWorld`` implements the
+embedding, NLI, ontology and policy protocols itself; grammar and the probe
+have the deterministic mocks below.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .fixture_world import FixtureWorld
-from .graph import normalize_name
 
 
 class EmbeddingAdapter(Protocol):
@@ -43,46 +43,7 @@ class ProbeAdapter(Protocol):
     def logits(self, question: str, options: dict[str, str], answer_key: str, level: int) -> tuple[float, float, float, float]: ...
 
 
-# -- fixture-backed mocks ---------------------------------------------------
-
-
-class FixtureEmbedding:
-    def __init__(self, world: FixtureWorld):
-        self.world = world
-
-    def cosine(self, a: str, b: str) -> float:
-        return self.world.cosine(a, b)
-
-
-class FixtureNli:
-    def __init__(self, world: FixtureWorld):
-        self.world = world
-
-    def entailment(self, premise: str, hypothesis: str) -> float:
-        return self.world.entailment(premise, hypothesis)
-
-
-class FixtureOntology:
-    def __init__(self, world: FixtureWorld):
-        self.world = world
-
-    def type_ok(self, relation: str, tail: str) -> bool | None:
-        allowed = self.world.relation_types.get(relation)
-        if allowed is None:
-            return None
-        tail_type = self.world.term_types.get(normalize_name(tail))
-        if tail_type is None:
-            return None
-        return tail_type in allowed
-
-
-class FixturePolicy:
-    def __init__(self, world: FixtureWorld):
-        self.world = world
-
-    def allowed(self, text: str) -> bool:
-        lowered = text.lower()
-        return not any(term in lowered for term in self.world.blocked_terms)
+# -- deterministic mocks --------------------------------------------------
 
 
 class RuleGrammarChecker:
@@ -144,10 +105,10 @@ class AdapterSuite:
     @classmethod
     def fixture_suite(cls, world: FixtureWorld, rng_seed: int = 0) -> "AdapterSuite":
         return cls(
-            embedding=FixtureEmbedding(world),
-            nli=FixtureNli(world),
-            ontology=FixtureOntology(world),
-            policy=FixturePolicy(world),
+            embedding=world,
+            nli=world,
+            ontology=world,
+            policy=world,
             grammar=RuleGrammarChecker(),
             probe=LevelCalibratedProbe(rng_seed),
         )

@@ -2,13 +2,14 @@
 
 Subcommands: ``build``, ``generate``, ``validate``, ``eval``, ``run``. The
 bare-flags form (``knight --topic "Biology" --depth 2 ...``) is accepted as
-an alias for ``run``. Exit codes: 0 success, 1 backend/config failure,
-2 usage error. A ``build``, ``run``, ``generate`` or ``validate`` that a
-backend failure cuts short writes its partial outputs (``build`` with
-``aborted_reason`` in the snapshot's report, ``run`` in ``metrics.json``)
-and exits 1. ``build``, ``generate`` and ``run`` take
-``--backend``; with ``bolt`` the Neo4j store is opened before the first LLM
-call and the graph is mirrored to it only after the outputs are written.
+an alias for ``run``. Exit codes: 0 success, 1 backend, config or file
+error, 2 usage error. ``build``, ``generate`` and ``run`` check that the
+output's directory exists before the first LLM call. A ``build``, ``run``,
+``generate`` or ``validate`` that a backend failure cuts short writes its
+partial outputs (``build`` with ``aborted_reason`` in the snapshot's report,
+``run`` in ``metrics.json``) and exits 1. ``build``, ``generate`` and ``run``
+take ``--backend``; with ``bolt`` the Neo4j store is opened before the first
+LLM call and the graph is mirrored to it only after the outputs are written.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator
 
 from .builder import build_kg
 from .config import PIPELINE_MODES, PipelineConfig, build_config
-from .errors import KnightError
+from .errors import ConfigError, KnightError
 from .graph import Topic
 from .metrics import compute_dataset_stats
 from .pipeline import (
@@ -154,6 +155,14 @@ def _graph_store(config: PipelineConfig) -> Iterator[BoltGraphStore | None]:
             store.close()
 
 
+def _output_path(text: str) -> Path:
+    """``text`` as a path, checked before any LLM call: its directory must exist."""
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory {path.parent} does not exist")
+    return path
+
+
 def _write_run_outputs(
     result: PipelineResult,
     services: Services,
@@ -182,10 +191,11 @@ def _write_run_outputs(
     metrics_path = Path(f"{stem}.metrics.json")
     ledger = services.gateway.ledger
     prompt_tokens, completion_tokens = ledger.grand_total()
+    kept = len(result.kept_items)
     metrics_doc = {
         "topic": result.topic,
         "mode": result.mode,
-        "items_kept": len(result.kept_items),
+        "items_kept": kept,
         "items_generated": len(result.items),
         "attempts": result.attempts,
         "generation_rejected": result.generation_rejected,
@@ -198,7 +208,7 @@ def _write_run_outputs(
             "per_tag": {tag: list(pair) for tag, pair in sorted(ledger.totals().items())},
             "prompt_total": prompt_tokens,
             "completion_total": completion_tokens,
-            "per_kept_item": result.tokens_per_kept_item(services.gateway),
+            "per_kept_item": (prompt_tokens + completion_tokens) / kept if kept else 0.0,
         },
         "declared_stage_tags": sorted(MODE_TASK_TAGS[result.mode]),
     }
@@ -208,6 +218,7 @@ def _write_run_outputs(
 
 
 def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
+    output = _output_path(args.output)
     with _graph_store(config) as store:
         services = build_services(config)
         topic = Topic(args.topic, optional_prompt=args.topic_hint)
@@ -215,7 +226,6 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
         graph, report = build_kg(
             topic, config, services.gateway, services.source, services.adapters, rejects=rejects
         )
-        output = Path(args.output)
         save_snapshot(graph, output, topic=topic.name,
                       config_echo=config.to_dict(redact=True), report=report)
         write_jsonl([r.to_dict() for r in rejects],
@@ -231,6 +241,7 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
+    output = _output_path(args.output)
     with _graph_store(config) as store:
         services = build_services(config)
         topic = Topic(args.topic, optional_prompt=args.topic_hint)
@@ -241,7 +252,6 @@ def _cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
             topic, config, args.num_q, services=services,
             validate_flag=args.validate, graph=graph,
         )
-        output = Path(args.output)
         write_jsonl([item_to_record(i) for i in result.kept_items], output)
         if store is not None and result.graph is not None:
             mirror_graph(store, result.graph)
@@ -292,6 +302,7 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
 
 
 def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
+    output = _output_path(args.output)
     with _graph_store(config) as store:
         services = build_services(config)
         topic = Topic(args.topic, optional_prompt=args.topic_hint)
@@ -300,7 +311,7 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
             topic, config, args.num_q, services=services,
             validate_flag=True if args.validate else None, graph=graph,
         )
-        written = _write_run_outputs(result, services, config, Path(args.output))
+        written = _write_run_outputs(result, services, config, output)
         if store is not None and result.graph is not None:
             mirror_graph(store, result.graph)
     print(
@@ -348,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
             print_config(config)
             return 0
         return _DISPATCH[args.subcommand](args, config)
-    except KnightError as exc:
+    except (KnightError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,7 +2,9 @@
 
 The packaged tables under ``knight/fixtures/`` are the default; a directory
 with the same file names can be supplied instead (``fixture_dir`` in the
-config) to run hermetic tests against custom worlds.
+config) to run hermetic tests against custom worlds. A loaded
+``FixtureWorld`` is itself the embedding, NLI, ontology and policy adapter
+of a mock run (the protocols in ``adapters.py``).
 """
 
 from __future__ import annotations
@@ -102,6 +104,19 @@ class FixtureWorld:
                 continue
             return rule.score
         return self.nli_default
+
+    def type_ok(self, relation: str, tail: str) -> bool | None:
+        allowed = self.relation_types.get(relation)
+        if allowed is None:
+            return None
+        tail_type = self.term_types.get(normalize_name(tail))
+        if tail_type is None:
+            return None
+        return tail_type in allowed
+
+    def allowed(self, text: str) -> bool:
+        lowered = text.lower()
+        return not any(term in lowered for term in self.blocked_terms)
 
 
 def load_world(fixture_dir: str | Path | None = None) -> FixtureWorld:

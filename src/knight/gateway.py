@@ -181,9 +181,9 @@ class OpenAiCompatBackend:
     """Chat-completions client for any OpenAI-compatible endpoint. Calls go
     through one ``requests.Session``, so they reuse its pooled connections.
 
-    Transient failures (timeouts, 429, 5xx) are retried with jittered
-    exponential backoff; auth failures and a 200 reply that is not JSON or
-    has no text are raised immediately.
+    Transient failures (timeouts, 408, 429, 5xx) are retried with jittered
+    exponential backoff. Auth failures, any other 4xx, and a 200 reply that
+    is not JSON or has no text are raised immediately.
     """
 
     def __init__(
@@ -240,6 +240,8 @@ class OpenAiCompatBackend:
                         raise EmptyResponseError(f"backend sent a non-JSON body: {exc}") from exc
                     return self._parse(doc)
                 last_error = GatewayError(f"backend returned {resp.status_code}")
+                if 400 <= resp.status_code < 500 and resp.status_code not in (408, 429):
+                    raise last_error
             if attempt + 1 < self.retry_attempts:
                 delay = (2**attempt) * 0.5 * (1.0 + random.random())
                 log.warning("chat call failed (%s); retrying in %.1fs", last_error, delay)
@@ -284,7 +286,6 @@ _QUOTED = {
     "path": re.compile(r'Path: "([^"]+)"'),
     "start": re.compile(r'Start Node: "([^"]+)"'),
     "end": re.compile(r'End Node: "([^"]+)"'),
-    "topic": re.compile(r'overall topic: "([^"]+)"'),
     "direct_topic": re.compile(r'about the topic "([^"]+)"'),
     "variant": re.compile(r"Variation tag: (\d+)"),
     "val_topic": re.compile(r'Topic \(optional\): "([^"]*)"'),

@@ -59,15 +59,20 @@ class Topic:
 
 @dataclass
 class Node:
+    """A graph node; ``id`` is the normalized name, ``name`` the display name."""
+
     id: str
     name: str
-    normalized_name: str
     depth: int
     gloss: str | None = None
     provenance: list[str] = field(default_factory=list)
     parametric_fallback: bool = False
     retrieval_weights: list[float] = field(default_factory=list)
     gamma_failed: bool = False
+
+    @property
+    def normalized_name(self) -> str:
+        return self.id
 
 
 @dataclass(frozen=True)
@@ -135,22 +140,16 @@ class KnowledgeGraph:
         self.nodes: dict[str, Node] = {}
         self.edges: set[Edge] = set()
         self.seed_id = seed_norm
-        self._put(Node(id=seed_norm, name=seed_name.strip(), normalized_name=seed_norm, depth=0))
-
-    def _put(self, node: Node) -> None:
-        self.nodes[node.id] = node
+        self.add_node(seed_name, depth=0)
 
     def add_node(self, name: str, depth: int) -> Node:
         """Insert a node; returns the existing one when the name is taken."""
         norm = normalize_name(name)
         if not norm:
             raise GraphError(f"name {name!r} normalizes to the empty string")
-        existing = self.nodes.get(norm)
-        if existing is not None:
-            return existing
-        node = Node(id=norm, name=name.strip(), normalized_name=norm, depth=depth)
-        self._put(node)
-        return node
+        if norm not in self.nodes:
+            self.nodes[norm] = Node(id=norm, name=name.strip(), depth=depth)
+        return self.nodes[norm]
 
     def add_edge(self, head_id: str, relation: str, tail_id: str) -> Edge:
         if head_id not in self.nodes:
@@ -178,13 +177,11 @@ class KnowledgeGraph:
 
     def check_invariants(self) -> None:
         """Raise GraphError when a structural invariant is broken."""
-        seen: set[str] = set()
-        for node in self.nodes.values():
-            if node.normalized_name != normalize_name(node.name):
+        for key, node in self.nodes.items():
+            if key != node.id:
+                raise GraphError(f"node {node.id!r} stored under key {key!r}")
+            if node.id != normalize_name(node.name):
                 raise GraphError(f"node {node.id}: stale normalized name")
-            if node.normalized_name in seen:
-                raise GraphError(f"duplicate normalized name {node.normalized_name!r}")
-            seen.add(node.normalized_name)
         for edge in self.edges:
             if edge.head not in self.nodes or edge.tail not in self.nodes:
                 raise GraphError(f"dangling edge {edge}")

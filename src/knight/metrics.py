@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from .adapters import AdapterSuite
@@ -56,18 +56,9 @@ class DatasetStats:
     length_histogram: dict[int, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "mean_entropy": self.mean_entropy,
-            "std_entropy": self.std_entropy,
-            "probe_accuracy": self.probe_accuracy,
-            "probe_excluded": self.probe_excluded,
-            "mean_grammar": self.mean_grammar,
-            "mean_entailment": self.mean_entailment,
-            "off_topic_rate": self.off_topic_rate,
-            "length_mean": self.length_mean,
-            "length_std": self.length_std,
-            "length_histogram": {str(k): v for k, v in sorted(self.length_histogram.items())},
-        }
+        doc = asdict(self)
+        doc["length_histogram"] = {str(k): v for k, v in sorted(self.length_histogram.items())}
+        return doc
 
 
 def grammar_quality(word_count: int, error_count: int) -> float:

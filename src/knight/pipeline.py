@@ -118,12 +118,6 @@ class PipelineResult:
     validation_dropped: int = 0
     aborted_reason: str | None = None
 
-    def tokens_per_kept_item(self, gateway: ChatGateway) -> float:
-        prompt, completion = gateway.ledger.grand_total()
-        if not self.kept_items:
-            return 0.0
-        return (prompt + completion) / len(self.kept_items)
-
 
 def _slug(text: str) -> str:
     return normalize_name(text).replace(" ", "_") or "topic"

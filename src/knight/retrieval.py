@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
+from urllib.parse import quote
 
 from .config import PipelineConfig
 from .errors import AmbiguousTitleError, PageNotFoundError, RetrievalError
@@ -151,7 +152,8 @@ class NetworkWikiSource:
         return [page["title"] for page in doc.get("pages", [])][:limit]
 
     def summary(self, title: str, max_chars: int) -> str:
-        doc = self._get(f"{self.base_url}/api/rest_v1/page/summary/{title.replace(' ', '_')}")
+        page = quote(title.replace(" ", "_"), safe="")
+        doc = self._get(f"{self.base_url}/api/rest_v1/page/summary/{page}")
         if doc.get("type") == "disambiguation":
             raise AmbiguousTitleError(f"{title!r} is a disambiguation page")
         return truncate_at_word(doc.get("extract", ""), max_chars)

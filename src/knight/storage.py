@@ -10,6 +10,7 @@ identical inputs produce identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -36,30 +37,16 @@ def snapshot_document(
     config_echo: Mapping[str, Any] | None = None,
     report: BuildReport | None = None,
 ) -> dict:
-    """Build the snapshot payload. It holds no timing, so repeated runs of a
-    deterministic pipeline stay byte-identical."""
+    """Build the snapshot payload. Node and edge records are the ``Node`` and
+    ``Edge`` fields. It holds no timing, so repeated runs of a deterministic
+    pipeline stay byte-identical."""
     return {
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "topic": topic,
         "config": dict(config_echo or {}),
         "seed_id": graph.seed_id,
-        "nodes": [
-            {
-                "id": n.id,
-                "name": n.name,
-                "depth": n.depth,
-                "gloss": n.gloss,
-                "provenance": list(n.provenance),
-                "parametric_fallback": n.parametric_fallback,
-                "retrieval_weights": list(n.retrieval_weights),
-                "gamma_failed": n.gamma_failed,
-            }
-            for n in graph.sorted_nodes()
-        ],
-        "edges": [
-            {"head": e.head, "relation": e.relation, "tail": e.tail}
-            for e in graph.sorted_edges()
-        ],
+        "nodes": [asdict(n) for n in graph.sorted_nodes()],
+        "edges": [asdict(e) for e in graph.sorted_edges()],
         "report": report.to_dict() if report else None,
     }
 

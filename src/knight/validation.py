@@ -39,23 +39,12 @@ class ValidationReport:
     llm_skipped: bool = False
     parse_failed: bool = False
 
-    _CRITERIA = (
-        "grammar_fluency",
-        "single_correct_key",
-        "option_uniqueness",
-        "answerable_from_source",
-        "topic_relevant",
-    )
+    _CRITERIA = tuple(label.lower() for label in VALIDATE_LABELS)
     _RULES = ("rule_four_options", "rule_one_key", "rule_options_distinct")
 
     def applicable_flags(self) -> list[bool]:
-        flags = [getattr(self, name) for name in self._RULES]
-        for name in self._CRITERIA:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            flags.append(value)
-        return flags
+        flags = [getattr(self, name) for name in self._RULES + self._CRITERIA]
+        return [flag for flag in flags if flag is not None]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -173,7 +162,7 @@ def validate_item(
     passed = [
         index
         for index, report in enumerate(reports)
-        if report.rule_four_options and report.rule_one_key and report.rule_options_distinct
+        if all(getattr(report, name) for name in ValidationReport._RULES)
     ]
     rate, seed = config.validation_sample_rate, config.rng_seed
     judged = [index for index in passed if sample_gate(rate, items[index].id, seed)]
@@ -192,7 +181,7 @@ def validate_item(
             verdicts = dict.fromkeys(VALIDATE_LABELS, True)
             verdicts["Topic_Relevant"] = True if item.topic else None
             report.llm_skipped = True
-        for name, label in zip(ValidationReport._CRITERIA, VALIDATE_LABELS):
-            setattr(report, name, verdicts[label])
+        for label in VALIDATE_LABELS:
+            setattr(report, label.lower(), verdicts[label])
         report.kept = keep(report)
     return reports

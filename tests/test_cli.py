@@ -222,6 +222,48 @@ def test_run_writes_all_artifacts(tmp_path):
     assert (tmp_path / "full.metrics.json").exists()
 
 
+def _run_metrics(tmp_path):
+    output = tmp_path / "bio.jsonl"
+    rc = _run(["run", "--topic", "Biology", "--depth", "2", "--num-q", "5", "--seed", "3",
+               "--mode", "knight", "--output", str(output)])
+    return rc, json.loads((tmp_path / "bio.metrics.json").read_text(encoding="utf-8"))
+
+
+def test_metrics_tokens_per_kept_item(tmp_path):
+    rc, doc = _run_metrics(tmp_path)
+    assert rc == 0 and doc["items_kept"] > 0
+    tokens = doc["tokens"]
+    spent = tokens["prompt_total"] + tokens["completion_total"]
+    assert tokens["per_kept_item"] == spent / doc["items_kept"]
+
+
+def test_metrics_tokens_per_kept_item_is_zero_when_nothing_is_kept(tmp_path, monkeypatch):
+    _fail_tag(monkeypatch, "validate")
+    rc, doc = _run_metrics(tmp_path)
+    assert rc == 1 and doc["items_kept"] == 0
+    assert doc["tokens"]["prompt_total"] > 0
+    assert doc["tokens"]["per_kept_item"] == 0.0
+
+
+def test_missing_input_file_is_an_error(tmp_path, capsys):
+    rc = _run(["validate", "--input", str(tmp_path / "absent.jsonl"),
+               "--output", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["run", "build", "generate"])
+def test_missing_output_directory_fails_before_any_llm_call(
+    tmp_path, capsys, monkeypatch, subcommand
+):
+    calls = _count_backend_calls(monkeypatch)
+    rc = _run([subcommand, "--topic", "Biology", "--depth", "2",
+               "--output", str(tmp_path / "absent" / "bio.jsonl")])
+    assert rc == 1
+    assert "does not exist" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_env_var_overrides_config_file(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "knight.conf"
     conf.write_text("max_branches = 4\n", encoding="utf-8")

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import knight.gateway as gateway_mod
-from knight.errors import AuthError, EmptyResponseError, RetriesExhaustedError
+from knight.errors import AuthError, EmptyResponseError, GatewayError, RetriesExhaustedError
 from knight.gateway import (
     ChatGateway,
     ChatRequest,
@@ -155,7 +155,8 @@ def test_network_auth_error_no_retry(monkeypatch):
     assert len(calls) == 1
 
 
-def test_network_retries_then_succeeds(monkeypatch):
+@pytest.mark.parametrize("status", [500, 429, 408])
+def test_network_retries_then_succeeds(monkeypatch, status):
     calls = []
     payload = {
         "choices": [{"message": {"content": "ok"}}],
@@ -165,7 +166,7 @@ def test_network_retries_then_succeeds(monkeypatch):
     def fake_post(url, **kwargs):
         calls.append(url)
         if len(calls) < 3:
-            return _FakeResponse(500)
+            return _FakeResponse(status)
         return _FakeResponse(200, payload)
 
     backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x", retry_attempts=3)
@@ -182,6 +183,23 @@ def test_network_retries_exhausted(monkeypatch):
     monkeypatch.setattr(gateway_mod.time, "sleep", lambda _s: None)
     with pytest.raises(RetriesExhaustedError):
         backend.complete(_request())
+
+
+@pytest.mark.parametrize("status", [400, 404, 422])
+def test_network_client_error_is_not_retried(monkeypatch, status):
+    calls = []
+
+    def fake_post(url, **kwargs):
+        calls.append(url)
+        return _FakeResponse(status)
+
+    backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x", retry_attempts=3)
+    monkeypatch.setattr(backend.session, "post", fake_post)
+    monkeypatch.setattr(gateway_mod.time, "sleep", lambda _s: pytest.fail("backed off"))
+    with pytest.raises(GatewayError, match=str(status)) as info:
+        backend.complete(_request())
+    assert not isinstance(info.value, RetriesExhaustedError)
+    assert len(calls) == 1
 
 
 def test_network_empty_response(monkeypatch):

@@ -147,6 +147,22 @@ def test_uniqueness_invariant_after_adds():
     graph.check_invariants()
 
 
+def test_invariants_reject_a_renamed_node():
+    graph = KnowledgeGraph("seed")
+    graph.add_node("Alpha", depth=1).name = "Beta"
+    with pytest.raises(GraphError, match="stale normalized name"):
+        graph.check_invariants()
+
+
+def test_invariants_reject_a_dangling_edge():
+    graph = KnowledgeGraph("seed")
+    graph.add_node("Alpha", depth=1)
+    graph.add_edge("seed", "links_to", "alpha")
+    del graph.nodes["alpha"]
+    with pytest.raises(GraphError, match="dangling edge"):
+        graph.check_invariants()
+
+
 # -- enumerate_paths ----------------------------------------------------------
 
 

@@ -97,6 +97,20 @@ def test_network_source_search_parses_titles(monkeypatch):
     assert source.search("Biology", 5) == ["Biology", "Cell"]
 
 
+def test_network_source_summary_quotes_the_title(monkeypatch):
+    urls = []
+
+    def capture(url, **kwargs):
+        urls.append(url)
+        return http_response(200, json.dumps({"extract": "text"}).encode())
+
+    source = NetworkWikiSource()
+    monkeypatch.setattr(source.session, "get", capture)
+    for title in ("AC/DC", "What?", "Cell biology"):
+        source.summary(title, 100)
+    assert [url.rsplit("/", 1)[1] for url in urls] == ["AC%2FDC", "What%3F", "Cell_biology"]
+
+
 # -- title relevance ----------------------------------------------------------
 
 

@@ -195,7 +195,7 @@ def test_bolt_requires_uri():
 
 
 def test_bolt_statements_are_parameterized():
-    node = Node(id="hafez", name="Hafez", normalized_name="hafez", depth=0, gloss="poet")
+    node = Node(id="hafez", name="Hafez", depth=0, gloss="poet")
     statement, params = BoltGraphStore.node_statement(node)
     assert "$id" in statement and "MERGE" in statement
     assert params == {"id": "hafez", "name": "Hafez", "depth": 0, "gloss": "poet"}
