@@ -17,7 +17,7 @@ from .graph import (
 )
 from .pipeline import MODE_TASK_TAGS, PipelineResult, build_services, run_pipeline
 from .qgen import McqItem, generate_mcq, parse_mcq_output, sample_paths, verbalize
-from .synthesis import Gloss, dedup_triples, extract_triples, gate_gloss, generate_gloss, overlap
+from .synthesis import dedup_triples, extract_triples, gate_gloss, generate_gloss, overlap
 from .validation import ValidationReport, keep, llm_validate, rule_checks, sample_gate
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "parse_mcq_output",
     "sample_paths",
     "verbalize",
-    "Gloss",
     "dedup_triples",
     "extract_triples",
     "gate_gloss",

@@ -4,10 +4,12 @@ gloss synthesis, triple extraction, and curation.
 The build maps one FIFO queue of (node id, name, parent name, depth)
 entries through ``ChatGateway.map`` from the seed. The per-node stage
 (retrieve, gloss, gamma gate, extract, dedup) reads only its entry, never
-the graph, so stages run concurrently. Each finished stage is applied on
-the caller's thread in queue order (gloss, curate, attach), and the
-children it adds join the queue at once, while the rest of their parent's
-level is in flight. The queue is breadth-first, so the graph equals a
+the graph, so stages run concurrently. It keeps the gloss text and the
+node's ``RetrievalResult``. Each finished stage is applied on the caller's
+thread in queue order: the node's gloss, and its provenance, fallback flag
+and retrieval weights read from that result, then curation and attachment.
+The children it adds join the queue at once, while the rest of their
+parent's level is in flight. The queue is breadth-first, so the graph equals a
 sequential FIFO run's at any ``max_inflight``. On a ``GatewayError`` every
 stage before the failed one is applied, the error goes to
 ``BuildReport.aborted_reason``, and nothing after it is: a failed call
@@ -36,8 +38,8 @@ from .curation import curate
 from .errors import ExtractionError
 from .gateway import ChatGateway
 from .graph import KnowledgeGraph, Topic, Triple, add_curated
-from .retrieval import WikiSource, retrieve_evidence
-from .synthesis import Gloss, dedup_triples, extract_triples, gate_gloss, generate_gloss
+from .retrieval import RetrievalResult, WikiSource, mixture_weights, retrieve_evidence
+from .synthesis import dedup_triples, extract_triples, gate_gloss, generate_gloss
 
 log = logging.getLogger(__name__)
 
@@ -82,8 +84,9 @@ class RejectedCandidate:
 class _Stage:
     """Pure per-node computation results, safe to produce concurrently."""
 
-    gloss: Gloss | None = None
-    gamma_failed: bool = False
+    retrieval: RetrievalResult
+    gloss: str
+    gamma_failed: bool
     triples: list[Triple] = field(default_factory=list)
     dedup_dropped: int = 0
 
@@ -92,25 +95,24 @@ def _node_stage(
     term: str,
     parent_term: str | None,
     depth: int,
-    topic_hint: str,
+    topic_hint: str | None,
     config: PipelineConfig,
     gateway: ChatGateway,
     source: WikiSource,
 ) -> _Stage:
-    stage = _Stage()
+    retrieval = retrieve_evidence(term, source, gateway, config, parent_term or topic_hint)
+    passages = retrieval.texts()
+    gloss = generate_gloss(gateway, term, passages, config, parent_term)
+    stage = _Stage(retrieval, gloss, not gate_gloss(gloss, passages, config.eta_overlap))
+    if stage.gamma_failed or depth >= config.d_max:
+        return stage
     try:
-        hint = parent_term or topic_hint
-        retrieval = retrieve_evidence(term, source, gateway, config, context_hint=hint)
-        stage.gloss = generate_gloss(gateway, term, retrieval, config, parent_term)
-        stage.gamma_failed = not gate_gloss(stage.gloss, retrieval.texts(), config.eta_overlap)
-        if stage.gamma_failed or depth >= config.d_max:
-            return stage
-        raw = extract_triples(gateway, stage.gloss, config)
-        deduped = dedup_triples(raw, config.lambda_max)
-        stage.triples = deduped
-        stage.dedup_dropped = len(raw) - len(deduped)
+        raw = extract_triples(gateway, gloss, config)
     except ExtractionError as exc:
         log.warning("stage for %r degraded to zero children: %s: %s", term, type(exc).__name__, exc)
+        return stage
+    stage.triples = dedup_triples(raw, config.lambda_max)
+    stage.dedup_dropped = len(raw) - len(stage.triples)
     return stage
 
 
@@ -123,20 +125,19 @@ def _apply_stage(
     report: BuildReport,
     rejects: list[RejectedCandidate] | None,
 ) -> list[tuple[str, str, str, int]]:
-    """Serial part of one expansion: attach the gloss and its gamma flag,
-    curate, mutate the graph, and return the (child id, name, parent name,
-    depth) entries of the nodes it added. A node at ``d_max`` or one whose
-    gloss failed the gate brings no triples, so it is neither curated nor
-    given children."""
+    """Serial part of one expansion: attach the gloss, its evidence and its
+    gamma flag, curate, mutate the graph, and return the (child id, name,
+    parent name, depth) entries of the nodes it added. A node at ``d_max``
+    or one whose gloss failed the gate brings no triples, so it is neither
+    curated nor given children."""
     node = graph.nodes[node_id]
-    if stage.gloss is not None:
-        node.gloss = stage.gloss.text
-        node.provenance = list(stage.gloss.supported_by)
-        node.parametric_fallback = stage.gloss.parametric_fallback
-        node.retrieval_weights = list(stage.gloss.mixture)
-    if stage.gamma_failed:
-        report.glosses_rejected_by_gamma += 1
-        node.gamma_failed = True
+    retrieval = stage.retrieval
+    node.gloss = stage.gloss
+    node.provenance = retrieval.ids()
+    node.parametric_fallback = retrieval.fallback
+    node.retrieval_weights = [] if retrieval.fallback else mixture_weights(retrieval.scores())
+    node.gamma_failed = stage.gamma_failed
+    report.glosses_rejected_by_gamma += stage.gamma_failed
     report.triples_deduped += stage.dedup_dropped
     if not stage.triples:
         return []
@@ -179,10 +180,9 @@ def build_kg(
     """
     graph = KnowledgeGraph(topic.name)
     report = BuildReport()
-    topic_hint = topic.optional_prompt or "general knowledge"
 
     _, error = gateway.map(
-        lambda entry: _node_stage(*entry[1:], topic_hint, config, gateway, source),
+        lambda entry: _node_stage(*entry[1:], topic.optional_prompt, config, gateway, source),
         [(graph.seed_id, graph.nodes[graph.seed_id].name, None, 0)],
         then=lambda entry, stage: _apply_stage(
             graph, entry[0], stage, config, adapters, report, rejects

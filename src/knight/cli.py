@@ -3,8 +3,8 @@
 Subcommands: ``build``, ``generate``, ``validate``, ``eval``, ``run``. The
 bare-flags form (``knight --topic "Biology" --depth 2 ...``) is accepted as
 an alias for ``run``. Exit codes: 0 success, 1 backend, config or file
-error, 2 usage error. ``build``, ``generate`` and ``run`` check that the
-output's directory exists before the first LLM call. A ``build``, ``run``,
+error, 2 usage error. Each subcommand checks its outputs' directories first.
+``eval`` makes no LLM call, so it needs no API key. A ``build``, ``run``,
 ``generate`` or ``validate`` that a backend failure cuts short writes its
 partial outputs (``build`` with ``aborted_reason`` in the snapshot's report,
 ``run`` in ``metrics.json``) and exits 1. ``build``, ``generate`` and ``run``
@@ -32,6 +32,7 @@ from .pipeline import (
     PipelineResult,
     Services,
     build_services,
+    load_fixtures,
     run_pipeline,
     validate_items,
 )
@@ -260,31 +261,34 @@ def _cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace, config: PipelineConfig) -> int:
+    output = _output_path(args.output)
     services = build_services(config)
     records = read_jsonl(args.input)
     items = [record_to_item(r) for r in records]
     validated, error = validate_items(services.gateway, items, config)
     kept = sum(int(item.flags.kept) for item in validated)
-    write_jsonl([item_to_record(i) for i in validated], args.output)
+    write_jsonl([item_to_record(i) for i in validated], output)
     print(f"validated {len(validated)} items: {kept} kept, {len(validated) - kept} rejected")
     return _exit_code(None if error is None else f"{type(error).__name__}: {error}")
 
 
 def _cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
-    services = build_services(config)
+    report = _output_path(args.report)
+    csv_path = _output_path(args.csv) if args.csv else None
+    _, adapters = load_fixtures(config)
     records = read_jsonl(args.input)
     items = [record_to_item(r) for r in records]
     topic = args.topic or (items[0].topic if items else "")
-    stats, rows = compute_dataset_stats(items, services.adapters, topic)
+    stats, rows = compute_dataset_stats(items, adapters, topic)
     report_doc = {
         "topic": topic,
         "items": len(items),
         "stats": stats.to_dict(),
         "rows": rows,
     }
-    Path(args.report).write_text(canonical_json(report_doc) + "\n", encoding="utf-8")
-    if args.csv:
-        _write_rows_csv(rows, Path(args.csv))
+    report.write_text(canonical_json(report_doc) + "\n", encoding="utf-8")
+    if csv_path is not None:
+        _write_rows_csv(rows, csv_path)
     print(f"scored {len(items)} items -> {args.report}")
     return 0
 

@@ -25,8 +25,8 @@ def content_filter(
     triple: Triple,
     head_gloss: str,
     adapters: AdapterSuite,
-    nli_threshold: float = 0.5,
-    strict: bool = False,
+    nli_threshold: float = PipelineConfig.nli_threshold,
+    strict: bool = PipelineConfig.strict_adapters,
 ) -> tuple[bool, str | None]:
     """Run the three content checks in order: ontology type agreement, NLI
     entailment of the verbalized triple against the head gloss, and the

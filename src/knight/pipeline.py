@@ -55,7 +55,9 @@ from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
 from .prompts import DIRECT_MCQ_SYSTEM, direct_mcq_user, parse_item_blocks
 from .qgen import McqItem, generate_mcq, mcq_item, sample_paths
-from .retrieval import FixtureWikiSource, NetworkWikiSource, WikiSource, retrieve_evidence
+from .retrieval import (
+    FixtureWikiSource, NetworkWikiSource, RetrievalResult, WikiSource, retrieve_evidence,
+)
 from .validation import validate_item
 
 log = logging.getLogger(__name__)
@@ -81,10 +83,14 @@ class Services:
     world: FixtureWorld
 
 
-def build_services(config: PipelineConfig) -> Services:
-    world = load_world(config.fixture_dir or None)
+def load_fixtures(config: PipelineConfig) -> tuple[FixtureWorld, AdapterSuite]:
     # Only fixture-backed scoring adapters exist, whatever the chat backend.
-    adapters = AdapterSuite.fixture_suite(world, rng_seed=config.rng_seed)
+    world = load_world(config.fixture_dir or None)
+    return world, AdapterSuite.fixture_suite(world, rng_seed=config.rng_seed)
+
+
+def build_services(config: PipelineConfig) -> Services:
+    world, adapters = load_fixtures(config)
     if config.backend == "mock":
         backend = MockChatBackend(world, rng_seed=config.rng_seed)
         source: WikiSource = FixtureWikiSource(world)
@@ -211,20 +217,12 @@ def _direct_attempts(
     """``num_q`` forward items on the topic, grounded in retrieved evidence
     when ``with_evidence``, each salted by its index: one attempt, and one
     call, per group of up to ``BATCH`` consecutive items."""
-    passages: list[str] = []
-    passage_ids: list[str] = []
-    fallback = True
+    retrieval = RetrievalResult()
     if with_evidence:
         retrieval = retrieve_evidence(
-            topic.name,
-            services.source,
-            services.gateway,
-            config,
-            context_hint=topic.optional_prompt or "general knowledge",
+            topic.name, services.source, services.gateway, config, topic.optional_prompt
         )
-        passages = retrieval.texts()
-        passage_ids = retrieval.ids()
-        fallback = retrieval.fallback
+    passages = retrieval.texts()
     source_context = (
         "Evidence passages:\n" + "\n\n".join(passages)
         if passages
@@ -239,9 +237,9 @@ def _direct_attempts(
         source_context=source_context,
         provenance={
             "seed_node": slug,
-            "passage_ids": passage_ids,
+            "passage_ids": retrieval.ids(),
             "mixture_weights": [],
-            "parametric_fallback": fallback,
+            "parametric_fallback": retrieval.fallback,
         },
     )
 

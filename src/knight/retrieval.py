@@ -57,12 +57,14 @@ class Passage:
 
 @dataclass
 class RetrievalResult:
-    passages: list[Passage] = field(default_factory=list)
-    fallback: bool = False
+    """A term's evidence, best passage first. ``RetrievalResult()``, with no
+    passage, is the parametric fallback: the model's own knowledge."""
 
-    def __post_init__(self) -> None:
-        if self.fallback != (not self.passages):
-            raise ValueError("fallback must be set exactly when no passages survive")
+    passages: list[Passage] = field(default_factory=list)
+
+    @property
+    def fallback(self) -> bool:
+        return not self.passages
 
     def texts(self) -> list[str]:
         return [p.text for p in self.passages]
@@ -212,7 +214,7 @@ def check_title_relevance(
     return False
 
 
-def chunk_text(text: str, size: int = 1000, overlap: int = 100) -> list[str]:
+def chunk_text(text: str, size: int, overlap: int) -> list[str]:
     """Split into chunks of at most ``size`` whitespace tokens, preferring
     paragraph then sentence boundaries, with consecutive chunks sharing at
     most ``overlap`` tokens.
@@ -351,16 +353,16 @@ def score_and_rerank(
     query: str,
     candidates: Sequence[tuple[str, str]],
     scorer: DenseScorer,
-    k: int = 5,
-    score_floor: float = 0.15,
-    first_stage_cut: int = 50,
+    k: int = PipelineConfig.search_limit,
+    score_floor: float = PipelineConfig.score_floor,
+    first_stage_cut: int = PipelineConfig.first_stage_cut,
 ) -> RetrievalResult:
     """Two-stage ranking of ``(id, text)`` candidates: BM25 keeps the lexical
     top candidates, the dense scorer re-scores them, and only passages above
     the floor survive, under their given ids. Each text is tokenized once;
     both stages read the same term counts. Ties keep input order."""
     if not candidates:
-        return RetrievalResult(passages=[], fallback=True)
+        return RetrievalResult()
 
     terms = [term_counts(text) for _, text in candidates]
     kept = range(len(candidates))
@@ -374,7 +376,7 @@ def score_and_rerank(
     passages = [
         Passage(id=candidates[i][0], text=candidates[i][1], score=score) for score, i in scored[:k]
     ]
-    return RetrievalResult(passages=passages, fallback=not passages)
+    return RetrievalResult(passages)
 
 
 def mixture_weights(scores: Sequence[float]) -> list[float]:
@@ -392,25 +394,27 @@ def retrieve_evidence(
     source: WikiSource,
     gateway: ChatGateway,
     config: PipelineConfig,
-    context_hint: str = "general knowledge",
+    context_hint: str | None = None,
 ) -> RetrievalResult:
     """Full evidence pass for one term: search, LLM title filter, summary and
-    page fetch, chunking, and two-stage reranking. No relevant title, a
-    failed lookup and an empty ranking all flag the parametric fallback
-    instead of raising.
+    page fetch, chunking, and two-stage reranking. The title check reads
+    ``context_hint``, or the default hint below when it is empty. No
+    relevant title, a failed lookup and an empty ranking all return the
+    empty result, the parametric fallback, instead of raising.
     """
+    context_hint = context_hint or "general knowledge"
     try:
         titles = search_titles(source, term, config.search_limit)
     except _LOOKUP_ERRORS as exc:
         log.warning("search failed for %r: %s", term, exc)
-        return RetrievalResult(passages=[], fallback=True)
+        return RetrievalResult()
     chosen: str | None = None
     for title in titles:
         if check_title_relevance(gateway, term, title, context_hint):
             chosen = title
             break
     if chosen is None:
-        return RetrievalResult(passages=[], fallback=True)
+        return RetrievalResult()
 
     # Text -> id; the first candidate with a given text keeps it.
     ids_by_text: dict[str, str] = {}

@@ -1,5 +1,6 @@
 """Gloss generation from evidence, the traceability gate, and triple
-extraction with near-duplicate removal.
+extraction with near-duplicate removal. A gloss is its reply's text; the
+record of its evidence stays the caller's ``RetrievalResult``.
 
 Near-duplicate removal compares each candidate with the triples kept so far,
 by normalized edit distance capped at ``lambda_max``: ``levenshtein`` fills
@@ -14,19 +15,16 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
 
 from .config import PipelineConfig
 from .errors import ExtractionError
 from .gateway import ChatGateway, ChatRequest
 from .graph import Triple
 from .prompts import GLOSS_HEADINGS, GLOSS_SYSTEM, TRIPLES_SYSTEM, gloss_user, triples_user
-from .retrieval import RetrievalResult, mixture_weights
 
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "Gloss",
     "Triple",
     "generate_gloss",
     "overlap",
@@ -44,20 +42,6 @@ STOPWORDS = frozenset(
 )
 
 
-@dataclass
-class Gloss:
-    term: str
-    text: str
-    sections_present: int
-    supported_by: list[str] = field(default_factory=list)
-    parametric_fallback: bool = False
-    mixture: list[float] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.parametric_fallback == bool(self.supported_by):
-            raise ValueError("exactly one of parametric_fallback / supported_by must hold")
-
-
 def count_sections(text: str) -> int:
     return sum(1 for heading in GLOSS_HEADINGS if heading in text)
 
@@ -65,17 +49,14 @@ def count_sections(text: str) -> int:
 def generate_gloss(
     gateway: ChatGateway,
     term: str,
-    retrieval: RetrievalResult,
+    passages: list[str],
     config: PipelineConfig,
     parent_term: str | None = None,
-) -> Gloss:
-    """Produce the structured description for ``term``. Evidence passages are
-    injected in retrieval order, the order of ``supported_by`` (best score
-    first, ties in input order); an empty retrieval falls back to the
-    model's parametric knowledge and is flagged as such."""
-    passages = retrieval.texts()
-    weights = [] if retrieval.fallback else mixture_weights(retrieval.scores())
-
+) -> str:
+    """The structured description of ``term``: the reply text. Evidence
+    passages are injected in the order given, retrieval order (best score
+    first, ties in input order); with none the model describes the term
+    from its parametric knowledge."""
     response = gateway.complete(
         ChatRequest(
             system_prompt=GLOSS_SYSTEM,
@@ -87,14 +68,7 @@ def generate_gloss(
     sections = count_sections(response.text)
     if sections < 4:
         log.warning("gloss for %r has only %d/8 sections", term, sections)
-    return Gloss(
-        term=term,
-        text=response.text,
-        sections_present=sections,
-        supported_by=retrieval.ids(),
-        parametric_fallback=retrieval.fallback,
-        mixture=weights,
-    )
+    return response.text
 
 
 def content_tokens(text: str) -> set[str]:
@@ -109,12 +83,11 @@ def overlap(passage_text: str, gloss_text: str) -> float:
     return len(gloss_tokens & content_tokens(passage_text)) / len(gloss_tokens)
 
 
-def gate_gloss(gloss: Gloss, passages: list[str], eta: float = 0.35) -> bool:
+def gate_gloss(gloss: str, passages: list[str], eta: float = PipelineConfig.eta_overlap) -> bool:
     """Traceability gate: some passage must cover at least ``eta`` of the
-    gloss. Parametric-fallback glosses have no evidence to trace and pass."""
-    if gloss.parametric_fallback:
-        return True
-    return any(overlap(p, gloss.text) >= eta for p in passages)
+    gloss. A parametric-fallback gloss (no passages) has no evidence to
+    trace and passes."""
+    return not passages or any(overlap(p, gloss) >= eta for p in passages)
 
 
 _RELATION_CLEAN = re.compile(r"[^a-z0-9]+")
@@ -177,13 +150,13 @@ def parse_triples_json(text: str) -> list[Triple]:
     return out
 
 
-def extract_triples(gateway: ChatGateway, gloss: Gloss, config: PipelineConfig) -> list[Triple]:
-    if not gloss.text.strip():
+def extract_triples(gateway: ChatGateway, gloss: str, config: PipelineConfig) -> list[Triple]:
+    if not gloss.strip():
         raise ExtractionError("gloss text is empty")
     response = gateway.complete(
         ChatRequest(
             system_prompt=TRIPLES_SYSTEM,
-            user_prompt=triples_user(gloss.text),
+            user_prompt=triples_user(gloss),
             temperature=config.temp_triples,
             task_tag="triples",
             max_tokens=config.max_tokens_triples,

@@ -7,12 +7,14 @@ from collections import deque
 
 import pytest
 
+from knight import builder
 from knight.adapters import AdapterSuite
 from knight.builder import build_kg
 from knight.config import PipelineConfig
 from knight.errors import AuthError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import Topic
+from knight.retrieval import Passage, RetrievalResult, mixture_weights, retrieve_evidence
 from knight.storage import snapshot_document
 
 from conftest import FailingSource, RecordingBackend
@@ -296,12 +298,29 @@ def test_rejects_collected(world):
 
 
 def test_seed_gloss_attached_with_provenance(world):
-    graph, _, _, _ = _build(world)
+    graph, _, config, _ = _build(world)
     seed = graph.nodes[graph.seed_id]
     assert seed.gloss and "Definition and Scope" in seed.gloss
     assert seed.provenance, "evidence-backed seed must carry passage ids"
     assert seed.parametric_fallback is False
-    assert len(seed.retrieval_weights) == len(seed.provenance)
+    # The seed's evidence is what retrieval returns for it, in its order.
+    _, gateway, source, _ = _services(world)
+    retrieval = retrieve_evidence("Biology", source, gateway, config)
+    assert seed.provenance == retrieval.ids()
+    assert seed.retrieval_weights == mixture_weights(retrieval.scores())
+
+
+def test_provenance_keeps_retrieval_order_on_tied_scores(world, monkeypatch):
+    # Sorting by id would put "#chunk10" before "#chunk2".
+    tied = RetrievalResult([
+        Passage(id="Biology#chunk2", text="Second chunk text.", score=0.5),
+        Passage(id="Biology#chunk10", text="Tenth chunk text.", score=0.5),
+    ])
+    monkeypatch.setattr(builder, "retrieve_evidence", lambda *args: tied)
+    graph, _, _, _ = _build(world, d_max=1)
+    seed = graph.nodes[graph.seed_id]
+    assert seed.provenance == ["Biology#chunk2", "Biology#chunk10"]
+    assert seed.retrieval_weights == [0.5, 0.5]
 
 
 def test_lookup_failure_gives_parametric_gloss(world):
@@ -313,12 +332,15 @@ def test_lookup_failure_gives_parametric_gloss(world):
     assert seed.gloss and "Definition and Scope" in seed.gloss
     assert seed.parametric_fallback is True
     assert seed.provenance == []
+    assert seed.retrieval_weights == []
     assert report.aborted_reason is None
 
 
 def test_unknown_children_get_parametric_gloss(world):
     graph, _, _, _ = _build(world, d_max=2)
     fallbacks = [n for n in graph.nodes.values() if n.parametric_fallback]
+    assert fallbacks
     for node in fallbacks:
         assert node.provenance == []
+        assert node.retrieval_weights == []
         assert node.gloss

@@ -252,16 +252,60 @@ def test_missing_input_file_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("subcommand", ["run", "build", "generate"])
+def _plain_dataset(tmp_path) -> str:
+    dataset = tmp_path / "plain.jsonl"
+    assert _run(["generate", "--topic", "Biology", "--mode", "plain", "--depth", "2",
+                 "--num-q", "2", "--output", str(dataset)]) == 0
+    return str(dataset)
+
+
+@pytest.mark.parametrize("subcommand", ["run", "build", "generate", "validate"])
 def test_missing_output_directory_fails_before_any_llm_call(
     tmp_path, capsys, monkeypatch, subcommand
 ):
+    reads = ["--input", _plain_dataset(tmp_path)] if subcommand == "validate" else []
+    capsys.readouterr()
     calls = _count_backend_calls(monkeypatch)
-    rc = _run([subcommand, "--topic", "Biology", "--depth", "2",
+    rc = _run([subcommand, "--topic", "Biology", "--depth", "2", *reads,
                "--output", str(tmp_path / "absent" / "bio.jsonl")])
     assert rc == 1
     assert "does not exist" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("report, csv", [("absent/r.json", None), ("r.json", "absent/rows.csv")])
+def test_eval_checks_its_output_directories_first(tmp_path, capsys, report, csv):
+    argv = ["eval", "--input", _plain_dataset(tmp_path), "--report", str(tmp_path / report)]
+    if csv:
+        argv += ["--csv", str(tmp_path / csv)]
+    capsys.readouterr()
+    rc = _run(argv)
+    assert rc == 1
+    assert "does not exist" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_eval_needs_no_api_key(tmp_path, monkeypatch):
+    # eval makes no LLM call, so the chat backend is never built.
+    dataset = _plain_dataset(tmp_path)
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    report = tmp_path / "report.json"
+    rc = _run(["eval", "--input", dataset, "--report", str(report), "--llm-backend", "openai"])
+    assert rc == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["items"] == 2
+
+
+@pytest.mark.parametrize("hint", [None, "life sciences"])
+@pytest.mark.parametrize("command", [["build"], ["run", "--mode", "rag", "--num-q", "2"]])
+def test_title_check_reads_the_topic_hint(tmp_path, monkeypatch, command, hint):
+    backends = _wrap_backends(monkeypatch, RecordingBackend)
+    hint_flags = ["--topic-hint", hint] if hint else []
+    rc = _run([*command, "--topic", "Biology", "--depth", "1", *hint_flags,
+               "--output", str(tmp_path / "out.json")])
+    assert rc == 0
+    # The seed's, or the topic's, title check comes first.
+    prompt = next(r.user_prompt for r in backends[0].requests if r.task_tag == "title_check")
+    assert f'Context: information related to "{hint or "general knowledge"}".' in prompt
 
 
 def test_env_var_overrides_config_file(tmp_path, monkeypatch, capsys):
@@ -274,10 +318,27 @@ def test_env_var_overrides_config_file(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["max_branches"] == 3
 
 
+def _wrap_backends(monkeypatch, wrap) -> list:
+    """Wrap the chat backend of every ``Services`` the CLI builds in
+    ``wrap(backend)``; returns the wrapped backends, in build order."""
+    import knight.cli as cli_mod
+
+    build_services = cli_mod.build_services
+    backends: list = []
+
+    def build_wrapped_services(config):
+        services = build_services(config)
+        services.gateway.backend = wrap(services.gateway.backend)
+        backends.append(services.gateway.backend)
+        return services
+
+    monkeypatch.setattr(cli_mod, "build_services", build_wrapped_services)
+    return backends
+
+
 def _fail_tag(monkeypatch, tag):
     """Make every call of task tag ``tag`` raise ``AuthError`` in the
     services the CLI builds."""
-    import knight.cli as cli_mod
     from knight.errors import AuthError
 
     class TagFails:
@@ -289,14 +350,7 @@ def _fail_tag(monkeypatch, tag):
                 raise AuthError("key revoked")
             return self.inner.complete(request)
 
-    build_services = cli_mod.build_services
-
-    def build_failing_services(config):
-        services = build_services(config)
-        services.gateway.backend = TagFails(services.gateway.backend)
-        return services
-
-    monkeypatch.setattr(cli_mod, "build_services", build_failing_services)
+    _wrap_backends(monkeypatch, TagFails)
 
 
 def test_run_aborted_by_backend_writes_partial_outputs(tmp_path, capsys, monkeypatch):
@@ -351,7 +405,6 @@ def test_build_aborted_by_backend_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, monkeypatch):
-    import knight.cli as cli_mod
     from knight.errors import GatewayError
 
     dataset = tmp_path / "bio.jsonl"
@@ -374,14 +427,7 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
                 raise GatewayError("backend down")
             return self.inner.complete(request)
 
-    build_services = cli_mod.build_services
-
-    def build_failing_services(config):
-        services = build_services(config)
-        services.gateway.backend = ValidateFailsOnQuestion(services.gateway.backend)
-        return services
-
-    monkeypatch.setattr(cli_mod, "build_services", build_failing_services)
+    _wrap_backends(monkeypatch, ValidateFailsOnQuestion)
     capsys.readouterr()
     flagged = tmp_path / "bio.validated.jsonl"
     rc = _run(["validate", "--input", str(dataset), "--output", str(flagged)])
@@ -393,7 +439,6 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
 
 
 def test_validate_groups_break_where_the_source_changes(tmp_path, monkeypatch):
-    import knight.cli as cli_mod
     import knight.pipeline as pipeline_mod
 
     paths, direct = tmp_path / "paths.jsonl", tmp_path / "direct.jsonl"
@@ -411,16 +456,7 @@ def test_validate_groups_break_where_the_source_changes(tmp_path, monkeypatch):
     row = {r["question"]: index for index, r in enumerate(records)}
     assert len(row) == len(records)
 
-    build_services = cli_mod.build_services
-    backends = []
-
-    def build_recording_services(config):
-        services = build_services(config)
-        services.gateway.backend = RecordingBackend(services.gateway.backend)
-        backends.append(services.gateway.backend)
-        return services
-
-    monkeypatch.setattr(cli_mod, "build_services", build_recording_services)
+    backends = _wrap_backends(monkeypatch, RecordingBackend)
     batched = tmp_path / "batched.jsonl"
     assert _run(["validate", "--input", str(mixed), "--output", str(batched)]) == 0
     groups = [

@@ -386,8 +386,11 @@ def test_passage_validation():
         Passage(id="x", text="  ", score=0.5)
     with pytest.raises(ValueError):
         Passage(id="x", text="ok", score=1.5)
-    with pytest.raises(ValueError):
-        RetrievalResult(passages=[], fallback=False)
+
+
+def test_fallback_is_read_from_the_passages():
+    assert RetrievalResult().fallback is True
+    assert RetrievalResult([Passage(id="x", text="ok", score=0.5)]).fallback is False
 
 
 def test_mixture_symmetry():

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from knight import synthesis
 from knight.errors import ExtractionError
 from knight.prompts import GLOSS_HEADINGS
-from knight.retrieval import Passage, RetrievalResult
 from knight.synthesis import (
-    Gloss,
     Triple,
+    count_sections,
     dedup_triples,
     extract_triples,
     gate_gloss,
@@ -24,39 +23,27 @@ from knight.synthesis import (
     parse_triples_json,
 )
 
-
-def _retrieval(texts, title="Biology"):
-    passages = [
-        Passage(id=f"{title}#p{i}", text=t, score=0.9 - 0.1 * i)
-        for i, t in enumerate(texts)
-    ]
-    return RetrievalResult(passages=passages, fallback=not passages)
-
-
 # -- generate_gloss -----------------------------------------------------------
 
 
-def test_gloss_parametric_fallback(gateway, config):
-    gloss = generate_gloss(gateway, "Gleeb Zorp", _retrieval([]), config)
-    assert gloss.parametric_fallback is True
-    assert gloss.supported_by == []
-    assert gloss.mixture == []
+def test_gloss_parametric_fallback(recording_gateway, config):
+    gloss = generate_gloss(recording_gateway, "Gleeb Zorp", [], config)
+    assert gloss.strip()
+    assert "--- Context ---" not in recording_gateway.requests[-1].user_prompt
 
 
 def test_gloss_contains_all_headings(gateway, config):
-    retrieval = _retrieval(["Biology is the scientific study of life."])
-    gloss = generate_gloss(gateway, "Biology", retrieval, config)
+    gloss = generate_gloss(gateway, "Biology", ["Biology is the scientific study of life."], config)
     for heading in GLOSS_HEADINGS:
-        assert heading in gloss.text
-    assert gloss.sections_present == 8
-    assert gloss.supported_by == ["Biology#p0"]
+        assert heading in gloss
+    assert count_sections(gloss) == 8
 
 
 def test_gloss_parent_sentence_in_prompt(recording_gateway, config):
     generate_gloss(
         recording_gateway,
         "Pharmacology",
-        _retrieval(["Pharmacology studies drugs."]),
+        ["Pharmacology studies drugs."],
         config,
         parent_term="medicine",
     )
@@ -65,27 +52,18 @@ def test_gloss_parent_sentence_in_prompt(recording_gateway, config):
 
 
 def test_gloss_uses_desc_temperature(recording_gateway, config):
-    generate_gloss(recording_gateway, "Biology", _retrieval(["Life science."]), config)
+    generate_gloss(recording_gateway, "Biology", ["Life science."], config)
     request = recording_gateway.requests[-1]
     assert request.temperature == config.temp_desc == 0.4
     assert request.task_tag == "gloss"
 
 
 def test_gloss_prompt_keeps_retrieval_order_on_tied_scores(recording_gateway, config):
-    # Sorting by id would put "#chunk10" before "#chunk2".
-    passages = [
-        Passage(id="Biology#chunk2", text="Second chunk text.", score=0.5),
-        Passage(id="Biology#chunk10", text="Tenth chunk text.", score=0.5),
-    ]
-    gloss = generate_gloss(recording_gateway, "Biology", RetrievalResult(passages), config)
+    # The passages of a tie, in retrieval order: "#chunk2" before "#chunk10".
+    passages = ["Second chunk text.", "Tenth chunk text."]
+    generate_gloss(recording_gateway, "Biology", passages, config)
     prompt = recording_gateway.requests[-1].user_prompt
-    assert gloss.supported_by == ["Biology#chunk2", "Biology#chunk10"]
     assert prompt.index("Second chunk text.") < prompt.index("Tenth chunk text.")
-
-
-def test_gloss_invariant():
-    with pytest.raises(ValueError):
-        Gloss(term="x", text="t", sections_present=0, supported_by=[], parametric_fallback=False)
 
 
 # -- overlap ------------------------------------------------------------------
@@ -115,34 +93,23 @@ def test_overlap_empty_gloss():
 # -- gate_gloss ---------------------------------------------------------------
 
 
-def _gloss_with(tokens: list[str]) -> Gloss:
-    return Gloss(
-        term="t",
-        text=" ".join(tokens),
-        sections_present=8,
-        supported_by=["p0"],
-        parametric_fallback=False,
-    )
-
-
 def test_gate_boundary():
     gloss_tokens = [f"tok{i}" for i in range(100)]
-    gloss = _gloss_with(gloss_tokens)
+    gloss = " ".join(gloss_tokens)
     passage_36 = " ".join(gloss_tokens[:36])
     passage_34 = " ".join(gloss_tokens[:34])
     assert gate_gloss(gloss, [passage_36], eta=0.35) is True  # 0.36 >= 0.35
     assert gate_gloss(gloss, [passage_34], eta=0.35) is False  # 0.34 < 0.35
+    assert gate_gloss(gloss, [passage_34]) is False  # the default is the config's 0.35
 
 
 def test_gate_parametric_bypass():
-    gloss = Gloss(term="t", text="anything", sections_present=8,
-                  supported_by=[], parametric_fallback=True)
-    assert gate_gloss(gloss, [], eta=0.35) is True
+    assert gate_gloss("anything", [], eta=0.35) is True
 
 
 def test_gate_monotone_in_eta():
     gloss_tokens = [f"tok{i}" for i in range(100)]
-    gloss = _gloss_with(gloss_tokens)
+    gloss = " ".join(gloss_tokens)
     passage = " ".join(gloss_tokens[:50])
     for eta in (0.5, 0.4, 0.3, 0.1):
         assert gate_gloss(gloss, [passage], eta=eta) is True
@@ -186,20 +153,14 @@ def test_parse_triples_no_json():
 
 
 def test_extract_triples_via_mock(gateway, config):
-    gloss = Gloss(
-        term="Hafez",
-        text='1. Definition and Scope - Hafez: a Persian poet born in Shiraz.',
-        sections_present=1,
-        supported_by=["p0"],
-    )
+    gloss = "1. Definition and Scope - Hafez: a Persian poet born in Shiraz."
     triples = extract_triples(gateway, gloss, config)
     assert Triple("Hafez", "born_in", "Shiraz") in triples
 
 
 def test_extract_triples_empty_gloss(gateway, config):
-    gloss = Gloss(term="x", text="  ", sections_present=0, supported_by=[], parametric_fallback=True)
     with pytest.raises(ExtractionError):
-        extract_triples(gateway, gloss, config)
+        extract_triples(gateway, "  ", config)
 
 
 # -- dedup_triples ------------------------------------------------------------

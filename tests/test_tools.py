@@ -35,3 +35,13 @@ def test_golden_against_names_changed_missing_and_new_files(tmp_path, monkeypatc
         "changed  graph.json",
         "new  graph.rejects.jsonl",
     ]
+
+
+def test_golden_artifacts_match_the_committed_listing(tmp_path, capsys):
+    # tests/golden.sha256 lists the artifacts' sha256 sums: a change that
+    # moves an artifact updates it, so its diff names the moved files.
+    golden = _load("golden")
+    listing = Path(__file__).resolve().parent / "golden.sha256"
+    code = golden.main(["--out", str(tmp_path), "--against", str(listing)])
+    out = capsys.readouterr().out
+    assert (code, out) == (0, f"all {len(listing.read_text().splitlines())} files match\n")
