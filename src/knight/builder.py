@@ -57,15 +57,10 @@ class BuildReport:
     candidates_rejected: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "nodes_added": self.nodes_added,
-            "edges_added": self.edges_added,
-            "glosses_rejected_by_gamma": self.glosses_rejected_by_gamma,
-            "triples_deduped": self.triples_deduped,
-            "curation_prune_rate": self.curation_prune_rate,
-            "per_depth_counts": {str(k): v for k, v in sorted(self.per_depth_counts.items())},
-            "aborted_reason": self.aborted_reason,
-        }
+        doc = asdict(self)
+        del doc["candidates_seen"], doc["candidates_rejected"]
+        doc["per_depth_counts"] = {str(k): v for k, v in sorted(self.per_depth_counts.items())}
+        return doc
 
 
 @dataclass

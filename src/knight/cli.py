@@ -43,8 +43,7 @@ from .storage import (
     load_snapshot,
     mirror_graph,
     open_graph_store,
-    read_jsonl,
-    record_to_item,
+    read_items,
     save_snapshot,
     write_jsonl,
 )
@@ -262,9 +261,8 @@ def _cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _cmd_validate(args: argparse.Namespace, config: PipelineConfig) -> int:
     output = _output_path(args.output)
+    items = read_items(args.input)
     services = build_services(config)
-    records = read_jsonl(args.input)
-    items = [record_to_item(r) for r in records]
     validated, error = validate_items(services.gateway, items, config)
     kept = sum(int(item.flags.kept) for item in validated)
     write_jsonl([item_to_record(i) for i in validated], output)
@@ -275,9 +273,8 @@ def _cmd_validate(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
     report = _output_path(args.report)
     csv_path = _output_path(args.csv) if args.csv else None
+    items = read_items(args.input)
     _, adapters = load_fixtures(config)
-    records = read_jsonl(args.input)
-    items = [record_to_item(r) for r in records]
     topic = args.topic or (items[0].topic if items else "")
     stats, rows = compute_dataset_stats(items, adapters, topic)
     report_doc = {

@@ -30,37 +30,25 @@ def content_filter(
 ) -> tuple[bool, str | None]:
     """Run the three content checks in order: ontology type agreement, NLI
     entailment of the verbalized triple against the head gloss, and the
-    policy screen. The first failing check names the rejection reason; an
-    adapter outage skips its check unless strict mode is on."""
-    hypothesis = triple.verbalize()
-
-    try:
-        verdict = adapters.ontology.type_ok(triple.relation, triple.tail)
-        if verdict is False:
-            return False, "type_fail"
-    except AdapterError as exc:
-        if strict:
-            return False, "type_fail"
-        log.warning("ontology adapter outage for %s: %s (check skipped)", triple, exc)
-
-    try:
-        premise = head_gloss or triple.head
-        if adapters.nli.entailment(premise, hypothesis) < nli_threshold:
-            return False, "nli_fail"
-    except AdapterError as exc:
-        if strict:
-            return False, "nli_fail"
-        log.warning("NLI adapter outage for %s: %s (check skipped)", triple, exc)
-
-    try:
-        screened = " ".join((triple.head, triple.relation, triple.tail))
-        if not adapters.policy.allowed(screened):
-            return False, "policy_fail"
-    except AdapterError as exc:
-        if strict:
-            return False, "policy_fail"
-        log.warning("policy adapter outage for %s: %s (check skipped)", triple, exc)
-
+    policy screen. The first failing check names the rejection reason. An
+    adapter outage skips its check, or in strict mode fails it."""
+    premise = head_gloss or triple.head
+    screened = " ".join((triple.head, triple.relation, triple.tail))
+    checks = (
+        ("type_fail", "ontology",
+         lambda: adapters.ontology.type_ok(triple.relation, triple.tail) is False),
+        ("nli_fail", "NLI",
+         lambda: adapters.nli.entailment(premise, triple.verbalize()) < nli_threshold),
+        ("policy_fail", "policy", lambda: not adapters.policy.allowed(screened)),
+    )
+    for reason, adapter, fails in checks:
+        try:
+            if fails():
+                return False, reason
+        except AdapterError as exc:
+            if strict:
+                return False, reason
+            log.warning("%s adapter outage for %s: %s (check skipped)", adapter, triple, exc)
     return True, None
 
 
@@ -134,7 +122,7 @@ def curate(
             strict=config.strict_adapters,
         )
         if not ok:
-            outcome.rejected.append((triple, reason or "policy_fail"))
+            outcome.rejected.append((triple, reason))
             continue
 
         outcome.accepted.append(triple)

@@ -32,7 +32,7 @@ class EmptyResponseError(GatewayError):
 
 
 class RetrievalError(KnightError):
-    """Retryable retrieval failure (network, scorer adapter)."""
+    """Wiki search or fetch failed; never retried (``retrieve_evidence`` logs it)."""
 
 
 class PageNotFoundError(KnightError):
@@ -40,7 +40,7 @@ class PageNotFoundError(KnightError):
 
 
 class AmbiguousTitleError(KnightError):
-    """Title resolves to a disambiguation page; caller should try the next candidate."""
+    """Title is a disambiguation page; ``retrieve_evidence`` logs it and tries no other title."""
 
 
 class ExtractionError(KnightError):

@@ -33,12 +33,13 @@ from typing import Callable, Iterable, Protocol, TypeVar
 from .errors import AuthError, EmptyResponseError, GatewayError, RetriesExhaustedError
 from .fixture_world import FixtureWorld
 from .graph import normalize_name
-from .prompts import split_items
+from .prompts import VALIDATE_LABELS, parse_item_blocks, split_items
 
 log = logging.getLogger(__name__)
 
 T = TypeVar("T")
 R = TypeVar("R")
+E = TypeVar("E", bound=Exception)
 
 TASK_TAGS = ("gloss", "triples", "title_check", "mcq_forward", "mcq_reverse", "validate")
 
@@ -175,6 +176,12 @@ class ChatGateway:
             response = self.backend.complete(request)
         self.ledger.record(request.task_tag, response.prompt_tokens, response.completion_tokens)
         return response
+
+    def complete_items(
+        self, request: ChatRequest, parsers: list[Callable[[str], T]], error: type[E]
+    ) -> list[T | E]:
+        """One call, its reply parsed by ``prompts.parse_item_blocks``."""
+        return parse_item_blocks(self.complete(request).text, parsers, error)
 
 
 class OpenAiCompatBackend:
@@ -506,11 +513,6 @@ class MockChatBackend:
 
     def _verdicts(self, slot: str) -> str:
         topic = self._slot("val_topic", slot) or ""
-        topic_line = "YES" if topic.strip() else "N/A"
-        return (
-            "Grammar_Fluency: YES\n"
-            "Single_Correct_Key: YES\n"
-            "Option_Uniqueness: YES\n"
-            "Answerable_From_Source: YES\n"
-            f"Topic_Relevant: {topic_line}"
-        )
+        topic_line = "YES" if topic.strip() else "N/A"  # the last label's verdict
+        verdicts = ["YES"] * (len(VALIDATE_LABELS) - 1) + [topic_line]
+        return "\n".join(f"{label}: {v}" for label, v in zip(VALIDATE_LABELS, verdicts))

@@ -88,21 +88,15 @@ class Edge:
 
 @dataclass
 class PathSample:
-    """A directed path; ``node_ids`` always follow edge direction.
-
-    ``orientation`` only selects the question framing: the answer is the end
-    node for forward and the start node for reverse.
-    """
+    """A directed path; ``node_ids`` always follow edge direction. The items
+    of both orientations share it: ``McqItem.orientation`` holds theirs."""
 
     node_ids: list[str]
     relations: list[str]
-    orientation: str = "forward"
 
     def __post_init__(self) -> None:
         if len(self.node_ids) != len(self.relations) + 1:
             raise GraphError("path must have exactly one more node than relations")
-        if self.orientation not in ("forward", "reverse"):
-            raise GraphError(f"unknown orientation {self.orientation!r}")
 
     @property
     def hops(self) -> int:

@@ -53,7 +53,7 @@ from .fixture_world import FixtureWorld, load_world
 from .gateway import ChatGateway, ChatRequest, MockChatBackend, OpenAiCompatBackend
 from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
-from .prompts import DIRECT_MCQ_SYSTEM, direct_mcq_user, parse_item_blocks
+from .prompts import DIRECT_MCQ_SYSTEM, direct_mcq_user
 from .qgen import McqItem, generate_mcq, mcq_item, sample_paths
 from .retrieval import (
     FixtureWikiSource, NetworkWikiSource, RetrievalResult, WikiSource, retrieve_evidence,
@@ -250,8 +250,8 @@ def _direct_attempts(
             temperature=config.temp_desc,
             task_tag="mcq_forward",
         )
-        return parse_item_blocks(
-            services.gateway.complete(request).text,
+        return services.gateway.complete_items(
+            request,
             [partial(mcq_item, id=item_id, **fields) for item_id in item_ids],
             GenerationRejected,
         )

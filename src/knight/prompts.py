@@ -5,8 +5,9 @@ The output-format blocks here are load-bearing: the parsers in
 The critic and every generation call share one numbered-block format: the
 prompt holds one slot per item headed by an "Item N" line, and the reply
 one block per item under the same header, as ``numbered_reply`` asks.
-``split_items`` and ``parse_item_blocks`` are the one place that format is
-read, by those parsers and by the mock backend alike.
+``numbered_prompt`` is the one writer of the slots; ``split_items`` and
+``parse_item_blocks`` are the one place the format is read, by the mock
+backend and by ``ChatGateway.complete_items``.
 """
 
 from __future__ import annotations
@@ -51,6 +52,14 @@ def parse_item_blocks(
         except error as exc:
             out.append(exc)
     return out
+
+
+def numbered_prompt(head: str, slots: list[str], tail: str = "") -> str:
+    """``head``, each slot body under its "Item N" line (numbered from 1), then
+    ``tail``, joined by blank lines; an empty head or tail is left out. Calls
+    with one head thus share their prompt up to the first slot."""
+    items = [f"Item {number}\n{body}" for number, body in enumerate(slots, start=1)]
+    return "\n\n".join(part for part in (head, *items, tail) if part)
 
 
 def numbered_reply(slot: str, lines: str) -> str:
@@ -164,25 +173,23 @@ def path_mcq_user(
     orientation: str, topic: str | None, slots: list[tuple[str, Node, Node, int]]
 ) -> str:
     """Prompt for the path modes: the topic line, then one slot per (path,
-    start node, end node, variant), numbered from 1, so every call of one
-    orientation shares its prompt up to the first slot."""
-    parts = []
+    start node, end node, variant)."""
+    head = ""
     if topic:
-        parts.append(
-            f'IMPORTANT: the questions and options must stay on the overall topic: "{topic}".'
-        )
-    for number, (path, start, end, variant) in enumerate(slots, start=1):
+        head = f'IMPORTANT: the questions and options must stay on the overall topic: "{topic}".'
+    bodies = []
+    for path, start, end, variant in slots:
         answer = end if orientation == "forward" else start
-        slot = (
-            f'Item {number}\nPath: "{path}"\n'
+        body = (
+            f'Path: "{path}"\n'
             f'Start Node: "{start.name}"\nDescription: "{start.gloss or start.name}"\n'
             f'End Node: "{end.name}"\nDescription: "{end.gloss or end.name}"\n'
             f'The correct option must contain the text "{answer.name}".'
         )
         if variant:
-            slot += f"\nVariation tag: {variant} (phrase this item differently from earlier ones)."
-        parts.append(slot)
-    return "\n\n".join(parts)
+            body += f"\nVariation tag: {variant} (phrase this item differently from earlier ones)."
+        bodies.append(body)
+    return numbered_prompt(head, bodies)
 
 
 DIRECT_MCQ_SYSTEM = (
@@ -196,72 +203,62 @@ DIRECT_MCQ_SYSTEM = (
 
 
 def direct_mcq_user(topic: str, level: int, passages: list[str], variants: range) -> str:
-    """Prompt for the KG-free modes: one slot per variant, numbered from 1,
-    after the topic line and any evidence, so every group of a run shares
-    its prompt up to the first slot."""
-    parts = [
+    """Prompt for the KG-free modes: the topic line and any evidence, then
+    one slot per variant."""
+    head = (
         f'Write one four-option multiple-choice question about the topic "{topic}" '
         f"at difficulty level {level} for each numbered item below."
-    ]
+    )
     if passages:
-        parts.append(
-            "Base the questions solely on this evidence:\n"
+        head += (
+            "\n\nBase the questions solely on this evidence:\n"
             "--- Evidence ---\n" + "\n\n".join(passages) + "\n--- End Evidence ---"
         )
-    parts += [
-        f"Item {number}\n"
-        f"Variation tag: {variant} (cover a different aspect than earlier items)."
-        for number, variant in enumerate(variants, start=1)
-    ]
-    parts.append("Respond with one numbered block of the six item lines per item.")
-    return "\n\n".join(parts)
+    return numbered_prompt(
+        head,
+        [f"Variation tag: {v} (cover a different aspect than earlier items)." for v in variants],
+        "Respond with one numbered block of the six item lines per item.",
+    )
 
 
-VALIDATE_LABELS = (
-    "Grammar_Fluency",
-    "Single_Correct_Key",
-    "Option_Uniqueness",
-    "Answerable_From_Source",
-    "Topic_Relevant",
+VALIDATE_CHECKS = (
+    ("Grammar_Fluency", "is the question spelled and phrased correctly and clearly?"),
+    ("Single_Correct_Key", "is exactly one option marked correct?"),
+    ("Option_Uniqueness", "are all four options distinct, with no near-duplicates?"),
+    ("Answerable_From_Source", "does the keyed option follow solely from the "
+     "source block, without outside knowledge?"),
+    ("Topic_Relevant", "if a topic is given, is the question clearly about it? "
+     "Use N/A when no topic is given."),
 )
+VALIDATE_LABELS = tuple(label for label, _ in VALIDATE_CHECKS)
 
 VALIDATE_SYSTEM = (
     "You audit four-option multiple-choice questions using only the supplied "
     "Source Information block. The user numbers the items; evaluate five checks "
     "for each:\n"
-    "1. Grammar_Fluency - is the question spelled and phrased correctly and clearly?\n"
-    "2. Single_Correct_Key - is exactly one option marked correct?\n"
-    "3. Option_Uniqueness - are all four options distinct, with no near-duplicates?\n"
-    "4. Answerable_From_Source - does the keyed option follow solely from the "
-    "source block, without outside knowledge?\n"
-    "5. Topic_Relevant - if a topic is given, is the question clearly about it? "
-    "Use N/A when no topic is given.\n"
+    + "".join(f"{i}. {label} - {q}\n" for i, (label, q) in enumerate(VALIDATE_CHECKS, start=1))
     + numbered_reply("item", "five lines, in exactly this order and casing")
-    + "Grammar_Fluency: YES|NO\n"
-    "Single_Correct_Key: YES|NO\n"
-    "Option_Uniqueness: YES|NO\n"
-    "Answerable_From_Source: YES|NO\n"
-    "Topic_Relevant: YES|NO|N/A"
+    # Only the last label, Topic_Relevant, may also be N/A.
+    + "\n".join(f"{label}: YES|NO" for label in VALIDATE_LABELS)
+    + "|N/A"
 )
 
 
 def validate_user(items: list[McqItem], source_context: str) -> str:
     """The source block first, so calls on the same source share a prompt
-    prefix, then one block per item headed "Item N", numbered from 1."""
-    blocks = []
-    for number, item in enumerate(items, start=1):
+    prefix, then one slot per item."""
+    bodies = []
+    for item in items:
         option_lines = "\n".join(f"{k}) {item.options[k]}" for k in sorted(item.options))
-        blocks.append(
-            f"Item {number}\n"
+        bodies.append(
             f'Question: "{item.question}"\n'
             f"{option_lines}\n"
             f'Correct Answer: "{item.answer_key}"\n'
             f'Topic (optional): "{item.topic or ""}"'
         )
-    return (
-        "Source Information\n"
-        f"{source_context}\n\n"
-        "Evaluate each item below based only on the Source Information.\n\n"
-        + "\n\n".join(blocks)
-        + "\n\nRespond with one numbered block of the five check lines per item."
+    return numbered_prompt(
+        f"Source Information\n{source_context}\n\n"
+        "Evaluate each item below based only on the Source Information.",
+        bodies,
+        "Respond with one numbered block of the five check lines per item.",
     )

@@ -4,8 +4,9 @@ strict parsing of the generated six-line item format.
 ``mcq_item`` is the one place an item is made from a reply block: it parses
 the block's six lines and builds the ``McqItem``. Every generation reply is a
 group: a path mode's (``generate_mcq``, one orientation per call) and a
-direct mode's alike are split on their "Item N" headers, and each block goes
-through ``mcq_item`` on its own (see ``prompts.parse_item_blocks``)."""
+direct mode's alike are split on their "Item N" headers by
+``ChatGateway.complete_items``, and each block goes through ``mcq_item`` on its
+own. Orientation lives on the ``McqItem`` only."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .config import PipelineConfig
 from .errors import GenerationRejected
 from .gateway import ChatGateway, ChatRequest
 from .graph import KnowledgeGraph, PathSample, enumerate_paths
-from .prompts import MCQ_FORWARD_SYSTEM, MCQ_REVERSE_SYSTEM, parse_item_blocks, path_mcq_user
+from .prompts import MCQ_FORWARD_SYSTEM, MCQ_REVERSE_SYSTEM, path_mcq_user
 
 if TYPE_CHECKING:
     from .validation import ValidationReport
@@ -48,6 +49,8 @@ class McqItem:
             raise ValueError("an item carries exactly the four options A-D")
         if self.answer_key not in self.options:
             raise ValueError(f"answer key {self.answer_key!r} has no option")
+        if self.orientation not in ("forward", "reverse"):
+            raise ValueError(f"unknown orientation {self.orientation!r}")
         if self.path is not None and self.level != self.path.hops:
             raise ValueError("level must equal the path hop count")
 
@@ -167,7 +170,7 @@ def generate_mcq(
             topic=topic or "",
             level=path.hops,
             orientation=orientation,
-            path=PathSample(list(path.node_ids), list(path.relations), orientation),
+            path=path,
             source_context=verbalize(path, graph),
             provenance={
                 "seed_node": path.node_ids[0],
@@ -203,10 +206,8 @@ def generate_mcq(
         temperature=config.temp_desc,
         task_tag="mcq_forward" if orientation == "forward" else "mcq_reverse",
     )
-    return parse_item_blocks(
-        gateway.complete(request).text,
-        [parser(path, item_id) for path, item_id, _ in slots],
-        GenerationRejected,
+    return gateway.complete_items(
+        request, [parser(path, item_id) for path, item_id, _ in slots], GenerationRejected
     )
 
 
@@ -217,7 +218,8 @@ def sample_paths(
     num_q: int,
     rng_seed: int,
 ) -> list[tuple[PathSample, str]]:
-    """Forward/reverse pairs over all length-``level`` paths from ``v0``.
+    """Forward/reverse pairs over all length-``level`` paths from ``v0``; a
+    path's two pairs share its ``PathSample``.
 
     Scarce paths cycle (the caller salts repeat prompts by occurrence);
     abundant ones are thinned by a seeded sample without replacement that
@@ -227,8 +229,7 @@ def sample_paths(
         raise ValueError("num_q must be >= 1")
     pairs: list[tuple[PathSample, str]] = []
     for path in enumerate_paths(graph, v0, level):
-        pairs.append((PathSample(list(path.node_ids), list(path.relations), "forward"), "forward"))
-        pairs.append((PathSample(list(path.node_ids), list(path.relations), "reverse"), "reverse"))
+        pairs += [(path, "forward"), (path, "reverse")]
     if not pairs:
         return []
     if len(pairs) > num_q:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from .builder import BuildReport
 from .config import PipelineConfig
@@ -112,8 +112,8 @@ def write_jsonl(records: Iterable[Mapping[str, Any]], path: str | Path) -> None:
             fh.write(canonical_json(record) + "\n")
 
 
-def read_jsonl(path: str | Path) -> list[dict]:
-    out: list[dict] = []
+def read_jsonl(path: str | Path, parse: Callable[[dict], Any] | None = None) -> list:
+    out: list = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -124,8 +124,19 @@ def read_jsonl(path: str | Path) -> list[dict]:
                 raise JsonlError(f"malformed JSON ({exc.msg})", line_number=lineno) from exc
             if not isinstance(doc, dict):
                 raise JsonlError("record is not an object", line_number=lineno)
+            if parse is not None:
+                try:
+                    doc = parse(doc)
+                except (AttributeError, LookupError, TypeError, ValueError) as exc:
+                    raise JsonlError(f"malformed record ({exc!r})", line_number=lineno) from exc
             out.append(doc)
     return out
+
+
+def read_items(path: str | Path) -> list[McqItem]:
+    """The dataset's items. A line that is not a JSON object, or whose object
+    ``record_to_item`` refuses, raises ``JsonlError`` naming the line."""
+    return read_jsonl(path, record_to_item)
 
 
 def item_to_record(item: McqItem) -> dict:
@@ -156,7 +167,7 @@ def record_to_item(record: Mapping[str, Any]) -> McqItem:
     if triples:
         node_ids = [triples[0][0]] + [t[2] for t in triples]
         relations = [t[1] for t in triples]
-        path = PathSample(node_ids, relations, record.get("orientation", "forward"))
+        path = PathSample(node_ids, relations)
     flags = None
     if record.get("validation") is not None:
         flags = ValidationReport.from_dict(record["validation"])

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from .config import PipelineConfig
 from .errors import ValidationParseError
 from .gateway import ChatGateway, ChatRequest
-from .prompts import VALIDATE_LABELS, VALIDATE_SYSTEM, parse_item_blocks, validate_user
+from .prompts import VALIDATE_LABELS, VALIDATE_SYSTEM, validate_user
 from .qgen import McqItem
 
 log = logging.getLogger(__name__)
@@ -111,20 +111,16 @@ def parse_critic_response(text: str) -> Verdicts:
 def llm_validate(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> list[Verdicts | ValidationParseError]:
-    """One critic call for ``items``, which share their source block. Each
-    item's "Item N" reply block is parsed with ``parse_critic_response``; an
-    item whose block is missing, appears twice or does not parse gets the
-    ``ValidationParseError`` in its place."""
-    response = gateway.complete(
-        ChatRequest(
-            system_prompt=VALIDATE_SYSTEM,
-            user_prompt=validate_user(items, items[0].source_context),
-            temperature=config.temp_triples,
-            task_tag="validate",
-        )
+    """One critic call for ``items``, which share their source block: each
+    item's verdicts or ``ValidationParseError``, as ``complete_items`` reads them."""
+    request = ChatRequest(
+        system_prompt=VALIDATE_SYSTEM,
+        user_prompt=validate_user(items, items[0].source_context),
+        temperature=config.temp_triples,
+        task_tag="validate",
     )
-    return parse_item_blocks(
-        response.text, [parse_critic_response] * len(items), ValidationParseError
+    return gateway.complete_items(
+        request, [parse_critic_response] * len(items), ValidationParseError
     )
 
 

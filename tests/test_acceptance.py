@@ -417,7 +417,7 @@ def test_criterion_10_round_trips(tmp_path):
                 topic=rng.choice(["Biology", "History", "Mathematics"]),
                 level=hops,
                 orientation=orientation,
-                path=PathSample(node_ids, relations, orientation),
+                path=PathSample(node_ids, relations),
                 source_context=f"ctx {idx}",
                 flags=flags,
                 provenance={"seed_node": node_ids[0], "passage_ids": [f"p{idx}"],

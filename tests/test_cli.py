@@ -273,6 +273,42 @@ def test_missing_output_directory_fails_before_any_llm_call(
     assert calls == []
 
 
+def _dataset_with_bad_second_record(tmp_path, corrupt) -> str:
+    """Two records with a blank line between them; ``corrupt`` edits the second."""
+    good, *_ = read_jsonl(_plain_dataset(tmp_path))
+    bad = dict(good)
+    corrupt(bad)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_validate_malformed_record_is_a_line_error_before_any_llm_call(
+    tmp_path, capsys, monkeypatch
+):
+    dataset = _dataset_with_bad_second_record(tmp_path, lambda r: r.pop("id"))
+    capsys.readouterr()
+    calls = _count_backend_calls(monkeypatch)
+    rc = _run(["validate", "--input", dataset, "--output", str(tmp_path / "out.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+    assert calls == []
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt", [lambda r: r.update(answer_key="E"), lambda r: r.update(orientation="sideways")]
+)
+def test_eval_malformed_record_is_a_line_error(tmp_path, capsys, corrupt):
+    dataset = _dataset_with_bad_second_record(tmp_path, corrupt)
+    capsys.readouterr()
+    rc = _run(["eval", "--input", dataset, "--report", str(tmp_path / "r.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 3: ") and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("report, csv", [("absent/r.json", None), ("r.json", "absent/rows.csv")])
 def test_eval_checks_its_output_directories_first(tmp_path, capsys, report, csv):
     argv = ["eval", "--input", _plain_dataset(tmp_path), "--report", str(tmp_path / report)]

@@ -18,7 +18,16 @@ from knight.gateway import (
     OpenAiCompatBackend,
     TokenLedger,
 )
-from knight.prompts import GLOSS_SYSTEM, TRIPLES_SYSTEM, gloss_user, triples_user
+from knight.prompts import (
+    GLOSS_SYSTEM,
+    TRIPLES_SYSTEM,
+    VALIDATE_LABELS,
+    VALIDATE_SYSTEM,
+    gloss_user,
+    numbered_prompt,
+    split_items,
+    triples_user,
+)
 
 from conftest import http_response
 
@@ -101,6 +110,47 @@ def test_mock_override_wins(world):
         )
     )
     assert resp.text == "Maybe"
+
+
+def test_numbered_prompt_numbers_slots_and_leaves_out_empty_parts():
+    assert numbered_prompt("head", ["a", "b\nc"], "tail") == (
+        "head\n\nItem 1\na\n\nItem 2\nb\nc\n\ntail"
+    )
+    assert numbered_prompt("", ["a"]) == "Item 1\na"
+    head, slots = split_items(numbered_prompt("head", ["x", "y"]))
+    assert head == "head\n\n" and [n for n, _ in slots] == [1, 2]
+
+
+def test_critic_reply_lines_follow_the_labels(world):
+    reply_format = VALIDATE_SYSTEM.splitlines()[-len(VALIDATE_LABELS):]
+    assert [line.split(":")[0] for line in reply_format] == list(VALIDATE_LABELS)
+    slots = ['Topic (optional): ""', 'Topic (optional): "T"']
+    text = MockChatBackend(world).complete(_request("validate", numbered_prompt("ctx", slots))).text
+    blocks = [block.strip().splitlines() for _, block in split_items(text)[1]]
+    labels = [[line.split(":")[0] for line in block] for block in blocks]
+    assert labels == [list(VALIDATE_LABELS)] * 2
+    assert [block[-1].split(": ")[1] for block in blocks] == ["N/A", "YES"]
+
+
+def test_complete_items_parses_one_outcome_per_slot(world):
+    class Rejected(Exception):
+        pass
+
+    def parse(block):
+        if "bad" in block:
+            raise Rejected(block.strip())
+        return block.strip()
+
+    class Fixed:
+        def complete(self, request):
+            return ChatResponse("Item 1\nfine\nItem 2\nbad\nItem 2\nagain", 3, 4)
+
+    gateway = ChatGateway(Fixed())
+    first, second, third = gateway.complete_items(_request("validate"), [parse] * 3, Rejected)
+    assert first == "fine"
+    assert isinstance(second, Rejected) and "2 blocks" in str(second)
+    assert isinstance(third, Rejected) and "0 blocks" in str(third)
+    assert gateway.ledger.totals() == {"validate": (3, 4)}
 
 
 def test_ledger_starts_empty_and_adds():

@@ -227,6 +227,22 @@ def test_item_invariants():
         )
 
 
+@pytest.mark.parametrize("path", [None, PathSample(["a", "b"], ["rel"])])
+def test_item_rejects_unknown_orientation(path):
+    with pytest.raises(ValueError, match="orientation"):
+        McqItem(
+            id="x",
+            question="q",
+            options={"A": "1", "B": "2", "C": "3", "D": "4"},
+            answer_key="A",
+            topic="t",
+            level=1,
+            orientation="sideways",
+            path=path,
+            source_context="",
+        )
+
+
 # -- sample_paths -------------------------------------------------------------
 
 
@@ -237,6 +253,7 @@ def test_sample_paths_single_path_both_orientations():
         (["a", "b", "c"], "forward"),
         (["a", "b", "c"], "reverse"),
     ]
+    assert pairs[0][0] is pairs[1][0]
 
 
 def test_sample_paths_cycles_when_scarce():

@@ -17,6 +17,7 @@ from knight.storage import (
     load_snapshot,
     mirror_graph,
     open_graph_store,
+    read_items,
     read_jsonl,
     record_to_item,
     save_snapshot,
@@ -138,7 +139,7 @@ def _random_item(rng: random.Random, idx: int) -> McqItem:
         topic="Topic",
         level=hops,
         orientation=orientation,
-        path=PathSample(node_ids, relations, orientation),
+        path=PathSample(node_ids, relations),
         source_context=f"context {idx}",
         flags=flags,
         provenance={"seed_node": node_ids[0], "passage_ids": [], "mixture_weights": [],
@@ -160,6 +161,34 @@ def test_jsonl_items_roundtrip_field_for_field(tmp_path):
     write_jsonl([item_to_record(i) for i in items], path)
     loaded = [record_to_item(r) for r in read_jsonl(path)]
     assert loaded == items
+    assert read_items(path) == items
+
+
+def test_record_to_item_rejects_unknown_orientation():
+    record = item_to_record(_random_item(random.Random(3), 0))
+    record["orientation"] = "sideways"
+    with pytest.raises(ValueError, match="orientation"):
+        record_to_item(record)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda r: r.pop("id"),
+        lambda r: r.update(answer_key="E"),
+        lambda r: r.update(orientation="sideways"),
+        lambda r: r.update(path=[["a", "rel"]]),
+        lambda r: r.update(validation=["kept"]),
+    ],
+)
+def test_read_items_names_the_malformed_record_line(tmp_path, corrupt):
+    good, bad = (item_to_record(_random_item(random.Random(4), i)) for i in range(2))
+    corrupt(bad)
+    path = tmp_path / "data.jsonl"
+    path.write_text(canonical_json(good) + "\n\n" + canonical_json(bad) + "\n", encoding="utf-8")
+    with pytest.raises(JsonlError) as excinfo:
+        read_items(path)
+    assert excinfo.value.line_number == 3
 
 
 def test_jsonl_corrupted_line_names_index(tmp_path):

@@ -2,8 +2,8 @@
 
     python3 tools/golden.py --out DIR [--against LISTING]
 
-Runs ``knight run`` on the mock backend in all five modes, for Biology and
-History, at ``max_inflight`` 1 and 4 (``--depth 2 --num-q 12 --seed 0``),
+Runs ``knight run`` on the mock backend in all five modes, for Biology,
+History and Mathematics, at ``max_inflight`` 1 and 4 (``--depth 2 --num-q 12 --seed 0``),
 and ``knight build --topic Biology --depth 3``. On the Biology ``knight``
 run at bound 1 it then runs ``knight generate`` (plain, with
 ``--validate``, and with ``--snapshot`` on that run's snapshot), and
@@ -37,7 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from knight.cli import main as knight  # noqa: E402
 from knight.config import PIPELINE_MODES  # noqa: E402
 
-TOPICS = ("Biology", "History")
+TOPICS = ("Biology", "History", "Mathematics")
 INFLIGHT = (1, 4)
 
 
