@@ -1,19 +1,29 @@
 """Breadth-first, depth-bounded graph construction combining retrieval,
 gloss synthesis, triple extraction, and curation.
 
-The build maps one FIFO queue of (node id, name, parent name, depth)
-entries through ``ChatGateway.map`` from the seed. The per-node stage
-(retrieve, gloss, gamma gate, extract, dedup) reads only its entry, never
-the graph, so stages run concurrently. It keeps the gloss text and the
-node's ``RetrievalResult``. Each finished stage is applied on the caller's
-thread in queue order: the node's gloss, and its provenance, fallback flag
-and retrieval weights read from that result, then curation and attachment.
-The children it adds join the queue at once, while the rest of their
-parent's level is in flight. The queue is breadth-first, so the graph equals a
-sequential FIFO run's at any ``max_inflight``. On a ``GatewayError`` every
-stage before the failed one is applied, the error goes to
-``BuildReport.aborted_reason``, and nothing after it is: a failed call
-costs the rest of the queue.
+The build maps one FIFO queue of sibling sets through ``ChatGateway.map``,
+starting from the seed alone. A sibling set is up to ``BATCH`` of the
+children one expansion added, with their shared parent name and depth. Its
+stage makes numbered-slot calls, one slot per sibling: title-check rounds
+(``choose_titles``), one ``gloss`` call with the parent line as shared
+head, and one ``triples`` call for the siblings above ``d_max`` whose gloss
+passed the gamma gate. Retrieval, the gamma gate and dedup stay per
+sibling. The stage reads only its entry, never the graph, so stages run
+concurrently. Each finished stage is applied on the caller's thread in
+queue order, sibling by sibling: the node's gloss, and its provenance,
+fallback flag and retrieval weights read from its ``RetrievalResult``, then
+curation and attachment. The children each sibling adds join the queue at
+once as a new set, while the rest of their parent's level is in flight.
+Nodes are thus applied in the order of a per-node breadth-first run, and
+the graph is the same at any ``max_inflight``.
+
+A reply block that is missing or unusable costs its own sibling only: a
+title block reads as "no"; a gloss block leaves the node unglossed and
+unexpanded, with a warning; a triples block is an ``ExtractionError``, so
+the node gets zero children. On a ``GatewayError`` every set before the
+failed one is applied, the error goes to ``BuildReport.aborted_reason``,
+and nothing after it is: a failed call costs its set and the rest of the
+queue.
 
 Depth rule: a node at ``d_max`` can get no children, so it is glossed but
 not expanded. It gets its title check, retrieval, gloss, provenance and
@@ -31,14 +41,18 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .adapters import AdapterSuite
 from .config import PipelineConfig
 from .curation import curate
 from .errors import ExtractionError
 from .gateway import ChatGateway
-from .graph import KnowledgeGraph, Topic, Triple, add_curated
-from .retrieval import RetrievalResult, WikiSource, mixture_weights, retrieve_evidence
+from .graph import KnowledgeGraph, Node, Topic, Triple, add_curated
+from .prompts import BATCH
+from .retrieval import (
+    RetrievalResult, WikiSource, choose_titles, mixture_weights, retrieve_evidence,
+)
 from .synthesis import dedup_triples, extract_triples, gate_gloss, generate_gloss
 
 log = logging.getLogger(__name__)
@@ -75,40 +89,64 @@ class RejectedCandidate:
         return asdict(self)
 
 
+class _Siblings(NamedTuple):
+    """A queue entry: up to ``BATCH`` nodes one expansion added."""
+
+    ids: list[str]
+    names: list[str]
+    parent: str | None
+    depth: int
+
+
 @dataclass
 class _Stage:
-    """Pure per-node computation results, safe to produce concurrently."""
+    """Pure per-node computation results, safe to produce concurrently. A
+    node whose gloss block failed has no gloss."""
 
     retrieval: RetrievalResult
-    gloss: str
-    gamma_failed: bool
+    gloss: str | None
+    gamma_failed: bool = False
     triples: list[Triple] = field(default_factory=list)
     dedup_dropped: int = 0
 
 
-def _node_stage(
-    term: str,
-    parent_term: str | None,
-    depth: int,
+def _set_stage(
+    siblings: _Siblings,
     topic_hint: str | None,
     config: PipelineConfig,
     gateway: ChatGateway,
     source: WikiSource,
-) -> _Stage:
-    retrieval = retrieve_evidence(term, source, gateway, config, parent_term or topic_hint)
-    passages = retrieval.texts()
-    gloss = generate_gloss(gateway, term, passages, config, parent_term)
-    stage = _Stage(retrieval, gloss, not gate_gloss(gloss, passages, config.eta_overlap))
-    if stage.gamma_failed or depth >= config.d_max:
-        return stage
-    try:
-        raw = extract_triples(gateway, gloss, config)
-    except ExtractionError as exc:
-        log.warning("stage for %r degraded to zero children: %s: %s", term, type(exc).__name__, exc)
-        return stage
-    stage.triples = dedup_triples(raw, config.lambda_max)
-    stage.dedup_dropped = len(raw) - len(stage.triples)
-    return stage
+) -> list[_Stage]:
+    names, parent = siblings.names, siblings.parent
+    titles = choose_titles(names, source, gateway, config, parent or topic_hint)
+    retrievals = [
+        retrieve_evidence(name, title, source, config) for name, title in zip(names, titles)
+    ]
+    glosses = generate_gloss(
+        gateway, [(name, r.texts()) for name, r in zip(names, retrievals)], config, parent
+    )
+    stages = []
+    for name, retrieval, gloss in zip(names, retrievals, glosses):
+        if isinstance(gloss, ExtractionError):
+            log.warning("gloss for %r failed, node left unglossed: %s", name, gloss)
+            stages.append(_Stage(retrieval, None))
+            continue
+        passed = gate_gloss(gloss, retrieval.texts(), config.eta_overlap)
+        stages.append(_Stage(retrieval, gloss, not passed))
+    expand = [
+        (name, stage) for name, stage in zip(names, stages)
+        if stage.gloss is not None and not stage.gamma_failed
+    ]
+    if not expand or siblings.depth >= config.d_max:
+        return stages
+    extracted = extract_triples(gateway, [stage.gloss for _, stage in expand], config)
+    for (name, stage), raw in zip(expand, extracted):
+        if isinstance(raw, ExtractionError):
+            log.warning("stage for %r degraded to zero children: %s", name, raw)
+            continue
+        stage.triples = dedup_triples(raw, config.lambda_max)
+        stage.dedup_dropped = len(raw) - len(stage.triples)
+    return stages
 
 
 def _apply_stage(
@@ -119,12 +157,11 @@ def _apply_stage(
     adapters: AdapterSuite,
     report: BuildReport,
     rejects: list[RejectedCandidate] | None,
-) -> list[tuple[str, str, str, int]]:
+) -> list[Node]:
     """Serial part of one expansion: attach the gloss, its evidence and its
-    gamma flag, curate, mutate the graph, and return the (child id, name,
-    parent name, depth) entries of the nodes it added. A node at ``d_max``
-    or one whose gloss failed the gate brings no triples, so it is neither
-    curated nor given children."""
+    gamma flag, curate, mutate the graph, and return the nodes it added. A
+    node at ``d_max`` or one whose gloss failed or failed the gate brings
+    no triples, so it is neither curated nor given children."""
     node = graph.nodes[node_id]
     retrieval = stage.retrieval
     node.gloss = stage.gloss
@@ -153,10 +190,30 @@ def _apply_stage(
     known = len(graph.nodes)
     add_curated(graph, node_id, selected)
     # Nodes are stored in insertion order, so the new children come last.
-    return [
-        (child.id, child.name, node.name, child.depth)
-        for child in list(graph.nodes.values())[known:]
-    ]
+    return list(graph.nodes.values())[known:]
+
+
+def _apply_set(
+    graph: KnowledgeGraph,
+    siblings: _Siblings,
+    stages: list[_Stage],
+    config: PipelineConfig,
+    adapters: AdapterSuite,
+    report: BuildReport,
+    rejects: list[RejectedCandidate] | None,
+) -> list[_Siblings]:
+    """Apply each sibling's stage in order; each sibling's children become
+    new sets of up to ``BATCH``."""
+    sets = []
+    for node_id, name, stage in zip(siblings.ids, siblings.names, stages):
+        children = _apply_stage(graph, node_id, stage, config, adapters, report, rejects)
+        for start in range(0, len(children), BATCH):
+            chunk = children[start : start + BATCH]
+            sets.append(_Siblings(
+                [child.id for child in chunk], [child.name for child in chunk],
+                name, siblings.depth + 1,
+            ))
+    return sets
 
 
 def build_kg(
@@ -169,18 +226,19 @@ def build_kg(
 ) -> tuple[KnowledgeGraph, BuildReport]:
     """Construct the depth-bounded graph for ``topic``.
 
-    A backend failure stops expansion after every stage before it in queue
-    order is applied and is recorded on the report; the partial graph is
-    still returned.
+    A backend failure stops expansion after every sibling set before it in
+    queue order is applied and is recorded on the report; the partial graph
+    is still returned.
     """
     graph = KnowledgeGraph(topic.name)
     report = BuildReport()
 
+    seed = graph.nodes[graph.seed_id]
     _, error = gateway.map(
-        lambda entry: _node_stage(*entry[1:], topic.optional_prompt, config, gateway, source),
-        [(graph.seed_id, graph.nodes[graph.seed_id].name, None, 0)],
-        then=lambda entry, stage: _apply_stage(
-            graph, entry[0], stage, config, adapters, report, rejects
+        lambda siblings: _set_stage(siblings, topic.optional_prompt, config, gateway, source),
+        [_Siblings([seed.id], [seed.name], None, 0)],
+        then=lambda siblings, stages: _apply_set(
+            graph, siblings, stages, config, adapters, report, rejects
         ),
     )
     if error is not None:

@@ -32,7 +32,8 @@ class EmptyResponseError(GatewayError):
 
 
 class RetrievalError(KnightError):
-    """Wiki search or fetch failed; never retried (``retrieve_evidence`` logs it)."""
+    """Wiki search or fetch failed; never retried (``choose_titles`` or
+    ``retrieve_evidence`` logs it)."""
 
 
 class PageNotFoundError(KnightError):
@@ -44,7 +45,8 @@ class AmbiguousTitleError(KnightError):
 
 
 class ExtractionError(KnightError):
-    """No parseable triple payload in a relation-extraction response."""
+    """A gloss or triples reply block is missing, empty or has no parseable
+    triple payload."""
 
 
 class GenerationRejected(KnightError):

@@ -357,8 +357,7 @@ class MockChatBackend:
     # -- dispatch ---------------------------------------------------------
 
     def _dispatch(self, request: ChatRequest, combined: str) -> str:
-        numbered = request.task_tag in ("mcq_forward", "mcq_reverse", "validate")
-        head, slots = split_items(combined) if numbered else (combined, [])
+        head, slots = split_items(combined)
         planted: dict[int, str] = {}
         for override in self.overrides:
             if override.task_tag == request.task_tag and override.substring in combined:
@@ -366,25 +365,22 @@ class MockChatBackend:
                 if override.substring in head or len(hits) != 1:
                     return override.response
                 planted.setdefault(hits[0], override.response)
-        if request.task_tag == "title_check":
-            return self._title_check(combined)
-        if request.task_tag == "gloss":
-            return self._gloss(combined)
-        if request.task_tag == "triples":
-            return self._triples(combined)
-        if numbered:
-            # One block per slot, each read from the head and its own slot.
-            if request.task_tag == "validate":
-                reply = self._verdicts
-            elif self._slot("direct_topic", head):
-                reply = partial(self._direct_mcq, head)
-            else:
-                reply = partial(self._path_mcq, request.task_tag, head)
-            return "\n\n".join(
-                f"Item {number}\n{planted[number] if number in planted else reply(slot)}"
-                for number, slot in slots
-            )
-        raise GatewayError(f"mock cannot serve tag {request.task_tag!r}")
+        # One block per slot, each read from the head and its own slot.
+        replies = {
+            "title_check": self._title_check,
+            "gloss": partial(self._gloss, head),
+            "triples": self._triples,
+            "validate": self._verdicts,
+        }
+        reply = replies.get(request.task_tag)
+        if reply is None and self._slot("direct_topic", head):
+            reply = partial(self._direct_mcq, head)
+        elif reply is None:
+            reply = partial(self._path_mcq, request.task_tag, head)
+        return "\n\n".join(
+            f"Item {number}\n{planted[number] if number in planted else reply(slot)}"
+            for number, slot in slots
+        )
 
     def _salt(self, *parts: str) -> int:
         digest = hashlib.sha256(
@@ -399,18 +395,20 @@ class MockChatBackend:
 
     # -- per-task synthesis ------------------------------------------------
 
-    def _title_check(self, combined: str) -> str:
-        term = self._slot("check_term", combined) or ""
-        title = self._slot("check_title", combined) or ""
+    def _title_check(self, slot: str) -> str:
+        term = self._slot("check_term", slot) or ""
+        title = self._slot("check_title", slot) or ""
         t_norm, title_norm = normalize_name(term), normalize_name(title)
         if t_norm and (t_norm == title_norm or t_norm in title_norm or title_norm in t_norm):
             return "Yes"
         return "No"
 
-    def _gloss(self, combined: str) -> str:
-        term = self._slot("term", combined) or "the subject"
-        parent = self._slot("parent", combined)
-        context_match = _CONTEXT_BLOCK.search(combined)
+    def _gloss(self, head: str, slot: str) -> str:
+        """One term's gloss: the parent from the shared head, the term and
+        its context from its own slot."""
+        term = self._slot("term", slot) or "the subject"
+        parent = self._slot("parent", head)
+        context_match = _CONTEXT_BLOCK.search(slot)
         entry = self.world.lookup_term(term)
         hint = entry.hint if entry else f"a specialized notion encountered while studying {parent or 'its field'}"
 
@@ -439,14 +437,14 @@ class MockChatBackend:
             lines.append(f"Relationship to parent: {term} sits within {parent}.")
         return "\n".join(lines)
 
-    def _triples(self, combined: str) -> str:
+    def _triples(self, slot: str) -> str:
         # A mock gloss names its subject in the first section header; only
         # free-form text falls back to the longest fixture-term mention.
-        header = re.search(r"1\. Definition and Scope - ([^:]+):", combined)
+        header = re.search(r"1\. Definition and Scope - ([^:]+):", slot)
         if header:
             entry = self.world.lookup_term(header.group(1).strip())
         else:
-            entry = self.world.find_term_in_text(combined)
+            entry = self.world.find_term_in_text(slot)
         if entry is None or not entry.triples:
             return json.dumps({"triplets": []})
         triples = list(entry.triples)

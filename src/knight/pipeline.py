@@ -11,9 +11,9 @@ Stage sets per mode:
 ``MODE_TASK_TAGS`` is the one table of these sets: the token ledger's task
 tags are the observable contract, so a run logs exactly the tags of its
 mode's stage set (plus ``validate`` when forced), and ``run_pipeline`` picks
-its stages by reading the same table. ``triples`` is logged once for each
-node above ``d_max`` whose gloss passes the gamma gate (see ``builder``),
-so always for a seed that passes it.
+its stages by reading the same table. ``triples`` is logged once per
+sibling set above ``d_max`` with a passing gloss (see ``builder``), so
+always for a seed whose gloss passes the gamma gate.
 
 Per-item work fans out through ``ChatGateway.map``, which also decides what a
 failed call costs (see ``gateway``). Every mode generates the same way: it
@@ -53,10 +53,11 @@ from .fixture_world import FixtureWorld, load_world
 from .gateway import ChatGateway, ChatRequest, MockChatBackend, OpenAiCompatBackend
 from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
-from .prompts import DIRECT_MCQ_SYSTEM, direct_mcq_user
-from .qgen import McqItem, generate_mcq, mcq_item, sample_paths
+from .prompts import BATCH, DIRECT_MCQ_SYSTEM, direct_mcq_user
+from .qgen import ORIENTATIONS, McqItem, generate_mcq, mcq_item, sample_paths
 from .retrieval import (
-    FixtureWikiSource, NetworkWikiSource, RetrievalResult, WikiSource, retrieve_evidence,
+    FixtureWikiSource, NetworkWikiSource, RetrievalResult, WikiSource, choose_titles,
+    retrieve_evidence,
 )
 from .validation import validate_item
 
@@ -142,12 +143,6 @@ def _abort(result: PipelineResult, exc: GatewayError) -> None:
 Outcome = McqItem | GenerationRejected
 Attempt = tuple[list[str], Callable[[], list[Outcome]]]
 
-# Items per generation or critic call. Batch prompting (Cheng, Kasai and Yu,
-# EMNLP 2023, arXiv 2301.08721) cuts calls and tokens near-linearly in the
-# batch size, but a real model's answers lose some accuracy as it grows.
-BATCH = 10
-
-
 def _generate_items(
     gateway: ChatGateway, attempts: list[Attempt], result: PipelineResult
 ) -> list[McqItem]:
@@ -188,7 +183,7 @@ def _path_attempts(
 
     def attempt(window: list[tuple[str, tuple[PathSample, str, int]]]) -> list[Outcome]:
         outcomes: dict[str, Outcome] = {}
-        for orientation in ("forward", "reverse"):
+        for orientation in ORIENTATIONS:
             slots = [slot for o, slot in window if o == orientation]
             if slots:
                 made = generate_mcq(services.gateway, slots, orientation, topic.name, graph, config)
@@ -219,9 +214,10 @@ def _direct_attempts(
     call, per group of up to ``BATCH`` consecutive items."""
     retrieval = RetrievalResult()
     if with_evidence:
-        retrieval = retrieve_evidence(
-            topic.name, services.source, services.gateway, config, topic.optional_prompt
+        [title] = choose_titles(
+            [topic.name], services.source, services.gateway, config, topic.optional_prompt
         )
+        retrieval = retrieve_evidence(topic.name, title, services.source, config)
     passages = retrieval.texts()
     source_context = (
         "Evidence passages:\n" + "\n\n".join(passages)

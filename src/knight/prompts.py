@@ -1,10 +1,11 @@
 """Prompt templates for every LLM-backed stage.
 
 The output-format blocks here are load-bearing: the parsers in
-``synthesis``, ``qgen``, and ``validation`` expect exactly these shapes.
-The critic and every generation call share one numbered-block format: the
-prompt holds one slot per item headed by an "Item N" line, and the reply
-one block per item under the same header, as ``numbered_reply`` asks.
+``retrieval``, ``synthesis``, ``qgen``, and ``validation`` expect exactly
+these shapes. Every call shares one numbered-block format: the prompt holds
+one slot per item (a title check, a term to gloss, a text to extract from,
+an item to write or to audit) headed by an "Item N" line, and the reply one
+block per item under the same header, as ``numbered_reply`` asks.
 ``numbered_prompt`` is the one writer of the slots; ``split_items`` and
 ``parse_item_blocks`` are the one place the format is read, by the mock
 backend and by ``ChatGateway.complete_items``.
@@ -22,6 +23,13 @@ if TYPE_CHECKING:
 
 T = TypeVar("T")
 E = TypeVar("E", bound=Exception)
+
+# Slots per numbered call: title checks, glosses and triple extractions of
+# one sibling set, items to write, items to audit. Batch prompting (Cheng,
+# Kasai and Yu, EMNLP 2023, arXiv 2301.08721) cuts calls and tokens
+# near-linearly in the batch size, but a real model's answers lose some
+# accuracy as it grows.
+BATCH = 10
 
 _ITEM_HEADER = re.compile(r"^[^\w\n]*Item\s+(\d+)[^\w\n]*$", re.IGNORECASE | re.MULTILINE)
 
@@ -84,59 +92,68 @@ GLOSS_HEADINGS = (
 
 GLOSS_SYSTEM = (
     "You are a subject-matter expert writing structured reference entries. "
-    "Explain the term the user supplies, exhaustively and accurately, using "
-    "exactly these eight numbered sections in order:\n"
+    "Explain each term the user supplies in a numbered item slot, exhaustively "
+    "and accurately. "
+    + numbered_reply("slot", "exactly these eight numbered sections in order")
     + "\n".join(f"{i}. {h}" for i, h in enumerate(GLOSS_HEADINGS, start=1))
     + "\nKeep the section headings verbatim and fill each with clear, "
     "well-organized prose a newcomer can follow."
 )
 
 
-def gloss_user(term: str, passages: list[str], parent_term: str | None) -> str:
-    parts = [f'Explain the term: "{term}".']
-    if passages:
-        parts.append(
-            "Use the following context as the primary source for your explanation:\n"
-            "--- Context ---\n" + "\n\n".join(passages) + "\n--- End Context ---"
-        )
+def gloss_user(parent_term: str | None, terms: list[tuple[str, list[str]]]) -> str:
+    """Prompt for one sibling set: the shared parent line, then one slot per
+    (term, evidence passages)."""
+    head = ""
     if parent_term:
-        parts.append(f'Also describe its relationship to the parent term "{parent_term}".')
-    return "\n\n".join(parts)
+        head = f'Also describe each term\'s relationship to the parent term "{parent_term}".'
+    bodies = []
+    for term, passages in terms:
+        body = f'Explain the term: "{term}".'
+        if passages:
+            body += (
+                "\n\nUse the following context as the primary source for your explanation:\n"
+                "--- Context ---\n" + "\n\n".join(passages) + "\n--- End Context ---"
+            )
+        bodies.append(body)
+    return numbered_prompt(head, bodies)
 
 
 TITLE_CHECK_SYSTEM = (
     "You decide whether a wiki page title is a suitable definition source for "
-    "a term, given its context. Answer Yes only when the title directly "
-    "denotes the term and fits the context; if it is ambiguous, tangential, "
-    "or unrelated, answer No. Respond with only one word: \"Yes\" or \"No\"."
+    "a term, given its context. Each numbered item slot pairs a term with a "
+    "candidate title. Answer Yes only when the title directly denotes the term "
+    "and fits the context; if it is ambiguous, tangential, or unrelated, answer "
+    "No. " + numbered_reply("slot", "only one word") + '"Yes" or "No"'
 )
 
 
-def title_check_user(term: str, candidate_title: str, context_hint: str) -> str:
-    return (
-        f'Context: information related to "{context_hint}".\n'
-        f'Term to define: "{term}".\n'
-        f'Candidate page title: "{candidate_title}".\n'
-        'Respond with only "Yes" or "No".'
+def title_check_user(context_hint: str, pairs: list[tuple[str, str]]) -> str:
+    """Prompt for one title-check round: the shared context line, then one
+    slot per (term, candidate title)."""
+    return numbered_prompt(
+        f'Context: information related to "{context_hint}".',
+        [f'Term to define: "{term}".\nCandidate page title: "{title}".' for term, title in pairs],
     )
 
 
 TRIPLES_SYSTEM = (
     "You are an information-extraction specialist. Extract only the most "
-    "significant subject-predicate-object facts from the text you receive: "
-    "concrete entities, defining characteristics, major relationships and "
-    "contributions. Skip pronouns, articles, and generic filler. Write every "
-    "relation in lowercase with underscores.\n"
-    "Return strictly one JSON object in this shape:\n"
-    '{\n  "triplets": [\n    {"head": "entity", "relation": "lowercase_relation", '
+    "significant subject-predicate-object facts from each text you receive in "
+    "a numbered item slot: concrete entities, defining characteristics, major "
+    "relationships and contributions. Skip pronouns, articles, and generic "
+    "filler. Write every relation in lowercase with underscores.\n"
+    + numbered_reply("slot", "strictly one JSON object in this shape")
+    + '{\n  "triplets": [\n    {"head": "entity", "relation": "lowercase_relation", '
     '"tail": "entity"}\n  ]\n}'
 )
 
 
-def triples_user(gloss_text: str) -> str:
-    return (
-        "Extract subject-predicate-object triplets from the text below.\n"
-        "--- Text ---\n" + gloss_text + "\n--- End Text ---"
+def triples_user(glosses: list[str]) -> str:
+    """Prompt for one sibling set's extraction: one slot per gloss."""
+    return numbered_prompt(
+        "Extract subject-predicate-object triplets from each text below.",
+        ["--- Text ---\n" + gloss + "\n--- End Text ---" for gloss in glosses],
     )
 
 

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 OPTION_LETTERS = ("A", "B", "C", "D")
+ORIENTATIONS = ("forward", "reverse")
 
 
 @dataclass
@@ -49,7 +50,7 @@ class McqItem:
             raise ValueError("an item carries exactly the four options A-D")
         if self.answer_key not in self.options:
             raise ValueError(f"answer key {self.answer_key!r} has no option")
-        if self.orientation not in ("forward", "reverse"):
+        if self.orientation not in ORIENTATIONS:
             raise ValueError(f"unknown orientation {self.orientation!r}")
         if self.path is not None and self.level != self.path.hops:
             raise ValueError("level must equal the path hop count")
@@ -103,8 +104,9 @@ _KEY_RE = re.compile(r"^\s*Correct Answer:\s*\[?\s*([A-Za-z]+)\s*\]?\s*\.?\s*$")
 
 def parse_mcq_output(text: str) -> tuple[str, dict[str, str], str]:
     """Pull the six expected lines out of the response, ignoring any
-    surrounding prose. Missing lines, duplicate letters, or a key outside
-    A-D reject the generation."""
+    surrounding prose. A missing question or key line, or a repeated option
+    letter, rejects the generation; ``McqItem`` checks the options and the
+    key."""
     question: str | None = None
     options: dict[str, str] = {}
     answer_key: str | None = None
@@ -126,21 +128,20 @@ def parse_mcq_output(text: str) -> tuple[str, dict[str, str], str]:
             answer_key = match.group(1).upper()
     if question is None:
         raise GenerationRejected("no Question line found")
-    if sorted(options) != list(OPTION_LETTERS):
-        raise GenerationRejected(f"expected options A-D, got {sorted(options)}")
     if answer_key is None:
         raise GenerationRejected("no Correct Answer line found")
-    if answer_key not in OPTION_LETTERS:
-        raise GenerationRejected(f"answer key {answer_key!r} outside A-D")
     return question, options, answer_key
 
 
 def mcq_item(block: str, **fields) -> McqItem:
     """Build an item from one reply block; ``fields`` are the item's fields
-    other than the question, options and key. A block that does not parse
-    raises ``GenerationRejected``."""
+    other than the question, options and key. A block that does not parse,
+    or whose item breaks ``McqItem``'s contract, raises ``GenerationRejected``."""
     question, options, answer_key = parse_mcq_output(block)
-    return McqItem(question=question, options=options, answer_key=answer_key, **fields)
+    try:
+        return McqItem(question=question, options=options, answer_key=answer_key, **fields)
+    except ValueError as exc:
+        raise GenerationRejected(str(exc)) from exc
 
 
 def generate_mcq(
@@ -157,7 +158,7 @@ def generate_mcq(
     name (end node when forward, start node when reverse). A block that is
     missing, repeated, unparseable or breaks the rule is rejected, not
     repaired, and costs only its own item."""
-    if orientation not in ("forward", "reverse"):
+    if orientation not in ORIENTATIONS:
         raise ValueError(f"unknown orientation {orientation!r}")
     if any(path.hops < 1 for path, _, _ in slots):
         raise ValueError("paths must have at least one hop")

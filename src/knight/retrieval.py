@@ -4,14 +4,18 @@ page fetch, chunking, two-stage scoring, and mixture weights.
 Sources sit behind the ``WikiSource`` protocol; the fixture source reads a
 directory of title -> text files so tests never touch the network.
 
-``retrieve_evidence`` names every candidate passage ``<title>#summary`` or
+Evidence comes in two steps. ``choose_titles`` picks a title for each term
+of a group that shares one context hint (a sibling set, or one topic):
+it searches each term, then asks grouped title-check rounds, one call per
+round. ``retrieve_evidence`` then fetches and ranks one term's chosen
+title. It names every candidate passage ``<title>#summary`` or
 ``<title>#chunk<i>`` and ``score_and_rerank`` ranks those ``(id, text)``
 pairs under the ids it is given. A chunk whose text equals an earlier
 candidate's is dropped, so the same passage is never sent twice.
-``retrieve_evidence`` is also the one place that decides what a failed
-lookup costs: a search or fetch error logs a warning and yields the
-parametric fallback, as a term with no relevant title does; a
-``GatewayError`` from the title check propagates.
+
+The two decide what a failed lookup costs: a search or fetch error logs a
+warning and yields the parametric fallback, as a term with no relevant
+title does; a ``GatewayError`` from a title check propagates.
 """
 
 from __future__ import annotations
@@ -194,26 +198,6 @@ def search_titles(source: WikiSource, term: str, limit: int = 5) -> list[str]:
     return source.search(term, limit)
 
 
-def check_title_relevance(
-    gateway: ChatGateway, term: str, candidate_title: str, context_hint: str
-) -> bool:
-    """True iff the relevance classifier answers exactly "yes"."""
-    response = gateway.complete(
-        ChatRequest(
-            system_prompt=TITLE_CHECK_SYSTEM,
-            user_prompt=title_check_user(term, candidate_title, context_hint),
-            temperature=0.0,
-            task_tag="title_check",
-        )
-    )
-    answer = response.text.strip().lower()
-    if answer == "yes":
-        return True
-    if answer != "no":
-        log.warning("title check returned %r for %r; treating as no", response.text, candidate_title)
-    return False
-
-
 def chunk_text(text: str, size: int, overlap: int) -> list[str]:
     """Split into chunks of at most ``size`` whitespace tokens, preferring
     paragraph then sentence boundaries, with consecutive chunks sharing at
@@ -389,44 +373,85 @@ def mixture_weights(scores: Sequence[float]) -> list[float]:
     return [e / total for e in exps]
 
 
-def retrieve_evidence(
-    term: str,
+# What may wrap a title-check answer's one word: a live model may write
+# "Yes.", "**No**" or "'yes'" for the bare word.
+_ANSWER_NOISE = " \t\r\n*\"'\u201c\u201d\u2018\u2019"
+
+
+def _title_answer(block: str) -> bool:
+    """True for a "yes" block and False for a "no" one, ignoring case,
+    emphasis, quotes and a trailing period; anything else raises
+    ``ValueError``."""
+    answer = block.strip(_ANSWER_NOISE).rstrip(".").strip(_ANSWER_NOISE).lower()
+    if answer not in ("yes", "no"):
+        raise ValueError(f"answered {block.strip()!r}")
+    return answer == "yes"
+
+
+def choose_titles(
+    terms: list[str],
     source: WikiSource,
     gateway: ChatGateway,
     config: PipelineConfig,
     context_hint: str | None = None,
-) -> RetrievalResult:
-    """Full evidence pass for one term: search, LLM title filter, summary and
-    page fetch, chunking, and two-stage reranking. The title check reads
-    ``context_hint``, or the default hint below when it is empty. No
-    relevant title, a failed lookup and an empty ranking all return the
-    empty result, the parametric fallback, instead of raising.
-    """
+) -> list[str | None]:
+    """Each term's source title: its first search result that the title
+    check approves, or None. Round k makes one call about candidate k of
+    every term still unresolved, so each term gets the title a check per
+    candidate, in order, would give. Every round reads ``context_hint``, or
+    the default hint below when it is empty. A failed search gives None; a
+    reply block that is missing or says neither yes nor no reads as no."""
     context_hint = context_hint or "general knowledge"
-    try:
-        titles = search_titles(source, term, config.search_limit)
-    except _LOOKUP_ERRORS as exc:
-        log.warning("search failed for %r: %s", term, exc)
-        return RetrievalResult()
-    chosen: str | None = None
-    for title in titles:
-        if check_title_relevance(gateway, term, title, context_hint):
-            chosen = title
+    candidates: list[list[str]] = []
+    for term in terms:
+        try:
+            candidates.append(search_titles(source, term, config.search_limit))
+        except _LOOKUP_ERRORS as exc:
+            log.warning("search failed for %r: %s", term, exc)
+            candidates.append([])
+    chosen: list[str | None] = [None] * len(terms)
+    for k in range(max(map(len, candidates), default=0)):
+        asked = [i for i, titles in enumerate(candidates) if chosen[i] is None and k < len(titles)]
+        if not asked:
             break
-    if chosen is None:
+        request = ChatRequest(
+            system_prompt=TITLE_CHECK_SYSTEM,
+            user_prompt=title_check_user(context_hint, [(terms[i], candidates[i][k]) for i in asked]),
+            temperature=0.0,
+            task_tag="title_check",
+        )
+        answers = gateway.complete_items(request, [_title_answer] * len(asked), ValueError)
+        for i, answer in zip(asked, answers):
+            if isinstance(answer, ValueError):
+                log.warning("title check on %r for %r: %s; treating as no",
+                            candidates[i][k], terms[i], answer)
+            elif answer:
+                chosen[i] = candidates[i][k]
+    return chosen
+
+
+def retrieve_evidence(
+    term: str, title: str | None, source: WikiSource, config: PipelineConfig
+) -> RetrievalResult:
+    """Evidence for ``term`` from the ``title`` that ``choose_titles`` chose:
+    summary and page fetch, chunking, and two-stage reranking. No title, a
+    failed lookup and an empty ranking all return the empty result, the
+    parametric fallback, instead of raising.
+    """
+    if title is None:
         return RetrievalResult()
 
     # Text -> id; the first candidate with a given text keeps it.
     ids_by_text: dict[str, str] = {}
     try:
-        summary = source.summary(chosen, config.summary_char_limit)
+        summary = source.summary(title, config.summary_char_limit)
         if summary:
-            ids_by_text[summary] = f"{chosen}#summary"
-        page = source.page_text(chosen)
+            ids_by_text[summary] = f"{title}#summary"
+        page = source.page_text(title)
         for i, chunk in enumerate(chunk_text(page, config.chunk_size, config.chunk_overlap)):
-            ids_by_text.setdefault(chunk, f"{chosen}#chunk{i}")
+            ids_by_text.setdefault(chunk, f"{title}#chunk{i}")
     except _LOOKUP_ERRORS as exc:
-        log.warning("fetch failed for %r: %s", chosen, exc)
+        log.warning("fetch failed for %r: %s", title, exc)
 
     return score_and_rerank(
         term,

@@ -1,6 +1,9 @@
 """Gloss generation from evidence, the traceability gate, and triple
-extraction with near-duplicate removal. A gloss is its reply's text; the
-record of its evidence stays the caller's ``RetrievalResult``.
+extraction with near-duplicate removal. Glosses and triples are asked for
+one sibling set at a time, one numbered slot per term; a gloss is its reply
+block's text, and the record of its evidence stays the caller's
+``RetrievalResult``. A block that is missing, repeated or unusable costs
+only its own term, as an ``ExtractionError`` in its place.
 
 Near-duplicate removal compares each candidate with the triples kept so far,
 by normalized edit distance capped at ``lambda_max``: ``levenshtein`` fills
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from functools import partial
 
 from .config import PipelineConfig
 from .errors import ExtractionError
@@ -46,29 +50,36 @@ def count_sections(text: str) -> int:
     return sum(1 for heading in GLOSS_HEADINGS if heading in text)
 
 
+def _gloss_block(term: str, block: str) -> str:
+    gloss = block.strip()
+    if not gloss:
+        raise ExtractionError(f"empty gloss for {term!r}")
+    sections = count_sections(gloss)
+    if sections < 4:
+        log.warning("gloss for %r has only %d/8 sections", term, sections)
+    return gloss
+
+
 def generate_gloss(
     gateway: ChatGateway,
-    term: str,
-    passages: list[str],
+    terms: list[tuple[str, list[str]]],
     config: PipelineConfig,
     parent_term: str | None = None,
-) -> str:
-    """The structured description of ``term``: the reply text. Evidence
+) -> list[str | ExtractionError]:
+    """One call for the structured description of each (term, evidence
+    passages) pair of a sibling set under ``parent_term``. Each term's
     passages are injected in the order given, retrieval order (best score
     first, ties in input order); with none the model describes the term
     from its parametric knowledge."""
-    response = gateway.complete(
-        ChatRequest(
-            system_prompt=GLOSS_SYSTEM,
-            user_prompt=gloss_user(term, passages, parent_term),
-            temperature=config.temp_desc,
-            task_tag="gloss",
-        )
+    request = ChatRequest(
+        system_prompt=GLOSS_SYSTEM,
+        user_prompt=gloss_user(parent_term, terms),
+        temperature=config.temp_desc,
+        task_tag="gloss",
     )
-    sections = count_sections(response.text)
-    if sections < 4:
-        log.warning("gloss for %r has only %d/8 sections", term, sections)
-    return response.text
+    return gateway.complete_items(
+        request, [partial(_gloss_block, term) for term, _ in terms], ExtractionError
+    )
 
 
 def content_tokens(text: str) -> set[str]:
@@ -150,19 +161,19 @@ def parse_triples_json(text: str) -> list[Triple]:
     return out
 
 
-def extract_triples(gateway: ChatGateway, gloss: str, config: PipelineConfig) -> list[Triple]:
-    if not gloss.strip():
-        raise ExtractionError("gloss text is empty")
-    response = gateway.complete(
-        ChatRequest(
-            system_prompt=TRIPLES_SYSTEM,
-            user_prompt=triples_user(gloss),
-            temperature=config.temp_triples,
-            task_tag="triples",
-            max_tokens=config.max_tokens_triples,
-        )
+def extract_triples(
+    gateway: ChatGateway, glosses: list[str], config: PipelineConfig
+) -> list[list[Triple] | ExtractionError]:
+    """One call for the triples of each gloss of a sibling set, with a
+    completion budget of ``max_tokens_triples`` per gloss."""
+    request = ChatRequest(
+        system_prompt=TRIPLES_SYSTEM,
+        user_prompt=triples_user(glosses),
+        temperature=config.temp_triples,
+        task_tag="triples",
+        max_tokens=config.max_tokens_triples * len(glosses),
     )
-    return parse_triples_json(response.text)
+    return gateway.complete_items(request, [parse_triples_json] * len(glosses), ExtractionError)
 
 
 def levenshtein(a: str, b: str, k: int | None = None) -> int:

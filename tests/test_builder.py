@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
 from collections import deque
@@ -13,8 +14,10 @@ from knight.builder import build_kg
 from knight.config import PipelineConfig
 from knight.errors import AuthError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
-from knight.graph import Topic
-from knight.retrieval import Passage, RetrievalResult, mixture_weights, retrieve_evidence
+from knight.graph import Topic, normalize_name
+from knight.retrieval import (
+    Passage, RetrievalResult, choose_titles, mixture_weights, retrieve_evidence,
+)
 from knight.storage import snapshot_document
 
 from conftest import FailingSource, RecordingBackend
@@ -39,6 +42,31 @@ def _build(
     )
     graph, report = build_kg(Topic(topic), config, gateway, source, adapters, rejects=rejects)
     return graph, report, config, gateway
+
+
+def _sibling_sets(graph):
+    """The build's queue of sibling sets as lists of nodes: the seed alone,
+    then the children each node added, in the order they were added. With
+    the mock every triple's head is the node being expanded, so a node was
+    added by the first node in queue order with an edge to it from the
+    level above."""
+    order = {node_id: index for index, node_id in enumerate(graph.nodes)}
+    added_by = {}
+    for edge in graph.edges:
+        if graph.nodes[edge.head].depth + 1 == graph.nodes[edge.tail].depth:
+            earlier = added_by.get(edge.tail, edge.head)
+            added_by[edge.tail] = min(earlier, edge.head, key=order.__getitem__)
+    sets = {}
+    for node in graph.nodes.values():
+        sets.setdefault(added_by.get(node.id), []).append(node)
+    return list(sets.values())
+
+
+_TERM = re.compile(r'(?:Explain the term|Term to define): "([^"]+)"')
+
+
+def _terms_per_call(backend, tag):
+    return [_TERM.findall(r.user_prompt) for r in backend.requests if r.task_tag == tag]
 
 
 def test_depth_one_bounds(world):
@@ -138,11 +166,12 @@ def test_nodes_at_d_max_are_glossed_but_not_expanded(world, d_max):
         expanded = [n for n in nodes if n.depth < d_max and not n.gamma_failed]
         leaves = [n for n in nodes if n.depth == d_max]
         triples = [r.user_prompt for r in backend.requests if r.task_tag == "triples"]
-        assert len(triples) == len(expanded)
+        sets = _sibling_sets(graph)
+        assert len(triples) == sum(any(n in expanded for n in s) for s in sets)
         assert [n.id for n in nodes if any(n.gloss in prompt for prompt in triples)] == [
             n.id for n in expanded
         ]
-        assert sum(r.task_tag == "gloss" for r in backend.requests) == len(nodes)
+        assert sum(r.task_tag == "gloss" for r in backend.requests) == len(sets)
         assert graph.nodes[failing.id].gamma_failed
         assert report.glosses_rejected_by_gamma == 1
         assert list(graph.nodes) == [n.id for n in deeper.nodes.values() if n.depth <= d_max]
@@ -201,8 +230,9 @@ def _gloss_fields(node):
 
 
 # At d_max 2, each node of the last level fails in turn. At d_max 3, a
-# depth-1 node fails 50 ms late, so at max_inflight 4 the depth-2 children of
-# the depth-1 nodes before it have started by then.
+# depth-1 node fails 50 ms late, so at max_inflight 4 the depth-2 sets of
+# the depth-1 nodes before it have started by then. A failed gloss call
+# costs the node's whole sibling set.
 @pytest.mark.parametrize(
     "d_max, depth, k, delay",
     [pytest.param(2, 2, k, 0.0, id=str(k)) for k in range(4)]
@@ -213,7 +243,8 @@ def test_build_abort_keeps_finished_prefix_of_level(world, d_max, depth, k, dela
     # Nodes are stored in the order they are enqueued, so this is queue order.
     queue = list(baseline.nodes.values())
     level = [n for n in queue if n.depth == depth]
-    failed = queue.index(level[k])
+    [failed_set] = [s for s in _sibling_sets(baseline) if level[k] in s]
+    failed = queue.index(failed_set[0])
     snapshots = []
     for max_inflight in (1, 4):
         backend = _GlossFailsFor(MockChatBackend(world, rng_seed=7), level[k].name, delay)
@@ -231,22 +262,21 @@ def test_build_abort_keeps_finished_prefix_of_level(world, d_max, depth, k, dela
     assert snapshots[0] == snapshots[1]
 
 
-class _HoldTriplesUntilTitleCheck:
-    """Holds the triples call for ``held`` until a title check for one of
-    ``awaited`` arrives, or ``timeout`` seconds pass."""
+class _HoldTriplesUntilStarted:
+    """Holds the triples call for ``held``'s set until the first call of a
+    set of ``awaited`` nodes (its title check, or its gloss call when none
+    of them has a search result) arrives, or ``timeout`` seconds pass."""
 
     def __init__(self, inner, held, awaited, timeout=2.0):
         self.inner = inner
         self.held = f"Definition and Scope - {held}:"
-        self.awaited = [f'Term to define: "{term}"' for term in awaited]
+        self.awaited = set(awaited)
         self.timeout = timeout
         self.arrived = threading.Event()
         self.timed_out = False
 
     def complete(self, request):
-        if request.task_tag == "title_check" and any(
-            marker in request.user_prompt for marker in self.awaited
-        ):
+        if self.awaited & set(_TERM.findall(request.user_prompt)):
             self.arrived.set()
         if request.task_tag == "triples" and self.held in request.user_prompt:
             self.timed_out = not self.arrived.wait(self.timeout)
@@ -254,17 +284,104 @@ class _HoldTriplesUntilTitleCheck:
 
 
 def test_children_start_before_their_parents_level_finishes(world):
-    baseline, report, _, _ = _build(world, d_max=2)
-    level_one = [n for n in baseline.nodes.values() if n.depth == 1]
-    level_two = [n.name for n in baseline.nodes.values() if n.depth == 2]
-    backend = _HoldTriplesUntilTitleCheck(
-        MockChatBackend(world, rng_seed=7), level_one[-1].name, level_two
+    # Depth 2 holds two sibling sets; the children of the first are a
+    # depth-3 set, which must start while the second is still in flight.
+    baseline, report, _, _ = _build(world, d_max=3)
+    sets = _sibling_sets(baseline)
+    depth_two = [s for s in sets if s[0].depth == 2]
+    depth_three = [s for s in sets if s[0].depth == 3]
+    assert len(depth_two) == 2 and depth_three
+    backend = _HoldTriplesUntilStarted(
+        MockChatBackend(world, rng_seed=7),
+        depth_two[-1][0].name,
+        [n.name for n in depth_three[0]],
     )
-    graph, held_report, _, _ = _build(world, d_max=2, backend=backend, max_inflight=2)
-    assert not backend.timed_out, "a depth-2 stage waited for the whole of depth 1"
+    graph, held_report, _, _ = _build(world, d_max=3, backend=backend, max_inflight=2)
+    assert not backend.timed_out, "a depth-3 set waited for the whole of depth 2"
     assert snapshot_document(graph, report=held_report) == snapshot_document(
         baseline, report=report
     )
+
+
+def test_one_gloss_call_per_sibling_set(world):
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    graph, _, config, _ = _build(world, d_max=3, backend=backend)
+    sets = [[n.name for n in s] for s in _sibling_sets(graph)]
+    assert len(sets) < len(graph.nodes)
+    assert _terms_per_call(backend, "gloss") == sets
+    # Each title-check round asks about a subset of one set, in its order.
+    for asked in _terms_per_call(backend, "title_check"):
+        assert any(asked == [name for name in s if name in asked] for s in sets)
+    # A triples call budgets max_tokens_triples per slot.
+    triples = [r for r in backend.requests if r.task_tag == "triples"]
+    assert triples
+    for request in triples:
+        slots = request.user_prompt.count("--- Text ---")
+        assert request.max_tokens == config.max_tokens_triples * slots
+
+
+@pytest.mark.parametrize("max_branches", [2, 3])
+def test_sibling_set_build_is_the_same_at_any_max_inflight(world, max_branches):
+    runs = []
+    for max_inflight in (1, 4):
+        backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+        graph, report, _, _ = _build(
+            world, d_max=3, backend=backend, max_inflight=max_inflight, max_branches=max_branches
+        )
+        requests = sorted((r.task_tag, r.user_prompt) for r in backend.requests)
+        runs.append((snapshot_document(graph, report=report), requests))
+    assert runs[0] == runs[1]
+
+
+def _baseline_and_planted(world, override):
+    baseline, base_report, _, _ = _build(world, d_max=2)
+    graph, report, _, _ = _build(world, d_max=2, overrides=[override])
+    assert report.aborted_reason is None
+    assert base_report.aborted_reason is None
+    return baseline, graph
+
+
+def test_bad_title_block_costs_its_node_only(world, caplog):
+    override = MockOverride("title_check", 'Term to define: "Genetics"', "Perhaps")
+    with caplog.at_level("WARNING", logger="knight.retrieval"):
+        baseline, graph = _baseline_and_planted(world, override)
+    assert any("treating as no" in r.getMessage() for r in caplog.records)
+    genetics, ecology = (n for n in graph.nodes.values() if n.depth == 1)
+    assert genetics.name == "Genetics" and baseline.nodes[genetics.id].provenance
+    assert genetics.parametric_fallback and genetics.provenance == []
+    assert _node_fields(ecology) == _node_fields(baseline.nodes[ecology.id])
+
+
+def test_bad_gloss_block_costs_its_node_only(world, caplog):
+    override = MockOverride("gloss", 'Explain the term: "Genetics"', "")
+    with caplog.at_level("WARNING", logger="knight.builder"):
+        baseline, graph = _baseline_and_planted(world, override)
+    assert any("left unglossed" in r.getMessage() for r in caplog.records)
+    genetics = graph.nodes[normalize_name("Genetics")]
+    assert genetics.gloss is None and not genetics.gamma_failed
+    assert genetics.provenance == baseline.nodes[genetics.id].provenance
+    assert [e for e in graph.edges if e.head == genetics.id] == []
+    # Only the children Genetics would have added are missing.
+    lost = {e.tail for e in baseline.edges if e.head == genetics.id}
+    assert lost
+    assert list(graph.nodes) == [n for n in baseline.nodes if n not in lost]
+    for node in graph.nodes.values():
+        if node is not genetics:
+            assert _node_fields(node) == _node_fields(baseline.nodes[node.id])
+
+
+def test_bad_triples_block_costs_its_node_only(world, caplog):
+    override = MockOverride("triples", "Definition and Scope - Genetics:", "no payload")
+    with caplog.at_level("WARNING", logger="knight.builder"):
+        baseline, graph = _baseline_and_planted(world, override)
+    assert any("zero children" in r.getMessage() for r in caplog.records)
+    genetics = normalize_name("Genetics")
+    assert [e for e in graph.edges if e.head == genetics] == []
+    lost = {e.tail for e in baseline.edges if e.head == genetics}
+    assert lost
+    assert list(graph.nodes) == [n for n in baseline.nodes if n not in lost]
+    for node in graph.nodes.values():
+        assert _node_fields(node) == _node_fields(baseline.nodes[node.id])
 
 
 def test_unknown_head_is_rejected_and_build_completes(world):
@@ -305,7 +422,8 @@ def test_seed_gloss_attached_with_provenance(world):
     assert seed.parametric_fallback is False
     # The seed's evidence is what retrieval returns for it, in its order.
     _, gateway, source, _ = _services(world)
-    retrieval = retrieve_evidence("Biology", source, gateway, config)
+    [title] = choose_titles(["Biology"], source, gateway, config)
+    retrieval = retrieve_evidence("Biology", title, source, config)
     assert seed.provenance == retrieval.ids()
     assert seed.retrieval_weights == mixture_weights(retrieval.scores())
 

@@ -20,12 +20,14 @@ from knight.gateway import (
 )
 from knight.prompts import (
     GLOSS_SYSTEM,
+    TITLE_CHECK_SYSTEM,
     TRIPLES_SYSTEM,
     VALIDATE_LABELS,
     VALIDATE_SYSTEM,
     gloss_user,
     numbered_prompt,
     split_items,
+    title_check_user,
     triples_user,
 )
 
@@ -47,7 +49,7 @@ def test_mock_determinism(world):
     backend = MockChatBackend(world, rng_seed=7)
     req = ChatRequest(
         system_prompt=GLOSS_SYSTEM,
-        user_prompt=gloss_user("Biology", [], None),
+        user_prompt=gloss_user(None, [("Biology", [])]),
         temperature=0.4,
         task_tag="gloss",
     )
@@ -75,24 +77,49 @@ def test_mock_triples_for_hafez_gloss(world):
         ChatRequest(
             system_prompt=GLOSS_SYSTEM,
             user_prompt=gloss_user(
-                "Hafez", ["Hafez was a Persian poet. He was born in Shiraz."], None
+                None, [("Hafez", ["Hafez was a Persian poet. He was born in Shiraz."])]
             ),
             temperature=0.4,
             task_tag="gloss",
         )
     )
-    assert "Shiraz" in gloss.text
+    [(_, gloss_text)] = split_items(gloss.text)[1]
+    assert "Shiraz" in gloss_text
     triples_resp = backend.complete(
         ChatRequest(
             system_prompt=TRIPLES_SYSTEM,
-            user_prompt=triples_user(gloss.text),
+            user_prompt=triples_user([gloss_text.strip()]),
             temperature=0.1,
             task_tag="triples",
         )
     )
-    doc = json.loads(triples_resp.text)
+    [(_, block)] = split_items(triples_resp.text)[1]
+    doc = json.loads(block)
     rows = {(t["head"], t["relation"], t["tail"]) for t in doc["triplets"]}
     assert ("Hafez", "born_in", "Shiraz") in rows
+
+
+@pytest.mark.parametrize(
+    "tag, system, slots",
+    [
+        ("title_check", TITLE_CHECK_SYSTEM,
+         lambda: title_check_user("Life", [("Biology", "Biology"), ("Genetics", "Ecology")])),
+        ("gloss", GLOSS_SYSTEM,
+         lambda: gloss_user("Biology", [("Genetics", ["Genetics studies genes."]), ("Ecology", [])])),
+        ("triples", TRIPLES_SYSTEM,
+         lambda: triples_user(["1. Definition and Scope - Hafez: poet.", "free text on Biology"])),
+    ],
+)
+def test_mock_answers_each_build_slot_as_it_would_alone(world, tag, system, slots):
+    backend = MockChatBackend(world, rng_seed=7)
+    head, both = split_items(slots())
+    together = backend.complete(ChatRequest(system, slots(), 0.0, tag)).text
+    alone = [
+        backend.complete(ChatRequest(system, numbered_prompt(head.strip(), [body.strip()]), 0.0, tag))
+        .text.removeprefix("Item 1\n")
+        for _, body in both
+    ]
+    assert together == "\n\n".join(f"Item {n}\n{text}" for n, text in enumerate(alone, 1))
 
 
 def test_mock_override_wins(world):

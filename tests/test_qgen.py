@@ -11,6 +11,7 @@ from knight.graph import KnowledgeGraph, PathSample
 from knight.qgen import (
     McqItem,
     generate_mcq,
+    mcq_item,
     parse_mcq_output,
     path_repr,
     sample_paths,
@@ -113,10 +114,18 @@ def test_parse_with_preamble_and_postscript():
     assert key == "C" and len(options) == 4
 
 
+# What an item carries besides the parsed question, options and key.
+DIRECT_FIELDS = dict(
+    id="x", topic="t", level=1, orientation="forward", path=None, source_context=""
+)
+
+
 def test_parse_three_options_rejected():
+    # The parse keeps the lines it found; the item's contract rejects them.
     text = "Question: q?\nA) one\nB) two\nC) three\nCorrect Answer: A"
-    with pytest.raises(GenerationRejected):
-        parse_mcq_output(text)
+    assert sorted(parse_mcq_output(text)[1]) == ["A", "B", "C"]
+    with pytest.raises(GenerationRejected, match="four options"):
+        mcq_item(text, **DIRECT_FIELDS)
 
 
 def test_parse_duplicate_letter_rejected():
@@ -127,8 +136,15 @@ def test_parse_duplicate_letter_rejected():
 
 def test_parse_bad_key_rejected():
     text = "Question: q?\nA) one\nB) two\nC) three\nD) four\nCorrect Answer: E"
-    with pytest.raises(GenerationRejected):
-        parse_mcq_output(text)
+    with pytest.raises(GenerationRejected, match="has no option"):
+        mcq_item(text, **DIRECT_FIELDS)
+
+
+def test_item_contract_breaks_are_rejections():
+    text = "Question: q?\nA) one\nB) two\nC) three\nD) four\nCorrect Answer: B"
+    assert mcq_item(text, **DIRECT_FIELDS).answer_key == "B"
+    with pytest.raises(GenerationRejected, match="orientation"):
+        mcq_item(text, **{**DIRECT_FIELDS, "orientation": "sideways"})
 
 
 def test_parse_missing_question_rejected():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knight.errors import AmbiguousTitleError, AuthError, PageNotFoundError, RetrievalError
-from knight.gateway import ChatGateway, MockChatBackend, MockOverride
+from knight.gateway import ChatGateway, ChatResponse, MockChatBackend, MockOverride
 from knight.retrieval import (
     Bm25,
     FixtureWikiSource,
@@ -19,7 +19,7 @@ from knight.retrieval import (
     NetworkWikiSource,
     Passage,
     RetrievalResult,
-    check_title_relevance,
+    choose_titles,
     chunk_text,
     mixture_weights,
     retrieve_evidence,
@@ -29,7 +29,7 @@ from knight.retrieval import (
     truncate_at_word,
 )
 
-from conftest import FailingSource, http_response
+from conftest import FailingSource, RecordingBackend, http_response
 
 
 @pytest.fixture()
@@ -114,18 +114,85 @@ def test_network_source_summary_quotes_the_title(monkeypatch):
 # -- title relevance ----------------------------------------------------------
 
 
-def test_title_relevance_yes_no(world, gateway):
-    assert check_title_relevance(gateway, "Biology", "Biology", "general knowledge") is True
-    assert check_title_relevance(gateway, "Biology", "Ottoman Empire", "general") is False
+class _Searches:
+    """A source whose search returns the given titles for each term."""
+
+    def __init__(self, titles):
+        self.titles = titles
+
+    def search(self, term, limit):
+        return self.titles[term][:limit]
 
 
-def test_title_relevance_garbage_is_no(world, caplog):
+class _Replies:
+    """A backend that answers every call with ``text``."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def complete(self, request):
+        return ChatResponse(self.text, 1, 1)
+
+
+def test_title_relevance_yes_no(world, gateway, config):
+    source = _Searches({"Biology": ["Ottoman Empire", "Biology"]})
+    assert choose_titles(["Biology"], source, gateway, config) == ["Biology"]
+    source = _Searches({"Biology": ["Ottoman Empire"]})
+    assert choose_titles(["Biology"], source, gateway, config, "general") == [None]
+
+
+def test_title_rounds_ask_each_unresolved_term_about_its_next_candidate(world, config):
+    # Round 1 asks about every term's first candidate; round 2 only about
+    # Biology's second, since Genetics is resolved and Gleeb Zorp has none.
+    source = _Searches({
+        "Biology": ["Ottoman Empire", "Biology", "Genetics"],
+        "Genetics": ["Genetics", "Biology"],
+        "Gleeb Zorp": [],
+    })
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    chosen = choose_titles(
+        ["Biology", "Genetics", "Gleeb Zorp"], source, ChatGateway(backend), config, "Life"
+    )
+    assert chosen == ["Biology", "Genetics", None]
+    asked = [
+        re.findall(r'Term to define: "([^"]+)"\.\nCandidate page title: "([^"]+)"', r.user_prompt)
+        for r in backend.requests
+    ]
+    assert asked == [[("Biology", "Ottoman Empire"), ("Genetics", "Genetics")],
+                     [("Biology", "Biology")]]
+    assert all(r.task_tag == "title_check" for r in backend.requests)
+    assert all(r.user_prompt.startswith('Context: information related to "Life".')
+               for r in backend.requests)
+
+
+def test_title_relevance_garbage_is_no(world, config, caplog):
     backend = MockChatBackend(
         world, overrides=[MockOverride("title_check", "Biology", "Maybe")]
     )
     gw = ChatGateway(backend)
+    source = _Searches({"Biology": ["Biology"]})
     with caplog.at_level("WARNING"):
-        assert check_title_relevance(gw, "Biology", "Biology", "hint") is False
+        assert choose_titles(["Biology"], source, gw, config, "hint") == [None]
+    assert any("treating as no" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "answer, chosen",
+    [("Yes", "T"), ("yes.", "T"), ("**Yes**", "T"), ('"yes"', "T"), ("'Yes.'", "T"),
+     ("**Yes.**", "T"), ("  YES  ", "T"), ("No.", None), ("**No**", None), ('"no"', None)],
+)
+def test_title_check_reads_a_live_models_yes_and_no(config, answer, chosen, caplog):
+    gateway = ChatGateway(_Replies(f"Item 1\n{answer}\n"))
+    with caplog.at_level("WARNING"):
+        assert choose_titles(["t"], _Searches({"t": ["T"]}), gateway, config) == [chosen]
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("reply", ["Item 1\nYes, it is.", "Item 1\nMaybe", "Yes", "Item 2\nYes"])
+def test_title_check_other_or_missing_block_is_no_with_warning(config, reply, caplog):
+    gateway = ChatGateway(_Replies(reply))
+    with caplog.at_level("WARNING"):
+        assert choose_titles(["t"], _Searches({"t": ["T"]}), gateway, config) == [None]
     assert any("treating as no" in r.message for r in caplog.records)
 
 
@@ -431,8 +498,13 @@ def test_mixture_properties(scores):
 # -- full evidence pass -------------------------------------------------------
 
 
+def _evidence(term, source, gateway, config, context_hint=None):
+    [title] = choose_titles([term], source, gateway, config, context_hint)
+    return retrieve_evidence(term, title, source, config)
+
+
 def test_retrieve_evidence_biology(world, gateway, config, source):
-    result = retrieve_evidence("Biology", source, gateway, config)
+    result = _evidence("Biology", source, gateway, config)
     assert result.fallback is False
     scores = result.scores()
     assert scores == sorted(scores, reverse=True)
@@ -441,7 +513,8 @@ def test_retrieve_evidence_biology(world, gateway, config, source):
 
 
 def test_retrieve_evidence_unknown_term_falls_back(world, gateway, config, source):
-    result = retrieve_evidence("Gleeb Zorp", source, gateway, config)
+    assert choose_titles(["Gleeb Zorp"], source, gateway, config) == [None]
+    result = retrieve_evidence("Gleeb Zorp", None, source, config)
     assert result.fallback is True
     assert result.passages == []
 
@@ -449,7 +522,7 @@ def test_retrieve_evidence_unknown_term_falls_back(world, gateway, config, sourc
 def test_retrieve_evidence_sends_a_passage_once(world, gateway, config, source):
     # History's summary is its whole one-paragraph page, so chunk 0 repeats it.
     assert source.summary("History", config.summary_char_limit) == source.page_text("History")
-    result = retrieve_evidence("History", source, gateway, config)
+    result = _evidence("History", source, gateway, config)
     assert result.ids() == ["History#summary"]
 
 
@@ -458,13 +531,13 @@ def test_retrieve_evidence_lookup_error_falls_back(
     world, gateway, config, source, caplog, failing
 ):
     with caplog.at_level("WARNING", logger="knight.retrieval"):
-        result = retrieve_evidence("Biology", FailingSource(source, failing), gateway, config)
+        result = _evidence("Biology", FailingSource(source, failing), gateway, config)
     assert result.fallback is True
     assert any(f"{failing} unavailable" in r.getMessage() for r in caplog.records)
 
 
 def test_retrieve_evidence_page_error_keeps_summary(world, gateway, config, source):
-    result = retrieve_evidence("Biology", FailingSource(source, "page_text"), gateway, config)
+    result = _evidence("Biology", FailingSource(source, "page_text"), gateway, config)
     assert result.ids() == ["Biology#summary"]
 
 
@@ -475,7 +548,7 @@ class _RevokedBackend:
 
 def test_retrieve_evidence_gateway_error_propagates(config, source):
     with pytest.raises(AuthError):
-        retrieve_evidence("Biology", source, ChatGateway(_RevokedBackend()), config)
+        _evidence("Biology", source, ChatGateway(_RevokedBackend()), config)
 
 
 def test_bm25_ranks_matching_doc_first():

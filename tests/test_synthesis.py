@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from knight import synthesis
 from knight.errors import ExtractionError
+from knight.gateway import ChatGateway, ChatResponse
 from knight.prompts import GLOSS_HEADINGS
 from knight.synthesis import (
     Triple,
@@ -27,13 +28,15 @@ from knight.synthesis import (
 
 
 def test_gloss_parametric_fallback(recording_gateway, config):
-    gloss = generate_gloss(recording_gateway, "Gleeb Zorp", [], config)
+    [gloss] = generate_gloss(recording_gateway, [("Gleeb Zorp", [])], config)
     assert gloss.strip()
     assert "--- Context ---" not in recording_gateway.requests[-1].user_prompt
 
 
 def test_gloss_contains_all_headings(gateway, config):
-    gloss = generate_gloss(gateway, "Biology", ["Biology is the scientific study of life."], config)
+    [gloss] = generate_gloss(
+        gateway, [("Biology", ["Biology is the scientific study of life."])], config
+    )
     for heading in GLOSS_HEADINGS:
         assert heading in gloss
     assert count_sections(gloss) == 8
@@ -42,17 +45,17 @@ def test_gloss_contains_all_headings(gateway, config):
 def test_gloss_parent_sentence_in_prompt(recording_gateway, config):
     generate_gloss(
         recording_gateway,
-        "Pharmacology",
-        ["Pharmacology studies drugs."],
+        [("Pharmacology", ["Pharmacology studies drugs."]), ("Toxicology", [])],
         config,
         parent_term="medicine",
     )
     prompt = recording_gateway.requests[-1].user_prompt
-    assert 'parent term "medicine"' in prompt
+    # The parent line is the shared head, before the first slot.
+    assert prompt.index('parent term "medicine"') < prompt.index("Item 1")
 
 
 def test_gloss_uses_desc_temperature(recording_gateway, config):
-    generate_gloss(recording_gateway, "Biology", ["Life science."], config)
+    generate_gloss(recording_gateway, [("Biology", ["Life science."])], config)
     request = recording_gateway.requests[-1]
     assert request.temperature == config.temp_desc == 0.4
     assert request.task_tag == "gloss"
@@ -61,9 +64,25 @@ def test_gloss_uses_desc_temperature(recording_gateway, config):
 def test_gloss_prompt_keeps_retrieval_order_on_tied_scores(recording_gateway, config):
     # The passages of a tie, in retrieval order: "#chunk2" before "#chunk10".
     passages = ["Second chunk text.", "Tenth chunk text."]
-    generate_gloss(recording_gateway, "Biology", passages, config)
+    generate_gloss(recording_gateway, [("Biology", passages)], config)
     prompt = recording_gateway.requests[-1].user_prompt
     assert prompt.index("Second chunk text.") < prompt.index("Tenth chunk text.")
+
+
+class _Reply:
+    def __init__(self, text):
+        self.text = text
+
+    def complete(self, request):
+        return ChatResponse(self.text, 1, 1)
+
+
+def test_gloss_block_missing_or_empty_costs_its_term_only(config):
+    gateway = ChatGateway(_Reply("Item 1\n1. Definition and Scope - A: a.\nItem 2\n   \n"))
+    first, second, third = generate_gloss(gateway, [("A", []), ("B", []), ("C", [])], config)
+    assert first == "1. Definition and Scope - A: a."
+    assert isinstance(second, ExtractionError) and "empty gloss" in str(second)
+    assert isinstance(third, ExtractionError) and "0 blocks" in str(third)
 
 
 # -- overlap ------------------------------------------------------------------
@@ -153,14 +172,28 @@ def test_parse_triples_no_json():
 
 
 def test_extract_triples_via_mock(gateway, config):
-    gloss = "1. Definition and Scope - Hafez: a Persian poet born in Shiraz."
-    triples = extract_triples(gateway, gloss, config)
-    assert Triple("Hafez", "born_in", "Shiraz") in triples
+    glosses = [
+        "1. Definition and Scope - Hafez: a Persian poet born in Shiraz.",
+        "no structured payload",
+    ]
+    hafez, other = extract_triples(gateway, glosses, config)
+    assert Triple("Hafez", "born_in", "Shiraz") in hafez
+    assert other == []
 
 
-def test_extract_triples_empty_gloss(gateway, config):
-    with pytest.raises(ExtractionError):
-        extract_triples(gateway, "  ", config)
+def test_extract_triples_budget_is_per_gloss(recording_gateway, config):
+    glosses = [f"1. Definition and Scope - Hafez: poet {i}." for i in range(3)]
+    extract_triples(recording_gateway, glosses, config)
+    [request] = recording_gateway.requests
+    assert request.task_tag == "triples"
+    assert request.max_tokens == config.max_tokens_triples * 3
+
+
+def test_extract_triples_bad_block_costs_its_gloss_only(config):
+    reply = 'Item 1\n{"triplets": [{"head": "a", "relation": "r", "tail": "b"}]}\nItem 2\nnone'
+    good, bad = extract_triples(ChatGateway(_Reply(reply)), ["x", "y"], config)
+    assert good == [Triple("a", "r", "b")]
+    assert isinstance(bad, ExtractionError)
 
 
 # -- dedup_triples ------------------------------------------------------------
