@@ -8,7 +8,7 @@ stage makes numbered-slot calls, one slot per sibling: title-check rounds
 (``choose_titles``), one ``gloss`` call with the parent line as shared
 head, and one ``triples`` call for the siblings above ``d_max`` whose gloss
 passed the gamma gate. Retrieval, the gamma gate and dedup stay per
-sibling. The stage reads only its entry, never the graph, so stages run
+sibling. A stage reads only node names, never the graph, so stages run
 concurrently. Each finished stage is applied on the caller's thread in
 queue order, sibling by sibling: the node's gloss, and its provenance,
 fallback flag and retrieval weights read from its ``RetrievalResult``, then
@@ -90,10 +90,10 @@ class RejectedCandidate:
 
 
 class _Siblings(NamedTuple):
-    """A queue entry: up to ``BATCH`` nodes one expansion added."""
+    """A queue entry: up to ``BATCH`` nodes one expansion added. A stage
+    reads only their names, which never change."""
 
-    ids: list[str]
-    names: list[str]
+    nodes: list[Node]
     parent: str | None
     depth: int
 
@@ -117,7 +117,7 @@ def _set_stage(
     gateway: ChatGateway,
     source: WikiSource,
 ) -> list[_Stage]:
-    names, parent = siblings.names, siblings.parent
+    names, parent = [node.name for node in siblings.nodes], siblings.parent
     titles = choose_titles(names, source, gateway, config, parent or topic_hint)
     retrievals = [
         retrieve_evidence(name, title, source, config) for name, title in zip(names, titles)
@@ -151,7 +151,7 @@ def _set_stage(
 
 def _apply_stage(
     graph: KnowledgeGraph,
-    node_id: str,
+    node: Node,
     stage: _Stage,
     config: PipelineConfig,
     adapters: AdapterSuite,
@@ -162,7 +162,6 @@ def _apply_stage(
     gamma flag, curate, mutate the graph, and return the nodes it added. A
     node at ``d_max`` or one whose gloss failed or failed the gate brings
     no triples, so it is neither curated nor given children."""
-    node = graph.nodes[node_id]
     retrieval = stage.retrieval
     node.gloss = stage.gloss
     node.provenance = retrieval.ids()
@@ -174,7 +173,7 @@ def _apply_stage(
     if not stage.triples:
         return []
 
-    outcome = curate(graph, node_id, stage.triples, adapters, config)
+    outcome = curate(graph, node.id, stage.triples, adapters, config)
     report.candidates_seen += len(stage.triples)
     report.candidates_rejected += len(outcome.rejected)
     if rejects is not None:
@@ -188,7 +187,7 @@ def _apply_stage(
         return []
 
     known = len(graph.nodes)
-    add_curated(graph, node_id, selected)
+    add_curated(graph, node.id, selected)
     # Nodes are stored in insertion order, so the new children come last.
     return list(graph.nodes.values())[known:]
 
@@ -205,14 +204,10 @@ def _apply_set(
     """Apply each sibling's stage in order; each sibling's children become
     new sets of up to ``BATCH``."""
     sets = []
-    for node_id, name, stage in zip(siblings.ids, siblings.names, stages):
-        children = _apply_stage(graph, node_id, stage, config, adapters, report, rejects)
+    for node, stage in zip(siblings.nodes, stages):
+        children = _apply_stage(graph, node, stage, config, adapters, report, rejects)
         for start in range(0, len(children), BATCH):
-            chunk = children[start : start + BATCH]
-            sets.append(_Siblings(
-                [child.id for child in chunk], [child.name for child in chunk],
-                name, siblings.depth + 1,
-            ))
+            sets.append(_Siblings(children[start : start + BATCH], node.name, siblings.depth + 1))
     return sets
 
 
@@ -233,10 +228,9 @@ def build_kg(
     graph = KnowledgeGraph(topic.name)
     report = BuildReport()
 
-    seed = graph.nodes[graph.seed_id]
     _, error = gateway.map(
         lambda siblings: _set_stage(siblings, topic.optional_prompt, config, gateway, source),
-        [_Siblings([seed.id], [seed.name], None, 0)],
+        [_Siblings([graph.nodes[graph.seed_id]], None, 0)],
         then=lambda siblings, stages: _apply_set(
             graph, siblings, stages, config, adapters, report, rejects
         ),

@@ -63,8 +63,9 @@ def _positive_int(text: str) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, *, reads_dataset: bool = False) -> None:
-    """Flags every subcommand takes. A subcommand that reads an existing
-    dataset (``validate``, ``eval``) needs no topic and no graph store."""
+    """Flags every subcommand takes; a flag that sets a ``PipelineConfig``
+    field is stored under the field's name. A subcommand that reads an
+    existing dataset (``validate``, ``eval``) needs no topic and no graph store."""
     parser.add_argument("--topic", required=not reads_dataset, help="subject to build/generate for")
     parser.add_argument(
         "--prompt",
@@ -73,13 +74,16 @@ def _add_common(parser: argparse.ArgumentParser, *, reads_dataset: bool = False)
         help="item-format template family",
     )
     parser.add_argument("--topic-hint", default=None, help="optional context hint for retrieval")
-    parser.add_argument("--depth", type=_positive_int, default=None, help="hop budget d_max (>= 1)")
-    parser.add_argument("--seed", type=int, default=None, help="rng seed")
-    parser.add_argument("--mode", choices=PIPELINE_MODES, default=None, help="pipeline mode")
-    parser.add_argument("--llm-backend", choices=["mock", "openai"], default=None,
+    parser.add_argument("--depth", dest="d_max", type=_positive_int, default=None,
+                        help="hop budget d_max (>= 1)")
+    parser.add_argument("--seed", dest="rng_seed", type=int, default=None, help="rng seed")
+    parser.add_argument("--mode", dest="pipeline_mode", choices=PIPELINE_MODES, default=None,
+                        help="pipeline mode")
+    parser.add_argument("--llm-backend", dest="backend", choices=["mock", "openai"], default=None,
                         help="chat backend (default mock)")
     if not reads_dataset:
-        parser.add_argument("--backend", choices=["memory", "bolt"], default=None,
+        parser.add_argument("--backend", dest="graph_backend", choices=["memory", "bolt"],
+                            default=None,
                             help="graph store: memory keeps the graph in process only, "
                                  "bolt also mirrors it to Neo4j (default memory)")
     parser.add_argument("--config", default=None, help="key = value config file")
@@ -126,17 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--validate", action="store_true", help="force the critic in any mode")
 
     return parser
-
-
-def _flag_values(args: argparse.Namespace) -> dict:
-    return {
-        "d_max": getattr(args, "depth", None),
-        "rng_seed": getattr(args, "seed", None),
-        "pipeline_mode": getattr(args, "mode", None),
-        "backend": getattr(args, "llm_backend", None),
-        "graph_backend": getattr(args, "backend", None),
-        "max_inflight": getattr(args, "max_inflight", None),
-    }
 
 
 def print_config(config: PipelineConfig) -> None:
@@ -298,8 +291,7 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k) for k in columns})
+        writer.writerows(rows)
 
 
 def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -352,11 +344,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = build_config(
-            flag_values=_flag_values(args),
+            flag_values=vars(args),
             env=os.environ,
-            config_file=getattr(args, "config", None),
+            config_file=args.config,
         )
-        if getattr(args, "print_config", False):
+        if args.print_config:
             print_config(config)
             return 0
         return _DISPATCH[args.subcommand](args, config)

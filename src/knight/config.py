@@ -66,10 +66,12 @@ class PipelineConfig:
     fixture_dir: str = ""  # empty -> packaged fixtures
 
     def validate(self) -> "PipelineConfig":
-        if self.d_max < 1:
-            raise ConfigError("d_max must be >= 1")
-        if self.max_branches < 1:
-            raise ConfigError("max_branches must be >= 1")
+        for name in ("d_max", "max_branches", "max_tokens_triples", "chunk_size", "search_limit",
+                     "summary_char_limit", "first_stage_cut", "max_inflight", "retry_attempts"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.chunk_overlap < 0:
+            raise ConfigError("chunk_overlap must be >= 0")
         if self.chunk_overlap >= self.chunk_size:
             raise ConfigError("chunk_overlap must be smaller than chunk_size")
         for name in ("eta_overlap", "lambda_max", "tau_alias", "delta_option",
@@ -87,8 +89,6 @@ class PipelineConfig:
             raise ConfigError(f"backend must be mock or openai, got {self.backend!r}")
         if self.graph_backend not in ("memory", "bolt"):
             raise ConfigError(f"graph_backend must be memory or bolt, got {self.graph_backend!r}")
-        if self.max_inflight < 1:
-            raise ConfigError("max_inflight must be >= 1")
         return self
 
     def to_dict(self, redact: bool = False) -> dict[str, Any]:

@@ -1,6 +1,7 @@
 """Dataset-quality statistics: grammar score, predictive entropy and probe
 accuracy, entailment topicality, off-topic rate, length stats, Pearson r,
-and Fleiss kappa.
+and Fleiss kappa. ``compute_dataset_stats`` writes one metric row per item
+and reads each dataset statistic back from those rows.
 
 Plain floats and the standard library, no numpy: the inputs are 4-logit
 vectors and lists of at most ``num_q`` values. Every float sum is
@@ -22,6 +23,8 @@ from .qgen import McqItem
 log = logging.getLogger(__name__)
 
 MAX_ENTROPY = math.log(4.0)
+
+OFF_TOPIC_THRESHOLD = 0.5
 
 _LETTERS = ("A", "B", "C", "D")
 
@@ -166,89 +169,74 @@ def fleiss_kappa(ratings: Sequence[Sequence[int]]) -> float:
     return (p_bar - p_e) / (1.0 - p_e)
 
 
-def length_stats(questions: Sequence[str], bin_width: int = 2) -> tuple[dict[int, int], float, float]:
-    """Word-count histogram (fixed-width bins keyed by lower edge) plus the
-    mean and population standard deviation of the counts."""
+def length_stats(questions: Sequence[str]) -> tuple[dict[int, int], float, float]:
+    """Word-count histogram (2-word bins keyed by lower edge) plus the mean
+    and population standard deviation of the counts."""
     counts = [len(q.split()) for q in questions]
     histogram: dict[int, int] = {}
     for count in counts:
-        lower = (count // bin_width) * bin_width
+        lower = (count // 2) * 2
         histogram[lower] = histogram.get(lower, 0) + 1
     if not counts:
         return {}, 0.0, 0.0
     return histogram, _mean(counts), _pstd(counts)
 
 
+def _metric_row(item: McqItem, adapters: AdapterSuite, topic: str) -> dict:
+    """One item's report row; its probe fields are None when the probe fails."""
+    logits = _probe_logits(adapters.probe, item)
+    entropy = choice = key_probability = None
+    if logits is not None:
+        probs, entropy = predictive_entropy(logits)
+        choice = _probe_choice(logits)
+        key_probability = probs[_LETTERS.index(item.answer_key)]
+    words = len(item.question.split())
+    errors = adapters.grammar.error_count(item.question)
+    return {
+        "id": item.id,
+        "level": item.level,
+        "orientation": item.orientation,
+        "entropy": entropy,
+        "probe_choice": choice,
+        "probe_correct": None if choice is None else choice == item.answer_key,
+        "grammar": grammar_quality(max(words, 1), errors),
+        "entailment": entailment_relevance(item.question, topic, adapters.nli),
+        "word_count": words,
+        "key_probability": key_probability,
+    }
+
+
 def compute_dataset_stats(
-    items: Sequence[McqItem],
-    adapters: AdapterSuite,
-    topic: str,
-    off_topic_threshold: float = 0.5,
+    items: Sequence[McqItem], adapters: AdapterSuite, topic: str
 ) -> tuple[DatasetStats, list[dict]]:
-    """Aggregate stats plus one metric row per item for the report.
+    """Aggregate stats plus one metric row per item for the report; every
+    statistic but the length ones is read from the rows.
 
     The probe is called once per item. Probe accuracy is the share of the
     scored items whose argmax letter (ties to the first in A<B<C<D order)
     equals the answer key. An item the probe fails on is counted in
     ``probe_excluded``, left out of the entropy and accuracy means, and
-    gets None for its row's probe fields."""
+    gets None for its row's probe fields. An item is off-topic when its
+    entailment is below ``OFF_TOPIC_THRESHOLD`` and the critic judged it
+    not topic-relevant."""
     stats = DatasetStats()
-    rows: list[dict] = []
-    if not items:
+    rows = [_metric_row(item, adapters, topic) for item in items]
+    if not rows:
         return stats, rows
 
-    entropies: list[float] = []
-    probe_hits: list[bool] = []
-    grammars: list[float] = []
-    entailments: list[float] = []
-    ent_flags: list[bool] = []
-    llm_flags: list[bool] = []
-
-    for item in items:
-        logits = _probe_logits(adapters.probe, item)
-        entropy = choice = key_probability = None
-        if logits is not None:
-            probs, entropy = predictive_entropy(logits)
-            choice = _probe_choice(logits)
-            key_probability = probs[_LETTERS.index(item.answer_key)]
-            entropies.append(entropy)
-            probe_hits.append(choice == item.answer_key)
-
-        words = len(item.question.split())
-        errors = adapters.grammar.error_count(item.question)
-        grammar = grammar_quality(max(words, 1), errors)
-        grammars.append(grammar)
-
-        entailment = entailment_relevance(item.question, topic, adapters.nli)
-        entailments.append(entailment)
-        ent_flags.append(entailment < off_topic_threshold)
-        llm_flags.append(item.flags is not None and item.flags.topic_relevant is False)
-
-        rows.append(
-            {
-                "id": item.id,
-                "level": item.level,
-                "orientation": item.orientation,
-                "entropy": entropy,
-                "probe_choice": choice,
-                "probe_correct": None if choice is None else choice == item.answer_key,
-                "grammar": grammar,
-                "entailment": entailment,
-                "word_count": words,
-                "key_probability": key_probability,
-            }
-        )
-
-    histogram, mean_len, std_len = length_stats([i.question for i in items])
-    stats.probe_excluded = len(items) - len(entropies)
-    if entropies:
-        stats.mean_entropy = _mean(entropies)
-        stats.std_entropy = _pstd(entropies)
-        stats.probe_accuracy = sum(probe_hits) / len(probe_hits)
-    stats.mean_grammar = _mean(grammars)
-    stats.mean_entailment = _mean(entailments)
-    stats.off_topic_rate = off_topic_rate(ent_flags, llm_flags)
-    stats.length_mean = mean_len
-    stats.length_std = std_len
-    stats.length_histogram = histogram
+    scored = [row for row in rows if row["entropy"] is not None]
+    stats.probe_excluded = len(rows) - len(scored)
+    if scored:
+        stats.mean_entropy = _mean([row["entropy"] for row in scored])
+        stats.std_entropy = _pstd([row["entropy"] for row in scored])
+        stats.probe_accuracy = sum(row["probe_correct"] for row in scored) / len(scored)
+    stats.mean_grammar = _mean([row["grammar"] for row in rows])
+    stats.mean_entailment = _mean([row["entailment"] for row in rows])
+    stats.off_topic_rate = off_topic_rate(
+        [row["entailment"] < OFF_TOPIC_THRESHOLD for row in rows],
+        [item.flags is not None and item.flags.topic_relevant is False for item in items],
+    )
+    stats.length_histogram, stats.length_mean, stats.length_std = length_stats(
+        [item.question for item in items]
+    )
     return stats, rows

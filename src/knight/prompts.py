@@ -186,6 +186,15 @@ MCQ_REVERSE_SYSTEM = (
 )
 
 
+def path_endpoints(start: Node, end: Node) -> str:
+    """A path's start and end nodes, each with its gloss, or its name when
+    it has none."""
+    return (
+        f'Start Node: "{start.name}"\nDescription: "{start.gloss or start.name}"\n'
+        f'End Node: "{end.name}"\nDescription: "{end.gloss or end.name}"'
+    )
+
+
 def path_mcq_user(
     orientation: str, topic: str | None, slots: list[tuple[str, Node, Node, int]]
 ) -> str:
@@ -198,9 +207,7 @@ def path_mcq_user(
     for path, start, end, variant in slots:
         answer = end if orientation == "forward" else start
         body = (
-            f'Path: "{path}"\n'
-            f'Start Node: "{start.name}"\nDescription: "{start.gloss or start.name}"\n'
-            f'End Node: "{end.name}"\nDescription: "{end.gloss or end.name}"\n'
+            f'Path: "{path}"\n{path_endpoints(start, end)}\n'
             f'The correct option must contain the text "{answer.name}".'
         )
         if variant:

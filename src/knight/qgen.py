@@ -20,7 +20,8 @@ from .config import PipelineConfig
 from .errors import GenerationRejected
 from .gateway import ChatGateway, ChatRequest
 from .graph import KnowledgeGraph, PathSample, enumerate_paths
-from .prompts import MCQ_FORWARD_SYSTEM, MCQ_REVERSE_SYSTEM, path_mcq_user
+from .prompts import MCQ_FORWARD_SYSTEM, MCQ_REVERSE_SYSTEM, path_endpoints, path_mcq_user
+from .retrieval import truncate_at_word
 
 if TYPE_CHECKING:
     from .validation import ValidationReport
@@ -56,16 +57,6 @@ class McqItem:
             raise ValueError("level must equal the path hop count")
 
 
-def _gloss_excerpt(text: str | None, limit: int = 220) -> str:
-    if not text:
-        return ""
-    first_line = text.strip().splitlines()[0].strip()
-    if len(first_line) <= limit:
-        return first_line
-    head = first_line[:limit].rsplit(None, 1)
-    return head[0] if len(head) == 2 else first_line[:limit]
-
-
 def path_repr(path: PathSample, graph: KnowledgeGraph) -> str:
     parts = [graph.nodes[path.node_ids[0]].name]
     for relation, node_id in zip(path.relations, path.node_ids[1:]):
@@ -76,24 +67,21 @@ def path_repr(path: PathSample, graph: KnowledgeGraph) -> str:
 
 def verbalize(path: PathSample, graph: KnowledgeGraph) -> str:
     """Compact context for a path: the hop chain, a one-line excerpt per
-    node, and full description blocks for the start and end nodes."""
+    node (its gloss's first line, cut at a word to at most 220 characters),
+    and full description blocks for the start and end nodes."""
     for node_id in path.node_ids:
         if node_id not in graph.nodes:
             raise GenerationRejected(f"path references unknown node {node_id!r}")
     nodes = [graph.nodes[nid] for nid in path.node_ids]
     lines = [f"Path: {path_repr(path, graph)}"]
     for node in nodes:
-        excerpt = _gloss_excerpt(node.gloss)
-        if excerpt:
-            lines.append(f"- {node.name}: {excerpt}")
+        gloss_lines = (node.gloss or "").strip().splitlines()
+        if gloss_lines:
+            lines.append(f"- {node.name}: {truncate_at_word(gloss_lines[0], 220)}")
         else:
             log.warning("node %r has no gloss; context lists the name alone", node.id)
             lines.append(f"- {node.name}")
-    start, end = nodes[0], nodes[-1]
-    lines.append(f'Start Node: "{start.name}"')
-    lines.append(f'Description: "{start.gloss or start.name}"')
-    lines.append(f'End Node: "{end.name}"')
-    lines.append(f'Description: "{end.gloss or end.name}"')
+    lines.append(path_endpoints(nodes[0], nodes[-1]))
     return "\n".join(lines)
 
 
@@ -237,9 +225,4 @@ def sample_paths(
         rng = random.Random(rng_seed)
         picked = sorted(rng.sample(range(len(pairs)), num_q))
         return [pairs[i] for i in picked]
-    out = list(pairs)
-    index = 0
-    while len(out) < num_q:
-        out.append(pairs[index % len(pairs)])
-        index += 1
-    return out
+    return [pairs[i % len(pairs)] for i in range(num_q)]

@@ -27,7 +27,6 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Protocol, Sequence
 from urllib.parse import quote
 
@@ -91,9 +90,8 @@ class WikiSource(Protocol):
 class FixtureWikiSource:
     """Offline source backed by the fixture corpus directory."""
 
-    def __init__(self, world: FixtureWorld, corpus_dir: str | Path | None = None):
+    def __init__(self, world: FixtureWorld):
         self.world = world
-        self.corpus_dir = Path(corpus_dir) if corpus_dir else world.root / "corpus"
 
     def search(self, term: str, limit: int) -> list[str]:
         if limit <= 0:
@@ -107,7 +105,7 @@ class FixtureWikiSource:
         filename = self.world.title_files.get(title)
         if filename is None:
             raise PageNotFoundError(f"no fixture page for {title!r}")
-        path = self.corpus_dir / filename
+        path = self.world.root / "corpus" / filename
         if not path.exists():
             raise PageNotFoundError(f"fixture file missing for {title!r}: {path}")
         return path.read_text(encoding="utf-8").strip()
@@ -210,8 +208,8 @@ def chunk_text(text: str, size: int, overlap: int) -> list[str]:
     O(n + (p + s + c) log n) for n tokens, p paragraph breaks, s sentence
     ends and c chunks.
     """
-    if overlap >= size:
-        raise ValueError("overlap must be smaller than size")
+    if not 0 <= overlap < size:
+        raise ValueError("overlap must be >= 0 and smaller than size")
     starts = array("q", map(re.Match.start, _WORD_RE.finditer(text)))
     n = len(starts)
     if n == 0:
@@ -279,12 +277,13 @@ def _tokens(text: str) -> list[str]:
 
 
 class Bm25:
-    """Okapi BM25 over per-document term counts (k1=1.2, b=0.75). Document
-    frequencies are counted for the query's terms only."""
+    """Okapi BM25 over per-document term counts (``K1`` 1.2, ``B`` 0.75).
+    Document frequencies are counted for the query's terms only."""
 
-    def __init__(self, term_freqs: Sequence[Counter[str]], k1: float = 1.2, b: float = 0.75):
-        self.k1 = k1
-        self.b = b
+    K1 = 1.2
+    B = 0.75
+
+    def __init__(self, term_freqs: Sequence[Counter[str]]):
         self.term_freqs = term_freqs
         self.doc_lens = [sum(tf.values()) for tf in term_freqs]
         self.n = len(term_freqs)
@@ -299,12 +298,12 @@ class Bm25:
         idf = {t: self._idf(t) for t in q_tokens}
         out = []
         for tf, dl in zip(self.term_freqs, self.doc_lens):
-            norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl) if self.avgdl else 0.0
+            norm = self.K1 * (1.0 - self.B + self.B * dl / self.avgdl) if self.avgdl else 0.0
             s = 0.0
             for token in q_tokens:
                 f = tf.get(token, 0)
                 if f:
-                    s += idf[token] * f * (self.k1 + 1.0) / (f + norm)
+                    s += idf[token] * f * (self.K1 + 1.0) / (f + norm)
             out.append(s)
         return out
 

@@ -2,8 +2,10 @@
 extraction with near-duplicate removal. Glosses and triples are asked for
 one sibling set at a time, one numbered slot per term; a gloss is its reply
 block's text, and the record of its evidence stays the caller's
-``RetrievalResult``. A block that is missing, repeated or unusable costs
-only its own term, as an ``ExtractionError`` in its place.
+``RetrievalResult``. A triples block is read by the standard library's JSON
+decoder from the first "{" at which an object decodes. A block that is
+missing, repeated or unusable costs only its own term, as an
+``ExtractionError`` in its place.
 
 Near-duplicate removal compares each candidate with the triples kept so far,
 by normalized edit distance capped at ``lambda_max``: ``levenshtein`` fills
@@ -15,6 +17,7 @@ d / L <= lambda_max, so the keep decision is the uncapped one.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import re
@@ -102,6 +105,7 @@ def gate_gloss(gloss: str, passages: list[str], eta: float = PipelineConfig.eta_
 
 
 _RELATION_CLEAN = re.compile(r"[^a-z0-9]+")
+_JSON = json.JSONDecoder()
 
 
 def _normalize_relation(raw: str) -> str:
@@ -109,44 +113,18 @@ def _normalize_relation(raw: str) -> str:
     return cleaned
 
 
-def _first_json_object(text: str) -> str:
-    """Extract the first balanced top-level JSON object from free text."""
-    start = text.find("{")
-    while start != -1:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    return text[start : i + 1]
-        start = text.find("{", start + 1)
-    raise ExtractionError("no balanced JSON object in response")
-
-
 def parse_triples_json(text: str) -> list[Triple]:
-    """Strict parse of the {"triplets": [...]} payload; entries with missing
-    or empty fields are dropped, relations are normalized to
-    lowercase_underscore."""
-    try:
-        doc = json.loads(_first_json_object(text))
-    except json.JSONDecodeError as exc:
-        raise ExtractionError(f"unparseable JSON payload: {exc}") from exc
-    if not isinstance(doc, dict) or not isinstance(doc.get("triplets"), list):
+    """Strict parse of the {"triplets": [...]} payload: the first JSON object
+    that decodes from a "{" of ``text``, so prose around it, braces
+    included, is skipped. Entries with missing or empty fields are dropped,
+    relations are normalized to lowercase_underscore."""
+    for match in re.finditer(r"\{", text):
+        with contextlib.suppress(json.JSONDecodeError):
+            doc = _JSON.raw_decode(text, match.start())[0]
+            break
+    else:
+        raise ExtractionError("no JSON object in response")
+    if not isinstance(doc.get("triplets"), list):
         raise ExtractionError('payload must be an object with a "triplets" list')
     out: list[Triple] = []
     for raw in doc["triplets"]:

@@ -44,6 +44,21 @@ def test_invalid_values_rejected(overrides):
         PipelineConfig(**overrides).validate()
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["d_max", "max_branches", "max_tokens_triples", "chunk_size", "search_limit",
+     "summary_char_limit", "first_stage_cut", "max_inflight", "retry_attempts"],
+)
+def test_count_settings_below_one_rejected(name):
+    with pytest.raises(ConfigError, match=f"^{name} must be >= 1$"):
+        build_config(env={f"KNIGHT_{name.upper()}": "0"})
+
+
+def test_negative_chunk_overlap_rejected():
+    with pytest.raises(ConfigError, match="^chunk_overlap must be >= 0$"):
+        build_config(env={"KNIGHT_CHUNK_OVERLAP": "-5"})
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "knight.conf"
     path.write_text(

@@ -25,6 +25,7 @@ from knight.metrics import (
     predictive_entropy,
 )
 from knight.qgen import McqItem
+from knight.validation import ValidationReport
 
 
 def _item(idx=0, answer_key="A", level=1):
@@ -211,6 +212,38 @@ def test_off_topic_errors():
         off_topic_rate([True], [True, False])
     with pytest.raises(ValueError):
         off_topic_rate([], [])
+
+
+class _QuestionNli:
+    """Entailment read from a question -> score table."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def entailment(self, premise, hypothesis):
+        return self.scores[hypothesis]
+
+
+def test_off_topic_rate_joins_entailment_and_critic_flag(adapters):
+    # (entailment, critic topic_relevant): "unflagged" items carry no report.
+    # Off-topic needs entailment strictly below 0.5 and the critic's False.
+    cases = [
+        (0.2, False), (0.49, False), (0.5, False), (0.8, False),
+        (0.2, True), (0.2, None), (0.2, "unflagged"), (0.9, True),
+    ]
+    items, scores = [], {}
+    for idx, (entailment, relevant) in enumerate(cases):
+        item = _item(idx)
+        if relevant != "unflagged":
+            item.flags = ValidationReport(topic_relevant=relevant)
+        items.append(item)
+        scores[item.question] = entailment
+    stats, rows = compute_dataset_stats(
+        items, dataclasses.replace(adapters, nli=_QuestionNli(scores)), "Biology"
+    )
+    assert stats.off_topic_rate == 2 / 8
+    assert [row["entailment"] for row in rows] == [e for e, _ in cases]
+    assert stats.mean_entailment == pytest.approx(math.fsum(e for e, _ in cases) / 8)
 
 
 def test_off_topic_bounded_by_min():

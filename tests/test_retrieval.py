@@ -259,6 +259,13 @@ def test_chunk_overlap_must_be_smaller():
         chunk_text("a b c", 10, 10)
 
 
+@pytest.mark.parametrize("overlap", [-1, -2])
+def test_chunk_overlap_must_not_be_negative(overlap):
+    # A negative overlap would skip words between chunks.
+    with pytest.raises(ValueError):
+        chunk_text(" ".join(f"w{i}" for i in range(12)), 4, overlap)
+
+
 @settings(max_examples=40)
 @given(
     st.integers(min_value=1, max_value=260),

@@ -171,6 +171,16 @@ def test_parse_triples_no_json():
         parse_triples_json('{"other": 1}')
 
 
+def test_parse_triples_skips_braces_in_prose_before_the_payload():
+    text = 'Note {see below}: {"triplets":[{"head":"a","relation":"r","tail":"b"}]}'
+    assert parse_triples_json(text) == [Triple("a", "r", "b")]
+
+
+def test_parse_triples_truncated_payload_is_an_extraction_error():
+    with pytest.raises(ExtractionError):
+        parse_triples_json('{"triplets":[{"head":"a","relation":"r","tail":"b"},{"head":"c","rel')
+
+
 def test_extract_triples_via_mock(gateway, config):
     glosses = [
         "1. Definition and Scope - Hafez: a Persian poet born in Shiraz.",

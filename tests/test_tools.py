@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -45,3 +46,20 @@ def test_golden_artifacts_match_the_committed_listing(tmp_path, capsys):
     code = golden.main(["--out", str(tmp_path), "--against", str(listing)])
     out = capsys.readouterr().out
     assert (code, out) == (0, f"all {len(listing.read_text().splitlines())} files match\n")
+
+
+def test_microbench_outputs_match_their_pinned_digests(capsys):
+    # The CPU paths' outputs on the seeded inputs, the 50,000-word page
+    # included: a change to chunking, reranking or dedup that moves them
+    # shows here.
+    microbench = _load("microbench")
+    assert microbench.main(["--repeats", "1"]) == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert {name: (case["output_len"], case["output_digest"]) for name, case in cases.items()} == {
+        "chunk_text.10000_words": (11, "e7989b6851415ced"),
+        "chunk_text.50000_words": (56, "ba77106608c10368"),
+        "score_and_rerank.56_chunks": (5, "754bc1aca4dc1752"),
+        "dedup_triples.20_triples": (20, "3fb9699088bddae1"),
+        "dedup_triples.50_triples": (50, "d1f2cb1e3a1a7425"),
+        "dedup_triples.100_triples": (100, "a46ab4b39b156284"),
+    }
