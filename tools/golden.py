@@ -4,7 +4,10 @@
 
 Runs ``knight run`` on the mock backend in all five modes, for Biology,
 History and Mathematics, at ``max_inflight`` 1 and 4 (``--depth 2 --num-q 12 --seed 0``),
-and ``knight build --topic Biology --depth 3``. On the Biology ``knight``
+and ``knight build --topic Biology --depth 3``. Its stress runs read
+``tools/golden-stress.conf`` (``--config``): ``knight`` on Biology
+(``--depth 3 --num-q 3``) and ``rag_val`` on History (``--num-q 12``), each at
+``max_inflight`` 1 and 4. On the Biology ``knight``
 run at bound 1 it then runs ``knight generate`` (plain, with
 ``--validate``, and with ``--snapshot`` on that run's snapshot), and
 ``knight validate`` and ``knight eval`` on that run's dataset. Every
@@ -39,6 +42,8 @@ from knight.config import PIPELINE_MODES  # noqa: E402
 
 TOPICS = ("Biology", "History", "Mathematics")
 INFLIGHT = (1, 4)
+STRESS_CONFIG = Path(__file__).resolve().with_name("golden-stress.conf")
+STRESS_RUNS = (("knight", "Biology", "3", "3"), ("rag_val", "History", "2", "12"))
 
 
 def commands(out: Path) -> list[list[str]]:
@@ -50,6 +55,13 @@ def commands(out: Path) -> list[list[str]]:
         for topic in TOPICS
         for inflight in INFLIGHT
     ]
+    stress = [
+        ["run", "--topic", topic, "--mode", mode, "--depth", depth, "--num-q", num_q,
+         "--seed", "0", "--max-inflight", str(inflight), "--config", str(STRESS_CONFIG),
+         "--output", str(out / f"stress-{mode}-{topic.lower()}-inflight{inflight}.jsonl")]
+        for mode, topic, depth, num_q in STRESS_RUNS
+        for inflight in INFLIGHT
+    ]
     build = ["build", "--topic", "Biology", "--depth", "3",
              "--output", str(out / "build-biology-depth3.json")]
     # Later commands read the outputs of this earlier run, so order matters.
@@ -58,7 +70,7 @@ def commands(out: Path) -> list[list[str]]:
     generate = ["generate", "--topic", "Biology", "--mode", "knight", "--depth", "2",
                 "--num-q", "12", "--seed", "0"]
     reads = ["--depth", "2", "--seed", "0", "--input", dataset]
-    return runs + [
+    return runs + stress + [
         build,
         generate + ["--output", str(out / "generate-biology.jsonl")],
         generate + ["--validate", "--output", str(out / "generate-validate-biology.jsonl")],
