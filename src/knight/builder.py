@@ -49,7 +49,7 @@ from .curation import curate
 from .errors import ExtractionError
 from .gateway import ChatGateway
 from .graph import KnowledgeGraph, Node, Topic, Triple, add_curated
-from .prompts import BATCH
+from .prompts import batches
 from .retrieval import (
     RetrievalResult, WikiSource, choose_titles, mixture_weights, retrieve_evidence,
 )
@@ -182,12 +182,8 @@ def _apply_stage(
             for triple, reason in outcome.rejected
         )
 
-    selected = outcome.accepted[: config.max_branches]
-    if not selected:
-        return []
-
     known = len(graph.nodes)
-    add_curated(graph, node.id, selected)
+    add_curated(graph, node.id, outcome.accepted[: config.max_branches])
     # Nodes are stored in insertion order, so the new children come last.
     return list(graph.nodes.values())[known:]
 
@@ -206,8 +202,7 @@ def _apply_set(
     sets = []
     for node, stage in zip(siblings.nodes, stages):
         children = _apply_stage(graph, node, stage, config, adapters, report, rejects)
-        for start in range(0, len(children), BATCH):
-            sets.append(_Siblings(children[start : start + BATCH], node.name, siblings.depth + 1))
+        sets += [_Siblings(run, node.name, siblings.depth + 1) for run in batches(children)]
     return sets
 
 

@@ -49,12 +49,11 @@ class PipelineConfig:
     validation_sample_rate: float = 1.0
     pipeline_mode: str = "knight"
     rng_seed: int = 0
-    # Artifact knobs beyond the core defaults.
-    first_stage_cut: int = 50
-    nli_threshold: float = 0.5
+    # How a run reaches its backends: concurrency, retries, endpoints and
+    # credentials. The NLI threshold and BM25's first-stage cut are constants
+    # (``curation.NLI_THRESHOLD``, ``retrieval.FIRST_STAGE_CUT``).
     max_inflight: int = 1
     retry_attempts: int = 3
-    strict_adapters: bool = False
     backend: str = "mock"  # mock | openai
     graph_backend: str = "memory"  # memory | bolt
     openai_base_url: str = "https://api.openai.com/v1"
@@ -67,7 +66,7 @@ class PipelineConfig:
 
     def validate(self) -> "PipelineConfig":
         for name in ("d_max", "max_branches", "max_tokens_triples", "chunk_size", "search_limit",
-                     "summary_char_limit", "first_stage_cut", "max_inflight", "retry_attempts"):
+                     "summary_char_limit", "max_inflight", "retry_attempts"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.chunk_overlap < 0:
@@ -75,7 +74,7 @@ class PipelineConfig:
         if self.chunk_overlap >= self.chunk_size:
             raise ConfigError("chunk_overlap must be smaller than chunk_size")
         for name in ("eta_overlap", "lambda_max", "tau_alias", "delta_option",
-                     "validation_sample_rate", "nli_threshold"):
+                     "validation_sample_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
@@ -127,15 +126,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 def _coerce(name: str, raw: Any, target_type: type) -> Any:
     if isinstance(raw, target_type) and not (target_type is int and isinstance(raw, bool)):
         return raw
-    text = str(raw).strip()
     try:
-        if target_type is bool:
-            if text.lower() in ("1", "true", "yes", "on"):
-                return True
-            if text.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(text)
-        return target_type(text)
+        return target_type(str(raw).strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {raw!r}") from exc
 

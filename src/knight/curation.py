@@ -1,5 +1,8 @@
 """The curator stage: duplicate and alias filtering, type agreement, NLI
-consistency, and content-policy screening over candidate triples."""
+consistency, and content-policy screening over candidate triples.
+
+A triple passes the NLI check when its head's gloss entails it with at
+least ``NLI_THRESHOLD``. An adapter outage skips its check, with a warning."""
 
 from __future__ import annotations
 
@@ -13,6 +16,8 @@ from .graph import KnowledgeGraph, Triple, normalize_name
 
 log = logging.getLogger(__name__)
 
+NLI_THRESHOLD = 0.5
+
 
 @dataclass
 class CurationOutcome:
@@ -25,13 +30,12 @@ def content_filter(
     triple: Triple,
     head_gloss: str,
     adapters: AdapterSuite,
-    nli_threshold: float = PipelineConfig.nli_threshold,
-    strict: bool = PipelineConfig.strict_adapters,
+    nli_threshold: float = NLI_THRESHOLD,
 ) -> tuple[bool, str | None]:
     """Run the three content checks in order: ontology type agreement, NLI
     entailment of the verbalized triple against the head gloss, and the
     policy screen. The first failing check names the rejection reason. An
-    adapter outage skips its check, or in strict mode fails it."""
+    adapter outage skips its check."""
     premise = head_gloss or triple.head
     screened = " ".join((triple.head, triple.relation, triple.tail))
     checks = (
@@ -46,8 +50,6 @@ def content_filter(
             if fails():
                 return False, reason
         except AdapterError as exc:
-            if strict:
-                return False, reason
             log.warning("%s adapter outage for %s: %s (check skipped)", adapter, triple, exc)
     return True, None
 
@@ -115,11 +117,7 @@ def curate(
             continue
 
         ok, reason = content_filter(
-            triple,
-            (head.gloss or "") if head is not None else "",
-            adapters,
-            nli_threshold=config.nli_threshold,
-            strict=config.strict_adapters,
+            triple, (head.gloss or "") if head is not None else "", adapters
         )
         if not ok:
             outcome.rejected.append((triple, reason))

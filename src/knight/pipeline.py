@@ -53,7 +53,7 @@ from .fixture_world import FixtureWorld, load_world
 from .gateway import ChatGateway, ChatRequest, MockChatBackend, OpenAiCompatBackend
 from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
-from .prompts import BATCH, DIRECT_MCQ_SYSTEM, direct_mcq_user
+from .prompts import DIRECT_MCQ_SYSTEM, batches, direct_mcq_user
 from .qgen import ORIENTATIONS, McqItem, generate_mcq, mcq_item, sample_paths
 from .retrieval import (
     FixtureWikiSource, NetworkWikiSource, RetrievalResult, WikiSource, choose_titles,
@@ -200,9 +200,9 @@ def _path_attempts(
         item_id = f"{slug}-L{config.d_max}-{orientation[:3]}-{index:04d}"
         pairs.append((orientation, (path, item_id, occurrences[key])))
         occurrences[key] += 1
-    windows = [pairs[start : start + BATCH] for start in range(0, len(pairs), BATCH)]
     return [
-        ([item_id for _, (_, item_id, _) in window], partial(attempt, window)) for window in windows
+        ([item_id for _, (_, item_id, _) in window], partial(attempt, window))
+        for window in batches(pairs)
     ]
 
 
@@ -239,7 +239,7 @@ def _direct_attempts(
         },
     )
 
-    def attempt(item_ids: list[str], variants: range) -> list[Outcome]:
+    def attempt(item_ids: list[str], variants: list[int]) -> list[Outcome]:
         request = ChatRequest(
             system_prompt=DIRECT_MCQ_SYSTEM,
             user_prompt=direct_mcq_user(topic.name, config.d_max, passages, variants),
@@ -253,8 +253,7 @@ def _direct_attempts(
         )
 
     attempts: list[Attempt] = []
-    for start in range(0, num_q, BATCH):
-        variants = range(start, min(start + BATCH, num_q))
+    for variants in batches(range(num_q)):
         ids = [f"{slug}-L{config.d_max}-dir-{index:04d}" for index in variants]
         attempts.append((ids, partial(attempt, ids, variants)))
     return attempts
@@ -264,19 +263,11 @@ def validate_items(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> tuple[list[McqItem], GatewayError | None]:
     """Run the critic over ``items`` and set the ``flags`` of the finished
-    prefix. The items are split, in order, into groups of up to
-    ``BATCH`` consecutive items with the same ``source_context``, and
-    the gateway maps ``validate_item`` over the groups. Returns the items of
+    prefix. ``batches`` groups the items by ``source_context``, and the
+    gateway maps ``validate_item`` over the groups. Returns the items of
     the finished groups and the map's error; items after them keep the
     flags they had."""
-    groups: list[list[McqItem]] = []
-    for item in items:
-        group = groups[-1] if groups else None
-        if group and len(group) < BATCH and group[0].source_context == item.source_context:
-            group.append(item)
-        else:
-            groups.append([item])
-
+    groups = batches(items, key=lambda item: item.source_context)
     reports, error = gateway.map(lambda group: validate_item(gateway, group, config), groups)
     flags = [report for group in reports for report in group]
     for item, report in zip(items, flags):

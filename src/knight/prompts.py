@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, TypeVar
+from itertools import groupby
+from typing import TYPE_CHECKING, Any, Callable, Iterable, TypeVar
 
 if TYPE_CHECKING:
     from .graph import Node
@@ -30,6 +31,16 @@ E = TypeVar("E", bound=Exception)
 # near-linearly in the batch size, but a real model's answers lose some
 # accuracy as it grows.
 BATCH = 10
+
+
+def batches(items: Iterable[T], key: Callable[[T], Any] | None = None) -> list[list[T]]:
+    """The items in order, in runs of up to ``BATCH``; a run also ends
+    wherever ``key`` changes."""
+    runs: list[list[T]] = []
+    for _, run in groupby(items, key or (lambda _: None)):
+        run = list(run)
+        runs += [run[start : start + BATCH] for start in range(0, len(run), BATCH)]
+    return runs
 
 _ITEM_HEADER = re.compile(r"^[^\w\n]*Item\s+(\d+)[^\w\n]*$", re.IGNORECASE | re.MULTILINE)
 
@@ -226,7 +237,7 @@ DIRECT_MCQ_SYSTEM = (
 )
 
 
-def direct_mcq_user(topic: str, level: int, passages: list[str], variants: range) -> str:
+def direct_mcq_user(topic: str, level: int, passages: list[str], variants: list[int]) -> str:
     """Prompt for the KG-free modes: the topic line and any evidence, then
     one slot per variant."""
     head = (

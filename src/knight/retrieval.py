@@ -10,8 +10,9 @@ it searches each term, then asks grouped title-check rounds, one call per
 round. ``retrieve_evidence`` then fetches and ranks one term's chosen
 title. It names every candidate passage ``<title>#summary`` or
 ``<title>#chunk<i>`` and ``score_and_rerank`` ranks those ``(id, text)``
-pairs under the ids it is given. A chunk whose text equals an earlier
-candidate's is dropped, so the same passage is never sent twice.
+pairs under the ids it is given: BM25 first cuts more than
+``FIRST_STAGE_CUT`` candidates down to that many. A chunk whose text equals
+an earlier candidate's is dropped, so the same passage is never sent twice.
 
 The two decide what a failed lookup costs: a search or fetch error logs a
 warning and yields the parametric fallback, as a term with no relevant
@@ -43,6 +44,7 @@ _WORD_RE = re.compile(r"\S+")
 # quotes or brackets.
 _SENTENCE_END = re.compile(r"[.!?][\"')\]]*(?!\S)")
 _LOOKUP_ERRORS = (RetrievalError, PageNotFoundError, AmbiguousTitleError)
+FIRST_STAGE_CUT = 50
 
 
 @dataclass(frozen=True)
@@ -190,12 +192,6 @@ def truncate_at_word(text: str, max_chars: int) -> str:
     return cut[0] if len(cut) == 2 else head
 
 
-def search_titles(source: WikiSource, term: str, limit: int = 5) -> list[str]:
-    if not term.strip():
-        raise RetrievalError("search term must be non-empty")
-    return source.search(term, limit)
-
-
 def chunk_text(text: str, size: int, overlap: int) -> list[str]:
     """Split into chunks of at most ``size`` whitespace tokens, preferring
     paragraph then sentence boundaries, with consecutive chunks sharing at
@@ -338,7 +334,7 @@ def score_and_rerank(
     scorer: DenseScorer,
     k: int = PipelineConfig.search_limit,
     score_floor: float = PipelineConfig.score_floor,
-    first_stage_cut: int = PipelineConfig.first_stage_cut,
+    first_stage_cut: int = FIRST_STAGE_CUT,
 ) -> RetrievalResult:
     """Two-stage ranking of ``(id, text)`` candidates: BM25 keeps the lexical
     top candidates, the dense scorer re-scores them, and only passages above
@@ -404,7 +400,7 @@ def choose_titles(
     candidates: list[list[str]] = []
     for term in terms:
         try:
-            candidates.append(search_titles(source, term, config.search_limit))
+            candidates.append(source.search(term, config.search_limit))
         except _LOOKUP_ERRORS as exc:
             log.warning("search failed for %r: %s", term, exc)
             candidates.append([])
@@ -458,5 +454,4 @@ def retrieve_evidence(
         LexicalCosineScorer(),
         k=config.search_limit,
         score_floor=config.score_floor,
-        first_stage_cut=config.first_stage_cut,
     )

@@ -475,7 +475,7 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
 
 
 def test_validate_groups_break_where_the_source_changes(tmp_path, monkeypatch):
-    import knight.pipeline as pipeline_mod
+    import knight.prompts as prompts_mod
 
     paths, direct = tmp_path / "paths.jsonl", tmp_path / "direct.jsonl"
     for mode, output in (("knight", paths), ("rag_val", direct)):
@@ -508,7 +508,7 @@ def test_validate_groups_break_where_the_source_changes(tmp_path, monkeypatch):
     for group in groups:
         assert len({records[index]["source_context"] for index in group}) == 1
 
-    monkeypatch.setattr(pipeline_mod, "BATCH", 1)
+    monkeypatch.setattr(prompts_mod, "BATCH", 1)
     single = tmp_path / "single.jsonl"
     assert _run(["validate", "--input", str(mixed), "--output", str(single)]) == 0
     assert len(backends[1].requests) == len(records)

@@ -3,7 +3,9 @@ from __future__ import annotations
 import pytest
 
 from knight.config import PipelineConfig, build_config, parse_config_file
+from knight.curation import NLI_THRESHOLD
 from knight.errors import ConfigError
+from knight.retrieval import FIRST_STAGE_CUT
 
 
 def test_defaults_match_documented_values():
@@ -22,7 +24,8 @@ def test_defaults_match_documented_values():
     assert cfg.tau_alias == 0.90
     assert cfg.lambda_max == 0.15
     assert cfg.delta_option == 0.85
-    assert cfg.first_stage_cut == 50
+    assert NLI_THRESHOLD == 0.5
+    assert FIRST_STAGE_CUT == 50
 
 
 @pytest.mark.parametrize(
@@ -47,7 +50,7 @@ def test_invalid_values_rejected(overrides):
 @pytest.mark.parametrize(
     "name",
     ["d_max", "max_branches", "max_tokens_triples", "chunk_size", "search_limit",
-     "summary_char_limit", "first_stage_cut", "max_inflight", "retry_attempts"],
+     "summary_char_limit", "max_inflight", "retry_attempts"],
 )
 def test_count_settings_below_one_rejected(name):
     with pytest.raises(ConfigError, match=f"^{name} must be >= 1$"):
@@ -87,6 +90,14 @@ def test_unknown_config_key_rejected(tmp_path):
         build_config(env={}, config_file=path)
 
 
+@pytest.mark.parametrize("key", ["strict_adapters", "nli_threshold", "first_stage_cut"])
+def test_removed_settings_are_unknown_keys(tmp_path, key):
+    path = tmp_path / "knight.conf"
+    path.write_text(f"{key} = 1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        build_config(env={}, config_file=path)
+
+
 def test_precedence_flag_env_file(tmp_path):
     path = tmp_path / "knight.conf"
     path.write_text("d_max = 3\nmax_branches = 4\nrng_seed = 1\n", encoding="utf-8")
@@ -112,9 +123,3 @@ def test_secret_redaction():
     # unset secrets stay empty rather than being masked
     assert PipelineConfig().to_dict(redact=True)["openai_api_key"] == ""
 
-
-def test_bool_coercion():
-    assert build_config(env={"KNIGHT_STRICT_ADAPTERS": "true"}).strict_adapters is True
-    assert build_config(env={"KNIGHT_STRICT_ADAPTERS": "0"}).strict_adapters is False
-    with pytest.raises(ConfigError):
-        build_config(env={"KNIGHT_STRICT_ADAPTERS": "maybe"})

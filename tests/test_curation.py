@@ -70,19 +70,6 @@ def test_content_filter_outage_skips_by_default(adapters, caplog):
     assert any("outage" in r.message for r in caplog.records)
 
 
-def test_content_filter_outage_strict_fails(adapters):
-    suite = AdapterSuite(
-        embedding=adapters.embedding,
-        nli=_FailingNli(),
-        ontology=adapters.ontology,
-        policy=adapters.policy,
-        grammar=adapters.grammar,
-        probe=adapters.probe,
-    )
-    ok, reason = content_filter(Triple("a", "rel", "b"), "gloss", suite, strict=True)
-    assert (ok, reason) == (False, "nli_fail")
-
-
 # -- curate -------------------------------------------------------------------
 
 

