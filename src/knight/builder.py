@@ -50,9 +50,7 @@ from .errors import ExtractionError
 from .gateway import ChatGateway
 from .graph import KnowledgeGraph, Node, Topic, Triple, add_curated
 from .prompts import batches
-from .retrieval import (
-    RetrievalResult, WikiSource, choose_titles, mixture_weights, retrieve_evidence,
-)
+from .retrieval import RetrievalResult, WikiSource, choose_titles, retrieve_evidence
 from .synthesis import dedup_triples, extract_triples, gate_gloss, generate_gloss
 
 log = logging.getLogger(__name__)
@@ -166,7 +164,7 @@ def _apply_stage(
     node.gloss = stage.gloss
     node.provenance = retrieval.ids()
     node.parametric_fallback = retrieval.fallback
-    node.retrieval_weights = [] if retrieval.fallback else mixture_weights(retrieval.scores())
+    node.retrieval_weights = retrieval.weights()
     node.gamma_failed = stage.gamma_failed
     report.glosses_rejected_by_gamma += stage.gamma_failed
     report.triples_deduped += stage.dedup_dropped

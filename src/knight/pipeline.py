@@ -232,9 +232,9 @@ def _direct_attempts(
         path=None,
         source_context=source_context,
         provenance={
-            "seed_node": slug,
+            "seed_node": normalize_name(topic.name),
             "passage_ids": retrieval.ids(),
-            "mixture_weights": [],
+            "mixture_weights": retrieval.weights(),
             "parametric_fallback": retrieval.fallback,
         },
     )

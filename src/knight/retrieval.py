@@ -80,6 +80,10 @@ class RetrievalResult:
     def scores(self) -> list[float]:
         return [p.score for p in self.passages]
 
+    def weights(self) -> list[float]:
+        """Each passage's mixture weight; none for the fallback."""
+        return mixture_weights(self.scores()) if self.passages else []
+
 
 class WikiSource(Protocol):
     def search(self, term: str, limit: int) -> list[str]: ...

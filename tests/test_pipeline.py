@@ -15,11 +15,11 @@ from knight.config import PipelineConfig
 from knight.errors import AdapterError, AuthError
 from knight import prompts as prompts_mod
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
-from knight.graph import Topic
+from knight.graph import KnowledgeGraph, Topic
 from knight.pipeline import Services, run_pipeline
 from knight.prompts import split_items
 from knight.qgen import path_repr
-from knight.retrieval import FixtureWikiSource
+from knight.retrieval import FixtureWikiSource, choose_titles, mixture_weights, retrieve_evidence
 from knight.storage import item_to_record, snapshot_document
 
 from conftest import FailingSource, RecordingBackend
@@ -596,6 +596,22 @@ def test_critic_prompts_start_with_the_shared_source_block(world):
     assert all(prompt.startswith(f"Source Information\n{source}\n\n") for prompt in prompts)
 
 
+@pytest.mark.parametrize("mode", ["rag", "rag_val"])
+def test_direct_items_carry_the_provenance_of_a_path_item(world, mode):
+    # The seed node is the topic's node id, as on a path item, and the
+    # mixture weights are those of the item's passages.
+    topic = "World War II"
+    config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode=mode).validate()
+    result, services = run_pipeline(Topic(topic), config, 3, services=_services(world, 1))
+    [title] = choose_titles([topic], services.source, services.gateway, config)
+    retrieval = retrieve_evidence(topic, title, services.source, config)
+    assert retrieval.passages and result.items
+    for item in result.items:
+        assert item.provenance["seed_node"] == KnowledgeGraph(topic).seed_id == "world war ii"
+        assert item.provenance["passage_ids"] == retrieval.ids()
+        assert item.provenance["mixture_weights"] == mixture_weights(retrieval.scores())
+
+
 def test_lookup_failure_falls_back_in_a_direct_mode(world):
     config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode="rag_val").validate()
     services = dataclasses.replace(
@@ -606,6 +622,7 @@ def test_lookup_failure_falls_back_in_a_direct_mode(world):
     assert result.kept_items
     assert all(item.provenance["parametric_fallback"] for item in result.items)
     assert all(item.provenance["passage_ids"] == [] for item in result.items)
+    assert all(item.provenance["mixture_weights"] == [] for item in result.items)
 
 
 class CountingProbe:
