@@ -16,7 +16,9 @@ from typing import Any, Callable, Iterable, Mapping
 
 from .builder import BuildReport
 from .config import PipelineConfig
-from .errors import ConfigError, JsonlError, SnapshotFormatError, SnapshotVersionError, StoreError
+from .errors import (
+    ConfigError, GraphError, JsonlError, SnapshotFormatError, SnapshotVersionError, StoreError,
+)
 from .graph import Edge, KnowledgeGraph, Node, PathSample
 from .qgen import McqItem
 from .validation import ValidationReport
@@ -81,11 +83,11 @@ def load_snapshot(path: str | Path) -> KnowledgeGraph:
     except KeyError as exc:
         raise SnapshotFormatError(f"snapshot missing field {exc}") from exc
 
-    by_id = {n["id"]: n for n in nodes}
-    if seed_id not in by_id:
-        raise SnapshotFormatError(f"seed {seed_id!r} not among nodes")
-    graph = KnowledgeGraph(by_id[seed_id]["name"])
     try:
+        by_id = {n["id"]: n for n in nodes}
+        if seed_id not in by_id:
+            raise SnapshotFormatError(f"seed {seed_id!r} not among nodes")
+        graph = KnowledgeGraph(by_id[seed_id]["name"])
         for raw in nodes:
             if raw["id"] == seed_id:
                 node = graph.nodes[seed_id]
@@ -98,7 +100,7 @@ def load_snapshot(path: str | Path) -> KnowledgeGraph:
             node.gamma_failed = bool(raw.get("gamma_failed", False))
         for raw in edges:
             graph.add_edge(raw["head"], raw["relation"], raw["tail"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, GraphError) as exc:
         raise SnapshotFormatError(f"snapshot node/edge malformed: {exc}") from exc
     return graph
 

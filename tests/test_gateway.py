@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import threading
@@ -285,6 +286,47 @@ def test_network_client_error_is_not_retried(monkeypatch, status):
         backend.complete(_request())
     assert not isinstance(info.value, RetriesExhaustedError)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("max_tokens", [None, 120])
+def test_network_payload_carries_max_tokens_only_when_set(monkeypatch, max_tokens):
+    payloads = []
+
+    def fake_post(url, **kwargs):
+        payloads.append(kwargs["json"])
+        return _FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
+
+    backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x")
+    monkeypatch.setattr(backend.session, "post", fake_post)
+    request = dataclasses.replace(_request(tag="triples"), max_tokens=max_tokens)
+    backend.complete(request)
+    [payload] = payloads
+    assert payload.get("max_tokens", "absent") == (max_tokens or "absent")
+
+
+def test_network_request_exception_is_retried(monkeypatch):
+    import requests
+
+    calls = []
+
+    def fake_post(url, **kwargs):
+        calls.append(url)
+        if len(calls) == 1:
+            raise requests.ConnectionError("connection reset")
+        return _FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
+
+    backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x", retry_attempts=2)
+    monkeypatch.setattr(backend.session, "post", fake_post)
+    monkeypatch.setattr(gateway_mod.time, "sleep", lambda _s: None)
+    assert backend.complete(_request()).text == "ok"
+    assert len(calls) == 2
+
+
+def test_network_reply_without_choices(monkeypatch):
+    backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x")
+    monkeypatch.setattr(backend.session, "post", lambda url, **kw: _FakeResponse(200, {"id": "x"}))
+    with pytest.raises(EmptyResponseError, match="unexpected response shape"):
+        backend.complete(_request())
 
 
 def test_network_empty_response(monkeypatch):

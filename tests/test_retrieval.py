@@ -105,6 +105,28 @@ def test_network_source_summary_quotes_the_title(monkeypatch):
     assert [url.rsplit("/", 1)[1] for url in urls] == ["AC%2FDC", "What%3F", "Cell_biology"]
 
 
+def test_network_source_page_text_reads_the_extract(monkeypatch):
+    replies = iter([
+        {"query": {"pages": {"12": {"title": "Cell", "extract": "Cells are units."}}}},
+        {"query": {"pages": {"-1": {"title": "Nothing", "missing": ""}}}},
+    ])
+    source = NetworkWikiSource()
+    monkeypatch.setattr(
+        source.session, "get", lambda url, **kw: http_response(200, json.dumps(next(replies)).encode())
+    )
+    assert source.page_text("Cell") == "Cells are units."
+    with pytest.raises(PageNotFoundError):
+        source.page_text("Nothing")
+
+
+def test_network_source_summary_of_a_disambiguation_page(monkeypatch):
+    body = json.dumps({"type": "disambiguation", "extract": "Mercury may refer to:"}).encode()
+    source = NetworkWikiSource()
+    monkeypatch.setattr(source.session, "get", lambda url, **kw: http_response(200, body))
+    with pytest.raises(AmbiguousTitleError):
+        source.summary("Mercury", 100)
+
+
 # -- title relevance ----------------------------------------------------------
 
 

@@ -104,6 +104,43 @@ def test_snapshot_ignores_unknown_fields(tmp_path):
     assert _graph_signature(loaded) == _graph_signature(graph)
 
 
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _plus_edge(**edge):
+    return lambda doc: {**doc, "edges": doc["edges"] + [{"head": doc["seed_id"], **edge}]}
+
+
+_MALFORMED = "node/edge malformed"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [doc], "root must be an object"),
+        (_without("nodes"), "missing field 'nodes'"),
+        (_without("edges"), "missing field 'edges'"),
+        (_without("seed_id"), "missing field 'seed_id'"),
+        (lambda doc: {**doc, "seed_id": "elsewhere"}, "not among nodes"),
+        (lambda doc: {**doc, "nodes": doc["nodes"] + [{"name": "No Id", "depth": 1}]}, _MALFORMED),
+        (lambda doc: {**doc, "nodes": doc["nodes"] + [{"id": "x", "name": "X", "depth": "deep"}]},
+         _MALFORMED),
+        (_plus_edge(relation="links_to"), _MALFORMED),
+        (_plus_edge(relation="links_to", tail="nowhere"), _MALFORMED),
+    ],
+    ids=["root-list", "no-nodes", "no-edges", "no-seed", "seed-not-a-node", "node-without-id",
+         "bad-depth", "edge-without-tail", "dangling-edge"],
+)
+def test_snapshot_malformed_document(tmp_path, edit, message):
+    path = tmp_path / "g.json"
+    save_snapshot(_fixture_graph(2), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(edit(doc)), encoding="utf-8")
+    with pytest.raises(SnapshotFormatError, match=message):
+        load_snapshot(path)
+
+
 def test_snapshot_missing_file(tmp_path):
     with pytest.raises(SnapshotFormatError):
         load_snapshot(tmp_path / "nope.json")
