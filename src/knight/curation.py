@@ -2,7 +2,7 @@
 consistency, and content-policy screening over candidate triples.
 
 A triple passes the NLI check when its head's gloss entails it with at
-least ``NLI_THRESHOLD``. An adapter outage skips its check, with a warning."""
+least ``NLI_THRESHOLD``."""
 
 from __future__ import annotations
 

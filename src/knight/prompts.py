@@ -37,10 +37,11 @@ def batches(items: Iterable[T], key: Callable[[T], Any] | None = None) -> list[l
     """The items in order, in runs of up to ``BATCH``; a run also ends
     wherever ``key`` changes."""
     runs: list[list[T]] = []
-    for _, run in groupby(items, key or (lambda _: None)):
-        run = list(run)
+    for _, group in groupby(items, key or (lambda _: None)):
+        run = list(group)
         runs += [run[start : start + BATCH] for start in range(0, len(run), BATCH)]
     return runs
+
 
 _ITEM_HEADER = re.compile(r"^[^\w\n]*Item\s+(\d+)[^\w\n]*$", re.IGNORECASE | re.MULTILINE)
 
