@@ -63,3 +63,26 @@ def test_microbench_outputs_match_their_pinned_digests(capsys):
         "dedup_triples.50_triples": (50, "d1f2cb1e3a1a7425"),
         "dedup_triples.100_triples": (100, "a46ab4b39b156284"),
     }
+
+
+def test_reach_reports_the_lines_no_run_reached_and_marks_those_a_test_reached(tmp_path):
+    reach = _load("reach")
+    module = tmp_path / "small.py"
+    module.write_text(
+        "def pick(x):\n"
+        "    if x:\n"
+        "        return 1\n"
+        "    elif x is None:\n"
+        "        return 2\n"
+        "    return 3\n"
+        "\n"
+        "pick(1)\n"
+    )
+    assert reach.executable_lines(module) == {1, 2, 3, 4, 5, 6, 8}
+    assert reach.report(module, runs={1, 2, 3, 8}, tests={1, 4, 6}) == [
+        "small.py: 3 lines no run reaches, 1 of them no test reaches",
+        "    4 T     elif x is None:",
+        "    5           return 2",
+        "    6 T     return 3",
+    ]
+    assert reach.report(module, runs={1, 2, 3, 4, 5, 6, 8}, tests=set()) == []
