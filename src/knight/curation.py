@@ -30,7 +30,6 @@ def content_filter(
     triple: Triple,
     head_gloss: str,
     adapters: AdapterSuite,
-    nli_threshold: float = NLI_THRESHOLD,
 ) -> tuple[bool, str | None]:
     """Run the three content checks in order: ontology type agreement, NLI
     entailment of the verbalized triple against the head gloss, and the
@@ -42,7 +41,7 @@ def content_filter(
         ("type_fail", "ontology",
          lambda: adapters.ontology.type_ok(triple.relation, triple.tail) is False),
         ("nli_fail", "NLI",
-         lambda: adapters.nli.entailment(premise, triple.verbalize()) < nli_threshold),
+         lambda: adapters.nli.entailment(premise, triple.verbalize()) < NLI_THRESHOLD),
         ("policy_fail", "policy", lambda: not adapters.policy.allowed(screened)),
     )
     for reason, adapter, fails in checks:
@@ -91,13 +90,10 @@ def curate(
             continue
 
         existing = graph.nodes.get(tail_norm)
-        if existing is not None:
+        if existing is not None or tail_norm in pending_names:
             outcome.rejected.append((triple, "duplicate"))
-            if head is not None:
+            if existing is not None and head is not None:
                 graph.add_edge(head_id, triple.relation, existing.id)
-            continue
-        if tail_norm in pending_names:
-            outcome.rejected.append((triple, "duplicate"))
             continue
 
         alias_target = None

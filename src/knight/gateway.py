@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Protocol, TypeVar
 from .errors import AuthError, EmptyResponseError, GatewayError, RetriesExhaustedError
 from .fixture_world import FixtureWorld
 from .graph import normalize_name
-from .prompts import VALIDATE_LABELS, parse_item_blocks, split_items
+from .prompts import GLOSS_HEADINGS, VALIDATE_LABELS, parse_item_blocks, split_items
 
 log = logging.getLogger(__name__)
 
@@ -423,16 +423,18 @@ class MockChatBackend:
         def ctx(i: int, fallback: str) -> str:
             return sentences[i] if i < len(sentences) else fallback
 
-        lines = [
-            f"1. Definition and Scope - {term}: {hint}. {ctx(0, '')}".rstrip(),
-            f"2. Domains of Use - {ctx(1, f'{term} appears across research and teaching.')}",
-            f"3. Subfields and Disciplines - {ctx(2, f'{term} divides into several named strands.')}",
-            f"4. Key Concepts and Mechanisms - {ctx(3, f'Central ideas organize how {term} works.')}",
-            f"5. Real-World Applications - {ctx(4, f'{term} informs practical decisions.')}",
-            f"6. Case Studies and Examples - {ctx(5, f'Worked examples illustrate {term} in use.')}",
-            f"7. Related and Overlapping Terms - Closely related: {related}.",
-            f"8. Current Research and Trends - {ctx(6, f'Active work continues to refine {term}.')}",
+        bodies = [
+            f"{term}: {hint}. {ctx(0, '')}".rstrip(),
+            ctx(1, f"{term} appears across research and teaching."),
+            ctx(2, f"{term} divides into several named strands."),
+            ctx(3, f"Central ideas organize how {term} works."),
+            ctx(4, f"{term} informs practical decisions."),
+            ctx(5, f"Worked examples illustrate {term} in use."),
+            f"Closely related: {related}.",
+            ctx(6, f"Active work continues to refine {term}."),
         ]
+        lines = [f"{i}. {heading} - {body}"
+                 for i, (heading, body) in enumerate(zip(GLOSS_HEADINGS, bodies), start=1)]
         if parent:
             lines.append(f"Relationship to parent: {term} sits within {parent}.")
         return "\n".join(lines)
@@ -440,7 +442,7 @@ class MockChatBackend:
     def _triples(self, slot: str) -> str:
         # A mock gloss names its subject in the first section header; only
         # free-form text falls back to the longest fixture-term mention.
-        header = re.search(r"1\. Definition and Scope - ([^:]+):", slot)
+        header = re.search(rf"1\. {re.escape(GLOSS_HEADINGS[0])} - ([^:]+):", slot)
         if header:
             entry = self.world.lookup_term(header.group(1).strip())
         else:

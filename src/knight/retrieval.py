@@ -100,12 +100,10 @@ class FixtureWikiSource:
         self.world = world
 
     def search(self, term: str, limit: int) -> list[str]:
-        if limit <= 0:
-            return []
         key = " ".join(term.lower().split())
         return list(self.world.search.get(key, []))[:limit]
 
-    def _read(self, title: str) -> str:
+    def page_text(self, title: str) -> str:
         if title in self.world.disambiguation:
             raise AmbiguousTitleError(f"{title!r} is a disambiguation page")
         filename = self.world.title_files.get(title)
@@ -117,12 +115,8 @@ class FixtureWikiSource:
         return path.read_text(encoding="utf-8").strip()
 
     def summary(self, title: str, max_chars: int) -> str:
-        text = self._read(title)
-        first_para = text.split("\n\n", 1)[0]
+        first_para = self.page_text(title).split("\n\n", 1)[0]
         return truncate_at_word(first_para, max_chars)
-
-    def page_text(self, title: str) -> str:
-        return self._read(title)
 
 
 class NetworkWikiSource:
@@ -153,8 +147,6 @@ class NetworkWikiSource:
             raise RetrievalError(f"wiki returned a non-JSON body for {url}: {exc}") from exc
 
     def search(self, term: str, limit: int) -> list[str]:
-        if limit <= 0:
-            return []
         doc = self._get(
             f"{self.base_url}/w/rest.php/v1/search/page",
             params={"q": term, "limit": limit},
@@ -217,7 +209,7 @@ def chunk_text(text: str, size: int, overlap: int) -> list[str]:
     if n <= size:
         return [text[starts[0]:_token_end(text, starts[-1])]]
 
-    paragraph_cuts = _boundary_token_indexes(text, starts, "\n\n")
+    paragraph_cuts = [bisect_left(starts, m.end()) for m in re.finditer("\n\n", text)]
     # A sentence end's last character lies inside the token it closes, so
     # the cut falls after that token.
     sentence_cuts = [bisect_right(starts, m.end() - 1) for m in _SENTENCE_END.finditer(text)]
@@ -240,19 +232,6 @@ def chunk_text(text: str, size: int, overlap: int) -> list[str]:
 def _token_end(text: str, start: int) -> int:
     """End offset of the token that starts at ``start``."""
     return _WORD_RE.match(text, start).end()
-
-
-def _boundary_token_indexes(text: str, starts: Sequence[int], sep: str) -> list[int]:
-    """Index of the first token after each ``sep`` in the text, in order,
-    given the tokens' sorted start offsets."""
-    cuts: list[int] = []
-    pos = text.find(sep)
-    while pos != -1:
-        i = bisect_left(starts, pos + len(sep))
-        if i < len(starts):
-            cuts.append(i)
-        pos = text.find(sep, pos + len(sep))
-    return cuts
 
 
 def _best_cut(start: int, hard_end: int, paragraphs: list[int], sentences: list[int]) -> int:
