@@ -190,7 +190,8 @@ class OpenAiCompatBackend:
 
     Transient failures (timeouts, 408, 429, 5xx) are retried with jittered
     exponential backoff. Auth failures, any other 4xx, and a 200 reply that
-    is not JSON or has no text are raised immediately.
+    is not JSON or has no text are raised immediately. A token count that is
+    missing or unreadable reads as 0.
     """
 
     def __init__(
@@ -261,14 +262,22 @@ class OpenAiCompatBackend:
             text = doc["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise EmptyResponseError(f"unexpected response shape: {exc}") from exc
-        if not (text or "").strip():
-            raise EmptyResponseError("backend returned empty text")
-        usage = doc.get("usage", {})
+        if not isinstance(text, str) or not text.strip():
+            raise EmptyResponseError(f"backend returned no text: {text!r:.80}")
+        usage = doc.get("usage")
         return ChatResponse(
             text=text,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            prompt_tokens=_token_count(usage, "prompt_tokens"),
+            completion_tokens=_token_count(usage, "completion_tokens"),
         )
+
+
+def _token_count(usage: object, key: str) -> int:
+    """``usage[key]`` as an int; 0 when either is missing, null or unreadable."""
+    try:
+        return int(usage[key])
+    except (LookupError, TypeError, ValueError, OverflowError):
+        return 0
 
 
 @dataclass

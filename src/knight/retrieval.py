@@ -142,23 +142,30 @@ class NetworkWikiSource:
         if resp.status_code != 200:
             raise RetrievalError(f"wiki returned {resp.status_code} for {url}")
         try:
-            return resp.json()
+            doc = resp.json()
         except ValueError as exc:
             raise RetrievalError(f"wiki returned a non-JSON body for {url}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise RetrievalError(f"wiki returned a JSON {type(doc).__name__}, not an object, for {url}")
+        return doc
 
     def search(self, term: str, limit: int) -> list[str]:
         doc = self._get(
             f"{self.base_url}/w/rest.php/v1/search/page",
             params={"q": term, "limit": limit},
         )
-        return [page["title"] for page in doc.get("pages", [])][:limit]
+        pages = _field(doc, "pages", list) or []
+        titles = [page.get("title") if isinstance(page, dict) else None for page in pages]
+        if not all(isinstance(title, str) for title in titles):
+            raise RetrievalError(f"wiki search for {term!r} gave a page without a title")
+        return titles[:limit]
 
     def summary(self, title: str, max_chars: int) -> str:
         page = quote(title.replace(" ", "_"), safe="")
         doc = self._get(f"{self.base_url}/api/rest_v1/page/summary/{page}")
         if doc.get("type") == "disambiguation":
             raise AmbiguousTitleError(f"{title!r} is a disambiguation page")
-        return truncate_at_word(doc.get("extract", ""), max_chars)
+        return truncate_at_word(_field(doc, "extract", str) or "", max_chars)
 
     def page_text(self, title: str) -> str:
         doc = self._get(
@@ -171,11 +178,20 @@ class NetworkWikiSource:
                 "titles": title,
             },
         )
-        pages = doc.get("query", {}).get("pages", {})
+        pages = _field(_field(doc, "query", dict) or {}, "pages", dict) or {}
         for page in pages.values():
-            if "extract" in page:
-                return page["extract"]
+            extract = _field(page, "extract", str) if isinstance(page, dict) else None
+            if extract is not None:
+                return extract
         raise PageNotFoundError(title)
+
+
+def _field(doc: dict, key: str, kind: type):
+    """``doc[key]``; None when it is missing or null, an error when not a ``kind``."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise RetrievalError(f"wiki reply field {key!r} is a {type(value).__name__}, not a {kind.__name__}")
+    return value
 
 
 def truncate_at_word(text: str, max_chars: int) -> str:

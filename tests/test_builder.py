@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import threading
@@ -16,11 +17,11 @@ from knight.errors import AuthError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import Topic, normalize_name
 from knight.retrieval import (
-    Passage, RetrievalResult, choose_titles, mixture_weights, retrieve_evidence,
+    NetworkWikiSource, Passage, RetrievalResult, choose_titles, mixture_weights, retrieve_evidence,
 )
 from knight.storage import snapshot_document
 
-from conftest import FailingSource, RecordingBackend
+from conftest import FailingSource, RecordingBackend, http_response
 
 
 def _services(world, seed=7, overrides=None, backend=None, **config_overrides):
@@ -452,6 +453,28 @@ def test_lookup_failure_gives_parametric_gloss(world):
     assert seed.provenance == []
     assert seed.retrieval_weights == []
     assert report.aborted_reason is None
+
+
+def test_malformed_search_replies_cost_each_term_its_evidence_only(world, monkeypatch):
+    # Each search reply is malformed in one of four ways; every term falls
+    # back to the model's own knowledge and the build goes on.
+    replies = itertools.cycle(
+        [b"[]", b'{"pages": null}', b'{"pages": "Cell"}', b'{"pages": [{"key": "Cell"}]}']
+    )
+    urls = []
+
+    def get(url, **kwargs):
+        urls.append(url)
+        return http_response(200, next(replies))
+
+    config, gateway, _, adapters = _services(world, d_max=2)
+    source = NetworkWikiSource()
+    monkeypatch.setattr(source.session, "get", get)
+    graph, report = build_kg(Topic("Biology"), config, gateway, source, adapters)
+    assert report.aborted_reason is None
+    assert len(graph.nodes) > 4
+    assert all(node.parametric_fallback for node in graph.nodes.values())
+    assert len(urls) > 4 and all(url.endswith("/search/page") for url in urls)
 
 
 def test_unknown_children_get_parametric_gloss(world):

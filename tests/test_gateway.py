@@ -337,6 +337,32 @@ def test_network_empty_response(monkeypatch):
         backend.complete(_request())
 
 
+@pytest.mark.parametrize(
+    "usage, tokens",
+    [
+        (None, (0, 0)),
+        ({"prompt_tokens": None, "completion_tokens": 2}, (0, 2)),
+        ({"prompt_tokens": "many", "completion_tokens": 2}, (0, 2)),
+    ],
+    ids=["usage-null", "prompt-tokens-null", "prompt-tokens-unreadable"],
+)
+def test_network_unreadable_usage_counts_as_zero_tokens(monkeypatch, usage, tokens):
+    payload = {"choices": [{"message": {"content": "ok"}}], "usage": usage}
+    backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x")
+    monkeypatch.setattr(backend.session, "post", lambda url, **kw: _FakeResponse(200, payload))
+    assert backend.complete(_request()) == ChatResponse("ok", *tokens)
+
+
+def test_map_returns_content_that_is_not_text_as_gateway_error(monkeypatch):
+    payload = {"choices": [{"message": {"content": [{"type": "text", "text": "ok"}]}}]}
+    backend = OpenAiCompatBackend("https://api.example/v1", "key", "model-x")
+    monkeypatch.setattr(backend.session, "post", lambda url, **kw: _FakeResponse(200, payload))
+    gw = ChatGateway(backend)
+    results, error = gw.map(gw.complete, [_request()])
+    assert results == []
+    assert isinstance(error, EmptyResponseError)
+
+
 def _html_response():
     return http_response(200, b"<html><body>502 Bad Gateway</body></html>")
 

@@ -62,8 +62,11 @@ def test_search_unknown_term(source):
         (http_response(404, b"{}"), PageNotFoundError),
         (http_response(503, b"{}"), RetrievalError),
         (http_response(200, b"<html><body>Bad Gateway</body></html>"), RetrievalError),
+        (http_response(200, b'["Biology"]'), RetrievalError),
+        (http_response(200, b'{"pages": "Biology"}'), RetrievalError),
+        (http_response(200, b'{"pages": [{"key": "Biology"}]}'), RetrievalError),
     ],
-    ids=["404", "503", "non-json"],
+    ids=["404", "503", "non-json", "list-body", "pages-not-a-list", "page-without-title"],
 )
 def test_network_source_maps_replies_to_errors(monkeypatch, reply, error):
     source = NetworkWikiSource()
@@ -103,6 +106,28 @@ def test_network_source_summary_quotes_the_title(monkeypatch):
     for title in ("AC/DC", "What?", "Cell biology"):
         source.summary(title, 100)
     assert [url.rsplit("/", 1)[1] for url in urls] == ["AC%2FDC", "What%3F", "Cell_biology"]
+
+
+@pytest.mark.parametrize(
+    "method, args, body, expected",
+    [
+        ("search", ("Cell", 5), {"pages": None}, []),
+        ("summary", ("Cell", 100), {"extract": None}, ""),
+        ("page_text", ("Cell",), {"query": None}, PageNotFoundError),
+        ("page_text", ("Cell",), {"query": {"pages": None}}, PageNotFoundError),
+        ("page_text", ("Cell",), {"query": {"pages": {"12": {"extract": None}}}}, PageNotFoundError),
+    ],
+    ids=["pages-null", "extract-null", "query-null", "query-pages-null", "page-extract-null"],
+)
+def test_network_source_reads_a_null_field_as_a_missing_one(monkeypatch, method, args, body, expected):
+    source = NetworkWikiSource()
+    reply = http_response(200, json.dumps(body).encode())
+    monkeypatch.setattr(source.session, "get", lambda url, **kw: reply)
+    if expected is PageNotFoundError:
+        with pytest.raises(PageNotFoundError):
+            getattr(source, method)(*args)
+    else:
+        assert getattr(source, method)(*args) == expected
 
 
 def test_network_source_page_text_reads_the_extract(monkeypatch):
