@@ -216,6 +216,21 @@ def test_orientation_violation_rejected(world, config):
     assert "does not contain the answer node name" in str(outcome)
 
 
+@pytest.mark.parametrize(
+    "hops, orientation", [(1, "sideways"), (0, "forward")], ids=["bad-orientation", "zero-hops"]
+)
+def test_generate_mcq_refuses_a_bad_call_before_any_backend_call(
+    world, recording_gateway, config, hops, orientation
+):
+    # McqItem would reject each item of a bad orientation only after the
+    # call, and it accepts the level-0 item of a 0-hop path.
+    graph = _bio_l1_graph(world)
+    path = PathSample([graph.seed_id, "pharmacology"][: hops + 1], ["includes"][:hops])
+    with pytest.raises(ValueError):
+        generate_mcq(recording_gateway, [(path, "x", 0)], orientation, "Biology", graph, config)
+    assert recording_gateway.requests == []
+
+
 def test_item_invariants():
     with pytest.raises(ValueError):
         McqItem(
