@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
 from knight.cli import main
+from knight.fixture_world import packaged_fixture_dir
 from knight.storage import read_jsonl
 
 from conftest import RecordingBackend
@@ -42,6 +44,13 @@ def test_depth_zero_usage_error(tmp_path, capsys):
     rc = _run(["run", "--topic", "Biology", "--depth", "0", "--output", str(tmp_path / "x.json")])
     assert rc == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+def test_non_integer_depth_usage_error(tmp_path, capsys):
+    rc = _run(["run", "--topic", "Biology", "--depth", "abc", "--output", str(tmp_path / "x.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and "'abc' is not an integer" in err
 
 
 def test_unknown_mode_usage_error(tmp_path, capsys):
@@ -118,6 +127,36 @@ def test_unreadable_config_file(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["env", "file"])
+def test_non_integer_setting_is_an_error(tmp_path, capsys, monkeypatch, where):
+    argv = ["run", "--topic", "Biology", "--output", str(tmp_path / "x.json")]
+    if where == "env":
+        monkeypatch.setenv("KNIGHT_D_MAX", "abc")
+    else:
+        config = tmp_path / "knight.conf"
+        config.write_text("d_max = two\n")
+        argv += ["--config", str(config)]
+    assert _run(argv) == 1
+    assert "bad value for d_max" in capsys.readouterr().err
+
+
+def test_missing_corpus_file_gives_the_parametric_fallback_and_the_run_goes_on(tmp_path, caplog):
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(packaged_fixture_dir(), fixtures)
+    (fixtures / "corpus" / "biology.txt").unlink()
+    config = tmp_path / "knight.conf"
+    config.write_text(f"fixture_dir = {fixtures}\n")
+    output = tmp_path / "x.jsonl"
+    rc = _run(["run", "--topic", "Biology", "--depth", "1", "--num-q", "2",
+               "--config", str(config), "--output", str(output)])
+    assert rc == 0
+    assert len(read_jsonl(output)) == 2
+    snapshot = json.loads(output.with_suffix(".snapshot.json").read_text())
+    [seed] = [node for node in snapshot["nodes"] if node["id"] == snapshot["seed_id"]]
+    assert seed["parametric_fallback"] is True
+    assert "fixture file missing for 'Biology'" in caplog.text
 
 
 # -- mode contract ----------------------------------------------------------------

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from knight.config import PipelineConfig, build_config, parse_config_file
 from knight.curation import NLI_THRESHOLD
 from knight.errors import ConfigError
+from knight.fixture_world import load_world
 from knight.retrieval import FIRST_STAGE_CUT
 
 
@@ -96,6 +99,17 @@ def test_removed_settings_are_unknown_keys(tmp_path, key):
     path.write_text(f"{key} = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="unknown config keys"):
         build_config(env={}, config_file=path)
+
+
+@pytest.mark.parametrize(
+    "table, message", [(None, "missing"), ("{not json", "malformed")], ids=["absent", "not-json"]
+)
+def test_fixture_dir_world_table_must_be_readable_json(tmp_path, table, message):
+    path = tmp_path / "world.json"
+    if table is not None:
+        path.write_text(table)
+    with pytest.raises(ConfigError, match=f"^{message} fixture table {re.escape(str(path))}: "):
+        load_world(tmp_path)
 
 
 def test_precedence_flag_env_file(tmp_path):

@@ -128,9 +128,10 @@ _MALFORMED = "node/edge malformed"
          _MALFORMED),
         (_plus_edge(relation="links_to"), _MALFORMED),
         (_plus_edge(relation="links_to", tail="nowhere"), _MALFORMED),
+        (lambda doc: _plus_edge(relation="Bad Rel", tail=doc["nodes"][-1]["id"])(doc), _MALFORMED),
     ],
     ids=["root-list", "no-nodes", "no-edges", "no-seed", "seed-not-a-node", "node-without-id",
-         "bad-depth", "edge-without-tail", "dangling-edge"],
+         "bad-depth", "edge-without-tail", "dangling-edge", "bad-relation"],
 )
 def test_snapshot_malformed_document(tmp_path, edit, message):
     path = tmp_path / "g.json"
