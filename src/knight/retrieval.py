@@ -28,7 +28,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Any, Protocol, Sequence
 from urllib.parse import quote
 
 from .config import PipelineConfig
@@ -186,7 +186,7 @@ class NetworkWikiSource:
         raise PageNotFoundError(title)
 
 
-def _field(doc: dict, key: str, kind: type):
+def _field(doc: dict, key: str, kind: type) -> Any:
     """``doc[key]``; None when it is missing or null, an error when not a ``kind``."""
     value = doc.get(key)
     if value is not None and not isinstance(value, kind):

@@ -1,14 +1,14 @@
 """List the lines of ``src/knight`` that no run reaches, standard library only.
 
-    python3 tools/reach.py [--seconds 2]
+    python3 tools/reach.py
 
-Runs, each in its own traced child process: the tier-1 tests, ``tools/golden.py``
-into a temporary directory, and ``bench/run.py`` on ``kg_generate_latency`` and
-``rag_val_latency`` at ``--trace 0`` and ``--trace 1`` for ``--seconds``
-seconds each. It only reads ``bench/``; the bench writes its scratch files
-under ``.bench_work/`` as it always does. A child traces with
-``sys.settrace`` and ``threading.settrace``, and only frames of
-``src/knight`` files get a line tracer.
+Runs, each in its own traced child process: the tier-1 tests,
+``tools/golden.py`` into a temporary directory, and ``bench/run.py`` on
+``kg_generate_latency`` and ``rag_val_latency`` at ``--trace 0`` and
+``--trace 1`` for 2 seconds each. It only reads ``bench/``; the bench
+writes its scratch files under ``.bench_work/`` as it always does. A child
+traces with ``sys.settrace`` and ``threading.settrace``, and only frames
+of ``src/knight`` files get a line tracer.
 
 A line is executable when the ``co_lines`` of a code object compiled from
 its module name it. For each module, the report prints every executable
@@ -36,6 +36,7 @@ from types import CodeType
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "knight"
 WORKLOADS = ("kg_generate_latency", "rag_val_latency")
+BENCH_SECONDS = 2
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -84,17 +85,17 @@ def _child(hits_path: str, target: list[str]) -> int:
 
         return line
 
-    if target[0] == "-m":
-        sys.argv = target[1:]
-        run = lambda: runpy.run_module(target[1], run_name="__main__", alter_sys=True)  # noqa: E731
-    else:
-        sys.argv = target
+    module = target[1] if target[0] == "-m" else None
+    sys.argv = target[1:] if module else target
+    if not module:
         sys.path[0] = str(Path(target[0]).resolve().parent)
-        run = lambda: runpy.run_path(target[0], run_name="__main__")  # noqa: E731
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        run()
+        if module:
+            runpy.run_module(module, run_name="__main__", alter_sys=True)
+        else:
+            runpy.run_path(target[0], run_name="__main__")
         code = 0
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
@@ -105,14 +106,14 @@ def _child(hits_path: str, target: list[str]) -> int:
     return code
 
 
-def _runs(scratch: Path, seconds: float) -> list[tuple[str, bool, list[str]]]:
+def _runs(scratch: Path) -> list[tuple[str, bool, list[str]]]:
     """(name, is tier-1, target) for each traced run."""
     tier1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
     golden = [str(ROOT / "tools" / "golden.py"), "--out", str(scratch / "golden")]
     bench = [
         (f"bench {workload} trace {trace}", False,
          [str(ROOT / "bench" / "run.py"), "--workload", workload, "--seed", "1",
-          "--seconds", str(seconds), "--trace", str(trace)])
+          "--seconds", str(BENCH_SECONDS), "--trace", str(trace)])
         for workload in WORKLOADS
         for trace in (0, 1)
     ]
@@ -123,9 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--child"]:
         return _child(argv[1], argv[2:])
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seconds", type=float, default=2.0, help="length of each bench run")
-    args = parser.parse_args(argv)
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
 
     pythonpath = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     # Added to, never replaced: settings such as PYTHONDONTWRITEBYTECODE carry over.
@@ -134,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     tests: dict[str, set[int]] = {}
     failed = 0
     with tempfile.TemporaryDirectory() as scratch:
-        for name, is_tier1, target in _runs(Path(scratch), args.seconds):
+        for name, is_tier1, target in _runs(Path(scratch)):
             hits_path = Path(scratch) / "hits.json"
             began = time.monotonic()
             result = subprocess.run(
