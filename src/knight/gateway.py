@@ -287,7 +287,8 @@ class MockOverride:
     a prompt with "Item N" slots, a substring that occurs inside one slot
     only replaces that slot's reply block under the mock's own header; one
     in the shared head, in several slots or in a prompt without slots
-    replaces the whole reply."""
+    replaces the whole reply. A critic group on several sources writes them
+    in its head, so an override keyed on one replaces the whole reply."""
 
     task_tag: str
     substring: str

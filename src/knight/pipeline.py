@@ -27,8 +27,8 @@ asks one call for a group of up to ``BATCH`` consecutive items over the topic
 and any retrieved evidence, which every group's prompt shares. Each returns
 its outcomes in its items' input order, so the two orientations of one path
 stay next to each other. The critic likewise fixes groups of up to ``BATCH``
-consecutive items that share a ``source_context`` before the map, and maps
-``validate_item`` over them. In every grouped call a reply block that is
+consecutive items, whatever their ``source_context``, before the map, and
+maps ``validate_item`` over them. In every grouped call a reply block that is
 missing, repeated or unparseable, or in a path mode breaks the orientation
 rule, costs only its own item. A ``GatewayError`` the map returns costs the
 whole group in flight and ends its stage with the prefix before it kept,
@@ -263,11 +263,11 @@ def validate_items(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> tuple[list[McqItem], GatewayError | None]:
     """Run the critic over ``items`` and set the ``flags`` of the finished
-    prefix. ``batches`` groups the items by ``source_context``, and the
-    gateway maps ``validate_item`` over the groups. Returns the items of
+    prefix. ``batches`` cuts the items into runs of up to ``BATCH``,
+    whatever their sources, and the gateway maps ``validate_item`` over them. Returns the items of
     the finished groups and the map's error; items after them keep the
     flags they had."""
-    groups = batches(items, key=lambda item: item.source_context)
+    groups = batches(items)
     reports, error = gateway.map(lambda group: validate_item(gateway, group, config), groups)
     flags = [report for group in reports for report in group]
     for item, report in zip(items, flags):

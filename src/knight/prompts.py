@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import groupby
-from typing import TYPE_CHECKING, Any, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 if TYPE_CHECKING:
     from .graph import Node
@@ -33,14 +32,10 @@ E = TypeVar("E", bound=Exception)
 BATCH = 10
 
 
-def batches(items: Iterable[T], key: Callable[[T], Any] | None = None) -> list[list[T]]:
-    """The items in order, in runs of up to ``BATCH``; a run also ends
-    wherever ``key`` changes."""
-    runs: list[list[T]] = []
-    for _, group in groupby(items, key or (lambda _: None)):
-        run = list(group)
-        runs += [run[start : start + BATCH] for start in range(0, len(run), BATCH)]
-    return runs
+def batches(items: Iterable[T]) -> list[list[T]]:
+    """The items in order, in runs of up to ``BATCH``."""
+    run = list(items)
+    return [run[start : start + BATCH] for start in range(0, len(run), BATCH)]
 
 
 _ITEM_HEADER = re.compile(r"^[^\w\n]*Item\s+(\d+)[^\w\n]*$", re.IGNORECASE | re.MULTILINE)
@@ -280,21 +275,32 @@ VALIDATE_SYSTEM = (
 )
 
 
-def validate_user(items: list[McqItem], source_context: str) -> str:
-    """The source block first, so calls on the same source share a prompt
-    prefix, then one slot per item."""
+def validate_user(items: list[McqItem]) -> str:
+    """Each distinct source block once, then one slot per item. A group on
+    one source opens with its block, so calls on the same source share a
+    prompt prefix; a group on k > 1 sources numbers its blocks 1 to k in
+    order of first use, and each slot's first line names its own."""
+    sources = dict.fromkeys(item.source_context for item in items)
+    number = {source: n for n, source in enumerate(sources, start=1)}
+    numbered = len(number) > 1
+    if numbered:
+        head = "".join(f"Source Information {n}\n{source}\n\n" for source, n in number.items())
+        rule = "the Source Information its first line names."
+    else:
+        head = f"Source Information\n{items[0].source_context}\n\n"
+        rule = "the Source Information."
     bodies = []
     for item in items:
         option_lines = "\n".join(f"{k}) {item.options[k]}" for k in sorted(item.options))
         bodies.append(
-            f'Question: "{item.question}"\n'
+            (f"Source Information: {number[item.source_context]}\n" if numbered else "")
+            + f'Question: "{item.question}"\n'
             f"{option_lines}\n"
             f'Correct Answer: "{item.answer_key}"\n'
             f'Topic (optional): "{item.topic or ""}"'
         )
     return numbered_prompt(
-        f"Source Information\n{source_context}\n\n"
-        "Evaluate each item below based only on the Source Information.",
+        f"{head}Evaluate each item below based only on {rule}",
         bodies,
         "Respond with one numbered block of the five check lines per item.",
     )

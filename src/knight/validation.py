@@ -1,13 +1,13 @@
 """Rule checks and the five-criteria critic; an item survives only when
 every applicable flag is true.
 
-The critic judges a group of items that share one source block in a single
-call: ``validate_item`` runs the rule checks and the sample gate per item,
-then sends the items that need the critic to ``llm_validate`` together. The
-reply holds one numbered five-line block per item. A block that is missing,
-appears twice or does not parse costs only its own item (``parse_failed``);
-a ``GatewayError`` from the call costs the whole group, and the caller's map
-decides what else it costs."""
+The critic judges a group of items in a single call, each on its own source
+block, written once per group: ``validate_item`` runs the rule checks and the
+sample gate per item, then sends the items that need the critic to
+``llm_validate`` together. The reply holds one numbered five-line block per
+item. A block that is missing, appears twice or does not parse costs only
+its own item (``parse_failed``); a ``GatewayError`` from the call costs the
+whole group, and the caller's map decides what else it costs."""
 
 from __future__ import annotations
 
@@ -111,11 +111,11 @@ def parse_critic_response(text: str) -> Verdicts:
 def llm_validate(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> list[Verdicts | ValidationParseError]:
-    """One critic call for ``items``, which share their source block: each
-    item's verdicts or ``ValidationParseError``, as ``complete_items`` reads them."""
+    """One critic call for ``items``, each judged on its own source block:
+    each item's verdicts or ``ValidationParseError``, as ``complete_items`` reads them."""
     request = ChatRequest(
         system_prompt=VALIDATE_SYSTEM,
-        user_prompt=validate_user(items, items[0].source_context),
+        user_prompt=validate_user(items),
         temperature=config.temp_triples,
         task_tag="validate",
     )
@@ -146,8 +146,8 @@ def sample_gate(rate: float, item_id: str, rng_seed: int) -> bool:
 def validate_item(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> list[ValidationReport]:
-    """Full validation pass for a group of items that share a source block,
-    one report per item. An item failing the rules gets no critic verdict,
+    """Full validation pass for a group of items, whatever their source
+    blocks, one report per item. An item failing the rules gets no critic verdict,
     as does one whose critic block does not parse (``parse_failed``);
     neither is kept. Otherwise the critic flags come from a label-to-verdict
     table: the critic's block when the sample gate selects the item, else

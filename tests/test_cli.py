@@ -483,15 +483,15 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
     from knight.errors import GatewayError
 
     dataset = tmp_path / "bio.jsonl"
-    rc = _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "8",
+    rc = _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "16",
                "--seed", "7", "--output", str(dataset)])
-    assert rc == 0 and len(read_jsonl(dataset)) == 8
-    # Items 3 and 4 are the two orientations of one path, so they share a
-    # source block and one critic call; items 0-2 form the groups before it.
+    assert rc == 0 and len(read_jsonl(dataset)) == 16
+    # The critic groups items in runs of ten, whatever their sources: item
+    # 12 lies in the second group (items 10-15), so items 0-9 form the group
+    # before it.
     generated = read_jsonl(dataset)
-    contexts = [r["source_context"] for r in generated]
-    assert contexts[3] == contexts[4] and len({contexts[1], contexts[2], contexts[3]}) == 3
-    failing_question = generated[4]["question"]
+    assert len({r["source_context"] for r in generated[:10]}) > 1
+    failing_question = generated[12]["question"]
 
     class ValidateFailsOnQuestion:
         def __init__(self, inner):
@@ -509,11 +509,11 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
     assert rc == 1
     assert "outputs are partial: GatewayError: backend down" in capsys.readouterr().err
     records = read_jsonl(flagged)
-    assert [r["id"] for r in records] == [r["id"] for r in generated][:3]
+    assert [r["id"] for r in records] == [r["id"] for r in generated][:10]
     assert all(r["validation"] is not None for r in records)
 
 
-def test_validate_groups_break_where_the_source_changes(tmp_path, monkeypatch):
+def test_validate_groups_run_to_batch_across_sources(tmp_path, monkeypatch):
     import knight.prompts as prompts_mod
 
     paths, direct = tmp_path / "paths.jsonl", tmp_path / "direct.jsonl"
@@ -538,14 +538,14 @@ def test_validate_groups_break_where_the_source_changes(tmp_path, monkeypatch):
         [row[question] for question in row if f'Question: "{question}"' in request.user_prompt]
         for request in backends[0].requests
     ]
-    # One direct item; knight's first path pair and one item of its second
-    # path; ten, then one, of the eleven direct items; the other item of
-    # that second path alone, since the direct items lie between the two;
-    # then two path pairs.
-    assert [len(group) for group in groups] == [1, 2, 1, 10, 1, 1, 2, 2]
+    # Two runs of ten in file order, each across direct and path items, and
+    # each distinct source written once in its run's prompt.
+    assert [len(group) for group in groups] == [10, 10]
     assert [index for group in groups for index in group] == list(range(len(records)))
-    for group in groups:
-        assert len({records[index]["source_context"] for index in group}) == 1
+    for group, request in zip(groups, backends[0].requests):
+        sources = {records[index]["source_context"] for index in group}
+        assert len(sources) > 2
+        assert all(request.user_prompt.count(source) == 1 for source in sources)
 
     monkeypatch.setattr(prompts_mod, "BATCH", 1)
     single = tmp_path / "single.jsonl"

@@ -150,10 +150,10 @@ def test_numbered_prompt_numbers_slots_and_leaves_out_empty_parts():
     assert head == "head\n\n" and [n for n, _ in slots] == [1, 2]
 
 
-def test_batches_end_at_batch_size_and_where_the_key_changes(monkeypatch):
+def test_batches_end_at_batch_size_only(monkeypatch):
     monkeypatch.setattr("knight.prompts.BATCH", 3)
     assert batches(range(7)) == [[0, 1, 2], [3, 4, 5], [6]]
-    assert batches("aaaabba", key=str.upper) == [["a"] * 3, ["a"], ["b", "b"], ["a"]]
+    assert batches("aaaabba") == [["a"] * 3, ["a", "b", "b"], ["a"]]
     assert batches([]) == []
 
 

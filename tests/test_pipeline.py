@@ -73,9 +73,9 @@ def _outputs(result, services):
 
 # The LLM calls per task tag on Biology, d_max 2, num_q 12, seed 0. A change
 # that adds or removes a call must update these numbers on purpose. The
-# critic makes one call per group of items that share a source block: the
-# forward and reverse items of one path in knight, and up to ten items of
-# the one evidence block in rag_val. Direct generation makes one call per
+# critic makes one call per group of up to ten consecutive items, whatever
+# their source blocks, so both modes' twelve items take two critic calls.
+# Direct generation makes one call per
 # group of up to ten items, so rag_val drafts 10, then 2. Path generation
 # makes one call per orientation per window of up to ten sampled pairs, so
 # knight's 12 pairs take two windows and four calls. The graph build makes
@@ -91,7 +91,7 @@ CALL_BUDGET = {
         "triples": 2,
         "mcq_forward": 2,
         "mcq_reverse": 2,
-        "validate": 6,
+        "validate": 2,
     },
     "rag_val": {"title_check": 1, "mcq_forward": 2, "validate": 2},
 }
@@ -183,28 +183,30 @@ class FailingBackend:
         return self.inner.complete(request)
 
 
-def test_validate_failure_keeps_items_before_it(world):
-    baseline, _ = _run(world, "knight", num_q=16)
-    # Items 4 and 5 are the two orientations of one path, so they share a
-    # source block and one critic group; the groups before it hold items 0-3
-    # in pairs.
-    k, first = 5, 4
-    contexts = [item.source_context for item in baseline.items]
-    assert contexts[first] == contexts[k] != contexts[first - 1]
-    groups_before = first // 2
+def test_validate_failure_keeps_items_before_it(world, monkeypatch):
+    # A critic group is a run of BATCH consecutive items, whatever their
+    # sources; at BATCH 4 the 40 items make ten groups. Item 6 lies in the
+    # second group (items 4-7, on more than one source), so its failure
+    # costs that whole group, and the first group's four items are kept.
+    batch = 4
+    monkeypatch.setattr(prompts_mod, "BATCH", batch)
+    baseline, _ = _run(world, "knight", num_q=40)
+    k, first = 6, 4
+    assert len({item.source_context for item in baseline.items[first : first + batch]}) > 1
+    groups_before = first // batch
     failing_question = baseline.items[k].question
     runs = []
     for max_inflight in (1, 4):
         backend = FailingBackend(MockChatBackend(world, rng_seed=7), "validate", failing_question)
         result, services = _run(
-            world, "knight", max_inflight=max_inflight, num_q=16, backend=backend
+            world, "knight", max_inflight=max_inflight, num_q=40, backend=backend
         )
         assert result.aborted_reason == "AuthError: key revoked"
         assert [i.id for i in result.kept_items] == [i.id for i in baseline.kept_items[:first]]
         assert result.graph is not None and result.graph.nodes
         # Groups after the failing one are not started once it has failed;
         # only those already in flight beside it were sent.
-        assert len(baseline.items) // 2 > groups_before + max_inflight
+        assert len(baseline.items) // batch > groups_before + max_inflight
         assert backend.calls <= groups_before + max_inflight
         outputs = _outputs(result, services)
         del outputs["ledger"]  # calls after the failure may already be in flight
