@@ -264,9 +264,9 @@ def validate_items(
 ) -> tuple[list[McqItem], GatewayError | None]:
     """Run the critic over ``items`` and set the ``flags`` of the finished
     prefix. ``batches`` cuts the items into runs of up to ``BATCH``,
-    whatever their sources, and the gateway maps ``validate_item`` over them. Returns the items of
-    the finished groups and the map's error; items after them keep the
-    flags they had."""
+    whatever their sources, and the gateway maps ``validate_item`` over
+    them. Returns the items of the finished groups and the map's error;
+    items after them keep the flags they had."""
     groups = batches(items)
     reports, error = gateway.map(lambda group: validate_item(gateway, group, config), groups)
     flags = [report for group in reports for report in group]

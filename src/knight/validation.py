@@ -147,13 +147,13 @@ def validate_item(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> list[ValidationReport]:
     """Full validation pass for a group of items, whatever their source
-    blocks, one report per item. An item failing the rules gets no critic verdict,
-    as does one whose critic block does not parse (``parse_failed``);
-    neither is kept. Otherwise the critic flags come from a label-to-verdict
-    table: the critic's block when the sample gate selects the item, else
-    true by default (the topic flag not applicable without a topic) with
-    ``llm_skipped`` set. The items the gate selects share one critic call.
-    ``kept`` is the gate over the rule and critic flags."""
+    blocks, one report per item. An item failing the rules gets no critic
+    verdict, as does one whose critic block does not parse
+    (``parse_failed``); neither is kept. Otherwise the critic flags come
+    from a label-to-verdict table: the critic's block when the sample gate
+    selects the item, else true by default (the topic flag not applicable
+    without a topic) with ``llm_skipped`` set. The items it selects share
+    one critic call. ``kept`` is the gate over the rule and critic flags."""
     reports = [rule_checks(item, config.delta_option) for item in items]
     passed = [
         index

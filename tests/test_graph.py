@@ -163,6 +163,21 @@ def test_invariants_reject_a_dangling_edge():
         graph.check_invariants()
 
 
+def test_invariants_reject_a_node_under_another_key():
+    graph = KnowledgeGraph("seed")
+    graph.add_node("Alpha", depth=1)
+    graph.nodes["beta"] = graph.nodes.pop("alpha")
+    with pytest.raises(GraphError, match="stored under key 'beta'"):
+        graph.check_invariants()
+
+
+def test_invariants_reject_a_seed_below_the_top():
+    graph = KnowledgeGraph("seed")
+    graph.nodes[graph.seed_id].depth = 1
+    with pytest.raises(GraphError, match="seed node depth must be 0"):
+        graph.check_invariants()
+
+
 # -- enumerate_paths ----------------------------------------------------------
 
 

@@ -315,6 +315,9 @@ def test_fleiss_frozen_fixture():
 
 
 def test_fleiss_domain_errors():
+    for ratings in ([2, 2], [[None, 2], [1, 1]]):  # rows or counts of the wrong type
+        with pytest.raises(ValueError, match="2-D items x categories"):
+            fleiss_kappa(ratings)
     with pytest.raises(ValueError):
         fleiss_kappa([[2, 0], [1, 1, 0]])
     with pytest.raises(ValueError):

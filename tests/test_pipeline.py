@@ -14,12 +14,14 @@ from knight.adapters import AdapterSuite
 from knight.config import PipelineConfig
 from knight.errors import AdapterError, AuthError
 from knight import prompts as prompts_mod
-from knight.gateway import ChatGateway, MockChatBackend, MockOverride
+from knight.gateway import ChatGateway, MockChatBackend, MockOverride, OpenAiCompatBackend
 from knight.graph import KnowledgeGraph, Topic
-from knight.pipeline import Services, run_pipeline
+from knight.pipeline import Services, build_services, run_pipeline
 from knight.prompts import split_items
 from knight.qgen import path_repr
-from knight.retrieval import FixtureWikiSource, choose_titles, mixture_weights, retrieve_evidence
+from knight.retrieval import (
+    FixtureWikiSource, NetworkWikiSource, choose_titles, mixture_weights, retrieve_evidence,
+)
 from knight.storage import item_to_record, snapshot_document
 
 from conftest import FailingSource, RecordingBackend
@@ -104,6 +106,33 @@ def test_call_budget_per_tag(world, mode, max_inflight):
     result, _ = _run(world, mode, max_inflight, num_q=12, backend=backend, seed=0)
     assert len(result.kept_items) == 12
     assert Counter(r.task_tag for r in backend.requests) == CALL_BUDGET[mode]
+
+
+def test_build_services_wires_the_network_backends(monkeypatch, caplog):
+    """``backend = "openai"`` gives the chat client the config's endpoint,
+    key, model and retry count, a network wiki source and a gateway of
+    ``max_inflight`` slots; building them sends no request."""
+    import requests
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(requests.Session, "request", refuse)
+    config = PipelineConfig(
+        backend="openai", openai_api_key="sk-test", openai_base_url="http://localhost:9/v1/",
+        openai_model="test-model", retry_attempts=5, max_inflight=3,
+    ).validate()
+    with caplog.at_level(logging.INFO, logger="knight.pipeline"):
+        services = build_services(config)
+    backend = services.gateway.backend
+    assert isinstance(backend, OpenAiCompatBackend)
+    assert (backend.base_url, backend.api_key, backend.model, backend.retry_attempts) == (
+        "http://localhost:9/v1", "sk-test", "test-model", 5
+    )
+    assert isinstance(services.source, NetworkWikiSource)
+    assert services.gateway.max_inflight == 3
+    assert services.adapters is not None and services.world.sorted_names()
+    assert "network chat backend active" in caplog.text
 
 
 @pytest.mark.parametrize("mode", ["knight", "rag_val"])

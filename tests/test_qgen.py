@@ -5,7 +5,7 @@ import random
 import pytest
 
 from knight.config import PipelineConfig
-from knight.errors import GenerationRejected
+from knight.errors import GenerationRejected, GraphError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import KnowledgeGraph, PathSample
 from knight.qgen import (
@@ -317,3 +317,15 @@ def test_sample_paths_requires_positive_num_q():
     graph = make_chain("a", "b")
     with pytest.raises(ValueError):
         sample_paths(graph, "a", 1, 0, rng_seed=1)
+
+
+def test_sample_paths_rejects_a_start_outside_the_graph():
+    graph = make_chain("a", "b")
+    with pytest.raises(GraphError, match="unknown node 'ghost'"):
+        sample_paths(graph, "ghost", 1, 4, rng_seed=1)
+
+
+def test_sample_paths_rejects_a_level_below_one():
+    graph = make_chain("a", "b")
+    with pytest.raises(GraphError, match="path length must be at least 1"):
+        sample_paths(graph, "a", 0, 4, rng_seed=1)

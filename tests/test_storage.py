@@ -112,6 +112,13 @@ def _plus_edge(**edge):
     return lambda doc: {**doc, "edges": doc["edges"] + [{"head": doc["seed_id"], **edge}]}
 
 
+def _blank_seed_name(doc):
+    for node in doc["nodes"]:
+        if node["id"] == doc["seed_id"]:
+            node["name"] = "  "
+    return doc
+
+
 _MALFORMED = "node/edge malformed"
 
 
@@ -129,9 +136,16 @@ _MALFORMED = "node/edge malformed"
         (_plus_edge(relation="links_to"), _MALFORMED),
         (_plus_edge(relation="links_to", tail="nowhere"), _MALFORMED),
         (lambda doc: _plus_edge(relation="Bad Rel", tail=doc["nodes"][-1]["id"])(doc), _MALFORMED),
+        (_blank_seed_name, "seed name normalizes to the empty string"),
+        (lambda doc: {**doc, "nodes": doc["nodes"] + [{"id": "x", "name": " ", "depth": 1}]},
+         "name ' ' normalizes to the empty string"),
+        (lambda doc: {**doc, "edges": doc["edges"] + [
+            {"head": "nowhere", "relation": "links_to", "tail": doc["seed_id"]}]},
+         "edge head 'nowhere' not in graph"),
     ],
     ids=["root-list", "no-nodes", "no-edges", "no-seed", "seed-not-a-node", "node-without-id",
-         "bad-depth", "edge-without-tail", "dangling-edge", "bad-relation"],
+         "bad-depth", "edge-without-tail", "dangling-edge", "bad-relation", "blank-seed-name",
+         "blank-node-name", "edge-from-nowhere"],
 )
 def test_snapshot_malformed_document(tmp_path, edit, message):
     path = tmp_path / "g.json"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from knight.config import PipelineConfig
 from knight.errors import ValidationParseError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import PathSample
+from knight.prompts import split_items, validate_user
 from knight.qgen import McqItem
 from knight.validation import (
     ValidationReport,
@@ -163,6 +165,36 @@ def test_llm_validate_numbers_items_after_the_source_block(world, config):
     assert prompt.startswith("Source Information\nPath: a --[rel]--> b\n\n")
     assert prompt.index("Item 1\nQuestion: \"First?\"") < prompt.index("Item 2\nQuestion: \"Second?\"")
     assert "Item 3" not in prompt
+
+
+def test_mixed_group_judges_each_slot_on_its_own_source(world, config):
+    """A group on several sources writes each once at its head, numbered in
+    order of first use, and each slot's first line names its own item's
+    source; a NO planted in one slot drops that item alone."""
+    sources = ["Path: a --[rel]--> b", "Path: c --[rel]--> d", "Path: e --[rel]--> f"]
+    items = [_item(question=f"Which one, {n}?") for n in range(6)]
+    for item, source in zip(items, [0, 0, 1, 2, 1, 0]):
+        item.source_context = sources[source]
+    no = ALL_YES.replace("Answerable_From_Source: YES", "Answerable_From_Source: NO")
+    backend = RecordingBackend(
+        MockChatBackend(world, rng_seed=1, overrides=[MockOverride("validate", "Which one, 4?", no)])
+    )
+    reports = validate_item(ChatGateway(backend), items, config)
+    assert [r.kept for r in reports] == [True, True, True, True, False, True]
+    assert reports[4].answerable_from_source is False and not reports[4].parse_failed
+    (request,) = backend.requests
+    head, slots = split_items(request.user_prompt)
+    assert [request.user_prompt.count(source) for source in sources] == [1, 1, 1]
+    assert head.startswith(f"Source Information 1\n{sources[0]}\n\nSource Information 2\n")
+    assert len(slots) == len(items)
+    for item, (_, slot) in zip(items, slots):
+        number = re.match(r"\nSource Information: (\d+)\nQuestion: ", slot).group(1)
+        assert f"Source Information {number}\n{item.source_context}\n\n" in head
+    # A group on one source keeps the unnumbered layout.
+    assert validate_user(items[:2]).startswith(
+        f"Source Information\n{sources[0]}\n\nEvaluate each item below based only on "
+        'the Source Information.\n\nItem 1\nQuestion: "Which one, 0?"'
+    )
 
 
 # -- keep ---------------------------------------------------------------------
