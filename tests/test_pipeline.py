@@ -77,15 +77,15 @@ def _outputs(result, services):
 # that adds or removes a call must update these numbers on purpose. The
 # critic makes one call per group of up to ten consecutive items, whatever
 # their source blocks, so both modes' twelve items take two critic calls.
-# Direct generation makes one call per
-# group of up to ten items, so rag_val drafts 10, then 2. Path generation
-# makes one call per orientation per window of up to ten sampled pairs, so
-# knight's 12 pairs take two windows and four calls. The graph build makes
-# one gloss call per sibling set: the seed, its two children (Ecology and
-# Life), and Ecology's two children (Life's gloss yields no triples). The
-# two sets above d_max make one triples call each. A title-check call is one
-# round over the siblings of a set that have search results left to check:
-# one for the seed and one for Ecology, whose first candidate is approved.
+# Direct generation makes one call per group of up to ten items, so rag_val
+# drafts 10, then 2. Path generation makes one call per orientation per
+# window of up to ten sampled pairs, so knight's 12 pairs take two windows
+# and four calls. The graph build makes one gloss call per sibling set: the
+# seed, its two children (Ecology and Life), and Ecology's two children
+# (Life's gloss yields no triples). The two sets above d_max make one
+# triples call each. A title-check call is one round over the siblings of a
+# set that have search results left to check: one for the seed and one for
+# Ecology, whose first candidate is approved.
 CALL_BUDGET = {
     "knight": {
         "title_check": 2,
