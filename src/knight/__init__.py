@@ -18,7 +18,7 @@ from .graph import (
 from .pipeline import MODE_TASK_TAGS, PipelineResult, build_services, run_pipeline
 from .qgen import McqItem, generate_mcq, parse_mcq_output, sample_paths, verbalize
 from .synthesis import dedup_triples, extract_triples, gate_gloss, generate_gloss, overlap
-from .validation import ValidationReport, keep, llm_validate, rule_checks, sample_gate
+from .validation import ValidationReport, keep, llm_validate, rule_checks
 
 __version__ = "0.1.0"
 
@@ -58,6 +58,5 @@ __all__ = [
     "keep",
     "llm_validate",
     "rule_checks",
-    "sample_gate",
     "__version__",
 ]

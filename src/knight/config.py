@@ -46,7 +46,6 @@ class PipelineConfig:
     chunk_overlap: int = 100
     search_limit: int = 5
     summary_char_limit: int = 1000
-    validation_sample_rate: float = 1.0
     pipeline_mode: str = "knight"
     rng_seed: int = 0
     # How a run reaches its backends: concurrency, retries, endpoints and
@@ -73,8 +72,7 @@ class PipelineConfig:
             raise ConfigError("chunk_overlap must be >= 0")
         if self.chunk_overlap >= self.chunk_size:
             raise ConfigError("chunk_overlap must be smaller than chunk_size")
-        for name in ("eta_overlap", "lambda_max", "tau_alias", "delta_option",
-                     "validation_sample_rate"):
+        for name in ("eta_overlap", "lambda_max", "tau_alias", "delta_option"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")

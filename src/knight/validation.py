@@ -2,9 +2,10 @@
 every applicable flag is true.
 
 The critic judges a group of items in a single call, each on its own source
-block, written once per group: ``validate_item`` runs the rule checks and the
-sample gate per item, then sends the items that need the critic to
-``llm_validate`` together. The reply holds one numbered five-line block per
+block, written once per group: ``validate_item`` runs the rule checks per
+item, then sends every item that passes them to ``llm_validate`` together.
+No item gets a default verdict: every critic flag of a kept item comes from
+the critic's reply. The reply holds one numbered five-line block per
 item. A block that is missing, appears twice or does not parse costs only
 its own item (``parse_failed``); a ``GatewayError`` from the call costs the
 whole group, and the caller's map decides what else it costs."""
@@ -12,7 +13,6 @@ whole group, and the caller's map decides what else it costs."""
 from __future__ import annotations
 
 import logging
-import random
 import re
 from dataclasses import asdict, dataclass, fields
 
@@ -36,7 +36,6 @@ class ValidationReport:
     rule_one_key: bool = False
     rule_options_distinct: bool = False
     kept: bool = False
-    llm_skipped: bool = False
     parse_failed: bool = False
 
     _CRITERIA = tuple(label.lower() for label in VALIDATE_LABELS)
@@ -129,54 +128,31 @@ def keep(report: ValidationReport) -> bool:
     return all(report.applicable_flags())
 
 
-def sample_gate(rate: float, item_id: str, rng_seed: int) -> bool:
-    """Seeded per-item Bernoulli draw deciding whether the critic runs. It
-    reads the item's id, not its position, so dropping one item leaves
-    every other item's draw as it was."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate {rate} outside [0, 1]")
-    if rate >= 1.0:
-        return True
-    if rate <= 0.0:
-        return False
-    rng = random.Random(f"{rng_seed}:{item_id}")
-    return rng.random() < rate
-
-
 def validate_item(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> list[ValidationReport]:
     """Full validation pass for a group of items, whatever their source
     blocks, one report per item. An item failing the rules gets no critic
     verdict, as does one whose critic block does not parse
-    (``parse_failed``); neither is kept. Otherwise the critic flags come
-    from a label-to-verdict table: the critic's block when the sample gate
-    selects the item, else true by default (the topic flag not applicable
-    without a topic) with ``llm_skipped`` set. The items it selects share
-    one critic call. ``kept`` is the gate over the rule and critic flags."""
+    (``parse_failed``); neither is kept. Every other item takes its critic
+    flags from its own block of one critic call shared by all the items
+    that pass the rules. ``kept`` is the gate over the rule and critic
+    flags."""
     reports = [rule_checks(item, config.delta_option) for item in items]
     passed = [
         index
         for index, report in enumerate(reports)
         if all(getattr(report, name) for name in ValidationReport._RULES)
     ]
-    rate, seed = config.validation_sample_rate, config.rng_seed
-    judged = [index for index in passed if sample_gate(rate, items[index].id, seed)]
-    replies = {}
-    if judged:
-        replies = dict(zip(judged, llm_validate(gateway, [items[i] for i in judged], config)))
-
-    for index in passed:
+    if not passed:
+        return reports
+    replies = llm_validate(gateway, [items[i] for i in passed], config)
+    for index, verdicts in zip(passed, replies):
         item, report = items[index], reports[index]
-        verdicts = replies.get(index)
         if isinstance(verdicts, ValidationParseError):
             log.warning("critic response unparseable for %s: %s", item.id, verdicts)
             report.parse_failed = True
             continue
-        if verdicts is None:
-            verdicts = dict.fromkeys(VALIDATE_LABELS, True)
-            verdicts["Topic_Relevant"] = True if item.topic else None
-            report.llm_skipped = True
         for label in VALIDATE_LABELS:
             setattr(report, label.lower(), verdicts[label])
         report.kept = keep(report)

@@ -93,7 +93,6 @@ def test_print_config_defaults(tmp_path, capsys, monkeypatch):
     assert doc["search_limit"] == 5
     assert doc["summary_char_limit"] == 1000
     assert doc["max_branches"] == 2
-    assert doc["validation_sample_rate"] == 1.0
 
 
 def test_print_config_flag_beats_file(tmp_path, capsys):
@@ -554,7 +553,37 @@ def test_validate_groups_run_to_batch_across_sources(tmp_path, monkeypatch):
     assert read_jsonl(single) == read_jsonl(batched)
     flags = [r["validation"] for r in read_jsonl(batched)]
     assert [f["topic_relevant"] for f in flags].count(None) == 1
-    assert all(f["kept"] and not f["llm_skipped"] for f in flags)
+    assert all(f["kept"] for f in flags)
+
+
+def test_validate_judges_a_record_whose_critic_call_was_skipped(tmp_path, monkeypatch):
+    """A record from a run that sampled the critic out carries
+    ``llm_skipped: true`` and default verdicts; it still loads, and
+    ``knight validate`` judges it afresh and drops the key."""
+    from knight.storage import read_items
+
+    dataset = tmp_path / "bio.jsonl"
+    assert _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "1",
+                 "--output", str(dataset)]) == 0
+    (record,) = read_jsonl(dataset)
+    record["validation"] = {
+        "grammar_fluency": True, "single_correct_key": True, "option_uniqueness": True,
+        "answerable_from_source": True, "topic_relevant": True, "rule_four_options": True,
+        "rule_one_key": True, "rule_options_distinct": True, "kept": True,
+        "llm_skipped": True, "parse_failed": False,
+    }
+    old = tmp_path / "old.jsonl"
+    old.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    (item,) = read_items(old)
+    assert item.flags.kept is True and not hasattr(item.flags, "llm_skipped")
+
+    calls = _count_backend_calls(monkeypatch)
+    judged = tmp_path / "judged.jsonl"
+    assert _run(["validate", "--input", str(old), "--output", str(judged)]) == 0
+    assert calls == ["validate"]
+    (flags,) = [r["validation"] for r in read_jsonl(judged)]
+    assert "llm_skipped" not in flags
+    assert flags["kept"] is True and flags["answerable_from_source"] is True
 
 
 # -- graph store ----------------------------------------------------------------

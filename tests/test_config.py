@@ -21,7 +21,6 @@ def test_defaults_match_documented_values():
     assert cfg.search_limit == 5
     assert cfg.summary_char_limit == 1000
     assert cfg.max_branches == 2
-    assert cfg.validation_sample_rate == 1.0
     assert cfg.eta_overlap == 0.35
     assert cfg.score_floor == 0.15
     assert cfg.tau_alias == 0.90
@@ -93,7 +92,9 @@ def test_unknown_config_key_rejected(tmp_path):
         build_config(env={}, config_file=path)
 
 
-@pytest.mark.parametrize("key", ["strict_adapters", "nli_threshold", "first_stage_cut"])
+@pytest.mark.parametrize(
+    "key", ["strict_adapters", "nli_threshold", "first_stage_cut", "validation_sample_rate"]
+)
 def test_removed_settings_are_unknown_keys(tmp_path, key):
     path = tmp_path / "knight.conf"
     path.write_text(f"{key} = 1\n", encoding="utf-8")

@@ -529,22 +529,6 @@ def test_rejected_generation_costs_its_item_alone(world, mode, caplog):
     assert runs[0] == runs[1]
 
 
-def test_sample_gate_draws_on_the_item_not_its_position(world):
-    """A rejected generation moves every later item up one place in the
-    list; each item's critic draw must not move with it."""
-    baseline, _ = _run(world, "rag_val", validation_sample_rate=0.5)
-    skipped = {item.id: item.flags.llm_skipped for item in baseline.items}
-    assert set(skipped.values()) == {True, False}
-    override = MockOverride("mcq_forward", "Variation tag: 3 ", MALFORMED_MCQ)
-    backend = MockChatBackend(world, rng_seed=7, overrides=[override])
-    result, _ = _run(world, "rag_val", backend=backend, validation_sample_rate=0.5)
-    assert result.generation_rejected == 1
-    assert len(result.items) == len(baseline.items) - 1
-    assert {item.id: item.flags.llm_skipped for item in result.items} == {
-        item.id: skipped[item.id] for item in result.items
-    }
-
-
 class CriticBlockFaults:
     """Edits the critic's reply per item: the block of the item that asks
     ``no_question`` answers NO on Answerable_From_Source, and the block of

@@ -17,7 +17,6 @@ from knight.validation import (
     llm_validate,
     parse_critic_response,
     rule_checks,
-    sample_gate,
     token_jaccard,
     validate_item,
 )
@@ -247,31 +246,6 @@ def test_keep_monotone():
         assert keep(ValidationReport(**flipped)) is False
 
 
-# -- sample_gate --------------------------------------------------------------
-
-
-def test_sample_gate_extremes():
-    assert all(sample_gate(1.0, i, 7) for i in range(50))
-    assert not any(sample_gate(0.0, i, 7) for i in range(50))
-
-
-def test_sample_gate_concentration():
-    n = 10000
-    hits = sum(sample_gate(0.5, i, 123) for i in range(n))
-    assert abs(hits / n - 0.5) < 0.02
-
-
-def test_sample_gate_deterministic_per_seed():
-    draws_a = [sample_gate(0.5, i, 9) for i in range(100)]
-    draws_b = [sample_gate(0.5, i, 9) for i in range(100)]
-    assert draws_a == draws_b
-
-
-def test_sample_gate_bad_rate():
-    with pytest.raises(ValueError):
-        sample_gate(1.5, 0, 1)
-
-
 # -- validate_item ------------------------------------------------------------
 
 
@@ -279,7 +253,6 @@ def test_validate_item_full_pass(world, config):
     gateway = ChatGateway(MockChatBackend(world, rng_seed=1))
     (report,) = validate_item(gateway, [_item()], config)
     assert report.kept is True
-    assert report.llm_skipped is False
 
 
 def test_validate_item_rule_failure_skips_critic(world, config):
@@ -287,15 +260,6 @@ def test_validate_item_rule_failure_skips_critic(world, config):
     item = _item(options={"A": "same", "B": "same", "C": "x", "D": "y"})
     (report,) = validate_item(gateway, [item], config)
     assert report.kept is False
-    assert "validate" not in gateway.ledger.tags_seen()
-
-
-def test_validate_item_sampled_out_marked(world):
-    config = PipelineConfig(validation_sample_rate=0.0).validate()
-    gateway = ChatGateway(MockChatBackend(world, rng_seed=1))
-    (report,) = validate_item(gateway, [_item()], config)
-    assert report.llm_skipped is True
-    assert report.kept is True
     assert "validate" not in gateway.ledger.tags_seen()
 
 
@@ -344,16 +308,3 @@ def test_validate_item_sends_the_group_in_one_call(world, config):
     (request,) = backend.requests
     assert "Broken?" not in request.user_prompt
     assert '"Third?"' in request.user_prompt.split("Item 2\n")[1]
-
-
-def test_validate_item_gate_draws_on_the_item_id(world):
-    config = PipelineConfig(rng_seed=7, validation_sample_rate=0.5).validate()
-    items = [_item(question=f"Which one, {n}?") for n in range(8)]
-    for n, item in enumerate(items):
-        item.id = f"item-{n}"
-    gateway = ChatGateway(MockChatBackend(world, rng_seed=1))
-    skipped = [r.llm_skipped for r in validate_item(gateway, items, config)]
-    assert skipped == [not sample_gate(0.5, item.id, 7) for item in items]
-    assert set(skipped) == {True, False}
-    tail = [r.llm_skipped for r in validate_item(gateway, items[3:], config)]
-    assert tail == skipped[3:]
