@@ -82,14 +82,15 @@ def verbalize(path: PathSample, graph: KnowledgeGraph) -> str:
     return "\n".join(lines)
 
 
-_QUESTION_RE = re.compile(r"^\s*Question:\s*(.+?)\s*$")
-_OPTION_RE = re.compile(r"^\s*([A-D])[).]\s*(.+?)\s*$")
+_QUESTION_RE = re.compile(r"^\s*Question:\s*(\S.*?)\s*$")
+_OPTION_RE = re.compile(r"^\s*([A-D])[).]\s*(\S.*?)\s*$")
 _KEY_RE = re.compile(r"^\s*Correct Answer:\s*\[?\s*([A-Za-z]+)\s*\]?\s*\.?\s*$")
 
 
 def parse_mcq_output(text: str) -> tuple[str, dict[str, str], str]:
     """Pull the six expected lines out of the response, ignoring any
-    surrounding prose. A missing question or key line, or a repeated option
+    surrounding prose. A question or option line with nothing after its
+    label is not read. A missing question or key line, or a repeated option
     letter, rejects the generation; ``McqItem`` checks the options and the
     key."""
     question: str | None = None

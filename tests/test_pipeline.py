@@ -529,6 +529,22 @@ def test_rejected_generation_costs_its_item_alone(world, mode, caplog):
     assert runs[0] == runs[1]
 
 
+BLANK_MCQ = "Question:   \nA)  \nB) Beta\nC) Gamma\nD) Delta\nCorrect Answer: B"
+
+
+def test_blank_question_and_option_cost_their_item_without_a_critic(world):
+    """``plain`` runs no critic, so only the parse stands between a blank
+    question or option and the dataset."""
+    baseline, _ = _run(world, "plain")
+    override = MockOverride("mcq_forward", "Variation tag: 3 ", BLANK_MCQ)
+    backend = MockChatBackend(world, rng_seed=7, overrides=[override])
+    result, _ = _run(world, "plain", backend=backend)
+    assert result.generation_rejected == 1
+    assert [i.id for i in result.kept_items] == [
+        i.id for i in baseline.kept_items if not i.id.endswith("-dir-0003")
+    ]
+
+
 class CriticBlockFaults:
     """Edits the critic's reply per item: the block of the item that asks
     ``no_question`` answers NO on Answerable_From_Source, and the block of

@@ -153,6 +153,21 @@ def test_parse_missing_question_rejected():
         parse_mcq_output(text)
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("Question:   \nA)  \nB) Beta\nC) Gamma\nD) Delta\nCorrect Answer: B",
+         "no Question line"),
+        ("Question: q?\nA) \t\nB) Beta\nC) Gamma\nD) Delta\nCorrect Answer: B",
+         "four options"),
+    ],
+    ids=["blank-question", "blank-option"],
+)
+def test_blank_question_or_option_is_rejected(text, reason):
+    with pytest.raises(GenerationRejected, match=reason):
+        mcq_item(text, **DIRECT_FIELDS)
+
+
 def test_parse_format_roundtrip():
     # parse(format(item)) is the identity on 100 shuffled canonical blocks.
     rng = random.Random(3)
