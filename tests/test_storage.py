@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import random
+import sys
+import types
 
 import pytest
 
 from knight.builder import BuildReport
 from knight.config import PipelineConfig, build_config
-from knight.errors import ConfigError, JsonlError, SnapshotFormatError, SnapshotVersionError
+from knight.errors import (
+    ConfigError, JsonlError, SnapshotFormatError, SnapshotVersionError, StoreError,
+)
 from knight.graph import Edge, KnowledgeGraph, Node, PathSample
 from knight.qgen import McqItem
 from knight.storage import (
@@ -286,6 +291,86 @@ def test_bolt_statements_are_parameterized():
     statement, params = BoltGraphStore.edge_statement(edge)
     assert "$head" in statement and "$tail" in statement and "$label" in statement
     assert params == {"head": "hafez", "tail": "shiraz", "label": "born_in"}
+
+
+class _StubDriver:
+    """Stands in for ``neo4j.GraphDatabase.driver``'s result: keeps what the
+    store asks of it in ``log``."""
+
+    def __init__(self, log, uri, auth, refuse):
+        self.log, self.refuse = log, refuse
+        log.append(("driver", uri, auth))
+
+    def verify_connectivity(self):
+        self.log.append(("verify",))
+        if self.refuse:
+            raise OSError("connection refused")
+
+    def session(self):
+        return contextlib.nullcontext(self)
+
+    def run(self, statement, **params):
+        self.log.append(("run", statement, params))
+        return iter([])
+
+    def close(self):
+        self.log.append(("close",))
+
+
+def _stub_neo4j(monkeypatch, refuse=False) -> list:
+    """Installs a stub ``neo4j`` module; returns the log its driver writes."""
+    log: list = []
+    module = types.ModuleType("neo4j")
+    module.GraphDatabase = types.SimpleNamespace(
+        driver=lambda uri, auth: _StubDriver(log, uri, auth, refuse)
+    )
+    monkeypatch.setitem(sys.modules, "neo4j", module)
+    return log
+
+
+def test_bolt_open_builds_the_driver_from_the_config(monkeypatch):
+    log = _stub_neo4j(monkeypatch)
+    config = PipelineConfig(graph_backend="bolt", neo4j_uri="bolt://graph.example:7687",
+                            neo4j_user="reader", neo4j_pass="s3cret")
+    store = open_graph_store(config)
+    assert log == [("driver", "bolt://graph.example:7687", ("reader", "s3cret")), ("verify",)]
+    store.close()
+    store.close()  # a closed store closes nothing twice
+    assert log[2:] == [("close",)]
+
+
+def test_bolt_mirror_runs_every_node_before_any_edge(monkeypatch):
+    log = _stub_neo4j(monkeypatch)
+    graph = _fixture_graph(3)
+    store = BoltGraphStore("bolt://graph.example:7687", "reader", "s3cret")
+    store.open()
+    mirror_graph(store, graph)
+    runs = [entry[1:] for entry in log if entry[0] == "run"]
+    expected = [BoltGraphStore.node_statement(n) for n in graph.sorted_nodes()]
+    expected += [BoltGraphStore.edge_statement(e) for e in graph.sorted_edges()]
+    assert runs == expected
+    assert len(runs) == len(graph.nodes) + len(graph.edges) and graph.edges
+
+
+def test_bolt_without_the_driver_is_a_store_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "neo4j", None)
+    with pytest.raises(StoreError, match="optional neo4j driver"):
+        BoltGraphStore("bolt://graph.example:7687", "", "").open()
+
+
+def test_bolt_refused_connection_is_a_store_error(monkeypatch):
+    log = _stub_neo4j(monkeypatch, refuse=True)
+    with pytest.raises(StoreError, match="cannot open bolt store at bolt://graph.example:7687"):
+        BoltGraphStore("bolt://graph.example:7687", "", "").open()
+    assert log[-1] == ("verify",)
+
+
+def test_bolt_statement_before_open_is_a_store_error(monkeypatch):
+    log = _stub_neo4j(monkeypatch)
+    store = BoltGraphStore("bolt://graph.example:7687", "", "")
+    with pytest.raises(StoreError, match="not open"):
+        store.create_node(Node(id="hafez", name="Hafez", depth=0, gloss="poet"))
+    assert log == []
 
 
 def test_bolt_roundtrip_against_live_server():
