@@ -89,8 +89,6 @@ class FixtureWorld:
         if value is not None:
             return value
         ta, tb = set(ka.split()), set(kb.split())
-        if not ta or not tb:
-            return 0.0
         return 0.5 * len(ta & tb) / len(ta | tb)
 
     def entailment(self, premise: str, hypothesis: str) -> float:

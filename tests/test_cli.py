@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from knight.cli import main
+from knight.cli import entry, main
 from knight.fixture_world import packaged_fixture_dir
 from knight.storage import read_jsonl
 
@@ -66,6 +66,15 @@ def test_unknown_prompt_family_usage_error(tmp_path):
         ["run", "--topic", "Biology", "--prompt", "essay", "--output", str(tmp_path / "x.json")]
     )
     assert rc == 2
+
+
+def test_entry_exits_with_the_code_of_main(tmp_path, monkeypatch):
+    absent = str(tmp_path / "absent.jsonl")
+    monkeypatch.setattr("sys.argv", ["knight", "validate", "--input", absent,
+                                     "--output", str(tmp_path / "out.jsonl")])
+    with pytest.raises(SystemExit) as exit_info:
+        entry()
+    assert exit_info.value.code == 1
 
 
 def test_missing_output_usage_error():

@@ -26,6 +26,22 @@ class _FailingNli:
         raise AdapterError("endpoint down")
 
 
+# -- fixture adapters ---------------------------------------------------------
+
+
+def test_fixture_cosine_is_one_for_two_spellings_of_a_name(world):
+    assert world.cosine("The Cells", "cell") == 1.0
+    assert world.cosine("Cell", "Cell Biology") == pytest.approx(0.25)
+    assert world.cosine("", "Cell") == 0.0
+
+
+def test_fixture_type_ok_is_not_applicable_to_an_untyped_tail(world):
+    assert world.type_ok("born_in", "Shiraz") is True
+    assert world.type_ok("born_in", "Photosynthesis") is False
+    assert world.type_ok("born_in", "Atlantis") is None
+    assert world.type_ok("no_such_relation", "Shiraz") is None
+
+
 # -- content_filter -----------------------------------------------------------
 
 

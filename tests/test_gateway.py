@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import shutil
 import sys
 import threading
 import time
@@ -10,6 +12,7 @@ import pytest
 
 import knight.gateway as gateway_mod
 from knight.errors import AuthError, EmptyResponseError, GatewayError, RetriesExhaustedError
+from knight.fixture_world import load_world, packaged_fixture_dir
 from knight.gateway import (
     ChatGateway,
     ChatRequest,
@@ -69,6 +72,25 @@ def test_mock_seed_changes_mcq_shape(world):
     req = ChatRequest(system_prompt="s", user_prompt=user, temperature=0.4, task_tag="mcq_forward")
     texts = {MockChatBackend(world, rng_seed=s).complete(req).text for s in range(6)}
     assert len(texts) > 1  # seed reshuffles distractors/key letter
+
+
+def test_mock_pads_the_distractors_of_a_small_world(tmp_path):
+    """A ``fixture_dir`` world with one name besides the path's ends still
+    gets three distractors: the spare name and unrelated fillers."""
+    fixtures = tmp_path / "fixtures"
+    shutil.copytree(packaged_fixture_dir(), fixtures)
+    terms = {name.lower(): {"name": name} for name in ("Genetics", "Heredity", "Ecology")}
+    (fixtures / "world.json").write_text(json.dumps({"version": 1, "terms": terms}))
+    user = (
+        'Item 1\nPath: "A --[links_to]--> B"\nStart Node: "Genetics"\nDescription: "d"\n'
+        'End Node: "Heredity"\nDescription: "d"'
+    )
+    req = ChatRequest(system_prompt="s", user_prompt=user, temperature=0.4, task_tag="mcq_forward")
+    text = MockChatBackend(load_world(fixtures), rng_seed=7).complete(req).text
+    options = re.findall(r"^[A-D]\) (.+)$", text, re.MULTILINE)
+    fillers = {"Ecology"} | {f"Unrelated concept {i}" for i in range(1, 4)}
+    assert len(options) == 4 and "Heredity" in options
+    assert set(options) - {"Heredity"} <= fillers and "Genetics" not in options
 
 
 def test_mock_triples_for_hafez_gloss(world):

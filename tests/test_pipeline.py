@@ -12,7 +12,7 @@ import pytest
 
 from knight.adapters import AdapterSuite
 from knight.config import PipelineConfig
-from knight.errors import AdapterError, AuthError
+from knight.errors import AdapterError, AuthError, ConfigError
 from knight import prompts as prompts_mod
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride, OpenAiCompatBackend
 from knight.graph import KnowledgeGraph, Topic
@@ -527,6 +527,14 @@ def test_rejected_generation_costs_its_item_alone(world, mode, caplog):
         assert len(rejected) == 1 and planted.id in rejected[0]
         runs.append(_outputs(result, services))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("mode", ["knight", "plain"])
+def test_zero_items_requested_is_refused_before_any_call(world, mode):
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    with pytest.raises(ConfigError, match="num_q must be >= 1"):
+        _run(world, mode, num_q=0, backend=backend)
+    assert backend.requests == []
 
 
 BLANK_MCQ = "Question:   \nA)  \nB) Beta\nC) Gamma\nD) Delta\nCorrect Answer: B"

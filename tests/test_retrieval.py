@@ -426,6 +426,13 @@ def test_rerank_first_stage_cut():
     assert result.passages[0].text == "the exact query words here"
 
 
+def test_lexical_cosine_scores_zero_without_word_characters():
+    scorer = LexicalCosineScorer()
+    chunks = [term_counts("photosynthesis in plants"), term_counts("-- ... --")]
+    assert scorer.score("photosynthesis", chunks) == [1.0 / math.sqrt(3), 0.0]
+    assert scorer.score("?!", chunks) == [0.0, 0.0]
+
+
 def _counts(text):
     return Counter(re.findall(r"\w+", text.lower()))
 

@@ -154,6 +154,11 @@ def test_parse_triples_drops_incomplete_entries():
     assert triples == [Triple("a", "has", "b"), Triple("c", "knows", "d")]
 
 
+def test_parse_triples_skips_entries_that_are_not_objects():
+    text = '{"triplets":["a has b",["c","knows","d"],null,{"head":"e","relation":"has","tail":"f"}]}'
+    assert parse_triples_json(text) == [Triple("e", "has", "f")]
+
+
 def test_parse_triples_relation_normalized():
     text = '{"triplets":[{"head":"a","relation":"Notable Relation","tail":"b"}]}'
     assert parse_triples_json(text)[0].relation == "notable_relation"
@@ -283,6 +288,11 @@ def test_levenshtein_matches_naive_oracle():
         # With a cap k the result is exact up to k, and k + 1 above it.
         for cap in range(20):
             assert levenshtein(a, b, cap) == min(distance, cap + 1)
+
+
+def test_normalized_edit_distance_of_two_empty_names_is_zero():
+    assert normalized_edit_distance("", "") == 0.0
+    assert normalized_edit_distance("", "", at_most=0.0) == 0.0
 
 
 def test_dedup_idempotent_and_order_stable():

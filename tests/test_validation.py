@@ -11,6 +11,7 @@ from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import PathSample
 from knight.prompts import split_items, validate_user
 from knight.qgen import McqItem
+from knight.storage import item_to_record, record_to_item
 from knight.validation import (
     ValidationReport,
     keep,
@@ -74,6 +75,17 @@ def test_rules_abbreviation_pairs_not_caught_lexically(config):
     # only the critic can flag that pair.
     item = _item(options={"A": "New York City", "B": "NYC", "C": "Chicago", "D": "Houston"})
     assert rule_checks(item, config.delta_option).rule_options_distinct is True
+
+
+def test_rules_on_a_record_with_whitespace_only_options(config):
+    """Only a dataset record can carry a blank option: the reply parser
+    refuses one. Two blank options are duplicates; one is distinct."""
+    record = item_to_record(_item())
+    record["options"] = {"A": " ", "B": "\t", "C": "Chicago", "D": "Houston"}
+    report = rule_checks(record_to_item(record), config.delta_option)
+    assert report.rule_options_distinct is False
+    record["options"]["B"] = "Los Angeles"
+    assert rule_checks(record_to_item(record), config.delta_option).rule_options_distinct is True
 
 
 def test_rules_permutation_invariant(config):
