@@ -147,16 +147,12 @@ def test_parse_triples_drops_incomplete_entries():
         '{"triplets":['
         '{"head":"a","relation":"has","tail":"b"},'
         '{"head":"c","relation":"knows","tail":"d"},'
-        '{"head":"e","relation":"misses","tail":""}'
+        '{"head":"e","relation":"misses","tail":""},'
+        '"g has h",["i","knows","j"],null'
         "]}"
     )
     triples = parse_triples_json(text)
     assert triples == [Triple("a", "has", "b"), Triple("c", "knows", "d")]
-
-
-def test_parse_triples_skips_entries_that_are_not_objects():
-    text = '{"triplets":["a has b",["c","knows","d"],null,{"head":"e","relation":"has","tail":"f"}]}'
-    assert parse_triples_json(text) == [Triple("e", "has", "f")]
 
 
 def test_parse_triples_relation_normalized():
