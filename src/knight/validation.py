@@ -63,11 +63,14 @@ def token_jaccard(a: str, b: str) -> float:
 
 
 def rule_checks(item: McqItem, delta_option: float) -> ValidationReport:
-    """Structural screens that need no model call. Option distinctness uses
-    token Jaccard, so surface near-duplicates are caught here while
-    abbreviation pairs are left to the critic."""
+    """Structural screens that need no model call: four options, each with
+    a word; one key; distinct options. Option distinctness uses token
+    Jaccard, so surface near-duplicates are caught here while abbreviation
+    pairs are left to the critic."""
     report = ValidationReport()
-    report.rule_four_options = len(item.options) == 4
+    report.rule_four_options = len(item.options) == 4 and all(
+        text.split() for text in item.options.values()
+    )
     report.rule_one_key = list(item.options).count(item.answer_key) == 1
     texts = [item.options[k] for k in sorted(item.options)]
     report.rule_options_distinct = all(

@@ -79,13 +79,20 @@ def test_rules_abbreviation_pairs_not_caught_lexically(config):
 
 def test_rules_on_a_record_with_whitespace_only_options(config):
     """Only a dataset record can carry a blank option: the reply parser
-    refuses one. Two blank options are duplicates; one is distinct."""
+    refuses one. Two blank options are duplicates; one is distinct, but
+    an option without a word fails the four-options rule either way."""
     record = item_to_record(_item())
     record["options"] = {"A": " ", "B": "\t", "C": "Chicago", "D": "Houston"}
-    report = rule_checks(record_to_item(record), config.delta_option)
-    assert report.rule_options_distinct is False
+
+    def rules():
+        report = rule_checks(record_to_item(record), config.delta_option)
+        return report.rule_four_options, report.rule_one_key, report.rule_options_distinct
+
+    assert rules() == (False, True, False)
     record["options"]["B"] = "Los Angeles"
-    assert rule_checks(record_to_item(record), config.delta_option).rule_options_distinct is True
+    assert rules() == (False, True, True)
+    record["options"]["A"] = "Denver"
+    assert rules() == (True, True, True)
 
 
 def test_rules_permutation_invariant(config):
