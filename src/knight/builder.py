@@ -1,28 +1,30 @@
 """Breadth-first, depth-bounded graph construction combining retrieval,
 gloss synthesis, triple extraction, and curation.
 
-The build maps one FIFO queue of sibling sets through ``ChatGateway.map``,
-starting from the seed alone. A sibling set is up to ``BATCH`` of the
-children one expansion added, with their shared parent name and depth. Its
-stage makes numbered-slot calls, one slot per sibling: title-check rounds
-(``choose_titles``), one ``gloss`` call with the parent line as shared
-head, and one ``triples`` call for the siblings above ``d_max`` whose gloss
-passed the gamma gate. Retrieval, the gamma gate and dedup stay per
-sibling. A stage reads only node names, never the graph, so stages run
-concurrently. Each finished stage is applied on the caller's thread in
-queue order, sibling by sibling: the node's gloss, and its provenance,
-fallback flag and retrieval weights read from its ``RetrievalResult``, then
-curation and attachment. The children each sibling adds join the queue at
-once as a new set, while the rest of their parent's level is in flight.
-Nodes are thus applied in the order of a per-node breadth-first run, and
-the graph is the same at any ``max_inflight``.
+The build maps one FIFO queue of runs of one level through
+``ChatGateway.map``, starting from the seed alone. A run is up to ``BATCH``
+nodes of one depth, in the order they were added, each with its own
+parent's name; a run may span several parents. Its stage makes
+numbered-slot calls, one slot per node, each slot under its own parent:
+title-check rounds (``choose_titles``), one ``gloss`` call, and one
+``triples`` call for the nodes above ``d_max`` whose gloss passed the gamma
+gate. Retrieval, the gamma gate and dedup stay per node. A stage reads only
+node names, never the graph, so stages run concurrently. Each finished
+stage is applied on the caller's thread in queue order, node by node: the
+node's gloss, and its provenance, fallback flag and retrieval weights read
+from its ``RetrievalResult``, then curation and attachment. The children
+the nodes add wait in one list, in the order they were added; each full
+run of ``BATCH`` joins the queue at once, while the rest of their parents'
+level is in flight, and the remainder joins once that level has been
+applied. Nodes are thus applied in the order of a per-node breadth-first
+run, and the graph is the same at any ``max_inflight`` and any ``BATCH``.
 
-A reply block that is missing or unusable costs its own sibling only: a
+A reply block that is missing or unusable costs its own node only: a
 title block reads as "no"; a gloss block leaves the node unglossed and
 unexpanded, with a warning; a triples block is an ``ExtractionError``, so
-the node gets zero children. On a ``GatewayError`` every set before the
+the node gets zero children. On a ``GatewayError`` every run before the
 failed one is applied, the error goes to ``BuildReport.aborted_reason``,
-and nothing after it is: a failed call costs its set and the rest of the
+and nothing after it is: a failed call costs its run and the rest of the
 queue.
 
 Depth rule: a node at ``d_max`` can get no children, so it is glossed but
@@ -43,13 +45,13 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
+from . import prompts
 from .adapters import AdapterSuite
 from .config import PipelineConfig
 from .curation import curate
 from .errors import ExtractionError
 from .gateway import ChatGateway
 from .graph import KnowledgeGraph, Node, Topic, Triple, add_curated
-from .prompts import batches
 from .retrieval import RetrievalResult, WikiSource, choose_titles, retrieve_evidence
 from .synthesis import dedup_triples, extract_triples, gate_gloss, generate_gloss
 
@@ -87,12 +89,12 @@ class RejectedCandidate:
         return asdict(self)
 
 
-class _Siblings(NamedTuple):
-    """A queue entry: up to ``BATCH`` nodes one expansion added. A stage
-    reads only their names, which never change."""
+class _Run(NamedTuple):
+    """A queue entry: up to ``BATCH`` nodes of one depth, in apply order,
+    each with its parent's name (None for the seed). A stage reads only
+    these names, which never change."""
 
-    nodes: list[Node]
-    parent: str | None
+    members: list[tuple[Node, str | None]]
     depth: int
 
 
@@ -108,20 +110,28 @@ class _Stage:
     dedup_dropped: int = 0
 
 
-def _set_stage(
-    siblings: _Siblings,
+def _run_stage(
+    run: _Run,
     topic_hint: str | None,
     config: PipelineConfig,
     gateway: ChatGateway,
     source: WikiSource,
 ) -> list[_Stage]:
-    names, parent = [node.name for node in siblings.nodes], siblings.parent
-    titles = choose_titles(names, source, gateway, config, parent or topic_hint)
+    """The calls of one run of one level: title-check rounds, one ``gloss``
+    call and, above ``d_max``, one ``triples`` call, each slot under its
+    own node's parent (the seed's under ``topic_hint``)."""
+    names = [node.name for node, _ in run.members]
+    parents = [parent for _, parent in run.members]
+    titles = choose_titles(
+        names, source, gateway, config, [parent or topic_hint for parent in parents]
+    )
     retrievals = [
         retrieve_evidence(name, title, source, config) for name, title in zip(names, titles)
     ]
     glosses = generate_gloss(
-        gateway, [(name, r.texts()) for name, r in zip(names, retrievals)], config, parent
+        gateway,
+        [(name, parent, r.texts()) for name, parent, r in zip(names, parents, retrievals)],
+        config,
     )
     stages = []
     for name, retrieval, gloss in zip(names, retrievals, glosses):
@@ -135,7 +145,7 @@ def _set_stage(
         (name, stage) for name, stage in zip(names, stages)
         if stage.gloss is not None and not stage.gamma_failed
     ]
-    if not expand or siblings.depth >= config.d_max:
+    if not expand or run.depth >= config.d_max:
         return stages
     extracted = extract_triples(gateway, [stage.gloss for _, stage in expand], config)
     for (name, stage), raw in zip(expand, extracted):
@@ -186,24 +196,6 @@ def _apply_stage(
     return list(graph.nodes.values())[known:]
 
 
-def _apply_set(
-    graph: KnowledgeGraph,
-    siblings: _Siblings,
-    stages: list[_Stage],
-    config: PipelineConfig,
-    adapters: AdapterSuite,
-    report: BuildReport,
-    rejects: list[RejectedCandidate] | None,
-) -> list[_Siblings]:
-    """Apply each sibling's stage in order; each sibling's children become
-    new sets of up to ``BATCH``."""
-    sets = []
-    for node, stage in zip(siblings.nodes, stages):
-        children = _apply_stage(graph, node, stage, config, adapters, report, rejects)
-        sets += [_Siblings(run, node.name, siblings.depth + 1) for run in batches(children)]
-    return sets
-
-
 def build_kg(
     topic: Topic,
     config: PipelineConfig,
@@ -214,19 +206,38 @@ def build_kg(
 ) -> tuple[KnowledgeGraph, BuildReport]:
     """Construct the depth-bounded graph for ``topic``.
 
-    A backend failure stops expansion after every sibling set before it in
-    queue order is applied and is recorded on the report; the partial graph
+    A backend failure stops expansion after every run before it in queue
+    order is applied and is recorded on the report; the partial graph
     is still returned.
     """
     graph = KnowledgeGraph(topic.name)
     report = BuildReport()
+    # The children of the level being applied, with their parents' names,
+    # in apply order; and the runs queued but not yet applied, per depth.
+    # The FIFO queue holds runs in depth order, so once a depth's count
+    # falls to zero every node of that depth has been applied.
+    pending: list[tuple[Node, str]] = []
+    queued = Counter({0: 1})
+
+    def apply_run(run: _Run, stages: list[_Stage]) -> list[_Run]:
+        queued[run.depth] -= 1
+        for (node, _), stage in zip(run.members, stages):
+            children = _apply_stage(graph, node, stage, config, adapters, report, rejects)
+            pending.extend((child, node.name) for child in children)
+        # Full runs join the queue at once, the remainder once the level is
+        # whole.
+        cut = len(pending)
+        if queued[run.depth]:
+            cut -= cut % prompts.BATCH
+        runs = [_Run(members, run.depth + 1) for members in prompts.batches(pending[:cut])]
+        del pending[:cut]
+        queued[run.depth + 1] += len(runs)
+        return runs
 
     _, error = gateway.map(
-        lambda siblings: _set_stage(siblings, topic.optional_prompt, config, gateway, source),
-        [_Siblings([graph.nodes[graph.seed_id]], None, 0)],
-        then=lambda siblings, stages: _apply_set(
-            graph, siblings, stages, config, adapters, report, rejects
-        ),
+        lambda run: _run_stage(run, topic.optional_prompt, config, gateway, source),
+        [_Run([(graph.nodes[graph.seed_id], None)], 0)],
+        then=apply_run,
     )
     if error is not None:
         report.aborted_reason = f"{type(error).__name__}: {error}"

@@ -12,8 +12,8 @@ Stage sets per mode:
 tags are the observable contract, so a run logs exactly the tags of its
 mode's stage set (plus ``validate`` when forced), and ``run_pipeline`` picks
 its stages by reading the same table. ``triples`` is logged once per
-sibling set above ``d_max`` with a passing gloss (see ``builder``), so
-always for a seed whose gloss passes the gamma gate.
+run of one level above ``d_max`` that has a passing gloss (see
+``builder``), so always for a seed whose gloss passes the gamma gate.
 
 Per-item work fans out through ``ChatGateway.map``, which also decides what a
 failed call costs (see ``gateway``). Every mode generates the same way: it
@@ -215,7 +215,7 @@ def _direct_attempts(
     retrieval = RetrievalResult()
     if with_evidence:
         [title] = choose_titles(
-            [topic.name], services.source, services.gateway, config, topic.optional_prompt
+            [topic.name], services.source, services.gateway, config, [topic.optional_prompt]
         )
         retrieval = retrieve_evidence(topic.name, title, services.source, config)
     passages = retrieval.texts()

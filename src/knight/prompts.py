@@ -25,8 +25,8 @@ T = TypeVar("T")
 E = TypeVar("E", bound=Exception)
 
 # Slots per numbered call: title checks, glosses and triple extractions of
-# one sibling set, items to write, items to audit. Batch prompting (Cheng,
-# Kasai and Yu, EMNLP 2023, arXiv 2301.08721) cuts calls and tokens
+# one run of one level, items to write, items to audit. Batch prompting
+# (Cheng, Kasai and Yu, EMNLP 2023, arXiv 2301.08721) cuts calls and tokens
 # near-linearly in the batch size, but a real model's answers lose some
 # accuracy as it grows.
 BATCH = 10
@@ -108,22 +108,21 @@ GLOSS_SYSTEM = (
 )
 
 
-def gloss_user(parent_term: str | None, terms: list[tuple[str, list[str]]]) -> str:
-    """Prompt for one sibling set: the shared parent line, then one slot per
-    (term, evidence passages)."""
-    head = ""
-    if parent_term:
-        head = f'Also describe each term\'s relationship to the parent term "{parent_term}".'
+def gloss_user(terms: list[tuple[str, str | None, list[str]]]) -> str:
+    """Prompt for one run of one level: one slot per (term, its parent term
+    or None, evidence passages)."""
     bodies = []
-    for term, passages in terms:
+    for term, parent, passages in terms:
         body = f'Explain the term: "{term}".'
+        if parent:
+            body += f' Also describe its relationship to the parent term "{parent}".'
         if passages:
             body += (
                 "\n\nUse the following context as the primary source for your explanation:\n"
                 "--- Context ---\n" + "\n\n".join(passages) + "\n--- End Context ---"
             )
         bodies.append(body)
-    return numbered_prompt(head, bodies)
+    return numbered_prompt("", bodies)
 
 
 TITLE_CHECK_SYSTEM = (
@@ -135,12 +134,16 @@ TITLE_CHECK_SYSTEM = (
 )
 
 
-def title_check_user(context_hint: str, pairs: list[tuple[str, str]]) -> str:
-    """Prompt for one title-check round: the shared context line, then one
-    slot per (term, candidate title)."""
+def title_check_user(slots: list[tuple[str, str, str]]) -> str:
+    """Prompt for one title-check round: one slot per (context hint, term,
+    candidate title)."""
     return numbered_prompt(
-        f'Context: information related to "{context_hint}".',
-        [f'Term to define: "{term}".\nCandidate page title: "{title}".' for term, title in pairs],
+        "",
+        [
+            f'Context: information related to "{hint}".\n'
+            f'Term to define: "{term}".\nCandidate page title: "{title}".'
+            for hint, term, title in slots
+        ],
     )
 
 
@@ -157,7 +160,7 @@ TRIPLES_SYSTEM = (
 
 
 def triples_user(glosses: list[str]) -> str:
-    """Prompt for one sibling set's extraction: one slot per gloss."""
+    """Prompt for one run's extraction: one slot per gloss."""
     return numbered_prompt(
         "Extract subject-predicate-object triplets from each text below.",
         ["--- Text ---\n" + gloss + "\n--- End Text ---" for gloss in glosses],

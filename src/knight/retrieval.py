@@ -5,13 +5,13 @@ Sources sit behind the ``WikiSource`` protocol; the fixture source reads a
 directory of title -> text files so tests never touch the network.
 
 Evidence comes in two steps. ``choose_titles`` picks a title for each term
-of a group that shares one context hint (a sibling set, or one topic):
-it searches each term, then asks grouped title-check rounds, one call per
-round. ``retrieve_evidence`` then fetches and ranks one term's chosen
-title. It names every candidate passage ``<title>#summary`` or
-``<title>#chunk<i>`` and ``score_and_rerank`` ranks those ``(id, text)``
-pairs under the ids it is given: BM25 first cuts more than
-``FIRST_STAGE_CUT`` candidates down to that many. A chunk whose text equals
+of a group, each term under its own context hint (a run of one level of
+the graph build, or one topic): it searches each term, then asks grouped
+title-check rounds, one call per round. ``retrieve_evidence`` then fetches
+and ranks one term's chosen title. It names every candidate passage
+``<title>#summary`` or ``<title>#chunk<i>`` and ``score_and_rerank`` ranks
+those ``(id, text)`` pairs under the ids it is given: BM25 first cuts more
+than ``FIRST_STAGE_CUT`` candidates down to that many. A chunk whose text equals
 an earlier candidate's is dropped, so the same passage is never sent twice.
 
 The two decide what a failed lookup costs: a search or fetch error logs a
@@ -387,15 +387,16 @@ def choose_titles(
     source: WikiSource,
     gateway: ChatGateway,
     config: PipelineConfig,
-    context_hint: str | None = None,
+    hints: list[str | None],
 ) -> list[str | None]:
     """Each term's source title: its first search result that the title
     check approves, or None. Round k makes one call about candidate k of
     every term still unresolved, so each term gets the title a check per
-    candidate, in order, would give. Every round reads ``context_hint``, or
-    the default hint below when it is empty. A failed search gives None; a
-    reply block that is missing or says neither yes nor no reads as no."""
-    context_hint = context_hint or "general knowledge"
+    candidate, in order, would give. Each term's slot reads its own context
+    hint from ``hints``, or the default hint below when that is empty. A
+    failed search gives None; a reply block that is missing or says neither
+    yes nor no reads as no."""
+    hints = [hint or "general knowledge" for hint in hints]
     candidates: list[list[str]] = []
     for term in terms:
         try:
@@ -410,7 +411,7 @@ def choose_titles(
             break
         request = ChatRequest(
             system_prompt=TITLE_CHECK_SYSTEM,
-            user_prompt=title_check_user(context_hint, [(terms[i], candidates[i][k]) for i in asked]),
+            user_prompt=title_check_user([(hints[i], terms[i], candidates[i][k]) for i in asked]),
             temperature=0.0,
             task_tag="title_check",
         )

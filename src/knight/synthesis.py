@@ -1,8 +1,8 @@
 """Gloss generation from evidence, the traceability gate, and triple
 extraction with near-duplicate removal. Glosses and triples are asked for
-one sibling set at a time, one numbered slot per term; a gloss is its reply
-block's text, and the record of its evidence stays the caller's
-``RetrievalResult``. A triples block is read by the standard library's JSON
+one run of one level of the graph build at a time, one numbered slot per
+term; a gloss is its reply block's text, and the record of its evidence
+stays the caller's ``RetrievalResult``. A triples block is read by the standard library's JSON
 decoder from the first "{" at which an object decodes. A block that is
 missing, repeated or unusable costs only its own term, as an
 ``ExtractionError`` in its place.
@@ -65,23 +65,22 @@ def _gloss_block(term: str, block: str) -> str:
 
 def generate_gloss(
     gateway: ChatGateway,
-    terms: list[tuple[str, list[str]]],
+    terms: list[tuple[str, str | None, list[str]]],
     config: PipelineConfig,
-    parent_term: str | None = None,
 ) -> list[str | ExtractionError]:
-    """One call for the structured description of each (term, evidence
-    passages) pair of a sibling set under ``parent_term``. Each term's
-    passages are injected in the order given, retrieval order (best score
-    first, ties in input order); with none the model describes the term
-    from its parametric knowledge."""
+    """One call for the structured description of each (term, parent term
+    or None, evidence passages) of a run of one level; each slot names its
+    own parent. Each term's passages are injected in the order given,
+    retrieval order (best score first, ties in input order); with none the
+    model describes the term from its parametric knowledge."""
     request = ChatRequest(
         system_prompt=GLOSS_SYSTEM,
-        user_prompt=gloss_user(parent_term, terms),
+        user_prompt=gloss_user(terms),
         temperature=config.temp_desc,
         task_tag="gloss",
     )
     return gateway.complete_items(
-        request, [partial(_gloss_block, term) for term, _ in terms], ExtractionError
+        request, [partial(_gloss_block, term) for term, _, _ in terms], ExtractionError
     )
 
 
@@ -142,7 +141,7 @@ def parse_triples_json(text: str) -> list[Triple]:
 def extract_triples(
     gateway: ChatGateway, glosses: list[str], config: PipelineConfig
 ) -> list[list[Triple] | ExtractionError]:
-    """One call for the triples of each gloss of a sibling set, with a
+    """One call for the triples of each gloss of a run of one level, with a
     completion budget of ``max_tokens_triples`` per gloss."""
     request = ChatRequest(
         system_prompt=TRIPLES_SYSTEM,

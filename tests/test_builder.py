@@ -9,7 +9,7 @@ from collections import deque
 
 import pytest
 
-from knight import builder
+from knight import builder, prompts
 from knight.adapters import AdapterSuite
 from knight.builder import build_kg
 from knight.config import PipelineConfig
@@ -45,25 +45,35 @@ def _build(
     return graph, report, config, gateway
 
 
-def _sibling_sets(graph):
-    """The build's queue of sibling sets as lists of nodes: the seed alone,
-    then the children each node added, in the order they were added. With
-    the mock every triple's head is the node being expanded, so a node was
-    added by the first node in queue order with an edge to it from the
-    level above."""
+def _level_runs(graph):
+    """The build's queue of runs as lists of nodes: each depth's nodes, in
+    the order they were added, in runs of up to ``BATCH``. Nodes are stored
+    in the order they are added, which is the order they are applied."""
+    levels = {}
+    for node in graph.nodes.values():
+        levels.setdefault(node.depth, []).append(node)
+    return [run for level in levels.values() for run in prompts.batches(level)]
+
+
+def _parents(graph):
+    """Each node's parent name, by id. With the mock every triple's head is
+    the node being expanded, so a node was added by the first node in queue
+    order with an edge to it from the level above."""
     order = {node_id: index for index, node_id in enumerate(graph.nodes)}
     added_by = {}
     for edge in graph.edges:
         if graph.nodes[edge.head].depth + 1 == graph.nodes[edge.tail].depth:
             earlier = added_by.get(edge.tail, edge.head)
             added_by[edge.tail] = min(earlier, edge.head, key=order.__getitem__)
-    sets = {}
-    for node in graph.nodes.values():
-        sets.setdefault(added_by.get(node.id), []).append(node)
-    return list(sets.values())
+    return {node_id: graph.nodes[head].name for node_id, head in added_by.items()}
 
 
 _TERM = re.compile(r'(?:Explain the term|Term to define): "([^"]+)"')
+_GLOSS_SLOT = re.compile(
+    r'Explain the term: "([^"]+)"\.'
+    r'(?: Also describe its relationship to the parent term "([^"]+)"\.)?'
+)
+_TITLE_SLOT = re.compile(r'Context: information related to "([^"]+)"\.\nTerm to define: "([^"]+)"')
 
 
 def _terms_per_call(backend, tag):
@@ -143,8 +153,13 @@ def _node_fields(node):
     return (*_gloss_fields(node), node.gamma_failed)
 
 
-@pytest.mark.parametrize("d_max", [1, 2, 3])
-def test_nodes_at_d_max_are_glossed_but_not_expanded(world, d_max):
+@pytest.mark.parametrize(
+    "d_max, batch",
+    [pytest.param(d_max, 10, id=str(d_max)) for d_max in (1, 2, 3)]
+    + [pytest.param(d_max, 2, id=f"batch2-{d_max}") for d_max in (1, 2, 3)],
+)
+def test_nodes_at_d_max_are_glossed_but_not_expanded(world, monkeypatch, d_max, batch):
+    monkeypatch.setattr(prompts, "BATCH", batch)
     # The deepest evidence-backed node within d_max gets a gloss that fails
     # the gamma gate (Biology has one at depths 1 and 2, none at 3).
     plain, _, _, _ = _build(world, d_max=d_max)
@@ -167,12 +182,12 @@ def test_nodes_at_d_max_are_glossed_but_not_expanded(world, d_max):
         expanded = [n for n in nodes if n.depth < d_max and not n.gamma_failed]
         leaves = [n for n in nodes if n.depth == d_max]
         triples = [r.user_prompt for r in backend.requests if r.task_tag == "triples"]
-        sets = _sibling_sets(graph)
-        assert len(triples) == sum(any(n in expanded for n in s) for s in sets)
+        runs = _level_runs(graph)
+        assert len(triples) == sum(any(n in expanded for n in run) for run in runs)
         assert [n.id for n in nodes if any(n.gloss in prompt for prompt in triples)] == [
             n.id for n in expanded
         ]
-        assert sum(r.task_tag == "gloss" for r in backend.requests) == len(sets)
+        assert sum(r.task_tag == "gloss" for r in backend.requests) == len(runs)
         assert graph.nodes[failing.id].gamma_failed
         assert report.glosses_rejected_by_gamma == 1
         assert list(graph.nodes) == [n.id for n in deeper.nodes.values() if n.depth <= d_max]
@@ -231,21 +246,26 @@ def _gloss_fields(node):
 
 
 # At d_max 2, each node of the last level fails in turn. At d_max 3, a
-# depth-1 node fails 50 ms late, so at max_inflight 4 the depth-2 sets of
-# the depth-1 nodes before it have started by then. A failed gloss call
-# costs the node's whole sibling set.
+# node fails 50 ms late; at BATCH 2 and max_inflight 4, when it lies in the
+# second depth-2 run, the depth-3 run of the first has started by then. A
+# failed gloss call costs the node's whole run.
 @pytest.mark.parametrize(
-    "d_max, depth, k, delay",
-    [pytest.param(2, 2, k, 0.0, id=str(k)) for k in range(4)]
-    + [pytest.param(3, 1, k, 0.05, id=f"d3-depth1-{k}") for k in range(2)],
+    "batch, d_max, depth, k, delay",
+    [pytest.param(10, 2, 2, k, 0.0, id=str(k)) for k in range(4)]
+    + [pytest.param(10, 3, 1, k, 0.05, id=f"d3-depth1-{k}") for k in range(2)]
+    + [pytest.param(2, 2, 2, k, 0.0, id=f"batch2-{k}") for k in range(4)]
+    + [pytest.param(2, 3, 2, k, 0.05, id=f"batch2-d3-depth2-{k}") for k in range(4)],
 )
-def test_build_abort_keeps_finished_prefix_of_level(world, d_max, depth, k, delay):
+def test_build_abort_keeps_finished_prefix_of_level(
+    world, monkeypatch, batch, d_max, depth, k, delay
+):
+    monkeypatch.setattr(prompts, "BATCH", batch)
     baseline, _, _, _ = _build(world, d_max=d_max)
     # Nodes are stored in the order they are enqueued, so this is queue order.
     queue = list(baseline.nodes.values())
     level = [n for n in queue if n.depth == depth]
-    [failed_set] = [s for s in _sibling_sets(baseline) if level[k] in s]
-    failed = queue.index(failed_set[0])
+    [failed_run] = [run for run in _level_runs(baseline) if level[k] in run]
+    failed = queue.index(failed_run[0])
     snapshots = []
     for max_inflight in (1, 4):
         backend = _GlossFailsFor(MockChatBackend(world, rng_seed=7), level[k].name, delay)
@@ -264,8 +284,8 @@ def test_build_abort_keeps_finished_prefix_of_level(world, d_max, depth, k, dela
 
 
 class _HoldTriplesUntilStarted:
-    """Holds the triples call for ``held``'s set until the first call of a
-    set of ``awaited`` nodes (its title check, or its gloss call when none
+    """Holds the triples call for ``held``'s run until the first call of a
+    run of ``awaited`` nodes (its title check, or its gloss call when none
     of them has a search result) arrives, or ``timeout`` seconds pass."""
 
     def __init__(self, inner, held, awaited, timeout=2.0):
@@ -284,35 +304,44 @@ class _HoldTriplesUntilStarted:
         return self.inner.complete(request)
 
 
-def test_children_start_before_their_parents_level_finishes(world):
-    # Depth 2 holds two sibling sets; the children of the first are a
-    # depth-3 set, which must start while the second is still in flight.
+def test_children_start_before_their_parents_level_finishes(world, monkeypatch):
+    # At BATCH 2 depth 2 holds two runs. The first run's children fill a
+    # depth-3 run, which must start while the second is still in flight.
+    monkeypatch.setattr(prompts, "BATCH", 2)
     baseline, report, _, _ = _build(world, d_max=3)
-    sets = _sibling_sets(baseline)
-    depth_two = [s for s in sets if s[0].depth == 2]
-    depth_three = [s for s in sets if s[0].depth == 3]
-    assert len(depth_two) == 2 and depth_three
+    runs = _level_runs(baseline)
+    parents = _parents(baseline)
+    depth_two = [run for run in runs if run[0].depth == 2]
+    first_three = next(run for run in runs if run[0].depth == 3)
+    assert len(depth_two) == 2 and len(first_three) == 2
+    assert {parents[n.id] for n in first_three} <= {n.name for n in depth_two[0]}
     backend = _HoldTriplesUntilStarted(
         MockChatBackend(world, rng_seed=7),
         depth_two[-1][0].name,
-        [n.name for n in depth_three[0]],
+        [n.name for n in first_three],
     )
     graph, held_report, _, _ = _build(world, d_max=3, backend=backend, max_inflight=2)
-    assert not backend.timed_out, "a depth-3 set waited for the whole of depth 2"
+    assert not backend.timed_out, "a full depth-3 run waited for the whole of depth 2"
     assert snapshot_document(graph, report=held_report) == snapshot_document(
         baseline, report=report
     )
 
 
-def test_one_gloss_call_per_sibling_set(world):
+# At max_branches 3 and BATCH 3, depth 3 is a full run pushed while the
+# second depth-2 run is in flight, a run across two parents, then the
+# remainder, pushed once depth 2 is whole.
+@pytest.mark.parametrize("batch", [2, 3, 10])
+def test_one_gloss_call_per_level_run(world, monkeypatch, batch):
+    monkeypatch.setattr(prompts, "BATCH", batch)
     backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
-    graph, _, config, _ = _build(world, d_max=3, backend=backend)
-    sets = [[n.name for n in s] for s in _sibling_sets(graph)]
-    assert len(sets) < len(graph.nodes)
-    assert _terms_per_call(backend, "gloss") == sets
-    # Each title-check round asks about a subset of one set, in its order.
+    graph, _, config, _ = _build(world, d_max=3, backend=backend, max_branches=3)
+    runs = [[n.name for n in run] for run in _level_runs(graph)]
+    assert len(runs) < len(graph.nodes)
+    assert all(len(run) <= batch for run in runs)
+    assert _terms_per_call(backend, "gloss") == runs
+    # Each title-check round asks about a subset of one run, in its order.
     for asked in _terms_per_call(backend, "title_check"):
-        assert any(asked == [name for name in s if name in asked] for s in sets)
+        assert any(asked == [name for name in run if name in asked] for run in runs)
     # A triples call budgets max_tokens_triples per slot.
     triples = [r for r in backend.requests if r.task_tag == "triples"]
     assert triples
@@ -321,17 +350,70 @@ def test_one_gloss_call_per_sibling_set(world):
         assert request.max_tokens == config.max_tokens_triples * slots
 
 
+class _EveryTermSearched:
+    """A source whose search offers each term its own name, so every node
+    gets a title-check slot; pages come from ``inner``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def search(self, term, limit):
+        return [term]
+
+    def summary(self, title, max_chars):
+        return self.inner.summary(title, max_chars)
+
+    def page_text(self, title):
+        return self.inner.page_text(title)
+
+
+def test_each_slot_of_a_mixed_parent_run_names_its_own_parent(world, monkeypatch):
+    monkeypatch.setattr(prompts, "BATCH", 2)
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    config, gateway, source, adapters = _services(
+        world, backend=backend, d_max=3, max_branches=3
+    )
+    graph, _ = build_kg(Topic("Biology"), config, gateway, _EveryTermSearched(source), adapters)
+    parents = {graph.nodes[node_id].name: name for node_id, name in _parents(graph).items()}
+    calls = {"gloss": [], "title_check": []}
+    for request in backend.requests:
+        if request.task_tag == "gloss":
+            calls["gloss"].append(_GLOSS_SLOT.findall(request.user_prompt))
+        elif request.task_tag == "title_check":
+            found = _TITLE_SLOT.findall(request.user_prompt)
+            calls["title_check"].append([(term, hint) for hint, term in found])
+    # Every node has one slot of each, under its own parent, or under the
+    # default hint and no parent line for the seed; some calls mix parents.
+    for tag, seed_parent in (("gloss", ""), ("title_check", "general knowledge")):
+        slots = [slot for call in calls[tag] for slot in call]
+        assert sorted(slots) == sorted(
+            (node.name, parents.get(node.name, seed_parent)) for node in graph.nodes.values()
+        )
+        assert any(len({parent for _, parent in call}) > 1 for call in calls[tag])
+    # Each reply block, and so each node's gloss, names its own parent.
+    for node in graph.nodes.values():
+        if node.name in parents:
+            assert node.gloss.endswith(
+                f"Relationship to parent: {node.name} sits within {parents[node.name]}."
+            )
+
+
 @pytest.mark.parametrize("max_branches", [2, 3])
-def test_sibling_set_build_is_the_same_at_any_max_inflight(world, max_branches):
+def test_level_run_build_is_the_same_at_any_max_inflight_and_batch(
+    world, monkeypatch, max_branches
+):
     runs = []
-    for max_inflight in (1, 4):
+    for batch, max_inflight in itertools.product((2, 10), (1, 4)):
+        monkeypatch.setattr(prompts, "BATCH", batch)
         backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
         graph, report, _, _ = _build(
             world, d_max=3, backend=backend, max_inflight=max_inflight, max_branches=max_branches
         )
         requests = sorted((r.task_tag, r.user_prompt) for r in backend.requests)
         runs.append((snapshot_document(graph, report=report), requests))
-    assert runs[0] == runs[1]
+    # The requests depend on the batch size, the graph does not.
+    assert runs[0] == runs[1] and runs[2] == runs[3]
+    assert runs[0][0] == runs[2][0] and runs[0][1] != runs[2][1]
 
 
 def _baseline_and_planted(world, override):
@@ -423,7 +505,7 @@ def test_seed_gloss_attached_with_provenance(world):
     assert seed.parametric_fallback is False
     # The seed's evidence is what retrieval returns for it, in its order.
     _, gateway, source, _ = _services(world)
-    [title] = choose_titles(["Biology"], source, gateway, config)
+    [title] = choose_titles(["Biology"], source, gateway, config, [None])
     retrieval = retrieve_evidence("Biology", title, source, config)
     assert seed.provenance == retrieval.ids()
     assert seed.retrieval_weights == mixture_weights(retrieval.scores())

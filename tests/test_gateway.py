@@ -54,7 +54,7 @@ def test_mock_determinism(world):
     backend = MockChatBackend(world, rng_seed=7)
     req = ChatRequest(
         system_prompt=GLOSS_SYSTEM,
-        user_prompt=gloss_user(None, [("Biology", [])]),
+        user_prompt=gloss_user([("Biology", None, [])]),
         temperature=0.4,
         task_tag="gloss",
     )
@@ -101,7 +101,7 @@ def test_mock_triples_for_hafez_gloss(world):
         ChatRequest(
             system_prompt=GLOSS_SYSTEM,
             user_prompt=gloss_user(
-                None, [("Hafez", ["Hafez was a Persian poet. He was born in Shiraz."])]
+                [("Hafez", None, ["Hafez was a Persian poet. He was born in Shiraz."])]
             ),
             temperature=0.4,
             task_tag="gloss",
@@ -127,9 +127,11 @@ def test_mock_triples_for_hafez_gloss(world):
     "tag, system, slots",
     [
         ("title_check", TITLE_CHECK_SYSTEM,
-         lambda: title_check_user("Life", [("Biology", "Biology"), ("Genetics", "Ecology")])),
+         lambda: title_check_user([("Life", "Biology", "Biology"),
+                                   ("Heredity", "Genetics", "Ecology")])),
         ("gloss", GLOSS_SYSTEM,
-         lambda: gloss_user("Biology", [("Genetics", ["Genetics studies genes."]), ("Ecology", [])])),
+         lambda: gloss_user([("Genetics", "Biology", ["Genetics studies genes."]),
+                             ("Ecology", "Life", [])])),
         ("triples", TRIPLES_SYSTEM,
          lambda: triples_user(["1. Definition and Scope - Hafez: poet.", "free text on Biology"])),
     ],

@@ -80,12 +80,12 @@ def _outputs(result, services):
 # Direct generation makes one call per group of up to ten items, so rag_val
 # drafts 10, then 2. Path generation makes one call per orientation per
 # window of up to ten sampled pairs, so knight's 12 pairs take two windows
-# and four calls. The graph build makes one gloss call per sibling set: the
-# seed, its two children (Ecology and Life), and Ecology's two children
-# (Life's gloss yields no triples). The two sets above d_max make one
-# triples call each. A title-check call is one round over the siblings of a
-# set that have search results left to check: one for the seed and one for
-# Ecology, whose first candidate is approved.
+# and four calls. The graph build makes one gloss call per run of one
+# level: the seed, its two children (Ecology and Life), and Ecology's two
+# children (Life's gloss yields no triples). The two runs above d_max make
+# one triples call each. A title-check call is one round over the nodes of
+# a run that have search results left to check: one for the seed and one
+# for Ecology, whose first candidate is approved.
 CALL_BUDGET = {
     "knight": {
         "title_check": 2,
@@ -642,7 +642,7 @@ def test_direct_items_carry_the_provenance_of_a_path_item(world, mode):
     topic = "World War II"
     config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode=mode).validate()
     result, services = run_pipeline(Topic(topic), config, 3, services=_services(world, 1))
-    [title] = choose_titles([topic], services.source, services.gateway, config)
+    [title] = choose_titles([topic], services.source, services.gateway, config, [None])
     retrieval = retrieve_evidence(topic, title, services.source, config)
     assert retrieval.passages and result.items
     for item in result.items:

@@ -177,14 +177,15 @@ class _Replies:
 
 def test_title_relevance_yes_no(world, gateway, config):
     source = _Searches({"Biology": ["Ottoman Empire", "Biology"]})
-    assert choose_titles(["Biology"], source, gateway, config) == ["Biology"]
+    assert choose_titles(["Biology"], source, gateway, config, [None]) == ["Biology"]
     source = _Searches({"Biology": ["Ottoman Empire"]})
-    assert choose_titles(["Biology"], source, gateway, config, "general") == [None]
+    assert choose_titles(["Biology"], source, gateway, config, ["general"]) == [None]
 
 
 def test_title_rounds_ask_each_unresolved_term_about_its_next_candidate(world, config):
     # Round 1 asks about every term's first candidate; round 2 only about
     # Biology's second, since Genetics is resolved and Gleeb Zorp has none.
+    # Each slot carries its own term's hint, the default one when it is None.
     source = _Searches({
         "Biology": ["Ottoman Empire", "Biology", "Genetics"],
         "Genetics": ["Genetics", "Biology"],
@@ -192,18 +193,19 @@ def test_title_rounds_ask_each_unresolved_term_about_its_next_candidate(world, c
     })
     backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
     chosen = choose_titles(
-        ["Biology", "Genetics", "Gleeb Zorp"], source, ChatGateway(backend), config, "Life"
+        ["Biology", "Genetics", "Gleeb Zorp"], source, ChatGateway(backend), config,
+        ["Life", None, "Nonsense"],
     )
     assert chosen == ["Biology", "Genetics", None]
-    asked = [
-        re.findall(r'Term to define: "([^"]+)"\.\nCandidate page title: "([^"]+)"', r.user_prompt)
-        for r in backend.requests
+    slot = (r'Item \d+\nContext: information related to "([^"]+)"\.\n'
+            r'Term to define: "([^"]+)"\.\nCandidate page title: "([^"]+)"')
+    asked = [re.findall(slot, r.user_prompt) for r in backend.requests]
+    assert asked == [
+        [("Life", "Biology", "Ottoman Empire"), ("general knowledge", "Genetics", "Genetics")],
+        [("Life", "Biology", "Biology")],
     ]
-    assert asked == [[("Biology", "Ottoman Empire"), ("Genetics", "Genetics")],
-                     [("Biology", "Biology")]]
     assert all(r.task_tag == "title_check" for r in backend.requests)
-    assert all(r.user_prompt.startswith('Context: information related to "Life".')
-               for r in backend.requests)
+    assert all(r.user_prompt.startswith("Item 1\n") for r in backend.requests)
 
 
 def test_title_relevance_garbage_is_no(world, config, caplog):
@@ -213,7 +215,7 @@ def test_title_relevance_garbage_is_no(world, config, caplog):
     gw = ChatGateway(backend)
     source = _Searches({"Biology": ["Biology"]})
     with caplog.at_level("WARNING"):
-        assert choose_titles(["Biology"], source, gw, config, "hint") == [None]
+        assert choose_titles(["Biology"], source, gw, config, ["hint"]) == [None]
     assert any("treating as no" in r.message for r in caplog.records)
 
 
@@ -225,7 +227,7 @@ def test_title_relevance_garbage_is_no(world, config, caplog):
 def test_title_check_reads_a_live_models_yes_and_no(config, answer, chosen, caplog):
     gateway = ChatGateway(_Replies(f"Item 1\n{answer}\n"))
     with caplog.at_level("WARNING"):
-        assert choose_titles(["t"], _Searches({"t": ["T"]}), gateway, config) == [chosen]
+        assert choose_titles(["t"], _Searches({"t": ["T"]}), gateway, config, [None]) == [chosen]
     assert not caplog.records
 
 
@@ -233,7 +235,7 @@ def test_title_check_reads_a_live_models_yes_and_no(config, answer, chosen, capl
 def test_title_check_other_or_missing_block_is_no_with_warning(config, reply, caplog):
     gateway = ChatGateway(_Replies(reply))
     with caplog.at_level("WARNING"):
-        assert choose_titles(["t"], _Searches({"t": ["T"]}), gateway, config) == [None]
+        assert choose_titles(["t"], _Searches({"t": ["T"]}), gateway, config, [None]) == [None]
     assert any("treating as no" in r.message for r in caplog.records)
 
 
@@ -554,7 +556,7 @@ def test_mixture_properties(scores):
 
 
 def _evidence(term, source, gateway, config, context_hint=None):
-    [title] = choose_titles([term], source, gateway, config, context_hint)
+    [title] = choose_titles([term], source, gateway, config, [context_hint])
     return retrieve_evidence(term, title, source, config)
 
 
@@ -568,7 +570,7 @@ def test_retrieve_evidence_biology(world, gateway, config, source):
 
 
 def test_retrieve_evidence_unknown_term_falls_back(world, gateway, config, source):
-    assert choose_titles(["Gleeb Zorp"], source, gateway, config) == [None]
+    assert choose_titles(["Gleeb Zorp"], source, gateway, config, [None]) == [None]
     result = retrieve_evidence("Gleeb Zorp", None, source, config)
     assert result.fallback is True
     assert result.passages == []

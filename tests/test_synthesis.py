@@ -28,14 +28,14 @@ from knight.synthesis import (
 
 
 def test_gloss_parametric_fallback(recording_gateway, config):
-    [gloss] = generate_gloss(recording_gateway, [("Gleeb Zorp", [])], config)
+    [gloss] = generate_gloss(recording_gateway, [("Gleeb Zorp", None, [])], config)
     assert gloss.strip()
     assert "--- Context ---" not in recording_gateway.requests[-1].user_prompt
 
 
 def test_gloss_contains_all_headings(gateway, config):
     [gloss] = generate_gloss(
-        gateway, [("Biology", ["Biology is the scientific study of life."])], config
+        gateway, [("Biology", None, ["Biology is the scientific study of life."])], config
     )
     for heading in GLOSS_HEADINGS:
         assert heading in gloss
@@ -45,17 +45,24 @@ def test_gloss_contains_all_headings(gateway, config):
 def test_gloss_parent_sentence_in_prompt(recording_gateway, config):
     generate_gloss(
         recording_gateway,
-        [("Pharmacology", ["Pharmacology studies drugs."]), ("Toxicology", [])],
+        [("Pharmacology", "Medicine", ["Pharmacology studies drugs."]),
+         ("Toxicology", "Chemistry", []), ("Biology", None, [])],
         config,
-        parent_term="medicine",
     )
     prompt = recording_gateway.requests[-1].user_prompt
-    # The parent line is the shared head, before the first slot.
-    assert prompt.index('parent term "medicine"') < prompt.index("Item 1")
+    # Each slot names its own parent, right after its term; a term without
+    # a parent gets no parent line.
+    assert prompt.startswith("Item 1\n")
+    assert prompt.count("parent term") == 2
+    assert ('Explain the term: "Pharmacology". Also describe its relationship to the parent '
+            'term "Medicine".\n\n') in prompt
+    assert ('Item 2\nExplain the term: "Toxicology". Also describe its relationship to the '
+            'parent term "Chemistry".\n\nItem 3') in prompt
+    assert prompt.endswith('Item 3\nExplain the term: "Biology".')
 
 
 def test_gloss_uses_desc_temperature(recording_gateway, config):
-    generate_gloss(recording_gateway, [("Biology", ["Life science."])], config)
+    generate_gloss(recording_gateway, [("Biology", None, ["Life science."])], config)
     request = recording_gateway.requests[-1]
     assert request.temperature == config.temp_desc == 0.4
     assert request.task_tag == "gloss"
@@ -64,7 +71,7 @@ def test_gloss_uses_desc_temperature(recording_gateway, config):
 def test_gloss_prompt_keeps_retrieval_order_on_tied_scores(recording_gateway, config):
     # The passages of a tie, in retrieval order: "#chunk2" before "#chunk10".
     passages = ["Second chunk text.", "Tenth chunk text."]
-    generate_gloss(recording_gateway, [("Biology", passages)], config)
+    generate_gloss(recording_gateway, [("Biology", None, passages)], config)
     prompt = recording_gateway.requests[-1].user_prompt
     assert prompt.index("Second chunk text.") < prompt.index("Tenth chunk text.")
 
@@ -79,7 +86,8 @@ class _Reply:
 
 def test_gloss_block_missing_or_empty_costs_its_term_only(config):
     gateway = ChatGateway(_Reply("Item 1\n1. Definition and Scope - A: a.\nItem 2\n   \n"))
-    first, second, third = generate_gloss(gateway, [("A", []), ("B", []), ("C", [])], config)
+    terms = [("A", None, []), ("B", "A", []), ("C", "A", [])]
+    first, second, third = generate_gloss(gateway, terms, config)
     assert first == "1. Definition and Scope - A: a."
     assert isinstance(second, ExtractionError) and "empty gloss" in str(second)
     assert isinstance(third, ExtractionError) and "0 blocks" in str(third)
