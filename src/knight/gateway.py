@@ -289,9 +289,10 @@ class MockOverride:
     in the shared head, in several slots or in a prompt without slots
     replaces the whole reply. A critic group on several sources writes them
     in its head, so an override keyed on one replaces the whole reply. A
-    build call writes each term's parent or context hint in the term's own
-    slot, so an override keyed on a parent name shared by several slots of
-    one call replaces the whole reply."""
+    build call writes a parent or context hint that all its slots share once
+    in its head, and otherwise each term's own in the term's slot; either
+    way an override keyed on a parent name shared by several slots of one
+    call replaces the whole reply."""
 
     task_tag: str
     substring: str
@@ -381,7 +382,7 @@ class MockChatBackend:
         # One block per slot, each read from the head and its own slot.
         replies = {
             "title_check": self._title_check,
-            "gloss": self._gloss,
+            "gloss": partial(self._gloss, head),
             "triples": self._triples,
             "validate": self._verdicts,
         }
@@ -416,11 +417,11 @@ class MockChatBackend:
             return "Yes"
         return "No"
 
-    def _gloss(self, slot: str) -> str:
-        """One term's gloss: the term, its parent and its context, all read
-        from its own slot."""
+    def _gloss(self, head: str, slot: str) -> str:
+        """One term's gloss: the term and its context, read from its own
+        slot, and its parent, read from its slot or else the shared head."""
         term = self._slot("term", slot) or "the subject"
-        parent = self._slot("parent", slot)
+        parent = self._slot("parent", slot) or self._slot("parent", head)
         context_match = _CONTEXT_BLOCK.search(slot)
         entry = self.world.lookup_term(term)
         hint = entry.hint if entry else f"a specialized notion encountered while studying {parent or 'its field'}"

@@ -17,21 +17,24 @@ run of one level above ``d_max`` that has a passing gloss (see
 
 Per-item work fans out through ``ChatGateway.map``, which also decides what a
 failed call costs (see ``gateway``). Every mode generates the same way: it
-fixes a list of attempts before the map, each carrying the ids of the items
-it makes, and ``_generate_items`` maps the attempts, then counts attempts and
-rejects per item and drops repeated questions over the returned prefix. Only
-the attempts differ. A path mode's attempt takes a window of up to ``BATCH``
-consecutive sampled (path, orientation) pairs and calls ``generate_mcq`` once
-for its forward pairs and once for its reverse pairs; a direct mode's attempt
-asks one call for a group of up to ``BATCH`` consecutive items over the topic
-and any retrieved evidence, which every group's prompt shares. Each returns
-its outcomes in its items' input order, so the two orientations of one path
-stay next to each other. The critic likewise fixes groups of up to ``BATCH``
-consecutive items, whatever their ``source_context``, before the map, and
-maps ``validate_item`` over them. In every grouped call a reply block that is
-missing, repeated or unparseable, or in a path mode breaks the orientation
-rule, costs only its own item. A ``GatewayError`` the map returns costs the
-whole group in flight and ends its stage with the prefix before it kept,
+fixes a queue of attempts before the map, each making one call and carrying
+the position in pair order and the id of each item it makes, and
+``_generate_items`` maps the attempts, merges the finished outcomes back into
+pair order, then counts attempts and rejects per item and drops repeated
+questions. Only the attempts differ. A path mode cuts each orientation's
+sampled (path, orientation) pairs, in pair order, into runs of up to
+``BATCH``, one ``generate_mcq`` call each, and queues the runs by their first
+pair's position, so a forward run and a reverse run start side by side. A
+direct mode's attempt asks one call for a group of up to ``BATCH``
+consecutive items over the topic and any retrieved evidence, which every
+group's prompt shares; its queue is already in pair order. The critic
+likewise fixes groups of up to ``BATCH`` consecutive items, whatever their
+``source_context``, before the map, and maps ``validate_item`` over them. In
+every grouped call a reply block that is missing, repeated or unparseable,
+or in a path mode breaks the orientation rule, costs only its own item. A
+``GatewayError`` the map returns costs the whole group in flight, each of
+whose items counts as an attempt, and ends its stage: the stage keeps the
+groups queued before it (in a path mode, merged into pair order), the error
 goes to ``PipelineResult.aborted_reason``, and later stages go on with what
 was finished; a build cut short before any ``d_max``-hop path exists leaves
 no attempts at all.
@@ -141,32 +144,43 @@ def _abort(result: PipelineResult, exc: GatewayError) -> None:
 
 
 Outcome = McqItem | GenerationRejected
-Attempt = tuple[list[str], Callable[[], list[Outcome]]]
+# An attempt: the (position in pair order, item id) of each item it makes,
+# in its call's slot order, and the call that makes them.
+Attempt = tuple[list[tuple[int, str]], Callable[[], list[Outcome]]]
+
 
 def _generate_items(
     gateway: ChatGateway, attempts: list[Attempt], result: PipelineResult
 ) -> list[McqItem]:
-    """Map the attempts and apply the finished prefix of outcomes in input
-    order, one per item id: count attempts and rejects and drop repeated
-    questions. Each item of the failed attempt, if any, counts as an attempt,
-    and the failure ends the stage."""
+    """Map the attempts in queue order, merge the outcomes of the finished
+    prefix back into pair order, then count attempts and rejects and drop
+    repeated questions, one outcome per item. A ``GatewayError`` costs its
+    own attempt, each of whose items counts as an attempt, and ends the
+    stage: only the attempts queued before it keep their items."""
 
     outcomes, error = gateway.map(lambda attempt: attempt[1](), attempts)
+    finished = sorted(
+        (
+            (position, item_id, outcome)
+            for (slots, _), group in zip(attempts, outcomes)
+            for (position, item_id), outcome in zip(slots, group)
+        ),
+        key=lambda slot: slot[0],
+    )
     items: list[McqItem] = []
     seen_questions: set[str] = set()
-    for (item_ids, _), group in zip(attempts, outcomes):
-        for item_id, outcome in zip(item_ids, group):
-            result.attempts += 1
-            if isinstance(outcome, GenerationRejected):
-                result.generation_rejected += 1
-                log.warning("generation rejected (%s): %s", item_id, outcome)
-                continue
-            fingerprint = _question_fingerprint(outcome.question)
-            if fingerprint in seen_questions:
-                result.duplicates_dropped += 1
-                continue
-            seen_questions.add(fingerprint)
-            items.append(outcome)
+    for _, item_id, outcome in finished:
+        result.attempts += 1
+        if isinstance(outcome, GenerationRejected):
+            result.generation_rejected += 1
+            log.warning("generation rejected (%s): %s", item_id, outcome)
+            continue
+        fingerprint = _question_fingerprint(outcome.question)
+        if fingerprint in seen_questions:
+            result.duplicates_dropped += 1
+            continue
+        seen_questions.add(fingerprint)
+        items.append(outcome)
     if error is not None:
         result.attempts += len(attempts[len(outcomes)][0])
         _abort(result, error)
@@ -176,34 +190,35 @@ def _generate_items(
 def _path_attempts(
     topic: Topic, graph: KnowledgeGraph, config: PipelineConfig, services: Services, num_q: int
 ) -> list[Attempt]:
-    """The sampled (path, orientation) pairs, in order, in windows of up to
-    ``BATCH``: one attempt per window, which makes one call for its forward
-    slots and one for its reverse slots and returns the outcomes in the
-    window's order. A pair that recurs is salted by how often it came before."""
-
-    def attempt(window: list[tuple[str, tuple[PathSample, str, int]]]) -> list[Outcome]:
-        outcomes: dict[str, Outcome] = {}
-        for orientation in ORIENTATIONS:
-            slots = [slot for o, slot in window if o == orientation]
-            if slots:
-                made = generate_mcq(services.gateway, slots, orientation, topic.name, graph, config)
-                outcomes.update(zip([item_id for _, item_id, _ in slots], made))
-        return [outcomes[item_id] for _, (_, item_id, _) in window]
-
+    """Each orientation's sampled (path, orientation) pairs, in pair order,
+    in runs of up to ``BATCH``: one attempt, and one ``generate_mcq`` call,
+    per run. The runs are queued by their first pair's position, so the
+    first forward run and the first reverse run start together. A pair that
+    recurs is salted by how often it came before. A ``GatewayError`` costs
+    its own run and ends the stage; the runs queued before it keep their
+    items, which ``_generate_items`` merges back into pair order."""
     occurrences: Counter = Counter()
     slug = _slug(topic.name)
-    pairs = []
+    pairs: dict[str, list[tuple[int, tuple[PathSample, str, int]]]] = {o: [] for o in ORIENTATIONS}
     for index, (path, orientation) in enumerate(
         sample_paths(graph, graph.seed_id, config.d_max, num_q, config.rng_seed)
     ):
         key = (tuple(path.node_ids), orientation)
         item_id = f"{slug}-L{config.d_max}-{orientation[:3]}-{index:04d}"
-        pairs.append((orientation, (path, item_id, occurrences[key])))
+        pairs[orientation].append((index, (path, item_id, occurrences[key])))
         occurrences[key] += 1
-    return [
-        ([item_id for _, (_, item_id, _) in window], partial(attempt, window))
-        for window in batches(pairs)
+    attempts: list[Attempt] = [
+        (
+            [(index, item_id) for index, (_, item_id, _) in run],
+            partial(
+                generate_mcq, services.gateway, [slot for _, slot in run], orientation,
+                topic.name, graph, config,
+            ),
+        )
+        for orientation, own in pairs.items()
+        for run in batches(own)
     ]
+    return sorted(attempts, key=lambda attempt: attempt[0][0][0])
 
 
 def _direct_attempts(
@@ -255,7 +270,7 @@ def _direct_attempts(
     attempts: list[Attempt] = []
     for variants in batches(range(num_q)):
         ids = [f"{slug}-L{config.d_max}-dir-{index:04d}" for index in variants]
-        attempts.append((ids, partial(attempt, ids, variants)))
+        attempts.append((list(zip(variants, ids)), partial(attempt, ids, variants)))
     return attempts
 
 

@@ -77,6 +77,12 @@ def numbered_prompt(head: str, slots: list[str], tail: str = "") -> str:
     return "\n\n".join(part for part in (head, *items, tail) if part)
 
 
+def _shared(values: Iterable[T]) -> T | None:
+    """The one value every one of ``values`` has, or None."""
+    distinct = set(values)
+    return distinct.pop() if len(distinct) == 1 else None
+
+
 def numbered_reply(slot: str, lines: str) -> str:
     """The one instruction for a numbered reply: a block per item, each
     under an "Item N" line with its ``slot``'s number, then ``lines``."""
@@ -110,11 +116,14 @@ GLOSS_SYSTEM = (
 
 def gloss_user(terms: list[tuple[str, str | None, list[str]]]) -> str:
     """Prompt for one run of one level: one slot per (term, its parent term
-    or None, evidence passages)."""
+    or None, evidence passages). A parent every slot shares is named once,
+    in the head; otherwise each slot names its own."""
+    shared = _shared(parent for _, parent, _ in terms)
+    head = f'Also describe each term\'s relationship to the parent term "{shared}".' if shared else ""
     bodies = []
     for term, parent, passages in terms:
         body = f'Explain the term: "{term}".'
-        if parent:
+        if parent and not shared:
             body += f' Also describe its relationship to the parent term "{parent}".'
         if passages:
             body += (
@@ -122,7 +131,7 @@ def gloss_user(terms: list[tuple[str, str | None, list[str]]]) -> str:
                 "--- Context ---\n" + "\n\n".join(passages) + "\n--- End Context ---"
             )
         bodies.append(body)
-    return numbered_prompt("", bodies)
+    return numbered_prompt(head, bodies)
 
 
 TITLE_CHECK_SYSTEM = (
@@ -136,15 +145,14 @@ TITLE_CHECK_SYSTEM = (
 
 def title_check_user(slots: list[tuple[str, str, str]]) -> str:
     """Prompt for one title-check round: one slot per (context hint, term,
-    candidate title)."""
-    return numbered_prompt(
-        "",
-        [
-            f'Context: information related to "{hint}".\n'
-            f'Term to define: "{term}".\nCandidate page title: "{title}".'
-            for hint, term, title in slots
-        ],
-    )
+    candidate title). A hint every slot shares is written once, in the head;
+    otherwise each slot opens with its own."""
+    shared = _shared(hint for hint, _, _ in slots)
+    bodies = []
+    for hint, term, title in slots:
+        body = f'Term to define: "{term}".\nCandidate page title: "{title}".'
+        bodies.append(body if shared else f'Context: information related to "{hint}".\n{body}')
+    return numbered_prompt(f'Context: information related to "{shared}".' if shared else "", bodies)
 
 
 TRIPLES_SYSTEM = (

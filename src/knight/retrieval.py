@@ -392,8 +392,9 @@ def choose_titles(
     """Each term's source title: its first search result that the title
     check approves, or None. Round k makes one call about candidate k of
     every term still unresolved, so each term gets the title a check per
-    candidate, in order, would give. Each term's slot reads its own context
-    hint from ``hints``, or the default hint below when that is empty. A
+    candidate, in order, would give. Each term is checked under its own
+    context hint from ``hints``, or the default hint below when that is
+    empty; a hint every term of a round shares is written once. A
     failed search gives None; a reply block that is missing or says neither
     yes nor no reads as no."""
     hints = [hint or "general knowledge" for hint in hints]

@@ -69,11 +69,19 @@ def _parents(graph):
 
 
 _TERM = re.compile(r'(?:Explain the term|Term to define): "([^"]+)"')
-_GLOSS_SLOT = re.compile(
-    r'Explain the term: "([^"]+)"\.'
-    r'(?: Also describe its relationship to the parent term "([^"]+)"\.)?'
-)
-_TITLE_SLOT = re.compile(r'Context: information related to "([^"]+)"\.\nTerm to define: "([^"]+)"')
+_CONTEXT = re.compile(r'(?:parent term|information related to) "([^"]+)"')
+
+
+def _slot_contexts(prompt):
+    """Each slot's term and its parent or context hint, read from the slot
+    or else from the shared head ("" when neither names one)."""
+    head, slots = prompts.split_items(prompt)
+    shared = _CONTEXT.search(head)
+    out = []
+    for _, slot in slots:
+        own = _CONTEXT.search(slot) or shared
+        out.append((_TERM.search(slot).group(1), own.group(1) if own else ""))
+    return out
 
 
 def _terms_per_call(backend, tag):
@@ -377,19 +385,24 @@ def test_each_slot_of_a_mixed_parent_run_names_its_own_parent(world, monkeypatch
     parents = {graph.nodes[node_id].name: name for node_id, name in _parents(graph).items()}
     calls = {"gloss": [], "title_check": []}
     for request in backend.requests:
-        if request.task_tag == "gloss":
-            calls["gloss"].append(_GLOSS_SLOT.findall(request.user_prompt))
-        elif request.task_tag == "title_check":
-            found = _TITLE_SLOT.findall(request.user_prompt)
-            calls["title_check"].append([(term, hint) for hint, term in found])
+        if request.task_tag in calls:
+            slots = _slot_contexts(request.user_prompt)
+            calls[request.task_tag].append(slots)
+            # A parent or hint every slot shares is written once, in the
+            # head; a call that mixes them writes one in each slot.
+            contexts = {context for _, context in slots}
+            written = len(_CONTEXT.findall(request.user_prompt))
+            assert written == (len(contexts - {""}) if len(contexts) == 1 else len(slots))
     # Every node has one slot of each, under its own parent, or under the
-    # default hint and no parent line for the seed; some calls mix parents.
+    # default hint and no parent line for the seed; some calls mix parents,
+    # and some share one parent over several slots.
     for tag, seed_parent in (("gloss", ""), ("title_check", "general knowledge")):
         slots = [slot for call in calls[tag] for slot in call]
         assert sorted(slots) == sorted(
             (node.name, parents.get(node.name, seed_parent)) for node in graph.nodes.values()
         )
         assert any(len({parent for _, parent in call}) > 1 for call in calls[tag])
+        assert any(len(call) > 1 and len({p for _, p in call}) == 1 for call in calls[tag])
     # Each reply block, and so each node's gloss, names its own parent.
     for node in graph.nodes.values():
         if node.name in parents:

@@ -78,9 +78,9 @@ def _outputs(result, services):
 # critic makes one call per group of up to ten consecutive items, whatever
 # their source blocks, so both modes' twelve items take two critic calls.
 # Direct generation makes one call per group of up to ten items, so rag_val
-# drafts 10, then 2. Path generation makes one call per orientation per
-# window of up to ten sampled pairs, so knight's 12 pairs take two windows
-# and four calls. The graph build makes one gloss call per run of one
+# drafts 10, then 2. Path generation makes one call per run of up to ten
+# sampled pairs of one orientation, so knight's 12 pairs, six forward and
+# six reverse, take one call per orientation. The graph build makes one gloss call per run of one
 # level: the seed, its two children (Ecology and Life), and Ecology's two
 # children (Life's gloss yields no triples). The two runs above d_max make
 # one triples call each. A title-check call is one round over the nodes of
@@ -91,8 +91,8 @@ CALL_BUDGET = {
         "title_check": 2,
         "gloss": 3,
         "triples": 2,
-        "mcq_forward": 2,
-        "mcq_reverse": 2,
+        "mcq_forward": 1,
+        "mcq_reverse": 1,
         "validate": 2,
     },
     "rag_val": {"title_check": 1, "mcq_forward": 2, "validate": 2},
@@ -177,8 +177,9 @@ class PeakBackend:
 
 @pytest.mark.parametrize("max_inflight, overlaps", [(1, False), (2, True)])
 def test_generation_and_critic_calls_overlap(world, max_inflight, overlaps):
-    """At num_q 20 the sampled pairs fill two generation windows, whose calls
-    may run side by side; one window's two calls run in series."""
+    """At num_q 20 the sampled pairs fill two runs of each orientation, and
+    the critic takes two groups; any two of those calls may run side by
+    side."""
     backend = PeakBackend(MockChatBackend(world, rng_seed=7))
     _run(world, "knight", max_inflight=max_inflight, num_q=20, backend=backend)
     if overlaps:
@@ -187,6 +188,17 @@ def test_generation_and_critic_calls_overlap(world, max_inflight, overlaps):
     else:
         assert backend.peak == {"mcq": 1, "validate": 1}
     assert max(backend.peak.values()) <= max_inflight
+
+
+@pytest.mark.parametrize("max_inflight, overlaps", [(1, False), (2, True)])
+def test_forward_and_reverse_runs_overlap(world, max_inflight, overlaps):
+    """At num_q 10 each orientation's five pairs make one run, and so one
+    call; the forward call and the reverse call start together."""
+    backend = PeakBackend(RecordingBackend(MockChatBackend(world, rng_seed=7)))
+    _run(world, "knight", max_inflight=max_inflight, num_q=10, backend=backend)
+    tags = Counter(r.task_tag for r in backend.inner.requests if r.task_tag.startswith("mcq_"))
+    assert tags == {"mcq_forward": 1, "mcq_reverse": 1}
+    assert backend.peak["mcq"] == (2 if overlaps else 1)
 
 
 class FailingBackend:
@@ -368,17 +380,25 @@ def test_direct_prompts_share_the_evidence_prefix(world):
 @pytest.mark.parametrize("mode", ["knight", "rag_kg"])
 def test_path_outputs_do_not_depend_on_the_group_size(world, mode, monkeypatch):
     """Each path item's reply reads only its orientation's shared head and
-    its own slot, so one pair per window gives the same dataset as ten."""
+    its own slot, so one pair per call gives the same dataset as three or
+    ten. Each orientation's six pairs fill its calls: every call but the
+    last of its tag has ``BATCH`` slots."""
     runs = []
-    for batch in (1, 10):
+    for batch in (1, 3, 10):
         monkeypatch.setattr(prompts_mod, "BATCH", batch)
         for max_inflight in (1, 4):
             backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
             result, services = _run(
                 world, mode, max_inflight=max_inflight, num_q=12, backend=backend
             )
-            calls = sum(r.task_tag.startswith("mcq_") for r in backend.requests)
-            assert calls == (12 if batch == 1 else 4)
+            for tag in ("mcq_forward", "mcq_reverse"):
+                sizes = sorted(
+                    (len(split_items(r.user_prompt)[1])
+                     for r in backend.requests if r.task_tag == tag),
+                    reverse=True,
+                )
+                assert sum(sizes) == 6
+                assert sizes[:-1] == [batch] * (len(sizes) - 1) and 1 <= sizes[-1] <= batch
             outputs = _outputs(result, services)
             del outputs["ledger"]  # prompts, and so token counts, differ
             runs.append(outputs)
@@ -418,16 +438,15 @@ def test_each_path_block_goes_to_its_own_item(world):
     assert runs[0] == runs[1]
 
 
-def test_path_generation_failure_costs_its_window(world):
-    """At num_q 25 the ten distinct pairs recur: only the second window
-    (items 10-19) carries variation tag 1. Its reverse call fails, which
-    costs the whole window, its forward items included, and the stage; the
-    first window's ten are kept."""
+def test_path_generation_failure_costs_its_run(world):
+    """At num_q 25 the ten distinct pairs recur, forward and reverse in
+    turn. The forward runs are pairs 0, 2, ..., 18 and 20, 22, 24; the
+    reverse runs 1, 3, ..., 19 and 21, 23. Only pairs 10-19 carry
+    variation tag 1, so the failing reverse call is the first reverse run:
+    it costs that run and the stage. The first forward run, queued before
+    it, keeps its ten items."""
     baseline, _ = _run(world, "knight", num_q=25)
-    first_window = [item.id for item in baseline.items[:10]]
-    assert first_window == [
-        f"biology-L2-{'for' if index % 2 == 0 else 'rev'}-{index:04d}" for index in range(10)
-    ]
+    first_run = [f"biology-L2-for-{index:04d}" for index in range(0, 20, 2)]
     runs = []
     for max_inflight in (1, 4):
         backend = FailingBackend(
@@ -439,9 +458,9 @@ def test_path_generation_failure_costs_its_window(world):
         assert result.aborted_reason == "AuthError: key revoked"
         assert result.attempts == 20
         assert [item_to_record(i) for i in result.items] == [
-            item_to_record(i) for i in baseline.items[:10]
+            item_to_record(i) for i in baseline.items if i.id in first_run
         ]
-        assert [i.id for i in result.kept_items] == first_window
+        assert [i.id for i in result.kept_items] == first_run
         outputs = _outputs(result, services)
         del outputs["ledger"]
         runs.append(outputs)
@@ -450,12 +469,13 @@ def test_path_generation_failure_costs_its_window(world):
 
 def test_path_prompts_share_their_head_up_to_the_first_item(world):
     """Every path-generation call of one orientation opens with the same
-    system prompt and topic line, so a provider's prefix cache can reuse it."""
+    system prompt and topic line, so a provider's prefix cache can reuse it.
+    At num_q 25 each orientation's 12 or 13 pairs take two calls."""
     backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
     _run(world, "knight", num_q=25, backend=backend)
     for tag in ("mcq_forward", "mcq_reverse"):
         requests = [r for r in backend.requests if r.task_tag == tag]
-        assert len(requests) == 3
+        assert len(requests) == 2
         heads = {
             (r.system_prompt, r.user_prompt[: r.user_prompt.index("Item 1\n")])
             for r in requests

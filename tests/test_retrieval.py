@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from knight.errors import AmbiguousTitleError, AuthError, PageNotFoundError, RetrievalError
 from knight.gateway import ChatGateway, ChatResponse, MockChatBackend, MockOverride
+from knight.prompts import split_items
 from knight.retrieval import (
     Bm25,
     FixtureWikiSource,
@@ -185,7 +186,8 @@ def test_title_relevance_yes_no(world, gateway, config):
 def test_title_rounds_ask_each_unresolved_term_about_its_next_candidate(world, config):
     # Round 1 asks about every term's first candidate; round 2 only about
     # Biology's second, since Genetics is resolved and Gleeb Zorp has none.
-    # Each slot carries its own term's hint, the default one when it is None.
+    # Round 1 mixes hints, so each slot carries its own term's, the default
+    # one when it is None; round 2's one hint is written once, in the head.
     source = _Searches({
         "Biology": ["Ottoman Empire", "Biology", "Genetics"],
         "Genetics": ["Genetics", "Biology"],
@@ -197,15 +199,17 @@ def test_title_rounds_ask_each_unresolved_term_about_its_next_candidate(world, c
         ["Life", None, "Nonsense"],
     )
     assert chosen == ["Biology", "Genetics", None]
-    slot = (r'Item \d+\nContext: information related to "([^"]+)"\.\n'
+    slot = (r'Item \d+\n(?:Context: information related to "([^"]+)"\.\n)?'
             r'Term to define: "([^"]+)"\.\nCandidate page title: "([^"]+)"')
-    asked = [re.findall(slot, r.user_prompt) for r in backend.requests]
+    asked = [
+        (split_items(r.user_prompt)[0], re.findall(slot, r.user_prompt)) for r in backend.requests
+    ]
     assert asked == [
-        [("Life", "Biology", "Ottoman Empire"), ("general knowledge", "Genetics", "Genetics")],
-        [("Life", "Biology", "Biology")],
+        ("", [("Life", "Biology", "Ottoman Empire"),
+              ("general knowledge", "Genetics", "Genetics")]),
+        ('Context: information related to "Life".\n\n', [("", "Biology", "Biology")]),
     ]
     assert all(r.task_tag == "title_check" for r in backend.requests)
-    assert all(r.user_prompt.startswith("Item 1\n") for r in backend.requests)
 
 
 def test_title_relevance_garbage_is_no(world, config, caplog):

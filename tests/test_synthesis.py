@@ -61,6 +61,22 @@ def test_gloss_parent_sentence_in_prompt(recording_gateway, config):
     assert prompt.endswith('Item 3\nExplain the term: "Biology".')
 
 
+def test_gloss_shared_parent_is_named_once_in_the_head(recording_gateway, config):
+    generate_gloss(
+        recording_gateway,
+        [("Pharmacology", "Medicine", ["Pharmacology studies drugs."]),
+         ("Toxicology", "Medicine", [])],
+        config,
+    )
+    prompt = recording_gateway.requests[-1].user_prompt
+    assert prompt.count("parent term") == 1
+    assert prompt.startswith(
+        'Also describe each term\'s relationship to the parent term "Medicine".\n\nItem 1\n'
+        'Explain the term: "Pharmacology".\n\n'
+    )
+    assert prompt.endswith('Item 2\nExplain the term: "Toxicology".')
+
+
 def test_gloss_uses_desc_temperature(recording_gateway, config):
     generate_gloss(recording_gateway, [("Biology", None, ["Life science."])], config)
     request = recording_gateway.requests[-1]
