@@ -78,7 +78,7 @@ def numbered_prompt(head: str, slots: list[str], tail: str = "") -> str:
 
 
 def _shared(values: Iterable[T]) -> T | None:
-    """The one value every one of ``values`` has, or None."""
+    """The one value all of ``values`` share, or None when they differ."""
     distinct = set(values)
     return distinct.pop() if len(distinct) == 1 else None
 

@@ -160,22 +160,6 @@ def test_mock_answers_each_build_slot_as_it_would_alone(world, tag, system, slot
     assert together == "\n\n".join(f"Item {n}\n{text}" for n, text in enumerate(alone, 1))
 
 
-def test_mock_gloss_reads_a_shared_parent_from_the_head(world):
-    """Two slots get the same blocks whether their shared parent is named
-    once in the head or, in a call that mixes parents, in each slot."""
-    backend = MockChatBackend(world, rng_seed=7)
-
-    def blocks(terms):
-        request = ChatRequest(GLOSS_SYSTEM, gloss_user(terms), 0.4, "gloss")
-        return [block.strip() for _, block in split_items(backend.complete(request).text)[1]]
-
-    pair = [("Genetics", "Biology", []), ("Ecology", "Biology", [])]
-    assert 'parent term "Biology"' in split_items(gloss_user(pair))[0]
-    shared = blocks(pair)
-    assert shared == blocks(pair + [("Heredity", "Genetics", [])])[:2]
-    assert shared[1].endswith("Relationship to parent: Ecology sits within Biology.")
-
-
 def test_mock_override_wins(world):
     backend = MockChatBackend(
         world,

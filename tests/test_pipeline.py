@@ -80,12 +80,12 @@ def _outputs(result, services):
 # Direct generation makes one call per group of up to ten items, so rag_val
 # drafts 10, then 2. Path generation makes one call per run of up to ten
 # sampled pairs of one orientation, so knight's 12 pairs, six forward and
-# six reverse, take one call per orientation. The graph build makes one gloss call per run of one
-# level: the seed, its two children (Ecology and Life), and Ecology's two
-# children (Life's gloss yields no triples). The two runs above d_max make
-# one triples call each. A title-check call is one round over the nodes of
-# a run that have search results left to check: one for the seed and one
-# for Ecology, whose first candidate is approved.
+# six reverse, take one call per orientation. The graph build makes one
+# gloss call per run of one level: the seed, its two children (Ecology and
+# Life), and Ecology's two children (Life's gloss yields no triples). The
+# two runs above d_max make one triples call each. A title-check call is
+# one round over the nodes of a run that have search results left to check:
+# one for the seed and one for Ecology, whose first candidate is approved.
 CALL_BUDGET = {
     "knight": {
         "title_check": 2,
