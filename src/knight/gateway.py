@@ -288,8 +288,11 @@ class MockOverride:
     only replaces that slot's reply block under the mock's own header; one
     in the shared head, in several slots or in a prompt without slots
     replaces the whole reply. A critic group on several sources writes them
-    in its head, so an override keyed on one replaces the whole reply. A
-    build call writes a parent or context hint that all its slots share once
+    in its head, and a group on several path sources writes each node's
+    excerpt line and description once, in a node block in its head; so an
+    override keyed on a source, or on node text in the node block, replaces
+    the whole reply, as does one keyed on a topic that every slot of such a
+    group shares and the head gives once. A build call writes a parent or context hint that all its slots share once
     in its head, and otherwise each term's own in the term's slot; either
     way an override keyed on a parent name shared by several slots of one
     call replaces the whole reply."""
@@ -384,7 +387,7 @@ class MockChatBackend:
             "title_check": self._title_check,
             "gloss": partial(self._gloss, head),
             "triples": self._triples,
-            "validate": self._verdicts,
+            "validate": partial(self._verdicts, head),
         }
         reply = replies.get(request.task_tag)
         if reply is None and self._slot("direct_topic", head):
@@ -525,8 +528,12 @@ class MockChatBackend:
         salt = self._salt("direct", head, str(variant))
         return self._format_mcq(stem, aspect, self._distractors([aspect, topic], salt), salt % 4)
 
-    def _verdicts(self, slot: str) -> str:
-        topic = self._slot("val_topic", slot) or ""
+    def _verdicts(self, head: str, slot: str) -> str:
+        """One item's five check lines; its topic is read from its own slot,
+        or else from the shared head."""
+        topic = self._slot("val_topic", slot)
+        if topic is None:
+            topic = self._slot("val_topic", head) or ""
         topic_line = "YES" if topic.strip() else "N/A"  # the last label's verdict
         verdicts = ["YES"] * (len(VALIDATE_LABELS) - 1) + [topic_line]
         return "\n".join(f"{label}: {v}" for label, v in zip(VALIDATE_LABELS, verdicts))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 if TYPE_CHECKING:
     from .graph import Node
@@ -207,10 +207,68 @@ MCQ_REVERSE_SYSTEM = (
 def path_endpoints(start: Node, end: Node) -> str:
     """A path's start and end nodes, each with its gloss, or its name when
     it has none."""
+    return _endpoints(start.name, start.gloss or start.name, end.name, end.gloss or end.name)
+
+
+def _endpoints(start: str, start_description: str, end: str, end_description: str) -> str:
     return (
-        f'Start Node: "{start.name}"\nDescription: "{start.gloss or start.name}"\n'
-        f'End Node: "{end.name}"\nDescription: "{end.gloss or end.name}"'
+        f'Start Node: "{start}"\nDescription: "{start_description}"\n'
+        f'End Node: "{end}"\nDescription: "{end_description}"'
     )
+
+
+# ``qgen.verbalize``'s layout: "Path: " and the hop chain, as ``qgen.path_repr``
+# writes it; one excerpt line per node on the path, "- Name" or "- Name: ...";
+# then ``path_endpoints``.
+_HOP = re.compile(r" --\[[^\]\n]*\]--> ")
+
+
+class PathContext(NamedTuple):
+    """A path source as parts: the hop chain, each node's excerpt line by
+    name, and the start and end nodes' descriptions by name."""
+
+    path: str
+    lines: dict[str, str | None]
+    descriptions: dict[str, str | None]
+
+    def ends(self) -> tuple[str, str]:
+        names = _HOP.split(self.path)
+        return names[0], names[-1]
+
+    def text(self) -> str | None:
+        """The source in ``verbalize``'s layout; None when a part is missing."""
+        start, end = self.ends()
+        lines = [self.lines.get(name) for name in _HOP.split(self.path)]
+        descriptions = self.descriptions.get(start), self.descriptions.get(end)
+        if None in lines or None in descriptions:
+            return None
+        return "\n".join(
+            [f"Path: {self.path}", *lines, _endpoints(start, descriptions[0], end, descriptions[1])]
+        )
+
+
+def _names(name: str, line: str) -> bool:
+    return line == f"- {name}" or line.startswith(f"- {name}: ")
+
+
+def read_path_context(source: str) -> PathContext | None:
+    """``verbalize``'s layout read back into its parts; None unless the
+    parts give ``source`` back byte for byte."""
+    path, _, rest = source.partition("\n")
+    if not path.startswith("Path: "):
+        return None
+    path = path[len("Path: "):]
+    names = _HOP.split(path)
+    *lines, endpoints = rest.split("\n", len(names))
+    start, end = names[0], names[-1]
+    opener = f'Start Node: "{start}"\nDescription: "'
+    middle = f'"\nEnd Node: "{end}"\nDescription: "'
+    cut = endpoints.find(middle)
+    if not endpoints.startswith(opener) or cut < 0 or not all(map(_names, names, lines)):
+        return None
+    descriptions = {start: endpoints[len(opener) : cut], end: endpoints[cut + len(middle) : -1]}
+    context = PathContext(path, dict(zip(names, lines)), descriptions)
+    return context if context.text() == source else None
 
 
 def path_mcq_user(
@@ -286,20 +344,118 @@ VALIDATE_SYSTEM = (
 )
 
 
+_SOURCE_BLOCK = re.compile(
+    r'\nSource Information (\d+)\nPath: (.*)\nStart Node: "(.*)"\nEnd Node: "(.*)"\n'
+)
+
+
+def _line(nodes: str, name: str) -> str | None:
+    """The first line of the node block ``nodes`` that names ``name``."""
+    at = nodes.find(f"\n- {name}")
+    while at >= 0:
+        line = nodes[at + 1 : nodes.index("\n", at + 1)]
+        if _names(name, line):
+            return line
+        at = nodes.find(f"\n- {name}", at + 1)
+    return None
+
+
+def _description(nodes: str, name: str) -> str | None:
+    """The description the node block ``nodes`` gives ``name``: it runs to
+    the next "Node:" line or to the block's last quote."""
+    opener = f'\nNode: "{name}"\nDescription: "'
+    start = nodes.find(opener)
+    if start < 0:
+        return None
+    start += len(opener)
+    stop = nodes.find('"\nNode: "', start)
+    return nodes[start : stop if stop >= 0 else len(nodes.rstrip("\n")) - 1]
+
+
+def critic_sources(head: str) -> dict[int, str | None]:
+    """The sources a critic head with a node block gives, by number. Each is
+    rebuilt in ``verbalize``'s layout from its block's path and the node
+    block's first line naming each node on it and description of its start
+    and end nodes, or is None when the node block lacks one. Empty for a
+    head without source blocks of that shape."""
+    blocks = list(_SOURCE_BLOCK.finditer(head))
+    if not blocks:
+        return {}
+    nodes = head[: blocks[0].start() + 1]
+    sources = {}
+    for block in blocks:
+        number, path, start, end = block.groups()
+        context = PathContext(
+            path,
+            {name: _line(nodes, name) for name in _HOP.split(path)},
+            {name: _description(nodes, name) for name in (start, end)},
+        )
+        sources[int(number)] = context.text()
+    return sources
+
+
+def _node_head(sources: list[str]) -> str | None:
+    """The head of a critic call on the path ``sources``, which writes each
+    node's text once: a node block with each distinct excerpt line, then
+    each distinct start or end description, in order of first use; then
+    source blocks numbered 1 to k, each with its path and its start and end
+    nodes' names. None unless every source is in ``verbalize``'s layout and
+    ``critic_sources`` gives each back from the head byte for byte."""
+    contexts = [read_path_context(source) for source in sources]
+    if None in contexts:
+        return None
+    lines: dict[str, str] = {}
+    descriptions: dict[str, str] = {}
+    blocks = []
+    for number, context in enumerate(contexts, start=1):
+        for name, line in context.lines.items():
+            lines.setdefault(name, line)
+        for name, text in context.descriptions.items():
+            descriptions.setdefault(name, text)
+        start, end = context.ends()
+        blocks.append(
+            f'Source Information {number}\nPath: {context.path}\n'
+            f'Start Node: "{start}"\nEnd Node: "{end}"\n\n'
+        )
+    head = "".join(
+        [
+            "Node Information\n",
+            *(f"{line}\n" for line in lines.values()),
+            *(f'Node: "{name}"\nDescription: "{text}"\n' for name, text in descriptions.items()),
+            "\n",
+            *blocks,
+        ]
+    )
+    return head if critic_sources(head) == dict(enumerate(sources, start=1)) else None
+
+
 def validate_user(items: list[McqItem]) -> str:
-    """Each distinct source block once, then one slot per item. A group on
-    one source opens with its block, so calls on the same source share a
-    prompt prefix; a group on k > 1 sources numbers its blocks 1 to k in
-    order of first use, and each slot's first line names its own."""
-    sources = dict.fromkeys(item.source_context for item in items)
+    """Each distinct source once, then one slot per item. A group on one
+    source opens with its block, so calls on the same source share a prompt
+    prefix. A group on k > 1 sources numbers them 1 to k in order of first
+    use, and each slot's first line names its own. When every one is a path
+    source that ``_node_head`` can factor, the call opens with a node block
+    that writes each node's text once, and each source block gives only its
+    path and the names of its start and end nodes; otherwise each source is
+    written whole under its number. A topic every slot of such a group
+    shares is written once, in the head; otherwise each slot gives its
+    own."""
+    sources = list(dict.fromkeys(item.source_context for item in items))
     number = {source: n for n, source in enumerate(sources, start=1)}
-    numbered = len(number) > 1
-    if numbered:
-        head = "".join(f"Source Information {n}\n{source}\n\n" for source, n in number.items())
-        rule = "the Source Information its first line names."
+    numbered = len(sources) > 1
+    topic = _shared(item.topic or "" for item in items) if numbered else None
+    if not numbered:
+        head, rule = f"Source Information\n{sources[0]}\n\n", "the Source Information."
     else:
-        head = f"Source Information\n{items[0].source_context}\n\n"
-        rule = "the Source Information."
+        head = _node_head(sources)
+        rule = "the Source Information its first line names"
+        if head is None:
+            head = "".join(f"Source Information {n}\n{source}\n\n" for source, n in number.items())
+            rule += "."
+        else:
+            rule += " and the Node Information of its nodes."
+    if topic is not None:
+        head += f'Topic (optional): "{topic}"\n\n'
     bodies = []
     for item in items:
         option_lines = "\n".join(f"{k}) {item.options[k]}" for k in sorted(item.options))
@@ -307,8 +463,8 @@ def validate_user(items: list[McqItem]) -> str:
             (f"Source Information: {number[item.source_context]}\n" if numbered else "")
             + f'Question: "{item.question}"\n'
             f"{option_lines}\n"
-            f'Correct Answer: "{item.answer_key}"\n'
-            f'Topic (optional): "{item.topic or ""}"'
+            f'Correct Answer: "{item.answer_key}"'
+            + (f'\nTopic (optional): "{item.topic or ""}"' if topic is None else "")
         )
     return numbered_prompt(
         f"{head}Evaluate each item below based only on {rule}",

@@ -17,7 +17,7 @@ from knight import prompts as prompts_mod
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride, OpenAiCompatBackend
 from knight.graph import KnowledgeGraph, Topic
 from knight.pipeline import Services, build_services, run_pipeline
-from knight.prompts import split_items
+from knight.prompts import critic_sources, read_path_context, split_items
 from knight.qgen import path_repr
 from knight.retrieval import (
     FixtureWikiSource, NetworkWikiSource, choose_titles, mixture_weights, retrieve_evidence,
@@ -653,6 +653,37 @@ def test_critic_prompts_start_with_the_shared_source_block(world):
     prompts = [r.user_prompt for r in backend.requests if r.task_tag == "validate"]
     assert len(prompts) == 2
     assert all(prompt.startswith(f"Source Information\n{source}\n\n") for prompt in prompts)
+
+
+def test_knight_critic_prompts_write_each_node_description_once(world):
+    """On the packaged Biology world, every critic call of a ``knight`` run
+    writes each node description once, and each slot's source, rebuilt from
+    its call's head, is its item's ``source_context`` byte for byte."""
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    result, _ = _run(world, "knight", num_q=12, backend=backend)
+    by_question = {item.question: item for item in result.items}
+    descriptions = {
+        text
+        for item in result.items
+        for text in read_path_context(item.source_context).descriptions.values()
+    }
+    prompts = [r.user_prompt for r in backend.requests if r.task_tag == "validate"]
+    assert len(prompts) == 2 and len(by_question) == len(result.items) == 12
+    judged, factored = 0, 0
+    for prompt in prompts:
+        head, slots = split_items(prompt)
+        assert all(prompt.count(f'Description: "{text}"') <= 1 for text in descriptions)
+        sources = critic_sources(head)
+        factored += head.startswith("Node Information\n")
+        for _, slot in slots:
+            found = re.match(r'\n(?:Source Information: (\d+)\n)?Question: "(.*)"\n', slot)
+            item = by_question[found.group(2)]
+            if found.group(1) is None:  # a call on one source writes it whole
+                assert head.startswith(f"Source Information\n{item.source_context}\n\n")
+            else:
+                assert sources[int(found.group(1))] == item.source_context
+            judged += 1
+    assert judged == 12 and factored >= 1
 
 
 @pytest.mark.parametrize("mode", ["rag", "rag_val"])

@@ -8,6 +8,7 @@ from knight.config import PipelineConfig
 from knight.errors import GenerationRejected, GraphError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import KnowledgeGraph, PathSample
+from knight.prompts import PathContext, read_path_context
 from knight.qgen import (
     McqItem,
     generate_mcq,
@@ -76,6 +77,60 @@ def test_verbalize_missing_gloss_lists_names(world, caplog):
         context = verbalize(path, graph)
     assert "- Alpha" in context and "- Beta" in context
     assert any("no gloss" in r.message for r in caplog.records)
+
+
+def test_verbalize_round_trips_through_the_reader():
+    """``read_path_context`` gives back each node's excerpt line and the
+    start and end descriptions, whatever quotes, newlines or colons they
+    hold; a node with no gloss has a name-only line and its name as its
+    description."""
+    graph = make_chain("Alpha", "Beta", "Gamma: the sequel")
+    alpha, beta, gamma = sorted(graph.nodes.values(), key=lambda node: node.depth)
+    alpha.gloss = (
+        '1. Scope - Alpha: "quoted" start.\n2. More - a "quote" and\n\nthen a blank line."'
+    )
+    gamma.gloss = 'Gamma: said "Node: Beta"\nEnd Node: "Alpha"'
+    for ids, relations in (
+        ([alpha.id, beta.id, gamma.id], ["links_to", "links_to"]),
+        ([alpha.id, beta.id], ["links_to"]),
+    ):
+        path = PathSample(ids, relations)
+        source = verbalize(path, graph)
+        context = read_path_context(source)
+        lines = {
+            "Alpha": '- Alpha: 1. Scope - Alpha: "quoted" start.',
+            "Beta": "- Beta",
+            "Gamma: the sequel": '- Gamma: the sequel: Gamma: said "Node: Beta"',
+        }
+        end = graph.nodes[ids[-1]]
+        assert context == PathContext(
+            path_repr(path, graph),
+            {name: lines[name] for name in (graph.nodes[i].name for i in ids)},
+            {"Alpha": alpha.gloss, end.name: end.gloss or end.name},
+        )
+        assert context.text() == source
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        f'Path: A --[r]--> B\n{lines}Start Node: "A"\nDescription: "a"\n'
+        f'End Node: "B"\nDescription: "b{end}'
+        for lines, end in (
+            ("- A: a\n- B: b\nNote: edited\n", '"'),  # a line added
+            ("- A: a\n", '"'),  # a line dropped
+            ("- A: a\n- B: b\n", ""),  # the last quote lost
+            ("- A: a\n- C: b\n", '"'),  # an excerpt line that names another node
+        )
+    ]
+    + [
+        "Path: a --[rel]--> b",
+        "Evidence passages:\nSome text.",
+        "No source information provided.",
+    ],
+)
+def test_the_reader_rejects_what_verbalize_does_not_write(source):
+    assert read_path_context(source) is None
 
 
 def test_path_repr_format(world):

@@ -8,9 +8,9 @@ import pytest
 from knight.config import PipelineConfig
 from knight.errors import ValidationParseError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
-from knight.graph import PathSample
-from knight.prompts import split_items, validate_user
-from knight.qgen import McqItem
+from knight.graph import KnowledgeGraph, PathSample
+from knight.prompts import critic_sources, split_items, validate_user
+from knight.qgen import McqItem, verbalize
 from knight.storage import item_to_record, record_to_item
 from knight.validation import (
     ValidationReport,
@@ -213,6 +213,117 @@ def test_mixed_group_judges_each_slot_on_its_own_source(world, config):
         f"Source Information\n{sources[0]}\n\nEvaluate each item below based only on "
         'the Source Information.\n\nItem 1\nQuestion: "Which one, 0?"'
     )
+
+
+def _path_items(alpha_gloss="1. Scope - Alpha: the seed.\n2. More - about Alpha."):
+    """Six items on three path sources of one small graph, in source order
+    0, 0, 1, 2, 1, 0; every path starts at Alpha, and two end at Delta."""
+    graph = KnowledgeGraph("Alpha")
+    alpha = graph.nodes[graph.seed_id]
+    alpha.gloss = alpha_gloss
+    beta, gamma = graph.add_node("Beta", depth=1), graph.add_node("Gamma", depth=1)
+    delta = graph.add_node("Delta", depth=2)
+    beta.gloss = '1. Scope - Beta: a "quoted" child.\n2. More - Beta lines.'
+    delta.gloss = "1. Scope - Delta: a leaf.\n\n2. More - after a blank line."
+    paths = [
+        PathSample([alpha.id, beta.id, delta.id], ["has", "holds"]),
+        PathSample([alpha.id, gamma.id, delta.id], ["has", "feeds"]),
+        PathSample([alpha.id, gamma.id], ["has"]),
+    ]
+    items = [_item(question=f"Which one, {n}?") for n in range(6)]
+    for item, path in zip(items, [0, 0, 1, 2, 1, 0]):
+        item.path = paths[path]
+        item.level = paths[path].hops
+        item.source_context = verbalize(paths[path], graph)
+    return graph, items
+
+
+def test_group_on_path_sources_writes_each_node_once(world, config):
+    """The head opens with a node block holding each node's excerpt line and
+    each start or end description once; each numbered source block holds
+    only its path and end names, and rebuilds its source byte for byte."""
+    graph, items = _path_items()
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=1))
+    reports = validate_item(ChatGateway(backend), items, config)
+    assert all(r.kept for r in reports)
+    (request,) = backend.requests
+    head, slots = split_items(request.user_prompt)
+    assert head.startswith("Node Information\n- Alpha: 1. Scope - Alpha: the seed.\n- Beta: ")
+    lines = request.user_prompt.split("\n")
+    for node in graph.nodes.values():
+        assert sum(line.startswith(f"- {node.name}") for line in lines) == 1
+    for gloss in (graph.nodes["alpha"].gloss, graph.nodes["delta"].gloss, "Gamma"):
+        assert request.user_prompt.count(f'Description: "{gloss}"') == 1
+    sources = list(dict.fromkeys(item.source_context for item in items))
+    assert critic_sources(head) == {1: sources[0], 2: sources[1], 3: sources[2]}
+    assert (
+        'Source Information 3\nPath: Alpha --[has]--> Gamma\nStart Node: "Alpha"\nEnd Node: "Gamma"\n'
+        in head
+    )
+    for item, (_, slot) in zip(items, slots):
+        number = int(re.match(r"\nSource Information: (\d+)\nQuestion: ", slot).group(1))
+        assert critic_sources(head)[number] == item.source_context
+    # A group on one path source keeps the unnumbered layout.
+    assert validate_user(items[:2]).startswith(f"Source Information\n{sources[0]}\n\nEvaluate")
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        "Path: a --[rel]--> b",
+        "Evidence passages:\nSome text.",
+        "path source",  # a gloss that breaks the node block's reader
+    ],
+)
+def test_group_with_a_source_the_reader_rejects_writes_each_source_whole(world, config, other):
+    """One source that cannot be rebuilt from a node block keeps the
+    numbered layout for the whole group; a NO planted in one slot drops that
+    item alone."""
+    if other == "path source":
+        _, items = _path_items(alpha_gloss='Alpha: "a"\nNode: "Beta"\nDescription: "b"')
+    else:
+        _, items = _path_items()
+        for item in items[2:4]:
+            item.source_context = other
+    no = ALL_YES.replace("Answerable_From_Source: YES", "Answerable_From_Source: NO")
+    override = MockOverride("validate", "Which one, 4?", no)
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=1, overrides=[override]))
+    reports = validate_item(ChatGateway(backend), items, config)
+    assert [r.kept for r in reports] == [True, True, True, True, False, True]
+    assert reports[4].answerable_from_source is False and not reports[4].parse_failed
+    (request,) = backend.requests
+    head, slots = split_items(request.user_prompt)
+    assert "Node Information" not in head and critic_sources(head) == {}
+    sources = list(dict.fromkeys(item.source_context for item in items))
+    assert head.startswith(f"Source Information 1\n{sources[0]}\n\nSource Information 2\n")
+    for n, source in enumerate(sources, start=1):
+        assert f"Source Information {n}\n{source}\n\n" in head
+    for item, (_, slot) in zip(items, slots):
+        number = re.match(r"\nSource Information: (\d+)\nQuestion: ", slot).group(1)
+        assert f"Source Information {number}\n{item.source_context}\n\n" in head
+
+
+@pytest.mark.parametrize("topic, verdict", [("Biology", True), ("", None)])
+def test_topic_shared_by_a_group_on_several_sources_is_written_once(world, config, topic, verdict):
+    _, items = _path_items()
+    for item in items:
+        item.topic = topic
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=1))
+    outcomes = llm_validate(ChatGateway(backend), items, config)
+    assert [flags["Topic_Relevant"] for flags in outcomes] == [verdict] * len(items)
+    (request,) = backend.requests
+    head, slots = split_items(request.user_prompt)
+    assert request.user_prompt.count("Topic (optional)") == 1
+    assert head.endswith(f'Topic (optional): "{topic}"\n\nEvaluate each item below based only on '
+                         "the Source Information its first line names and the Node Information "
+                         "of its nodes.\n\n")
+    # Mixed topics stay in each slot.
+    items[0].topic = "Chemistry"
+    head, slots = split_items(validate_user(items))
+    assert "Topic" not in head
+    assert [re.search(r'Topic \(optional\): "(.*)"', s).group(1) for _, s in slots] == [
+        "Chemistry", *[topic] * 5
+    ]
 
 
 # -- keep ---------------------------------------------------------------------
