@@ -292,10 +292,11 @@ class MockOverride:
     excerpt line and description once, in a node block in its head; so an
     override keyed on a source, or on node text in the node block, replaces
     the whole reply, as does one keyed on a topic that every slot of such a
-    group shares and the head gives once. A build call writes a parent or context hint that all its slots share once
-    in its head, and otherwise each term's own in the term's slot; either
-    way an override keyed on a parent name shared by several slots of one
-    call replaces the whole reply."""
+    group shares and the head gives once. A build call writes a parent or
+    context hint that all its slots share once in its head, and otherwise
+    each term's own in the term's slot; either way an override keyed on a
+    parent name shared by several slots of one call replaces the whole
+    reply."""
 
     task_tag: str
     substring: str

@@ -8,11 +8,12 @@ writes each distinct source once per call. A call on several sources
 writes a topic its items share once, in its head; when every source is a
 path source, the call opens with a node block that writes each node's
 excerpt line and description once, and each source block gives only its
-path and its start and end nodes' names. No item gets a default verdict: every critic flag of a kept item comes from
-the critic's reply. The reply holds one numbered five-line block per
-item. A block that is missing, appears twice or does not parse costs only
-its own item (``parse_failed``); a ``GatewayError`` from the call costs the
-whole group, and the caller's map decides what else it costs."""
+path and its start and end nodes' names. No item gets a default verdict:
+every critic flag of a kept item comes from the critic's reply. The reply
+holds one numbered five-line block per item. A block that is missing,
+appears twice or does not parse costs only its own item
+(``parse_failed``); a ``GatewayError`` from the call costs the whole group,
+and the caller's map decides what else it costs."""
 
 from __future__ import annotations
 
