@@ -1,15 +1,15 @@
 """Command-line entry point.
 
-Subcommands: ``build``, ``generate``, ``validate``, ``eval``, ``run``. The
-bare-flags form (``knight --topic "Biology" --depth 2 ...``) is accepted as
-an alias for ``run``. Exit codes: 0 success, 1 backend, config or file
-error, 2 usage error. Each subcommand checks its outputs' directories first.
-``eval`` makes no LLM call, so it needs no API key. A ``build``, ``run``,
-``generate`` or ``validate`` that a backend failure cuts short writes its
-partial outputs (``build`` with ``aborted_reason`` in the snapshot's report,
-``run`` in ``metrics.json``) and exits 1. ``build``, ``generate`` and ``run``
-take ``--backend``; with ``bolt`` the Neo4j store is opened before the first
-LLM call and the graph is mirrored to it only after the outputs are written.
+Subcommands: ``build``, ``validate``, ``eval``, ``run``. The bare-flags form
+(``knight --topic "Biology" --depth 2 ...``) is accepted as an alias for
+``run``. Exit codes: 0 success, 1 backend, config or file error, 2 usage
+error. Each subcommand checks its outputs' directories first. ``eval`` makes
+no LLM call, so it needs no API key. A ``build``, ``run`` or ``validate``
+that a backend failure cuts short writes its partial outputs (``build`` with
+``aborted_reason`` in the snapshot's report, ``run`` in ``metrics.json``)
+and exits 1. ``build`` and ``run`` take ``--backend``; with ``bolt`` the
+Neo4j store is opened before the first LLM call and the graph is mirrored to
+it only after the outputs are written.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .storage import (
     write_jsonl,
 )
 
-SUBCOMMANDS = ("build", "generate", "validate", "eval", "run")
 _SNAPSHOT_HELP = "reuse a saved graph snapshot (its last level, at d_max, was not expanded)"
 
 
@@ -103,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="construct and snapshot a topic graph")
     _add_common(p_build)
     p_build.add_argument("--output", required=True, help="snapshot path (.json)")
-
-    p_generate = sub.add_parser("generate", help="generate a dataset (no critic unless --validate)")
-    _add_common(p_generate)
-    p_generate.add_argument("--num-q", type=_positive_int, default=10)
-    p_generate.add_argument("--output", required=True, help="dataset path (JSONL records)")
-    p_generate.add_argument("--snapshot", default=None, help=_SNAPSHOT_HELP)
-    p_generate.add_argument("--validate", action="store_true", help="run the critic as well")
 
     p_validate = sub.add_parser("validate", help="validate an existing dataset file")
     _add_common(p_validate, reads_dataset=True)
@@ -167,7 +159,8 @@ def _write_run_outputs(
     written.append(output)
 
     stem = output.with_suffix("")
-    if result.graph is not None:
+    # A run on a reused snapshot built nothing: no snapshot or rejects of its own.
+    if result.build_report is not None:
         snapshot_path = Path(f"{stem}.snapshot.json")
         save_snapshot(
             result.graph,
@@ -233,25 +226,6 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
     return _exit_code(report.aborted_reason)
 
 
-def _cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
-    output = _output_path(args.output)
-    with _graph_store(config) as store:
-        services = build_services(config)
-        topic = Topic(args.topic, optional_prompt=args.topic_hint)
-        graph = load_snapshot(args.snapshot) if args.snapshot else None
-        # Generation stage only: the critic runs in the separate validate step
-        # unless explicitly requested here.
-        result, services = run_pipeline(
-            topic, config, args.num_q, services=services,
-            validate_flag=args.validate, graph=graph,
-        )
-        write_jsonl([item_to_record(i) for i in result.kept_items], output)
-        if store is not None and result.graph is not None:
-            mirror_graph(store, result.graph)
-    print(f"generated {len(result.kept_items)} items -> {output}")
-    return _exit_code(result.aborted_reason)
-
-
 def _cmd_validate(args: argparse.Namespace, config: PipelineConfig) -> int:
     output = _output_path(args.output)
     items = read_items(args.input)
@@ -302,7 +276,7 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
         graph = load_snapshot(args.snapshot) if args.snapshot else None
         result, services = run_pipeline(
             topic, config, args.num_q, services=services,
-            validate_flag=True if args.validate else None, graph=graph,
+            force_critic=args.validate, graph=graph,
         )
         written = _write_run_outputs(result, services, config, output)
         if store is not None and result.graph is not None:
@@ -325,7 +299,6 @@ def _exit_code(aborted_reason: str | None) -> int:
 
 _DISPATCH = {
     "build": _cmd_build,
-    "generate": _cmd_generate,
     "validate": _cmd_validate,
     "eval": _cmd_eval,
     "run": _cmd_run,
@@ -334,7 +307,7 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] not in SUBCOMMANDS and argv[0].startswith("-") and argv != ["-h"] and argv != ["--help"]:
+    if argv and argv[0].startswith("-") and argv not in (["-h"], ["--help"]):
         argv = ["run"] + argv
     parser = build_parser()
     try:

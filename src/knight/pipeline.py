@@ -295,13 +295,12 @@ def run_pipeline(
     config: PipelineConfig,
     num_q: int,
     services: Services | None = None,
-    validate_flag: bool | None = None,
+    force_critic: bool = False,
     graph: KnowledgeGraph | None = None,
 ) -> tuple[PipelineResult, Services]:
     """Execute the configured mode end to end. A pre-built ``graph`` skips
-    construction (snapshot reuse). ``validate_flag`` overrides the mode's
-    critic stage: True forces it on, False suppresses it, None leaves the
-    mode's own stage set in charge."""
+    construction (snapshot reuse). The critic runs when the mode's stage set
+    has it or ``force_critic`` is set."""
     if num_q < 1:
         raise ConfigError("num_q must be >= 1")
     services = services or build_services(config)
@@ -330,8 +329,7 @@ def run_pipeline(
         )
     result.items = _generate_items(services.gateway, attempts, result)
 
-    run_critic = "validate" in stage_tags if validate_flag is None else validate_flag
-    if run_critic:
+    if force_critic or "validate" in stage_tags:
         validated, error = validate_items(services.gateway, result.items, config)
         result.kept_items = [item for item in validated if item.flags.kept]
         result.validation_dropped = len(validated) - len(result.kept_items)

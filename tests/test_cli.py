@@ -59,6 +59,9 @@ def test_unknown_mode_usage_error(tmp_path, capsys):
     )
     assert rc == 2
     assert "usage" in capsys.readouterr().err.lower()
+    # No ``generate`` subcommand: ``run --mode rag_kg`` gives its dataset.
+    assert _run(["generate", "--topic", "Biology", "--output", str(tmp_path / "x.jsonl")]) == 2
+    assert "invalid choice: 'generate'" in capsys.readouterr().err
 
 
 def test_unknown_prompt_family_usage_error(tmp_path):
@@ -209,10 +212,12 @@ def test_build_then_generate_then_validate_then_eval(tmp_path, capsys):
     assert snapshot.exists()
     assert (tmp_path / "bio.snapshot.rejects.jsonl").exists()
 
-    dataset = tmp_path / "bio.jsonl"
+    # Stem "items", so the run's metrics file overwrites neither the
+    # snapshot it reads nor the eval report.
+    dataset = tmp_path / "items.jsonl"
     rc = _run(
         [
-            "generate", "--topic", "Biology", "--depth", "2", "--num-q", "6",
+            "run", "--topic", "Biology", "--mode", "rag_kg", "--depth", "2", "--num-q", "6",
             "--seed", "7", "--snapshot", str(snapshot), "--output", str(dataset),
         ]
     )
@@ -246,7 +251,7 @@ def test_generate_insufficient_depth_is_backend_error(tmp_path, capsys):
     assert rc == 0
     rc = _run(
         [
-            "generate", "--topic", "Biology", "--depth", "3", "--num-q", "2",
+            "run", "--topic", "Biology", "--mode", "rag_kg", "--depth", "3", "--num-q", "2",
             "--snapshot", str(snapshot), "--output", str(tmp_path / "x.jsonl"),
         ]
     )
@@ -267,6 +272,22 @@ def test_run_writes_all_artifacts(tmp_path):
     assert (tmp_path / "full.snapshot.json").exists()
     assert (tmp_path / "full.rejects.jsonl").exists()
     assert (tmp_path / "full.metrics.json").exists()
+
+
+def test_run_on_its_own_snapshot_reproduces_the_dataset(tmp_path):
+    """A run on a saved snapshot builds nothing: it gives the fresh run's
+    dataset, logs no build call, and writes no snapshot or rejects."""
+    argv = ["run", "--topic", "Biology", "--mode", "knight", "--depth", "2",
+            "--num-q", "12", "--seed", "0"]
+    fresh, reused = tmp_path / "fresh.jsonl", tmp_path / "reused.jsonl"
+    assert _run([*argv, "--output", str(fresh)]) == 0
+    snapshot = tmp_path / "fresh.snapshot.json"
+    assert _run([*argv, "--snapshot", str(snapshot), "--output", str(reused)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    doc = json.loads((tmp_path / "reused.metrics.json").read_text(encoding="utf-8"))
+    assert not {"title_check", "gloss", "triples"} & set(doc["tokens"]["per_tag"])
+    assert not (tmp_path / "reused.snapshot.json").exists()
+    assert not (tmp_path / "reused.rejects.jsonl").exists()
 
 
 def _run_metrics(tmp_path):
@@ -301,12 +322,12 @@ def test_missing_input_file_is_an_error(tmp_path, capsys):
 
 def _plain_dataset(tmp_path) -> str:
     dataset = tmp_path / "plain.jsonl"
-    assert _run(["generate", "--topic", "Biology", "--mode", "plain", "--depth", "2",
+    assert _run(["run", "--topic", "Biology", "--mode", "plain", "--depth", "2",
                  "--num-q", "2", "--output", str(dataset)]) == 0
     return str(dataset)
 
 
-@pytest.mark.parametrize("subcommand", ["run", "build", "generate", "validate"])
+@pytest.mark.parametrize("subcommand", ["run", "build", "validate"])
 def test_missing_output_directory_fails_before_any_llm_call(
     tmp_path, capsys, monkeypatch, subcommand
 ):
@@ -491,7 +512,7 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
     from knight.errors import GatewayError
 
     dataset = tmp_path / "bio.jsonl"
-    rc = _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "16",
+    rc = _run(["run", "--topic", "Biology", "--mode", "rag_kg", "--depth", "2", "--num-q", "16",
                "--seed", "7", "--output", str(dataset)])
     assert rc == 0 and len(read_jsonl(dataset)) == 16
     # The critic groups items in runs of ten, whatever their sources: item
@@ -525,8 +546,8 @@ def test_validate_groups_run_to_batch_across_sources(tmp_path, monkeypatch):
     import knight.prompts as prompts_mod
 
     paths, direct = tmp_path / "paths.jsonl", tmp_path / "direct.jsonl"
-    for mode, output in (("knight", paths), ("rag_val", direct)):
-        rc = _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "12",
+    for mode, output in (("rag_kg", paths), ("rag", direct)):
+        rc = _run(["run", "--topic", "Biology", "--depth", "2", "--num-q", "12",
                    "--seed", "7", "--mode", mode, "--output", str(output)])
         assert rc == 0
     knight_records, rag_records = read_jsonl(paths)[:8], read_jsonl(direct)
@@ -572,8 +593,8 @@ def test_validate_judges_a_record_whose_critic_call_was_skipped(tmp_path, monkey
     from knight.storage import read_items
 
     dataset = tmp_path / "bio.jsonl"
-    assert _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "1",
-                 "--output", str(dataset)]) == 0
+    assert _run(["run", "--topic", "Biology", "--mode", "rag_kg", "--depth", "2",
+                 "--num-q", "1", "--output", str(dataset)]) == 0
     (record,) = read_jsonl(dataset)
     record["validation"] = {
         "grammar_fluency": True, "single_correct_key": True, "option_uniqueness": True,
@@ -661,7 +682,7 @@ def test_run_memory_backend_opens_no_store(tmp_path, monkeypatch):
     assert rc == 0
 
 
-@pytest.mark.parametrize("subcommand", ["run", "build", "generate"])
+@pytest.mark.parametrize("subcommand", ["run", "build"])
 def test_bolt_without_uri_fails_before_any_llm_call(tmp_path, capsys, monkeypatch, subcommand):
     monkeypatch.delenv("NEO4J_URI", raising=False)
     calls = _count_backend_calls(monkeypatch)
@@ -692,7 +713,7 @@ def test_generate_mirrors_graph_after_dataset(tmp_path, monkeypatch):
     monkeypatch.setenv("NEO4J_URI", "bolt://graph.example:7687")
     events = _fake_neo4j(monkeypatch)
     output = tmp_path / "bio.json"
-    rc = _run(["generate", "--topic", "Biology", "--depth", "2", "--num-q", "2",
+    rc = _run(["run", "--topic", "Biology", "--mode", "rag_kg", "--depth", "2", "--num-q", "2",
                "--backend", "bolt", "--output", str(output)])
     assert rc == 0
     assert len(read_jsonl(output)) == 2

@@ -151,12 +151,17 @@ def test_fan_out_matches_serial_run(world, mode):
 
 
 class PeakBackend:
-    """Records the peak number of concurrent calls per task group. The short
-    sleep keeps a call in flight long enough for a second one to start."""
+    """Records the peak number of concurrent calls per task group. Until two
+    calls of a group have been in flight together, each of its calls waits
+    for a second one to start, up to ``HOLD_S``; so a bound that lets two
+    calls overlap reads a peak of 2 unless the second call starts more than
+    ``HOLD_S`` late."""
+
+    HOLD_S = 0.3
 
     def __init__(self, inner):
         self.inner = inner
-        self.lock = threading.Lock()
+        self.changed = threading.Condition()
         self.inflight = {"mcq": 0, "validate": 0}
         self.peak = {"mcq": 0, "validate": 0}
 
@@ -164,14 +169,15 @@ class PeakBackend:
         group = "mcq" if request.task_tag.startswith("mcq_") else request.task_tag
         if group not in self.inflight:
             return self.inner.complete(request)
-        with self.lock:
+        with self.changed:
             self.inflight[group] += 1
             self.peak[group] = max(self.peak[group], self.inflight[group])
+            self.changed.notify_all()
+            self.changed.wait_for(lambda: self.peak[group] > 1, timeout=self.HOLD_S)
         try:
-            time.sleep(0.005)
             return self.inner.complete(request)
         finally:
-            with self.lock:
+            with self.changed:
                 self.inflight[group] -= 1
 
 

@@ -263,6 +263,13 @@ def test_group_on_path_sources_writes_each_node_once(world, config):
     for item, (_, slot) in zip(items, slots):
         number = int(re.match(r"\nSource Information: (\d+)\nQuestion: ", slot).group(1))
         assert critic_sources(head)[number] == item.source_context
+    # A node block that lacks a node's excerpt line, or an end node's
+    # description, gives None for each source that needs it.
+    assert "\n- Beta: " in head and '\nNode: "Gamma"\nDescription: "Gamma"\n' in head
+    no_line = re.sub(r"\n- Beta: [^\n]*", "", head)
+    assert critic_sources(no_line) == {1: None, 2: sources[1], 3: sources[2]}
+    no_description = head.replace('\nNode: "Gamma"\nDescription: "Gamma"', "")
+    assert critic_sources(no_description) == {1: sources[0], 2: sources[1], 3: None}
     # A group on one path source keeps the unnumbered layout.
     assert validate_user(items[:2]).startswith(f"Source Information\n{sources[0]}\n\nEvaluate")
 

@@ -7,10 +7,8 @@ History and Mathematics, at ``max_inflight`` 1 and 4 (``--depth 2 --num-q 12 --s
 and ``knight build --topic Biology --depth 3``. Its stress runs read
 ``tools/golden-stress.conf`` (``--config``): ``knight`` on Biology
 (``--depth 3 --num-q 3``) and ``rag_val`` on History (``--num-q 12``), each at
-``max_inflight`` 1 and 4. On the Biology ``knight``
-run at bound 1 it then runs ``knight generate`` (plain, with
-``--validate``, and with ``--snapshot`` on that run's snapshot), and
-``knight validate`` and ``knight eval`` on that run's dataset. Every
+``max_inflight`` 1 and 4. It then runs ``knight validate`` and
+``knight eval`` on the dataset of the Biology ``knight`` run at bound 1. Every
 dataset, snapshot, rejects, metrics and report file they write goes under
 ``DIR`` (give an empty one); the listing on standard output has one ``<sha256>  <file>`` line per
 file in ``DIR``, sorted by name, so two checkouts produce byte-identical
@@ -64,17 +62,11 @@ def commands(out: Path) -> list[list[str]]:
     ]
     build = ["build", "--topic", "Biology", "--depth", "3",
              "--output", str(out / "build-biology-depth3.json")]
-    # Later commands read the outputs of this earlier run, so order matters.
+    # Later commands read the dataset of this earlier run, so order matters.
     dataset = str(out / "knight-biology-inflight1.jsonl")
-    snapshot = str(out / "knight-biology-inflight1.snapshot.json")
-    generate = ["generate", "--topic", "Biology", "--mode", "knight", "--depth", "2",
-                "--num-q", "12", "--seed", "0"]
     reads = ["--depth", "2", "--seed", "0", "--input", dataset]
     return runs + stress + [
         build,
-        generate + ["--output", str(out / "generate-biology.jsonl")],
-        generate + ["--validate", "--output", str(out / "generate-validate-biology.jsonl")],
-        generate + ["--snapshot", snapshot, "--output", str(out / "generate-snapshot-biology.jsonl")],
         ["validate", *reads, "--output", str(out / "validate-knight-biology.jsonl")],
         ["eval", *reads, "--report", str(out / "eval-knight-biology.json"),
          "--csv", str(out / "eval-knight-biology.csv")],
