@@ -117,21 +117,24 @@ GLOSS_SYSTEM = (
 def gloss_user(terms: list[tuple[str, str | None, list[str]]]) -> str:
     """Prompt for one run of one level: one slot per (term, its parent term
     or None, evidence passages). A parent every slot shares is named once,
-    in the head; otherwise each slot names its own."""
+    in the head; otherwise each slot names its own. A slot with passages
+    gives them in a context block, and the head, when any slot has one,
+    says once how to use them."""
     shared = _shared(parent for _, parent, _ in terms)
-    head = f'Also describe each term\'s relationship to the parent term "{shared}".' if shared else ""
+    head = []
+    if shared:
+        head.append(f'Also describe each term\'s relationship to the parent term "{shared}".')
+    if any(passages for _, _, passages in terms):
+        head.append("Use an item's context, when given, as its primary source.")
     bodies = []
     for term, parent, passages in terms:
         body = f'Explain the term: "{term}".'
         if parent and not shared:
             body += f' Also describe its relationship to the parent term "{parent}".'
         if passages:
-            body += (
-                "\n\nUse the following context as the primary source for your explanation:\n"
-                "--- Context ---\n" + "\n\n".join(passages) + "\n--- End Context ---"
-            )
+            body += "\n\n--- Context ---\n" + "\n\n".join(passages) + "\n--- End Context ---"
         bodies.append(body)
-    return numbered_prompt(head, bodies)
+    return numbered_prompt("\n".join(head), bodies)
 
 
 TITLE_CHECK_SYSTEM = (
@@ -218,9 +221,25 @@ def _endpoints(start: str, start_description: str, end: str, end_description: st
 
 
 # ``qgen.verbalize``'s layout: "Path: " and the hop chain, as ``qgen.path_repr``
-# writes it; one excerpt line per node on the path, "- Name" or "- Name: ...";
-# then ``path_endpoints``.
+# writes it; one ``excerpt_line`` per node on the path; then ``path_endpoints``.
 _HOP = re.compile(r" --\[[^\]\n]*\]--> ")
+
+
+def truncate_at_word(text: str, max_chars: int) -> str:
+    """Cut at the last whitespace at or before ``max_chars``; never mid-word."""
+    text = text.strip()
+    if len(text) <= max_chars:
+        return text
+    head = text[:max_chars]
+    cut = head.rsplit(None, 1)
+    return cut[0] if len(cut) == 2 else head
+
+
+def excerpt_line(name: str, gloss: str) -> str:
+    """A node's excerpt line: "- Name: " and the first line of its gloss,
+    cut at a word to at most 220 characters, or "- Name" for a blank gloss."""
+    first = gloss.strip().splitlines()[:1]
+    return f"- {name}: {truncate_at_word(first[0], 220)}" if first else f"- {name}"
 
 
 class PathContext(NamedTuple):
@@ -350,14 +369,16 @@ _SOURCE_BLOCK = re.compile(
 
 
 def _line(nodes: str, name: str) -> str | None:
-    """The first line of the node block ``nodes`` that names ``name``."""
+    """The first line of the node block ``nodes`` that names ``name``, else
+    the excerpt line its description there implies; None without either."""
     at = nodes.find(f"\n- {name}")
     while at >= 0:
         line = nodes[at + 1 : nodes.index("\n", at + 1)]
         if _names(name, line):
             return line
         at = nodes.find(f"\n- {name}", at + 1)
-    return None
+    description = _description(nodes, name)
+    return None if description is None else excerpt_line(name, description)
 
 
 def _description(nodes: str, name: str) -> str | None:
@@ -374,10 +395,14 @@ def _description(nodes: str, name: str) -> str | None:
 
 def critic_sources(head: str) -> dict[int, str | None]:
     """The sources a critic head with a node block gives, by number. Each is
-    rebuilt in ``verbalize``'s layout from its block's path and the node
-    block's first line naming each node on it and description of its start
-    and end nodes, or is None when the node block lacks one. Empty for a
-    head without source blocks of that shape."""
+    rebuilt in ``verbalize``'s layout from its block's path and, from the
+    node block, the description of its start and end nodes and the excerpt
+    line of each node on it: the first line naming the node, or else the
+    line the node's description implies. A node's description counts
+    wherever the block gives it, since the end node of one source is often
+    an intermediate of another. A source is None when the node block lacks
+    a part it needs. Empty for a head without source blocks of that
+    shape."""
     blocks = list(_SOURCE_BLOCK.finditer(head))
     if not blocks:
         return {}
@@ -396,11 +421,13 @@ def critic_sources(head: str) -> dict[int, str | None]:
 
 def _node_head(sources: list[str]) -> str | None:
     """The head of a critic call on the path ``sources``, which writes each
-    node's text once: a node block with each distinct excerpt line, then
-    each distinct start or end description, in order of first use; then
-    source blocks numbered 1 to k, each with its path and its start and end
-    nodes' names. None unless every source is in ``verbalize``'s layout and
-    ``critic_sources`` gives each back from the head byte for byte."""
+    node's text once: a node block with each distinct excerpt line that no
+    description in the block implies (``excerpt_line`` of that description
+    rebuilds it byte for byte), then each distinct start or end description,
+    in order of first use; then source blocks numbered 1 to k, each with its
+    path and its start and end nodes' names. None unless every source is in
+    ``verbalize``'s layout and ``critic_sources`` gives each back from the
+    head byte for byte."""
     contexts = [read_path_context(source) for source in sources]
     if None in contexts:
         return None
@@ -417,10 +444,11 @@ def _node_head(sources: list[str]) -> str | None:
             f'Source Information {number}\nPath: {context.path}\n'
             f'Start Node: "{start}"\nEnd Node: "{end}"\n\n'
         )
+    implied = {name: excerpt_line(name, text) for name, text in descriptions.items()}
     head = "".join(
         [
             "Node Information\n",
-            *(f"{line}\n" for line in lines.values()),
+            *(f"{line}\n" for name, line in lines.items() if line != implied.get(name)),
             *(f'Node: "{name}"\nDescription: "{text}"\n' for name, text in descriptions.items()),
             "\n",
             *blocks,
@@ -437,13 +465,13 @@ def validate_user(items: list[McqItem]) -> str:
     source that ``_node_head`` can factor, the call opens with a node block
     that writes each node's text once, and each source block gives only its
     path and the names of its start and end nodes; otherwise each source is
-    written whole under its number. A topic every slot of such a group
-    shares is written once, in the head; otherwise each slot gives its
+    written whole under its number. A topic every slot shares is written
+    once, in the head after the sources; otherwise each slot gives its
     own."""
     sources = list(dict.fromkeys(item.source_context for item in items))
     number = {source: n for n, source in enumerate(sources, start=1)}
     numbered = len(sources) > 1
-    topic = _shared(item.topic or "" for item in items) if numbered else None
+    topic = _shared(item.topic or "" for item in items)
     if not numbered:
         head, rule = f"Source Information\n{sources[0]}\n\n", "the Source Information."
     else:

@@ -20,8 +20,13 @@ from .config import PipelineConfig
 from .errors import GenerationRejected
 from .gateway import ChatGateway, ChatRequest
 from .graph import KnowledgeGraph, PathSample, enumerate_paths
-from .prompts import MCQ_FORWARD_SYSTEM, MCQ_REVERSE_SYSTEM, path_endpoints, path_mcq_user
-from .retrieval import truncate_at_word
+from .prompts import (
+    MCQ_FORWARD_SYSTEM,
+    MCQ_REVERSE_SYSTEM,
+    excerpt_line,
+    path_endpoints,
+    path_mcq_user,
+)
 
 if TYPE_CHECKING:
     from .validation import ValidationReport
@@ -72,12 +77,9 @@ def verbalize(path: PathSample, graph: KnowledgeGraph) -> str:
     nodes = [graph.nodes[nid] for nid in path.node_ids]
     lines = [f"Path: {path_repr(path, graph)}"]
     for node in nodes:
-        gloss_lines = (node.gloss or "").strip().splitlines()
-        if gloss_lines:
-            lines.append(f"- {node.name}: {truncate_at_word(gloss_lines[0], 220)}")
-        else:
+        if not (node.gloss or "").strip():
             log.warning("node %r has no gloss; context lists the name alone", node.id)
-            lines.append(f"- {node.name}")
+        lines.append(excerpt_line(node.name, node.gloss or ""))
     lines.append(path_endpoints(nodes[0], nodes[-1]))
     return "\n".join(lines)
 

@@ -11,8 +11,11 @@ title-check rounds, one call per round. ``retrieve_evidence`` then fetches
 and ranks one term's chosen title. It names every candidate passage
 ``<title>#summary`` or ``<title>#chunk<i>`` and ``score_and_rerank`` ranks
 those ``(id, text)`` pairs under the ids it is given: BM25 first cuts more
-than ``FIRST_STAGE_CUT`` candidates down to that many. A chunk whose text equals
-an earlier candidate's is dropped, so the same passage is never sent twice.
+than ``FIRST_STAGE_CUT`` candidates down to that many. The same text is never
+sent twice: a chunk whose text equals an earlier candidate's is dropped before
+ranking, and a ranked passage whose text occurs inside a higher-ranked kept
+one, such as a page summary inside its chunk 0, is dropped after the cut to
+``search_limit``.
 
 The two decide what a failed lookup costs: a search or fetch error logs a
 warning and yields the parametric fallback, as a term with no relevant
@@ -24,8 +27,6 @@ from __future__ import annotations
 import logging
 import math
 import re
-from array import array
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Protocol, Sequence
@@ -35,7 +36,7 @@ from .config import PipelineConfig
 from .errors import AmbiguousTitleError, PageNotFoundError, RetrievalError
 from .fixture_world import FixtureWorld
 from .gateway import ChatGateway, ChatRequest
-from .prompts import TITLE_CHECK_SYSTEM, title_check_user
+from .prompts import TITLE_CHECK_SYSTEM, title_check_user, truncate_at_word
 
 log = logging.getLogger(__name__)
 
@@ -194,72 +195,45 @@ def _field(doc: dict, key: str, kind: type) -> Any:
     return value
 
 
-def truncate_at_word(text: str, max_chars: int) -> str:
-    """Cut at the last whitespace at or before ``max_chars``; never mid-word."""
-    text = text.strip()
-    if len(text) <= max_chars:
-        return text
-    head = text[:max_chars]
-    cut = head.rsplit(None, 1)
-    return cut[0] if len(cut) == 2 else head
-
-
 def chunk_text(text: str, size: int, overlap: int) -> list[str]:
     """Split into chunks of at most ``size`` whitespace tokens, preferring
     paragraph then sentence boundaries, with consecutive chunks sharing at
     most ``overlap`` tokens.
 
-    The only per-token state is one ``array("q")`` of token start offsets,
-    8 bytes a token; a chunk's end is found by matching the token at its
-    last start offset. Linear in the text apart from one ``bisect`` per
-    paragraph break, per sentence end and per chunk, so
-    O(n + (p + s + c) log n) for n tokens, p paragraph breaks, s sentence
-    ends and c chunks.
+    A chunk ends after one of its tokens ``fill = max(1, size // 2)`` to
+    ``size``: the last of them followed by a blank line, else the last that
+    ends a sentence, else token ``size``. One match from the chunk's start
+    finds that window, and the next chunk starts ``overlap`` tokens before
+    the end, one token after the chunk's start at least. A chunk scans at
+    most ``size`` tokens, twice its own length, so the time is linear in
+    the chunks' total length.
     """
     if not 0 <= overlap < size:
         raise ValueError("overlap must be >= 0 and smaller than size")
-    starts = array("q", map(re.Match.start, _WORD_RE.finditer(text)))
-    n = len(starts)
-    if n == 0:
-        return []
-    if n <= size:
-        return [text[starts[0]:_token_end(text, starts[-1])]]
-
-    paragraph_cuts = [bisect_left(starts, m.end()) for m in re.finditer("\n\n", text)]
-    # A sentence end's last character lies inside the token it closes, so
-    # the cut falls after that token.
-    sentence_cuts = [bisect_right(starts, m.end() - 1) for m in _SENTENCE_END.finditer(text)]
-
+    fill = max(1, size // 2)
+    # The first ``fill - 1`` tokens, then the window of tokens after which
+    # a cut may fall, each token with the whitespace after it.
+    window = re.compile(rf"(?:\S+\s+){{{fill - 1}}}((?:\S+\s+){{{size - fill + 1}}})")
     chunks: list[str] = []
-    start = 0
-    while start < n:
-        hard_end = min(start + size, n)
-        if hard_end == n:
-            end = n
-        else:
-            end = _best_cut(start, hard_end, paragraph_cuts, sentence_cuts)
-        chunks.append(text[starts[start]:_token_end(text, starts[end - 1])])
-        if end == n:
+    first = _WORD_RE.search(text)
+    pos = first.start() if first else len(text)
+    while pos < len(text):
+        match = window.match(text, pos)
+        # A window that reaches the end of the text leaves no token past
+        # ``size``: the rest is the last chunk.
+        if match is None or match.end() == len(text):
+            chunks.append(text[pos:].rstrip())
             break
-        start = max(end - overlap, start + 1)
+        lo, hi = match.span(1)
+        cut = text.rfind("\n\n", lo, hi)
+        if cut >= 0:
+            chunk = text[pos:cut].rstrip()
+        else:
+            ends = [m.end() for m in _SENTENCE_END.finditer(text, lo, hi)]
+            chunk = text[pos : ends[-1]] if ends else text[pos:hi].rstrip()
+        chunks.append(chunk)
+        pos = _WORD_RE.search(text, pos + len(chunk.rsplit(None, overlap)[0])).start()
     return chunks
-
-
-def _token_end(text: str, start: int) -> int:
-    """End offset of the token that starts at ``start``."""
-    return _WORD_RE.match(text, start).end()
-
-
-def _best_cut(start: int, hard_end: int, paragraphs: list[int], sentences: list[int]) -> int:
-    """The last paragraph cut, else the last sentence cut, in
-    [floor, hard_end]; ``hard_end`` when there is neither. Cuts are sorted."""
-    # Require a reasonable fill so boundary-seeking never degenerates.
-    floor = start + max(1, (hard_end - start) // 2)
-    for cuts in (paragraphs, sentences):
-        i = bisect_right(cuts, hard_end) - 1
-        if i >= 0 and cuts[i] >= floor:
-            return cuts[i]
-    return hard_end
 
 
 def term_counts(text: str) -> Counter[str]:
@@ -430,9 +404,11 @@ def retrieve_evidence(
     term: str, title: str | None, source: WikiSource, config: PipelineConfig
 ) -> RetrievalResult:
     """Evidence for ``term`` from the ``title`` that ``choose_titles`` chose:
-    summary and page fetch, chunking, and two-stage reranking. No title, a
-    failed lookup and an empty ranking all return the empty result, the
-    parametric fallback, instead of raising.
+    summary and page fetch, chunking, and two-stage reranking, less each
+    passage whose text a higher-ranked kept passage contains; no other
+    passage moves and none is pulled in past the cut. No title, a failed
+    lookup and an empty ranking all return the empty result, the parametric
+    fallback, instead of raising.
     """
     if title is None:
         return RetrievalResult()
@@ -449,10 +425,15 @@ def retrieve_evidence(
     except _LOOKUP_ERRORS as exc:
         log.warning("fetch failed for %r: %s", title, exc)
 
-    return score_and_rerank(
+    ranked = score_and_rerank(
         term,
         [(pid, text) for text, pid in ids_by_text.items()],
         LexicalCosineScorer(),
         k=config.search_limit,
         score_floor=config.score_floor,
     )
+    kept: list[Passage] = []
+    for passage in ranked.passages:
+        if not any(passage.text in other.text for other in kept):
+            kept.append(passage)
+    return RetrievalResult(kept)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knight.config import PipelineConfig
 from knight.errors import AmbiguousTitleError, AuthError, PageNotFoundError, RetrievalError
 from knight.gateway import ChatGateway, ChatResponse, MockChatBackend, MockOverride
 from knight.prompts import split_items
@@ -390,6 +392,29 @@ def test_chunk_matches_quadratic_reference():
             assert chunk_text(text, size, overlap) == _reference_chunk_text(text, size, overlap)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_long_chunks_match_quadratic_reference(seed):
+    # Pages of 5,000 tokens and more at the default size and overlap, with
+    # paragraphs both shorter and longer than a chunk: some cuts land on a
+    # blank line, some on a sentence end, and some on the hard end.
+    rng = random.Random(f"long:{seed}")
+    plain, ends = ["w", "(x)", "no"], ["end.", "ask?", "yes!)"]
+    paragraphs = []
+    while sum(len(p) for p in paragraphs) < 5000:
+        length = rng.choice([rng.randint(20, 400), rng.randint(1100, 2600)])
+        # Sentence ends are rare in some paragraphs, so no cut finds one.
+        rate = rng.choice([0.0, 0.002, 0.05])
+        paragraphs.append(
+            [rng.choice(ends if rng.random() < rate else plain) for _ in range(length)]
+        )
+    text = rng.choice(["\n\n", "\n\n\n"]).join(
+        " ".join(p) if rng.random() < 0.5 else "\n".join(p) for p in paragraphs
+    )
+    chunks = chunk_text(text, 1000, 100)
+    assert len(chunks) > 5
+    assert chunks == _reference_chunk_text(text, 1000, 100)
+
+
 # -- scoring ------------------------------------------------------------------
 
 
@@ -585,6 +610,55 @@ def test_retrieve_evidence_sends_a_passage_once(world, gateway, config, source):
     assert source.summary("History", config.summary_char_limit) == source.page_text("History")
     result = _evidence("History", source, gateway, config)
     assert result.ids() == ["History#summary"]
+
+
+class _Page:
+    """A source with one page, whose summary is given apart from its text."""
+
+    def __init__(self, summary, page):
+        self._summary, self._page = summary, page
+
+    def summary(self, title, max_chars):
+        return self._summary
+
+    def page_text(self, title):
+        return self._page
+
+
+# Chunk 0 is "cell cell membrane" and chunk 1 "cell wall of plants" at size 4.
+_PAGE = "cell cell membrane\n\ncell wall of plants"
+
+
+def _ranked(summary, search_limit=5):
+    config = dataclasses.replace(PipelineConfig(), chunk_size=4, chunk_overlap=0,
+                                 search_limit=search_limit).validate()
+    return retrieve_evidence("cell", "T", _Page(summary, _PAGE), config)
+
+
+def test_retrieve_evidence_drops_a_summary_inside_a_higher_ranked_chunk():
+    # The summary scores 1/sqrt(2) and sits inside chunk 0, which scores
+    # 2/sqrt(5): it is dropped, and chunk 1 keeps its id and score.
+    result = _ranked("cell membrane")
+    assert result.ids() == ["T#chunk0", "T#chunk1"]
+    assert result.scores() == pytest.approx([2 / math.sqrt(5), 0.5])
+    assert result.weights() == mixture_weights(result.scores())
+    assert result.texts() == ["cell cell membrane", "cell wall of plants"]
+
+
+def test_retrieve_evidence_keeps_a_summary_ranked_above_its_container():
+    # "cell" scores 1 and sits inside both chunks; neither chunk is inside
+    # it, so all three are sent.
+    result = _ranked("cell")
+    assert result.ids() == ["T#summary", "T#chunk0", "T#chunk1"]
+    assert result.scores() == pytest.approx([1.0, 2 / math.sqrt(5), 0.5])
+
+
+def test_retrieve_evidence_cuts_to_the_search_limit_before_dropping():
+    # The top two are chunk 0 and the summary inside it; dropping the
+    # summary leaves one passage, and chunk 1 is not pulled in.
+    result = _ranked("cell membrane", search_limit=2)
+    assert result.ids() == ["T#chunk0"]
+    assert result.weights() == [1.0]
 
 
 @pytest.mark.parametrize("failing", ["search", "summary"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from knight import synthesis
 from knight.errors import ExtractionError
 from knight.gateway import ChatGateway, ChatResponse
-from knight.prompts import GLOSS_HEADINGS
+from knight.prompts import GLOSS_HEADINGS, split_items
 from knight.synthesis import (
     Triple,
     count_sections,
@@ -51,8 +51,8 @@ def test_gloss_parent_sentence_in_prompt(recording_gateway, config):
     )
     prompt = recording_gateway.requests[-1].user_prompt
     # Each slot names its own parent, right after its term; a term without
-    # a parent gets no parent line.
-    assert prompt.startswith("Item 1\n")
+    # a parent gets no parent line. The head holds only the context rule.
+    assert prompt.startswith("Use an item's context, when given, as its primary source.\n\nItem 1\n")
     assert prompt.count("parent term") == 2
     assert ('Explain the term: "Pharmacology". Also describe its relationship to the parent '
             'term "Medicine".\n\n') in prompt
@@ -71,10 +71,31 @@ def test_gloss_shared_parent_is_named_once_in_the_head(recording_gateway, config
     prompt = recording_gateway.requests[-1].user_prompt
     assert prompt.count("parent term") == 1
     assert prompt.startswith(
-        'Also describe each term\'s relationship to the parent term "Medicine".\n\nItem 1\n'
-        'Explain the term: "Pharmacology".\n\n'
+        'Also describe each term\'s relationship to the parent term "Medicine".\n'
+        "Use an item's context, when given, as its primary source.\n\nItem 1\n"
+        'Explain the term: "Pharmacology".\n\n--- Context ---\nPharmacology studies drugs.\n'
+        "--- End Context ---\n\nItem 2\n"
     )
     assert prompt.endswith('Item 2\nExplain the term: "Toxicology".')
+
+
+def test_gloss_context_rule_is_written_once_per_call(recording_gateway, config):
+    # One rule in the head however many slots give context, none when no
+    # slot does; every slot with passages keeps its own context block.
+    terms = [("Pharmacology", None, ["Pharmacology studies drugs."]), ("Biology", None, []),
+             ("Toxicology", None, ["Toxicology studies poisons.", "Doses matter."])]
+    generate_gloss(recording_gateway, terms, config)
+    prompt = recording_gateway.requests[-1].user_prompt
+    head, slots = split_items(prompt)
+    assert head == "Use an item's context, when given, as its primary source.\n\n"
+    assert prompt.count("context") == 1 and prompt.count("--- Context ---") == 2
+    assert slots[2][1].endswith(
+        "\n--- Context ---\nToxicology studies poisons.\n\nDoses matter.\n--- End Context ---"
+    )
+    generate_gloss(recording_gateway, [(term, "Life", []) for term, _, _ in terms], config)
+    prompt = recording_gateway.requests[-1].user_prompt
+    assert "context" not in prompt.lower()
+    assert split_items(prompt)[0] == 'Also describe each term\'s relationship to the parent term "Life".\n\n'
 
 
 def test_gloss_uses_desc_temperature(recording_gateway, config):

@@ -9,7 +9,7 @@ from knight.config import PipelineConfig
 from knight.errors import ValidationParseError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import KnowledgeGraph, PathSample
-from knight.prompts import critic_sources, split_items, validate_user
+from knight.prompts import critic_sources, read_path_context, split_items, validate_user
 from knight.qgen import McqItem, verbalize
 from knight.storage import item_to_record, record_to_item
 from knight.validation import (
@@ -208,10 +208,13 @@ def test_mixed_group_judges_each_slot_on_its_own_source(world, config):
     for item, (_, slot) in zip(items, slots):
         number = re.match(r"\nSource Information: (\d+)\nQuestion: ", slot).group(1)
         assert f"Source Information {number}\n{item.source_context}\n\n" in head
-    # A group on one source keeps the unnumbered layout.
+    # A group on one source keeps the unnumbered layout, and writes the
+    # topic its slots share once, after the source.
     assert validate_user(items[:2]).startswith(
-        f"Source Information\n{sources[0]}\n\nEvaluate each item below based only on "
-        'the Source Information.\n\nItem 1\nQuestion: "Which one, 0?"'
+        f'Source Information\n{sources[0]}\n\nTopic (optional): "Biology"\n\n'
+        "Evaluate each item below based only on the Source Information.\n\n"
+        'Item 1\nQuestion: "Which one, 0?"\nA) New York City\nB) Los Angeles\nC) Chicago\n'
+        'D) Houston\nCorrect Answer: "A"\n\nItem 2\n'
     )
 
 
@@ -239,19 +242,26 @@ def _path_items(alpha_gloss="1. Scope - Alpha: the seed.\n2. More - about Alpha.
 
 
 def test_group_on_path_sources_writes_each_node_once(world, config):
-    """The head opens with a node block holding each node's excerpt line and
-    each start or end description once; each numbered source block holds
-    only its path and end names, and rebuilds its source byte for byte."""
+    """The head opens with a node block holding each start or end
+    description once, and each excerpt line once unless a description there
+    implies it; each numbered source block holds only its path and end
+    names, and rebuilds its source byte for byte."""
     graph, items = _path_items()
     backend = RecordingBackend(MockChatBackend(world, rng_seed=1))
     reports = validate_item(ChatGateway(backend), items, config)
     assert all(r.kept for r in reports)
     (request,) = backend.requests
     head, slots = split_items(request.user_prompt)
-    assert head.startswith("Node Information\n- Alpha: 1. Scope - Alpha: the seed.\n- Beta: ")
+    # Alpha's and Delta's lines are their descriptions' first lines; Gamma,
+    # with no gloss, is described by its name, which implies no line.
+    assert head.startswith(
+        'Node Information\n- Beta: 1. Scope - Beta: a "quoted" child.\n- Gamma\nNode: "Alpha"\n'
+    )
     lines = request.user_prompt.split("\n")
-    for node in graph.nodes.values():
-        assert sum(line.startswith(f"- {node.name}") for line in lines) == 1
+    assert {
+        node.name: sum(line.startswith(f"- {node.name}") for line in lines)
+        for node in graph.nodes.values()
+    } == {"Alpha": 0, "Beta": 1, "Gamma": 1, "Delta": 0}
     for gloss in (graph.nodes["alpha"].gloss, graph.nodes["delta"].gloss, "Gamma"):
         assert request.user_prompt.count(f'Description: "{gloss}"') == 1
     sources = list(dict.fromkeys(item.source_context for item in items))
@@ -271,7 +281,41 @@ def test_group_on_path_sources_writes_each_node_once(world, config):
     no_description = head.replace('\nNode: "Gamma"\nDescription: "Gamma"', "")
     assert critic_sources(no_description) == {1: sources[0], 2: sources[1], 3: None}
     # A group on one path source keeps the unnumbered layout.
-    assert validate_user(items[:2]).startswith(f"Source Information\n{sources[0]}\n\nEvaluate")
+    assert validate_user(items[:2]).startswith(
+        f'Source Information\n{sources[0]}\n\nTopic (optional): "Biology"\n\nEvaluate'
+    )
+
+
+def test_node_block_restores_a_line_from_any_description_it_gives(world, config):
+    """An intermediate node's excerpt line is left out when another source
+    gives that node as an end, and is rebuilt from that description; a first
+    gloss line longer than 220 characters is cut the same way on both sides.
+    A block without the description gives None for each source needing it."""
+    graph = KnowledgeGraph("Alpha")
+    alpha = graph.nodes[graph.seed_id]
+    alpha.gloss = "  Alpha " + " ".join(f"word{i}" for i in range(60)) + "\n2. More - Alpha."
+    beta, gamma = graph.add_node("Beta", depth=1), graph.add_node("Gamma", depth=1)
+    delta = graph.add_node("Delta", depth=2)
+    beta.gloss = "Beta: an end of one path.\nMore about Beta."
+    delta.gloss = "Delta: a leaf."
+    paths = [
+        PathSample([alpha.id, beta.id], ["has"]),
+        PathSample([alpha.id, beta.id, delta.id], ["has", "holds"]),
+        PathSample([alpha.id, gamma.id, delta.id], ["has", "feeds"]),
+    ]
+    items = [_item(question=f"Which one, {n}?") for n in range(3)]
+    for item, path in zip(items, paths):
+        item.path, item.source_context = path, verbalize(path, graph)
+    sources = {n: item.source_context for n, item in enumerate(items, start=1)}
+    excerpt = read_path_context(sources[1]).lines["Alpha"]
+    assert 200 < len(excerpt) - len("- Alpha: ") <= 220 < len(alpha.gloss.splitlines()[0])
+    head = split_items(validate_user(items))[0]
+    node_block = head[: head.index("\nSource Information 1\n")]
+    assert [line for line in node_block.split("\n") if line.startswith("- ")] == ["- Gamma"]
+    assert excerpt not in head and critic_sources(head) == sources
+    no_beta = re.sub(r'\nNode: "Beta"\nDescription: "[^"]*"', "", head)
+    assert "Beta:" not in no_beta
+    assert critic_sources(no_beta) == {1: None, 2: None, 3: sources[3]}
 
 
 @pytest.mark.parametrize(
