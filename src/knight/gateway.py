@@ -289,14 +289,16 @@ class MockOverride:
     in the shared head, in several slots or in a prompt without slots
     replaces the whole reply. A critic group on several sources writes them
     in its head, and a group on several path sources writes each node's
-    excerpt line and description once, in a node block in its head; so an
-    override keyed on a source, or on node text in the node block, replaces
-    the whole reply, as does one keyed on a topic that every slot of such a
-    group shares and the head gives once. A build call writes a parent or
-    context hint that all its slots share once in its head, and otherwise
-    each term's own in the term's slot; either way an override keyed on a
-    parent name shared by several slots of one call replaces the whole
-    reply."""
+    description and each excerpt line no description implies once, in a
+    node block in its head; so an override keyed on a source, or on node
+    text in the node block, replaces the whole reply, as does one keyed on
+    a topic that every slot of a critic group shares, which the head gives
+    once. A build call writes a parent or context hint that all its slots
+    share once in its head, and otherwise each term's own in the term's
+    slot; either way an override keyed on a parent name shared by several
+    slots of one call replaces the whole reply. A gloss call gives the rule
+    for its context blocks once, in its head, so an override keyed on that
+    rule replaces the whole reply; each block stays in its own slot."""
 
     task_tag: str
     substring: str

@@ -625,40 +625,31 @@ class _Page:
         return self._page
 
 
-# Chunk 0 is "cell cell membrane" and chunk 1 "cell wall of plants" at size 4.
-_PAGE = "cell cell membrane\n\ncell wall of plants"
-
-
-def _ranked(summary, search_limit=5):
-    config = dataclasses.replace(PipelineConfig(), chunk_size=4, chunk_overlap=0,
-                                 search_limit=search_limit).validate()
-    return retrieve_evidence("cell", "T", _Page(summary, _PAGE), config)
-
-
-def test_retrieve_evidence_drops_a_summary_inside_a_higher_ranked_chunk():
-    # The summary scores 1/sqrt(2) and sits inside chunk 0, which scores
-    # 2/sqrt(5): it is dropped, and chunk 1 keeps its id and score.
-    result = _ranked("cell membrane")
-    assert result.ids() == ["T#chunk0", "T#chunk1"]
-    assert result.scores() == pytest.approx([2 / math.sqrt(5), 0.5])
+@pytest.mark.parametrize(
+    "summary, search_limit, ids, scores",
+    [
+        # Inside chunk 0, which ranks above it: dropped, and chunk 1 keeps
+        # its id and score.
+        ("cell membrane", 5, ["T#chunk0", "T#chunk1"], [2 / math.sqrt(5), 0.5]),
+        # Ranked above both chunks that contain it: all three are sent.
+        ("cell", 5, ["T#summary", "T#chunk0", "T#chunk1"], [1.0, 2 / math.sqrt(5), 0.5]),
+        # The cut to the limit comes first: chunk 1 is not pulled in.
+        ("cell membrane", 2, ["T#chunk0"], [2 / math.sqrt(5)]),
+    ],
+)
+def test_retrieve_evidence_drops_a_passage_inside_a_higher_ranked_one(
+    summary, search_limit, ids, scores
+):
+    # At size 4, chunk 0 is "cell cell membrane" and chunk 1 "cell wall of
+    # plants"; the summary "cell membrane" scores 1/sqrt(2).
+    config = dataclasses.replace(
+        PipelineConfig(), chunk_size=4, chunk_overlap=0, search_limit=search_limit
+    ).validate()
+    page = _Page(summary, "cell cell membrane\n\ncell wall of plants")
+    result = retrieve_evidence("cell", "T", page, config)
+    assert result.ids() == ids
+    assert result.scores() == pytest.approx(scores)
     assert result.weights() == mixture_weights(result.scores())
-    assert result.texts() == ["cell cell membrane", "cell wall of plants"]
-
-
-def test_retrieve_evidence_keeps_a_summary_ranked_above_its_container():
-    # "cell" scores 1 and sits inside both chunks; neither chunk is inside
-    # it, so all three are sent.
-    result = _ranked("cell")
-    assert result.ids() == ["T#summary", "T#chunk0", "T#chunk1"]
-    assert result.scores() == pytest.approx([1.0, 2 / math.sqrt(5), 0.5])
-
-
-def test_retrieve_evidence_cuts_to_the_search_limit_before_dropping():
-    # The top two are chunk 0 and the summary inside it; dropping the
-    # summary leaves one passage, and chunk 1 is not pulled in.
-    result = _ranked("cell membrane", search_limit=2)
-    assert result.ids() == ["T#chunk0"]
-    assert result.weights() == [1.0]
 
 
 @pytest.mark.parametrize("failing", ["search", "summary"])
