@@ -22,10 +22,10 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from .builder import build_kg
+from .builder import BuildReport, build_kg
 from .config import PIPELINE_MODES, PipelineConfig, build_config
 from .errors import ConfigError, KnightError
-from .graph import Topic
+from .graph import KnowledgeGraph, Topic
 from .metrics import compute_dataset_stats
 from .pipeline import (
     MODE_TASK_TAGS,
@@ -148,6 +148,15 @@ def _output_path(text: str) -> Path:
     return path
 
 
+def _write_build(snapshot_path: Path, rejects_path: Path, config: PipelineConfig,
+                 graph: KnowledgeGraph, topic: str, report: BuildReport, rejects: list) -> None:
+    """A build's snapshot, which echoes the redacted config, and its rejects."""
+    save_snapshot(
+        graph, snapshot_path, topic=topic, config_echo=config.to_dict(redact=True), report=report
+    )
+    write_jsonl([r.to_dict() for r in rejects], rejects_path)
+
+
 def _write_run_outputs(
     result: PipelineResult,
     services: Services,
@@ -161,18 +170,10 @@ def _write_run_outputs(
     stem = output.with_suffix("")
     # A run on a reused snapshot built nothing: no snapshot or rejects of its own.
     if result.build_report is not None:
-        snapshot_path = Path(f"{stem}.snapshot.json")
-        save_snapshot(
-            result.graph,
-            snapshot_path,
-            topic=result.topic,
-            config_echo=config.to_dict(redact=True),
-            report=result.build_report,
-        )
-        written.append(snapshot_path)
-        rejects_path = Path(f"{stem}.rejects.jsonl")
-        write_jsonl([r.to_dict() for r in result.rejects], rejects_path)
-        written.append(rejects_path)
+        paths = Path(f"{stem}.snapshot.json"), Path(f"{stem}.rejects.jsonl")
+        _write_build(*paths, config, result.graph, result.topic, result.build_report,
+                     result.rejects)
+        written += paths
 
     metrics_path = Path(f"{stem}.metrics.json")
     ledger = services.gateway.ledger
@@ -212,10 +213,8 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
         graph, report = build_kg(
             topic, config, services.gateway, services.source, services.adapters, rejects=rejects
         )
-        save_snapshot(graph, output, topic=topic.name,
-                      config_echo=config.to_dict(redact=True), report=report)
-        write_jsonl([r.to_dict() for r in rejects],
-                    Path(f"{output.with_suffix('')}.rejects.jsonl"))
+        _write_build(output, Path(f"{output.with_suffix('')}.rejects.jsonl"), config,
+                     graph, topic.name, report, rejects)
         if store is not None:
             mirror_graph(store, graph)
     print(

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, Protocol, TypeVar
 from .errors import AuthError, EmptyResponseError, GatewayError, RetriesExhaustedError
 from .fixture_world import FixtureWorld
 from .graph import normalize_name
-from .prompts import GLOSS_HEADINGS, VALIDATE_LABELS, parse_item_blocks, split_items
+from .prompts import GLOSS_HEADINGS, HOP, VALIDATE_LABELS, parse_item_blocks, split_items
 
 log = logging.getLogger(__name__)
 
@@ -319,7 +319,6 @@ _QUOTED = {
 }
 
 _CONTEXT_BLOCK = re.compile(r"--- (?:Context|Evidence) ---\n(.*?)\n--- End", re.DOTALL)
-_PATH_RELS = re.compile(r"--\[([a-z0-9_]+)\]-->")
 
 _FORWARD_STEMS = (
     "Which of the following is reached from {start} by following {rels}?",
@@ -505,7 +504,7 @@ class MockChatBackend:
         group's size."""
         start = self._slot("start", slot)
         end = self._slot("end", slot)
-        rels = _PATH_RELS.findall(self._slot("path", slot) or "")
+        rels = HOP.split(self._slot("path", slot) or "")[1::2]
         rels_text = " and then ".join(r.replace("_", " ") for r in rels) or "the linking relation"
         variant = int(self._slot("variant", slot) or 0)
         if tag == "mcq_forward":

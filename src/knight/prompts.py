@@ -9,16 +9,20 @@ block per item under the same header, as ``numbered_reply`` asks.
 ``numbered_prompt`` is the one writer of the slots; ``split_items`` and
 ``parse_item_blocks`` are the one place the format is read, by the mock
 backend and by ``ChatGateway.complete_items``.
+
+A path item's source lives here too: ``path_source`` is the one writer of
+its layout, and ``read_path_context`` and ``critic_sources`` read it back.
 """
 
 from __future__ import annotations
 
 import re
 from collections import Counter
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
 if TYPE_CHECKING:
-    from .graph import Node
+    from .graph import KnowledgeGraph, Node, PathSample
     from .qgen import McqItem
 
 T = TypeVar("T")
@@ -207,12 +211,6 @@ MCQ_REVERSE_SYSTEM = (
 )
 
 
-def path_endpoints(start: Node, end: Node) -> str:
-    """A path's start and end nodes, each with its gloss, or its name when
-    it has none."""
-    return _endpoints(start.name, start.gloss or start.name, end.name, end.gloss or end.name)
-
-
 def _endpoints(start: str, start_description: str, end: str, end_description: str) -> str:
     return (
         f'Start Node: "{start}"\nDescription: "{start_description}"\n'
@@ -220,9 +218,17 @@ def _endpoints(start: str, start_description: str, end: str, end_description: st
     )
 
 
-# ``qgen.verbalize``'s layout: "Path: " and the hop chain, as ``qgen.path_repr``
-# writes it; one ``excerpt_line`` per node on the path; then ``path_endpoints``.
-_HOP = re.compile(r" --\[[^\]\n]*\]--> ")
+# One hop of a chain; ``HOP.split`` of a chain gives its names and relations in turn.
+HOP = re.compile(r" --\[([^\]\n]*)\]--> ")
+
+
+def path_repr(path: PathSample, graph: KnowledgeGraph) -> str:
+    """A path's hop chain: its node names joined by " --[relation]--> "."""
+    parts = [graph.nodes[path.node_ids[0]].name]
+    for relation, node_id in zip(path.relations, path.node_ids[1:]):
+        parts.append(f"--[{relation}]-->")
+        parts.append(graph.nodes[node_id].name)
+    return " ".join(parts)
 
 
 def truncate_at_word(text: str, max_chars: int) -> str:
@@ -242,28 +248,27 @@ def excerpt_line(name: str, gloss: str) -> str:
     return f"- {name}: {truncate_at_word(first[0], 220)}" if first else f"- {name}"
 
 
+def path_source(
+    path: str, line: Callable[[str], str | None], description: Callable[[str], str | None]
+) -> str | None:
+    """A path item's source: "Path: " and the hop chain ``path``, then the
+    excerpt ``line`` of each node on it, then its start and end nodes, each
+    with its ``description``. None when a part is missing."""
+    names = HOP.split(path)[::2]
+    parts = [*map(line, names), description(names[0]), description(names[-1])]
+    if None in parts:
+        return None
+    *lines, first, last = parts
+    return "\n".join([f"Path: {path}", *lines, _endpoints(names[0], first, names[-1], last)])
+
+
 class PathContext(NamedTuple):
     """A path source as parts: the hop chain, each node's excerpt line by
     name, and the start and end nodes' descriptions by name."""
 
     path: str
-    lines: dict[str, str | None]
-    descriptions: dict[str, str | None]
-
-    def ends(self) -> tuple[str, str]:
-        names = _HOP.split(self.path)
-        return names[0], names[-1]
-
-    def text(self) -> str | None:
-        """The source in ``verbalize``'s layout; None when a part is missing."""
-        start, end = self.ends()
-        lines = [self.lines.get(name) for name in _HOP.split(self.path)]
-        descriptions = self.descriptions.get(start), self.descriptions.get(end)
-        if None in lines or None in descriptions:
-            return None
-        return "\n".join(
-            [f"Path: {self.path}", *lines, _endpoints(start, descriptions[0], end, descriptions[1])]
-        )
+    lines: dict[str, str]
+    descriptions: dict[str, str]
 
 
 def _names(name: str, line: str) -> bool:
@@ -271,13 +276,13 @@ def _names(name: str, line: str) -> bool:
 
 
 def read_path_context(source: str) -> PathContext | None:
-    """``verbalize``'s layout read back into its parts; None unless the
+    """``path_source``'s layout read back into its parts; None unless the
     parts give ``source`` back byte for byte."""
     path, _, rest = source.partition("\n")
     if not path.startswith("Path: "):
         return None
     path = path[len("Path: "):]
-    names = _HOP.split(path)
+    names = HOP.split(path)[::2]
     *lines, endpoints = rest.split("\n", len(names))
     start, end = names[0], names[-1]
     opener = f'Start Node: "{start}"\nDescription: "'
@@ -287,7 +292,7 @@ def read_path_context(source: str) -> PathContext | None:
         return None
     descriptions = {start: endpoints[len(opener) : cut], end: endpoints[cut + len(middle) : -1]}
     context = PathContext(path, dict(zip(names, lines)), descriptions)
-    return context if context.text() == source else None
+    return context if path_source(path, context.lines.get, descriptions.get) == source else None
 
 
 def path_mcq_user(
@@ -301,10 +306,8 @@ def path_mcq_user(
     bodies = []
     for path, start, end, variant in slots:
         answer = end if orientation == "forward" else start
-        body = (
-            f'Path: "{path}"\n{path_endpoints(start, end)}\n'
-            f'The correct option must contain the text "{answer.name}".'
-        )
+        ends = _endpoints(start.name, start.gloss or start.name, end.name, end.gloss or end.name)
+        body = f'Path: "{path}"\n{ends}\nThe correct option must contain the text "{answer.name}".'
         if variant:
             body += f"\nVariation tag: {variant} (phrase this item differently from earlier ones)."
         bodies.append(body)
@@ -364,7 +367,7 @@ VALIDATE_SYSTEM = (
 
 
 _SOURCE_BLOCK = re.compile(
-    r'\nSource Information (\d+)\nPath: (.*)\nStart Node: "(.*)"\nEnd Node: "(.*)"\n'
+    r'\nSource Information (\d+)\nPath: (.*)\nStart Node: ".*"\nEnd Node: ".*"\n'
 )
 
 
@@ -395,7 +398,7 @@ def _description(nodes: str, name: str) -> str | None:
 
 def critic_sources(head: str) -> dict[int, str | None]:
     """The sources a critic head with a node block gives, by number. Each is
-    rebuilt in ``verbalize``'s layout from its block's path and, from the
+    rebuilt by ``path_source`` from its block's path and, from the
     node block, the description of its start and end nodes and the excerpt
     line of each node on it: the first line naming the node, or else the
     line the node's description implies. A node's description counts
@@ -407,16 +410,8 @@ def critic_sources(head: str) -> dict[int, str | None]:
     if not blocks:
         return {}
     nodes = head[: blocks[0].start() + 1]
-    sources = {}
-    for block in blocks:
-        number, path, start, end = block.groups()
-        context = PathContext(
-            path,
-            {name: _line(nodes, name) for name in _HOP.split(path)},
-            {name: _description(nodes, name) for name in (start, end)},
-        )
-        sources[int(number)] = context.text()
-    return sources
+    parts = partial(_line, nodes), partial(_description, nodes)
+    return {int(block[1]): path_source(block[2], *parts) for block in blocks}
 
 
 def _node_head(sources: list[str]) -> str | None:
@@ -426,7 +421,7 @@ def _node_head(sources: list[str]) -> str | None:
     rebuilds it byte for byte), then each distinct start or end description,
     in order of first use; then source blocks numbered 1 to k, each with its
     path and its start and end nodes' names. None unless every source is in
-    ``verbalize``'s layout and ``critic_sources`` gives each back from the
+    ``path_source``'s layout and ``critic_sources`` gives each back from the
     head byte for byte."""
     contexts = [read_path_context(source) for source in sources]
     if None in contexts:
@@ -439,10 +434,10 @@ def _node_head(sources: list[str]) -> str | None:
             lines.setdefault(name, line)
         for name, text in context.descriptions.items():
             descriptions.setdefault(name, text)
-        start, end = context.ends()
+        names = HOP.split(context.path)[::2]
         blocks.append(
             f'Source Information {number}\nPath: {context.path}\n'
-            f'Start Node: "{start}"\nEnd Node: "{end}"\n\n'
+            f'Start Node: "{names[0]}"\nEnd Node: "{names[-1]}"\n\n'
         )
     implied = {name: excerpt_line(name, text) for name, text in descriptions.items()}
     head = "".join(

@@ -1,5 +1,5 @@
-"""The MCQ item: path sampling, context verbalization, path prompts, and
-strict parsing of the generated six-line item format.
+"""The MCQ item: path sampling, path prompts, and strict parsing of the
+generated six-line item format.
 
 ``mcq_item`` is the one place an item is made from a reply block: it parses
 the block's six lines and builds the ``McqItem``. Every generation reply is a
@@ -24,8 +24,9 @@ from .prompts import (
     MCQ_FORWARD_SYSTEM,
     MCQ_REVERSE_SYSTEM,
     excerpt_line,
-    path_endpoints,
     path_mcq_user,
+    path_repr,
+    path_source,
 )
 
 if TYPE_CHECKING:
@@ -62,26 +63,21 @@ class McqItem:
             raise ValueError("level must equal the path hop count")
 
 
-def path_repr(path: PathSample, graph: KnowledgeGraph) -> str:
-    parts = [graph.nodes[path.node_ids[0]].name]
-    for relation, node_id in zip(path.relations, path.node_ids[1:]):
-        parts.append(f"--[{relation}]-->")
-        parts.append(graph.nodes[node_id].name)
-    return " ".join(parts)
-
-
 def verbalize(path: PathSample, graph: KnowledgeGraph) -> str:
-    """Compact context for a path: the hop chain, a one-line excerpt per
-    node (its gloss's first line, cut at a word to at most 220 characters),
-    and full description blocks for the start and end nodes."""
-    nodes = [graph.nodes[nid] for nid in path.node_ids]
-    lines = [f"Path: {path_repr(path, graph)}"]
-    for node in nodes:
+    """A path's source, as ``path_source`` writes it: each node's excerpt
+    line from its gloss, and its start and end nodes' glosses, or their
+    names when they have none."""
+    glosses = {}
+    for node in (graph.nodes[nid] for nid in path.node_ids):
         if not (node.gloss or "").strip():
             log.warning("node %r has no gloss; context lists the name alone", node.id)
-        lines.append(excerpt_line(node.name, node.gloss or ""))
-    lines.append(path_endpoints(nodes[0], nodes[-1]))
-    return "\n".join(lines)
+        glosses[node.name] = node.gloss or ""
+    # A name holding a hop's " --[r]--> " splits into parts with no gloss.
+    return path_source(
+        path_repr(path, graph),
+        lambda name: excerpt_line(name, glosses.get(name, "")),
+        lambda name: glosses.get(name) or name,
+    )
 
 
 _QUESTION_RE = re.compile(r"^\s*Question:\s*(\S.*?)\s*$")

@@ -165,11 +165,13 @@ def item_to_record(item: McqItem) -> dict:
 
 def record_to_item(record: Mapping[str, Any]) -> McqItem:
     path = None
-    triples = record.get("path") or []
-    if triples:
-        node_ids = [triples[0][0]] + [t[2] for t in triples]
-        relations = [t[1] for t in triples]
-        path = PathSample(node_ids, relations)
+    if hops := record.get("path"):
+        node_ids = [hops[0][0]]
+        for hop in hops:
+            if not isinstance(hop, list) or len(hop) != 3 or hop[0] != node_ids[-1]:
+                raise ValueError(f"path hop {hop!r} is not [{node_ids[-1]!r}, relation, tail]")
+            node_ids.append(hop[2])
+        path = PathSample(node_ids, [hop[1] for hop in hops])
     flags = None
     if record.get("validation") is not None:
         flags = ValidationReport.from_dict(record["validation"])

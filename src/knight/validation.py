@@ -55,8 +55,12 @@ class ValidationReport:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ValidationReport":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in raw.items() if k in known})
+        """Unknown keys are ignored; a flag must be a bool (``topic_relevant`` may be None)."""
+        flags = {f.name: raw[f.name] for f in fields(cls) if f.name in raw}
+        for name, value in flags.items():
+            if not isinstance(value, bool) and (value is not None or name != "topic_relevant"):
+                raise ValueError(f"flag {name} is {value!r}, not a bool")
+        return cls(**flags)
 
 
 def token_jaccard(a: str, b: str) -> float:

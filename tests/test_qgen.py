@@ -8,7 +8,7 @@ from knight.config import PipelineConfig
 from knight.errors import GenerationRejected, GraphError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import KnowledgeGraph, PathSample
-from knight.prompts import PathContext, read_path_context
+from knight.prompts import PathContext, path_source, read_path_context
 from knight.qgen import (
     McqItem,
     generate_mcq,
@@ -108,7 +108,7 @@ def test_verbalize_round_trips_through_the_reader():
             {name: lines[name] for name in (graph.nodes[i].name for i in ids)},
             {"Alpha": alpha.gloss, end.name: end.gloss or end.name},
         )
-        assert context.text() == source
+        assert path_source(context.path, context.lines.get, context.descriptions.get) == source
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,10 @@ def test_record_to_item_rejects_unknown_orientation():
         lambda r: r.update(orientation="sideways"),
         lambda r: r.update(path=[["a", "rel"]]),
         lambda r: r.update(validation=["kept"]),
+        lambda r: r.update(level=2, path=[["a", "r", "b"], ["c", "s", "d"]]),  # no chain
+        lambda r: r.update(level=2, path=[["a", "r", "b"], ["b", "s", "d", "x"]]),  # 4 fields
+        lambda r: r.update(validation={"kept": "no"}),
+        lambda r: r.update(validation={"topic_relevant": "false"}),
     ],
 )
 def test_read_items_names_the_malformed_record_line(tmp_path, corrupt):

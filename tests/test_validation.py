@@ -324,14 +324,19 @@ def test_node_block_restores_a_line_from_any_description_it_gives(world, config)
         "Path: a --[rel]--> b",
         "Evidence passages:\nSome text.",
         "path source",  # a gloss that breaks the node block's reader
+        "gloss bullet",  # a gloss line the node block's reader takes for Delta's line
     ],
 )
 def test_group_with_a_source_the_reader_rejects_writes_each_source_whole(world, config, other):
     """One source that cannot be rebuilt from a node block keeps the
     numbered layout for the whole group; a NO planted in one slot drops that
     item alone."""
-    if other == "path source":
-        _, items = _path_items(alpha_gloss='Alpha: "a"\nNode: "Beta"\nDescription: "b"')
+    glosses = {
+        "path source": 'Alpha: "a"\nNode: "Beta"\nDescription: "b"',
+        "gloss bullet": "Alpha: a list\n- Delta: not its line",
+    }
+    if other in glosses:
+        _, items = _path_items(alpha_gloss=glosses[other])
     else:
         _, items = _path_items()
         for item in items[2:4]:
