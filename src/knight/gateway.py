@@ -2,7 +2,7 @@
 
 Two backends ship: an OpenAI-compatible network client with retries, and a
 deterministic mock whose replies are a pure function of
-(task tag, prompt hash, rng seed) over the fixture tables. The gateway
+(task tag, the fields a prompt gives, rng seed) over the fixture tables. The gateway
 wrapper owns the token ledger and the in-flight bound.
 
 ``ChatGateway.map`` is the one place in the package that starts threads and
@@ -33,7 +33,14 @@ from typing import Callable, Iterable, Protocol, TypeVar
 from .errors import AuthError, EmptyResponseError, GatewayError, RetriesExhaustedError
 from .fixture_world import FixtureWorld
 from .graph import normalize_name
-from .prompts import GLOSS_HEADINGS, HOP, VALIDATE_LABELS, parse_item_blocks, split_items
+from .prompts import (
+    DIRECT_MCQ_SYSTEM,
+    GLOSS_HEADINGS,
+    HOP,
+    VALIDATE_LABELS,
+    parse_item_blocks,
+    split_items,
+)
 
 log = logging.getLogger(__name__)
 
@@ -313,7 +320,9 @@ _QUOTED = {
     "path": re.compile(r'Path: "([^"]+)"'),
     "start": re.compile(r'Start Node: "([^"]+)"'),
     "end": re.compile(r'End Node: "([^"]+)"'),
+    "path_topic": re.compile(r'overall topic: "([^"]+)"'),
     "direct_topic": re.compile(r'about the topic "([^"]+)"'),
+    "level": re.compile(r"at difficulty level (\d+)"),
     "variant": re.compile(r"Variation tag: (\d+)"),
     "val_topic": re.compile(r'Topic \(optional\): "([^"]*)"'),
 }
@@ -348,8 +357,15 @@ class MockChatBackend:
     """Deterministic, table-driven stand-in for the network backend.
 
     Every reply is derived from the fixture world plus a salt computed as
-    sha256(seed, task tag, prompts), so identical requests always produce
-    identical bytes and different seeds explore different shapes.
+    sha256 of the seed and the fields the mock reads from the request: a
+    path item's tag, topic, hop chain and variation tag; a direct item's
+    topic, level, variation tag and evidence text. The salt never reads the
+    system prompt or a prompt's layout, so a request that gives the same
+    fields in another order or spacing gets the same bytes, and different
+    seeds explore different shapes. A prompt that loses a field still
+    loses it from the reply. The fields a call's items share are read once
+    per call, from its head. A generation call is answered as a direct one
+    when its system prompt is ``DIRECT_MCQ_SYSTEM``, else as a path one.
     """
 
     def __init__(
@@ -392,10 +408,15 @@ class MockChatBackend:
             "validate": partial(self._verdicts, head),
         }
         reply = replies.get(request.task_tag)
-        if reply is None and self._slot("direct_topic", head):
-            reply = partial(self._direct_mcq, head)
+        # Generation calls are routed by their system prompt, never by text
+        # that a node description in the head might also hold.
+        if reply is None and request.system_prompt == DIRECT_MCQ_SYSTEM:
+            topic = self._slot("direct_topic", head) or "the subject"
+            level = self._slot("level", head) or ""
+            evidence = head.partition("--- Evidence ---\n")[2].partition("\n--- End Evidence ---")[0]
+            reply = partial(self._direct_mcq, topic, level, evidence)
         elif reply is None:
-            reply = partial(self._path_mcq, request.task_tag, head)
+            reply = partial(self._path_mcq, request.task_tag, self._slot("path_topic", head) or "")
         return "\n\n".join(
             f"Item {number}\n{planted[number] if number in planted else reply(slot)}"
             for number, slot in slots
@@ -498,13 +519,14 @@ class MockChatBackend:
         lines.append(f"Correct Answer: {letters[key_index]}")
         return "\n".join(lines)
 
-    def _path_mcq(self, tag: str, head: str, slot: str) -> str:
-        """One path item's reply. It reads the shared head (system prompt and
-        topic) and the slot's own text, never the slot's number or the
-        group's size."""
+    def _path_mcq(self, tag: str, topic: str, slot: str) -> str:
+        """One path item's reply, from the call's tag and topic and the
+        slot's path, start and end nodes and variation tag, never from the
+        slot's number, the group's size or the prompt's layout."""
         start = self._slot("start", slot)
         end = self._slot("end", slot)
-        rels = HOP.split(self._slot("path", slot) or "")[1::2]
+        path = self._slot("path", slot) or ""
+        rels = HOP.split(path)[1::2]
         rels_text = " and then ".join(r.replace("_", " ") for r in rels) or "the linking relation"
         variant = int(self._slot("variant", slot) or 0)
         if tag == "mcq_forward":
@@ -513,21 +535,20 @@ class MockChatBackend:
         else:
             stem = _REVERSE_STEMS[variant % len(_REVERSE_STEMS)].format(end=end, rels=rels_text)
             answer = start
-        salt = self._salt(tag, head, slot.strip())
+        salt = self._salt(tag, topic, path, str(variant))
         return self._format_mcq(stem, answer, self._distractors([start, end], salt), salt % 4)
 
-    def _direct_mcq(self, head: str, slot: str) -> str:
-        """One direct item's reply. It reads the shared head (system prompt,
-        topic, level and evidence) and the slot's variation tag, never the
-        slot's number or the group's size."""
-        topic = self._slot("direct_topic", head) or "the subject"
+    def _direct_mcq(self, topic: str, level: str, evidence: str, slot: str) -> str:
+        """One direct item's reply, from the call's topic, level and evidence
+        text and the slot's variation tag, never from the slot's number, the
+        group's size or the prompt's layout."""
         variant = int(self._slot("variant", slot) or 0)
         entry = self.world.lookup_term(topic)
         aspects = [t[2] for t in entry.triples] if entry and entry.triples else [f"{topic} fundamentals"]
         aspect = aspects[variant % len(aspects)]
         template = _DIRECT_STEMS[(variant // len(aspects)) % len(_DIRECT_STEMS)]
         stem = template.format(topic=topic, aspect=aspect.lower())
-        salt = self._salt("direct", head, str(variant))
+        salt = self._salt("direct", topic, level, str(variant), evidence)
         return self._format_mcq(stem, aspect, self._distractors([aspect, topic], salt), salt % 4)
 
     def _verdicts(self, head: str, slot: str) -> str:

@@ -22,8 +22,10 @@ from knight.gateway import (
     OpenAiCompatBackend,
     TokenLedger,
 )
+from knight.graph import KnowledgeGraph
 from knight.prompts import (
     GLOSS_SYSTEM,
+    MCQ_FORWARD_SYSTEM,
     TITLE_CHECK_SYSTEM,
     TRIPLES_SYSTEM,
     VALIDATE_LABELS,
@@ -31,10 +33,13 @@ from knight.prompts import (
     batches,
     gloss_user,
     numbered_prompt,
+    path_mcq_user,
     split_items,
     title_check_user,
     triples_user,
 )
+
+from knight.qgen import parse_mcq_output
 
 from conftest import http_response
 
@@ -72,6 +77,25 @@ def test_mock_seed_changes_mcq_shape(world):
     req = ChatRequest(system_prompt="s", user_prompt=user, temperature=0.4, task_tag="mcq_forward")
     texts = {MockChatBackend(world, rng_seed=s).complete(req).text for s in range(6)}
     assert len(texts) > 1  # seed reshuffles distractors/key letter
+
+
+def test_a_path_call_whose_description_names_a_topic_gets_a_path_reply(world):
+    """Generation calls are routed by their system prompt: a node description
+    that holds the direct prompt's topic phrase leaves a path call a path
+    call, keyed on its end node."""
+    graph = KnowledgeGraph("Genetics")
+    seed = graph.nodes[graph.seed_id]
+    seed.gloss = 'Genetics: a field most often written about the topic "Biology".'
+    child = graph.add_node("Heredity", depth=1)
+    user = path_mcq_user(
+        "forward", "Biology", [("Genetics --[studies]--> Heredity", seed, child, 0)]
+    )
+    assert 'about the topic "Biology"' in user
+    request = ChatRequest(MCQ_FORWARD_SYSTEM, user, 0.4, "mcq_forward")
+    [(_, block)] = split_items(MockChatBackend(world, rng_seed=7).complete(request).text)[1]
+    question, options, key = parse_mcq_output(block)
+    assert question.startswith("Which of the following is reached from Genetics")
+    assert options[key] == "Heredity"
 
 
 def test_mock_pads_the_distractors_of_a_small_world(tmp_path):

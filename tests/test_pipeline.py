@@ -692,6 +692,44 @@ def test_knight_critic_prompts_write_each_node_description_once(world):
     assert judged == 12 and factored >= 1
 
 
+class Reflow:
+    """Reflows the first path-generation prompt and the first critic prompt
+    with a node block before the mock sees them: a blank line after the
+    prompt's first line, and its head's node entries in reverse order.
+    ``reflowed`` maps "path" and "validate" to whether node entries moved."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.reflowed: dict[str, bool] = {}
+
+    def complete(self, request):
+        group = "path" if request.task_tag.startswith("mcq_") else request.task_tag
+        head = split_items(request.user_prompt)[0]
+        if group not in self.reflowed and (
+            group == "path" or group == "validate" and "Node Information\n" in head
+        ):
+            first, _, rest = request.user_prompt.partition("\n")
+            cut = rest.index("\nItem 1\n")
+            head, slots = rest[:cut], rest[cut:]
+            found = re.search(r'^Node: "', head, re.MULTILINE)
+            if found:
+                end = head.find("\n\n", found.start())
+                entries = re.split(r'\n(?=Node: ")', head[found.start() : end])
+                head = head[: found.start()] + "\n".join(reversed(entries)) + head[end:]
+            self.reflowed[group] = found is not None and len(entries) > 1
+            request = dataclasses.replace(request, user_prompt=f"{first}\n\n{head}{slots}")
+        return self.inner.complete(request)
+
+
+def test_reflowed_prompts_give_byte_identical_outputs(world):
+    """The mock reads fields, not layout: a reflowed path prompt and critic
+    prompt give the same datasets, rejects, metrics and token counts."""
+    baseline = _outputs(*_run(world, "knight", num_q=12))
+    backend = Reflow(MockChatBackend(world, rng_seed=7))
+    assert _outputs(*_run(world, "knight", num_q=12, backend=backend)) == baseline
+    assert sorted(backend.reflowed) == ["path", "validate"] and backend.reflowed["validate"]
+
+
 @pytest.mark.parametrize("mode", ["rag", "rag_val"])
 def test_direct_items_carry_the_provenance_of_a_path_item(world, mode):
     # The seed node is the topic's node id, as on a path item, and the
