@@ -305,7 +305,14 @@ class MockOverride:
     slot; either way an override keyed on a parent name shared by several
     slots of one call replaces the whole reply. A gloss call gives the rule
     for its context blocks once, in its head, so an override keyed on that
-    rule replaces the whole reply; each block stays in its own slot."""
+    rule replaces the whole reply; each block stays in its own slot. A
+    path-generation call writes each start and end node's name and
+    description once, in a node block in its head, so an override keyed on
+    a node name or description replaces the whole reply; one keyed on text
+    only its slot carries (its ``Path:`` line, or ``End Node: "X"``)
+    replaces that slot's block. The mock's own replies are salted on the
+    request's fields (see ``MockChatBackend``), so moving text between the
+    head and a slot changes which override fires, not what the mock says."""
 
     task_tag: str
     substring: str
@@ -413,10 +420,13 @@ class MockChatBackend:
         if reply is None and request.system_prompt == DIRECT_MCQ_SYSTEM:
             topic = self._slot("direct_topic", head) or "the subject"
             level = self._slot("level", head) or ""
-            evidence = head.partition("--- Evidence ---\n")[2].partition("\n--- End Evidence ---")[0]
+            evidence = head.partition("--- Evidence ---\n")[2]
+            evidence = evidence.partition("\n--- End Evidence ---")[0]
             reply = partial(self._direct_mcq, topic, level, evidence)
         elif reply is None:
-            reply = partial(self._path_mcq, request.task_tag, self._slot("path_topic", head) or "")
+            # The topic line, when there is one, is the prompt's first line.
+            topic = self._slot("path_topic", request.user_prompt.partition("\n")[0]) or ""
+            reply = partial(self._path_mcq, request.task_tag, topic)
         return "\n\n".join(
             f"Item {number}\n{planted[number] if number in planted else reply(slot)}"
             for number, slot in slots

@@ -12,6 +12,14 @@ backend and by ``ChatGateway.complete_items``.
 
 A path item's source lives here too: ``path_source`` is the one writer of
 its layout, and ``read_path_context`` and ``critic_sources`` read it back.
+
+Text that several slots of one call share is written once, in the head.
+A path-generation call (``path_mcq_user``) opens with the topic line and
+a node block that describes each distinct start or end node once, the
+seed first, since every path starts there; each slot gives its path,
+names its start and end nodes, and says which one the key must contain.
+A critic call on several path sources (``_node_head``) opens with a node
+block too. Both write a node's entry with ``_node_entry``.
 """
 
 from __future__ import annotations
@@ -193,9 +201,12 @@ MCQ_LINES = (
 
 MCQ_REPLY = numbered_reply("slot", "exactly these six lines") + MCQ_LINES
 
+# Where a path call's node descriptions are: in its head, once per node.
+_PATH_NODES = "the Node Information block describes each start and end node once"
+
 MCQ_FORWARD_SYSTEM = (
     "You are a structured question generation system. Each numbered item slot "
-    "gives a multi-hop path from a knowledge graph plus node descriptions; for "
+    "gives a multi-hop path from a knowledge graph; " + _PATH_NODES + ". For "
     "each slot, write one four-option (A-D) multiple-choice question whose single "
     "correct option is the path's end node. The question must require reasoning "
     "across the hops, and the answer must be implied by the path and "
@@ -206,9 +217,14 @@ MCQ_REVERSE_SYSTEM = (
     "You are a reasoning assistant that writes reverse questions from "
     "knowledge graph paths, one per numbered item slot: a four-option (A-D) "
     "multiple-choice question whose single correct option is the path's start "
-    "node. Frame each question from the end node's perspective, reasoning "
-    "backward along the hops.\n" + MCQ_REPLY
+    "node; " + _PATH_NODES + ". Frame each question from the end node's "
+    "perspective, reasoning backward along the hops.\n" + MCQ_REPLY
 )
+
+
+def _node_entry(name: str, description: str) -> str:
+    """A node's entry in a node block: its name, then its description."""
+    return f'Node: "{name}"\nDescription: "{description}"\n'
 
 
 def _endpoints(start: str, start_description: str, end: str, end_description: str) -> str:
@@ -298,20 +314,28 @@ def read_path_context(source: str) -> PathContext | None:
 def path_mcq_user(
     orientation: str, topic: str | None, slots: list[tuple[str, Node, Node, int]]
 ) -> str:
-    """Prompt for the path modes: the topic line, then one slot per (path,
-    start node, end node, variant)."""
-    head = ""
-    if topic:
-        head = f'IMPORTANT: the questions and options must stay on the overall topic: "{topic}".'
+    """Prompt for the path modes: the topic line, then a node block with the
+    description (its gloss, or else its name) of each distinct start or end
+    node, in order of first use, so the seed that starts every path comes
+    first; then one slot per (path, start node, end node, variant) that
+    names its start and end nodes."""
+    descriptions: dict[str, str] = {}
     bodies = []
     for path, start, end, variant in slots:
+        for node in (start, end):
+            descriptions.setdefault(node.name, node.gloss or node.name)
         answer = end if orientation == "forward" else start
-        ends = _endpoints(start.name, start.gloss or start.name, end.name, end.gloss or end.name)
-        body = f'Path: "{path}"\n{ends}\nThe correct option must contain the text "{answer.name}".'
+        body = (
+            f'Path: "{path}"\nStart Node: "{start.name}"\nEnd Node: "{end.name}"\n'
+            f'The correct option must contain the text "{answer.name}".'
+        )
         if variant:
             body += f"\nVariation tag: {variant} (phrase this item differently from earlier ones)."
         bodies.append(body)
-    return numbered_prompt(head, bodies)
+    nodes = "Node Information\n" + "".join(map(_node_entry, descriptions, descriptions.values()))
+    if topic:
+        nodes = f'IMPORTANT: the questions and options must stay on the overall topic: "{topic}".\n\n{nodes}'
+    return numbered_prompt(nodes.rstrip("\n"), bodies)
 
 
 DIRECT_MCQ_SYSTEM = (
@@ -444,7 +468,7 @@ def _node_head(sources: list[str]) -> str | None:
         [
             "Node Information\n",
             *(f"{line}\n" for name, line in lines.items() if line != implied.get(name)),
-            *(f'Node: "{name}"\nDescription: "{text}"\n' for name, text in descriptions.items()),
+            *map(_node_entry, descriptions, descriptions.values()),
             "\n",
             *blocks,
         ]

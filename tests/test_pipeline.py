@@ -473,22 +473,42 @@ def test_path_generation_failure_costs_its_run(world):
     assert runs[0] == runs[1]
 
 
-def test_path_prompts_share_their_head_up_to_the_first_item(world):
+def test_path_prompts_share_their_prefix_through_the_seed_entry(world):
     """Every path-generation call of one orientation opens with the same
-    system prompt and topic line, so a provider's prefix cache can reuse it.
-    At num_q 25 each orientation's 12 or 13 pairs take two calls."""
+    system prompt, topic line and first node entry, the seed's, since every
+    path starts there; so a provider's prefix cache can reuse them. At
+    num_q 25 each orientation's 12 or 13 pairs take two calls."""
     backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
-    _run(world, "knight", num_q=25, backend=backend)
+    result, _ = _run(world, "knight", num_q=25, backend=backend)
+    seed = result.graph.nodes[result.graph.seed_id]
+    prefix = (
+        'IMPORTANT: the questions and options must stay on the overall topic: "Biology".\n\n'
+        f'Node Information\nNode: "{seed.name}"\nDescription: "{seed.gloss}"\nNode: "'
+    )
     for tag in ("mcq_forward", "mcq_reverse"):
         requests = [r for r in backend.requests if r.task_tag == tag]
-        assert len(requests) == 2
-        heads = {
-            (r.system_prompt, r.user_prompt[: r.user_prompt.index("Item 1\n")])
-            for r in requests
-        }
-        assert len(heads) == 1
-        [(_, head)] = heads
-        assert head.startswith("IMPORTANT: ") and '"Biology"' in head
+        assert len(requests) == 2 and len({r.system_prompt for r in requests}) == 1
+        assert all(r.user_prompt.startswith(prefix) for r in requests)
+
+
+def test_knight_path_prompts_write_each_node_description_once(world):
+    """On the packaged Biology world, every path-generation call of a
+    ``knight`` run writes each node description at most once, and its head
+    gives each slot's start and end nodes their graph glosses."""
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    result, _ = _run(world, "knight", num_q=12, backend=backend)
+    names = {node.name: node for node in result.graph.nodes.values()}
+    glosses = {node.gloss for node in names.values()}
+    requests = [r for r in backend.requests if r.task_tag.startswith("mcq_")]
+    assert len(requests) == 2
+    for request in requests:
+        head, slots = split_items(request.user_prompt)
+        assert all(request.user_prompt.count(f'Description: "{text}"') <= 1 for text in glosses)
+        for _, slot in slots:
+            ends = re.search(r'\nStart Node: "(.*)"\nEnd Node: "(.*)"\n', slot).groups()
+            for name in ends:
+                assert f'\nNode: "{name}"\nDescription: "{names[name].gloss}"\n' in head
+        assert len(slots) == 6
 
 
 def test_build_failure_is_reported_and_run_goes_on(world):
@@ -727,7 +747,7 @@ def test_reflowed_prompts_give_byte_identical_outputs(world):
     baseline = _outputs(*_run(world, "knight", num_q=12))
     backend = Reflow(MockChatBackend(world, rng_seed=7))
     assert _outputs(*_run(world, "knight", num_q=12, backend=backend)) == baseline
-    assert sorted(backend.reflowed) == ["path", "validate"] and backend.reflowed["validate"]
+    assert backend.reflowed == {"path": True, "validate": True}
 
 
 @pytest.mark.parametrize("mode", ["rag", "rag_val"])

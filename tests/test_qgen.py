@@ -275,9 +275,10 @@ def test_orientation_violation_rejected(world, config):
         "Question: which?\nA) Wrong One\nB) Also Wrong\nC) Still Wrong\nD) Nope\n"
         "Correct Answer: A"
     )
-    backend = MockChatBackend(
-        world, rng_seed=7, overrides=[MockOverride("mcq_forward", "Pharmacology", bad)]
-    )
+    # The head's node block names Pharmacology too; only the slot names it
+    # as an end node, so the override replaces that slot's block alone.
+    override = MockOverride("mcq_forward", 'End Node: "Pharmacology"', bad)
+    backend = MockChatBackend(world, rng_seed=7, overrides=[override])
     gateway = ChatGateway(backend)
     graph = _bio_l1_graph(world)
     path = PathSample([graph.seed_id, "pharmacology"], ["includes"])
