@@ -86,3 +86,11 @@ def test_reach_reports_the_lines_no_run_reached_and_marks_those_a_test_reached(t
         "    6 T     return 3",
     ]
     assert reach.report(module, runs={1, 2, 3, 4, 5, 6, 8}, tests=set()) == []
+
+
+def test_reach_and_the_bench_smoke_step_read_the_workloads_from_the_benchmark():
+    root = TOOLS.parent
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    assert names and _load("reach").workloads() == names
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    assert not any(name in workflow for name in names)

@@ -4,8 +4,8 @@
 
 Runs, each in its own traced child process: the tier-1 tests,
 ``tools/golden.py`` into a temporary directory, and ``bench/run.py`` on
-``kg_generate_latency`` and ``rag_val_latency`` at ``--trace 0`` and
-``--trace 1`` for 2 seconds each. It only reads ``bench/``; the bench
+each workload ``BENCHMARK.json`` lists, at ``--trace 0`` and ``--trace 1``
+for 2 seconds each. It only reads ``bench/``; the bench
 writes its scratch files under ``.bench_work/`` as it always does. A child
 traces with ``sys.settrace`` and ``threading.settrace``, and only frames
 of ``src/knight`` files get a line tracer.
@@ -35,7 +35,6 @@ from types import CodeType
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "knight"
-WORKLOADS = ("kg_generate_latency", "rag_val_latency")
 BENCH_SECONDS = 2
 
 
@@ -106,6 +105,12 @@ def _child(hits_path: str, target: list[str]) -> int:
     return code
 
 
+def workloads() -> list[str]:
+    """The names of the workloads ``BENCHMARK.json`` lists, in its order."""
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return [workload["name"] for workload in benchmark["workloads"]]
+
+
 def _runs(scratch: Path) -> list[tuple[str, bool, list[str]]]:
     """(name, is tier-1, target) for each traced run."""
     tier1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
@@ -114,7 +119,7 @@ def _runs(scratch: Path) -> list[tuple[str, bool, list[str]]]:
         (f"bench {workload} trace {trace}", False,
          [str(ROOT / "bench" / "run.py"), "--workload", workload, "--seed", "1",
           "--seconds", str(BENCH_SECONDS), "--trace", str(trace)])
-        for workload in WORKLOADS
+        for workload in workloads()
         for trace in (0, 1)
     ]
     return [("tier-1", True, tier1), ("golden", False, golden)] + bench
