@@ -1,8 +1,8 @@
 """Provider-agnostic chat adapter with per-task accounting.
 
 Two backends ship: an OpenAI-compatible network client with retries, and a
-deterministic mock whose replies are a pure function of
-(task tag, the fields a prompt gives, rng seed) over the fixture tables. The gateway
+deterministic mock whose replies are a pure function of (task tag, the
+fields a prompt gives, rng seed) over the fixture tables. The gateway
 wrapper owns the token ledger and the in-flight bound.
 
 ``ChatGateway.map`` is the one place in the package that starts threads and

@@ -332,10 +332,13 @@ def path_mcq_user(
         if variant:
             body += f"\nVariation tag: {variant} (phrase this item differently from earlier ones)."
         bodies.append(body)
-    nodes = "Node Information\n" + "".join(map(_node_entry, descriptions, descriptions.values()))
+    head = "Node Information\n" + "".join(map(_node_entry, descriptions, descriptions.values()))
     if topic:
-        nodes = f'IMPORTANT: the questions and options must stay on the overall topic: "{topic}".\n\n{nodes}'
-    return numbered_prompt(nodes.rstrip("\n"), bodies)
+        head = (
+            f'IMPORTANT: the questions and options must stay on the overall topic: "{topic}".'
+            f"\n\n{head}"
+        )
+    return numbered_prompt(head.rstrip("\n"), bodies)
 
 
 DIRECT_MCQ_SYSTEM = (

@@ -503,12 +503,12 @@ def test_knight_path_prompts_write_each_node_description_once(world):
     assert len(requests) == 2
     for request in requests:
         head, slots = split_items(request.user_prompt)
+        assert len(slots) == 6
         assert all(request.user_prompt.count(f'Description: "{text}"') <= 1 for text in glosses)
         for _, slot in slots:
             ends = re.search(r'\nStart Node: "(.*)"\nEnd Node: "(.*)"\n', slot).groups()
             for name in ends:
                 assert f'\nNode: "{name}"\nDescription: "{names[name].gloss}"\n' in head
-        assert len(slots) == 6
 
 
 def test_build_failure_is_reported_and_run_goes_on(world):
