@@ -1,31 +1,30 @@
 """Breadth-first, depth-bounded graph construction combining retrieval,
 gloss synthesis, triple extraction, and curation.
 
-The build maps one FIFO queue of runs of one level through
-``ChatGateway.map``, starting from the seed alone. A run is up to ``BATCH``
-nodes of one depth, in the order they were added, each with its own
-parent's name; a run may span several parents. Its stage makes
-numbered-slot calls, one slot per node, each slot under its own parent:
-title-check rounds (``choose_titles``), one ``gloss`` call, and one
-``triples`` call for the nodes above ``d_max`` whose gloss passed the gamma
-gate. Retrieval, the gamma gate and dedup stay per node. A stage reads only
-node names, never the graph, so stages run concurrently. Each finished
-stage is applied on the caller's thread in queue order, node by node: the
-node's gloss, and its provenance, fallback flag and retrieval weights read
-from its ``RetrievalResult``, then curation and attachment. The children
-the nodes add wait in one list, in the order they were added; each full
-run of ``BATCH`` joins the queue at once, while the rest of their parents'
-level is in flight, and the remainder joins once that level has been
-applied. Nodes are thus applied in the order of a per-node breadth-first
-run, and the graph is the same at any ``max_inflight`` and any ``BATCH``.
+The build runs one level at a time, starting from the seed alone, up to
+``d_max``. A level is its nodes in the order they were added, each with its
+own parent's name; ``prompts.batches`` cuts it into runs of up to ``BATCH``
+nodes, so a run may span several parents. ``ChatGateway.map`` maps one
+stage over the level's runs. A stage makes numbered-slot calls, one slot per
+node, each slot under its own parent: title-check rounds
+(``choose_titles``), one ``gloss`` call, and one ``triples`` call for the
+nodes above ``d_max`` whose gloss passed the gamma gate. Retrieval, the
+gamma gate and dedup stay per node. A stage reads only node names, never the
+graph, so the stages of a level run concurrently. Once the map returns, each
+finished stage is applied on the caller's thread in run order, node by node:
+the node's gloss, and its provenance, fallback flag and retrieval weights
+read from its ``RetrievalResult``, then curation and attachment. The
+children the nodes add, in the order they were added, are the next level.
+Nodes are thus applied in the order of a per-node breadth-first run, and the
+graph is the same at any ``max_inflight`` and any ``BATCH``.
 
 A reply block that is missing or unusable costs its own node only: a
 title block reads as "no"; a gloss block leaves the node unglossed and
 unexpanded, with a warning; a triples block is an ``ExtractionError``, so
-the node gets zero children. On a ``GatewayError`` every run before the
-failed one is applied, the error goes to ``BuildReport.aborted_reason``,
-and nothing after it is: a failed call costs its run and the rest of the
-queue.
+the node gets zero children. On a ``GatewayError`` every run of the level
+before the failed one is applied, the error goes to
+``BuildReport.aborted_reason``, and nothing after it is: a failed call costs
+its run, the rest of its level and every deeper level.
 
 Depth rule: a node at ``d_max`` can get no children, so it is glossed but
 not expanded. It gets its title check, retrieval, gloss, provenance and
@@ -43,7 +42,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 from . import prompts
 from .adapters import AdapterSuite
@@ -89,15 +87,6 @@ class RejectedCandidate:
         return asdict(self)
 
 
-class _Run(NamedTuple):
-    """A queue entry: up to ``BATCH`` nodes of one depth, in apply order,
-    each with its parent's name (None for the seed). A stage reads only
-    these names, which never change."""
-
-    members: list[tuple[Node, str | None]]
-    depth: int
-
-
 @dataclass
 class _Stage:
     """Pure per-node computation results, safe to produce concurrently. A
@@ -111,17 +100,18 @@ class _Stage:
 
 
 def _run_stage(
-    run: _Run,
+    run: list[tuple[Node, str | None]],
+    depth: int,
     topic_hint: str | None,
     config: PipelineConfig,
     gateway: ChatGateway,
     source: WikiSource,
 ) -> list[_Stage]:
-    """The calls of one run of one level: title-check rounds, one ``gloss``
-    call and, above ``d_max``, one ``triples`` call, each slot under its
-    own node's parent (the seed's under ``topic_hint``)."""
-    names = [node.name for node, _ in run.members]
-    parents = [parent for _, parent in run.members]
+    """The calls of one run of the level at ``depth``: title-check rounds,
+    one ``gloss`` call and, above ``d_max``, one ``triples`` call, each slot
+    under its own node's parent (the seed's, None, under ``topic_hint``)."""
+    names = [node.name for node, _ in run]
+    parents = [parent for _, parent in run]
     titles = choose_titles(
         names, source, gateway, config, [parent or topic_hint for parent in parents]
     )
@@ -145,7 +135,7 @@ def _run_stage(
         (name, stage) for name, stage in zip(names, stages)
         if stage.gloss is not None and not stage.gamma_failed
     ]
-    if not expand or run.depth >= config.d_max:
+    if not expand or depth >= config.d_max:
         return stages
     extracted = extract_triples(gateway, [stage.gloss for _, stage in expand], config)
     for (name, stage), raw in zip(expand, extracted):
@@ -206,42 +196,28 @@ def build_kg(
 ) -> tuple[KnowledgeGraph, BuildReport]:
     """Construct the depth-bounded graph for ``topic``.
 
-    A backend failure stops expansion after every run before it in queue
-    order is applied and is recorded on the report; the partial graph
-    is still returned.
+    A backend failure stops expansion after every run before it in its
+    level is applied and is recorded on the report; the partial graph is
+    still returned.
     """
     graph = KnowledgeGraph(topic.name)
     report = BuildReport()
-    # The children of the level being applied, with their parents' names,
-    # in apply order; and the runs queued but not yet applied, per depth.
-    # The FIFO queue holds runs in depth order, so once a depth's count
-    # falls to zero every node of that depth has been applied.
-    pending: list[tuple[Node, str]] = []
-    queued = Counter({0: 1})
-
-    def apply_run(run: _Run, stages: list[_Stage]) -> list[_Run]:
-        queued[run.depth] -= 1
-        for (node, _), stage in zip(run.members, stages):
-            children = _apply_stage(graph, node, stage, config, adapters, report, rejects)
-            pending.extend((child, node.name) for child in children)
-        # Full runs join the queue at once, the remainder once the level is
-        # whole.
-        cut = len(pending)
-        if queued[run.depth]:
-            cut -= cut % prompts.BATCH
-        runs = [_Run(members, run.depth + 1) for members in prompts.batches(pending[:cut])]
-        del pending[:cut]
-        queued[run.depth + 1] += len(runs)
-        return runs
-
-    _, error = gateway.map(
-        lambda run: _run_stage(run, topic.optional_prompt, config, gateway, source),
-        [_Run([(graph.nodes[graph.seed_id], None)], 0)],
-        then=apply_run,
-    )
-    if error is not None:
-        report.aborted_reason = f"{type(error).__name__}: {error}"
-        log.error("build aborted: %s", report.aborted_reason)
+    level: list[tuple[Node, str | None]] = [(graph.nodes[graph.seed_id], None)]
+    for depth in range(config.d_max + 1):
+        runs = prompts.batches(level)
+        stages, error = gateway.map(
+            lambda run: _run_stage(run, depth, topic.optional_prompt, config, gateway, source),
+            runs,
+        )
+        level = []
+        for run, run_stages in zip(runs, stages):
+            for (node, _), stage in zip(run, run_stages):
+                children = _apply_stage(graph, node, stage, config, adapters, report, rejects)
+                level.extend((child, node.name) for child in children)
+        if error is not None:
+            report.aborted_reason = f"{type(error).__name__}: {error}"
+            log.error("build aborted: %s", report.aborted_reason)
+            break
 
     report.nodes_added = len(graph.nodes) - 1
     report.edges_added = len(graph.edges)

@@ -7,12 +7,12 @@ wrapper owns the token ledger and the in-flight bound.
 
 ``ChatGateway.map`` is the one place in the package that starts threads and
 the one rule for what a failed call costs: every fan-out goes through it.
-It maps a FIFO queue that an ordered consumer may extend, returns the
-results of the longest prefix that finished without a ``GatewayError``
-with that error, and starts nothing after the first failure in queue
-order. Results are applied in queue order, so a run's outputs are the same
-at any ``max_inflight``. That bound counts backend calls, not threads: one
-spare thread keeps the CPU work between calls off the call slots.
+It maps a fixed list in input order, returns the results of the longest
+prefix that finished without a ``GatewayError`` with that error, and starts
+nothing after the first failure in input order. Callers apply results in
+input order, so a run's outputs are the same at any ``max_inflight``. That
+bound counts backend calls, not threads: one spare thread keeps the CPU
+work between calls off the call slots.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import re
 import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Protocol, TypeVar
@@ -115,27 +115,20 @@ class ChatGateway:
         self._slots = threading.Semaphore(max_inflight)
 
     def map(
-        self,
-        fn: Callable[[T], R],
-        items: Iterable[T],
-        then: Callable[[T, R], Iterable[T]] | None = None,
+        self, fn: Callable[[T], R], items: Iterable[T]
     ) -> tuple[list[R], GatewayError | None]:
-        """``[fn(item) for item in queue]``, the FIFO queue starting as
-        ``items``. ``then(item, result)``, if given, runs on the caller's
-        thread for each result in queue order once every earlier item has
-        finished; the items it returns join the queue. Serial at bound 1, else
-        on ``max_inflight + 1`` threads: ``complete`` still holds calls to the
-        bound, and the spare thread does its CPU work between calls while a
-        full bound of calls waits.
+        """``[fn(item) for item in items]``, in input order. Serial at bound 1,
+        else on ``max_inflight + 1`` threads: ``complete`` still holds calls
+        to the bound, and the spare thread does its CPU work between calls
+        while a full bound of calls waits.
 
-        Returns the results of the longest prefix of the queue that finished
-        without raising and None, or, when the first exception in queue order
-        is a ``GatewayError``, that prefix and the error; ``then`` is not
-        called past it. Any other first exception, from ``fn`` or ``then``,
-        propagates. Nothing after a failure starts, apart from items already
-        in flight, and every thread is joined before this returns."""
-        queue: list[T] = []
-        futures: list[Future] = []
+        Returns the results of the longest prefix of ``items`` that finished
+        without raising and None, or, when the first exception in input
+        order is a ``GatewayError``, that prefix and the error. Any other
+        first exception propagates. Nothing after a failure starts, apart
+        from items already in flight, and every thread is joined before this
+        returns."""
+        items = list(items)
         lock = threading.Lock()
         stop = sys.maxsize
 
@@ -144,34 +137,23 @@ class ChatGateway:
             if index > stop:
                 return None
             try:
-                return fn(queue[index]), None
+                return fn(items[index]), None
             except Exception as exc:
                 with lock:
                     stop = min(stop, index)
                 return None, exc
 
         pool = ThreadPoolExecutor(self.max_inflight + 1) if self.max_inflight > 1 else None
-
-        def push(new: Iterable[T]) -> None:
-            for item in new:
-                queue.append(item)
-                if pool is not None:
-                    futures.append(pool.submit(call, len(queue) - 1))
-
         results: list[R] = []
         try:
-            push(items)
-            while len(results) < len(queue):
-                index = len(results)
-                # A skipped item (None) lies past a failure this loop stops at.
-                value, exc = call(index) if pool is None else futures[index].result()
+            indices = range(len(items))
+            # A skipped item (None) lies past a failure this loop stops at.
+            for value, exc in map(call, indices) if pool is None else pool.map(call, indices):
                 if isinstance(exc, GatewayError):
                     return results, exc
                 if exc is not None:
                     raise exc
                 results.append(value)
-                if then is not None:
-                    push(then(queue[index], value))
             return results, None
         finally:
             stop = -1  # start nothing more

@@ -36,8 +36,8 @@ or in a path mode breaks the orientation rule, costs only its own item. A
 whose items counts as an attempt, and ends its stage: the stage keeps the
 groups queued before it (in a path mode, merged into pair order), the error
 goes to ``PipelineResult.aborted_reason``, and later stages go on with what
-was finished; a build cut short before any ``d_max``-hop path exists leaves
-no attempts at all.
+was finished; a build cut short before any ``d_max``-hop path exists, or a
+direct mode's failed title check on its topic, leaves no attempts at all.
 """
 
 from __future__ import annotations
@@ -324,9 +324,13 @@ def run_pipeline(
                 "increase --depth or loosen branching"
             )
     else:
-        attempts = _direct_attempts(
-            topic, config, services, num_q, with_evidence="title_check" in stage_tags
-        )
+        try:
+            attempts = _direct_attempts(
+                topic, config, services, num_q, with_evidence="title_check" in stage_tags
+            )
+        except GatewayError as exc:  # the topic's title check runs outside any map
+            _abort(result, exc)
+            attempts = []
     result.items = _generate_items(services.gateway, attempts, result)
 
     if force_critic or "validate" in stage_tags:

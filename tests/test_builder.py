@@ -3,7 +3,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-import threading
 import time
 from collections import deque
 
@@ -46,9 +45,9 @@ def _build(
 
 
 def _level_runs(graph):
-    """The build's queue of runs as lists of nodes: each depth's nodes, in
-    the order they were added, in runs of up to ``BATCH``. Nodes are stored
-    in the order they are added, which is the order they are applied."""
+    """The build's runs as lists of nodes: each depth's nodes, in the order
+    they were added, in runs of up to ``BATCH``. Nodes are stored in the
+    order they are added, which is the order they are applied."""
     levels = {}
     for node in graph.nodes.values():
         levels.setdefault(node.depth, []).append(node)
@@ -57,7 +56,7 @@ def _level_runs(graph):
 
 def _parents(graph):
     """Each node's parent name, by id. With the mock every triple's head is
-    the node being expanded, so a node was added by the first node in queue
+    the node being expanded, so a node was added by the first node in apply
     order with an edge to it from the level above."""
     order = {node_id: index for index, node_id in enumerate(graph.nodes)}
     added_by = {}
@@ -255,8 +254,9 @@ def _gloss_fields(node):
 
 # At d_max 2, each node of the last level fails in turn. At d_max 3, a
 # node fails 50 ms late; at BATCH 2 and max_inflight 4, when it lies in the
-# second depth-2 run, the depth-3 run of the first has started by then. A
-# failed gloss call costs the node's whole run.
+# first depth-2 run, the second runs beside it and is not applied even if
+# it finishes. A failed gloss call costs the node's whole run and the rest
+# of its level.
 @pytest.mark.parametrize(
     "batch, d_max, depth, k, delay",
     [pytest.param(10, 2, 2, k, 0.0, id=str(k)) for k in range(4)]
@@ -269,7 +269,7 @@ def test_build_abort_keeps_finished_prefix_of_level(
 ):
     monkeypatch.setattr(prompts, "BATCH", batch)
     baseline, _, _, _ = _build(world, d_max=d_max)
-    # Nodes are stored in the order they are enqueued, so this is queue order.
+    # Nodes are stored in the order they are added, so this is apply order.
     queue = list(baseline.nodes.values())
     level = [n for n in queue if n.depth == depth]
     [failed_run] = [run for run in _level_runs(baseline) if level[k] in run]
@@ -291,53 +291,8 @@ def test_build_abort_keeps_finished_prefix_of_level(
     assert snapshots[0] == snapshots[1]
 
 
-class _HoldTriplesUntilStarted:
-    """Holds the triples call for ``held``'s run until the first call of a
-    run of ``awaited`` nodes (its title check, or its gloss call when none
-    of them has a search result) arrives, or ``timeout`` seconds pass."""
-
-    def __init__(self, inner, held, awaited, timeout=2.0):
-        self.inner = inner
-        self.held = f"Definition and Scope - {held}:"
-        self.awaited = set(awaited)
-        self.timeout = timeout
-        self.arrived = threading.Event()
-        self.timed_out = False
-
-    def complete(self, request):
-        if self.awaited & set(_TERM.findall(request.user_prompt)):
-            self.arrived.set()
-        if request.task_tag == "triples" and self.held in request.user_prompt:
-            self.timed_out = not self.arrived.wait(self.timeout)
-        return self.inner.complete(request)
-
-
-def test_children_start_before_their_parents_level_finishes(world, monkeypatch):
-    # At BATCH 2 depth 2 holds two runs. The first run's children fill a
-    # depth-3 run, which must start while the second is still in flight.
-    monkeypatch.setattr(prompts, "BATCH", 2)
-    baseline, report, _, _ = _build(world, d_max=3)
-    runs = _level_runs(baseline)
-    parents = _parents(baseline)
-    depth_two = [run for run in runs if run[0].depth == 2]
-    first_three = next(run for run in runs if run[0].depth == 3)
-    assert len(depth_two) == 2 and len(first_three) == 2
-    assert {parents[n.id] for n in first_three} <= {n.name for n in depth_two[0]}
-    backend = _HoldTriplesUntilStarted(
-        MockChatBackend(world, rng_seed=7),
-        depth_two[-1][0].name,
-        [n.name for n in first_three],
-    )
-    graph, held_report, _, _ = _build(world, d_max=3, backend=backend, max_inflight=2)
-    assert not backend.timed_out, "a full depth-3 run waited for the whole of depth 2"
-    assert snapshot_document(graph, report=held_report) == snapshot_document(
-        baseline, report=report
-    )
-
-
-# At max_branches 3 and BATCH 3, depth 3 is a full run pushed while the
-# second depth-2 run is in flight, a run across two parents, then the
-# remainder, pushed once depth 2 is whole.
+# At max_branches 3 and BATCH 3, depth 3 is cut into full runs, one of
+# them across two parents, then the remainder.
 @pytest.mark.parametrize("batch", [2, 3, 10])
 def test_one_gloss_call_per_level_run(world, monkeypatch, batch):
     monkeypatch.setattr(prompts, "BATCH", batch)

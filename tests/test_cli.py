@@ -496,6 +496,24 @@ def test_run_whose_build_leaves_no_path_writes_partial_outputs(tmp_path, capsys,
     assert (doc["attempts"], doc["items_generated"], doc["items_kept"]) == (0, 0, 0)
 
 
+def test_run_whose_title_check_fails_writes_partial_outputs(tmp_path, capsys, monkeypatch):
+    # A direct mode checks the topic's title outside any map.
+    _fail_tag(monkeypatch, "title_check")
+    output = tmp_path / "partial.json"
+    rc = _run(
+        [
+            "run", "--topic", "Biology", "--depth", "2", "--num-q", "4",
+            "--seed", "7", "--mode", "rag_val", "--output", str(output),
+        ]
+    )
+    assert rc == 1
+    assert "outputs are partial: AuthError: key revoked" in capsys.readouterr().err
+    assert read_jsonl(output) == []
+    doc = json.loads((tmp_path / "partial.metrics.json").read_text(encoding="utf-8"))
+    assert doc["aborted_reason"] == "AuthError: key revoked"
+    assert (doc["attempts"], doc["items_generated"], doc["items_kept"]) == (0, 0, 0)
+
+
 def test_build_aborted_by_backend_exits_1(tmp_path, capsys, monkeypatch):
     _fail_tag(monkeypatch, "triples")
     output = tmp_path / "graph.json"

@@ -525,46 +525,12 @@ def test_map_non_gateway_error_propagates(world, max_inflight):
 
 def test_map_is_serial_under_bound_one(world):
     gw = ChatGateway(MockChatBackend(world), max_inflight=1)
-    main = threading.get_ident()
-    assert gw.map(lambda _: threading.get_ident(), [1, 2, 3]) == ([main] * 3, None)
+    # Every item runs on the caller's thread, and no thread is started.
+    seen = (threading.get_ident(), threading.active_count())
+    assert gw.map(
+        lambda _: (threading.get_ident(), threading.active_count()), [1, 2, 3]
+    ) == ([seen] * 3, None)
     assert gw.map(lambda n: n, []) == ([], None)
-
-
-def _tree_then(calls, size):
-    """``then`` for ``ChatGateway.map``: records (thread, item) and appends
-    item n's children 2n + 1 and 2n + 2 while they are below ``size``."""
-
-    def then(item, result):
-        assert result == item * item
-        calls.append((threading.get_ident(), item))
-        return [child for child in (2 * item + 1, 2 * item + 2) if child < size]
-
-    return then
-
-
-def _square_after(n):
-    time.sleep(0.001 * (n % 3))
-    return n * n
-
-
-@pytest.mark.parametrize("max_inflight", [1, 2, 4])
-def test_map_then_runs_in_queue_order_on_caller_and_maps_appended(world, max_inflight):
-    gw = ChatGateway(MockChatBackend(world), max_inflight=max_inflight)
-    calls = []
-    results, error = gw.map(_square_after, [0], then=_tree_then(calls, 15))
-    assert (results, error) == ([n * n for n in range(15)], None)
-    assert calls == [(threading.get_ident(), n) for n in range(15)]
-
-
-@pytest.mark.parametrize("max_inflight", [1, 4])
-def test_map_then_gateway_error_in_appended_item_returns_prefix(world, max_inflight):
-    gw = ChatGateway(MockChatBackend(world), max_inflight=max_inflight)
-    fn = _StartRecorder(9, AuthError("key revoked"))
-    calls = []
-    results, error = gw.map(fn, [0], then=_tree_then(calls, 31))
-    assert results == [n * n for n in range(9)]
-    assert isinstance(error, AuthError)
-    assert [item for _, item in calls] == list(range(9))
 
 
 class _ActiveCounter:
@@ -588,36 +554,14 @@ class _ActiveCounter:
 
 
 @pytest.mark.parametrize("max_inflight", [1, 4])
-@pytest.mark.parametrize("where", ["fn", "then"])
-def test_map_then_non_gateway_error_propagates_after_join(world, max_inflight, where):
+def test_map_non_gateway_error_propagates_after_join(world, max_inflight):
     gw = ChatGateway(MockChatBackend(world), max_inflight=max_inflight)
     threads_before = threading.active_count()
-    fn = _ActiveCounter(_StartRecorder(9 if where == "fn" else -1, KeyError("fn broke")))
-    tree = _tree_then([], 63)
-
-    def then(item, result):
-        if where == "then" and item == 5:
-            raise ValueError("then broke")
-        return tree(item, result)
-
-    with pytest.raises(KeyError if where == "fn" else ValueError):
-        gw.map(fn, [0], then=then)
+    fn = _ActiveCounter(_StartRecorder(9, KeyError("fn broke")))
+    with pytest.raises(KeyError):
+        gw.map(fn, list(range(63)))
     assert fn.active == 0
     assert threading.active_count() == threads_before
-
-
-def test_map_then_is_serial_under_bound_one(world):
-    gw = ChatGateway(MockChatBackend(world), max_inflight=1)
-    threads_before = threading.active_count()
-    seen = []
-
-    def fn(n):
-        seen.append((threading.get_ident(), threading.active_count()))
-        return n * n
-
-    results, _ = gw.map(fn, [0], then=_tree_then([], 7))
-    assert len(results) == 7
-    assert seen == [(threading.get_ident(), threads_before)] * 7
 
 
 class _ConcurrencyBackend:
@@ -642,7 +586,7 @@ def test_map_spare_worker_keeps_calls_within_bound(max_inflight):
     assert backend.counter.peak == max_inflight
 
 
-def test_map_then_under_frequent_thread_switches(world):
+def test_map_under_frequent_thread_switches(world):
     gw = ChatGateway(MockChatBackend(world), max_inflight=8)
 
     def fn(n):
@@ -650,13 +594,11 @@ def test_map_then_under_frequent_thread_switches(world):
             raise AuthError("key revoked")
         return n * n
 
-    calls = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        results, error = gw.map(fn, [0], then=_tree_then(calls, 400))
+        results, error = gw.map(fn, list(range(400)))
     finally:
         sys.setswitchinterval(interval)
     assert results == [n * n for n in range(150)]
     assert isinstance(error, AuthError)
-    assert [item for _, item in calls] == list(range(150))
