@@ -533,6 +533,27 @@ def test_map_is_serial_under_bound_one(world):
     assert gw.map(lambda n: n, []) == ([], None)
 
 
+def test_map_then_is_serial_under_bound_one(world):
+    # One map per level of a binary tree, as build_kg maps each depth in
+    # turn: every level runs on the caller's thread and starts no thread.
+    gw = ChatGateway(MockChatBackend(world), max_inflight=1)
+    threads_before = threading.active_count()
+    seen = []
+
+    def fn(n):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return n * n
+
+    level, results = [0], []
+    while level:
+        squares, error = gw.map(fn, level)
+        assert error is None
+        results += squares
+        level = [c for n in level for c in (2 * n + 1, 2 * n + 2) if c < 7]
+    assert results == [n * n for n in range(7)]
+    assert seen == [(threading.get_ident(), threads_before)] * 7
+
+
 class _ActiveCounter:
     """Wraps ``fn`` and counts the calls running at once."""
 
