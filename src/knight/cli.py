@@ -188,6 +188,7 @@ def _write_run_outputs(
         "generation_rejected": result.generation_rejected,
         "duplicates_dropped": result.duplicates_dropped,
         "validation_dropped": result.validation_dropped,
+        "uncited": result.uncited,
         "aborted_reason": result.aborted_reason,
         "stats": result.stats.to_dict() if result.stats else None,
         "rows": result.metric_rows,

@@ -39,6 +39,7 @@ from .prompts import (
     HOP,
     VALIDATE_LABELS,
     parse_item_blocks,
+    read_passages,
     split_items,
 )
 
@@ -294,7 +295,10 @@ class MockOverride:
     only its slot carries (its ``Path:`` line, or ``End Node: "X"``)
     replaces that slot's block. The mock's own replies are salted on the
     request's fields (see ``MockChatBackend``), so moving text between the
-    head and a slot changes which override fires, not what the mock says."""
+    head and a slot changes which override fires, not what the mock says.
+    A direct-generation call writes its numbered evidence passages once, in
+    its head, so an override keyed on a passage's text replaces the whole
+    reply."""
 
     task_tag: str
     substring: str
@@ -348,13 +352,18 @@ class MockChatBackend:
     Every reply is derived from the fixture world plus a salt computed as
     sha256 of the seed and the fields the mock reads from the request: a
     path item's tag, topic, hop chain and variation tag; a direct item's
-    topic, level, variation tag and evidence text. The salt never reads the
+    topic, level, variation tag and evidence text. The evidence is read
+    without its passage numbers (``prompts.read_passages``), so numbering
+    the passages moves no question, option or key. The salt never reads the
     system prompt or a prompt's layout, so a request that gives the same
     fields in another order or spacing gets the same bytes, and different
     seeds explore different shapes. A prompt that loses a field still
     loses it from the reply. The fields a call's items share are read once
     per call, from its head. A generation call is answered as a direct one
-    when its system prompt is ``DIRECT_MCQ_SYSTEM``, else as a path one.
+    when its system prompt is ``DIRECT_MCQ_SYSTEM``, else as a path one. A
+    direct reply cites, in an ``Evidence: [n]`` line, the first numbered
+    passage that holds its keyed aspect, ignoring case; the passages are
+    lowercased once per call.
     """
 
     def __init__(
@@ -404,7 +413,11 @@ class MockChatBackend:
             level = self._slot("level", head) or ""
             evidence = head.partition("--- Evidence ---\n")[2]
             evidence = evidence.partition("\n--- End Evidence ---")[0]
-            reply = partial(self._direct_mcq, topic, level, evidence)
+            passages = read_passages(evidence)
+            if passages is not None:  # salt on the passages without their numbers
+                evidence = "\n\n".join(passages)
+            lowered = [passage.lower() for passage in passages or ()]
+            reply = partial(self._direct_mcq, topic, level, evidence, lowered)
         elif reply is None:
             # The topic line, when there is one, is the prompt's first line.
             topic = self._slot("path_topic", request.user_prompt.partition("\n")[0]) or ""
@@ -530,10 +543,14 @@ class MockChatBackend:
         salt = self._salt(tag, topic, path, str(variant))
         return self._format_mcq(stem, answer, self._distractors([start, end], salt), salt % 4)
 
-    def _direct_mcq(self, topic: str, level: str, evidence: str, slot: str) -> str:
+    def _direct_mcq(
+        self, topic: str, level: str, evidence: str, passages: list[str], slot: str
+    ) -> str:
         """One direct item's reply, from the call's topic, level and evidence
         text and the slot's variation tag, never from the slot's number, the
-        group's size or the prompt's layout."""
+        group's size or the prompt's layout. It cites the first of the
+        call's numbered ``passages`` (lowercased) that holds its keyed
+        aspect, and none when no passage does."""
         variant = int(self._slot("variant", slot) or 0)
         entry = self.world.lookup_term(topic)
         aspects = [t[2] for t in entry.triples] if entry and entry.triples else [f"{topic} fundamentals"]
@@ -541,7 +558,10 @@ class MockChatBackend:
         template = _DIRECT_STEMS[(variant // len(aspects)) % len(_DIRECT_STEMS)]
         stem = template.format(topic=topic, aspect=aspect.lower())
         salt = self._salt("direct", topic, level, str(variant), evidence)
-        return self._format_mcq(stem, aspect, self._distractors([aspect, topic], salt), salt % 4)
+        reply = self._format_mcq(stem, aspect, self._distractors([aspect, topic], salt), salt % 4)
+        needle = aspect.lower()
+        cited = next((n for n, text in enumerate(passages, start=1) if needle in text), None)
+        return reply if cited is None else f"{reply}\nEvidence: [{cited}]"
 
     def _verdicts(self, head: str, slot: str) -> str:
         """One item's five check lines; its topic is read from its own slot,

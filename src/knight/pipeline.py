@@ -27,7 +27,11 @@ sampled (path, orientation) pairs, in pair order, into runs of up to
 pair's position, so a forward run and a reverse run start side by side. A
 direct mode's attempt asks one call for a group of up to ``BATCH``
 consecutive items over the topic and any retrieved evidence, which every
-group's prompt shares; its queue is already in pair order. The critic
+group's prompt shares, its passages numbered; its queue is already in pair
+order. Each reply block cites the passage its key rests on, and the item
+keeps only that passage as its ``source_context``, with that passage's id
+and weight as its provenance; a block that cites no passage keeps the whole
+evidence block and counts in ``PipelineResult.uncited``. The critic
 likewise fixes groups of up to ``BATCH`` consecutive items, whatever their
 ``source_context``, before the map, and maps ``validate_item`` over them. In
 every grouped call a reply block that is missing, repeated or unparseable,
@@ -56,11 +60,13 @@ from .fixture_world import FixtureWorld, load_world
 from .gateway import ChatGateway, ChatRequest, MockChatBackend, OpenAiCompatBackend
 from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
-from .prompts import DIRECT_MCQ_SYSTEM, batches, direct_mcq_user
-from .qgen import ORIENTATIONS, McqItem, generate_mcq, mcq_item, sample_paths
+from .prompts import (
+    DIRECT_MCQ_SYSTEM, EVIDENCE_SOURCE, batches, cited_source, direct_mcq_user, evidence_source,
+)
+from .qgen import ORIENTATIONS, McqItem, generate_mcq, mcq_item, parse_citation, sample_paths
 from .retrieval import (
     FixtureWikiSource, NetworkWikiSource, RetrievalResult, WikiSource, choose_titles,
-    retrieve_evidence,
+    mixture_weights, retrieve_evidence,
 )
 from .validation import validate_item
 
@@ -126,6 +132,8 @@ class PipelineResult:
     generation_rejected: int = 0
     duplicates_dropped: int = 0
     validation_dropped: int = 0
+    # Direct items with evidence whose reply cites no passage of it.
+    uncited: int = 0
     aborted_reason: str | None = None
 
 
@@ -226,7 +234,10 @@ def _direct_attempts(
 ) -> list[Attempt]:
     """``num_q`` forward items on the topic, grounded in retrieved evidence
     when ``with_evidence``, each salted by its index: one attempt, and one
-    call, per group of up to ``BATCH`` consecutive items."""
+    call, per group of up to ``BATCH`` consecutive items. Every call's
+    prompt carries all the passages; an item whose reply cites one of them
+    keeps that passage alone as its source and provenance, and one whose
+    reply cites none keeps them all."""
     retrieval = RetrievalResult()
     if with_evidence:
         [title] = choose_titles(
@@ -234,25 +245,39 @@ def _direct_attempts(
         )
         retrieval = retrieve_evidence(topic.name, title, services.source, config)
     passages = retrieval.texts()
-    source_context = (
-        "Evidence passages:\n" + "\n\n".join(passages)
-        if passages
-        else "No source information provided."
-    )
-    slug = _slug(topic.name)
-    fields = dict(
-        topic=topic.name,
-        level=config.d_max,
-        orientation="forward",
-        path=None,
-        source_context=source_context,
+    seed_node = normalize_name(topic.name)
+    uncited = dict(
+        source_context=evidence_source(passages),
         provenance={
-            "seed_node": normalize_name(topic.name),
+            "seed_node": seed_node,
             "passage_ids": retrieval.ids(),
             "mixture_weights": retrieval.weights(),
             "parametric_fallback": retrieval.fallback,
         },
     )
+    cited = [
+        dict(
+            source_context=cited_source(passage.text),
+            provenance={
+                "seed_node": seed_node,
+                "passage_ids": [passage.id],
+                "mixture_weights": mixture_weights([passage.score]),
+                "parametric_fallback": False,
+            },
+        )
+        for passage in retrieval.passages
+    ]
+    slug = _slug(topic.name)
+
+    def parse(item_id: str, block: str) -> McqItem:
+        number = parse_citation(block, len(cited))
+        item = mcq_item(
+            block, id=item_id, topic=topic.name, level=config.d_max, orientation="forward",
+            path=None, **(uncited if number is None else cited[number - 1]),
+        )
+        if number is None and cited:
+            log.warning("%s cites no evidence passage; its source is all of them", item_id)
+        return item
 
     def attempt(item_ids: list[str], variants: list[int]) -> list[Outcome]:
         request = ChatRequest(
@@ -262,9 +287,7 @@ def _direct_attempts(
             task_tag="mcq_forward",
         )
         return services.gateway.complete_items(
-            request,
-            [partial(mcq_item, id=item_id, **fields) for item_id in item_ids],
-            GenerationRejected,
+            request, [partial(parse, item_id) for item_id in item_ids], GenerationRejected
         )
 
     attempts: list[Attempt] = []
@@ -332,6 +355,7 @@ def run_pipeline(
             _abort(result, exc)
             attempts = []
     result.items = _generate_items(services.gateway, attempts, result)
+    result.uncited = sum(item.source_context.startswith(EVIDENCE_SOURCE) for item in result.items)
 
     if force_critic or "validate" in stage_tags:
         validated, error = validate_items(services.gateway, result.items, config)

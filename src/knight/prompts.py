@@ -20,6 +20,15 @@ seed first, since every path starts there; each slot gives its path,
 names its start and end nodes, and says which one the key must contain.
 A critic call on several path sources (``_node_head``) opens with a node
 block too. Both write a node's entry with ``_node_entry``.
+
+A direct-generation call (``direct_mcq_user``) opens with the topic line
+and, in a direct mode with evidence, every retrieved passage, numbered
+``[1]``, ``[2]``, ... by ``number_passages``; ``read_passages`` reads them
+back. Each reply block then ends with an ``Evidence: [n]`` line that cites
+the one passage its key rests on, and a direct item's source is that
+passage alone under the ``CITED_SOURCE`` header (``cited_source``). A
+reply that cites no passage keeps the whole evidence block
+(``evidence_source``).
 """
 
 from __future__ import annotations
@@ -343,30 +352,79 @@ def path_mcq_user(
 
 DIRECT_MCQ_SYSTEM = (
     "You are a structured question generation system. The user gives a topic, "
-    "a difficulty level, optionally an evidence block, and numbered item slots. "
-    "Write one four-option multiple-choice question about the topic for each "
-    "slot, each with a single correct option; when evidence is given, every "
-    "question and key must follow from it alone. Each slot's variation tag asks "
-    "for an aspect the other items do not cover.\n" + MCQ_REPLY
+    "a difficulty level, optionally an evidence block of numbered passages, and "
+    "numbered item slots. Write one four-option multiple-choice question about "
+    "the topic for each slot, each with a single correct option; when evidence "
+    "is given, every question and key must follow from it alone. Each slot's "
+    "variation tag asks for an aspect the other items do not cover.\n"
+    + numbered_reply("slot", "these lines, the last only when evidence is given")
+    + MCQ_LINES
+    + "\nEvidence: [number of the one passage the correct option rests on]"
 )
+
+# The header of a direct item's source: the whole evidence block, or the one
+# passage its reply cites.
+EVIDENCE_SOURCE = "Evidence passages:\n"
+CITED_SOURCE = "Evidence passage:\n"
+
+
+def evidence_source(passages: list[str]) -> str:
+    """The source of a direct item whose reply cites no passage: every
+    passage, or a note that there is none."""
+    if not passages:
+        return "No source information provided."
+    return EVIDENCE_SOURCE + "\n\n".join(passages)
+
+
+def cited_source(passage: str) -> str:
+    """The source of a direct item whose reply cites ``passage``."""
+    return CITED_SOURCE + passage
+
+
+def number_passages(passages: list[str]) -> str:
+    """The passages as one evidence text, each opened by its number
+    ("[1] ", "[2] ", ...) and separated by blank lines."""
+    return "\n\n".join(f"[{n}] {text}" for n, text in enumerate(passages, start=1))
+
+
+def read_passages(text: str) -> list[str] | None:
+    """``number_passages``'s text read back into its passages. It cuts at
+    each next number's marker in turn, never at a bare blank line, since a
+    passage may hold blank lines of its own. None unless the passages give
+    ``text`` back byte for byte."""
+    passages: list[str] = []
+    start = 0
+    while text.startswith(marker := f"[{len(passages) + 1}] ", start):
+        start += len(marker)
+        cut = text.find(f"\n\n[{len(passages) + 2}] ", start)
+        stop = cut if cut >= 0 else len(text)
+        passages.append(text[start:stop])
+        start = stop + 2
+    return passages if passages and number_passages(passages) == text else None
 
 
 def direct_mcq_user(topic: str, level: int, passages: list[str], variants: list[int]) -> str:
-    """Prompt for the KG-free modes: the topic line and any evidence, then
-    one slot per variant."""
+    """Prompt for the KG-free modes: the topic line and any evidence, its
+    passages numbered, then one slot per variant. With evidence, the tail
+    asks for each block's Evidence line too."""
     head = (
         f'Write one four-option multiple-choice question about the topic "{topic}" '
         f"at difficulty level {level} for each numbered item below."
     )
+    tail = "Respond with one numbered block of the six item lines per item."
     if passages:
         head += (
             "\n\nBase the questions solely on this evidence:\n"
-            "--- Evidence ---\n" + "\n\n".join(passages) + "\n--- End Evidence ---"
+            "--- Evidence ---\n" + number_passages(passages) + "\n--- End Evidence ---"
+        )
+        tail = (
+            "Respond with one numbered block of the six item lines and the Evidence line "
+            "per item."
         )
     return numbered_prompt(
         head,
         [f"Variation tag: {v} (cover a different aspect than earlier items)." for v in variants],
-        "Respond with one numbered block of the six item lines per item.",
+        tail,
     )
 
 

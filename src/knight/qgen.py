@@ -6,7 +6,8 @@ the block's six lines and builds the ``McqItem``. Every generation reply is a
 group: a path mode's (``generate_mcq``, one orientation per call) and a
 direct mode's alike are split on their "Item N" headers by
 ``ChatGateway.complete_items``, and each block goes through ``mcq_item`` on its
-own. Orientation lives on the ``McqItem`` only."""
+own; a direct block's ``Evidence: [n]`` line is read by ``parse_citation``.
+Orientation lives on the ``McqItem`` only."""
 
 from __future__ import annotations
 
@@ -115,6 +116,20 @@ def parse_mcq_output(text: str) -> tuple[str, dict[str, str], str]:
     if answer_key is None:
         raise GenerationRejected("no Correct Answer line found")
     return question, options, answer_key
+
+
+_EVIDENCE_RE = re.compile(r"^\s*Evidence:\s*(.*?)\s*$", re.IGNORECASE | re.MULTILINE)
+_CITATION_RE = re.compile(r"\[?\s*(\d+)\s*\]?\.?")
+
+
+def parse_citation(block: str, count: int) -> int | None:
+    """The passage number, 1 to ``count``, that a direct reply block's
+    ``Evidence: [n]`` line cites; None for a block with no such line, or one
+    that cites [0], a number past ``count`` or no number."""
+    line = _EVIDENCE_RE.search(block)
+    cited = _CITATION_RE.fullmatch(line.group(1)) if line else None
+    number = int(cited.group(1)) if cited else 0
+    return number if 1 <= number <= count else None
 
 
 def mcq_item(block: str, **fields) -> McqItem:

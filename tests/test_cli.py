@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from knight.cli import entry, main
+from knight.config import PIPELINE_MODES
 from knight.fixture_world import packaged_fixture_dir
 from knight.storage import read_jsonl
 
@@ -199,6 +200,26 @@ def test_plain_mode_with_validate_flag(tmp_path):
 def test_rag_mode_tags(tmp_path):
     tags, _ = _metrics_tags(tmp_path, "rag")
     assert tags == {"title_check", "mcq_forward"}
+
+
+@pytest.mark.parametrize("mode", PIPELINE_MODES)
+def test_every_mode_reports_its_uncited_items(tmp_path, mode):
+    # Only a direct mode with evidence asks for citations; on Biology the
+    # mock cites a passage for every item.
+    _, doc = _metrics_tags(tmp_path, mode)
+    assert doc["uncited"] == 0
+
+
+def test_uncited_counts_the_items_that_keep_the_whole_evidence(tmp_path):
+    # Some Heredity items key an aspect its passage does not hold, so the
+    # mock cites nothing for them.
+    output = tmp_path / "heredity.jsonl"
+    rc = _run(["run", "--topic", "Heredity", "--depth", "2", "--num-q", "12", "--seed", "7",
+               "--mode", "rag", "--output", str(output)])
+    doc = json.loads((tmp_path / "heredity.metrics.json").read_text(encoding="utf-8"))
+    records = read_jsonl(output)
+    whole = [r for r in records if r["source_context"].startswith("Evidence passages:\n")]
+    assert rc == 0 and 0 < doc["uncited"] == len(whole) < len(records)
 
 
 # -- subcommand flows ---------------------------------------------------------------

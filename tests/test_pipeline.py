@@ -15,7 +15,7 @@ from knight.config import PipelineConfig
 from knight.errors import AdapterError, AuthError, ConfigError
 from knight import prompts as prompts_mod
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride, OpenAiCompatBackend
-from knight.graph import KnowledgeGraph, Topic
+from knight.graph import KnowledgeGraph, Topic, normalize_name
 from knight.pipeline import Services, build_services, run_pipeline
 from knight.prompts import critic_sources, read_path_context, split_items
 from knight.qgen import path_repr
@@ -668,17 +668,134 @@ def test_each_critic_block_goes_to_its_own_item(world, fault):
     assert runs[0] == runs[1]
 
 
-def test_critic_prompts_start_with_the_shared_source_block(world):
-    """The evidence block all rag_val items share opens every critic prompt,
-    so a provider's prefix cache can reuse it across calls."""
+# Small chunks give Biology several retrieved passages, of which its
+# direct items cite two.
+SMALL_CHUNKS = {"chunk_size": 40, "chunk_overlap": 10}
+
+
+def test_critic_slots_read_the_passage_their_item_cites(world):
+    """Each rag_val item's source is the one passage it cites, so each
+    critic slot's numbered source is that passage, and a call writes each
+    distinct passage once."""
     backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
-    result, _ = _run(world, "rag_val", num_q=12, backend=backend)
-    source = result.items[0].source_context
-    assert source.startswith("Evidence passages:\n")
-    assert all(item.source_context == source for item in result.items)
+    result, _ = _run(world, "rag_val", num_q=12, backend=backend, **SMALL_CHUNKS)
+    by_question = {item.question: item for item in result.items}
+    sources = {item.source_context for item in result.items}
+    assert len(by_question) == 12 and result.uncited == 0
+    assert len(sources) >= 2
+    assert all(source.startswith(prompts_mod.CITED_SOURCE) for source in sources)
     prompts = [r.user_prompt for r in backend.requests if r.task_tag == "validate"]
     assert len(prompts) == 2
-    assert all(prompt.startswith(f"Source Information\n{source}\n\n") for prompt in prompts)
+    numbered = 0
+    for prompt in prompts:
+        head, slots = split_items(prompt)
+        assert all(prompt.count(source) <= 1 for source in sources)
+        for _, slot in slots:
+            found = re.match(r'\n(?:Source Information: (\d+)\n)?Question: "(.*)"\n', slot)
+            item = by_question[found.group(2)]
+            if found.group(1) is None:  # a call on one source writes it whole
+                assert head.startswith(f"Source Information\n{item.source_context}\n\n")
+            else:
+                assert f"Source Information {found.group(1)}\n{item.source_context}\n\n" in head
+                numbered += 1
+    assert numbered >= 2
+
+
+class CitationEdit:
+    """Sets the Evidence line of each direct reply block, found by the
+    variation tag of its slot: a line to put in its place, or None to drop
+    it. Blocks of other variants are left as the inner backend wrote them."""
+
+    def __init__(self, inner, lines):
+        self.inner = inner
+        self.lines = lines
+
+    def complete(self, request):
+        response = self.inner.complete(request)
+        if request.task_tag != "mcq_forward":
+            return response
+        variants = {
+            number: int(re.search(r"Variation tag: (\d+)", slot).group(1))
+            for number, slot in split_items(request.user_prompt)[1]
+        }
+        blocks = []
+        for number, block in split_items(response.text)[1]:
+            variant = variants[number]
+            if variant in self.lines:
+                block = re.sub(r"\nEvidence: .*", "", block)
+                if self.lines[variant] is not None:
+                    block = f"{block.rstrip()}\n{self.lines[variant]}"
+            blocks.append(f"Item {number}{block}")
+        return dataclasses.replace(response, text="\n\n".join(blocks))
+
+
+def test_an_item_without_a_valid_citation_keeps_the_whole_evidence(world, caplog):
+    """A block with no Evidence line, or one citing [0], a passage past the
+    last or no number, keeps every passage as its source and provenance and
+    counts as uncited; a valid citation narrows its item to that passage."""
+    config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode="rag", **SMALL_CHUNKS).validate()
+    services = _services(world, 1)
+    [title] = choose_titles(["Biology"], services.source, services.gateway, config, [None])
+    retrieval = retrieve_evidence("Biology", title, services.source, config)
+    count = len(retrieval.passages)
+    assert count >= 2
+    lines = {0: "Evidence: [2]", 1: None, 2: "Evidence: [0]", 3: f"Evidence: [{count + 1}]",
+             4: "Evidence: [two]"}
+    backend = CitationEdit(MockChatBackend(world, rng_seed=7), lines)
+    baseline, _ = _run(world, "rag", num_q=5, **SMALL_CHUNKS)
+    with caplog.at_level(logging.WARNING, logger="knight.pipeline"):
+        result, _ = _run(world, "rag", num_q=5, backend=backend, **SMALL_CHUNKS)
+    assert [(i.question, i.options, i.answer_key) for i in result.items] == [
+        (i.question, i.options, i.answer_key) for i in baseline.items
+    ]
+    whole = prompts_mod.evidence_source(retrieval.texts())
+    cited, *uncited = result.items
+    assert cited.source_context == prompts_mod.cited_source(retrieval.passages[1].text)
+    assert cited.provenance["passage_ids"] == [retrieval.passages[1].id]
+    assert cited.provenance["mixture_weights"] == mixture_weights([retrieval.passages[1].score])
+    assert all(item.source_context == whole for item in uncited)
+    assert all(item.provenance["passage_ids"] == retrieval.ids() for item in uncited)
+    assert all(
+        item.provenance["mixture_weights"] == mixture_weights(retrieval.scores())
+        for item in uncited
+    )
+    assert result.uncited == 4
+    warned = [r.getMessage() for r in caplog.records if "cites no evidence" in r.getMessage()]
+    assert [message.split()[0] for message in warned] == [item.id for item in uncited]
+
+
+class StripPassageNumbers:
+    """Writes each direct prompt's evidence without its "[n] " markers, as
+    the evidence block read before passages were numbered."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.stripped = 0
+
+    def complete(self, request):
+        head, cut, rest = request.user_prompt.partition("--- Evidence ---\n")
+        evidence, end, tail = rest.partition("\n--- End Evidence ---")
+        passages = prompts_mod.read_passages(evidence)
+        if passages is not None:
+            self.stripped += 1
+            prompt = head + cut + "\n\n".join(passages) + end + tail
+            request = dataclasses.replace(request, user_prompt=prompt)
+        return self.inner.complete(request)
+
+
+@pytest.mark.parametrize("fields", [{}, SMALL_CHUNKS], ids=["one-passage", "small-chunks"])
+def test_numbering_the_passages_moves_no_question_option_or_key(world, fields):
+    """The mock salts on the evidence without its numbers, so a run whose
+    prompts lose the numbers writes the same questions, options and keys;
+    with no numbers to cite, every item keeps the whole evidence."""
+    numbered, _ = _run(world, "rag_val", num_q=12, **fields)
+    backend = StripPassageNumbers(MockChatBackend(world, rng_seed=7))
+    plain, _ = _run(world, "rag_val", num_q=12, backend=backend, **fields)
+    assert backend.stripped == 2
+    assert [(i.id, i.question, i.options, i.answer_key) for i in plain.items] == [
+        (i.id, i.question, i.options, i.answer_key) for i in numbered.items
+    ]
+    assert numbered.uncited == 0 and plain.uncited == len(plain.items) == 12
 
 
 def test_knight_critic_prompts_write_each_node_description_once(world):
@@ -752,18 +869,42 @@ def test_reflowed_prompts_give_byte_identical_outputs(world):
 
 @pytest.mark.parametrize("mode", ["rag", "rag_val"])
 def test_direct_items_carry_the_provenance_of_a_path_item(world, mode):
-    # The seed node is the topic's node id, as on a path item, and the
-    # mixture weights are those of the item's passages.
-    topic = "World War II"
-    config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode=mode).validate()
-    result, services = run_pipeline(Topic(topic), config, 3, services=_services(world, 1))
-    [title] = choose_titles([topic], services.source, services.gateway, config, [None])
-    retrieval = retrieve_evidence(topic, title, services.source, config)
-    assert retrieval.passages and result.items
-    for item in result.items:
-        assert item.provenance["seed_node"] == KnowledgeGraph(topic).seed_id == "world war ii"
-        assert item.provenance["passage_ids"] == retrieval.ids()
-        assert item.provenance["mixture_weights"] == mixture_weights(retrieval.scores())
+    # The seed node is the topic's node id, as on a path item. An item that
+    # cites a passage carries that passage's id and weight alone, under the
+    # cited-passage header; one that cites none carries every passage and
+    # their mixture weights. World War II retrieves one passage; with small
+    # chunks Biology's items cite two passages, and some Genetics items cite
+    # none.
+    cases = ("World War II", {}), ("Biology", SMALL_CHUNKS), ("Genetics", SMALL_CHUNKS)
+    for topic, fields in cases:
+        config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode=mode, **fields).validate()
+        result, services = run_pipeline(Topic(topic), config, 12, services=_services(world, 1))
+        [title] = choose_titles([topic], services.source, services.gateway, config, [None])
+        retrieval = retrieve_evidence(topic, title, services.source, config)
+        passages = {passage.id: passage for passage in retrieval.passages}
+        assert passages and result.items
+        whole = prompts_mod.evidence_source(retrieval.texts())
+        cited = Counter()
+        for item in result.items:
+            provenance = item.provenance
+            assert provenance["seed_node"] == KnowledgeGraph(topic).seed_id
+            assert provenance["seed_node"] == normalize_name(topic)
+            assert provenance["parametric_fallback"] is False
+            if item.source_context == whole:
+                assert provenance["passage_ids"] == retrieval.ids()
+                assert provenance["mixture_weights"] == mixture_weights(retrieval.scores())
+                continue
+            [passage_id] = provenance["passage_ids"]
+            passage = passages[passage_id]
+            assert item.source_context == prompts_mod.cited_source(passage.text)
+            assert provenance["mixture_weights"] == mixture_weights([passage.score]) == [1.0]
+            cited[passage_id] += 1
+        assert result.uncited == len(result.items) - sum(cited.values())
+        assert len(passages) >= (2 if fields else 1)
+        if topic == "Biology":
+            assert len(cited) >= 2 and result.uncited == 0
+        if topic == "Genetics":
+            assert 0 < result.uncited < len(result.items)
 
 
 def test_lookup_failure_falls_back_in_a_direct_mode(world):

@@ -8,11 +8,14 @@ from knight.config import PipelineConfig
 from knight.errors import GenerationRejected, GraphError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import KnowledgeGraph, PathSample
-from knight.prompts import PathContext, path_source, read_path_context
+from knight.prompts import (
+    PathContext, number_passages, path_source, read_passages, read_path_context,
+)
 from knight.qgen import (
     McqItem,
     generate_mcq,
     mcq_item,
+    parse_citation,
     parse_mcq_output,
     path_repr,
     sample_paths,
@@ -221,6 +224,50 @@ def test_parse_missing_question_rejected():
 def test_blank_question_or_option_is_rejected(text, reason):
     with pytest.raises(GenerationRejected, match=reason):
         mcq_item(text, **DIRECT_FIELDS)
+
+
+BLOCK = "Question: q?\nA) Alpha\nB) Beta\nC) Gamma\nD) Delta\nCorrect Answer: B"
+
+
+@pytest.mark.parametrize(
+    "line, cited",
+    [
+        ("Evidence: [2]", 2),
+        ("Evidence: [3]", 3),
+        ("evidence:  [ 1 ].", 1),
+        ("Evidence: 2", 2),
+        (None, None),
+        ("Evidence: [0]", None),
+        ("Evidence: [4]", None),
+        ("Evidence: [two]", None),
+        ("Evidence: [1], [2]", None),
+        ("Evidence:", None),
+    ],
+    ids=["valid", "last", "loose", "bare", "missing", "zero", "out-of-range",
+         "non-numeric", "two-passages", "empty"],
+)
+def test_parse_citation_reads_one_passage_in_range(line, cited):
+    block = BLOCK if line is None else f"{BLOCK}\n{line}"
+    assert parse_citation(block, 3) == cited
+    assert parse_mcq_output(block) == parse_mcq_output(BLOCK)
+
+
+@pytest.mark.parametrize(
+    "passages",
+    [["one"], ["first\n\nstill first", "second [3] ", ""], ["a\n\n[9] b", "c"]],
+    ids=["one", "blank-lines", "marker-like-text"],
+)
+def test_numbered_passages_read_back_without_their_numbers(passages):
+    """The reader cuts at the next number's marker, never at a passage's
+    own blank lines or at a marker out of sequence."""
+    text = number_passages(passages)
+    assert text.startswith("[1] ")
+    assert read_passages(text) == passages
+
+
+@pytest.mark.parametrize("text", ["", "plain text", "[2] starts late", "[1]no space"])
+def test_the_passage_reader_rejects_unnumbered_text(text):
+    assert read_passages(text) is None
 
 
 def test_parse_format_roundtrip():
