@@ -61,7 +61,7 @@ from .gateway import ChatGateway, ChatRequest, MockChatBackend, OpenAiCompatBack
 from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
 from .prompts import (
-    DIRECT_MCQ_SYSTEM, EVIDENCE_SOURCE, batches, cited_source, direct_mcq_user, evidence_source,
+    CITED_SOURCE, DIRECT_MCQ_SYSTEM, EVIDENCE_SOURCE, batches, direct_mcq_user, evidence_source,
 )
 from .qgen import ORIENTATIONS, McqItem, generate_mcq, mcq_item, parse_citation, sample_paths
 from .retrieval import (
@@ -257,7 +257,7 @@ def _direct_attempts(
     )
     cited = [
         dict(
-            source_context=cited_source(passage.text),
+            source_context=CITED_SOURCE + passage.text,
             provenance={
                 "seed_node": seed_node,
                 "passage_ids": [passage.id],

@@ -26,9 +26,8 @@ and, in a direct mode with evidence, every retrieved passage, numbered
 ``[1]``, ``[2]``, ... by ``number_passages``; ``read_passages`` reads them
 back. Each reply block then ends with an ``Evidence: [n]`` line that cites
 the one passage its key rests on, and a direct item's source is that
-passage alone under the ``CITED_SOURCE`` header (``cited_source``). A
-reply that cites no passage keeps the whole evidence block
-(``evidence_source``).
+passage alone under the ``CITED_SOURCE`` header. A reply that cites no
+passage keeps the whole evidence block (``evidence_source``).
 """
 
 from __future__ import annotations
@@ -374,11 +373,6 @@ def evidence_source(passages: list[str]) -> str:
     if not passages:
         return "No source information provided."
     return EVIDENCE_SOURCE + "\n\n".join(passages)
-
-
-def cited_source(passage: str) -> str:
-    """The source of a direct item whose reply cites ``passage``."""
-    return CITED_SOURCE + passage
 
 
 def number_passages(passages: list[str]) -> str:

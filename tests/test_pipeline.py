@@ -750,7 +750,7 @@ def test_an_item_without_a_valid_citation_keeps_the_whole_evidence(world, caplog
     ]
     whole = prompts_mod.evidence_source(retrieval.texts())
     cited, *uncited = result.items
-    assert cited.source_context == prompts_mod.cited_source(retrieval.passages[1].text)
+    assert cited.source_context == prompts_mod.CITED_SOURCE + retrieval.passages[1].text
     assert cited.provenance["passage_ids"] == [retrieval.passages[1].id]
     assert cited.provenance["mixture_weights"] == mixture_weights([retrieval.passages[1].score])
     assert all(item.source_context == whole for item in uncited)
@@ -896,7 +896,7 @@ def test_direct_items_carry_the_provenance_of_a_path_item(world, mode):
                 continue
             [passage_id] = provenance["passage_ids"]
             passage = passages[passage_id]
-            assert item.source_context == prompts_mod.cited_source(passage.text)
+            assert item.source_context == prompts_mod.CITED_SOURCE + passage.text
             assert provenance["mixture_weights"] == mixture_weights([passage.score]) == [1.0]
             cited[passage_id] += 1
         assert result.uncited == len(result.items) - sum(cited.values())
