@@ -7,26 +7,26 @@ error. Each subcommand checks its outputs' directories first. ``eval`` makes
 no LLM call, so it needs no API key. A ``build``, ``run`` or ``validate``
 that a backend failure cuts short writes its partial outputs (``build`` with
 ``aborted_reason`` in the snapshot's report, ``run`` in ``metrics.json``)
-and exits 1. ``build`` and ``run`` take ``--backend``; with ``bolt`` the
-Neo4j store is opened before the first LLM call and the graph is mirrored to
-it only after the outputs are written.
+and exits 1. ``build`` and ``run`` take ``--backend``; with ``bolt`` they
+run inside ``storage.graph_mirror``, which opens the Neo4j driver before the
+first LLM call and closes it on every path. The graph is mirrored, in one
+session, only after the outputs are written; a driver error, on opening or
+on writing, is a ``StoreError`` and so an ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
 from .builder import BuildReport, build_kg
 from .config import PIPELINE_MODES, PipelineConfig, build_config
 from .errors import ConfigError, KnightError
 from .graph import KnowledgeGraph, Topic
-from .metrics import compute_dataset_stats
+from .metrics import ROW_COLUMNS, compute_dataset_stats
 from .pipeline import (
     MODE_TASK_TAGS,
     PipelineResult,
@@ -37,12 +37,10 @@ from .pipeline import (
     validate_items,
 )
 from .storage import (
-    BoltGraphStore,
     canonical_json,
+    graph_mirror,
     item_to_record,
     load_snapshot,
-    mirror_graph,
-    open_graph_store,
     read_items,
     save_snapshot,
     write_jsonl,
@@ -128,18 +126,6 @@ def print_config(config: PipelineConfig) -> None:
     print(json.dumps(config.to_dict(redact=True), indent=2, sort_keys=True, ensure_ascii=False))
 
 
-@contextlib.contextmanager
-def _graph_store(config: PipelineConfig) -> Iterator[BoltGraphStore | None]:
-    """The configured store, opened before any LLM call so that a missing URI
-    or driver costs nothing, and closed on every path."""
-    store = open_graph_store(config)
-    try:
-        yield store
-    finally:
-        if store is not None:
-            store.close()
-
-
 def _output_path(text: str) -> Path:
     """``text`` as a path, checked before any LLM call: its directory must exist."""
     path = Path(text)
@@ -207,7 +193,7 @@ def _write_run_outputs(
 
 def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
     output = _output_path(args.output)
-    with _graph_store(config) as store:
+    with graph_mirror(config) as mirror:
         services = build_services(config)
         topic = Topic(args.topic, optional_prompt=args.topic_hint)
         rejects: list = []
@@ -216,8 +202,8 @@ def _cmd_build(args: argparse.Namespace, config: PipelineConfig) -> int:
         )
         _write_build(output, Path(f"{output.with_suffix('')}.rejects.jsonl"), config,
                      graph, topic.name, report, rejects)
-        if store is not None:
-            mirror_graph(store, graph)
+        if mirror is not None:
+            mirror(graph)
     print(
         f"built graph for {topic.name!r}: {len(graph.nodes)} nodes, "
         f"{len(graph.edges)} edges, prune rate {report.curation_prune_rate:.3f} "
@@ -260,17 +246,15 @@ def _cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
 def _write_rows_csv(rows: list[dict], path: Path) -> None:
     import csv
 
-    columns = ["id", "level", "orientation", "entropy", "probe_choice", "probe_correct",
-               "grammar", "entailment", "word_count", "key_probability"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=ROW_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
 
 
 def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
     output = _output_path(args.output)
-    with _graph_store(config) as store:
+    with graph_mirror(config) as mirror:
         services = build_services(config)
         topic = Topic(args.topic, optional_prompt=args.topic_hint)
         graph = load_snapshot(args.snapshot) if args.snapshot else None
@@ -279,8 +263,8 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
             force_critic=args.validate, graph=graph,
         )
         written = _write_run_outputs(result, services, config, output)
-        if store is not None and result.graph is not None:
-            mirror_graph(store, result.graph)
+        if mirror is not None and result.graph is not None:
+            mirror(result.graph)
     print(
         f"mode={result.mode} kept={len(result.kept_items)}/{result.attempts} attempts; "
         + "; ".join(str(p) for p in written)

@@ -82,4 +82,5 @@ class JsonlError(KnightError):
 
 
 class StoreError(KnightError):
-    """Graph store backend failure (unreachable server, auth)."""
+    """Graph store backend failure: missing driver, unreachable server, auth,
+    or a failed write while mirroring the graph."""

@@ -182,6 +182,11 @@ def length_stats(questions: Sequence[str]) -> tuple[dict[int, int], float, float
     return histogram, _mean(counts), _pstd(counts)
 
 
+# A report row's keys, in order; ``knight eval --csv`` writes these columns.
+ROW_COLUMNS = ("id", "level", "orientation", "entropy", "probe_choice", "probe_correct",
+               "grammar", "entailment", "word_count", "key_probability")
+
+
 def _metric_row(item: McqItem, adapters: AdapterSuite, topic: str) -> dict:
     """One item's report row; its probe fields are None when the probe fails."""
     logits = _probe_logits(adapters.probe, item)

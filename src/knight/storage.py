@@ -1,7 +1,10 @@
 """Persistence: canonical JSON graph snapshots, JSONL datasets, and the
 optional Neo4j (Bolt) mirror of the graph. The mirror is write-only: the
 program never reads a graph back from it, and path enumeration stays in
-``graph.enumerate_paths``.
+``graph.enumerate_paths``. It is one context manager, ``graph_mirror``: it
+opens and checks the driver on entry, before the first LLM call, writes the
+whole graph in one session per mirror, raises a driver error as
+``StoreError`` and closes the driver on exit.
 
 All JSON is written with sorted keys and no insignificant whitespace so
 identical inputs produce identical bytes.
@@ -9,17 +12,18 @@ identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .builder import BuildReport
 from .config import PipelineConfig
 from .errors import (
     ConfigError, GraphError, JsonlError, SnapshotFormatError, SnapshotVersionError, StoreError,
 )
-from .graph import Edge, KnowledgeGraph, Node, PathSample
+from .graph import KnowledgeGraph, PathSample
 from .qgen import McqItem
 from .validation import ValidationReport
 
@@ -190,96 +194,59 @@ def record_to_item(record: Mapping[str, Any]) -> McqItem:
     )
 
 
-# -- graph stores -------------------------------------------------------------
+# -- Neo4j mirror -------------------------------------------------------------
+
+NODE_STATEMENT = (
+    "MERGE (n:Topic {id: $id}) "
+    "SET n.name = $name, n.depth = $depth, n.gloss = $gloss"
+)
+EDGE_STATEMENT = (
+    "MATCH (h:Topic {id: $head}), (t:Topic {id: $tail}) "
+    "MERGE (h)-[r:RELATES {label: $label}]->(t)"
+)
 
 
-class BoltGraphStore:
-    """Write-only Neo4j mirror speaking parameterized Cypher over Bolt.
-
-    Statement construction is separated from execution so the Cypher surface
-    is testable without a server; a live run needs the optional ``neo4j``
-    driver and a reachable instance.
-    """
-
-    NODE_STATEMENT = (
-        "MERGE (n:Topic {id: $id}) "
-        "SET n.name = $name, n.depth = $depth, n.gloss = $gloss"
-    )
-    EDGE_STATEMENT = (
-        "MATCH (h:Topic {id: $head}), (t:Topic {id: $tail}) "
-        "MERGE (h)-[r:RELATES {label: $label}]->(t)"
-    )
-
-    def __init__(self, uri: str, user: str, password: str):
-        if not uri:
-            raise ConfigError("bolt backend requires NEO4J_URI (or neo4j_uri in the config file)")
-        self.uri = uri
-        self.user = user
-        self.password = password
-        self._driver = None
-
-    @classmethod
-    def node_statement(cls, node: Node) -> tuple[str, dict]:
-        return cls.NODE_STATEMENT, {
-            "id": node.id,
-            "name": node.name,
-            "depth": node.depth,
-            "gloss": node.gloss,
-        }
-
-    @classmethod
-    def edge_statement(cls, edge: Edge) -> tuple[str, dict]:
-        return cls.EDGE_STATEMENT, {
-            "head": edge.head,
-            "tail": edge.tail,
-            "label": edge.relation,
-        }
-
-    def open(self) -> None:
-        try:
-            from neo4j import GraphDatabase
-        except ImportError as exc:
-            raise StoreError(
-                "the bolt backend needs the optional neo4j driver "
-                "(pip install 'knight[bolt]')"
-            ) from exc
-        try:
-            self._driver = GraphDatabase.driver(self.uri, auth=(self.user, self.password))
-            self._driver.verify_connectivity()
-        except Exception as exc:
-            raise StoreError(f"cannot open bolt store at {self.uri}: {exc}") from exc
-
-    def close(self) -> None:
-        if self._driver is not None:
-            self._driver.close()
-            self._driver = None
-
-    def _run(self, statement: str, params: dict) -> list:
-        if self._driver is None:
-            raise StoreError("store is not open")
-        with self._driver.session() as session:
-            return list(session.run(statement, **params))
-
-    def create_node(self, node: Node) -> None:
-        self._run(*self.node_statement(node))
-
-    def create_edge(self, edge: Edge) -> None:
-        self._run(*self.edge_statement(edge))
-
-
-def open_graph_store(config: PipelineConfig) -> BoltGraphStore | None:
-    """The opened Neo4j mirror for the ``bolt`` backend; None for ``memory``,
-    which keeps the graph in process only."""
+@contextlib.contextmanager
+def graph_mirror(config: PipelineConfig) -> Iterator[Callable[[KnowledgeGraph], None] | None]:
+    """Yields None for ``memory``. For ``bolt`` it opens and checks the driver
+    (``ConfigError`` without a URI, ``StoreError`` without a driver or a
+    connection) and yields ``mirror(graph)``, which writes every node, then
+    every edge, sorted, in one session, raising a driver error as
+    ``StoreError``. The driver is closed on every path."""
     if config.graph_backend != "bolt":
-        return None
-    store = BoltGraphStore(config.neo4j_uri, config.neo4j_user, config.neo4j_pass)
-    store.open()
-    return store
+        yield None
+        return
+    uri = config.neo4j_uri
+    if not uri:
+        raise ConfigError("bolt backend requires NEO4J_URI (or neo4j_uri in the config file)")
+    try:
+        from neo4j import GraphDatabase
+    except ImportError as exc:
+        raise StoreError(
+            "the bolt backend needs the optional neo4j driver (pip install 'knight[bolt]')"
+        ) from exc
+    driver = None
+    try:
+        driver = GraphDatabase.driver(uri, auth=(config.neo4j_user, config.neo4j_pass))
+        driver.verify_connectivity()
+    except Exception as exc:
+        if driver is not None:
+            driver.close()
+        raise StoreError(f"cannot open bolt store at {uri}: {exc}") from exc
 
+    def mirror(graph: KnowledgeGraph) -> None:
+        try:
+            with driver.session() as session:
+                for node in graph.sorted_nodes():
+                    session.run(NODE_STATEMENT, id=node.id, name=node.name, depth=node.depth,
+                                gloss=node.gloss)
+                for edge in graph.sorted_edges():
+                    session.run(EDGE_STATEMENT, head=edge.head, tail=edge.tail,
+                                label=edge.relation)
+        except Exception as exc:
+            raise StoreError(f"cannot write to bolt store at {uri}: {exc}") from exc
 
-def mirror_graph(store: BoltGraphStore, graph: KnowledgeGraph) -> None:
-    """Write every node then every edge of ``graph`` into ``store``."""
-    for node in graph.sorted_nodes():
-        store.create_node(node)
-    for edge in graph.sorted_edges():
-        store.create_edge(edge)
+    try:
+        yield mirror
+    finally:
+        driver.close()

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import sys
+import types
+
 import pytest
 
 from knight.adapters import AdapterSuite
@@ -63,6 +67,48 @@ class FailingSource:
 
     def page_text(self, title):
         return self._call("page_text", title)
+
+
+class StubDriver:
+    """Stands in for ``neo4j.GraphDatabase.driver``'s result: keeps what the
+    mirror asks of it in ``log``. ``refuse`` fails the connectivity check;
+    ``fail_run`` is the 1-based ``run`` call that raises, as a driver does
+    when a write fails."""
+
+    def __init__(self, log, uri, auth, refuse=False, fail_run=None):
+        self.log, self.refuse, self.fail_run = log, refuse, fail_run
+        self.runs = 0
+        log.append(("driver", uri, auth))
+
+    def verify_connectivity(self):
+        self.log.append(("verify",))
+        if self.refuse:
+            raise OSError("connection refused")
+
+    def session(self):
+        self.log.append(("session",))
+        return contextlib.nullcontext(self)
+
+    def run(self, statement, **params):
+        self.log.append(("run", statement, params))
+        self.runs += 1
+        if self.runs == self.fail_run:
+            raise RuntimeError("write failed")
+        return iter([])
+
+    def close(self):
+        self.log.append(("close",))
+
+
+def stub_neo4j(monkeypatch, refuse=False, fail_run=None) -> list:
+    """Installs a stub ``neo4j`` module; returns the log its drivers write."""
+    log: list = []
+    module = types.ModuleType("neo4j")
+    module.GraphDatabase = types.SimpleNamespace(
+        driver=lambda uri, auth: StubDriver(log, uri, auth, refuse, fail_run)
+    )
+    monkeypatch.setitem(sys.modules, "neo4j", module)
+    return log
 
 
 @pytest.fixture()

@@ -8,9 +8,9 @@ import pytest
 from knight.cli import entry, main
 from knight.config import PIPELINE_MODES
 from knight.fixture_world import packaged_fixture_dir
-from knight.storage import read_jsonl
+from knight.storage import EDGE_STATEMENT, NODE_STATEMENT, read_jsonl
 
-from conftest import RecordingBackend
+from conftest import RecordingBackend, stub_neo4j
 
 
 def _run(argv):
@@ -658,27 +658,6 @@ def test_validate_judges_a_record_whose_critic_call_was_skipped(tmp_path, monkey
 # -- graph store ----------------------------------------------------------------
 
 
-def _fake_neo4j(monkeypatch, fail_nodes=False) -> list:
-    """Stands in for a Neo4j server: returns the list of what reaches
-    ``BoltGraphStore``, in order."""
-    from knight.errors import StoreError
-    from knight.storage import BoltGraphStore
-
-    events: list = []
-
-    def create_node(store, node):
-        if fail_nodes:
-            raise StoreError("write refused")
-        events.append(("node", node.id))
-
-    monkeypatch.setattr(BoltGraphStore, "open", lambda store: events.append(("open", store.uri)))
-    monkeypatch.setattr(BoltGraphStore, "close", lambda store: events.append(("close",)))
-    monkeypatch.setattr(BoltGraphStore, "create_node", create_node)
-    monkeypatch.setattr(BoltGraphStore, "create_edge",
-                        lambda store, edge: events.append(("edge", edge.head)))
-    return events
-
-
 def _count_backend_calls(monkeypatch) -> list:
     from knight.gateway import MockChatBackend
 
@@ -693,32 +672,33 @@ def _count_backend_calls(monkeypatch) -> list:
     return calls
 
 
+def _runs(log, statement) -> list[dict]:
+    return [entry[2] for entry in log if entry[0] == "run" and entry[1] == statement]
+
+
 def test_config_file_neo4j_uri_reaches_store(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("NEO4J_URI", raising=False)
     conf = tmp_path / "k.conf"
     conf.write_text("neo4j_uri = bolt://graph.example:7687\n", encoding="utf-8")
-    events = _fake_neo4j(monkeypatch)
+    log = stub_neo4j(monkeypatch)
     snapshot = tmp_path / "bio.snapshot.json"
     rc = _run(["build", "--topic", "Biology", "--depth", "2", "--backend", "bolt",
                "--config", str(conf), "--output", str(snapshot)])
     assert rc == 0
-    assert events[0] == ("open", "bolt://graph.example:7687")
-    assert events[-1] == ("close",)
+    assert log[0] == ("driver", "bolt://graph.example:7687", ("", ""))
+    assert log.count(("session",)) == 1
+    assert log[-1] == ("close",) and log.count(("close",)) == 1
     graph_ids = [n["id"] for n in json.loads(snapshot.read_text(encoding="utf-8"))["nodes"]]
-    assert [e[1] for e in events if e[0] == "node"] == graph_ids
-    assert any(e[0] == "edge" for e in events)
+    assert [params["id"] for params in _runs(log, NODE_STATEMENT)] == graph_ids
+    assert _runs(log, EDGE_STATEMENT)
 
 
 def test_run_memory_backend_opens_no_store(tmp_path, monkeypatch):
-    from knight.storage import BoltGraphStore
-
-    def refuse(store):
-        raise AssertionError("memory backend opened a store")
-
-    monkeypatch.setattr(BoltGraphStore, "open", refuse)
+    log = stub_neo4j(monkeypatch)
     rc = _run(["run", "--topic", "Biology", "--depth", "2", "--num-q", "2",
                "--output", str(tmp_path / "bio.json")])
     assert rc == 0
+    assert log == []
 
 
 @pytest.mark.parametrize("subcommand", ["run", "build"])
@@ -734,31 +714,64 @@ def test_bolt_without_uri_fails_before_any_llm_call(tmp_path, capsys, monkeypatc
     assert not output.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["run", "build"])
+def test_bolt_refused_connection_fails_before_any_llm_call(tmp_path, capsys, monkeypatch,
+                                                           subcommand):
+    monkeypatch.setenv("NEO4J_URI", "bolt://graph.example:7687")
+    log = stub_neo4j(monkeypatch, refuse=True)
+    calls = _count_backend_calls(monkeypatch)
+    output = tmp_path / "bio.json"
+    rc = _run([subcommand, "--topic", "Biology", "--depth", "2", "--backend", "bolt",
+               "--output", str(output)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot open bolt store at bolt://")
+    assert calls == []
+    assert not output.exists()
+    assert log[-1] == ("close",) and log.count(("close",)) == 1
+
+
 def test_run_mirrors_only_after_outputs_are_written(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("NEO4J_URI", "bolt://graph.example:7687")
-    events = _fake_neo4j(monkeypatch, fail_nodes=True)
+    log = stub_neo4j(monkeypatch, fail_run=3)
     output = tmp_path / "bio.json"
     rc = _run(["run", "--topic", "Biology", "--depth", "2", "--num-q", "4",
                "--backend", "bolt", "--output", str(output)])
     assert rc == 1
-    assert "write refused" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to bolt store at bolt://graph.example:7687: ")
+    assert "write failed" in err
     assert len(read_jsonl(output)) == 4
     assert (tmp_path / "bio.snapshot.json").exists()
     assert (tmp_path / "bio.metrics.json").exists()
-    assert events == [("open", "bolt://graph.example:7687"), ("close",)]
+    assert sum(entry[0] == "run" for entry in log) == 3
+    assert log[-1] == ("close",) and log.count(("close",)) == 1
+
+
+def test_build_write_error_keeps_the_snapshot(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NEO4J_URI", "bolt://graph.example:7687")
+    log = stub_neo4j(monkeypatch, fail_run=3)
+    snapshot = tmp_path / "bio.json"
+    rc = _run(["build", "--topic", "Biology", "--depth", "2", "--backend", "bolt",
+               "--output", str(snapshot)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot write to bolt store at bolt://")
+    assert json.loads(snapshot.read_text(encoding="utf-8"))["nodes"]
+    assert (tmp_path / "bio.rejects.jsonl").exists()
+    assert log[-1] == ("close",) and log.count(("close",)) == 1
 
 
 def test_generate_mirrors_graph_after_dataset(tmp_path, monkeypatch):
     monkeypatch.setenv("NEO4J_URI", "bolt://graph.example:7687")
-    events = _fake_neo4j(monkeypatch)
+    log = stub_neo4j(monkeypatch)
     output = tmp_path / "bio.json"
     rc = _run(["run", "--topic", "Biology", "--mode", "rag_kg", "--depth", "2", "--num-q", "2",
                "--backend", "bolt", "--output", str(output)])
     assert rc == 0
     assert len(read_jsonl(output)) == 2
-    assert events[0] == ("open", "bolt://graph.example:7687")
-    assert any(e[0] == "node" for e in events) and any(e[0] == "edge" for e in events)
-    assert events[-1] == ("close",)
+    assert log[0] == ("driver", "bolt://graph.example:7687", ("", ""))
+    assert _runs(log, NODE_STATEMENT) and _runs(log, EDGE_STATEMENT)
+    assert log.count(("session",)) == 1
+    assert log[-1] == ("close",) and log.count(("close",)) == 1
 
 
 @pytest.mark.parametrize("subcommand", ["validate", "eval"])

@@ -12,6 +12,7 @@ import pytest
 from knight.errors import AdapterError
 from knight.metrics import (
     MAX_ENTROPY,
+    ROW_COLUMNS,
     ProbeLogits,
     _mean,
     _pstd,
@@ -164,6 +165,13 @@ def test_probe_accuracy_exclusions_counted(adapters):
     assert stats.probe_excluded == 1
     assert stats.probe_accuracy == 1.0
     assert rows[2]["probe_choice"] is None and rows[2]["entropy"] is None
+
+
+def test_rows_are_keyed_by_the_csv_columns_in_order(adapters):
+    items = [_item(i, answer_key="A") for i in range(3)]
+    items[1] = _item(99, answer_key="A")
+    _stats, rows = _probe_stats(items, _FlakyProbe("99"), adapters)
+    assert [tuple(row) for row in rows] == [ROW_COLUMNS] * 3
 
 
 # -- entailment & off-topic ------------------------------------------------------

@@ -1,10 +1,8 @@
 from __future__ import annotations
 
-import contextlib
 import json
 import random
 import sys
-import types
 
 import pytest
 
@@ -13,15 +11,15 @@ from knight.config import PipelineConfig, build_config
 from knight.errors import (
     ConfigError, JsonlError, SnapshotFormatError, SnapshotVersionError, StoreError,
 )
-from knight.graph import Edge, KnowledgeGraph, Node, PathSample
+from knight.graph import KnowledgeGraph, PathSample
 from knight.qgen import McqItem
 from knight.storage import (
-    BoltGraphStore,
+    EDGE_STATEMENT,
+    NODE_STATEMENT,
     canonical_json,
+    graph_mirror,
     item_to_record,
     load_snapshot,
-    mirror_graph,
-    open_graph_store,
     read_items,
     read_jsonl,
     record_to_item,
@@ -29,6 +27,8 @@ from knight.storage import (
     write_jsonl,
 )
 from knight.validation import ValidationReport
+
+from conftest import stub_neo4j
 
 
 def _fixture_graph(n_extra=6) -> KnowledgeGraph:
@@ -276,105 +276,80 @@ def test_jsonl_non_object_line(tmp_path):
         read_jsonl(path)
 
 
-# -- graph stores ---------------------------------------------------------------
+# -- Neo4j mirror ---------------------------------------------------------------
+
+_BOLT = PipelineConfig(graph_backend="bolt", neo4j_uri="bolt://graph.example:7687",
+                       neo4j_user="reader", neo4j_pass="s3cret")
 
 
-def test_bolt_requires_uri():
-    with pytest.raises(ConfigError):
-        open_graph_store(PipelineConfig(graph_backend="bolt"))
+def _runs(log) -> list:
+    return [entry[1:] for entry in log if entry[0] == "run"]
 
 
-def test_bolt_statements_are_parameterized():
-    node = Node(id="hafez", name="Hafez", depth=0, gloss="poet")
-    statement, params = BoltGraphStore.node_statement(node)
-    assert "$id" in statement and "MERGE" in statement
+def test_bolt_requires_uri(monkeypatch):
+    log = stub_neo4j(monkeypatch)
+    with pytest.raises(ConfigError, match="NEO4J_URI"):
+        with graph_mirror(PipelineConfig(graph_backend="bolt")):
+            pass
+    assert log == []
+
+
+def test_bolt_statements_are_parameterized(monkeypatch):
+    log = stub_neo4j(monkeypatch)
+    graph = KnowledgeGraph("Hafez")
+    graph.nodes["hafez"].gloss = "poet"
+    graph.add_node("Shiraz", depth=1)
+    graph.add_edge("hafez", "born_in", "shiraz")
+    with graph_mirror(_BOLT) as mirror:
+        mirror(graph)
+    (statement, params), _, (edge_statement, edge_params) = _runs(log)
+    assert statement == NODE_STATEMENT and "$id" in statement and "MERGE" in statement
     assert params == {"id": "hafez", "name": "Hafez", "depth": 0, "gloss": "poet"}
     assert "Hafez" not in statement  # values travel as parameters only
-
-    edge = Edge(head="hafez", relation="born_in", tail="shiraz")
-    statement, params = BoltGraphStore.edge_statement(edge)
-    assert "$head" in statement and "$tail" in statement and "$label" in statement
-    assert params == {"head": "hafez", "tail": "shiraz", "label": "born_in"}
-
-
-class _StubDriver:
-    """Stands in for ``neo4j.GraphDatabase.driver``'s result: keeps what the
-    store asks of it in ``log``."""
-
-    def __init__(self, log, uri, auth, refuse):
-        self.log, self.refuse = log, refuse
-        log.append(("driver", uri, auth))
-
-    def verify_connectivity(self):
-        self.log.append(("verify",))
-        if self.refuse:
-            raise OSError("connection refused")
-
-    def session(self):
-        return contextlib.nullcontext(self)
-
-    def run(self, statement, **params):
-        self.log.append(("run", statement, params))
-        return iter([])
-
-    def close(self):
-        self.log.append(("close",))
-
-
-def _stub_neo4j(monkeypatch, refuse=False) -> list:
-    """Installs a stub ``neo4j`` module; returns the log its driver writes."""
-    log: list = []
-    module = types.ModuleType("neo4j")
-    module.GraphDatabase = types.SimpleNamespace(
-        driver=lambda uri, auth: _StubDriver(log, uri, auth, refuse)
-    )
-    monkeypatch.setitem(sys.modules, "neo4j", module)
-    return log
+    assert edge_statement == EDGE_STATEMENT
+    assert "$head" in edge_statement and "$tail" in edge_statement and "$label" in edge_statement
+    assert edge_params == {"head": "hafez", "tail": "shiraz", "label": "born_in"}
 
 
 def test_bolt_open_builds_the_driver_from_the_config(monkeypatch):
-    log = _stub_neo4j(monkeypatch)
-    config = PipelineConfig(graph_backend="bolt", neo4j_uri="bolt://graph.example:7687",
-                            neo4j_user="reader", neo4j_pass="s3cret")
-    store = open_graph_store(config)
-    assert log == [("driver", "bolt://graph.example:7687", ("reader", "s3cret")), ("verify",)]
-    store.close()
-    store.close()  # a closed store closes nothing twice
+    log = stub_neo4j(monkeypatch)
+    with graph_mirror(_BOLT):
+        assert log == [("driver", "bolt://graph.example:7687", ("reader", "s3cret")), ("verify",)]
     assert log[2:] == [("close",)]
 
 
 def test_bolt_mirror_runs_every_node_before_any_edge(monkeypatch):
-    log = _stub_neo4j(monkeypatch)
+    log = stub_neo4j(monkeypatch)
     graph = _fixture_graph(3)
-    store = BoltGraphStore("bolt://graph.example:7687", "reader", "s3cret")
-    store.open()
-    mirror_graph(store, graph)
-    runs = [entry[1:] for entry in log if entry[0] == "run"]
-    expected = [BoltGraphStore.node_statement(n) for n in graph.sorted_nodes()]
-    expected += [BoltGraphStore.edge_statement(e) for e in graph.sorted_edges()]
-    assert runs == expected
-    assert len(runs) == len(graph.nodes) + len(graph.edges) and graph.edges
+    with graph_mirror(_BOLT) as mirror:
+        mirror(graph)
+    expected = [
+        (NODE_STATEMENT, {"id": n.id, "name": n.name, "depth": n.depth, "gloss": n.gloss})
+        for n in graph.sorted_nodes()
+    ]
+    expected += [
+        (EDGE_STATEMENT, {"head": e.head, "tail": e.tail, "label": e.relation})
+        for e in graph.sorted_edges()
+    ]
+    assert _runs(log) == expected
+    assert len(expected) == len(graph.nodes) + len(graph.edges) and graph.edges
+    assert log[2] == ("session",) and log.count(("session",)) == 1
+    assert log[-1] == ("close",) and log.count(("close",)) == 1
 
 
 def test_bolt_without_the_driver_is_a_store_error(monkeypatch):
     monkeypatch.setitem(sys.modules, "neo4j", None)
     with pytest.raises(StoreError, match="optional neo4j driver"):
-        BoltGraphStore("bolt://graph.example:7687", "", "").open()
+        with graph_mirror(_BOLT):
+            pass
 
 
 def test_bolt_refused_connection_is_a_store_error(monkeypatch):
-    log = _stub_neo4j(monkeypatch, refuse=True)
+    log = stub_neo4j(monkeypatch, refuse=True)
     with pytest.raises(StoreError, match="cannot open bolt store at bolt://graph.example:7687"):
-        BoltGraphStore("bolt://graph.example:7687", "", "").open()
-    assert log[-1] == ("verify",)
-
-
-def test_bolt_statement_before_open_is_a_store_error(monkeypatch):
-    log = _stub_neo4j(monkeypatch)
-    store = BoltGraphStore("bolt://graph.example:7687", "", "")
-    with pytest.raises(StoreError, match="not open"):
-        store.create_node(Node(id="hafez", name="Hafez", depth=0, gloss="poet"))
-    assert log == []
+        with graph_mirror(_BOLT):
+            pass
+    assert log[-1] == ("close",)
 
 
 def test_bolt_roundtrip_against_live_server():
@@ -382,21 +357,21 @@ def test_bolt_roundtrip_against_live_server():
 
     uri = os.environ.get("NEO4J_URI")
     try:
-        import neo4j  # noqa: F401
+        from neo4j import GraphDatabase
     except ImportError:
         pytest.skip("neo4j driver not installed")
     if not uri:
         pytest.skip("no NEO4J_URI configured")
+    config = build_config({"graph_backend": "bolt"})
     graph = _fixture_graph(3)
-    store = open_graph_store(build_config({"graph_backend": "bolt"}))
-    try:
-        mirror_graph(store, graph)
-        rows = store._run(
+    with graph_mirror(config) as mirror:
+        mirror(graph)
+    auth = (config.neo4j_user, config.neo4j_pass)
+    with GraphDatabase.driver(uri, auth=auth) as driver, driver.session() as session:
+        rows = list(session.run(
             "MATCH (h:Topic)-[r:RELATES]->(t:Topic) WHERE h.id IN $ids "
             "RETURN h.id AS head, r.label AS label, t.id AS tail",
-            {"ids": sorted(graph.nodes)},
-        )
-        mirrored = sorted((r["head"], r["label"], r["tail"]) for r in rows)
-        assert mirrored == [(e.head, e.relation, e.tail) for e in graph.sorted_edges()]
-    finally:
-        store.close()
+            ids=sorted(graph.nodes),
+        ))
+    mirrored = sorted((r["head"], r["label"], r["tail"]) for r in rows)
+    assert mirrored == [(e.head, e.relation, e.tail) for e in graph.sorted_edges()]
