@@ -47,7 +47,7 @@ from . import prompts
 from .adapters import AdapterSuite
 from .config import PipelineConfig
 from .curation import curate
-from .errors import ExtractionError
+from .errors import ExtractionError, abort_label
 from .gateway import ChatGateway
 from .graph import KnowledgeGraph, Node, Topic, Triple, add_curated
 from .retrieval import RetrievalResult, WikiSource, choose_titles, retrieve_evidence
@@ -215,7 +215,7 @@ def build_kg(
                 children = _apply_stage(graph, node, stage, config, adapters, report, rejects)
                 level.extend((child, node.name) for child in children)
         if error is not None:
-            report.aborted_reason = f"{type(error).__name__}: {error}"
+            report.aborted_reason = abort_label(error)
             log.error("build aborted: %s", report.aborted_reason)
             break
 

@@ -7,16 +7,19 @@ error. Each subcommand checks its outputs' directories first. ``eval`` makes
 no LLM call, so it needs no API key. A ``build``, ``run`` or ``validate``
 that a backend failure cuts short writes its partial outputs (``build`` with
 ``aborted_reason`` in the snapshot's report, ``run`` in ``metrics.json``)
-and exits 1. ``build`` and ``run`` take ``--backend``; with ``bolt`` they
-run inside ``storage.graph_mirror``, which opens the Neo4j driver before the
-first LLM call and closes it on every path. The graph is mirrored, in one
-session, only after the outputs are written; a driver error, on opening or
-on writing, is a ``StoreError`` and so an ``error:`` line and exit 1.
+and exits 1. ``build`` and ``run`` take ``--backend``; with ``bolt``,
+``build``, and ``run`` in a mode that builds a graph, run inside
+``storage.graph_mirror``, which opens the Neo4j driver before the first LLM
+call and closes it on every path (``plain``, ``rag`` and ``rag_val`` open
+none). The graph is mirrored, in one session, only after the outputs are
+written; a driver error, on opening or on writing, is a ``StoreError`` and
+so an ``error:`` line and exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -24,7 +27,7 @@ from pathlib import Path
 
 from .builder import BuildReport, build_kg
 from .config import PIPELINE_MODES, PipelineConfig, build_config
-from .errors import ConfigError, KnightError
+from .errors import ConfigError, KnightError, abort_label
 from .graph import KnowledgeGraph, Topic
 from .metrics import ROW_COLUMNS, compute_dataset_stats
 from .pipeline import (
@@ -220,7 +223,7 @@ def _cmd_validate(args: argparse.Namespace, config: PipelineConfig) -> int:
     kept = sum(int(item.flags.kept) for item in validated)
     write_jsonl([item_to_record(i) for i in validated], output)
     print(f"validated {len(validated)} items: {kept} kept, {len(validated) - kept} rejected")
-    return _exit_code(None if error is None else f"{type(error).__name__}: {error}")
+    return _exit_code(None if error is None else abort_label(error))
 
 
 def _cmd_eval(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -254,7 +257,8 @@ def _write_rows_csv(rows: list[dict], path: Path) -> None:
 
 def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
     output = _output_path(args.output)
-    with graph_mirror(config) as mirror:
+    builds_graph = "triples" in MODE_TASK_TAGS[config.pipeline_mode]
+    with graph_mirror(config) if builds_graph else contextlib.nullcontext() as mirror:
         services = build_services(config)
         topic = Topic(args.topic, optional_prompt=args.topic_hint)
         graph = load_snapshot(args.snapshot) if args.snapshot else None
@@ -263,7 +267,7 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
             force_critic=args.validate, graph=graph,
         )
         written = _write_run_outputs(result, services, config, output)
-        if mirror is not None and result.graph is not None:
+        if mirror is not None:
             mirror(result.graph)
     print(
         f"mode={result.mode} kept={len(result.kept_items)}/{result.attempts} attempts; "

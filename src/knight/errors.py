@@ -1,10 +1,15 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and ``abort_label``."""
 
 from __future__ import annotations
 
 
 class KnightError(Exception):
     """Base class for every error this package raises deliberately."""
+
+
+def abort_label(exc: Exception) -> str:
+    """A cut-short command's ``aborted_reason``: the error's class, then its message."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 class ConfigError(KnightError):
@@ -61,16 +66,13 @@ class AdapterError(KnightError):
     """An auxiliary scoring adapter (embedding, NLI, ontology, policy) failed."""
 
 
-class SnapshotError(KnightError):
-    """Base class for snapshot load failures."""
+class SnapshotFormatError(KnightError):
+    """Snapshot file cannot be read, is not a JSON object, or has a missing or
+    malformed field; ``cli.main`` reports it as an ``error:`` line."""
 
 
-class SnapshotFormatError(SnapshotError):
-    """Snapshot file is not valid JSON or misses required fields."""
-
-
-class SnapshotVersionError(SnapshotError):
-    """Snapshot schema version is not supported."""
+class SnapshotVersionError(KnightError):
+    """Snapshot schema version is not supported; an ``error:`` line too."""
 
 
 class JsonlError(KnightError):

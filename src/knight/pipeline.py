@@ -31,7 +31,8 @@ group's prompt shares, its passages numbered; its queue is already in pair
 order. Each reply block cites the passage its key rests on, and the item
 keeps only that passage as its ``source_context``, with that passage's id
 and weight as its provenance; a block that cites no passage keeps the whole
-evidence block and counts in ``PipelineResult.uncited``. The critic
+evidence block and counts in ``PipelineResult.uncited``. In every mode
+``qgen.provenance`` writes an item's provenance record. The critic
 likewise fixes groups of up to ``BATCH`` consecutive items, whatever their
 ``source_context``, before the map, and maps ``validate_item`` over them. In
 every grouped call a reply block that is missing, repeated or unparseable,
@@ -55,7 +56,7 @@ from typing import Callable
 from .adapters import AdapterSuite
 from .builder import BuildReport, RejectedCandidate, build_kg
 from .config import PipelineConfig
-from .errors import ConfigError, GatewayError, GenerationRejected
+from .errors import ConfigError, GatewayError, GenerationRejected, abort_label
 from .fixture_world import FixtureWorld, load_world
 from .gateway import ChatGateway, ChatRequest, MockChatBackend, OpenAiCompatBackend
 from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
@@ -63,7 +64,9 @@ from .metrics import DatasetStats, compute_dataset_stats
 from .prompts import (
     CITED_SOURCE, DIRECT_MCQ_SYSTEM, EVIDENCE_SOURCE, batches, direct_mcq_user, evidence_source,
 )
-from .qgen import ORIENTATIONS, McqItem, generate_mcq, mcq_item, parse_citation, sample_paths
+from .qgen import (
+    ORIENTATIONS, McqItem, generate_mcq, mcq_item, parse_citation, provenance, sample_paths,
+)
 from .retrieval import (
     FixtureWikiSource, NetworkWikiSource, RetrievalResult, WikiSource, choose_titles,
     mixture_weights, retrieve_evidence,
@@ -147,7 +150,7 @@ def _question_fingerprint(question: str) -> str:
 
 def _abort(result: PipelineResult, exc: GatewayError) -> None:
     if result.aborted_reason is None:
-        result.aborted_reason = f"{type(exc).__name__}: {exc}"
+        result.aborted_reason = abort_label(exc)
         log.error("backend failure, stage cut short: %s", result.aborted_reason)
 
 
@@ -246,36 +249,26 @@ def _direct_attempts(
         retrieval = retrieve_evidence(topic.name, title, services.source, config)
     passages = retrieval.texts()
     seed_node = normalize_name(topic.name)
-    uncited = dict(
-        source_context=evidence_source(passages),
-        provenance={
-            "seed_node": seed_node,
-            "passage_ids": retrieval.ids(),
-            "mixture_weights": retrieval.weights(),
-            "parametric_fallback": retrieval.fallback,
-        },
-    )
-    cited = [
-        dict(
-            source_context=CITED_SOURCE + passage.text,
-            provenance={
-                "seed_node": seed_node,
-                "passage_ids": [passage.id],
-                "mixture_weights": mixture_weights([passage.score]),
-                "parametric_fallback": False,
-            },
-        )
+    # (source, provenance) of an item by the passage its reply cites: index 0
+    # for a reply that cites none, index n for passage n.
+    sources = [
+        (evidence_source(passages),
+         provenance(seed_node, retrieval.ids(), retrieval.weights(), retrieval.fallback))
+    ] + [
+        (CITED_SOURCE + passage.text,
+         provenance(seed_node, [passage.id], mixture_weights([passage.score]), False))
         for passage in retrieval.passages
     ]
     slug = _slug(topic.name)
 
     def parse(item_id: str, block: str) -> McqItem:
-        number = parse_citation(block, len(cited))
+        number = parse_citation(block, len(retrieval.passages))
+        source_context, record = sources[number or 0]
         item = mcq_item(
             block, id=item_id, topic=topic.name, level=config.d_max, orientation="forward",
-            path=None, **(uncited if number is None else cited[number - 1]),
+            path=None, source_context=source_context, provenance=record,
         )
-        if number is None and cited:
+        if number is None and retrieval.passages:
             log.warning("%s cites no evidence passage; its source is all of them", item_id)
         return item
 

@@ -7,7 +7,8 @@ group: a path mode's (``generate_mcq``, one orientation per call) and a
 direct mode's alike are split on their "Item N" headers by
 ``ChatGateway.complete_items``, and each block goes through ``mcq_item`` on its
 own; a direct block's ``Evidence: [n]`` line is read by ``parse_citation``.
-Orientation lives on the ``McqItem`` only."""
+Orientation lives on the ``McqItem`` only. ``provenance`` writes every item's
+provenance record; a path item's is its start node's stored evidence."""
 
 from __future__ import annotations
 
@@ -132,6 +133,19 @@ def parse_citation(block: str, count: int) -> int | None:
     return number if 1 <= number <= count else None
 
 
+def provenance(
+    seed_node: str, passage_ids: list[str], weights: list[float], fallback: bool
+) -> dict:
+    """An item's provenance record: its seed node, the passages it rests on,
+    their mixture weights, and whether it fell back on parametric knowledge."""
+    return {
+        "seed_node": seed_node,
+        "passage_ids": list(passage_ids),
+        "mixture_weights": list(weights),
+        "parametric_fallback": fallback,
+    }
+
+
 def mcq_item(block: str, **fields) -> McqItem:
     """Build an item from one reply block; ``fields`` are the item's fields
     other than the question, options and key. A block that does not parse,
@@ -172,12 +186,8 @@ def generate_mcq(
             orientation=orientation,
             path=path,
             source_context=verbalize(path, graph),
-            provenance={
-                "seed_node": path.node_ids[0],
-                "passage_ids": list(start.provenance),
-                "mixture_weights": list(start.retrieval_weights),
-                "parametric_fallback": start.parametric_fallback,
-            },
+            provenance=provenance(path.node_ids[0], start.provenance,
+                                  start.retrieval_weights, start.parametric_fallback),
         )
 
         def parse(block: str) -> McqItem:

@@ -31,16 +31,6 @@ from .prompts import GLOSS_HEADINGS, GLOSS_SYSTEM, TRIPLES_SYSTEM, gloss_user, t
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "Triple",
-    "generate_gloss",
-    "overlap",
-    "gate_gloss",
-    "extract_triples",
-    "dedup_triples",
-    "levenshtein",
-]
-
 # Small fixed stopword list for content-token overlap; intentionally minimal
 # so the measure stays cheap and reproducible.
 STOPWORDS = frozenset(

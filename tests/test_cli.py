@@ -701,6 +701,19 @@ def test_run_memory_backend_opens_no_store(tmp_path, monkeypatch):
     assert log == []
 
 
+@pytest.mark.parametrize("mode", ["plain", "rag", "rag_val"])
+def test_run_of_a_mode_without_a_graph_opens_no_store(tmp_path, monkeypatch, mode):
+    log = stub_neo4j(monkeypatch)
+    argv = ["run", "--topic", "Biology", "--mode", mode, "--depth", "2", "--num-q", "2",
+            "--backend", "bolt", "--output"]
+    monkeypatch.delenv("NEO4J_URI", raising=False)
+    assert _run(argv + [str(tmp_path / "no-uri.json")]) == 0
+    assert len(read_jsonl(tmp_path / "no-uri.json")) == 2
+    monkeypatch.setenv("NEO4J_URI", "bolt://graph.example:7687")
+    assert _run(argv + [str(tmp_path / "uri.json")]) == 0
+    assert log == []
+
+
 @pytest.mark.parametrize("subcommand", ["run", "build"])
 def test_bolt_without_uri_fails_before_any_llm_call(tmp_path, capsys, monkeypatch, subcommand):
     monkeypatch.delenv("NEO4J_URI", raising=False)

@@ -1,13 +1,15 @@
 """Source hygiene: every top-level import in the package is used; no
 module but ``gateway.py`` imports a threading module, so ``ChatGateway.map``
 stays the one place that starts threads and decides what a failed call
-costs; nothing in the package is reached only by tests; and the mock path
-loads neither numpy nor requests."""
+costs; nothing in the package is reached only by tests; every name the
+package exports is imported from it by a bench, tool or test file; and the
+mock path loads neither numpy nor requests."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -157,6 +159,42 @@ def test_checker_flags_a_definition_reached_only_by_itself_or_init():
         "b.py": "from .a import Thing\nThing().spare()\n",
     }
     assert _unreached(sources) == ["Thing.lonely", "helper"]
+
+
+_PACKAGE_IMPORT = re.compile(r"from knight import (?:\(([^)]*)\)|([\w ,]+))")
+
+
+def _unimported_exports(exports: list[str], sources: list[str]) -> list[str]:
+    """Names of ``exports`` that no ``from knight import …`` statement in
+    ``sources`` names. The text is searched, not parsed, so an import made
+    inside a string, as a subprocess's code is, counts too."""
+    imported: set[str] = set()
+    for source in sources:
+        for parenthesized, line in _PACKAGE_IMPORT.findall(source):
+            imported.update(re.findall(r"\w+", parenthesized or line))
+    return sorted(set(exports) - imported)
+
+
+def test_every_package_export_is_imported_from_the_package():
+    import knight
+
+    root = PACKAGE.parents[1]
+    sources = [
+        path.read_text(encoding="utf-8")
+        for folder in ("bench", "tools", "tests")
+        for path in sorted((root / folder).rglob("*.py"))
+    ]
+    assert _unimported_exports(knight.__all__, sources) == []
+
+
+def test_checker_flags_an_export_nothing_imports():
+    sources = [
+        "from knight import (\n    Topic,\n    build_config,\n)\n",
+        'code = "from knight import run_pipeline\\nrun_pipeline()\\n"\n',
+        "import knight.graph\nfrom knight.graph import Edge\nbuild_services()\n",
+    ]
+    exports = ["Edge", "Topic", "build_config", "build_services", "run_pipeline"]
+    assert _unimported_exports(exports, sources) == ["Edge", "build_services"]
 
 
 def test_mock_path_imports_neither_numpy_nor_requests():
