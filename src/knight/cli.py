@@ -1,19 +1,25 @@
 """Command-line entry point.
 
-Subcommands: ``build``, ``validate``, ``eval``, ``run``. The bare-flags form
-(``knight --topic "Biology" --depth 2 ...``) is accepted as an alias for
-``run``. Exit codes: 0 success, 1 backend, config or file error, 2 usage
-error. Each subcommand checks its outputs' directories first. ``eval`` makes
-no LLM call, so it needs no API key. A ``build``, ``run`` or ``validate``
-that a backend failure cuts short writes its partial outputs (``build`` with
+Subcommands: ``build``, ``validate``, ``eval``, ``run``; the bare-flags form
+(``knight --topic "Biology" --depth 2 ...``) is an alias for ``run``. Each
+takes only the flags it reads: all take ``--seed``, ``--config`` and
+``--print-config``; ``validate``, ``build`` and ``run`` take ``--llm-backend``
+and ``--max-inflight``; ``build`` and ``run`` take ``--topic``,
+``--topic-hint``, ``--depth``, ``--mode`` and ``--backend``, and ``run`` also
+``--prompt``, ``--num-q``, ``--snapshot`` and ``--validate``; ``eval`` takes
+an optional ``--topic``. Exit codes: 0 success, 1 backend, config or file
+error, 2 usage error (an unknown flag or a blank topic too). Each subcommand
+checks its outputs' directories first. ``eval`` makes no LLM call, so it
+needs no API key. A ``build``, ``run`` or ``validate`` that a backend
+failure cuts short writes its partial outputs (``build`` with
 ``aborted_reason`` in the snapshot's report, ``run`` in ``metrics.json``)
-and exits 1. ``build`` and ``run`` take ``--backend``; with ``bolt``,
-``build``, and ``run`` in a mode that builds a graph, run inside
-``storage.graph_mirror``, which opens the Neo4j driver before the first LLM
-call and closes it on every path (``plain``, ``rag`` and ``rag_val`` open
-none). The graph is mirrored, in one session, only after the outputs are
-written; a driver error, on opening or on writing, is a ``StoreError`` and
-so an ``error:`` line and exit 1.
+and exits 1. With ``--backend bolt``, ``build``, and ``run`` in a mode that
+builds a graph, run inside ``storage.graph_mirror``, which opens the Neo4j
+driver before the first LLM call and closes it on every path; the graph is
+mirrored, in one session, only after the outputs are written. A driver
+error, on opening or on writing, is a ``StoreError`` and so an ``error:``
+line and exit 1. ``plain``, ``rag`` and ``rag_val`` read neither
+``--snapshot`` nor ``--backend``.
 """
 
 from __future__ import annotations
@@ -49,9 +55,6 @@ from .storage import (
     write_jsonl,
 )
 
-_SNAPSHOT_HELP = "reuse a saved graph snapshot (its last level, at d_max, was not expanded)"
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -62,35 +65,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, *, reads_dataset: bool = False) -> None:
-    """Flags every subcommand takes; a flag that sets a ``PipelineConfig``
-    field is stored under the field's name. A subcommand that reads an
-    existing dataset (``validate``, ``eval``) needs no topic and no graph store."""
-    parser.add_argument("--topic", required=not reads_dataset, help="subject to build/generate for")
-    parser.add_argument(
-        "--prompt",
-        default="multiple-choice",
-        choices=["multiple-choice"],
-        help="item-format template family",
-    )
-    parser.add_argument("--topic-hint", default=None, help="optional context hint for retrieval")
-    parser.add_argument("--depth", dest="d_max", type=_positive_int, default=None,
-                        help="hop budget d_max (>= 1)")
-    parser.add_argument("--seed", dest="rng_seed", type=int, default=None, help="rng seed")
-    parser.add_argument("--mode", dest="pipeline_mode", choices=PIPELINE_MODES, default=None,
-                        help="pipeline mode")
-    parser.add_argument("--llm-backend", dest="backend", choices=["mock", "openai"], default=None,
-                        help="chat backend (default mock)")
-    if not reads_dataset:
-        parser.add_argument("--backend", dest="graph_backend", choices=["memory", "bolt"],
-                            default=None,
-                            help="graph store: memory keeps the graph in process only, "
-                                 "bolt also mirrors it to Neo4j (default memory)")
-    parser.add_argument("--config", default=None, help="key = value config file")
-    parser.add_argument("--max-inflight", type=_positive_int, default=None,
-                        help="bound on concurrent backend calls")
-    parser.add_argument("--print-config", action="store_true",
-                        help="print the merged config (secrets redacted) and exit")
+def _topic_name(text: str) -> str:
+    if not text.strip():
+        raise argparse.ArgumentTypeError("must not be blank")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,27 +77,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Build topic knowledge graphs and generate validated MCQ datasets.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # A flag that sets a ``PipelineConfig`` field is stored under its name.
+    shared, llm, topic = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    shared.add_argument("--seed", dest="rng_seed", type=int, help="rng seed")
+    shared.add_argument("--config", help="key = value config file")
+    shared.add_argument("--print-config", action="store_true",
+                        help="print the merged config (secrets redacted) and exit")
+    llm.add_argument("--llm-backend", dest="backend", choices=["mock", "openai"],
+                     help="chat backend (default mock)")
+    llm.add_argument("--max-inflight", type=_positive_int, help="bound on concurrent backend calls")
+    topic.add_argument("--topic", type=_topic_name, required=True,
+                       help="subject to build/generate for")
+    topic.add_argument("--topic-hint", help="optional context hint for retrieval")
+    topic.add_argument("--depth", dest="d_max", type=_positive_int, help="hop budget d_max (>= 1)")
+    topic.add_argument("--mode", dest="pipeline_mode", choices=PIPELINE_MODES, help="pipeline mode")
+    topic.add_argument("--backend", dest="graph_backend", choices=["memory", "bolt"],
+                       help="graph store: memory keeps the graph in process only, "
+                            "bolt also mirrors it to Neo4j (default memory)")
 
-    p_build = sub.add_parser("build", help="construct and snapshot a topic graph")
-    _add_common(p_build)
+    p_build = sub.add_parser("build", parents=[shared, llm, topic],
+                             help="construct and snapshot a topic graph")
     p_build.add_argument("--output", required=True, help="snapshot path (.json)")
 
-    p_validate = sub.add_parser("validate", help="validate an existing dataset file")
-    _add_common(p_validate, reads_dataset=True)
+    p_validate = sub.add_parser("validate", parents=[shared, llm],
+                                help="validate an existing dataset file")
     p_validate.add_argument("--input", required=True, help="dataset JSONL to validate")
     p_validate.add_argument("--output", required=True, help="where to write flagged records")
 
-    p_eval = sub.add_parser("eval", help="compute the metrics report for a dataset file")
-    _add_common(p_eval, reads_dataset=True)
+    p_eval = sub.add_parser("eval", parents=[shared],
+                            help="compute the metrics report for a dataset file")
+    p_eval.add_argument("--topic", type=_topic_name, help="default: the first record's topic")
     p_eval.add_argument("--input", required=True, help="dataset JSONL to score")
     p_eval.add_argument("--report", required=True, help="metrics JSON output path")
-    p_eval.add_argument("--csv", default=None, help="optional per-item CSV path")
+    p_eval.add_argument("--csv", help="optional per-item CSV path")
 
-    p_run = sub.add_parser("run", help="full pipeline: build, generate, validate, evaluate")
-    _add_common(p_run)
+    p_run = sub.add_parser("run", parents=[shared, llm, topic],
+                           help="full pipeline: build, generate, validate, evaluate")
+    p_run.add_argument("--prompt", default="multiple-choice", choices=["multiple-choice"],
+                       help="item-format template family")
     p_run.add_argument("--num-q", type=_positive_int, default=10)
     p_run.add_argument("--output", required=True, help="dataset path (JSONL records)")
-    p_run.add_argument("--snapshot", default=None, help=_SNAPSHOT_HELP)
+    p_run.add_argument("--snapshot", help="reuse a saved graph snapshot "
+                       "(its last level, at d_max, was not expanded)")
     p_run.add_argument("--validate", action="store_true", help="force the critic in any mode")
 
     return parser
@@ -261,7 +260,7 @@ def _cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
     with graph_mirror(config) if builds_graph else contextlib.nullcontext() as mirror:
         services = build_services(config)
         topic = Topic(args.topic, optional_prompt=args.topic_hint)
-        graph = load_snapshot(args.snapshot) if args.snapshot else None
+        graph = load_snapshot(args.snapshot) if args.snapshot and builds_graph else None
         result, services = run_pipeline(
             topic, config, args.num_q, services=services,
             force_critic=args.validate, graph=graph,

@@ -62,24 +62,11 @@ class FixtureWorld:
     blocked_terms: list[str] = field(default_factory=list)
 
     def lookup_term(self, text: str) -> WorldEntry | None:
-        """Resolve a term by normalized key, then by plain lowercase."""
-        entry = self.terms.get(normalize_name(text))
-        if entry is not None:
-            return entry
-        return self.terms.get(" ".join(text.lower().split()))
-
-    def find_term_in_text(self, text: str) -> WorldEntry | None:
-        """Longest fixture term mentioned in ``text`` (case-insensitive)."""
-        lowered = text.lower()
-        best: WorldEntry | None = None
-        for entry in self.terms.values():
-            if entry.name.lower() in lowered:
-                if best is None or len(entry.name) > len(best.name):
-                    best = entry
-        return best
+        """The term whose name normalizes as ``text`` does, if any."""
+        return self.terms.get(normalize_name(text))
 
     def sorted_names(self) -> list[str]:
-        return sorted({entry.name for entry in self.terms.values()})
+        return sorted(entry.name for entry in self.terms.values())
 
     def cosine(self, a: str, b: str) -> float:
         ka, kb = normalize_name(a), normalize_name(b)
@@ -127,14 +114,12 @@ def load_world(fixture_dir: str | Path | None = None) -> FixtureWorld:
     policy_doc = _load_json(root, "policy.json")
 
     world = FixtureWorld(root=root)
-    for key, raw in world_doc.get("terms", {}).items():
-        entry = WorldEntry(
+    for raw in world_doc.get("terms", {}).values():
+        world.terms[normalize_name(raw["name"])] = WorldEntry(
             name=raw["name"],
             hint=raw.get("hint", ""),
             triples=[tuple(t) for t in raw.get("triples", [])],
         )
-        world.terms[normalize_name(raw["name"])] = entry
-        world.terms.setdefault(" ".join(key.lower().split()), entry)
 
     world.search = {
         " ".join(k.lower().split()): list(v) for k, v in index_doc.get("search", {}).items()

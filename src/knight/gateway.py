@@ -485,13 +485,10 @@ class MockChatBackend:
         return "\n".join(lines)
 
     def _triples(self, slot: str) -> str:
-        # A mock gloss names its subject in the first section header; only
-        # free-form text falls back to the longest fixture-term mention.
+        # A mock gloss names its subject in the first section header; text
+        # without that header gets no triplets.
         header = re.search(rf"1\. {re.escape(GLOSS_HEADINGS[0])} - ([^:]+):", slot)
-        if header:
-            entry = self.world.lookup_term(header.group(1).strip())
-        else:
-            entry = self.world.find_term_in_text(slot)
+        entry = self.world.lookup_term(header.group(1).strip()) if header else None
         if entry is None or not entry.triples:
             return json.dumps({"triplets": []})
         triples = list(entry.triples)

@@ -352,10 +352,11 @@ def _plain_dataset(tmp_path) -> str:
 def test_missing_output_directory_fails_before_any_llm_call(
     tmp_path, capsys, monkeypatch, subcommand
 ):
-    reads = ["--input", _plain_dataset(tmp_path)] if subcommand == "validate" else []
+    reads = (["--input", _plain_dataset(tmp_path)] if subcommand == "validate"
+             else ["--topic", "Biology", "--depth", "2"])
     capsys.readouterr()
     calls = _count_backend_calls(monkeypatch)
-    rc = _run([subcommand, "--topic", "Biology", "--depth", "2", *reads,
+    rc = _run([subcommand, *reads,
                "--output", str(tmp_path / "absent" / "bio.jsonl")])
     assert rc == 1
     assert "does not exist" in capsys.readouterr().err
@@ -414,8 +415,9 @@ def test_eval_needs_no_api_key(tmp_path, monkeypatch):
     # eval makes no LLM call, so the chat backend is never built.
     dataset = _plain_dataset(tmp_path)
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    monkeypatch.setenv("KNIGHT_BACKEND", "openai")
     report = tmp_path / "report.json"
-    rc = _run(["eval", "--input", dataset, "--report", str(report), "--llm-backend", "openai"])
+    rc = _run(["eval", "--input", dataset, "--report", str(report)])
     assert rc == 0
     assert json.loads(report.read_text(encoding="utf-8"))["items"] == 2
 
@@ -787,11 +789,66 @@ def test_generate_mirrors_graph_after_dataset(tmp_path, monkeypatch):
     assert log[-1] == ("close",) and log.count(("close",)) == 1
 
 
-@pytest.mark.parametrize("subcommand", ["validate", "eval"])
-def test_dataset_subcommands_take_no_graph_backend(tmp_path, subcommand):
+_FLAG_VALUES = {"--backend": "memory", "--topic": "Biology", "--topic-hint": "life sciences",
+                "--depth": "2", "--mode": "plain", "--prompt": "multiple-choice",
+                "--llm-backend": "mock", "--max-inflight": "2"}
+_UNREAD_FLAGS = {
+    "validate": ["--backend", "--topic", "--topic-hint", "--depth", "--mode", "--prompt"],
+    "eval": ["--backend", "--topic-hint", "--depth", "--mode", "--prompt", "--llm-backend",
+             "--max-inflight"],
+    "build": ["--prompt"],
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    [pytest.param(sub, flag, id=f"{sub}-{flag[2:]}")
+     for sub, flags in _UNREAD_FLAGS.items() for flag in flags],
+)
+def test_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, subcommand, flag):
     dataset = tmp_path / "in.jsonl"
     dataset.write_text("", encoding="utf-8")
-    out_flag = "--output" if subcommand == "validate" else "--report"
-    rc = _run([subcommand, "--input", str(dataset), out_flag, str(tmp_path / "out"),
-               "--backend", "memory"])
+    out = tmp_path / "out"
+    needs = {"validate": ["--input", str(dataset), "--output", str(out)],
+             "eval": ["--input", str(dataset), "--report", str(out)],
+             "build": ["--topic", "Biology", "--output", str(out)]}[subcommand]
+    rc = _run([subcommand, *needs, flag, _FLAG_VALUES[flag]])
     assert rc == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand, topic", [("run", "  "), ("build", "")], ids=["run", "build"])
+def test_blank_topic_is_a_usage_error(tmp_path, capsys, monkeypatch, subcommand, topic):
+    calls = _count_backend_calls(monkeypatch)
+    output = tmp_path / "out.jsonl"
+    mode = ["--mode", "plain"] if subcommand == "run" else []
+    rc = _run([subcommand, "--topic", topic, *mode, "--output", str(output)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and "Traceback" not in err
+    assert not output.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["plain", "rag", "rag_val"])
+def test_direct_mode_ignores_snapshot(tmp_path, mode):
+    """A mode that builds no graph reads no ``--snapshot``, not even an absent one."""
+    argv = ["run", "--topic", "Biology", "--mode", mode, "--num-q", "2", "--seed", "0"]
+    without, with_ = tmp_path / "without", tmp_path / "with"
+    without.mkdir()
+    with_.mkdir()
+    assert _run([*argv, "--output", str(without / "d.jsonl")]) == 0
+    assert _run([*argv, "--snapshot", str(tmp_path / "absent.json"),
+                 "--output", str(with_ / "d.jsonl")]) == 0
+    for name in ("d.jsonl", "d.metrics.json"):
+        assert (with_ / name).read_bytes() == (without / name).read_bytes()
+
+
+def test_knight_mode_reads_its_snapshot(tmp_path, capsys):
+    rc = _run(["run", "--topic", "Biology", "--mode", "knight", "--num-q", "2",
+               "--snapshot", str(tmp_path / "absent.json"),
+               "--output", str(tmp_path / "d.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cannot read snapshot ")
+    assert not (tmp_path / "d.jsonl").exists()

@@ -318,6 +318,32 @@ def test_node_block_restores_a_line_from_any_description_it_gives(world, config)
     assert critic_sources(no_beta) == {1: None, 2: None, 3: sources[3]}
 
 
+def test_node_block_finds_a_line_after_that_of_a_longer_name(world, config):
+    """A node's excerpt line is found past the line of a longer name that
+    starts with its own ("Beta cell" before "Beta")."""
+    graph = KnowledgeGraph("Alpha")
+    alpha = graph.nodes[graph.seed_id]
+    beta_cell, beta = graph.add_node("Beta cell", depth=1), graph.add_node("Beta", depth=1)
+    delta = graph.add_node("Delta", depth=2)
+    for node in (alpha, beta_cell, beta, delta):
+        node.gloss = f"1. Scope - {node.name}: a glossed node."
+    paths = [
+        PathSample([alpha.id, beta_cell.id, delta.id], ["has", "holds"]),
+        PathSample([alpha.id, beta.id, delta.id], ["has", "holds"]),
+    ]
+    items = [_item(question=f"Which one, {n}?") for n in range(2)]
+    for item, path in zip(items, paths):
+        item.path, item.source_context = path, verbalize(path, graph)
+    assert [item.source_context.split("\n")[0] for item in items] == [
+        "Path: Alpha --[has]--> Beta cell --[holds]--> Delta",
+        "Path: Alpha --[has]--> Beta --[holds]--> Delta",
+    ]
+    head = split_items(validate_user(items))[0]
+    assert head.startswith("Node Information\n- Beta cell: 1. Scope - Beta cell: a glossed node."
+                           "\n- Beta: 1. Scope - Beta: a glossed node.\n")
+    assert critic_sources(head) == {1: items[0].source_context, 2: items[1].source_context}
+
+
 @pytest.mark.parametrize(
     "other",
     [

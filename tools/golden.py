@@ -64,7 +64,7 @@ def commands(out: Path) -> list[list[str]]:
              "--output", str(out / "build-biology-depth3.json")]
     # Later commands read the dataset of this earlier run, so order matters.
     dataset = str(out / "knight-biology-inflight1.jsonl")
-    reads = ["--depth", "2", "--seed", "0", "--input", dataset]
+    reads = ["--seed", "0", "--input", dataset]
     return runs + stress + [
         build,
         ["validate", *reads, "--output", str(out / "validate-knight-biology.jsonl")],
