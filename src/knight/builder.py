@@ -3,28 +3,31 @@ gloss synthesis, triple extraction, and curation.
 
 The build runs one level at a time, starting from the seed alone, up to
 ``d_max``. A level is its nodes in the order they were added, each with its
-own parent's name; ``prompts.batches`` cuts it into runs of up to ``BATCH``
-nodes, so a run may span several parents. ``ChatGateway.map`` maps one
-stage over the level's runs. A stage makes numbered-slot calls, one slot per
-node, each slot under its own parent: title-check rounds
-(``choose_titles``), one ``gloss`` call, and one ``triples`` call for the
+own parent's name. First ``choose_titles`` searches every node of the level
+and asks its title-check rounds, one call per round of up to
+``TITLE_BATCH`` nodes, each slot under its own parent. Then
+``prompts.batches`` cuts the level into runs of up to ``BATCH`` nodes, so a
+run may span several parents, and ``ChatGateway.map`` maps one stage over
+the runs. A stage makes numbered-slot calls, one slot per node, each slot
+under its own parent: one ``gloss`` call, and one ``triples`` call for the
 nodes above ``d_max`` whose gloss passed the gamma gate. Retrieval, the
-gamma gate and dedup stay per node. A stage reads only node names, never the
-graph, so the stages of a level run concurrently. Once the map returns, each
-finished stage is applied on the caller's thread in run order, node by node:
-the node's gloss, and its provenance, fallback flag and retrieval weights
-read from its ``RetrievalResult``, then curation and attachment. The
-children the nodes add, in the order they were added, are the next level.
-Nodes are thus applied in the order of a per-node breadth-first run, and the
-graph is the same at any ``max_inflight`` and any ``BATCH``.
+gamma gate and dedup stay per node. A stage reads only node names and
+titles, never the graph, so the stages of a level run concurrently. Once
+the map returns, each finished stage is applied on the caller's thread in
+run order, node by node: the node's gloss, and its provenance, fallback
+flag and retrieval weights read from its ``RetrievalResult``, then curation
+and attachment. The children the nodes add, in the order they were added,
+are the next level. Nodes are thus applied in the order of a per-node
+breadth-first run, and the graph is the same at any ``max_inflight``,
+``BATCH`` and ``TITLE_BATCH``.
 
 A reply block that is missing or unusable costs its own node only: a
 title block reads as "no"; a gloss block leaves the node unglossed and
 unexpanded, with a warning; a triples block is an ``ExtractionError``, so
-the node gets zero children. On a ``GatewayError`` every run of the level
-before the failed one is applied, the error goes to
-``BuildReport.aborted_reason``, and nothing after it is: a failed call costs
-its run, the rest of its level and every deeper level.
+the node gets zero children. A ``GatewayError`` ends the build and goes to
+``BuildReport.aborted_reason``. From a title check it costs its whole level,
+whose nodes stay unglossed; from a stage, the runs of the level before the
+failed one are applied and nothing after them is.
 
 Depth rule: a node at ``d_max`` can get no children, so it is glossed but
 not expanded. It gets its title check, retrieval, gloss, provenance and
@@ -47,7 +50,7 @@ from . import prompts
 from .adapters import AdapterSuite
 from .config import PipelineConfig
 from .curation import curate
-from .errors import ExtractionError, abort_label
+from .errors import ExtractionError, GatewayError, abort_label
 from .gateway import ChatGateway
 from .graph import KnowledgeGraph, Node, Topic, Triple, add_curated
 from .retrieval import RetrievalResult, WikiSource, choose_titles, retrieve_evidence
@@ -100,24 +103,18 @@ class _Stage:
 
 
 def _run_stage(
-    run: list[tuple[Node, str | None]],
+    run: list[tuple[Node, str | None, str | None]],
     depth: int,
-    topic_hint: str | None,
     config: PipelineConfig,
     gateway: ChatGateway,
     source: WikiSource,
 ) -> list[_Stage]:
-    """The calls of one run of the level at ``depth``: title-check rounds,
-    one ``gloss`` call and, above ``d_max``, one ``triples`` call, each slot
-    under its own node's parent (the seed's, None, under ``topic_hint``)."""
-    names = [node.name for node, _ in run]
-    parents = [parent for _, parent in run]
-    titles = choose_titles(
-        names, source, gateway, config, [parent or topic_hint for parent in parents]
-    )
-    retrievals = [
-        retrieve_evidence(name, title, source, config) for name, title in zip(names, titles)
-    ]
+    """The calls of one run of the level at ``depth``, each node given with
+    its parent and chosen title: one ``gloss`` call and, above ``d_max``, one
+    ``triples`` call, each slot under its own node's parent."""
+    names = [node.name for node, _, _ in run]
+    parents = [parent for _, parent, _ in run]
+    retrievals = [retrieve_evidence(node.name, title, source, config) for node, _, title in run]
     glosses = generate_gloss(
         gateway,
         [(name, parent, r.texts()) for name, parent, r in zip(names, parents, retrievals)],
@@ -196,22 +193,30 @@ def build_kg(
 ) -> tuple[KnowledgeGraph, BuildReport]:
     """Construct the depth-bounded graph for ``topic``.
 
-    A backend failure stops expansion after every run before it in its
-    level is applied and is recorded on the report; the partial graph is
-    still returned.
+    A backend failure stops expansion and is recorded on the report; the
+    partial graph is still returned.
     """
     graph = KnowledgeGraph(topic.name)
     report = BuildReport()
     level: list[tuple[Node, str | None]] = [(graph.nodes[graph.seed_id], None)]
     for depth in range(config.d_max + 1):
-        runs = prompts.batches(level)
-        stages, error = gateway.map(
-            lambda run: _run_stage(run, depth, topic.optional_prompt, config, gateway, source),
-            runs,
-        )
+        runs: list[list[tuple[Node, str | None, str | None]]] = []
+        stages: list[list[_Stage]] = []
+        try:
+            titles = choose_titles(
+                [node.name for node, _ in level], source, gateway, config,
+                [parent or topic.optional_prompt for _, parent in level],
+            )
+        except GatewayError as exc:
+            error: GatewayError | None = exc
+        else:
+            runs = prompts.batches((*entry, title) for entry, title in zip(level, titles))
+            stages, error = gateway.map(
+                lambda run: _run_stage(run, depth, config, gateway, source), runs
+            )
         level = []
         for run, run_stages in zip(runs, stages):
-            for (node, _), stage in zip(run, run_stages):
+            for (node, _, _), stage in zip(run, run_stages):
                 children = _apply_stage(graph, node, stage, config, adapters, report, rejects)
                 level.extend((child, node.name) for child in children)
         if error is not None:

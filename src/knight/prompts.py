@@ -44,18 +44,22 @@ if TYPE_CHECKING:
 T = TypeVar("T")
 E = TypeVar("E", bound=Exception)
 
-# Slots per numbered call: title checks, glosses and triple extractions of
-# one run of one level, items to write, items to audit. Batch prompting
-# (Cheng, Kasai and Yu, EMNLP 2023, arXiv 2301.08721) cuts calls and tokens
-# near-linearly in the batch size, but a real model's answers lose some
-# accuracy as it grows.
+# Slots per numbered call: glosses and triple extractions of one run of one
+# level, items to write, items to audit. Batch prompting (Cheng, Kasai and
+# Yu, EMNLP 2023, arXiv 2301.08721) cuts calls and tokens near-linearly in
+# the batch size, but a real model's answers lose some accuracy as it grows.
 BATCH = 10
+# Slots per title-check call. A slot is about 19 prompt tokens with a
+# one-word reply, so 50 slots come to about 1,000 prompt tokens, close to
+# one BATCH-slot item call; a level only needs cutting past that.
+TITLE_BATCH = 50
 
 
-def batches(items: Iterable[T]) -> list[list[T]]:
-    """The items in order, in runs of up to ``BATCH``."""
+def batches(items: Iterable[T], size: int | None = None) -> list[list[T]]:
+    """The items in order, in runs of up to ``size`` (default ``BATCH``)."""
+    size = size or BATCH
     run = list(items)
-    return [run[start : start + BATCH] for start in range(0, len(run), BATCH)]
+    return [run[start : start + size] for start in range(0, len(run), size)]
 
 
 _ITEM_HEADER = re.compile(r"^[^\w\n]*Item\s+(\d+)[^\w\n]*$", re.IGNORECASE | re.MULTILINE)
@@ -167,7 +171,7 @@ TITLE_CHECK_SYSTEM = (
 
 
 def title_check_user(slots: list[tuple[str, str, str]]) -> str:
-    """Prompt for one title-check round: one slot per (context hint, term,
+    """Prompt for one title-check call: one slot per (context hint, term,
     candidate title). A hint every slot shares is written once, in the head;
     otherwise each slot opens with its own."""
     shared = _shared(hint for hint, _, _ in slots)

@@ -5,17 +5,17 @@ Sources sit behind the ``WikiSource`` protocol; the fixture source reads a
 directory of title -> text files so tests never touch the network.
 
 Evidence comes in two steps. ``choose_titles`` picks a title for each term
-of a group, each term under its own context hint (a run of one level of
-the graph build, or one topic): it searches each term, then asks grouped
-title-check rounds, one call per round. ``retrieve_evidence`` then fetches
-and ranks one term's chosen title. It names every candidate passage
-``<title>#summary`` or ``<title>#chunk<i>`` and ``score_and_rerank`` ranks
-those ``(id, text)`` pairs under the ids it is given: BM25 first cuts more
-than ``FIRST_STAGE_CUT`` candidates down to that many. The same text is never
-sent twice: a chunk whose text equals an earlier candidate's is dropped before
-ranking, and a ranked passage whose text occurs inside a higher-ranked kept
-one, such as a page summary inside its chunk 0, is dropped after the cut to
-``search_limit``.
+of a group, each term under its own context hint (one level of the graph
+build, or one topic): it searches each term, then asks title-check rounds,
+one call per ``TITLE_BATCH`` terms of a round.
+``retrieve_evidence`` then fetches and ranks one term's chosen title. It
+names every candidate passage ``<title>#summary`` or ``<title>#chunk<i>``
+and ``score_and_rerank`` ranks those ``(id, text)`` pairs under the ids it
+is given: BM25 first cuts more than ``FIRST_STAGE_CUT`` candidates down to
+that many. The same text is never sent twice: a chunk whose text equals an
+earlier candidate's is dropped before ranking, and a ranked passage whose
+text occurs inside a higher-ranked kept one, such as a page summary inside
+its chunk 0, is dropped after the cut to ``search_limit``.
 
 The two decide what a failed lookup costs: a search or fetch error logs a
 warning and yields the parametric fallback, as a term with no relevant
@@ -24,6 +24,7 @@ title does; a ``GatewayError`` from a title check propagates.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import re
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Any, Protocol, Sequence
 from urllib.parse import quote
 
+from . import prompts
 from .config import PipelineConfig
 from .errors import AmbiguousTitleError, PageNotFoundError, RetrievalError
 from .fixture_world import FixtureWorld
@@ -364,34 +366,42 @@ def choose_titles(
     hints: list[str | None],
 ) -> list[str | None]:
     """Each term's source title: its first search result that the title
-    check approves, or None. Round k makes one call about candidate k of
-    every term still unresolved, so each term gets the title a check per
-    candidate, in order, would give. Each term is checked under its own
+    check approves, or None. Round k asks about candidate k of every term
+    still unresolved, in calls of up to ``TITLE_BATCH`` slots, so each term
+    gets the title a check per candidate, in order, would give. The searches
+    and each round's calls go through ``gateway.map``, and a round's
+    ``GatewayError`` propagates. Each term is checked under its own
     context hint from ``hints``, or the default hint below when that is
-    empty; a hint every term of a round shares is written once. A
+    empty; a hint every term of a call shares is written once. A
     failed search gives None; a reply block that is missing or says neither
     yes nor no reads as no."""
     hints = [hint or "general knowledge" for hint in hints]
-    candidates: list[list[str]] = []
-    for term in terms:
+
+    def search(term: str) -> list[str]:
         try:
-            candidates.append(source.search(term, config.search_limit))
+            return source.search(term, config.search_limit)
         except _LOOKUP_ERRORS as exc:
             log.warning("search failed for %r: %s", term, exc)
-            candidates.append([])
-    chosen: list[str | None] = [None] * len(terms)
-    for k in range(max(map(len, candidates), default=0)):
-        asked = [i for i, titles in enumerate(candidates) if chosen[i] is None and k < len(titles)]
-        if not asked:
-            break
+            return []
+
+    def check(slots: list[tuple[str, str, str]]) -> list[bool | ValueError]:
         request = ChatRequest(
             system_prompt=TITLE_CHECK_SYSTEM,
-            user_prompt=title_check_user([(hints[i], terms[i], candidates[i][k]) for i in asked]),
+            user_prompt=title_check_user(slots),
             temperature=0.0,
             task_tag="title_check",
         )
-        answers = gateway.complete_items(request, [_title_answer] * len(asked), ValueError)
-        for i, answer in zip(asked, answers):
+        return gateway.complete_items(request, [_title_answer] * len(slots), ValueError)
+
+    candidates, _ = gateway.map(search, terms)  # a search raises no GatewayError
+    chosen: list[str | None] = [None] * len(terms)
+    for k in range(max(map(len, candidates), default=0)):
+        asked = [i for i, titles in enumerate(candidates) if chosen[i] is None and k < len(titles)]
+        slots = [(hints[i], terms[i], candidates[i][k]) for i in asked]
+        answers, error = gateway.map(check, prompts.batches(slots, prompts.TITLE_BATCH))
+        if error is not None:
+            raise error
+        for i, answer in zip(asked, itertools.chain.from_iterable(answers)):
             if isinstance(answer, ValueError):
                 log.warning("title check on %r for %r: %s; treating as no",
                             candidates[i][k], terms[i], answer)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import threading
 import time
 from collections import deque
 
@@ -12,11 +13,12 @@ from knight import builder, prompts
 from knight.adapters import AdapterSuite
 from knight.builder import build_kg
 from knight.config import PipelineConfig
-from knight.errors import AuthError
+from knight.errors import AuthError, GatewayError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import Topic, normalize_name
 from knight.retrieval import (
-    NetworkWikiSource, Passage, RetrievalResult, choose_titles, mixture_weights, retrieve_evidence,
+    FixtureWikiSource, NetworkWikiSource, Passage, RetrievalResult, choose_titles, mixture_weights,
+    retrieve_evidence,
 )
 from knight.storage import snapshot_document
 
@@ -28,8 +30,6 @@ def _services(world, seed=7, overrides=None, backend=None, **config_overrides):
     backend = backend or MockChatBackend(world, rng_seed=seed, overrides=overrides or [])
     gateway = ChatGateway(backend, max_inflight=config.max_inflight)
     adapters = AdapterSuite.fixture_suite(world, rng_seed=seed)
-    from knight.retrieval import FixtureWikiSource
-
     source = FixtureWikiSource(world)
     return config, gateway, source, adapters
 
@@ -68,6 +68,7 @@ def _parents(graph):
 
 
 _TERM = re.compile(r'(?:Explain the term|Term to define): "([^"]+)"')
+_TITLE_SLOT = re.compile(r'Term to define: "([^"]+)"\.\nCandidate page title: "([^"]+)"')
 _CONTEXT = re.compile(r'(?:parent term|information related to) "([^"]+)"')
 
 
@@ -222,8 +223,6 @@ def test_build_aborts_on_auth_error(world):
     backend = ExplodingBackend(MockChatBackend(world, rng_seed=7), after=4)
     gateway = ChatGateway(backend)
     adapters = AdapterSuite.fixture_suite(world, rng_seed=7)
-    from knight.retrieval import FixtureWikiSource
-
     graph, report = build_kg(
         Topic("Biology"), config, gateway, FixtureWikiSource(world), adapters
     )
@@ -291,6 +290,60 @@ def test_build_abort_keeps_finished_prefix_of_level(
     assert snapshots[0] == snapshots[1]
 
 
+class _TitleCheckFailsFor(RecordingBackend):
+    """Records every request and raises ``error`` on a title check that
+    asks about any of ``terms``."""
+
+    def __init__(self, inner, terms, error):
+        super().__init__(inner)
+        self.markers = [f'Term to define: "{term}"' for term in terms]
+        self.error = error
+
+    def complete(self, request):
+        if request.task_tag == "title_check" and any(
+            marker in request.user_prompt for marker in self.markers
+        ):
+            self.requests.append(request)
+            raise self.error
+        return super().complete(request)
+
+
+# A level's title check is one call, so its failure costs the whole level:
+# every node of it is present but unglossed, and the build ends there.
+@pytest.mark.parametrize("error", [AuthError("key revoked"), GatewayError("backend down")])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_failed_title_check_costs_its_whole_level(world, depth, error):
+    def build(backend=None, max_inflight=1):
+        config, gateway, source, adapters = _services(
+            world, backend=backend, d_max=3, max_inflight=max_inflight
+        )
+        # Every term is searched, so every level has a title check.
+        return build_kg(Topic("Biology"), config, gateway, _EveryTermSearched(source), adapters)
+
+    clean, _ = build()
+    level = [n for n in clean.nodes.values() if n.depth == depth]
+    snapshots = []
+    for max_inflight in (1, 4):
+        backend = _TitleCheckFailsFor(
+            MockChatBackend(world, rng_seed=7), [n.name for n in level], error
+        )
+        graph, report = build(backend, max_inflight)
+        assert report.aborted_reason == f"{type(error).__name__}: {error}"
+        assert list(graph.nodes) == [n.id for n in clean.nodes.values() if n.depth <= depth]
+        for node in graph.nodes.values():
+            if node.depth < depth:
+                assert _node_fields(node) == _node_fields(clean.nodes[node.id])
+            else:
+                assert node.gloss is None and not node.provenance
+        # The failed title check is the last call: no gloss or triples call
+        # is made for its level.
+        assert backend.requests[-1].task_tag == "title_check"
+        glossed = {term for terms in _terms_per_call(backend, "gloss") for term in terms}
+        assert glossed == {n.name for n in clean.nodes.values() if n.depth < depth}
+        snapshots.append(snapshot_document(graph, "Biology", report=report))
+    assert snapshots[0] == snapshots[1]
+
+
 # At max_branches 3 and BATCH 3, depth 3 is cut into full runs, one of
 # them across two parents, then the remainder.
 @pytest.mark.parametrize("batch", [2, 3, 10])
@@ -302,9 +355,31 @@ def test_one_gloss_call_per_level_run(world, monkeypatch, batch):
     assert len(runs) < len(graph.nodes)
     assert all(len(run) <= batch for run in runs)
     assert _terms_per_call(backend, "gloss") == runs
-    # Each title-check round asks about a subset of one run, in its order.
+    # Each title-check call asks about a subset of one level, in level
+    # order, with at most TITLE_BATCH slots.
+    levels = {}
+    for node in graph.nodes.values():
+        levels.setdefault(node.depth, []).append(node.name)
     for asked in _terms_per_call(backend, "title_check"):
-        assert any(asked == [name for name in run if name in asked] for run in runs)
+        assert len(asked) <= prompts.TITLE_BATCH
+        assert any(asked == [name for name in level if name in asked] for level in levels.values())
+    # A level makes one title-check call per round, even when it spans
+    # several runs: each call checks candidate k of its terms, for one k,
+    # and no two calls share a level and a k.
+    depth = {node.name: node.depth for node in graph.nodes.values()}
+    source = FixtureWikiSource(world)
+    rounds = [
+        {
+            (depth[term], source.search(term, config.search_limit).index(title))
+            for term, title in _TITLE_SLOT.findall(request.user_prompt)
+        }
+        for request in backend.requests
+        if request.task_tag == "title_check"
+    ]
+    assert all(len(level_round) == 1 for level_round in rounds)
+    assert len({min(level_round) for level_round in rounds}) == len(rounds)
+    if batch == 2:
+        assert max(map(len, levels.values())) > batch
     # A triples call budgets max_tokens_triples per slot.
     triples = [r for r in backend.requests if r.task_tag == "triples"]
     assert triples
@@ -370,18 +445,53 @@ def test_each_slot_of_a_mixed_parent_run_names_its_own_parent(world, monkeypatch
 def test_level_run_build_is_the_same_at_any_max_inflight_and_batch(
     world, monkeypatch, max_branches
 ):
-    runs = []
-    for batch, max_inflight in itertools.product((2, 10), (1, 4)):
+    runs = {}
+    for batch, title_batch, max_inflight in itertools.product((2, 10), (1, 2, 50), (1, 4)):
         monkeypatch.setattr(prompts, "BATCH", batch)
+        monkeypatch.setattr(prompts, "TITLE_BATCH", title_batch)
         backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
         graph, report, _, _ = _build(
             world, d_max=3, backend=backend, max_inflight=max_inflight, max_branches=max_branches
         )
+        for request in backend.requests:
+            if request.task_tag == "title_check":
+                assert len(prompts.split_items(request.user_prompt)[1]) <= title_batch
         requests = sorted((r.task_tag, r.user_prompt) for r in backend.requests)
-        runs.append((snapshot_document(graph, report=report), requests))
-    # The requests depend on the batch size, the graph does not.
-    assert runs[0] == runs[1] and runs[2] == runs[3]
-    assert runs[0][0] == runs[2][0] and runs[0][1] != runs[2][1]
+        snapshot = json.dumps(snapshot_document(graph, report=report), sort_keys=True)
+        runs[batch, title_batch, max_inflight] = (snapshot, requests)
+    # The requests depend on the batch sizes, the graph does not.
+    assert len({snapshot for snapshot, _ in runs.values()}) == 1
+    for (batch, title_batch, max_inflight), run in runs.items():
+        assert run == runs[batch, title_batch, 1]
+    assert runs[2, 50, 1][1] != runs[10, 50, 1][1] != runs[10, 1, 1][1] != runs[10, 2, 1][1]
+
+
+class _PairedSearches(FixtureWikiSource):
+    """Every search but the seed's waits for a second search to run beside
+    it, so a level's searches must run concurrently."""
+
+    def __init__(self, world, seed):
+        super().__init__(world)
+        self.seed = seed
+        self.barrier = threading.Barrier(2, timeout=2)
+
+    def search(self, term, limit):
+        if term != self.seed:
+            self.barrier.wait()
+        return super().search(term, limit)
+
+
+def test_a_levels_searches_run_concurrently(world):
+    # At max_branches 2 every level below the seed has an even number of
+    # nodes (2, 4, 4), so every search finds a partner.
+    config, gateway, _, adapters = _services(world, d_max=3, max_branches=2, max_inflight=2)
+    clean, clean_report, _, _ = _build(world, d_max=3, max_branches=2)
+    graph, report = build_kg(
+        Topic("Biology"), config, gateway, _PairedSearches(world, "Biology"), adapters
+    )
+    assert report.aborted_reason is None
+    assert [n.depth for n in graph.nodes.values()].count(3) == 4
+    assert snapshot_document(graph, report=report) == snapshot_document(clean, report=clean_report)
 
 
 def _baseline_and_planted(world, override):
