@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .fixture_world import FixtureWorld
+from .prompts import OPTION_LETTERS
 
 
 class EmbeddingAdapter(Protocol):
@@ -83,7 +84,7 @@ class LevelCalibratedProbe:
         rng = random.Random(int(digest[:16], 16))
         level = max(1, level)
         values = []
-        for letter in ("A", "B", "C", "D"):
+        for letter in OPTION_LETTERS:
             if letter == answer_key:
                 values.append(6.0 / level)
             else:

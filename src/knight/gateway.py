@@ -18,7 +18,6 @@ work between calls off the call slots.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import random
 import re
@@ -34,13 +33,18 @@ from .errors import AuthError, EmptyResponseError, GatewayError, RetriesExhauste
 from .fixture_world import FixtureWorld
 from .graph import normalize_name
 from .prompts import (
+    CITATION,
     DIRECT_MCQ_SYSTEM,
     GLOSS_HEADINGS,
     HOP,
+    OPTION_LETTERS,
     VALIDATE_LABELS,
+    mcq_reply,
     parse_item_blocks,
     read_passages,
     split_items,
+    triples_reply,
+    verdict_lines,
 )
 
 log = logging.getLogger(__name__)
@@ -363,7 +367,7 @@ class MockChatBackend:
     when its system prompt is ``DIRECT_MCQ_SYSTEM``, else as a path one. A
     direct reply cites, in an ``Evidence: [n]`` line, the first numbered
     passage that holds its keyed aspect, ignoring case; the passages are
-    lowercased once per call.
+    lowercased once per call. Each block is written by its ``prompts`` writer.
     """
 
     def __init__(
@@ -490,16 +494,13 @@ class MockChatBackend:
         header = re.search(rf"1\. {re.escape(GLOSS_HEADINGS[0])} - ([^:]+):", slot)
         entry = self.world.lookup_term(header.group(1).strip()) if header else None
         if entry is None or not entry.triples:
-            return json.dumps({"triplets": []})
+            return triples_reply([])
         triples = list(entry.triples)
         rotation = self._salt("triples", entry.name) % len(triples)
-        triples = triples[rotation:] + triples[:rotation]
-        payload = [
-            {"head": h, "relation": r, "tail": t} for h, r, t in triples
-        ]
-        return json.dumps({"triplets": payload}, indent=2)
+        return triples_reply(triples[rotation:] + triples[:rotation])
 
-    def _distractors(self, avoid: list[str], salt: int) -> list[str]:
+    def _mcq(self, stem: str, answer: str, avoid: list[str], salt: int) -> str:
+        """An item's reply lines: ``answer`` keyed at option ``salt % 4``, three distractors."""
         avoid_low = [a.lower() for a in avoid if a]
         pool = [
             name
@@ -509,17 +510,9 @@ class MockChatBackend:
         rng = random.Random(salt)
         if len(pool) < 3:
             pool = pool + [f"Unrelated concept {i}" for i in range(1, 4)]
-        return rng.sample(pool, 3)
-
-    @staticmethod
-    def _format_mcq(stem: str, answer: str, distractors: list[str], key_index: int) -> str:
-        options = list(distractors)
-        options.insert(key_index, answer)
-        letters = ("A", "B", "C", "D")
-        lines = [f"Question: {stem}"]
-        lines += [f"{letter}) {text}" for letter, text in zip(letters, options)]
-        lines.append(f"Correct Answer: {letters[key_index]}")
-        return "\n".join(lines)
+        options = rng.sample(pool, 3)
+        options.insert(salt % 4, answer)
+        return mcq_reply(stem, options, OPTION_LETTERS[salt % 4])
 
     def _path_mcq(self, tag: str, topic: str, slot: str) -> str:
         """One path item's reply, from the call's tag and topic and the
@@ -538,7 +531,7 @@ class MockChatBackend:
             stem = _REVERSE_STEMS[variant % len(_REVERSE_STEMS)].format(end=end, rels=rels_text)
             answer = start
         salt = self._salt(tag, topic, path, str(variant))
-        return self._format_mcq(stem, answer, self._distractors([start, end], salt), salt % 4)
+        return self._mcq(stem, answer, [start, end], salt)
 
     def _direct_mcq(
         self, topic: str, level: str, evidence: str, passages: list[str], slot: str
@@ -555,10 +548,10 @@ class MockChatBackend:
         template = _DIRECT_STEMS[(variant // len(aspects)) % len(_DIRECT_STEMS)]
         stem = template.format(topic=topic, aspect=aspect.lower())
         salt = self._salt("direct", topic, level, str(variant), evidence)
-        reply = self._format_mcq(stem, aspect, self._distractors([aspect, topic], salt), salt % 4)
+        reply = self._mcq(stem, aspect, [aspect, topic], salt)
         needle = aspect.lower()
         cited = next((n for n, text in enumerate(passages, start=1) if needle in text), None)
-        return reply if cited is None else f"{reply}\nEvidence: [{cited}]"
+        return reply if cited is None else f"{reply}\n{CITATION.format(cited)}"
 
     def _verdicts(self, head: str, slot: str) -> str:
         """One item's five check lines; its topic is read from its own slot,
@@ -567,5 +560,4 @@ class MockChatBackend:
         if topic is None:
             topic = self._slot("val_topic", head) or ""
         topic_line = "YES" if topic.strip() else "N/A"  # the last label's verdict
-        verdicts = ["YES"] * (len(VALIDATE_LABELS) - 1) + [topic_line]
-        return "\n".join(f"{label}: {v}" for label, v in zip(VALIDATE_LABELS, verdicts))
+        return verdict_lines(["YES"] * (len(VALIDATE_LABELS) - 1) + [topic_line])

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .adapters import AdapterSuite
 from .errors import AdapterError
+from .prompts import OPTION_LETTERS
 from .qgen import McqItem
 
 log = logging.getLogger(__name__)
@@ -25,8 +26,6 @@ log = logging.getLogger(__name__)
 MAX_ENTROPY = math.log(4.0)
 
 OFF_TOPIC_THRESHOLD = 0.5
-
-_LETTERS = ("A", "B", "C", "D")
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def _probe_logits(probe, item: McqItem) -> ProbeLogits | None:
 def _probe_choice(logits: ProbeLogits) -> str:
     """Argmax letter; ties resolve to the first in A<B<C<D order."""
     z = logits.values()
-    return _LETTERS[z.index(max(z))]
+    return OPTION_LETTERS[z.index(max(z))]
 
 
 def entailment_relevance(question: str, topic: str, nli) -> float:
@@ -194,7 +193,7 @@ def _metric_row(item: McqItem, adapters: AdapterSuite, topic: str) -> dict:
     if logits is not None:
         probs, entropy = predictive_entropy(logits)
         choice = _probe_choice(logits)
-        key_probability = probs[_LETTERS.index(item.answer_key)]
+        key_probability = probs[OPTION_LETTERS.index(item.answer_key)]
     words = len(item.question.split())
     errors = adapters.grammar.error_count(item.question)
     return {

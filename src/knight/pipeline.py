@@ -63,10 +63,9 @@ from .graph import KnowledgeGraph, PathSample, Topic, normalize_name
 from .metrics import DatasetStats, compute_dataset_stats
 from .prompts import (
     CITED_SOURCE, DIRECT_MCQ_SYSTEM, EVIDENCE_SOURCE, batches, direct_mcq_user, evidence_source,
+    parse_citation,
 )
-from .qgen import (
-    ORIENTATIONS, McqItem, generate_mcq, mcq_item, parse_citation, provenance, sample_paths,
-)
+from .qgen import ORIENTATIONS, McqItem, generate_mcq, mcq_item, provenance, sample_paths
 from .retrieval import (
     FixtureWikiSource, NetworkWikiSource, RetrievalResult, WikiSource, choose_titles,
     mixture_weights, retrieve_evidence,

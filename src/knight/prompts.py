@@ -1,8 +1,9 @@
-"""Prompt templates for every LLM-backed stage.
+"""Prompt templates for every LLM-backed stage, and the reply formats they ask for.
 
-The output-format blocks here are load-bearing: the parsers in
-``retrieval``, ``synthesis``, ``qgen``, and ``validation`` expect exactly
-these shapes. Every call shares one numbered-block format: the prompt holds
+Each reply format's instruction, writer and reader live here side by side.
+The instructions and the mock backend write each reply block through one
+writer; the stage modules import the readers and keep only their per-slot
+policy. Every call shares one numbered-block format: the prompt holds
 one slot per item (a title check, a term to gloss, a text to extract from,
 an item to write or to audit) headed by an "Item N" line, and the reply one
 block per item under the same header, as ``numbered_reply`` asks.
@@ -32,13 +33,17 @@ passage keeps the whole evidence block (``evidence_source``).
 
 from __future__ import annotations
 
+import contextlib
+import json
 import re
 from collections import Counter
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, TypeVar
 
+from .errors import ExtractionError, GenerationRejected, ValidationParseError
+from .graph import KnowledgeGraph, Node, PathSample, Triple
+
 if TYPE_CHECKING:
-    from .graph import KnowledgeGraph, Node, PathSample
     from .qgen import McqItem
 
 T = TypeVar("T")
@@ -138,6 +143,10 @@ GLOSS_SYSTEM = (
 )
 
 
+def count_sections(text: str) -> int:
+    return sum(1 for heading in GLOSS_HEADINGS if heading in text)
+
+
 def gloss_user(terms: list[tuple[str, str | None, list[str]]]) -> str:
     """Prompt for one run of one level: one slot per (term, its parent term
     or None, evidence passages). A parent every slot shares is named once,
@@ -169,6 +178,20 @@ TITLE_CHECK_SYSTEM = (
     "No. " + numbered_reply("slot", "only one word") + '"Yes" or "No"'
 )
 
+# What may wrap a title-check answer's one word: a live model may write
+# "Yes.", "**No**" or "'yes'" for the bare word.
+_ANSWER_NOISE = " \t\r\n*\"'\u201c\u201d\u2018\u2019"
+
+
+def parse_title_answer(block: str) -> bool:
+    """True for a "yes" block and False for a "no" one, ignoring case,
+    emphasis, quotes and a trailing period; anything else raises
+    ``ValueError``."""
+    answer = block.strip(_ANSWER_NOISE).rstrip(".").strip(_ANSWER_NOISE).lower()
+    if answer not in ("yes", "no"):
+        raise ValueError(f"answered {block.strip()!r}")
+    return answer == "yes"
+
 
 def title_check_user(slots: list[tuple[str, str, str]]) -> str:
     """Prompt for one title-check call: one slot per (context hint, term,
@@ -194,6 +217,44 @@ TRIPLES_SYSTEM = (
 )
 
 
+def triples_reply(triples: Iterable[tuple[str, str, str]]) -> str:
+    """A triples reply block: the {"triplets": [...]} object of the
+    (head, relation, tail) ``triples``, indented, or on one line when empty."""
+    payload = [{"head": h, "relation": r, "tail": t} for h, r, t in triples]
+    return json.dumps({"triplets": payload}, indent=2 if payload else None)
+
+
+_RELATION_CLEAN = re.compile(r"[^a-z0-9]+")
+_JSON = json.JSONDecoder()
+
+
+def parse_triples_json(text: str) -> list[Triple]:
+    """Strict parse of the {"triplets": [...]} payload: the first JSON object
+    that decodes from a "{" of ``text``, so prose around it, braces
+    included, is skipped. Entries with missing or empty fields are dropped,
+    relations are normalized to lowercase_underscore."""
+    for match in re.finditer(r"\{", text):
+        with contextlib.suppress(json.JSONDecodeError):
+            doc = _JSON.raw_decode(text, match.start())[0]
+            break
+    else:
+        raise ExtractionError("no JSON object in response")
+    if not isinstance(doc.get("triplets"), list):
+        raise ExtractionError('payload must be an object with a "triplets" list')
+    out: list[Triple] = []
+    for raw in doc["triplets"]:
+        if not isinstance(raw, dict):
+            continue
+        head = str(raw.get("head") or "").strip()
+        tail = str(raw.get("tail") or "").strip()
+        relation = _RELATION_CLEAN.sub("_", str(raw.get("relation") or "").strip().lower())
+        relation = relation.strip("_")
+        if not (head and relation and tail):
+            continue
+        out.append(Triple(head=head, relation=relation, tail=tail))
+    return out
+
+
 def triples_user(glosses: list[str]) -> str:
     """Prompt for one run's extraction: one slot per gloss."""
     return numbered_prompt(
@@ -202,16 +263,55 @@ def triples_user(glosses: list[str]) -> str:
     )
 
 
-MCQ_LINES = (
-    "Question: [single-sentence question]\n"
-    "A) [option]\n"
-    "B) [option]\n"
-    "C) [option]\n"
-    "D) [option]\n"
-    "Correct Answer: [A, B, C, or D]"
-)
+OPTION_LETTERS = ("A", "B", "C", "D")
 
+
+def mcq_reply(question: str, options: list[str], key: str) -> str:
+    """An item's six reply lines: the question, its options lettered A to D, and the key."""
+    lines = [f"Question: {question}"]
+    lines += [f"{letter}) {text}" for letter, text in zip(OPTION_LETTERS, options)]
+    lines.append(f"Correct Answer: {key}")
+    return "\n".join(lines)
+
+
+MCQ_LINES = mcq_reply("[single-sentence question]", ["[option]"] * 4, "[A, B, C, or D]")
 MCQ_REPLY = numbered_reply("slot", "exactly these six lines") + MCQ_LINES
+
+_QUESTION_RE = re.compile(r"^\s*Question:\s*(\S.*?)\s*$")
+_OPTION_RE = re.compile(r"^\s*([A-D])[).]\s*(\S.*?)\s*$")
+_KEY_RE = re.compile(r"^\s*Correct Answer:\s*\[?\s*([A-Za-z]+)\s*\]?\s*\.?\s*$")
+
+
+def parse_mcq_output(text: str) -> tuple[str, dict[str, str], str]:
+    """Pull the six expected lines out of the response, ignoring any
+    surrounding prose. A question or option line with nothing after its
+    label is not read. A missing question or key line, or a repeated option
+    letter, rejects the generation; ``McqItem`` checks the options and the
+    key."""
+    question: str | None = None
+    options: dict[str, str] = {}
+    answer_key: str | None = None
+    for line in text.splitlines():
+        if question is None:
+            match = _QUESTION_RE.match(line)
+            if match:
+                question = match.group(1)
+                continue
+        match = _OPTION_RE.match(line)
+        if match:
+            letter, body = match.group(1), match.group(2)
+            if letter in options:
+                raise GenerationRejected(f"duplicate option letter {letter}")
+            options[letter] = body
+            continue
+        match = _KEY_RE.match(line)
+        if match and answer_key is None:
+            answer_key = match.group(1).upper()
+    if question is None:
+        raise GenerationRejected("no Question line found")
+    if answer_key is None:
+        raise GenerationRejected("no Correct Answer line found")
+    return question, options, answer_key
 
 # Where a path call's node descriptions are: in its head, once per node.
 _PATH_NODES = "the Node Information block describes each start and end node once"
@@ -353,6 +453,22 @@ def path_mcq_user(
     return numbered_prompt(head.rstrip("\n"), bodies)
 
 
+# A direct reply block's last line: the number of the passage its key rests on.
+CITATION = "Evidence: [{}]"
+_EVIDENCE_RE = re.compile(r"^\s*Evidence:\s*(.*?)\s*$", re.IGNORECASE | re.MULTILINE)
+_CITATION_RE = re.compile(r"\[?\s*(\d+)\s*\]?\.?")
+
+
+def parse_citation(block: str, count: int) -> int | None:
+    """The passage number, 1 to ``count``, that a direct reply block's
+    ``Evidence: [n]`` line cites; None for a block with no such line, or one
+    that cites [0], a number past ``count`` or no number."""
+    line = _EVIDENCE_RE.search(block)
+    cited = _CITATION_RE.fullmatch(line.group(1)) if line else None
+    number = int(cited.group(1)) if cited else 0
+    return number if 1 <= number <= count else None
+
+
 DIRECT_MCQ_SYSTEM = (
     "You are a structured question generation system. The user gives a topic, "
     "a difficulty level, optionally an evidence block of numbered passages, and "
@@ -362,7 +478,8 @@ DIRECT_MCQ_SYSTEM = (
     "variation tag asks for an aspect the other items do not cover.\n"
     + numbered_reply("slot", "these lines, the last only when evidence is given")
     + MCQ_LINES
-    + "\nEvidence: [number of the one passage the correct option rests on]"
+    + "\n"
+    + CITATION.format("number of the one passage the correct option rests on")
 )
 
 # The header of a direct item's source: the whole evidence block, or the one
@@ -437,6 +554,12 @@ VALIDATE_CHECKS = (
 )
 VALIDATE_LABELS = tuple(label for label, _ in VALIDATE_CHECKS)
 
+
+def verdict_lines(verdicts: Iterable[str]) -> str:
+    """An item's critic reply block: each check's label and its verdict, in order."""
+    return "\n".join(f"{label}: {verdict}" for label, verdict in zip(VALIDATE_LABELS, verdicts))
+
+
 VALIDATE_SYSTEM = (
     "You audit four-option multiple-choice questions using only the supplied "
     "Source Information block. The user numbers the items; evaluate five checks "
@@ -444,9 +567,37 @@ VALIDATE_SYSTEM = (
     + "".join(f"{i}. {label} - {q}\n" for i, (label, q) in enumerate(VALIDATE_CHECKS, start=1))
     + numbered_reply("item", "five lines, in exactly this order and casing")
     # Only the last label, Topic_Relevant, may also be N/A.
-    + "\n".join(f"{label}: YES|NO" for label in VALIDATE_LABELS)
+    + verdict_lines(["YES|NO"] * len(VALIDATE_LABELS))
     + "|N/A"
 )
+
+Verdicts = dict[str, bool | None]
+
+_LINE_RE = re.compile(r"^\s*([A-Za-z_]+)\s*:\s*(YES|NO|N/A)\s*$", re.IGNORECASE)
+
+
+def parse_critic_response(text: str) -> Verdicts:
+    """Parse exactly the five labeled lines, in order. YES -> True,
+    NO -> False, N/A -> None (allowed only on the topic line)."""
+    found: list[tuple[str, str]] = []
+    for line in text.splitlines():
+        match = _LINE_RE.match(line)
+        if match:
+            found.append((match.group(1), match.group(2).upper()))
+    labels = [label for label, _ in found]
+    if labels != list(VALIDATE_LABELS):
+        raise ValidationParseError(
+            f"expected the five check lines {VALIDATE_LABELS}, got {labels}"
+        )
+    out: Verdicts = {}
+    for label, verdict in found:
+        if verdict == "N/A":
+            if label != "Topic_Relevant":
+                raise ValidationParseError(f"N/A is only valid for Topic_Relevant, not {label}")
+            out[label] = None
+        else:
+            out[label] = verdict == "YES"
+    return out
 
 
 _SOURCE_BLOCK = re.compile(

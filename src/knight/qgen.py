@@ -1,20 +1,19 @@
-"""The MCQ item: path sampling, path prompts, and strict parsing of the
-generated six-line item format.
+"""The MCQ item: path sampling, path prompts, and the item a reply block makes.
 
-``mcq_item`` is the one place an item is made from a reply block: it parses
-the block's six lines and builds the ``McqItem``. Every generation reply is a
-group: a path mode's (``generate_mcq``, one orientation per call) and a
-direct mode's alike are split on their "Item N" headers by
-``ChatGateway.complete_items``, and each block goes through ``mcq_item`` on its
-own; a direct block's ``Evidence: [n]`` line is read by ``parse_citation``.
-Orientation lives on the ``McqItem`` only. ``provenance`` writes every item's
+``mcq_item`` is the one place an item is made from a reply block: it reads
+the block's six lines with ``prompts.parse_mcq_output`` and builds the
+``McqItem``. Every generation reply is a group: a path mode's
+(``generate_mcq``, one orientation per call) and a direct mode's alike are
+split on their "Item N" headers by ``ChatGateway.complete_items``, and each
+block goes through ``mcq_item`` on its own; a direct block's
+``Evidence: [n]`` line is read by ``prompts.parse_citation``. Orientation
+lives on the ``McqItem`` only. ``provenance`` writes every item's
 provenance record; a path item's is its start node's stored evidence."""
 
 from __future__ import annotations
 
 import logging
 import random
-import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -25,7 +24,9 @@ from .graph import KnowledgeGraph, PathSample, enumerate_paths
 from .prompts import (
     MCQ_FORWARD_SYSTEM,
     MCQ_REVERSE_SYSTEM,
+    OPTION_LETTERS,
     excerpt_line,
+    parse_mcq_output,
     path_mcq_user,
     path_repr,
     path_source,
@@ -36,7 +37,6 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-OPTION_LETTERS = ("A", "B", "C", "D")
 ORIENTATIONS = ("forward", "reverse")
 
 
@@ -80,57 +80,6 @@ def verbalize(path: PathSample, graph: KnowledgeGraph) -> str:
         lambda name: excerpt_line(name, glosses.get(name, "")),
         lambda name: glosses.get(name) or name,
     )
-
-
-_QUESTION_RE = re.compile(r"^\s*Question:\s*(\S.*?)\s*$")
-_OPTION_RE = re.compile(r"^\s*([A-D])[).]\s*(\S.*?)\s*$")
-_KEY_RE = re.compile(r"^\s*Correct Answer:\s*\[?\s*([A-Za-z]+)\s*\]?\s*\.?\s*$")
-
-
-def parse_mcq_output(text: str) -> tuple[str, dict[str, str], str]:
-    """Pull the six expected lines out of the response, ignoring any
-    surrounding prose. A question or option line with nothing after its
-    label is not read. A missing question or key line, or a repeated option
-    letter, rejects the generation; ``McqItem`` checks the options and the
-    key."""
-    question: str | None = None
-    options: dict[str, str] = {}
-    answer_key: str | None = None
-    for line in text.splitlines():
-        if question is None:
-            match = _QUESTION_RE.match(line)
-            if match:
-                question = match.group(1)
-                continue
-        match = _OPTION_RE.match(line)
-        if match:
-            letter, body = match.group(1), match.group(2)
-            if letter in options:
-                raise GenerationRejected(f"duplicate option letter {letter}")
-            options[letter] = body
-            continue
-        match = _KEY_RE.match(line)
-        if match and answer_key is None:
-            answer_key = match.group(1).upper()
-    if question is None:
-        raise GenerationRejected("no Question line found")
-    if answer_key is None:
-        raise GenerationRejected("no Correct Answer line found")
-    return question, options, answer_key
-
-
-_EVIDENCE_RE = re.compile(r"^\s*Evidence:\s*(.*?)\s*$", re.IGNORECASE | re.MULTILINE)
-_CITATION_RE = re.compile(r"\[?\s*(\d+)\s*\]?\.?")
-
-
-def parse_citation(block: str, count: int) -> int | None:
-    """The passage number, 1 to ``count``, that a direct reply block's
-    ``Evidence: [n]`` line cites; None for a block with no such line, or one
-    that cites [0], a number past ``count`` or no number."""
-    line = _EVIDENCE_RE.search(block)
-    cited = _CITATION_RE.fullmatch(line.group(1)) if line else None
-    number = int(cited.group(1)) if cited else 0
-    return number if 1 <= number <= count else None
 
 
 def provenance(

@@ -38,7 +38,7 @@ from .config import PipelineConfig
 from .errors import AmbiguousTitleError, PageNotFoundError, RetrievalError
 from .fixture_world import FixtureWorld
 from .gateway import ChatGateway, ChatRequest
-from .prompts import TITLE_CHECK_SYSTEM, title_check_user, truncate_at_word
+from .prompts import TITLE_CHECK_SYSTEM, parse_title_answer, title_check_user, truncate_at_word
 
 log = logging.getLogger(__name__)
 
@@ -343,21 +343,6 @@ def mixture_weights(scores: Sequence[float]) -> list[float]:
     return [e / total for e in exps]
 
 
-# What may wrap a title-check answer's one word: a live model may write
-# "Yes.", "**No**" or "'yes'" for the bare word.
-_ANSWER_NOISE = " \t\r\n*\"'\u201c\u201d\u2018\u2019"
-
-
-def _title_answer(block: str) -> bool:
-    """True for a "yes" block and False for a "no" one, ignoring case,
-    emphasis, quotes and a trailing period; anything else raises
-    ``ValueError``."""
-    answer = block.strip(_ANSWER_NOISE).rstrip(".").strip(_ANSWER_NOISE).lower()
-    if answer not in ("yes", "no"):
-        raise ValueError(f"answered {block.strip()!r}")
-    return answer == "yes"
-
-
 def choose_titles(
     terms: list[str],
     source: WikiSource,
@@ -373,8 +358,8 @@ def choose_titles(
     ``GatewayError`` propagates. Each term is checked under its own
     context hint from ``hints``, or the default hint below when that is
     empty; a hint every term of a call shares is written once. A
-    failed search gives None; a reply block that is missing or says neither
-    yes nor no reads as no."""
+    failed search gives None; a reply block that is missing or that
+    ``prompts.parse_title_answer`` reads as neither yes nor no reads as no."""
     hints = [hint or "general knowledge" for hint in hints]
 
     def search(term: str) -> list[str]:
@@ -391,7 +376,7 @@ def choose_titles(
             temperature=0.0,
             task_tag="title_check",
         )
-        return gateway.complete_items(request, [_title_answer] * len(slots), ValueError)
+        return gateway.complete_items(request, [parse_title_answer] * len(slots), ValueError)
 
     candidates, _ = gateway.map(search, terms)  # a search raises no GatewayError
     chosen: list[str | None] = [None] * len(terms)

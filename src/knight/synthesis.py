@@ -1,11 +1,11 @@
-"""Gloss generation from evidence, the traceability gate, and triple
-extraction with near-duplicate removal. Glosses and triples are asked for
-one run of one level of the graph build at a time, one numbered slot per
-term; a gloss is its reply block's text, and the record of its evidence
-stays the caller's ``RetrievalResult``. A triples block is read by the standard library's JSON
-decoder from the first "{" at which an object decodes. A block that is
-missing, repeated or unusable costs only its own term, as an
-``ExtractionError`` in its place.
+"""Gloss generation from evidence, the traceability gate, and triple extraction
+with near-duplicate removal. Glosses and triples are asked for one run of one
+level of the graph build at a time, one numbered slot per term; a gloss is its
+reply block's text, and the record of its evidence stays the caller's
+``RetrievalResult``. A triples block is read by ``prompts.parse_triples_json``,
+with the standard library's JSON decoder, from the first "{" at which an object
+decodes. A block that is missing, repeated or unusable costs only its own term,
+as an ``ExtractionError`` in its place.
 
 Near-duplicate removal compares each candidate with the triples kept so far,
 by normalized edit distance capped at ``lambda_max``: ``levenshtein`` fills
@@ -17,8 +17,6 @@ d / L <= lambda_max, so the keep decision is the uncapped one.
 
 from __future__ import annotations
 
-import contextlib
-import json
 import logging
 import re
 from functools import partial
@@ -27,7 +25,9 @@ from .config import PipelineConfig
 from .errors import ExtractionError
 from .gateway import ChatGateway, ChatRequest
 from .graph import Triple
-from .prompts import GLOSS_HEADINGS, GLOSS_SYSTEM, TRIPLES_SYSTEM, gloss_user, triples_user
+from .prompts import (
+    GLOSS_SYSTEM, TRIPLES_SYSTEM, count_sections, gloss_user, parse_triples_json, triples_user,
+)
 
 log = logging.getLogger(__name__)
 
@@ -37,10 +37,6 @@ STOPWORDS = frozenset(
     """a an and are as at be but by for from has have in into is it its of on
     or that the their this to was were which with""".split()
 )
-
-
-def count_sections(text: str) -> int:
-    return sum(1 for heading in GLOSS_HEADINGS if heading in text)
 
 
 def _gloss_block(term: str, block: str) -> str:
@@ -91,41 +87,6 @@ def gate_gloss(gloss: str, passages: list[str], eta: float = PipelineConfig.eta_
     gloss. A parametric-fallback gloss (no passages) has no evidence to
     trace and passes."""
     return not passages or any(overlap(p, gloss) >= eta for p in passages)
-
-
-_RELATION_CLEAN = re.compile(r"[^a-z0-9]+")
-_JSON = json.JSONDecoder()
-
-
-def _normalize_relation(raw: str) -> str:
-    cleaned = _RELATION_CLEAN.sub("_", raw.strip().lower()).strip("_")
-    return cleaned
-
-
-def parse_triples_json(text: str) -> list[Triple]:
-    """Strict parse of the {"triplets": [...]} payload: the first JSON object
-    that decodes from a "{" of ``text``, so prose around it, braces
-    included, is skipped. Entries with missing or empty fields are dropped,
-    relations are normalized to lowercase_underscore."""
-    for match in re.finditer(r"\{", text):
-        with contextlib.suppress(json.JSONDecodeError):
-            doc = _JSON.raw_decode(text, match.start())[0]
-            break
-    else:
-        raise ExtractionError("no JSON object in response")
-    if not isinstance(doc.get("triplets"), list):
-        raise ExtractionError('payload must be an object with a "triplets" list')
-    out: list[Triple] = []
-    for raw in doc["triplets"]:
-        if not isinstance(raw, dict):
-            continue
-        head = str(raw.get("head") or "").strip()
-        tail = str(raw.get("tail") or "").strip()
-        relation = _normalize_relation(str(raw.get("relation") or ""))
-        if not (head and relation and tail):
-            continue
-        out.append(Triple(head=head, relation=relation, tail=tail))
-    return out
 
 
 def extract_triples(

@@ -2,31 +2,32 @@
 every applicable flag is true.
 
 The critic judges a group of items in a single call, each on its own source
-block: ``validate_item`` runs the rule checks per item, then sends every
-item that passes them to ``llm_validate`` together. ``prompts.validate_user``
-writes each distinct source once per call. A call on several sources
-writes a topic its items share once, in its head; when every source is a
-path source, the call opens with a node block that writes each node's
-excerpt line and description once, and each source block gives only its
-path and its start and end nodes' names. A direct item's source is the one
-evidence passage it cites, so a ``rag_val`` call whose items cite several
-passages writes each of them once, as a numbered source. No item gets a
-default verdict: every critic flag of a kept item comes from the critic's
-reply. The reply holds one numbered five-line block per item. A block that
-is missing, appears twice or does not parse costs only its own item
-(``parse_failed``); a ``GatewayError`` from the call costs the whole group,
-and the caller's map decides what else it costs."""
+block: ``validate_item`` runs the rule checks per item, then sends every item
+that passes them to ``llm_validate`` together. ``prompts.validate_user`` writes
+each distinct source once per call. A call on several sources writes a topic
+its items share once, in its head; when every source is a path source, the call
+opens with a node block that writes each node's excerpt line and description
+once, and each source block gives only its path and its start and end nodes'
+names. A direct item's source is the one evidence passage it cites, so a
+``rag_val`` call whose items cite several passages writes each of them once, as
+a numbered source. No item gets a default verdict: every critic flag of a kept
+item comes from the critic's reply. The reply holds one numbered five-line
+block per item, read by ``prompts.parse_critic_response``. A block that is
+missing, appears twice or does not parse costs only its own item
+(``parse_failed``); a ``GatewayError`` from the call costs the whole group, and
+the caller's map decides what else it costs."""
 
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import asdict, dataclass, fields
 
 from .config import PipelineConfig
 from .errors import ValidationParseError
 from .gateway import ChatGateway, ChatRequest
-from .prompts import VALIDATE_LABELS, VALIDATE_SYSTEM, validate_user
+from .prompts import (
+    VALIDATE_LABELS, VALIDATE_SYSTEM, Verdicts, parse_critic_response, validate_user,
+)
 from .qgen import McqItem
 
 log = logging.getLogger(__name__)
@@ -90,35 +91,6 @@ def rule_checks(item: McqItem, delta_option: float) -> ValidationReport:
         for j in range(i + 1, len(texts))
     )
     return report
-
-
-Verdicts = dict[str, bool | None]
-
-_LINE_RE = re.compile(r"^\s*([A-Za-z_]+)\s*:\s*(YES|NO|N/A)\s*$", re.IGNORECASE)
-
-
-def parse_critic_response(text: str) -> Verdicts:
-    """Parse exactly the five labeled lines, in order. YES -> True,
-    NO -> False, N/A -> None (allowed only on the topic line)."""
-    found: list[tuple[str, str]] = []
-    for line in text.splitlines():
-        match = _LINE_RE.match(line)
-        if match:
-            found.append((match.group(1), match.group(2).upper()))
-    labels = [label for label, _ in found]
-    if labels != list(VALIDATE_LABELS):
-        raise ValidationParseError(
-            f"expected the five check lines {VALIDATE_LABELS}, got {labels}"
-        )
-    out: Verdicts = {}
-    for label, verdict in found:
-        if verdict == "N/A":
-            if label != "Topic_Relevant":
-                raise ValidationParseError(f"N/A is only valid for Topic_Relevant, not {label}")
-            out[label] = None
-        else:
-            out[label] = verdict == "YES"
-    return out
 
 
 def llm_validate(

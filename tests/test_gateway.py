@@ -33,13 +33,12 @@ from knight.prompts import (
     batches,
     gloss_user,
     numbered_prompt,
+    parse_mcq_output,
     path_mcq_user,
     split_items,
     title_check_user,
     triples_user,
 )
-
-from knight.qgen import parse_mcq_output
 
 from conftest import http_response
 

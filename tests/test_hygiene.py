@@ -82,6 +82,57 @@ def test_checker_flags_a_thread_import():
     assert _thread_imports(source) == ["threading", "concurrent.futures"]
 
 
+# Text only ``prompts`` may write: each reply format's instruction, writer
+# and reader live there, so a stage or the mock that spells one by hand
+# could drift from what the reader accepts.
+REPLY_MARKERS = ("Question:", "Correct Answer", "triplets", "Evidence: [", "YES|NO")
+
+
+def _hand_written_replies(source: str) -> list[str]:
+    """Each string constant of ``source`` outside a docstring that holds a
+    reply marker, and each tuple that spells the option letters A-D."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                found += [f"{m!r} (line {node.lineno})" for m in REPLY_MARKERS if m in node.value]
+        elif isinstance(node, ast.Tuple) and all(isinstance(e, ast.Constant) for e in node.elts):
+            if tuple(e.value for e in node.elts) == ("A", "B", "C", "D"):
+                found.append(f"option letters (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "prompts.py"], ids=lambda p: p.name
+)
+def test_only_prompts_writes_or_reads_a_reply_layout(path):
+    assert _hand_written_replies(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_a_hand_written_reply():
+    source = (
+        'def f(stem):\n'
+        '    """Writes a "Question:" line."""\n'
+        '    letters = ("A", "B", "C", "D")\n'
+        '    return f"Question: {stem}\\nCorrect Answer: A" + "Evidence: [1]"\n'
+    )
+    assert sorted(_hand_written_replies(source)) == [
+        "'Correct Answer' (line 4)",
+        "'Evidence: [' (line 4)",
+        "'Question:' (line 4)",
+        "option letters (line 3)",
+    ]
+
+
 # Definitions the package never calls, each kept for a test that checks a
 # contract of the paper.
 TEST_ONLY = {

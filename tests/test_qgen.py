@@ -9,14 +9,13 @@ from knight.errors import GenerationRejected, GraphError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import KnowledgeGraph, PathSample
 from knight.prompts import (
-    PathContext, number_passages, path_source, read_passages, read_path_context,
+    PathContext, number_passages, parse_citation, parse_mcq_output, path_source, read_passages,
+    read_path_context,
 )
 from knight.qgen import (
     McqItem,
     generate_mcq,
     mcq_item,
-    parse_citation,
-    parse_mcq_output,
     path_repr,
     sample_paths,
     verbalize,

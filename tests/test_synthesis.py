@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 from knight import synthesis
 from knight.errors import ExtractionError
 from knight.gateway import ChatGateway, ChatResponse
-from knight.prompts import GLOSS_HEADINGS, split_items
+from knight.prompts import GLOSS_HEADINGS, count_sections, parse_triples_json, split_items
 from knight.synthesis import (
     Triple,
-    count_sections,
     dedup_triples,
     extract_triples,
     gate_gloss,
@@ -21,7 +20,6 @@ from knight.synthesis import (
     levenshtein,
     normalized_edit_distance,
     overlap,
-    parse_triples_json,
 )
 
 # -- generate_gloss -----------------------------------------------------------

@@ -9,14 +9,15 @@ from knight.config import PipelineConfig
 from knight.errors import ValidationParseError
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride
 from knight.graph import KnowledgeGraph, PathSample
-from knight.prompts import critic_sources, read_path_context, split_items, validate_user
+from knight.prompts import (
+    critic_sources, parse_critic_response, read_path_context, split_items, validate_user,
+)
 from knight.qgen import McqItem, verbalize
 from knight.storage import item_to_record, record_to_item
 from knight.validation import (
     ValidationReport,
     keep,
     llm_validate,
-    parse_critic_response,
     rule_checks,
     token_jaccard,
     validate_item,
