@@ -25,8 +25,9 @@ block too. Both write a node's entry with ``_node_entry``.
 A direct-generation call (``direct_mcq_user``) opens with the topic line
 and, in a direct mode with evidence, every retrieved passage, numbered
 ``[1]``, ``[2]``, ... by ``number_passages``; ``read_passages`` reads them
-back. Each reply block then ends with an ``Evidence: [n]`` line that cites
-the one passage its key rests on, and a direct item's source is that
+back. The tail of such a call, and only of such a call, asks each reply
+block to end with an ``Evidence: [n]`` line (``CITATION``) that cites the
+one passage its key rests on, and a direct item's source is that
 passage alone under the ``CITED_SOURCE`` header. A reply that cites no
 passage keeps the whole evidence block (``evidence_source``).
 """
@@ -475,11 +476,7 @@ DIRECT_MCQ_SYSTEM = (
     "numbered item slots. Write one four-option multiple-choice question about "
     "the topic for each slot, each with a single correct option; when evidence "
     "is given, every question and key must follow from it alone. Each slot's "
-    "variation tag asks for an aspect the other items do not cover.\n"
-    + numbered_reply("slot", "these lines, the last only when evidence is given")
-    + MCQ_LINES
-    + "\n"
-    + CITATION.format("number of the one passage the correct option rests on")
+    "variation tag asks for an aspect the other items do not cover.\n" + MCQ_REPLY
 )
 
 # The header of a direct item's source: the whole evidence block, or the one
@@ -521,7 +518,8 @@ def read_passages(text: str) -> list[str] | None:
 def direct_mcq_user(topic: str, level: int, passages: list[str], variants: list[int]) -> str:
     """Prompt for the KG-free modes: the topic line and any evidence, its
     passages numbered, then one slot per variant. With evidence, the tail
-    asks for each block's Evidence line too."""
+    asks each block to end with its ``CITATION`` line; without, no prompt
+    asks for one."""
     head = (
         f'Write one four-option multiple-choice question about the topic "{topic}" '
         f"at difficulty level {level} for each numbered item below."
@@ -532,10 +530,8 @@ def direct_mcq_user(topic: str, level: int, passages: list[str], variants: list[
             "\n\nBase the questions solely on this evidence:\n"
             "--- Evidence ---\n" + number_passages(passages) + "\n--- End Evidence ---"
         )
-        tail = (
-            "Respond with one numbered block of the six item lines and the Evidence line "
-            "per item."
-        )
+        tail = "Respond with one numbered block per item: the six item lines, then this line:\n"
+        tail += CITATION.format("number of the one passage the correct option rests on")
     return numbered_prompt(
         head,
         [f"Variation tag: {v} (cover a different aspect than earlier items)." for v in variants],

@@ -383,6 +383,27 @@ def test_direct_prompts_share_the_evidence_prefix(world):
     assert all(prompt.startswith(prefix) for prompt in prompts)
 
 
+@pytest.mark.parametrize(
+    "mode, failing, asks", [("plain", False, 0), ("rag", True, 0), ("rag", False, 1)],
+    ids=["plain", "fallback", "evidence"],
+)
+def test_only_a_direct_call_with_evidence_asks_for_its_evidence_line(world, mode, failing, asks):
+    """A plain call and a parametric fallback have no passage to cite, so
+    neither of their prompts asks for the Evidence line; a call with
+    passages asks for it once."""
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    source = FixtureWikiSource(world)
+    services = dataclasses.replace(
+        _services(world, 1, backend=backend),
+        source=FailingSource(source, "search") if failing else source,
+    )
+    config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode=mode).validate()
+    run_pipeline(Topic("Biology"), config, 10, services=services)
+    calls = [r for r in backend.requests if r.task_tag == "mcq_forward"]
+    counts = [(r.system_prompt + r.user_prompt).count("Evidence:") for r in calls]
+    assert calls and counts == [asks] * len(calls)
+
+
 @pytest.mark.parametrize("mode", ["knight", "rag_kg"])
 def test_path_outputs_do_not_depend_on_the_group_size(world, mode, monkeypatch):
     """Each path item's reply reads only its orientation's shared head and
