@@ -500,7 +500,7 @@ class MockChatBackend:
         return triples_reply(triples[rotation:] + triples[:rotation])
 
     def _mcq(self, stem: str, answer: str, avoid: list[str], salt: int) -> str:
-        """An item's reply lines: ``answer`` keyed at option ``salt % 4``, three distractors."""
+        """An item's reply lines: ``answer`` at option ``salt % 4`` among three distractors."""
         avoid_low = [a.lower() for a in avoid if a]
         pool = [
             name

@@ -248,8 +248,7 @@ def parse_triples_json(text: str) -> list[Triple]:
             continue
         head = str(raw.get("head") or "").strip()
         tail = str(raw.get("tail") or "").strip()
-        relation = _RELATION_CLEAN.sub("_", str(raw.get("relation") or "").strip().lower())
-        relation = relation.strip("_")
+        relation = _RELATION_CLEAN.sub("_", str(raw.get("relation") or "").lower()).strip("_")
         if not (head and relation and tail):
             continue
         out.append(Triple(head=head, relation=relation, tail=tail))
@@ -313,6 +312,7 @@ def parse_mcq_output(text: str) -> tuple[str, dict[str, str], str]:
     if answer_key is None:
         raise GenerationRejected("no Correct Answer line found")
     return question, options, answer_key
+
 
 # Where a path call's node descriptions are: in its head, once per node.
 _PATH_NODES = "the Node Information block describes each start and end node once"

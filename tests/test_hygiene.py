@@ -1,9 +1,10 @@
 """Source hygiene: every top-level import in the package is used; no
 module but ``gateway.py`` imports a threading module, so ``ChatGateway.map``
 stays the one place that starts threads and decides what a failed call
-costs; nothing in the package is reached only by tests; every name the
-package exports is imported from it by a bench, tool or test file; and the
-mock path loads neither numpy nor requests."""
+costs; no module but ``prompts.py`` spells a reply layout; nothing in the
+package is reached only by tests; every name the package exports is
+imported from it by a bench, tool or test file; and the mock path loads
+neither numpy nor requests."""
 
 from __future__ import annotations
 
