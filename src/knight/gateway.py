@@ -41,6 +41,7 @@ from .prompts import (
     VALIDATE_LABELS,
     mcq_reply,
     parse_item_blocks,
+    read_field,
     read_passages,
     split_items,
     triples_reply,
@@ -309,23 +310,6 @@ class MockOverride:
     response: str
 
 
-_QUOTED = {
-    "term": re.compile(r'Explain the term: "([^"]+)"'),
-    "check_term": re.compile(r'Term to define: "([^"]+)"'),
-    "check_title": re.compile(r'Candidate page title: "([^"]+)"'),
-    "parent": re.compile(r'parent term "([^"]+)"'),
-    "path": re.compile(r'Path: "([^"]+)"'),
-    "start": re.compile(r'Start Node: "([^"]+)"'),
-    "end": re.compile(r'End Node: "([^"]+)"'),
-    "path_topic": re.compile(r'overall topic: "([^"]+)"'),
-    "direct_topic": re.compile(r'about the topic "([^"]+)"'),
-    "level": re.compile(r"at difficulty level (\d+)"),
-    "variant": re.compile(r"Variation tag: (\d+)"),
-    "val_topic": re.compile(r'Topic \(optional\): "([^"]*)"'),
-}
-
-_CONTEXT_BLOCK = re.compile(r"--- (?:Context|Evidence) ---\n(.*?)\n--- End", re.DOTALL)
-
 _FORWARD_STEMS = (
     "Which of the following is reached from {start} by following {rels}?",
     "Starting at {start} and tracing {rels}, which entity do you arrive at?",
@@ -367,7 +351,8 @@ class MockChatBackend:
     when its system prompt is ``DIRECT_MCQ_SYSTEM``, else as a path one. A
     direct reply cites, in an ``Evidence: [n]`` line, the first numbered
     passage that holds its keyed aspect, ignoring case; the passages are
-    lowercased once per call. Each block is written by its ``prompts`` writer.
+    lowercased once per call. The mock reads every request field through
+    ``prompts.read_field``, and writes each block by its ``prompts`` writer.
     """
 
     def __init__(
@@ -413,10 +398,9 @@ class MockChatBackend:
         # Generation calls are routed by their system prompt, never by text
         # that a node description in the head might also hold.
         if reply is None and request.system_prompt == DIRECT_MCQ_SYSTEM:
-            topic = self._slot("direct_topic", head) or "the subject"
-            level = self._slot("level", head) or ""
-            evidence = head.partition("--- Evidence ---\n")[2]
-            evidence = evidence.partition("\n--- End Evidence ---")[0]
+            topic = read_field("direct_topic", head) or "the subject"
+            level = read_field("level", head) or ""
+            evidence = read_field("evidence", head) or ""
             passages = read_passages(evidence)
             if passages is not None:  # salt on the passages without their numbers
                 evidence = "\n\n".join(passages)
@@ -424,7 +408,7 @@ class MockChatBackend:
             reply = partial(self._direct_mcq, topic, level, evidence, lowered)
         elif reply is None:
             # The topic line, when there is one, is the prompt's first line.
-            topic = self._slot("path_topic", request.user_prompt.partition("\n")[0]) or ""
+            topic = read_field("path_topic", request.user_prompt.partition("\n")[0]) or ""
             reply = partial(self._path_mcq, request.task_tag, topic)
         return "\n\n".join(
             f"Item {number}\n{planted[number] if number in planted else reply(slot)}"
@@ -437,16 +421,11 @@ class MockChatBackend:
         ).hexdigest()
         return int(digest[:16], 16)
 
-    @staticmethod
-    def _slot(name: str, text: str) -> str | None:
-        match = _QUOTED[name].search(text)
-        return match.group(1) if match else None
-
     # -- per-task synthesis ------------------------------------------------
 
     def _title_check(self, slot: str) -> str:
-        term = self._slot("check_term", slot) or ""
-        title = self._slot("check_title", slot) or ""
+        term = read_field("check_term", slot) or ""
+        title = read_field("check_title", slot) or ""
         t_norm, title_norm = normalize_name(term), normalize_name(title)
         if t_norm and (t_norm == title_norm or t_norm in title_norm or title_norm in t_norm):
             return "Yes"
@@ -455,18 +434,13 @@ class MockChatBackend:
     def _gloss(self, head: str, slot: str) -> str:
         """One term's gloss: the term and its context, read from its own
         slot, and its parent, read from its slot or else the shared head."""
-        term = self._slot("term", slot) or "the subject"
-        parent = self._slot("parent", slot) or self._slot("parent", head)
-        context_match = _CONTEXT_BLOCK.search(slot)
+        term = read_field("term", slot) or "the subject"
+        parent = read_field("parent", slot) or read_field("parent", head)
+        context = read_field("context", slot) or ""
         entry = self.world.lookup_term(term)
         hint = entry.hint if entry else f"a specialized notion encountered while studying {parent or 'its field'}"
 
-        if context_match:
-            sentences = [
-                s.strip() for s in re.split(r"(?<=[.!?])\s+", context_match.group(1).strip()) if s.strip()
-            ]
-        else:
-            sentences = []
+        sentences = [s.strip() for s in re.split(r"(?<=[.!?])\s+", context.strip()) if s.strip()]
         related = ", ".join(t[2] for t in entry.triples) if entry and entry.triples else "adjacent concepts"
 
         def ctx(i: int, fallback: str) -> str:
@@ -518,12 +492,12 @@ class MockChatBackend:
         """One path item's reply, from the call's tag and topic and the
         slot's path, start and end nodes and variation tag, never from the
         slot's number, the group's size or the prompt's layout."""
-        start = self._slot("start", slot)
-        end = self._slot("end", slot)
-        path = self._slot("path", slot) or ""
+        start = read_field("start", slot)
+        end = read_field("end", slot)
+        path = read_field("path", slot) or ""
         rels = HOP.split(path)[1::2]
         rels_text = " and then ".join(r.replace("_", " ") for r in rels) or "the linking relation"
-        variant = int(self._slot("variant", slot) or 0)
+        variant = int(read_field("variant", slot) or 0)
         if tag == "mcq_forward":
             stem = _FORWARD_STEMS[variant % len(_FORWARD_STEMS)].format(start=start, rels=rels_text)
             answer = end
@@ -541,7 +515,7 @@ class MockChatBackend:
         group's size or the prompt's layout. It cites the first of the
         call's numbered ``passages`` (lowercased) that holds its keyed
         aspect, and none when no passage does."""
-        variant = int(self._slot("variant", slot) or 0)
+        variant = int(read_field("variant", slot) or 0)
         entry = self.world.lookup_term(topic)
         aspects = [t[2] for t in entry.triples] if entry and entry.triples else [f"{topic} fundamentals"]
         aspect = aspects[variant % len(aspects)]
@@ -556,8 +530,8 @@ class MockChatBackend:
     def _verdicts(self, head: str, slot: str) -> str:
         """One item's five check lines; its topic is read from its own slot,
         or else from the shared head."""
-        topic = self._slot("val_topic", slot)
+        topic = read_field("val_topic", slot)
         if topic is None:
-            topic = self._slot("val_topic", head) or ""
+            topic = read_field("val_topic", head) or ""
         topic_line = "YES" if topic.strip() else "N/A"  # the last label's verdict
         return verdict_lines(["YES"] * (len(VALIDATE_LABELS) - 1) + [topic_line])

@@ -3,7 +3,9 @@
 Each reply format's instruction, writer and reader live here side by side.
 The instructions and the mock backend write each reply block through one
 writer; the stage modules import the readers and keep only their per-slot
-policy. Every call shares one numbered-block format: the prompt holds
+policy. The request side lives here too: each ``*_user`` writer lays out its
+call's fields, and ``read_field`` is the one reader the mock backend has of
+them. Every call shares one numbered-block format: the prompt holds
 one slot per item (a title check, a term to gloss, a text to extract from,
 an item to write or to audit) headed by an "Item N" line, and the reply one
 block per item under the same header, as ``numbered_reply`` asks.
@@ -724,3 +726,29 @@ def validate_user(items: list[McqItem]) -> str:
         bodies,
         "Respond with one numbered block of the five check lines per item.",
     )
+
+
+# Each request field the mock backend reads, by name: a reader of what the
+# writer named beside it lays out, its value in group 1.
+_FIELDS = {
+    "term": re.compile(r'Explain the term: "([^"]+)"'),  # gloss_user
+    "parent": re.compile(r'parent term "([^"]+)"'),
+    "context": re.compile(r"--- Context ---\n(.*?)\n--- End Context ---", re.DOTALL),
+    "check_term": re.compile(r'Term to define: "([^"]+)"'),  # title_check_user
+    "check_title": re.compile(r'Candidate page title: "([^"]+)"'),
+    "path": re.compile(r'Path: "([^"]+)"'),  # path_mcq_user
+    "start": re.compile(r'Start Node: "([^"]+)"'),
+    "end": re.compile(r'End Node: "([^"]+)"'),
+    "path_topic": re.compile(r'overall topic: "([^"]+)"'),
+    "variant": re.compile(r"Variation tag: (\d+)"),  # path_mcq_user, direct_mcq_user
+    "direct_topic": re.compile(r'about the topic "([^"]+)"'),  # direct_mcq_user
+    "level": re.compile(r"at difficulty level (\d+)"),
+    "evidence": re.compile(r"--- Evidence ---\n(.*?)\n--- End Evidence ---", re.DOTALL),
+    "val_topic": re.compile(r'Topic \(optional\): "([^"]*)"'),  # validate_user
+}
+
+
+def read_field(name: str, text: str) -> str | None:
+    """The first value of request field ``name`` in ``text``; None without one."""
+    match = _FIELDS[name].search(text)
+    return match.group(1) if match else None
