@@ -27,11 +27,12 @@ block too. Both write a node's entry with ``_node_entry``.
 A direct-generation call (``direct_mcq_user``) opens with the topic line
 and, in a direct mode with evidence, every retrieved passage, numbered
 ``[1]``, ``[2]``, ... by ``number_passages``; ``read_passages`` reads them
-back. The tail of such a call, and only of such a call, asks each reply
-block to end with an ``Evidence: [n]`` line (``CITATION``) that cites the
-one passage its key rests on, and a direct item's source is that
+back. Right after that block, such a call, and only such a call, asks each
+reply block to end with an ``Evidence: [n]`` line (``CITATION``) that cites
+the one passage its key rests on, and a direct item's source is that
 passage alone under the ``CITED_SOURCE`` header. A reply that cites no
-passage keeps the whole evidence block (``evidence_source``).
+passage keeps the whole evidence block (``evidence_source``). No user
+prompt repeats its system prompt's reply instruction.
 """
 
 from __future__ import annotations
@@ -101,12 +102,12 @@ def parse_item_blocks(
     return out
 
 
-def numbered_prompt(head: str, slots: list[str], tail: str = "") -> str:
-    """``head``, each slot body under its "Item N" line (numbered from 1), then
-    ``tail``, joined by blank lines; an empty head or tail is left out. Calls
-    with one head thus share their prompt up to the first slot."""
+def numbered_prompt(head: str, slots: list[str]) -> str:
+    """``head``, then each slot body under its "Item N" line (numbered from
+    1), joined by blank lines; an empty head is left out. Nothing follows the
+    last slot: calls with one head share their prompt up to the first slot."""
     items = [f"Item {number}\n{body}" for number, body in enumerate(slots, start=1)]
-    return "\n\n".join(part for part in (head, *items, tail) if part)
+    return "\n\n".join(part for part in (head, *items) if part)
 
 
 def _shared(values: Iterable[T]) -> T | None:
@@ -519,25 +520,22 @@ def read_passages(text: str) -> list[str] | None:
 
 def direct_mcq_user(topic: str, level: int, passages: list[str], variants: list[int]) -> str:
     """Prompt for the KG-free modes: the topic line and any evidence, its
-    passages numbered, then one slot per variant. With evidence, the tail
-    asks each block to end with its ``CITATION`` line; without, no prompt
-    asks for one."""
+    passages numbered, then one slot per variant. With evidence, the head
+    asks, right after the evidence block, for each block to end with its
+    ``CITATION`` line; without, no prompt asks for one."""
     head = (
         f'Write one four-option multiple-choice question about the topic "{topic}" '
         f"at difficulty level {level} for each numbered item below."
     )
-    tail = "Respond with one numbered block of the six item lines per item."
     if passages:
         head += (
             "\n\nBase the questions solely on this evidence:\n"
-            "--- Evidence ---\n" + number_passages(passages) + "\n--- End Evidence ---"
+            "--- Evidence ---\n" + number_passages(passages) + "\n--- End Evidence ---\n"
+            "End each item's block with this line:\n"
+            + CITATION.format("number of the one passage the correct option rests on")
         )
-        tail = "Respond with one numbered block per item: the six item lines, then this line:\n"
-        tail += CITATION.format("number of the one passage the correct option rests on")
     return numbered_prompt(
-        head,
-        [f"Variation tag: {v} (cover a different aspect than earlier items)." for v in variants],
-        tail,
+        head, [f"Variation tag: {v} (cover a different aspect than earlier items)." for v in variants]
     )
 
 
@@ -721,11 +719,7 @@ def validate_user(items: list[McqItem]) -> str:
             f'Correct Answer: "{item.answer_key}"'
             + (f'\nTopic (optional): "{item.topic or ""}"' if topic is None else "")
         )
-    return numbered_prompt(
-        f"{head}Evaluate each item below based only on {rule}",
-        bodies,
-        "Respond with one numbered block of the five check lines per item.",
-    )
+    return numbered_prompt(f"{head}Evaluate each item below based only on {rule}", bodies)
 
 
 # Each request field the mock backend reads, by name: a reader of what the

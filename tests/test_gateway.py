@@ -201,9 +201,7 @@ def test_mock_override_wins(world):
 
 
 def test_numbered_prompt_numbers_slots_and_leaves_out_empty_parts():
-    assert numbered_prompt("head", ["a", "b\nc"], "tail") == (
-        "head\n\nItem 1\na\n\nItem 2\nb\nc\n\ntail"
-    )
+    assert numbered_prompt("head", ["a", "b\nc"]) == "head\n\nItem 1\na\n\nItem 2\nb\nc"
     assert numbered_prompt("", ["a"]) == "Item 1\na"
     head, slots = split_items(numbered_prompt("head", ["x", "y"]))
     assert head == "head\n\n" and [n for n, _ in slots] == [1, 2]
