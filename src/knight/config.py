@@ -9,6 +9,7 @@ built-in default. Environment keys use the ``KNIGHT_`` prefix (for example
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping, get_type_hints
@@ -104,7 +105,8 @@ def _is_secret(name: str) -> bool:
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Parse the ``key = value`` config format; ``#`` starts a comment."""
+    """Parse the ``key = value`` config format. ``#`` starts a comment, but
+    not inside a value in matching quotes, which is taken whole."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -117,7 +119,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip().lower()] = value.strip().strip("\"'")
+        quoted = re.fullmatch(r"""\s*(["'])(.*?)\1\s*(#.*)?""", raw_line.partition("=")[2])
+        values[key.strip().lower()] = quoted[2] if quoted else value.strip().strip("\"'")
     return values
 
 

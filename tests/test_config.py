@@ -78,6 +78,22 @@ def test_parse_config_file(tmp_path):
     assert values == {"d_max": "3", "pipeline_mode": "rag", "eta_overlap": "0.5"}
 
 
+def test_a_quoted_config_value_keeps_its_hash(tmp_path):
+    path = tmp_path / "knight.conf"
+    path.write_text(
+        "# neo4j_user = commented = out\n"
+        'neo4j_pass = "p#ss"\n'
+        "openai_api_key = 'k#y'  # a comment after the closing quote\n"
+        "neo4j_uri = bolt://host#7687\n",
+        encoding="utf-8",
+    )
+    assert parse_config_file(path) == {
+        "neo4j_pass": "p#ss",
+        "openai_api_key": "k#y",
+        "neo4j_uri": "bolt://host",
+    }
+
+
 def test_parse_config_file_bad_line(tmp_path):
     path = tmp_path / "bad.conf"
     path.write_text("just words\n", encoding="utf-8")
