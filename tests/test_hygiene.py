@@ -1,7 +1,8 @@
 """Source hygiene: every top-level import in the package is used; no
 module but ``gateway.py`` imports a threading module, so ``ChatGateway.map``
 stays the one place that starts threads and decides what a failed call
-costs; no module but ``prompts.py`` spells a reply layout; nothing in the
+costs; no module but ``prompts.py`` spells a reply layout or a request
+field's fixed text; nothing in the
 package is reached only by tests; every name the package exports is
 imported from it by a bench, tool or test file; and the mock path loads
 neither numpy nor requests."""
@@ -87,11 +88,18 @@ def test_checker_flags_a_thread_import():
 # and reader live there, so a stage or the mock that spells one by hand
 # could drift from what the reader accepts.
 REPLY_MARKERS = ("Question:", "Correct Answer", "triplets", "Evidence: [", "YES|NO")
+# The fixed text of each request field and block: its writer and its reader,
+# ``read_field``, live in ``prompts`` too, so the mock reads what is written.
+REQUEST_MARKERS = (
+    "Explain the term", "parent term", "Term to define", "Candidate page title", 'Path: "',
+    "Start Node", "End Node", "overall topic", "about the topic", "difficulty level",
+    "Variation tag", "Topic (optional)", "--- ",
+)
 
 
-def _hand_written_replies(source: str) -> list[str]:
-    """Each string constant of ``source`` outside a docstring that holds a
-    reply marker, and each tuple that spells the option letters A-D."""
+def _hand_written_replies(source: str, markers: tuple[str, ...] = REPLY_MARKERS) -> list[str]:
+    """Each string constant of ``source`` outside a docstring that holds one
+    of ``markers``, and each tuple that spells the option letters A-D."""
     tree = ast.parse(source)
     docstrings = {
         id(node.body[0].value)
@@ -105,7 +113,7 @@ def _hand_written_replies(source: str) -> list[str]:
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in docstrings:
-                found += [f"{m!r} (line {node.lineno})" for m in REPLY_MARKERS if m in node.value]
+                found += [f"{m!r} (line {node.lineno})" for m in markers if m in node.value]
         elif isinstance(node, ast.Tuple) and all(isinstance(e, ast.Constant) for e in node.elts):
             if tuple(e.value for e in node.elts) == ("A", "B", "C", "D"):
                 found.append(f"option letters (line {node.lineno})")
@@ -117,6 +125,25 @@ def _hand_written_replies(source: str) -> list[str]:
 )
 def test_only_prompts_writes_or_reads_a_reply_layout(path):
     assert _hand_written_replies(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "prompts.py"], ids=lambda p: p.name
+)
+def test_only_prompts_writes_or_reads_a_request_field(path):
+    assert _hand_written_replies(path.read_text(encoding="utf-8"), REQUEST_MARKERS) == []
+
+
+def test_checker_flags_a_hand_written_request_field():
+    source = (
+        'def f(text):\n'
+        '    """Reads the "Variation tag: N" line."""\n'
+        '    return re.search(r"Variation tag: (\\d+)", text), text.partition("--- Evidence ---")\n'
+    )
+    assert _hand_written_replies(source, REQUEST_MARKERS) == [
+        "'Variation tag' (line 3)",
+        "'--- ' (line 3)",
+    ]
 
 
 def test_checker_flags_a_hand_written_reply():

@@ -1,5 +1,6 @@
-"""Round trips through each reply format's writer and reader in ``prompts``:
-what a writer lays out, its reader gives back field for field."""
+"""Round trips through each reply format's writer and reader in ``prompts``,
+and through each request writer and ``read_field``: what a writer lays out,
+its reader gives back field for field."""
 
 from __future__ import annotations
 
@@ -8,20 +9,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knight.errors import ValidationParseError
-from knight.graph import Triple
+from knight.graph import Node, Triple
 from knight.prompts import (
     CITATION,
     MCQ_LINES,
     OPTION_LETTERS,
     VALIDATE_LABELS,
+    direct_mcq_user,
+    gloss_user,
     mcq_reply,
     parse_citation,
     parse_critic_response,
     parse_mcq_output,
     parse_triples_json,
+    path_mcq_user,
+    read_field,
+    read_passages,
+    split_items,
+    title_check_user,
     triples_reply,
+    validate_user,
     verdict_lines,
 )
+from knight.qgen import McqItem
 
 # Every character ``str.splitlines`` splits on, so a drawn text stays one line.
 LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -82,3 +92,98 @@ def test_triples_reply_round_trips(triples):
 
 def test_an_empty_triples_reply_stays_on_one_line():
     assert triples_reply([]) == '{"triplets": []}'
+
+
+# A name or topic as a request writer quotes it: no quote, no line break.
+name = st.text(st.characters(blacklist_characters=LINE_BREAKS + '"'), min_size=1)
+# A passage on one line of its own, which neither reads as an "Item N"
+# header nor holds a block marker.
+passage = st.text(st.characters(blacklist_characters=LINE_BREAKS)).filter(
+    lambda t: "---" not in t and not split_items(t)[1]
+)
+variant = st.integers(min_value=1, max_value=10_000)
+
+
+def _slots(prompt):
+    head, slots = split_items(prompt)
+    return head, [slot for _, slot in slots]
+
+
+@given(st.lists(st.tuples(name, st.lists(passage, max_size=3)), min_size=1, max_size=4), name)
+def test_gloss_fields_round_trip_with_a_shared_parent(terms, parent):
+    head, slots = _slots(gloss_user([(term, parent, passages) for term, passages in terms]))
+    assert read_field("parent", head) == parent
+    for (term, passages), slot in zip(terms, slots, strict=True):
+        assert read_field("term", slot) == term
+        assert read_field("parent", slot) is None
+        assert read_field("context", slot) == ("\n\n".join(passages) if passages else None)
+
+
+@given(
+    st.lists(st.tuples(name, st.none() | name, st.lists(passage, max_size=3)), min_size=2, max_size=4)
+    .filter(lambda terms: len({parent for _, parent, _ in terms}) == len(terms))
+)
+def test_gloss_fields_round_trip_with_a_parent_per_slot(terms):
+    head, slots = _slots(gloss_user(terms))
+    assert read_field("parent", head) is None
+    for (term, parent, passages), slot in zip(terms, slots, strict=True):
+        assert read_field("term", slot) == term
+        assert read_field("parent", slot) == parent
+        assert read_field("context", slot) == ("\n\n".join(passages) if passages else None)
+
+
+@given(st.lists(st.tuples(name, name, name), min_size=1, max_size=4))
+def test_title_check_fields_round_trip(checks):
+    for (_, term, title), slot in zip(checks, _slots(title_check_user(checks))[1], strict=True):
+        assert read_field("check_term", slot) == term
+        assert read_field("check_title", slot) == title
+
+
+@given(
+    st.sampled_from(["forward", "reverse"]),
+    name,
+    st.lists(st.tuples(name, name, name, variant), min_size=1, max_size=4),
+)
+def test_path_fields_round_trip(orientation, topic, paths):
+    slots = [(path, Node(start, start, 0), Node(end, end, 1), v) for path, start, end, v in paths]
+    prompt = path_mcq_user(orientation, topic, slots)
+    assert read_field("path_topic", prompt.partition("\n")[0]) == topic
+    for (path, start, end, v), slot in zip(paths, _slots(prompt)[1], strict=True):
+        assert read_field("path", slot) == path
+        assert read_field("start", slot) == start
+        assert read_field("end", slot) == end
+        assert read_field("variant", slot) == str(v)
+
+
+@given(
+    name,
+    st.integers(min_value=0, max_value=100),
+    st.lists(passage, max_size=4),
+    st.lists(variant, min_size=1, max_size=4),
+)
+def test_direct_fields_round_trip(topic, level, passages, variants):
+    head, slots = _slots(direct_mcq_user(topic, level, passages, variants))
+    assert read_field("direct_topic", head) == topic
+    assert read_field("level", head) == str(level)
+    evidence = read_field("evidence", head)
+    assert (read_passages(evidence) if passages else evidence) == (passages or None)
+    assert [read_field("variant", slot) for slot in slots] == [str(v) for v in variants]
+
+
+def _audited(topic):
+    options = dict(zip(OPTION_LETTERS, ["one", "two", "three", "four"]))
+    return McqItem("m", "Which one?", options, "A", topic, 1, "forward", None, "a source")
+
+
+@given(st.just("") | name, st.integers(min_value=1, max_value=4))
+def test_a_shared_critic_topic_round_trips_from_the_head(topic, count):
+    head, slots = _slots(validate_user([_audited(topic)] * count))
+    assert read_field("val_topic", head) == topic
+    assert [read_field("val_topic", slot) for slot in slots] == [None] * count
+
+
+@given(st.lists(st.just("") | name, min_size=2, max_size=4, unique=True))
+def test_a_critic_topic_per_slot_round_trips_from_its_slot(topics):
+    head, slots = _slots(validate_user([_audited(topic) for topic in topics]))
+    assert read_field("val_topic", head) is None
+    assert [read_field("val_topic", slot) for slot in slots] == topics
