@@ -88,6 +88,26 @@ def test_reach_reports_the_lines_no_run_reached_and_marks_those_a_test_reached(t
     assert reach.report(module, runs={1, 2, 3, 4, 5, 6, 8}, tests=set()) == []
 
 
+def test_reach_flags_only_an_unreached_line_that_is_no_stub_or_typing_import(tmp_path):
+    reach = _load("reach")
+    module = tmp_path / "small.py"
+    module.write_text(
+        "from typing import TYPE_CHECKING, Protocol\n"
+        "if TYPE_CHECKING:\n"
+        "    from os import PathLike\n"
+        "class Sink(Protocol):\n"
+        "    def write(self, text: str) -> None:\n"
+        "        ...\n"
+        "def spare():\n"
+        "    return 1\n"
+    )
+    assert reach.executable_lines(module) - {1, 2, 4, 5, 7} == {3, 6, 8}
+    assert reach.reached_by_nothing(module, runs={1, 2, 4, 5, 7}, tests=set()) == [
+        "small.py:8: return 1"
+    ]
+    assert reach.reached_by_nothing(module, runs={1, 2, 4, 5, 7}, tests={8}) == []
+
+
 def test_reach_and_the_bench_smoke_step_read_the_workloads_from_the_benchmark():
     root = TOOLS.parent
     names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]

@@ -13,8 +13,11 @@ of ``src/knight`` files get a line tracer.
 A line is executable when the ``co_lines`` of a code object compiled from
 its module name it. For each module, the report prints every executable
 line that no golden or bench run reached, marked ``T`` when a tier-1 test
-reached it; an unmarked line is reached by nothing. Each child's exit code
-goes to standard error, and the report to standard output.
+reached it; an unmarked line is reached by nothing. Only a Protocol's
+``...`` body or an import under ``if TYPE_CHECKING:`` may be: the report
+ends with every other such line. Each child's exit code goes to standard
+error, and the report to standard output. Exits 1 when a child run fails
+or when some other line is reached by nothing.
 
 The program is traced from ``src/`` of the checkout this file sits in.
 """
@@ -62,6 +65,36 @@ def report(path: Path, runs: set[int], tests: set[int]) -> list[str]:
         f"{line:>5} {'T' if line in tests else ' '} {source[line - 1].rstrip()}" for line in missed
     ]
     return lines
+
+
+def _owner(source: list[str], at: int) -> int | None:
+    """The index of the nearest line above index ``at`` that is indented
+    less than it; None for a line at the margin."""
+    depth = len(source[at]) - len(source[at].lstrip())
+    return max((i for i in range(at) if source[i].strip()
+                and len(source[i]) - len(source[i].lstrip()) < depth), default=None)
+
+
+def _exempt(source: list[str], line: int) -> bool:
+    """Whether ``line`` of ``source`` may be reached by nothing: a ``...``
+    body of a method of a Protocol class, or an import under
+    ``if TYPE_CHECKING:``."""
+    at = line - 1
+    text, owner = source[at].strip(), _owner(source, at)
+    if owner is None:
+        return False
+    if text == "...":
+        cls = _owner(source, owner)
+        return cls is not None and "(Protocol)" in source[cls]
+    return source[owner].strip() == "if TYPE_CHECKING:" and text.startswith(("from ", "import "))
+
+
+def reached_by_nothing(path: Path, runs: set[int], tests: set[int]) -> list[str]:
+    """``name:line: text`` for each executable line of ``path`` that neither
+    ``runs`` nor ``tests`` reach and that is not ``_exempt``."""
+    source = path.read_text(encoding="utf-8").splitlines()
+    missed = sorted(executable_lines(path) - runs - tests)
+    return [f"{path.name}:{n}: {source[n - 1].strip()}" for n in missed if not _exempt(source, n)]
 
 
 def _child(hits_path: str, target: list[str]) -> int:
@@ -157,11 +190,16 @@ def main(argv: list[str] | None = None) -> int:
                 into.setdefault(filename, set()).update(lines)
             hits_path.unlink()
 
+    unreached = []
     for path in sorted(PACKAGE.glob("*.py")):
-        lines = report(path, runs.get(str(path), set()), tests.get(str(path), set()))
+        hits = runs.get(str(path), set()), tests.get(str(path), set())
+        lines = report(path, *hits)
         if lines:
             print("\n".join(lines))
-    return 1 if failed else 0
+        unreached += reached_by_nothing(path, *hits)
+    print("reached by nothing, and not a Protocol body or a typing import:")
+    print("\n".join(unreached) or "no such line")
+    return 1 if failed or unreached else 0
 
 
 if __name__ == "__main__":
