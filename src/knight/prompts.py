@@ -723,11 +723,12 @@ def validate_user(items: list[McqItem]) -> str:
 
 
 # Each request field the mock backend reads, by name: a reader of what the
-# writer named beside it lays out, its value in group 1.
+# writer named beside it lays out, its value in group 1. A block is read a whole
+# line at a time (``.*+`` keeps its line), never one character at a time.
 _FIELDS = {
     "term": re.compile(r'Explain the term: "([^"]+)"'),  # gloss_user
     "parent": re.compile(r'parent term "([^"]+)"'),
-    "context": re.compile(r"--- Context ---\n(.*?)\n--- End Context ---", re.DOTALL),
+    "context": re.compile(r"--- Context ---\n((?:.*+\n)*?.*+)\n--- End Context ---"),
     "check_term": re.compile(r'Term to define: "([^"]+)"'),  # title_check_user
     "check_title": re.compile(r'Candidate page title: "([^"]+)"'),
     "path": re.compile(r'Path: "([^"]+)"'),  # path_mcq_user
@@ -737,7 +738,7 @@ _FIELDS = {
     "variant": re.compile(r"Variation tag: (\d+)"),  # path_mcq_user, direct_mcq_user
     "direct_topic": re.compile(r'about the topic "([^"]+)"'),  # direct_mcq_user
     "level": re.compile(r"at difficulty level (\d+)"),
-    "evidence": re.compile(r"--- Evidence ---\n(.*?)\n--- End Evidence ---", re.DOTALL),
+    "evidence": re.compile(r"--- Evidence ---\n((?:.*+\n)*?.*+)\n--- End Evidence ---"),
     "val_topic": re.compile(r'Topic \(optional\): "([^"]*)"'),  # validate_user
 }
 
