@@ -33,15 +33,19 @@ keeps only that passage as its ``source_context``, with that passage's id
 and weight as its provenance; a block that cites no passage keeps the whole
 evidence block and counts in ``PipelineResult.uncited``. In every mode
 ``qgen.provenance`` writes an item's provenance record. The critic
-likewise fixes groups of up to ``BATCH`` consecutive items, whatever their
-``source_context``, before the map, and maps ``validate_item`` over them. In
-every grouped call a reply block that is missing, repeated or unparseable,
-or in a path mode breaks the orientation rule, costs only its own item. A
-``GatewayError`` the map returns costs the whole group in flight, each of
-whose items counts as an attempt, and ends its stage: the stage keeps the
-groups queued before it (in a path mode, merged into pair order), the error
-goes to ``PipelineResult.aborted_reason``, and later stages go on with what
-was finished; a build cut short before any ``d_max``-hop path exists, or a
+fixes its groups before the map too: it stably orders the items by the
+first appearance of their ``source_context`` and cuts that order into runs
+of up to ``BATCH``, so items on one source sit side by side and the calls
+write at most one source block per distinct source plus one per cut between
+runs; it maps ``validate_item`` over the runs and writes each report back to
+its own item. In every grouped call a reply block that is missing, repeated
+or unparseable, or in a path mode breaks the orientation rule, costs only
+its own item. A ``GatewayError`` the map returns costs the whole group in
+flight, each of whose items counts as an attempt, and ends its stage: the
+stage keeps the groups queued before it (in a path mode, merged into pair
+order; for the critic, in group order, their items returned in input
+order), the error goes to ``PipelineResult.aborted_reason``, and later
+stages go on with what was finished; a build cut short before any ``d_max``-hop path exists, or a
 direct mode's failed title check on its topic, leaves no attempts at all.
 """
 
@@ -292,17 +296,24 @@ def _direct_attempts(
 def validate_items(
     gateway: ChatGateway, items: list[McqItem], config: PipelineConfig
 ) -> tuple[list[McqItem], GatewayError | None]:
-    """Run the critic over ``items`` and set the ``flags`` of the finished
-    prefix. ``batches`` cuts the items into runs of up to ``BATCH``,
-    whatever their sources, and the gateway maps ``validate_item`` over
-    them. Returns the items of the finished groups and the map's error;
-    items after them keep the flags they had."""
-    groups = batches(items)
+    """Run the critic over ``items`` and set the ``flags`` of those it
+    finished. The items are stably ordered by the first appearance of their
+    ``source_context``, so items on one source sit side by side, and
+    ``batches`` cuts that order into runs of up to ``BATCH``; the gateway
+    maps ``validate_item`` over the runs, and each report goes back to its
+    own item. Returns the items of the finished groups, in input order, and
+    the map's error; items of the failed group and of every group after it
+    keep the flags they had."""
+    rank: dict[str, int] = {}
+    for item in items:
+        rank.setdefault(item.source_context, len(rank))
+    order = sorted(range(len(items)), key=lambda index: rank[items[index].source_context])
+    groups = batches([items[index] for index in order])
     reports, error = gateway.map(lambda group: validate_item(gateway, group, config), groups)
     flags = [report for group in reports for report in group]
-    for item, report in zip(items, flags):
-        item.flags = report
-    return items[: len(flags)], error
+    for index, report in zip(order, flags):
+        items[index].flags = report
+    return [items[index] for index in sorted(order[: len(flags)])], error
 
 
 def run_pipeline(

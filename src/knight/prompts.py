@@ -723,12 +723,10 @@ def validate_user(items: list[McqItem]) -> str:
 
 
 # Each request field the mock backend reads, by name: a reader of what the
-# writer named beside it lays out, its value in group 1. A block is read a whole
-# line at a time (``.*+`` keeps its line), never one character at a time.
+# writer named beside it lays out, its value in group 1.
 _FIELDS = {
     "term": re.compile(r'Explain the term: "([^"]+)"'),  # gloss_user
     "parent": re.compile(r'parent term "([^"]+)"'),
-    "context": re.compile(r"--- Context ---\n((?:.*+\n)*?.*+)\n--- End Context ---"),
     "check_term": re.compile(r'Term to define: "([^"]+)"'),  # title_check_user
     "check_title": re.compile(r'Candidate page title: "([^"]+)"'),
     "path": re.compile(r'Path: "([^"]+)"'),  # path_mcq_user
@@ -738,12 +736,21 @@ _FIELDS = {
     "variant": re.compile(r"Variation tag: (\d+)"),  # path_mcq_user, direct_mcq_user
     "direct_topic": re.compile(r'about the topic "([^"]+)"'),  # direct_mcq_user
     "level": re.compile(r"at difficulty level (\d+)"),
-    "evidence": re.compile(r"--- Evidence ---\n((?:.*+\n)*?.*+)\n--- End Evidence ---"),
     "val_topic": re.compile(r'Topic \(optional\): "([^"]*)"'),  # validate_user
+}
+# Each block field's opening and closing marker: its value is the text
+# between the first opening marker and the first closing one after it.
+_BLOCKS = {
+    "context": ("--- Context ---\n", "\n--- End Context ---"),  # gloss_user
+    "evidence": ("--- Evidence ---\n", "\n--- End Evidence ---"),  # direct_mcq_user
 }
 
 
 def read_field(name: str, text: str) -> str | None:
     """The first value of request field ``name`` in ``text``; None without one."""
+    if name in _BLOCKS:
+        opener, closer = _BLOCKS[name]
+        value, closed, _ = text.partition(opener)[2].partition(closer)
+        return value if closed else None
     match = _FIELDS[name].search(text)
     return match.group(1) if match else None

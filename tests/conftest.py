@@ -24,6 +24,12 @@ def config():
     return PipelineConfig(rng_seed=7).validate()
 
 
+def critic_order(sources: list[str]) -> list[int]:
+    """Item positions in the critic's group order, given each item's
+    source: stably by the first appearance of the source."""
+    return sorted(range(len(sources)), key=lambda index: sources.index(sources[index]))
+
+
 class RecordingBackend:
     """Wraps a backend and keeps every request for prompt assertions."""
 

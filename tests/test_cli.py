@@ -10,7 +10,7 @@ from knight.config import PIPELINE_MODES
 from knight.fixture_world import packaged_fixture_dir
 from knight.storage import EDGE_STATEMENT, NODE_STATEMENT, read_jsonl
 
-from conftest import RecordingBackend, stub_neo4j
+from conftest import RecordingBackend, critic_order, stub_neo4j
 
 
 def _run(argv):
@@ -556,12 +556,13 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
     rc = _run(["run", "--topic", "Biology", "--mode", "rag_kg", "--depth", "2", "--num-q", "16",
                "--seed", "7", "--output", str(dataset)])
     assert rc == 0 and len(read_jsonl(dataset)) == 16
-    # The critic groups items in runs of ten, whatever their sources: item
-    # 12 lies in the second group (items 10-15), so items 0-9 form the group
-    # before it.
+    # The critic orders the items by the first appearance of their source,
+    # then cuts runs of ten: slot 12 of that order lies in the second group,
+    # so the ten items of the first group, in file order, are written.
     generated = read_jsonl(dataset)
-    assert len({r["source_context"] for r in generated[:10]}) > 1
-    failing_question = generated[12]["question"]
+    order = critic_order([record["source_context"] for record in generated])
+    assert sorted(order[:10]) != list(range(10))
+    failing_question = generated[order[12]]["question"]
 
     class ValidateFailsOnQuestion:
         def __init__(self, inner):
@@ -579,7 +580,7 @@ def test_validate_aborted_by_backend_writes_validated_prefix(tmp_path, capsys, m
     assert rc == 1
     assert "outputs are partial: GatewayError: backend down" in capsys.readouterr().err
     records = read_jsonl(flagged)
-    assert [r["id"] for r in records] == [r["id"] for r in generated][:10]
+    assert [r["id"] for r in records] == [generated[index]["id"] for index in sorted(order[:10])]
     assert all(r["validation"] is not None for r in records)
 
 
@@ -604,18 +605,28 @@ def test_validate_groups_run_to_batch_across_sources(tmp_path, monkeypatch):
     backends = _wrap_backends(monkeypatch, RecordingBackend)
     batched = tmp_path / "batched.jsonl"
     assert _run(["validate", "--input", str(mixed), "--output", str(batched)]) == 0
-    groups = [
-        [row[question] for question in row if f'Question: "{question}"' in request.user_prompt]
-        for request in backends[0].requests
-    ]
-    # Two runs of ten in file order, each across direct and path items, and
-    # each distinct source written once in its run's prompt.
+    groups = []
+    for request in backends[0].requests:
+        slots = {question: request.user_prompt.find(f'Question: "{question}"') for question in row}
+        groups.append([row[question] for question in sorted(row, key=slots.get)
+                       if slots[question] >= 0])
+    # Two runs of ten, cut from the items stably ordered by the first
+    # appearance of their source: the eleven direct items on one passage
+    # fill the first run, and the second runs to ten across that passage and
+    # the path sources. Each distinct source is written once in its run's
+    # prompt, and the two runs write fewer source blocks than two runs in
+    # file order would.
+    order = critic_order([record["source_context"] for record in records])
+    assert order != list(range(len(records)))
     assert [len(group) for group in groups] == [10, 10]
-    assert [index for group in groups for index in group] == list(range(len(records)))
+    assert [index for group in groups for index in group] == order
+    written = []
     for group, request in zip(groups, backends[0].requests):
         sources = {records[index]["source_context"] for index in group}
-        assert len(sources) > 2
         assert all(request.user_prompt.count(source) == 1 for source in sources)
+        written.append(len(sources))
+    in_file_order = [{r["source_context"] for r in run} for run in prompts_mod.batches(records)]
+    assert written == [1, 5] and sum(written) < sum(map(len, in_file_order))
 
     monkeypatch.setattr(prompts_mod, "BATCH", 1)
     single = tmp_path / "single.jsonl"

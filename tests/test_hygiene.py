@@ -2,10 +2,10 @@
 module but ``gateway.py`` imports a threading module, so ``ChatGateway.map``
 stays the one place that starts threads and decides what a failed call
 costs; no module but ``prompts.py`` spells a reply layout or a request
-field's fixed text; nothing in the
-package is reached only by tests; every name the package exports is
-imported from it by a bench, tool or test file; and the mock path loads
-neither numpy nor requests."""
+field's fixed text; no constant regex in the package or ``tools`` needs
+Python 3.11; nothing in the package is reached only by tests; every name
+the package exports is imported from it by a bench, tool or test file; and
+the mock path loads neither numpy nor requests."""
 
 from __future__ import annotations
 
@@ -158,6 +158,67 @@ def test_checker_flags_a_hand_written_reply():
         "'Evidence: [' (line 4)",
         "'Question:' (line 4)",
         "option letters (line 3)",
+    ]
+
+
+# Python 3.11 added possessive repeats and atomic groups to ``re``. The
+# package declares Python >= 3.10, where a module holding either fails to
+# import; ``re._parser`` (3.11 and later) tells them apart.
+TOOLS = sorted((PACKAGE.parents[1] / "tools").glob("*.py"))
+_PARSER = getattr(re, "_parser", None)
+_RE_FUNCTIONS = {"compile", "search", "match", "fullmatch", "split", "findall", "finditer",
+                 "sub", "subn"}
+
+
+def _opcodes(node) -> list:
+    """The opcode of every node of the parsed pattern ``node``, at any depth."""
+    if isinstance(node, _PARSER.SubPattern):
+        return [code for op, av in node for code in [op, *_opcodes(av)]]
+    if isinstance(node, (tuple, list)):
+        return [code for part in node for code in _opcodes(part)]
+    return []
+
+
+def _newer_regex_syntax(source: str) -> list[str]:
+    """Each constant pattern that ``source`` hands a ``re`` function and that
+    parses to a possessive repeat or an atomic group."""
+    newer = {_PARSER.POSSESSIVE_REPEAT, _PARSER.ATOMIC_GROUP}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and node.func.attr in _RE_FUNCTIONS
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)
+        ):
+            continue
+        codes = set(_opcodes(_PARSER.parse(node.args[0].value))) & newer
+        found += [f"{code} (line {node.lineno})" for code in sorted(codes, key=str)]
+    return found
+
+
+@pytest.mark.skipif(_PARSER is None, reason="re._parser needs Python 3.11")
+@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_regex_needs_python_3_11(path):
+    assert _newer_regex_syntax(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.skipif(_PARSER is None, reason="re._parser needs Python 3.11")
+def test_checker_flags_a_possessive_repeat_and_an_atomic_group():
+    source = (
+        'import re\n'
+        'BLOCK = re.compile(r"--- Context ---\\n((?:.*+\\n)*?.*+)")\n'
+        'def f(text):\n'
+        '    return re.search("(?>ab|a)c", text), re.sub(r"\\w++", "", text), re.split("a+", t)\n'
+    )
+    assert _newer_regex_syntax(source) == [
+        "POSSESSIVE_REPEAT (line 2)",
+        "ATOMIC_GROUP (line 4)",
+        "POSSESSIVE_REPEAT (line 4)",
     ]
 
 

@@ -9,22 +9,24 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knight.adapters import AdapterSuite
 from knight.config import PipelineConfig
-from knight.errors import AdapterError, AuthError, ConfigError
+from knight.errors import AdapterError, AuthError, ConfigError, GatewayError
 from knight import prompts as prompts_mod
 from knight.gateway import ChatGateway, MockChatBackend, MockOverride, OpenAiCompatBackend
-from knight.graph import KnowledgeGraph, Topic, normalize_name
-from knight.pipeline import Services, build_services, run_pipeline
+from knight.graph import KnowledgeGraph, PathSample, Topic, normalize_name
+from knight.pipeline import Services, build_services, run_pipeline, validate_items
 from knight.prompts import critic_sources, read_path_context, split_items
-from knight.qgen import path_repr
+from knight.qgen import McqItem, path_repr, verbalize
 from knight.retrieval import (
     FixtureWikiSource, NetworkWikiSource, choose_titles, mixture_weights, retrieve_evidence,
 )
 from knight.storage import item_to_record, snapshot_document
 
-from conftest import FailingSource, RecordingBackend
+from conftest import FailingSource, RecordingBackend, critic_order
 
 
 def _services(world, max_inflight, backend=None, probe=None, seed=7):
@@ -75,8 +77,8 @@ def _outputs(result, services):
 
 # The LLM calls per task tag on Biology, d_max 2, num_q 12, seed 0. A change
 # that adds or removes a call must update these numbers on purpose. The
-# critic makes one call per group of up to ten consecutive items, whatever
-# their source blocks, so both modes' twelve items take two critic calls.
+# critic makes one call per group of up to ten items, grouped by source,
+# so both modes' twelve items take two critic calls.
 # Direct generation makes one call per group of up to ten items, so rag_val
 # drafts 10, then 2. Path generation makes one call per run of up to ten
 # sampled pairs of one orientation, so knight's 12 pairs, six forward and
@@ -231,17 +233,20 @@ class FailingBackend:
 
 
 def test_validate_failure_keeps_items_before_it(world, monkeypatch):
-    # A critic group is a run of BATCH consecutive items, whatever their
-    # sources; at BATCH 4 the 40 items make ten groups. Item 6 lies in the
-    # second group (items 4-7, on more than one source), so its failure
-    # costs that whole group, and the first group's four items are kept.
+    # The critic orders the items by the first appearance of their source,
+    # then cuts runs of BATCH; at BATCH 4 the 40 items make ten groups. The
+    # item in slot 6 of that order lies in the second group, so its failure
+    # costs that whole group and every later one, and the first group's four
+    # items are kept, in input order; they are not the first four items.
     batch = 4
     monkeypatch.setattr(prompts_mod, "BATCH", batch)
     baseline, _ = _run(world, "knight", num_q=40)
+    order = critic_order([item.source_context for item in baseline.items])
     k, first = 6, 4
-    assert len({item.source_context for item in baseline.items[first : first + batch]}) > 1
+    assert sorted(order[:first]) != list(range(first))
     groups_before = first // batch
-    failing_question = baseline.items[k].question
+    failing_question = baseline.items[order[k]].question
+    kept_before = [baseline.items[index].id for index in sorted(order[:first])]
     runs = []
     for max_inflight in (1, 4):
         backend = FailingBackend(MockChatBackend(world, rng_seed=7), "validate", failing_question)
@@ -249,7 +254,7 @@ def test_validate_failure_keeps_items_before_it(world, monkeypatch):
             world, "knight", max_inflight=max_inflight, num_q=40, backend=backend
         )
         assert result.aborted_reason == "AuthError: key revoked"
-        assert [i.id for i in result.kept_items] == [i.id for i in baseline.kept_items[:first]]
+        assert [i.id for i in result.kept_items] == kept_before
         assert result.graph is not None and result.graph.nodes
         # Groups after the failing one are not started once it has failed;
         # only those already in flight beside it were sent.
@@ -259,6 +264,89 @@ def test_validate_failure_keeps_items_before_it(world, monkeypatch):
         del outputs["ledger"]  # calls after the failure may already be in flight
         runs.append(outputs)
     assert runs[0] == runs[1]
+
+
+def _path_pool():
+    """Four one-hop paths from a seed, and each one's source."""
+    graph = KnowledgeGraph("Alpha")
+    nodes = [graph.nodes[graph.seed_id]] + [
+        graph.add_node(name, depth=1) for name in ("Beta", "Gamma", "Delta", "Epsilon")
+    ]
+    for node in nodes:
+        node.gloss = f"1. Scope - {node.name}: a glossed node."
+    paths = [PathSample([nodes[0].id, node.id], ["has"]) for node in nodes[1:]]
+    return [(path, verbalize(path, graph)) for path in paths]
+
+
+PATH_POOL = _path_pool()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=35).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(min_value=0, max_value=len(PATH_POOL) - 1), st.booleans()),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    st.data(),
+)
+def test_critic_groups_items_by_source(world, draws, data):
+    """Every item comes back in input order with the mock's flags, from
+    one call per run of BATCH; the calls write at most one source block per
+    distinct source plus one per cut between calls; and a ``GatewayError``
+    in group k returns the items of the groups before it, in input order."""
+    config = PipelineConfig(rng_seed=7).validate()
+
+    def fresh():
+        return [
+            McqItem(
+                id=f"item-{n}",
+                question=f"Which one, {n}?",
+                options={"A": "New York City", "B": "Los Angeles", "C": "Chicago", "D": "Houston"},
+                answer_key="A",
+                topic="Biology" if on_topic else "",
+                level=1,
+                orientation="forward",
+                path=PATH_POOL[source][0],
+                source_context=PATH_POOL[source][1],
+            )
+            for n, (source, on_topic) in enumerate(draws)
+        ]
+
+    items = fresh()
+    backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
+    validated, error = validate_items(ChatGateway(backend, max_inflight=1), items, config)
+    assert error is None and [id(item) for item in validated] == [id(item) for item in items]
+    for item in items:
+        assert item.flags.kept and not item.flags.parse_failed
+        assert item.flags.topic_relevant is (True if item.topic else None)
+    calls = -(-len(items) // prompts_mod.BATCH)
+    assert len(backend.requests) == calls
+    blocks = 0
+    for request in backend.requests:
+        head = split_items(request.user_prompt)[0]
+        written = critic_sources(head)
+        assert set(written.values()) <= {source for _, source in PATH_POOL}
+        assert written or head.startswith("Source Information\n")
+        blocks += len(written) or 1
+    assert blocks <= calls + len({source for source, _ in draws}) - 1
+
+    groups = [
+        [n for n, item in enumerate(items) if f'Question: "{item.question}"' in request.user_prompt]
+        for request in backend.requests
+    ]
+    k = data.draw(st.integers(min_value=0, max_value=calls - 1), label="failing group")
+    max_inflight = data.draw(st.sampled_from([1, 3]), label="max_inflight")
+    failing = items[groups[k][0]].question
+    items = fresh()
+    backend = FailingBackend(MockChatBackend(world, rng_seed=7), "validate", failing)
+    validated, error = validate_items(ChatGateway(backend, max_inflight), items, config)
+    before = sorted(n for group in groups[:k] for n in group)
+    assert isinstance(error, GatewayError)
+    assert [id(item) for item in validated] == [id(items[n]) for n in before]
+    assert [n for n, item in enumerate(items) if item.flags is not None] == before
 
 
 def test_generation_failure_keeps_items_before_it(world):

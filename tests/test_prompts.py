@@ -1,8 +1,11 @@
 """Round trips through each reply format's writer and reader in ``prompts``,
 and through each request writer and ``read_field``: what a writer lays out,
-its reader gives back field for field."""
+its reader gives back field for field. A block field's reader is also
+checked against a reference pattern on random marker and newline text."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -187,3 +190,25 @@ def test_a_critic_topic_per_slot_round_trips_from_its_slot(topics):
     head, slots = _slots(validate_user([_audited(topic) for topic in topics]))
     assert read_field("val_topic", head) is None
     assert [read_field("val_topic", slot) for slot in slots] == topics
+
+
+BLOCK_MARKERS = {
+    "context": ("--- Context ---\n", "\n--- End Context ---"),
+    "evidence": ("--- Evidence ---\n", "\n--- End Evidence ---"),
+}
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(
+        st.sampled_from(
+            [*(marker for pair in BLOCK_MARKERS.values() for marker in pair),
+             "--- Context ---", "--- End Evidence", "\n", "\n\n", "\r", "a", "b c", "---"]
+        ),
+        max_size=14,
+    ).map("".join)
+)
+def test_a_block_field_runs_from_its_first_opener_to_the_first_closer_after_it(text):
+    for name, (opener, closer) in BLOCK_MARKERS.items():
+        match = re.search(f"{re.escape(opener)}(.*?){re.escape(closer)}", text, re.DOTALL)
+        assert read_field(name, text) == (match.group(1) if match else None)
