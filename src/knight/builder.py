@@ -5,14 +5,16 @@ The build runs one level at a time, starting from the seed alone, up to
 ``d_max``. A level is its nodes in the order they were added, each with its
 own parent's name. First ``choose_titles`` searches every node of the level
 and asks its title-check rounds, one call per round of up to
-``TITLE_BATCH`` nodes, each slot under its own parent. Then
+``TITLE_BATCH`` nodes, each slot under its own parent; each round fetches
+and ranks its candidates' evidence through ``retrieve_evidence`` while its
+calls wait, so each node comes back with its ``RetrievalResult``. Then
 ``prompts.batches`` cuts the level into runs of up to ``BATCH`` nodes, so a
 run may span several parents, and ``ChatGateway.map`` maps one stage over
 the runs. A stage makes numbered-slot calls, one slot per node, each slot
 under its own parent: one ``gloss`` call, and one ``triples`` call for the
-nodes above ``d_max`` whose gloss passed the gamma gate. Retrieval, the
-gamma gate and dedup stay per node. A stage reads only node names and
-titles, never the graph, so the stages of a level run concurrently. Once
+nodes above ``d_max`` whose gloss passed the gamma gate. The gamma gate and
+dedup stay per node. A stage reads only node names and evidence, never the
+graph, so the stages of a level run concurrently. Once
 the map returns, each finished stage is applied on the caller's thread in
 run order, node by node: the node's gloss, and its provenance, fallback
 flag and retrieval weights read from its ``RetrievalResult``, then curation
@@ -103,18 +105,18 @@ class _Stage:
 
 
 def _run_stage(
-    run: list[tuple[Node, str | None, str | None]],
+    run: list[tuple[Node, str | None, RetrievalResult]],
     depth: int,
     config: PipelineConfig,
     gateway: ChatGateway,
-    source: WikiSource,
 ) -> list[_Stage]:
     """The calls of one run of the level at ``depth``, each node given with
-    its parent and chosen title: one ``gloss`` call and, above ``d_max``, one
-    ``triples`` call, each slot under its own node's parent."""
+    its parent and its evidence, already fetched: one ``gloss`` call and,
+    above ``d_max``, one ``triples`` call, each slot under its own node's
+    parent."""
     names = [node.name for node, _, _ in run]
     parents = [parent for _, parent, _ in run]
-    retrievals = [retrieve_evidence(node.name, title, source, config) for node, _, title in run]
+    retrievals = [retrieval for _, _, retrieval in run]
     glosses = generate_gloss(
         gateway,
         [(name, parent, r.texts()) for name, parent, r in zip(names, parents, retrievals)],
@@ -200,20 +202,19 @@ def build_kg(
     report = BuildReport()
     level: list[tuple[Node, str | None]] = [(graph.nodes[graph.seed_id], None)]
     for depth in range(config.d_max + 1):
-        runs: list[list[tuple[Node, str | None, str | None]]] = []
+        runs: list[list[tuple[Node, str | None, RetrievalResult]]] = []
         stages: list[list[_Stage]] = []
         try:
-            titles = choose_titles(
+            chosen = choose_titles(
                 [node.name for node, _ in level], source, gateway, config,
                 [parent or topic.optional_prompt for _, parent in level],
+                lambda term, title: retrieve_evidence(term, title, source, config),
             )
         except GatewayError as exc:
             error: GatewayError | None = exc
         else:
-            runs = prompts.batches((*entry, title) for entry, title in zip(level, titles))
-            stages, error = gateway.map(
-                lambda run: _run_stage(run, depth, config, gateway, source), runs
-            )
+            runs = prompts.batches((*entry, evidence) for entry, (_, evidence) in zip(level, chosen))
+            stages, error = gateway.map(lambda run: _run_stage(run, depth, config, gateway), runs)
         level = []
         for run, run_stages in zip(runs, stages):
             for (node, _, _), stage in zip(run, run_stages):

@@ -125,8 +125,9 @@ class ChatGateway:
     ) -> tuple[list[R], GatewayError | None]:
         """``[fn(item) for item in items]``, in input order. Serial at bound 1,
         else on ``max_inflight + 1`` threads: ``complete`` still holds calls
-        to the bound, and the spare thread does its CPU work between calls
-        while a full bound of calls waits.
+        to the bound, and a thread no call holds does CPU work while the
+        calls wait, such as the evidence fetches that ``choose_titles`` maps
+        beside a round's title checks.
 
         Returns the results of the longest prefix of ``items`` that finished
         without raising and None, or, when the first exception in input

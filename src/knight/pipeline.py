@@ -243,13 +243,14 @@ def _direct_attempts(
     call, per group of up to ``BATCH`` consecutive items. Every call's
     prompt carries all the passages; an item whose reply cites one of them
     keeps that passage alone as its source and provenance, and one whose
-    reply cites none keeps them all."""
+    reply cites none keeps them all. The evidence comes from
+    ``choose_titles``, fetched while the topic's title check waits."""
     retrieval = RetrievalResult()
     if with_evidence:
-        [title] = choose_titles(
-            [topic.name], services.source, services.gateway, config, [topic.optional_prompt]
+        [(_, retrieval)] = choose_titles(
+            [topic.name], services.source, services.gateway, config, [topic.optional_prompt],
+            lambda term, title: retrieve_evidence(term, title, services.source, config),
         )
-        retrieval = retrieve_evidence(topic.name, title, services.source, config)
     passages = retrieval.texts()
     seed_node = normalize_name(topic.name)
     # (source, provenance) of an item by the passage its reply cites: index 0

@@ -4,22 +4,26 @@ page fetch, chunking, two-stage scoring, and mixture weights.
 Sources sit behind the ``WikiSource`` protocol; the fixture source reads a
 directory of title -> text files so tests never touch the network.
 
-Evidence comes in two steps. ``choose_titles`` picks a title for each term
-of a group, each term under its own context hint (one level of the graph
-build, or one topic): it searches each term, then asks title-check rounds,
-one call per ``TITLE_BATCH`` terms of a round.
-``retrieve_evidence`` then fetches and ranks one term's chosen title. It
-names every candidate passage ``<title>#summary`` or ``<title>#chunk<i>``
-and ``score_and_rerank`` ranks those ``(id, text)`` pairs under the ids it
-is given: BM25 first cuts more than ``FIRST_STAGE_CUT`` candidates down to
-that many. The same text is never sent twice: a chunk whose text equals an
-earlier candidate's is dropped before ranking, and a ranked passage whose
-text occurs inside a higher-ranked kept one, such as a page summary inside
-its chunk 0, is dropped after the cut to ``search_limit``.
+Evidence comes with the title check. ``choose_titles`` picks a title for
+each term of a group, each under its own context hint (one level of the
+graph build, or one topic): it searches each term, then asks title-check
+rounds, one call per ``TITLE_BATCH`` terms of a round. One ``gateway.map``
+runs a round's calls and the caller's fetch of each asked candidate, and a
+term keeps the evidence of the candidate its check approves.
+``retrieve_evidence`` is that fetch. It names every candidate passage
+``<title>#summary`` or ``<title>#chunk<i>`` and ``score_and_rerank`` ranks
+those ``(id, text)`` pairs under the ids it is given: BM25 first cuts more
+than ``FIRST_STAGE_CUT`` candidates down to that many, and both stages read
+the ``Terms`` each text is reduced to before the next is read. The same
+text is never sent twice: a chunk whose text equals an earlier candidate's
+is dropped before ranking, and a ranked passage whose text occurs inside a
+higher-ranked kept one, such as a page summary inside its chunk 0, is
+dropped after the cut to ``search_limit``.
 
 The two decide what a failed lookup costs: a search or fetch error logs a
 warning and yields the parametric fallback, as a term with no relevant
-title does; a ``GatewayError`` from a title check propagates.
+title does; a ``GatewayError`` from a title check propagates, and nothing
+fetched in its round is used.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
+from functools import partial
+from typing import Any, Callable, Collection, NamedTuple, Protocol, Sequence
 from urllib.parse import quote
 
 from . import prompts
@@ -238,9 +243,20 @@ def chunk_text(text: str, size: int, overlap: int) -> list[str]:
     return chunks
 
 
-def term_counts(text: str) -> Counter[str]:
-    """Lower-cased ``\\w+`` token counts; both ranking stages read these."""
-    return Counter(_tokens(text))
+class Terms(NamedTuple):
+    """What ranking reads of a text: its token count, token counts, and their sum of squares."""
+
+    length: int
+    counts: dict[str, int]
+    sq_norm: int
+
+
+def term_counts(text: str, query: Collection[str] | None = None) -> Terms:
+    """The ``Terms`` of ``text``, lower-cased; given ``query`` tokens, the
+    counts keep those tokens only, so no full count outlives the call."""
+    counts = Counter(_tokens(text))
+    kept = counts if query is None else {t: counts[t] for t in query if t in counts}
+    return Terms(sum(counts.values()), kept, sum(v * v for v in counts.values()))
 
 
 def _tokens(text: str) -> list[str]:
@@ -248,27 +264,26 @@ def _tokens(text: str) -> list[str]:
 
 
 class Bm25:
-    """Okapi BM25 over per-document term counts (``K1`` 1.2, ``B`` 0.75).
+    """Okapi BM25 over per-document ``Terms`` (``K1`` 1.2, ``B`` 0.75).
     Document frequencies are counted for the query's terms only."""
 
     K1 = 1.2
     B = 0.75
 
-    def __init__(self, term_freqs: Sequence[Counter[str]]):
-        self.term_freqs = term_freqs
-        self.doc_lens = [sum(tf.values()) for tf in term_freqs]
-        self.n = len(term_freqs)
-        self.avgdl = (sum(self.doc_lens) / self.n) if self.n else 0.0
+    def __init__(self, docs: Sequence[Terms]):
+        self.docs = docs
+        self.n = len(docs)
+        self.avgdl = (sum(doc.length for doc in docs) / self.n) if self.n else 0.0
 
     def _idf(self, term: str) -> float:
-        df = sum(term in tf for tf in self.term_freqs)
+        df = sum(term in doc.counts for doc in self.docs)
         return math.log(1.0 + (self.n - df + 0.5) / (df + 0.5))
 
     def scores(self, query: str) -> list[float]:
         q_tokens = _tokens(query)
         idf = {t: self._idf(t) for t in q_tokens}
         out = []
-        for tf, dl in zip(self.term_freqs, self.doc_lens):
+        for dl, tf, _ in self.docs:
             norm = self.K1 * (1.0 - self.B + self.B * dl / self.avgdl) if self.avgdl else 0.0
             s = 0.0
             for token in q_tokens:
@@ -280,25 +295,25 @@ class Bm25:
 
 
 class DenseScorer(Protocol):
-    """Second-stage scorer over each chunk's ``term_counts``; returns
-    per-chunk scores already in [0, 1]."""
+    """Second-stage scorer over each chunk's ``Terms``; returns per-chunk
+    scores already in [0, 1]."""
 
-    def score(self, query: str, chunk_terms: Sequence[Counter[str]]) -> list[float]: ...
+    def score(self, query: str, chunk_terms: Sequence[Terms]) -> list[float]: ...
 
 
 class LexicalCosineScorer:
     """Deterministic mock reranker: cosine between term-frequency vectors."""
 
-    def score(self, query: str, chunk_terms: Sequence[Counter[str]]) -> list[float]:
+    def score(self, query: str, chunk_terms: Sequence[Terms]) -> list[float]:
         q = term_counts(query)
-        q_norm = math.sqrt(sum(v * v for v in q.values()))
+        q_norm = math.sqrt(q.sq_norm)
         out = []
         for c in chunk_terms:
-            c_norm = math.sqrt(sum(v * v for v in c.values()))
+            c_norm = math.sqrt(c.sq_norm)
             if not q_norm or not c_norm:
                 out.append(0.0)
                 continue
-            dot = sum(q[t] * c[t] for t in q)
+            dot = sum(n * c.counts.get(t, 0) for t, n in q.counts.items())
             out.append(dot / (q_norm * c_norm))
         return out
 
@@ -313,12 +328,13 @@ def score_and_rerank(
 ) -> RetrievalResult:
     """Two-stage ranking of ``(id, text)`` candidates: BM25 keeps the lexical
     top candidates, the dense scorer re-scores them, and only passages above
-    the floor survive, under their given ids. Each text is tokenized once;
-    both stages read the same term counts. Ties keep input order."""
+    the floor survive, under their given ids. Both stages read each text's
+    ``Terms``, kept to the query's tokens. Ties keep input order."""
     if not candidates:
         return RetrievalResult()
 
-    terms = [term_counts(text) for _, text in candidates]
+    query_tokens = set(_tokens(query))
+    terms = [term_counts(text, query_tokens) for _, text in candidates]
     kept = range(len(candidates))
     if len(candidates) > first_stage_cut:
         lexical = Bm25(terms).scores(query)
@@ -349,16 +365,19 @@ def choose_titles(
     gateway: ChatGateway,
     config: PipelineConfig,
     hints: list[str | None],
-) -> list[str | None]:
-    """Each term's source title: its first search result that the title
-    check approves, or None. Round k asks about candidate k of every term
-    still unresolved, in calls of up to ``TITLE_BATCH`` slots, so each term
-    gets the title a check per candidate, in order, would give. The searches
-    and each round's calls go through ``gateway.map``, and a round's
-    ``GatewayError`` propagates. Each term is checked under its own
-    context hint from ``hints``, or the default hint below when that is
-    empty; a hint every term of a call shares is written once. A
-    failed search gives None; a reply block that is missing or that
+    fetch: Callable[[str, str], RetrievalResult],
+) -> list[tuple[str | None, RetrievalResult]]:
+    """Each term's source title, its first search result that the title
+    check approves, with ``fetch(term, title)``'s evidence; None and the
+    empty result when no result is approved. Round k asks about candidate k
+    of every term still unresolved, in calls of up to ``TITLE_BATCH`` slots,
+    so each term gets the title a check per candidate, in order, would give.
+    The searches go through ``gateway.map``, and so does each round: its
+    calls first, then one fetch per asked candidate, which runs while the
+    calls wait. A round's ``GatewayError`` propagates. Each term is checked
+    under its own context hint from ``hints``, or the default hint below
+    when that is empty; a hint every term of a call shares is written once.
+    A failed search gives None; a reply block that is missing or that
     ``prompts.parse_title_answer`` reads as neither yes nor no reads as no."""
     hints = [hint or "general knowledge" for hint in hints]
 
@@ -379,35 +398,35 @@ def choose_titles(
         return gateway.complete_items(request, [parse_title_answer] * len(slots), ValueError)
 
     candidates, _ = gateway.map(search, terms)  # a search raises no GatewayError
-    chosen: list[str | None] = [None] * len(terms)
+    chosen: list[tuple[str | None, RetrievalResult]] = [(None, RetrievalResult()) for _ in terms]
     for k in range(max(map(len, candidates), default=0)):
-        asked = [i for i, titles in enumerate(candidates) if chosen[i] is None and k < len(titles)]
+        asked = [i for i, titles in enumerate(candidates)
+                 if chosen[i][0] is None and k < len(titles)]
         slots = [(hints[i], terms[i], candidates[i][k]) for i in asked]
-        answers, error = gateway.map(check, prompts.batches(slots, prompts.TITLE_BATCH))
+        checks = [partial(check, run) for run in prompts.batches(slots, prompts.TITLE_BATCH)]
+        fetches = [partial(fetch, terms[i], candidates[i][k]) for i in asked]
+        done, error = gateway.map(lambda job: job(), checks + fetches)
         if error is not None:
             raise error
-        for i, answer in zip(asked, itertools.chain.from_iterable(answers)):
+        answers = itertools.chain.from_iterable(done[: len(checks)])
+        for i, answer, evidence in zip(asked, answers, done[len(checks):]):
             if isinstance(answer, ValueError):
                 log.warning("title check on %r for %r: %s; treating as no",
                             candidates[i][k], terms[i], answer)
             elif answer:
-                chosen[i] = candidates[i][k]
+                chosen[i] = (candidates[i][k], evidence)
     return chosen
 
 
 def retrieve_evidence(
-    term: str, title: str | None, source: WikiSource, config: PipelineConfig
+    term: str, title: str, source: WikiSource, config: PipelineConfig
 ) -> RetrievalResult:
-    """Evidence for ``term`` from the ``title`` that ``choose_titles`` chose:
-    summary and page fetch, chunking, and two-stage reranking, less each
-    passage whose text a higher-ranked kept passage contains; no other
-    passage moves and none is pulled in past the cut. No title, a failed
-    lookup and an empty ranking all return the empty result, the parametric
-    fallback, instead of raising.
+    """Evidence for ``term`` from page ``title``: summary and page fetch,
+    chunking, and two-stage reranking, less each passage whose text a
+    higher-ranked kept passage contains; no other passage moves and none is
+    pulled in past the cut. A failed lookup and an empty ranking return the
+    empty result, the parametric fallback, instead of raising.
     """
-    if title is None:
-        return RetrievalResult()
-
     # Text -> id; the first candidate with a given text keeps it.
     ids_by_text: dict[str, str] = {}
     try:

@@ -583,8 +583,10 @@ def test_seed_gloss_attached_with_provenance(world):
     assert seed.parametric_fallback is False
     # The seed's evidence is what retrieval returns for it, in its order.
     _, gateway, source, _ = _services(world)
-    [title] = choose_titles(["Biology"], source, gateway, config, [None])
-    retrieval = retrieve_evidence("Biology", title, source, config)
+    [(_, retrieval)] = choose_titles(
+        ["Biology"], source, gateway, config, [None],
+        lambda term, title: retrieve_evidence(term, title, source, config),
+    )
     assert seed.provenance == retrieval.ids()
     assert seed.retrieval_weights == mixture_weights(retrieval.scores())
 

@@ -844,8 +844,10 @@ def test_an_item_without_a_valid_citation_keeps_the_whole_evidence(world, caplog
     counts as uncited; a valid citation narrows its item to that passage."""
     config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode="rag", **SMALL_CHUNKS).validate()
     services = _services(world, 1)
-    [title] = choose_titles(["Biology"], services.source, services.gateway, config, [None])
-    retrieval = retrieve_evidence("Biology", title, services.source, config)
+    [(_, retrieval)] = choose_titles(
+        ["Biology"], services.source, services.gateway, config, [None],
+        lambda term, title: retrieve_evidence(term, title, services.source, config),
+    )
     count = len(retrieval.passages)
     assert count >= 2
     lines = {0: "Evidence: [2]", 1: None, 2: "Evidence: [0]", 3: f"Evidence: [{count + 1}]",
@@ -988,8 +990,10 @@ def test_direct_items_carry_the_provenance_of_a_path_item(world, mode):
     for topic, fields in cases:
         config = PipelineConfig(rng_seed=7, d_max=2, pipeline_mode=mode, **fields).validate()
         result, services = run_pipeline(Topic(topic), config, 12, services=_services(world, 1))
-        [title] = choose_titles([topic], services.source, services.gateway, config, [None])
-        retrieval = retrieve_evidence(topic, title, services.source, config)
+        [(_, retrieval)] = choose_titles(
+            [topic], services.source, services.gateway, config, [None],
+            lambda term, title: retrieve_evidence(term, title, services.source, config),
+        )
         passages = {passage.id: passage for passage in retrieval.passages}
         assert passages and result.items
         whole = prompts_mod.evidence_source(retrieval.texts())

@@ -97,8 +97,9 @@ def test_an_empty_triples_reply_stays_on_one_line():
     assert triples_reply([]) == '{"triplets": []}'
 
 
-# A name or topic as a request writer quotes it: no quote, no line break.
-name = st.text(st.characters(blacklist_characters=LINE_BREAKS + '"'), min_size=1)
+# A name or topic as a request writer quotes it: no line break, but it may
+# hold quotes.
+name = st.text(st.characters(blacklist_characters=LINE_BREAKS), min_size=1)
 # A passage on one line of its own, which neither reads as an "Item N"
 # header nor holds a block marker.
 passage = st.text(st.characters(blacklist_characters=LINE_BREAKS)).filter(
@@ -133,6 +134,12 @@ def test_gloss_fields_round_trip_with_a_parent_per_slot(terms):
         assert read_field("term", slot) == term
         assert read_field("parent", slot) == parent
         assert read_field("context", slot) == ("\n\n".join(passages) if passages else None)
+
+
+def test_a_quoted_field_reads_up_to_the_quote_that_ends_it():
+    head, [slot] = _slots(gloss_user([('The "Great" War', 'The "Big" One', [])]))
+    assert read_field("term", slot) == 'The "Great" War'
+    assert read_field("parent", head) == 'The "Big" One'
 
 
 @given(st.lists(st.tuples(name, name, name), min_size=1, max_size=4))

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import threading
 from collections import Counter
 
 import pytest
@@ -178,11 +179,21 @@ class _Replies:
         return ChatResponse(self.text, 1, 1)
 
 
+def _titles(terms, source, gateway, config, hints):
+    """The titles ``choose_titles`` picks, each fetch a stand-in."""
+    chosen = choose_titles(terms, source, gateway, config, hints, lambda *_: RetrievalResult())
+    return [title for title, _ in chosen]
+
+
+def _fetch(source, config):
+    return lambda term, title: retrieve_evidence(term, title, source, config)
+
+
 def test_title_relevance_yes_no(world, gateway, config):
     source = _Searches({"Biology": ["Ottoman Empire", "Biology"]})
-    assert choose_titles(["Biology"], source, gateway, config, [None]) == ["Biology"]
+    assert _titles(["Biology"], source, gateway, config, [None]) == ["Biology"]
     source = _Searches({"Biology": ["Ottoman Empire"]})
-    assert choose_titles(["Biology"], source, gateway, config, ["general"]) == [None]
+    assert _titles(["Biology"], source, gateway, config, ["general"]) == [None]
 
 
 def test_title_rounds_ask_each_unresolved_term_about_its_next_candidate(world, config):
@@ -196,7 +207,7 @@ def test_title_rounds_ask_each_unresolved_term_about_its_next_candidate(world, c
         "Gleeb Zorp": [],
     })
     backend = RecordingBackend(MockChatBackend(world, rng_seed=7))
-    chosen = choose_titles(
+    chosen = _titles(
         ["Biology", "Genetics", "Gleeb Zorp"], source, ChatGateway(backend), config,
         ["Life", None, "Nonsense"],
     )
@@ -221,7 +232,7 @@ def test_title_relevance_garbage_is_no(world, config, caplog):
     gw = ChatGateway(backend)
     source = _Searches({"Biology": ["Biology"]})
     with caplog.at_level("WARNING"):
-        assert choose_titles(["Biology"], source, gw, config, ["hint"]) == [None]
+        assert _titles(["Biology"], source, gw, config, ["hint"]) == [None]
     assert any("treating as no" in r.message for r in caplog.records)
 
 
@@ -233,7 +244,7 @@ def test_title_relevance_garbage_is_no(world, config, caplog):
 def test_title_check_reads_a_live_models_yes_and_no(config, answer, chosen, caplog):
     gateway = ChatGateway(_Replies(f"Item 1\n{answer}\n"))
     with caplog.at_level("WARNING"):
-        assert choose_titles(["t"], _Searches({"t": ["T"]}), gateway, config, [None]) == [chosen]
+        assert _titles(["t"], _Searches({"t": ["T"]}), gateway, config, [None]) == [chosen]
     assert not caplog.records
 
 
@@ -241,8 +252,107 @@ def test_title_check_reads_a_live_models_yes_and_no(config, answer, chosen, capl
 def test_title_check_other_or_missing_block_is_no_with_warning(config, reply, caplog):
     gateway = ChatGateway(_Replies(reply))
     with caplog.at_level("WARNING"):
-        assert choose_titles(["t"], _Searches({"t": ["T"]}), gateway, config, [None]) == [None]
+        assert _titles(["t"], _Searches({"t": ["T"]}), gateway, config, [None]) == [None]
     assert any("treating as no" in r.message for r in caplog.records)
+
+
+# -- evidence fetched beside the title check ----------------------------------
+
+
+class _AwaitsFetch:
+    """A backend whose title check waits, up to a timeout, for a fetch to
+    start, then approves every slot."""
+
+    def __init__(self):
+        self.fetched = threading.Event()
+        self.overlapped = []
+
+    def complete(self, request):
+        self.overlapped.append(self.fetched.wait(timeout=5))
+        return ChatResponse("Item 1\nYes", 1, 1)
+
+
+def test_a_rounds_fetch_starts_before_its_title_check_returns(config):
+    backend = _AwaitsFetch()
+
+    def fetch(term, title):
+        backend.fetched.set()
+        return RetrievalResult()
+
+    gateway = ChatGateway(backend, max_inflight=2)
+    chosen = choose_titles(["t"], _Searches({"t": ["T"]}), gateway, config, [None], fetch)
+    assert chosen == [("T", RetrievalResult())]
+    assert backend.overlapped == [True]
+
+
+class _Ranked(_Searches):
+    """Search results as given, pages from the fixture source."""
+
+    def __init__(self, titles, pages):
+        super().__init__(titles)
+        self.summary, self.page_text = pages.summary, pages.page_text
+
+
+# Biology's first candidate and two of Heredity's are rejected (Mercury is
+# a disambiguation page, whose fetch fails), Photosynthesis has none
+# approved and Gleeb Zorp none at all.
+_CANDIDATES = {
+    "Biology": ["Ottoman Empire", "Biology"],
+    "Genetics": ["Genetics"],
+    "Heredity": ["History", "Mercury", "Heredity"],
+    "Photosynthesis": ["DNA"],
+    "Gleeb Zorp": [],
+}
+
+
+@pytest.mark.parametrize("max_inflight", [1, 2, 4])
+def test_choose_titles_gives_the_titles_and_evidence_of_check_then_fetch(
+    world, config, source, max_inflight
+):
+    ranked = _Ranked(_CANDIDATES, source)
+    terms = list(_CANDIDATES)
+    titles = _titles(terms, ranked, ChatGateway(MockChatBackend(world, rng_seed=7)), config,
+                     [None] * len(terms))
+    assert titles == ["Biology", "Genetics", "Heredity", None, None]
+    fetch = _fetch(ranked, config)
+    expected = [
+        (title, RetrievalResult() if title is None else fetch(term, title))
+        for term, title in zip(terms, titles)
+    ]
+    gateway = ChatGateway(MockChatBackend(world, rng_seed=7), max_inflight=max_inflight)
+    assert choose_titles(terms, ranked, gateway, config, [None] * len(terms), fetch) == expected
+    assert not expected[0][1].fallback and not expected[2][1].fallback
+
+
+def test_a_rejected_candidates_evidence_is_dropped_for_the_next_ones(world, gateway, config):
+    fetched = []
+
+    def fetch(term, title):
+        fetched.append((term, title))
+        return RetrievalResult([Passage(f"{title}#summary", f"{title} text", 1.0)])
+
+    source = _Searches({"Biology": ["Ottoman Empire", "Biology"]})
+    chosen = choose_titles(["Biology"], source, gateway, config, [None], fetch)
+    assert fetched == [("Biology", "Ottoman Empire"), ("Biology", "Biology")]
+    [(title, evidence)] = chosen
+    assert (title, evidence.texts()) == ("Biology", ["Biology text"])
+
+
+@pytest.mark.parametrize("max_inflight", [1, 2])
+def test_a_title_check_gateway_error_propagates_past_its_rounds_fetches(config, max_inflight):
+    # Nothing is returned, so nothing a fetch of the failed round made is used.
+    fetched = []
+
+    def fetch(term, title):
+        fetched.append(title)
+        return RetrievalResult([Passage(f"{title}#summary", "text", 1.0)])
+
+    gateway = ChatGateway(_RevokedBackend(), max_inflight=max_inflight)
+    with pytest.raises(AuthError):
+        choose_titles(["t", "u"], _Searches({"t": ["T"], "u": ["U"]}), gateway, config,
+                      [None, None], fetch)
+    if max_inflight == 1:  # the failed check is mapped first: no fetch starts
+        assert fetched == []
 
 
 # -- summaries ----------------------------------------------------------------
@@ -582,8 +692,10 @@ def test_mixture_properties(scores):
 
 
 def _evidence(term, source, gateway, config, context_hint=None):
-    [title] = choose_titles([term], source, gateway, config, [context_hint])
-    return retrieve_evidence(term, title, source, config)
+    [(_, evidence)] = choose_titles(
+        [term], source, gateway, config, [context_hint], _fetch(source, config)
+    )
+    return evidence
 
 
 def test_retrieve_evidence_biology(world, gateway, config, source):
@@ -596,8 +708,10 @@ def test_retrieve_evidence_biology(world, gateway, config, source):
 
 
 def test_retrieve_evidence_unknown_term_falls_back(world, gateway, config, source):
-    assert choose_titles(["Gleeb Zorp"], source, gateway, config, [None]) == [None]
-    result = retrieve_evidence("Gleeb Zorp", None, source, config)
+    [(title, result)] = choose_titles(
+        ["Gleeb Zorp"], source, gateway, config, [None], _fetch(source, config)
+    )
+    assert title is None
     assert result.fallback is True
     assert result.passages == []
 

@@ -65,6 +65,16 @@ def test_microbench_outputs_match_their_pinned_digests(capsys):
     }
 
 
+def test_microbench_rerank_keeps_no_count_past_its_candidate(capsys):
+    # score_and_rerank reduces each candidate's term counts to the query's
+    # tokens before it reads the next, so its peak on the 56-chunk page
+    # stays far below the 4.5 MB that every chunk's full counts took.
+    microbench = _load("microbench")
+    assert microbench.main(["--repeats", "1"]) == 0
+    cases = json.loads(capsys.readouterr().out)["cases"]
+    assert cases["score_and_rerank.56_chunks"]["tracemalloc_peak_mb"] < 1.0
+
+
 def test_reach_reports_the_lines_no_run_reached_and_marks_those_a_test_reached(tmp_path):
     reach = _load("reach")
     module = tmp_path / "small.py"
