@@ -5,9 +5,9 @@ The build runs one level at a time, starting from the seed alone, up to
 ``d_max``. A level is its nodes in the order they were added, each with its
 own parent's name. First ``choose_titles`` searches every node of the level
 and asks its title-check rounds, one call per round of up to
-``TITLE_BATCH`` nodes, each slot under its own parent; each round fetches
-and ranks its candidates' evidence through ``retrieve_evidence`` while its
-calls wait, so each node comes back with its ``RetrievalResult``. Then
+``TITLE_BATCH`` nodes, each slot under its own parent, and gives each node
+its ``RetrievalResult`` from ``retrieve_evidence``, fetched, above bound 1,
+while the round that approves its title waits on its calls. Then
 ``prompts.batches`` cuts the level into runs of up to ``BATCH`` nodes, so a
 run may span several parents, and ``ChatGateway.map`` maps one stage over
 the runs. A stage makes numbered-slot calls, one slot per node, each slot

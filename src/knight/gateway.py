@@ -125,9 +125,8 @@ class ChatGateway:
     ) -> tuple[list[R], GatewayError | None]:
         """``[fn(item) for item in items]``, in input order. Serial at bound 1,
         else on ``max_inflight + 1`` threads: ``complete`` still holds calls
-        to the bound, and a thread no call holds does CPU work while the
-        calls wait, such as the evidence fetches that ``choose_titles`` maps
-        beside a round's title checks.
+        to the bound, and the spare thread does CPU work while they wait,
+        such as the evidence fetches ``choose_titles`` maps beside its checks.
 
         Returns the results of the longest prefix of ``items`` that finished
         without raising and None, or, when the first exception in input

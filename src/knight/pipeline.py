@@ -244,7 +244,7 @@ def _direct_attempts(
     prompt carries all the passages; an item whose reply cites one of them
     keeps that passage alone as its source and provenance, and one whose
     reply cites none keeps them all. The evidence comes from
-    ``choose_titles``, fetched while the topic's title check waits."""
+    ``choose_titles``, fetched, above bound 1, while the title check waits."""
     retrieval = RetrievalResult()
     if with_evidence:
         [(_, retrieval)] = choose_titles(

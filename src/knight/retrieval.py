@@ -4,21 +4,19 @@ page fetch, chunking, two-stage scoring, and mixture weights.
 Sources sit behind the ``WikiSource`` protocol; the fixture source reads a
 directory of title -> text files so tests never touch the network.
 
-Evidence comes with the title check. ``choose_titles`` picks a title for
-each term of a group, each under its own context hint (one level of the
-graph build, or one topic): it searches each term, then asks title-check
-rounds, one call per ``TITLE_BATCH`` terms of a round. One ``gateway.map``
-runs a round's calls and the caller's fetch of each asked candidate, and a
-term keeps the evidence of the candidate its check approves.
+Evidence comes with the title check. ``choose_titles`` searches each term
+of a group, then asks title-check rounds, one call per ``TITLE_BATCH``
+terms, each term under its own context hint (one level of the graph build,
+or one topic); above bound 1 a round's ``gateway.map`` also runs the
+caller's fetch of each asked candidate, kept if the check approves it.
 ``retrieve_evidence`` is that fetch. It names every candidate passage
 ``<title>#summary`` or ``<title>#chunk<i>`` and ``score_and_rerank`` ranks
 those ``(id, text)`` pairs under the ids it is given: BM25 first cuts more
 than ``FIRST_STAGE_CUT`` candidates down to that many, and both stages read
-the ``Terms`` each text is reduced to before the next is read. The same
-text is never sent twice: a chunk whose text equals an earlier candidate's
-is dropped before ranking, and a ranked passage whose text occurs inside a
-higher-ranked kept one, such as a page summary inside its chunk 0, is
-dropped after the cut to ``search_limit``.
+each text's ``Terms``. The same text is never sent twice: a chunk whose
+text equals an earlier candidate's is dropped before ranking, and a ranked
+passage whose text occurs inside a higher-ranked kept one, such as a page
+summary inside its chunk 0, is dropped after the cut to ``search_limit``.
 
 The two decide what a failed lookup costs: a search or fetch error logs a
 warning and yields the parametric fallback, as a term with no relevant
@@ -365,19 +363,20 @@ def choose_titles(
     gateway: ChatGateway,
     config: PipelineConfig,
     hints: list[str | None],
-    fetch: Callable[[str, str], RetrievalResult],
+    fetch: Callable[[str, str | None], RetrievalResult],
 ) -> list[tuple[str | None, RetrievalResult]]:
     """Each term's source title, its first search result that the title
-    check approves, with ``fetch(term, title)``'s evidence; None and the
-    empty result when no result is approved. Round k asks about candidate k
-    of every term still unresolved, in calls of up to ``TITLE_BATCH`` slots,
-    so each term gets the title a check per candidate, in order, would give.
-    The searches go through ``gateway.map``, and so does each round: its
-    calls first, then one fetch per asked candidate, which runs while the
-    calls wait. A round's ``GatewayError`` propagates. Each term is checked
-    under its own context hint from ``hints``, or the default hint below
-    when that is empty; a hint every term of a call shares is written once.
-    A failed search gives None; a reply block that is missing or that
+    check approves or None, with ``fetch(term, title)``'s evidence. Round k
+    asks about candidate k of every term still unresolved, in calls of up to
+    ``TITLE_BATCH`` slots, so each term gets the title a check per
+    candidate, in order, would give. The searches go through
+    ``gateway.map``, and so does each round: its calls, then, at a bound
+    above 1, a fetch per asked candidate that runs while the calls wait and
+    is dropped if rejected; a term not fetched so is fetched at the end.
+    A round's ``GatewayError`` propagates. Each term is checked under its
+    own context hint from ``hints``, or the default hint below when that is
+    empty; a hint every term of a call shares is written once. A failed
+    search gives None; a reply block that is missing or that
     ``prompts.parse_title_answer`` reads as neither yes nor no reads as no."""
     hints = [hint or "general knowledge" for hint in hints]
 
@@ -398,35 +397,39 @@ def choose_titles(
         return gateway.complete_items(request, [parse_title_answer] * len(slots), ValueError)
 
     candidates, _ = gateway.map(search, terms)  # a search raises no GatewayError
-    chosen: list[tuple[str | None, RetrievalResult]] = [(None, RetrievalResult()) for _ in terms]
+    overlap = gateway.max_inflight > 1  # at bound 1 the map is serial: nothing would overlap
+    chosen: list[tuple[str | None, RetrievalResult | None]] = [(None, None)] * len(terms)
     for k in range(max(map(len, candidates), default=0)):
         asked = [i for i, titles in enumerate(candidates)
                  if chosen[i][0] is None and k < len(titles)]
         slots = [(hints[i], terms[i], candidates[i][k]) for i in asked]
         checks = [partial(check, run) for run in prompts.batches(slots, prompts.TITLE_BATCH)]
-        fetches = [partial(fetch, terms[i], candidates[i][k]) for i in asked]
+        fetches = [partial(fetch, terms[i], candidates[i][k]) for i in asked] if overlap else []
         done, error = gateway.map(lambda job: job(), checks + fetches)
         if error is not None:
             raise error
         answers = itertools.chain.from_iterable(done[: len(checks)])
-        for i, answer, evidence in zip(asked, answers, done[len(checks):]):
+        for i, answer, evidence in itertools.zip_longest(asked, answers, done[len(checks):]):
             if isinstance(answer, ValueError):
                 log.warning("title check on %r for %r: %s; treating as no",
                             candidates[i][k], terms[i], answer)
             elif answer:
                 chosen[i] = (candidates[i][k], evidence)
-    return chosen
+    return [(title, fetch(term, title) if evidence is None else evidence)
+            for term, (title, evidence) in zip(terms, chosen)]
 
 
 def retrieve_evidence(
-    term: str, title: str, source: WikiSource, config: PipelineConfig
+    term: str, title: str | None, source: WikiSource, config: PipelineConfig
 ) -> RetrievalResult:
     """Evidence for ``term`` from page ``title``: summary and page fetch,
     chunking, and two-stage reranking, less each passage whose text a
     higher-ranked kept passage contains; no other passage moves and none is
-    pulled in past the cut. A failed lookup and an empty ranking return the
-    empty result, the parametric fallback, instead of raising.
+    pulled in past the cut. No title, a failed lookup and an empty ranking
+    return the empty result, the parametric fallback, instead of raising.
     """
+    if title is None:
+        return RetrievalResult()
     # Text -> id; the first candidate with a given text keeps it.
     ids_by_text: dict[str, str] = {}
     try:

@@ -97,9 +97,20 @@ def test_an_empty_triples_reply_stays_on_one_line():
     assert triples_reply([]) == '{"triplets": []}'
 
 
+# The gloss writer's clause after a term: the one text a name may not hold,
+# since "T". Also ... "P". reads the same whether T holds it or P is T's parent.
+PARENT_CLAUSE = '". Also describe its relationship to the parent term "'
+# Text the request writers put around a quoted name.
+WRITERS_TEXT = ['"', '".', '". Also describe', 'parent term "', ' about the topic "',
+                '" at difficulty level 1 for each', ' overall topic: "', 'Explain the term: "']
 # A name or topic as a request writer quotes it: no line break, but it may
-# hold quotes.
-name = st.text(st.characters(blacklist_characters=LINE_BREAKS), min_size=1)
+# hold quotes and the writers' own text, the parent clause apart.
+name = (
+    st.lists(st.sampled_from(WRITERS_TEXT) | st.text(st.characters(blacklist_characters=LINE_BREAKS)),
+             min_size=1, max_size=4)
+    .map("".join)
+    .filter(lambda t: t and PARENT_CLAUSE not in t)
+)
 # A passage on one line of its own, which neither reads as an "Item N"
 # header nor holds a block marker.
 passage = st.text(st.characters(blacklist_characters=LINE_BREAKS)).filter(
@@ -136,10 +147,17 @@ def test_gloss_fields_round_trip_with_a_parent_per_slot(terms):
         assert read_field("context", slot) == ("\n\n".join(passages) if passages else None)
 
 
-def test_a_quoted_field_reads_up_to_the_quote_that_ends_it():
-    head, [slot] = _slots(gloss_user([('The "Great" War', 'The "Big" One', [])]))
-    assert read_field("term", slot) == 'The "Great" War'
-    assert read_field("parent", head) == 'The "Big" One'
+@pytest.mark.parametrize(
+    "term, parent",
+    [('The "Great" War', 'The "Big" One'), ('A". Also describe B', 'parent term "C".'),
+     ('x parent term "y".', 'D". Also describe it'), ('E', 'F' + PARENT_CLAUSE + 'G')],
+)
+def test_a_quoted_field_reads_up_to_the_quote_that_ends_it(term, parent):
+    head, [slot] = _slots(gloss_user([(term, parent, [])]))
+    assert (read_field("term", slot), read_field("parent", slot)) == (term, None)
+    assert read_field("parent", head) == parent
+    _, [slot, _] = _slots(gloss_user([(term, parent, []), ("other", None, [])]))
+    assert (read_field("term", slot), read_field("parent", slot)) == (term, parent)
 
 
 @given(st.lists(st.tuples(name, name, name), min_size=1, max_size=4))

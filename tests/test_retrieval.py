@@ -315,27 +315,56 @@ def test_choose_titles_gives_the_titles_and_evidence_of_check_then_fetch(
                      [None] * len(terms))
     assert titles == ["Biology", "Genetics", "Heredity", None, None]
     fetch = _fetch(ranked, config)
-    expected = [
-        (title, RetrievalResult() if title is None else fetch(term, title))
-        for term, title in zip(terms, titles)
-    ]
+    expected = [(title, fetch(term, title)) for term, title in zip(terms, titles)]
     gateway = ChatGateway(MockChatBackend(world, rng_seed=7), max_inflight=max_inflight)
     assert choose_titles(terms, ranked, gateway, config, [None] * len(terms), fetch) == expected
     assert not expected[0][1].fallback and not expected[2][1].fallback
 
 
-def test_a_rejected_candidates_evidence_is_dropped_for_the_next_ones(world, gateway, config):
-    fetched = []
-
+def _recording_fetch(fetched):
     def fetch(term, title):
         fetched.append((term, title))
-        return RetrievalResult([Passage(f"{title}#summary", f"{title} text", 1.0)])
+        return RetrievalResult([Passage(f"{title}#summary", f"{title} text", 1.0)] if title else [])
 
+    return fetch
+
+
+def test_a_rejected_candidates_evidence_is_dropped_for_the_next_ones(world, config):
+    fetched = []
+    gateway = ChatGateway(MockChatBackend(world, rng_seed=7), max_inflight=2)
     source = _Searches({"Biology": ["Ottoman Empire", "Biology"]})
-    chosen = choose_titles(["Biology"], source, gateway, config, [None], fetch)
+    chosen = choose_titles(["Biology"], source, gateway, config, [None], _recording_fetch(fetched))
     assert fetched == [("Biology", "Ottoman Empire"), ("Biology", "Biology")]
     [(title, evidence)] = chosen
     assert (title, evidence.texts()) == ("Biology", ["Biology text"])
+
+
+@pytest.mark.parametrize("max_inflight", [1, 2, 4])
+def test_each_term_without_an_approved_title_is_fetched_as_none(world, config, max_inflight):
+    # The parametric fallback of a term with no title comes from the
+    # caller's fetch too, so whatever the fetch counts sees every term.
+    fetched = []
+    gateway = ChatGateway(MockChatBackend(world, rng_seed=7), max_inflight=max_inflight)
+    terms = list(_CANDIDATES)
+    chosen = choose_titles(terms, _Searches(_CANDIDATES), gateway, config, [None] * len(terms),
+                           _recording_fetch(fetched))
+    assert [(title, evidence.fallback) for title, evidence in chosen] == [
+        ("Biology", False), ("Genetics", False), ("Heredity", False), (None, True), (None, True),
+    ]
+    assert [pair for pair in fetched if pair[1] is None] == [
+        ("Photosynthesis", None), ("Gleeb Zorp", None),
+    ]
+
+
+def test_at_bound_1_only_each_terms_chosen_title_is_fetched(world, config):
+    # A serial map overlaps nothing, so no candidate is fetched before its
+    # check approves it: one fetch per term, in term order.
+    fetched = []
+    gateway = ChatGateway(MockChatBackend(world, rng_seed=7))
+    terms = list(_CANDIDATES)
+    chosen = choose_titles(terms, _Searches(_CANDIDATES), gateway, config, [None] * len(terms),
+                           _recording_fetch(fetched))
+    assert fetched == [(term, title) for term, (title, _) in zip(terms, chosen)]
 
 
 @pytest.mark.parametrize("max_inflight", [1, 2])
@@ -351,7 +380,7 @@ def test_a_title_check_gateway_error_propagates_past_its_rounds_fetches(config, 
     with pytest.raises(AuthError):
         choose_titles(["t", "u"], _Searches({"t": ["T"], "u": ["U"]}), gateway, config,
                       [None, None], fetch)
-    if max_inflight == 1:  # the failed check is mapped first: no fetch starts
+    if max_inflight == 1:  # nothing is fetched before a check approves it
         assert fetched == []
 
 
