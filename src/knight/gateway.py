@@ -435,7 +435,7 @@ class MockChatBackend:
         """One term's gloss: the term and its context, read from its own
         slot, and its parent, read from its slot or else the shared head."""
         term = read_field("term", slot) or "the subject"
-        parent = read_field("parent", slot) or read_field("parent", head)
+        parent = read_field("parent", slot) or read_field("shared_parent", head)
         context = read_field("context", slot) or ""
         entry = self.world.lookup_term(term)
         hint = entry.hint if entry else f"a specialized notion encountered while studying {parent or 'its field'}"

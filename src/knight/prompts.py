@@ -722,22 +722,22 @@ def validate_user(items: list[McqItem]) -> str:
     return numbered_prompt(f"{head}Evaluate each item below based only on {rule}", bodies)
 
 
-# Each request field the mock backend reads, by name: a reader of what the
-# writer named beside it lays out, its value in group 1, anchored on the
-# writer's fixed text around it and its line's ends, so a value may hold quotes.
+# Each request field the mock backend reads, by name, its value in group 1: a reader
+# led by the fixed text its writer lays out around the value, so a value may hold quotes.
 _FIELDS = {
-    "term": re.compile(r'^Explain the term: "(.+?)"\.(?: Also describe its relationship to the parent term ".+"\.)?$', re.M),  # gloss_user
-    "parent": re.compile(r'^(?:Explain the term: ".+?"\. Also describe its|Also describe each term\'s) relationship to the parent term "(.+)"\.$', re.M),
+    "term": re.compile(r'Explain the term: "(.+?)"\.(?: Also describe its relationship to the parent term ".+"\.)?$', re.M),  # gloss_user
+    "parent": re.compile(r'Explain the term: ".+?"\. Also describe its relationship to the parent term "(.+)"\.$', re.M),
+    "shared_parent": re.compile(r'Also describe each term\'s relationship to the parent term "(.+)"\.$', re.M),
     "check_term": re.compile(r'^Term to define: "(.+)"\.$', re.M),  # title_check_user
     "check_title": re.compile(r'^Candidate page title: "(.+)"\.$', re.M),
     "path": re.compile(r'^Path: "(.+)"$', re.M),  # path_mcq_user
     "start": re.compile(r'^Start Node: "(.+)"$', re.M),
     "end": re.compile(r'^End Node: "(.+)"$', re.M),
-    "path_topic": re.compile(r'^IMPORTANT: .+? overall topic: "(.+)"\.$', re.M),
+    "path_topic": re.compile(r'overall topic: "(.+)"\.$', re.M),
     "variant": re.compile(r"^Variation tag: (\d+)", re.M),  # path_mcq_user, direct_mcq_user
-    "direct_topic": re.compile(r'^Write .+? about the topic "(.+)" at difficulty level \d+ for each', re.M),  # direct_mcq_user
+    "direct_topic": re.compile(r'about the topic "(.+)" at difficulty level'),  # direct_mcq_user
     "level": re.compile(r'" at difficulty level (\d+) for each numbered item below\.$', re.M),
-    "val_topic": re.compile(r'^Topic \(optional\): "(.*)"$', re.M),  # validate_user
+    "val_topic": re.compile(r'Topic \(optional\): "(.*)"$', re.M),  # validate_user
 }
 # Each block field's opening and closing marker: its value is the text
 # between the first opening marker and the first closing one after it.

@@ -102,7 +102,10 @@ def test_an_empty_triples_reply_stays_on_one_line():
 PARENT_CLAUSE = '". Also describe its relationship to the parent term "'
 # Text the request writers put around a quoted name.
 WRITERS_TEXT = ['"', '".', '". Also describe', 'parent term "', ' about the topic "',
-                '" at difficulty level 1 for each', ' overall topic: "', 'Explain the term: "']
+                '" at difficulty level 1 for each', ' overall topic: "', 'Explain the term: "',
+                'Also describe each term\'s relationship to the parent term "', 'Term to define: "',
+                'Candidate page title: "', 'Start Node: "', 'End Node: "', 'Variation tag: 1',
+                'Topic (optional): "']
 # A name or topic as a request writer quotes it: no line break, but it may
 # hold quotes and the writers' own text, the parent clause apart.
 name = (
@@ -127,7 +130,7 @@ def _slots(prompt):
 @given(st.lists(st.tuples(name, st.lists(passage, max_size=3)), min_size=1, max_size=4), name)
 def test_gloss_fields_round_trip_with_a_shared_parent(terms, parent):
     head, slots = _slots(gloss_user([(term, parent, passages) for term, passages in terms]))
-    assert read_field("parent", head) == parent
+    assert read_field("shared_parent", head) == parent
     for (term, passages), slot in zip(terms, slots, strict=True):
         assert read_field("term", slot) == term
         assert read_field("parent", slot) is None
@@ -140,7 +143,7 @@ def test_gloss_fields_round_trip_with_a_shared_parent(terms, parent):
 )
 def test_gloss_fields_round_trip_with_a_parent_per_slot(terms):
     head, slots = _slots(gloss_user(terms))
-    assert read_field("parent", head) is None
+    assert read_field("shared_parent", head) is None
     for (term, parent, passages), slot in zip(terms, slots, strict=True):
         assert read_field("term", slot) == term
         assert read_field("parent", slot) == parent
@@ -155,7 +158,7 @@ def test_gloss_fields_round_trip_with_a_parent_per_slot(terms):
 def test_a_quoted_field_reads_up_to_the_quote_that_ends_it(term, parent):
     head, [slot] = _slots(gloss_user([(term, parent, [])]))
     assert (read_field("term", slot), read_field("parent", slot)) == (term, None)
-    assert read_field("parent", head) == parent
+    assert read_field("shared_parent", head) == parent
     _, [slot, _] = _slots(gloss_user([(term, parent, []), ("other", None, [])]))
     assert (read_field("term", slot), read_field("parent", slot)) == (term, parent)
 
